@@ -3,16 +3,21 @@
 This is the numerical core of the package: certification rests on inverting
 the binomial CDF, so it is computed from first principles rather than from a
 normal or Wilson approximation. Terms are evaluated in log space from a
-compensated cumulative log-factorial table and accumulated with exactly
-rounded summation; the bound is found by bisection in probability space.
+compensated double-double log-factorial table and added with numpy's
+pairwise summation. The bound is the root of CDF(k; n, r) = beta, found by
+a Newton solve kept inside a bisection bracket. It starts from a closed-form
+guess (exact for k = 0, Wilson score otherwise) and uses the derivative
+that the CDF sum already provides.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from .errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
+# a Newton step this small (relative to r) is below the CDF's rounding noise
+_STEP_FLOOR = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -58,14 +65,18 @@ class RiskBound:
 
 
 class _LogFactorials:
-    """Grow-on-demand table of log(i!), built by compensated accumulation.
+    """Grow-on-demand table of log(i!) as double-double pairs.
 
-    The running Neumaier compensation is carried across growths, so the table
-    contents never depend on the order in which sizes were requested.
+    Row 0 holds the rounded value and row 1 what rounding left out, both from
+    a running Neumaier-compensated sum of log(j). Differences such as
+    log(n!) - log((n-i)!) then keep the precision of the i terms they span
+    instead of inheriting the rounding error of log(n!) itself. The running
+    compensation is carried across growths, so the table contents never
+    depend on the order in which sizes were requested.
     """
 
     def __init__(self) -> None:
-        self._values = np.zeros(1024, dtype=float)
+        self._values = np.zeros((2, 1024), dtype=float)
         self._len = 1
         self._sum = 0.0
         self._comp = 0.0
@@ -74,19 +85,20 @@ class _LogFactorials:
     def upto(self, n: int) -> np.ndarray:
         length = self._len
         if n < length:
-            return self._values[: n + 1]
+            return self._values[:, : n + 1]
         with self._lock:
             if n >= self._len:
                 self._grow(n)
-        return self._values[: n + 1]
+        return self._values[:, : n + 1]
 
     def _grow(self, n: int) -> None:
         values = self._values
-        if n + 1 > len(values):
-            capacity = max(2 * len(values), n + 1)
-            bigger = np.zeros(capacity, dtype=float)
-            bigger[: self._len] = values[: self._len]
+        if n + 1 > values.shape[1]:
+            capacity = max(2 * values.shape[1], n + 1)
+            bigger = np.zeros((2, capacity), dtype=float)
+            bigger[:, : self._len] = values[:, : self._len]
             values = bigger
+        high, low = values
         s, c = self._sum, self._comp
         for j in range(self._len, n + 1):
             x = math.log(j)
@@ -96,7 +108,8 @@ class _LogFactorials:
             else:
                 c += (x - t) + s
             s = t
-            values[j] = s + c
+            high[j] = s + c
+            low[j] = c - (high[j] - s)
         self._sum, self._comp = s, c
         # publish the array before the length so readers never over-index
         self._values = values
@@ -118,22 +131,29 @@ def _check_args(k: int, n: int, p: float) -> None:
 
 
 def _tail_evaluator(k: int, n: int):
-    """CDF(k; n, p) as a function of p, with the p-independent parts precomputed."""
-    log_fact = _LOG_FACTORIALS.upto(n)
+    """p -> (CDF(k; n, p), pmf(k; n, p)), with the p-independent parts precomputed.
+
+    The pmf is the last term of the CDF sum, so the solver gets the
+    derivative dCDF/dp = -(n - k) / (1 - p) * pmf(k; n, p) for free.
+    """
+    high, low = _LOG_FACTORIALS.upto(n)
+    # log C(n, i) for i = 0..k: the high parts of log(n!) and log((n-i)!) cancel
+    # first, then the low parts add back what rounding the high parts dropped
+    high_rev, low_rev = high[n - k : n + 1][::-1], low[n - k : n + 1][::-1]
+    log_coef = (high[n] - high_rev - high[: k + 1]) + (low[n] - low_rev - low[: k + 1])
     i = np.arange(k + 1, dtype=float)
-    log_coef = log_fact[n] - log_fact[: k + 1] - log_fact[n - k : n + 1][::-1]
     n_minus_i = float(n) - i
 
-    def cdf(p: float) -> float:
+    def tail(p: float) -> tuple[float, float]:
         if p <= 0.0:
-            return 1.0
+            return 1.0, float(k == 0)
         if p >= 1.0:
-            return 0.0  # only called with k < n
-        log_terms = log_coef + i * math.log(p) + n_minus_i * math.log1p(-p)
-        total = float(np.exp(log_terms).sum())
-        return total if total < 1.0 else 1.0
+            return 0.0, 0.0  # only called with k < n
+        terms = np.exp(log_coef + i * math.log(p) + n_minus_i * math.log1p(-p))
+        total = float(terms.sum())
+        return (total if total < 1.0 else 1.0), float(terms[-1])
 
-    return cdf
+    return tail
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:
@@ -153,29 +173,59 @@ def binom_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    return _tail_evaluator(k, n)(p)
+    return _tail_evaluator(k, n)(p)[0]
+
+
+def _initial_guess(k: int, n: int, beta: float) -> float:
+    """Closed-form start for the root of CDF(k; n, r) = beta.
+
+    k = 0 has the exact root 1 - beta**(1/n); otherwise the one-sided Wilson
+    score upper limit. The guess depends on (k, n, beta) alone, so a solve
+    never depends on which bounds were computed before it.
+    """
+    if k == 0:
+        return -math.expm1(math.log(beta) / n)
+    z = NormalDist().inv_cdf(1.0 - beta)
+    z2n = z * z / n
+    p_hat = k / n
+    centre = p_hat + 0.5 * z2n
+    spread = z * math.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 * z2n / n)
+    guess = (centre + spread) / (1.0 + z2n)
+    # the solver divides by 1 - r; a guess rounded up to 1 restarts mid-range
+    return guess if guess < 1.0 else 0.5
 
 
 @lru_cache(maxsize=None)
 def _solve_upper_bound(k: int, n: int, beta: float, tol: float, max_iter: int) -> RiskBound:
-    cdf = _tail_evaluator(k, n)
+    tail = _tail_evaluator(k, n)
     lo, hi = 0.0, 1.0  # invariant: cdf(lo) >= beta > cdf(hi)
     best_value, best_residual = 0.0, 1.0 - beta
+    r = _initial_guess(k, n, beta)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f = cdf(mid)
+        f, pmf = tail(r)
         residual = abs(f - beta)
         if residual < best_residual:
-            best_value, best_residual = mid, residual
+            best_value, best_residual = r, residual
         if f >= beta:
-            lo = mid
+            lo = r
         else:
-            hi = mid
+            hi = r
+        if residual == 0.0:
+            break
+        # Newton step on CDF(r) - beta; a step that leaves the bracket bisects
+        slope = (n - k) * pmf / (1.0 - r)
+        step = (f - beta) / slope if slope > 0.0 else math.inf
+        if abs(step) <= _STEP_FLOOR * r:
+            break
+        nxt = r + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt == lo or nxt == hi:
+                break
+        r = nxt
     if best_residual > tol:
         raise ConvergenceError(
-            f"bisection left residual {best_residual:.3e} > {tol:.1e} "
+            f"Newton solve left residual {best_residual:.3e} > {tol:.1e} "
             f"for k={k}, n={n}, beta={beta}"
         )
     return RiskBound(value=best_value, beta=beta, residual=best_residual)
@@ -191,8 +241,11 @@ def risk_upper_bound(
 
     This is the one-sided exact upper bound at confidence 1 - beta: the CDF is
     continuous and strictly decreasing in r on (0, 1) for k < n, so the
-    supremum is the unique root of CDF(k; n, r) = beta, found by bisection
-    (results are cached, keyed by k, n and beta). k = n yields exactly 1.0.
+    supremum is the unique root of CDF(k; n, r) = beta. It is found by Newton
+    steps from a closed-form start, with a bisection step whenever Newton
+    would leave the bracket; the iterate with the smallest residual is
+    returned (results are cached, keyed by k, n and beta). k = n yields
+    exactly 1.0.
     """
     if not isinstance(tail, BinomialTail):
         tail = BinomialTail(*tail)

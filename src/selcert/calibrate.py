@@ -30,8 +30,8 @@ from .errors import (
     InfeasibleCertificateError,
     SchemaError,
 )
+from .jsonio import Exact, format_number
 from .jsonio import dumps as json_dumps
-from .jsonio import format_number
 from .records import Dataset
 
 FEASIBLE = "feasible"
@@ -244,16 +244,22 @@ def retain_rate(decisions: list[Decision]) -> float:
 # serialization
 
 def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None) -> str:
+    """Render a certificate as JSON.
+
+    Thresholds (`lambda_hat` and each grid `lambda`) are written with repr,
+    so a loaded certificate retains exactly the records the original does;
+    derived statistics are written at 12 significant digits.
+    """
     doc: dict[str, object] = {
         "status": cert.status,
-        "lambda_hat": cert.lambda_hat,
+        "lambda_hat": None if cert.lambda_hat is None else Exact(cert.lambda_hat),
         "alpha": cert.config.alpha,
         "beta": cert.config.beta,
         "min_count": cert.config.min_count,
         "calib_size": cert.calib_size,
         "grid": [
             {
-                "lambda": pt.lam,
+                "lambda": Exact(pt.lam),
                 "n": pt.n_at,
                 "errors": pt.errors_at,
                 "risk_hat": pt.risk_hat,

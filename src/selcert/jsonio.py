@@ -2,7 +2,9 @@
 
 Reports, certificates and manifests must be byte-identical across runs, so
 floats are printed at a fixed 12 significant digits and key order follows
-insertion order (never sorted behind the caller's back). Dataset files are
+insertion order (never sorted behind the caller's back). A float wrapped in
+`Exact` is printed with repr instead, so it loads back bit for bit; that is
+for values a reader acts on, such as certified thresholds. Dataset files are
 not rendered here; they keep full float precision for exact round-trips.
 """
 
@@ -13,11 +15,15 @@ import math
 from typing import Any
 
 
+class Exact(float):
+    """A float that `dumps` renders with repr, so it round-trips exactly."""
+
+
 def format_number(x: float) -> str:
-    """Render a float at 12 significant digits."""
+    """Render a float at 12 significant digits, or with repr if it is `Exact`."""
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite number in output: {x!r}")
-    return format(float(x), ".12g")
+    return repr(float(x)) if isinstance(x, Exact) else format(float(x), ".12g")
 
 
 def dumps(obj: Any, indent: int = 2) -> str:

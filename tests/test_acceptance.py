@@ -129,6 +129,27 @@ def test_c3_exact_oracle_equivalence(capsys):
     _criterion(capsys, "C3 exact-oracle equivalence n<=12", body)
 
 
+def test_c3b_scipy_quantile_oracle(capsys):
+    # the exact upper bound is the (1 - beta) quantile of Beta(k + 1, n - k)
+    stats = pytest.importorskip("scipy.stats")
+
+    def body():
+        rng = np.random.default_rng(substream_seed(MASTER_SEED, 3))
+        n = rng.integers(1, 5001, 20000)
+        k = (rng.random(20000) * n).astype(int)  # k < n
+        beta = rng.uniform(0.005, 0.5, 20000)
+        got = np.array([
+            risk_upper_bound(BinomialTail(int(ki), int(ni)), float(bi)).value
+            for ki, ni, bi in zip(k, n, beta)
+        ])
+        expected = stats.beta.ppf(1.0 - beta, k + 1, n - k)
+        rel = np.abs(got - expected) / expected
+        assert rel.max() <= 1e-12
+        return f"20000 random (k, n, beta), worst relative gap {rel.max():.2e}"
+
+    _criterion(capsys, "C3b scipy beta-quantile oracle", body)
+
+
 def test_c4_metric_oracles(capsys):
     def pair_count_auc(scores, labels):
         pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -12,7 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selcert import BinomialTail, DomainError, RiskBound, binom_cdf, risk_upper_bound
+import selcert.binom as binom
+from selcert import (
+    BinomialTail,
+    ConvergenceError,
+    DomainError,
+    RiskBound,
+    binom_cdf,
+    risk_upper_bound,
+)
 
 
 def rational_cdf(k: int, n: int, p: Fraction) -> Fraction:
@@ -139,3 +147,23 @@ class TestRiskUpperBound:
             BinomialTail(5, 4)
         with pytest.raises(DomainError):
             BinomialTail(0, 0)
+
+    def test_iteration_budget_is_enforced(self):
+        # one CDF evaluation at the closed-form start cannot meet the tolerance
+        with pytest.raises(ConvergenceError):
+            risk_upper_bound(BinomialTail(500, 2000), 0.1, max_iter=1)
+
+    def test_result_independent_of_call_order(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pairs = [(int(rng.integers(0, n)), int(n)) for n in rng.integers(1, 3000, 60)]
+
+        def solve_all(order):
+            # fresh bound cache and log-factorial table, so nothing carries over
+            binom._solve_upper_bound.cache_clear()
+            monkeypatch.setattr(binom, "_LOG_FACTORIALS", binom._LogFactorials())
+            return {pair: risk_upper_bound(BinomialTail(*pair), 0.1) for pair in order}
+
+        forwards = solve_all(pairs)
+        backwards = solve_all(pairs[::-1])
+        binom._solve_upper_bound.cache_clear()
+        assert forwards == backwards

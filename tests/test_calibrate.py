@@ -33,6 +33,7 @@ from selcert import (
     selective_risk,
     write_decisions,
 )
+import selcert.binom as binom
 from selcert.calibrate import GridPoint
 
 
@@ -170,6 +171,18 @@ class TestCertifyThreshold:
             expected = brute_force_certify(scores, labels, alpha, beta, min_count)
             assert cert.lambda_hat == expected, f"trial {trial}"
 
+    def test_grid_bounds_match_fresh_solves(self):
+        rng = np.random.default_rng(77)
+        scores = rng.beta(3.0, 2.0, 500)
+        labels = (rng.random(500) < scores).astype(int)
+        data = Dataset(records=tuple(
+            PredictionRecord(f"r{i}", float(s), int(y)) for i, (s, y) in enumerate(zip(scores, labels))
+        ))
+        cert = certify_threshold(data, RiskConfig(alpha=0.3, beta=0.1, min_count=10))
+        binom._solve_upper_bound.cache_clear()
+        for pt in cert.grid:
+            assert pt.risk_plus == risk_upper_bound(BinomialTail(pt.errors_at, pt.n_at), 0.1).value
+
     def test_min_count_above_n_is_always_infeasible(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.99, beta=0.2, min_count=7))
         assert not cert.feasible
@@ -273,8 +286,8 @@ class TestDecision:
 
 
 class TestCertificateSerialization:
-    # report floats are rendered at 12 significant digits, so loading is
-    # stable under re-serialization rather than bit-identical to the source
+    # thresholds are written with repr; derived statistics at 12 significant
+    # digits, so those load stable under re-serialization, not bit-identical
     def test_round_trip_is_stable(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
         text = certificate_to_json(cert)
@@ -285,6 +298,17 @@ class TestCertificateSerialization:
         assert [(pt.n_at, pt.errors_at) for pt in loaded.grid] == [
             (pt.n_at, pt.errors_at) for pt in cert.grid
         ]
+
+    def test_thresholds_round_trip_exactly(self):
+        # confidences with more than 12 significant digits
+        scores = [0.5 + i / 7.0 / 3.0 for i in range(1, 8)]
+        data = Dataset(records=tuple(
+            PredictionRecord(f"r{i}", s, 1) for i, s in enumerate(scores)
+        ))
+        cert = certify_threshold(data, RiskConfig(alpha=0.9, beta=0.2))
+        loaded = certificate_from_json(certificate_to_json(cert))
+        assert loaded.lambda_hat == cert.lambda_hat
+        assert [pt.lam for pt in loaded.grid] == [pt.lam for pt in cert.grid]
 
     def test_round_trip_infeasible(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.3, beta=0.2))

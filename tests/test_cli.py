@@ -5,6 +5,15 @@ import json
 
 import pytest
 
+from selcert import (
+    RiskConfig,
+    SyntheticScorerSpec,
+    apply_certificate,
+    certify_threshold,
+    generate_synthetic,
+    read_decisions,
+    write_dataset,
+)
 from selcert.cli import main
 
 CALIB6 = """id,score,label
@@ -164,6 +173,25 @@ class TestApply:
         for entry in manifest["inputs"].values():
             with open(entry["path"], "rb") as handle:
                 assert entry["sha256"] == hashlib.sha256(handle.read()).hexdigest()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cli_decisions_match_library_on_calibration_set(self, seed, tmp_path):
+        # the record at the certified threshold must survive the JSON round trip
+        data = generate_synthetic(SyntheticScorerSpec(
+            n=400, seed=seed, prevalence=0.5, pos_shape=(3.0, 2.0), neg_shape=(2.0, 3.0)))
+        calib = tmp_path / "calib.csv"
+        write_dataset(data, calib)
+        cert_path, out = tmp_path / "cert.json", tmp_path / "decisions.csv"
+        assert main(["calibrate", "--calib", str(calib), "--alpha", "0.3", "--beta", "0.2",
+                     "--min-count", "10", "--out", str(cert_path)]) == 0
+        cert = certify_threshold(data, RiskConfig(alpha=0.3, beta=0.2, min_count=10))
+        assert cert.feasible
+        assert main(["apply", "--test", str(calib), "--cert", str(cert_path),
+                     "--out", str(out)]) == 0
+        cli = [(d.id, d.prediction) for d in read_decisions(out)]
+        lib = [(d.id, d.prediction) for d in apply_certificate(data, cert)]
+        assert cli == lib
+        assert json.loads(cert_path.read_text())["lambda_hat"] == cert.lambda_hat
 
     def test_infeasible_certificate_writes_nothing(self, calib_csv, test_csv, tmp_path):
         cert = tmp_path / "bad.json"
