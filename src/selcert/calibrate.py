@@ -15,7 +15,6 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .jsonio import Exact, format_number
 from .jsonio import dumps as json_dumps
-from .records import Dataset
+from .records import Dataset, csv_rows, read_text, write_csv_rows
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -121,6 +120,16 @@ class Decision:
         return "abstain" if self.prediction is None else str(self.prediction)
 
 
+def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record confidence max(w, 1 - w) and whether the 0.5-threshold prediction is right.
+
+    The predicted label is 1 where score >= 0.5 (ties go to class 1), the
+    rule `predicted_label` applies to one score.
+    """
+    scores = np.asarray(scores, dtype=float)
+    return np.maximum(scores, 1.0 - scores), (scores >= 0.5) == np.asarray(labels)
+
+
 def confidence(score: float) -> float:
     """Confidence of a binary score: max(score, 1 - score), in [0.5, 1]."""
     if isinstance(score, bool) or not isinstance(score, (int, float, np.floating)):
@@ -144,13 +153,10 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     An empty retained set reports risk_hat = risk_plus = 1 (no evidence, so
     nothing can be certified there).
     """
-    n_at = 0
-    errors_at = 0
-    for rec in data:
-        if confidence(rec.score) >= lam:
-            n_at += 1
-            if predicted_label(rec.score) != rec.label:
-                errors_at += 1
+    conf, correct = _confidence_correct(data.scores(), data.labels())
+    kept = conf >= lam
+    n_at = int(kept.sum())
+    errors_at = int((kept & ~correct).sum())
     if n_at == 0:
         return GridPoint(lam=float(lam), n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
     bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)
@@ -175,26 +181,20 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     """
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
-    scores = data.scores()
-    labels = data.labels()
-    conf = np.maximum(scores, 1.0 - scores)
-    wrong = ((scores >= 0.5).astype(int) != labels).astype(int)
-
+    conf, correct = _confidence_correct(data.scores(), data.labels())
     order = np.argsort(conf, kind="stable")
-    conf_sorted = conf[order]
-    wrong_sorted = wrong[order]
-    suffix_wrong = np.cumsum(wrong_sorted[::-1])[::-1]
-    grid_values, first_index = np.unique(conf_sorted, return_index=True)
+    suffix_wrong = np.cumsum(~correct[order][::-1])[::-1]
+    grid_values, first_index = np.unique(conf[order], return_index=True)
 
     n = len(data)
     points: list[GridPoint] = []
-    for value, start in zip(grid_values, first_index):
-        n_at = int(n - start)
-        errors_at = int(suffix_wrong[start])
+    for value, n_at, errors_at in zip(
+        grid_values.tolist(), (n - first_index).tolist(), suffix_wrong[first_index].tolist()
+    ):
         bound = risk_upper_bound(BinomialTail(errors_at, n_at), config.beta)
         points.append(
             GridPoint(
-                lam=float(value),
+                lam=value,
                 n_at=n_at,
                 errors_at=errors_at,
                 risk_hat=errors_at / n_at,
@@ -225,12 +225,12 @@ def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> list[Decisio
         raise InfeasibleCertificateError(
             "certificate is infeasible; no threshold satisfies the risk budget"
         )
-    decisions: list[Decision] = []
-    for rec in data:
-        c = confidence(rec.score)
-        prediction = predicted_label(rec.score) if c >= cert.lambda_hat else None
-        decisions.append(Decision(id=rec.id, prediction=prediction, confidence=c))
-    return decisions
+    labels = data.labels()
+    conf, correct = _confidence_correct(data.scores(), labels)
+    # the predicted label is the true one where the prediction is right
+    predicted = np.where(correct, labels, 1 - labels).astype(object)
+    prediction = np.where(conf >= cert.lambda_hat, predicted, None)
+    return list(map(Decision, data.ids(), prediction.tolist(), conf.tolist()))
 
 
 def retain_rate(decisions: list[Decision]) -> float:
@@ -316,22 +316,20 @@ def load_certificate(path: str | Path) -> ThresholdCertificate:
 
 def write_decisions(decisions: list[Decision], path: str | Path) -> None:
     """Write decisions as CSV with columns id,outcome,confidence."""
+    columns = (
+        [d.id for d in decisions],
+        [d.outcome for d in decisions],
+        [format_number(d.confidence) for d in decisions],
+    )
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["id", "outcome", "confidence"])
-            for d in decisions:
-                writer.writerow([d.id, d.outcome, format_number(d.confidence)])
+            write_csv_rows(handle, ["id", "outcome", "confidence"], columns)
     except OSError as exc:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
 def read_decisions(path: str | Path) -> list[Decision]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    rows = csv_rows(read_text(path))
     if not rows or rows[0] != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
     decisions: list[Decision] = []

@@ -122,8 +122,7 @@ def _carve_calibration(train: Dataset, fraction: float, seed: int) -> Dataset:
     rng = substream(seed, 0)
     picked = rng.choice(len(train), size=n_pick, replace=False)
     picked.sort()
-    records = tuple(train.records[i] for i in picked)
-    return Dataset(records=records, provenance=f"{train.provenance} [calib fraction {format_number(fraction)}]")
+    return train.take(picked, provenance=f"{train.provenance} [calib fraction {format_number(fraction)}]")
 
 
 def cmd_calibrate(args) -> int:

@@ -10,10 +10,12 @@ F1 and accuracy threshold scores at 0.5, ties predicting class 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
-from .calibrate import Decision
+from .calibrate import Decision, _confidence_correct
 from .errors import (
     DegenerateLabelsError,
     DomainError,
@@ -93,13 +95,13 @@ def f1_accuracy(scores, labels) -> tuple[float, float]:
     s, y = _as_arrays(scores, labels)
     if len(s) == 0:
         raise EmptyInputError("f1_accuracy needs at least one record")
-    pred = (s >= 0.5).astype(int)
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
+    _, correct = _confidence_correct(s, y)
+    tp = int((correct & (y == 1)).sum())
+    fp = int((~correct & (y == 0)).sum())
+    fn = int((~correct & (y == 1)).sum())
     denom = 2 * tp + fp + fn
     f1 = (2 * tp / denom) if denom > 0 else 0.0
-    accuracy = float((pred == y).sum()) / len(s)
+    accuracy = float(correct.sum()) / len(s)
     return f1, accuracy
 
 
@@ -173,20 +175,21 @@ def selective_report(
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
     else:
-        decision_ids = [d.id for d in decisions]
-        if set(decision_ids) != set(data.ids()):
+        ids = data.ids()
+        decision_ids = list(map(attrgetter("id"), decisions))
+        if set(decision_ids) != set(ids):
             raise IdMismatchError("decision ids do not match the dataset ids")
         if len(decision_ids) != len(set(decision_ids)):
             raise IdMismatchError("duplicate ids in decisions")
-        retained_ids = {d.id for d in decisions if d.retained}
-        kept = np.array([rec.id in retained_ids for rec in data], dtype=bool)
+        retained_ids = set(compress(decision_ids, map(attrgetter("retained"), decisions)))
+        kept = np.fromiter(map(retained_ids.__contains__, ids), dtype=bool, count=len(ids))
     report = _subset_report(scores, labels, kept)
     if not by_group:
         return report
-    groups = sorted({rec.group for rec in data if rec.group is not None})
+    groups = data.groups()
     breakdown: dict[str, SelectiveReport] = {}
-    for name in groups:
-        in_group = np.array([rec.group == name for rec in data], dtype=bool)
+    for name in sorted(set(groups.tolist()) - {None}):
+        in_group = groups == name
         breakdown[name] = _subset_report(scores[in_group], labels[in_group], kept[in_group])
     return SelectiveReport(
         pr_auc=report.pr_auc, f1=report.f1, roc_auc=report.roc_auc,
@@ -227,16 +230,17 @@ def bootstrap_significance(
         raise DomainError(f"metric must be one of {sorted(_METRIC_FUNCTIONS)}, got {metric!r}")
     if not isinstance(resamples, int) or resamples < 100:
         raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
-    if set(a.ids()) != set(b.ids()):
+    ids_a, ids_b = a.ids(), b.ids()
+    if set(ids_a) != set(ids_b):
         raise UnpairedIdsError("datasets must share one id set for a paired comparison")
-    b_by_id = b.by_id()
-    ordered_b = [b_by_id[rec.id] for rec in a]
-    for rec_a, rec_b in zip(a, ordered_b):
-        if rec_a.label != rec_b.label:
-            raise UnpairedIdsError(f"labels differ for id {rec_a.id!r}")
-    scores_a = a.scores()
-    scores_b = np.array([rec.score for rec in ordered_b], dtype=float)
+    position_b = dict(zip(ids_b, range(len(ids_b))))
+    b_order = np.fromiter(map(position_b.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))
     labels = a.labels()
+    mismatch = np.flatnonzero(b.labels()[b_order] != labels)
+    if mismatch.size:
+        raise UnpairedIdsError(f"labels differ for id {ids_a[mismatch[0]]!r}")
+    scores_a = a.scores()
+    scores_b = b.scores()[b_order]
     fn = _METRIC_FUNCTIONS[metric]
 
     delta = fn(scores_a, labels) - fn(scores_b, labels)

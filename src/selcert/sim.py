@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import RiskConfig, ThresholdCertificate, certify_threshold
+from .calibrate import RiskConfig, ThresholdCertificate, _confidence_correct, certify_threshold
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError
 from .jsonio import format_number
 from .records import Dataset, SyntheticScorerSpec, generate_synthetic
@@ -71,9 +71,7 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
-    scores = data.scores()
-    labels = data.labels()
-    conf = np.maximum(scores, 1.0 - scores)
+    conf, correct = _confidence_correct(data.scores(), data.labels())
     if lambdas is None:
         grid = np.unique(conf)
     else:
@@ -86,23 +84,14 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
             raise UnsortedLambdasError("lambda grid must be strictly increasing")
 
     order = np.argsort(conf, kind="stable")
-    conf_sorted = conf[order]
-    correct_sorted = ((scores >= 0.5).astype(int) == labels).astype(int)[order]
-    suffix_correct = np.concatenate([np.cumsum(correct_sorted[::-1])[::-1], [0]])
+    suffix_correct = np.append(np.cumsum(correct[order][::-1])[::-1], 0)
     n = len(data)
-    first_at_or_above = np.searchsorted(conf_sorted, grid, side="left")
-
-    points = []
-    for lam, start in zip(grid, first_at_or_above):
-        n_kept = int(n - start)
-        accuracy = int(suffix_correct[start]) / n_kept if n_kept > 0 else None
-        points.append(
-            TradeoffPoint(
-                lam=float(lam),
-                fraction_kept=n_kept / n,
-                selective_accuracy=accuracy,
-            )
-        )
+    start = np.searchsorted(conf[order], grid, side="left")
+    n_kept = n - start
+    with np.errstate(invalid="ignore"):
+        accuracy = suffix_correct[start] / n_kept
+    accuracy = np.where(n_kept > 0, accuracy, None)
+    points = map(TradeoffPoint, grid.tolist(), (n_kept / n).tolist(), accuracy.tolist())
     return TradeoffCurve(points=tuple(points))
 
 
@@ -120,13 +109,12 @@ def _run_trial(
     cert: ThresholdCertificate = certify_threshold(calib, config)
     if not cert.feasible:
         return GuaranteeTrial(trial_index, None, None, False)
-    scores = test.scores()
-    labels = test.labels()
-    kept = np.maximum(scores, 1.0 - scores) >= cert.lambda_hat
+    conf, correct = _confidence_correct(test.scores(), test.labels())
+    kept = conf >= cert.lambda_hat
     n_kept = int(kept.sum())
     if n_kept == 0:
         return GuaranteeTrial(trial_index, cert.lambda_hat, None, False)
-    accuracy = float(((scores[kept] >= 0.5).astype(int) == labels[kept]).sum()) / n_kept
+    accuracy = int(correct[kept].sum()) / n_kept
     violated = accuracy < 1.0 - config.alpha
     return GuaranteeTrial(trial_index, cert.lambda_hat, accuracy, violated)
 

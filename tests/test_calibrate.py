@@ -34,7 +34,7 @@ from selcert import (
     write_decisions,
 )
 import selcert.binom as binom
-from selcert.calibrate import GridPoint
+from selcert.calibrate import GridPoint, _confidence_correct
 
 
 def fixture6() -> Dataset:
@@ -379,3 +379,27 @@ class TestDecisionsIO:
         path.write_text("id,outcome,confidence\na,1,0.9\na,0,0.8\n")
         with pytest.raises(SchemaError):
             read_decisions(path)
+
+
+class TestDecisionsCsvQuoting:
+    @pytest.mark.parametrize("rec_id", ["a\nb", "a\rb", 'x,"y"\r\nz'])
+    def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
+        decisions = [Decision(id=rec_id, prediction=1, confidence=0.75),
+                     Decision(id="plain", prediction=None, confidence=0.5)]
+        path = tmp_path / "dec.csv"
+        write_decisions(decisions, path)
+        assert read_decisions(path) == decisions
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_bytes("\ufeffid,outcome,confidence\na,1,0.9\n".encode("utf-8"))
+        assert read_decisions(path) == [Decision(id="a", prediction=1, confidence=0.9)]
+
+
+class TestConfidenceCorrectKernel:
+    def test_matches_scalar_rules(self):
+        scores = np.array([0.0, 0.2, 0.5, 0.5, 0.7, 1.0])
+        labels = np.array([0, 1, 1, 0, 1, 0])
+        conf, correct = _confidence_correct(scores, labels)
+        assert conf.tolist() == [confidence(s) for s in scores]
+        assert correct.tolist() == [predicted_label(s) == y for s, y in zip(scores, labels)]

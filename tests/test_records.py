@@ -1,5 +1,6 @@
 """Record validation, dataset IO, temporal splits, synthetic generation."""
 
+import json
 from datetime import date
 
 import numpy as np
@@ -312,3 +313,193 @@ class TestSyntheticGenerator:
         base.update(kwargs)
         with pytest.raises(DomainError):
             SyntheticScorerSpec(**base)
+
+
+class TestCsvQuotingAndBom:
+    @pytest.mark.parametrize("rec_id", ["a\nb", "a\r\nb", "a\rb", 'say "hi", then\nleave'])
+    def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
+        data = Dataset(records=(PredictionRecord(rec_id, 0.25, 0, group="g\nh"),
+                                PredictionRecord("plain", 0.75, 1)))
+        path = tmp_path / "d.csv"
+        write_dataset(data, path)
+        assert load_dataset(path).records == data.records
+
+    def test_quoted_newline_is_one_record(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('id,score,label\n"a\nb",0.7,1\nc,0.2,0\n', newline="")
+        assert load_dataset(path).ids() == ["a\nb", "c"]
+
+    def test_rows_count_records_not_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('id,score,label\n"a\nb",0.7,1\nc,high,0\n', newline="")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.row == 2 and err.value.column == "score"
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_utf8_bom_accepted(self, tmp_path, suffix):
+        data = make_dataset()
+        plain = tmp_path / f"plain.{suffix}"
+        write_dataset(data, plain)
+        path = tmp_path / f"bom.{suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_dataset(path).records == data.records
+
+
+def _rows_file(tmp_path, fmt, corrupt, n=1000):
+    """A grouped n-row dataset file; `corrupt` maps 1-based rows to row rewriters."""
+    path = tmp_path / f"d.{fmt}"
+    if fmt == "csv":
+        rows = [[f"r{i}", repr((i % 97) / 97), str(i % 2), f"g{i % 3}"] for i in range(1, n + 1)]
+    else:
+        rows = [{"id": f"r{i}", "score": (i % 97) / 97, "label": i % 2, "group": f"g{i % 3}"}
+                for i in range(1, n + 1)]
+    for row, rewrite in corrupt.items():
+        rows[row - 1] = rewrite(rows[row - 1])
+    if fmt == "csv":
+        path.write_text("id,score,label,group\n" + "".join(",".join(r) + "\n" for r in rows))
+    else:
+        path.write_text(json.dumps(rows))
+    return path
+
+
+def _set(key, value):
+    def corrupt(row):
+        row = list(row) if isinstance(row, list) else dict(row)
+        row[key] = value
+        return row
+    return corrupt
+
+
+def _drop(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+# Exception class, row, column and message for one bad cell at row 737 of a
+# 1000-row file, as the record-by-record loader reported them.
+FIRST_BAD_ROW = [
+    ("csv", "field count", lambda r: r[:3], SchemaError, 737, None,
+     "expected 4 fields, got 3 (row 737)"),
+    ("csv", "empty id", _set(0, ""), SchemaError, 737, "id",
+     "id must be nonempty (row 737, column 'id')"),
+    ("csv", "duplicate id", _set(0, "r5"), DuplicateIdError, None, None,
+     "duplicate record id 'r5' at row 737"),
+    ("csv", "non-numeric score", _set(1, "high"), SchemaError, 737, "score",
+     "score is not a number: 'high' (row 737, column 'score')"),
+    ("csv", "out-of-range score", _set(1, "1.5"), SchemaError, 737, "score",
+     "score out of range [0, 1]: '1.5' (row 737, column 'score')"),
+    ("csv", "nan score", _set(1, "nan"), SchemaError, 737, "score",
+     "score out of range [0, 1]: 'nan' (row 737, column 'score')"),
+    ("csv", "bad label", _set(2, "2"), SchemaError, 737, "label",
+     "label must be 0 or 1: '2' (row 737, column 'label')"),
+    ("json", "missing key", _drop("label"), SchemaError, 737, None,
+     "missing required key(s) ['label'] (row 737)"),
+    ("json", "key set", _drop("group"), SchemaError, 737, None,
+     "records must share one key set; expected ['group', 'id', 'label', 'score'] (row 737)"),
+    ("json", "empty id", _set("id", ""), SchemaError, 737, "id",
+     "id must be a nonempty string: '' (row 737, column 'id')"),
+    ("json", "duplicate id", _set("id", "r5"), DuplicateIdError, None, None,
+     "duplicate record id 'r5' at row 737"),
+    ("json", "non-numeric score", _set("score", "high"), SchemaError, 737, "score",
+     "score must be a number: 'high' (row 737, column 'score')"),
+    ("json", "out-of-range score", _set("score", 1.5), SchemaError, 737, "score",
+     "score out of range [0, 1]: 1.5 (row 737, column 'score')"),
+    ("json", "nan score", _set("score", float("nan")), SchemaError, 737, "score",
+     "score out of range [0, 1]: nan (row 737, column 'score')"),
+    ("json", "bad label", _set("label", 2), SchemaError, 737, "label",
+     "label must be 0 or 1: 2 (row 737, column 'label')"),
+]
+
+
+class TestFirstBadRow:
+    @pytest.mark.parametrize(
+        "fmt, name, corrupt, exc_type, row, column, message", FIRST_BAD_ROW,
+        ids=[f"{case[0]}-{case[1]}" for case in FIRST_BAD_ROW],
+    )
+    def test_error_matches_row_by_row_loader(
+        self, tmp_path, fmt, name, corrupt, exc_type, row, column, message
+    ):
+        with pytest.raises(exc_type) as err:
+            load_dataset(_rows_file(tmp_path, fmt, {737: corrupt}))
+        assert type(err.value) is exc_type
+        assert str(err.value) == message
+        assert getattr(err.value, "row", None) == row
+        assert getattr(err.value, "column", None) == column
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_earliest_bad_row_wins_over_check_order(self, tmp_path, fmt):
+        # a bad label at row 300 is reported before a bad score at row 737
+        score, label = (1, 2) if fmt == "csv" else ("score", "label")
+        path = _rows_file(tmp_path, fmt, {737: _set(score, "high"), 300: _set(label, "7")})
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert (err.value.row, err.value.column) == (300, "label")
+
+    def test_first_bad_cell_within_a_row(self, tmp_path):
+        # score is checked before label within one row, as before
+        path = _rows_file(tmp_path, "csv", {737: lambda r: [r[0], "high", "7", r[3]]})
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert (err.value.row, err.value.column) == (737, "score")
+
+
+class TestColumns:
+    def test_records_and_columns_agree(self):
+        records = make_dataset()
+        columns = Dataset.from_columns(
+            ["a", "b", "c"], np.array([0.91, 0.12, 0.5]), np.array([1, 0, 1]),
+            dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
+            groups=["phase-1", "phase-2", None], provenance="unit fixture",
+        )
+        assert columns.ids() == records.ids()
+        assert np.array_equal(columns.scores(), records.scores())
+        assert np.array_equal(columns.labels(), records.labels())
+        assert columns.groups().tolist() == records.groups().tolist()
+        assert columns.dates().tolist() == records.dates().tolist()
+        assert columns.records == records.records
+        assert columns == records
+
+    def test_column_types(self):
+        data = make_dataset()
+        assert data.scores().dtype == np.float64 and data.labels().dtype == np.int64
+        assert type(data.records[0].score) is float and type(data.records[0].label) is int
+
+    def test_columns_are_read_only(self):
+        data = make_dataset()
+        with pytest.raises(ValueError):
+            data.scores()[0] = 0.0
+
+    def test_records_built_once_on_demand(self):
+        data = generate_synthetic(SyntheticScorerSpec(4, 0.5, (2, 2), (2, 2), 3))
+        assert data.records is data.records
+        assert [rec.id for rec in data] == data.ids()
+        assert data.by_id()["syn-2"] == data.records[2]
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(ids=["a", "a"]), DuplicateIdError),
+            (dict(ids=["a", ""]), SchemaError),
+            (dict(ids=["a", 7]), SchemaError),
+            (dict(scores=[0.5, 1.5]), SchemaError),
+            (dict(scores=[0.5, float("nan")]), SchemaError),
+            (dict(scores=["0.5", "0.6"]), SchemaError),
+            (dict(labels=[0, 2]), SchemaError),
+            (dict(labels=[True, False]), SchemaError),
+            (dict(labels=[0.0, 1.0]), SchemaError),
+            (dict(labels=[0]), SchemaError),
+            (dict(groups=["g"]), SchemaError),
+        ],
+    )
+    def test_from_columns_validates(self, kwargs, error):
+        columns = dict(ids=["a", "b"], scores=[0.5, 0.6], labels=[0, 1])
+        columns.update(kwargs)
+        with pytest.raises(error):
+            Dataset.from_columns(**columns)
+
+    def test_take(self):
+        data = make_dataset()
+        picked = data.take(np.array([2, 0]), provenance="picked")
+        assert picked.ids() == ["c", "a"] and picked.provenance == "picked"
+        assert picked.records == (data.records[2], data.records[0])
+        assert data.take(data.labels() == 1, provenance="").ids() == ["a", "c"]
