@@ -155,17 +155,16 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     """
     conf, correct = _confidence_correct(data.scores(), data.labels())
     kept = conf >= lam
-    n_at = int(kept.sum())
-    errors_at = int((kept & ~correct).sum())
+    return _grid_point(float(lam), int(kept.sum()), int((kept & ~correct).sum()), beta)
+
+
+def _grid_point(lam: float, n_at: int, errors_at: int, beta: float) -> GridPoint:
+    """The grid point for these counts; retaining nothing gives risk 1 (no evidence)."""
     if n_at == 0:
-        return GridPoint(lam=float(lam), n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
+        return GridPoint(lam=lam, n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
     bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)
     return GridPoint(
-        lam=float(lam),
-        n_at=n_at,
-        errors_at=errors_at,
-        risk_hat=errors_at / n_at,
-        risk_plus=bound.value,
+        lam=lam, n_at=n_at, errors_at=errors_at, risk_hat=errors_at / n_at, risk_plus=bound.value
     )
 
 
@@ -187,20 +186,12 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     grid_values, first_index = np.unique(conf[order], return_index=True)
 
     n = len(data)
-    points: list[GridPoint] = []
-    for value, n_at, errors_at in zip(
-        grid_values.tolist(), (n - first_index).tolist(), suffix_wrong[first_index].tolist()
-    ):
-        bound = risk_upper_bound(BinomialTail(errors_at, n_at), config.beta)
-        points.append(
-            GridPoint(
-                lam=value,
-                n_at=n_at,
-                errors_at=errors_at,
-                risk_hat=errors_at / n_at,
-                risk_plus=bound.value,
-            )
+    points = [
+        _grid_point(value, n_at, errors_at, config.beta)
+        for value, n_at, errors_at in zip(
+            grid_values.tolist(), (n - first_index).tolist(), suffix_wrong[first_index].tolist()
         )
+    ]
 
     lambda_hat: float | None = None
     for point in reversed(points):
@@ -307,11 +298,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
 
 
 def load_certificate(path: str | Path) -> ThresholdCertificate:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read {path}: {exc}") from exc
-    return certificate_from_json(text)
+    return certificate_from_json(read_text(path))
 
 
 def write_decisions(decisions: list[Decision], path: str | Path) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 
 from . import __version__
@@ -79,17 +78,6 @@ def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SELCERT_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise DomainError(f"SELCERT_THREADS must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise DomainError(f"SELCERT_THREADS must be a positive integer, got {raw!r}")
-    return count
 
 
 def _shape_pair(text: str) -> tuple[float, float]:
@@ -239,7 +227,6 @@ def cmd_simulate(args) -> int:
         n_calib=args.n_calib,
         n_test=args.n_test,
         seed=args.seed,
-        max_workers=_thread_count(),
     )
     summary = summarize_trials(trials)
     manifest = _manifest(

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -264,42 +264,19 @@ def _to_date(text: str, date_format: str | None) -> date:
     return datetime.strptime(text, date_format).date()
 
 
-def _parse_date(text: str, date_format: str | None, row: int) -> date:
+def _parse_prefix(parse, cells: Sequence) -> tuple[list, ValueError | None]:
+    """parse(cell) for each cell up to the first that raises ValueError, and that error."""
     try:
-        return _to_date(text, date_format)
-    except ValueError as exc:
-        raise SchemaError(f"bad date {text!r}: {exc}", row=row, column="date") from None
-
-
-def _parse_score(value: str, row: int) -> float:
-    try:
-        score = float(value)
-    except ValueError:
-        raise SchemaError(f"score is not a number: {value!r}", row=row, column="score") from None
-    if not (0.0 <= score <= 1.0):
-        raise SchemaError(f"score out of range [0, 1]: {value!r}", row=row, column="score")
-    return score
-
-
-def _parse_label(value: str, row: int) -> int:
-    if value not in ("0", "1"):
-        raise SchemaError(f"label must be 0 or 1: {value!r}", row=row, column="label")
-    return int(value)
-
-
-def _parse_prefix(parse, cells: Sequence) -> list:
-    """parse(cell) for each cell, up to (not including) the first that raises ValueError."""
-    try:
-        return list(map(parse, cells))
+        return list(map(parse, cells)), None
     except ValueError:
         pass
     parsed = []
     for cell in cells:
         try:
             parsed.append(parse(cell))
-        except ValueError:
-            break
-    return parsed
+        except ValueError as exc:
+            return parsed, exc
+    return parsed, None
 
 
 def _types_in(values: Sequence, types: set) -> np.ndarray:
@@ -307,18 +284,51 @@ def _types_in(values: Sequence, types: set) -> np.ndarray:
     return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
 
 
+def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: int) -> None:
+    """Raise the error of the earliest bad row, from the first listed check failing there.
+
+    Each check, listed in cell order, pairs the 0-based index of the first row
+    it fails (any index >= n_rows when none does) with a function wording the
+    error for that index. A check run only on the rows before some earlier
+    listed check's first failure reports that failure's index when it passes.
+    """
+    first = min((index for index, _ in checks), default=n_rows)
+    if first < n_rows:
+        raise next(error for index, error in checks if index == first)(first)
+
+
+def _cell_error(values: Sequence, column: str, message: Callable[[object], str]):
+    """The located error for a bad `column` cell at 0-based index i: message(values[i])."""
+    return lambda i: SchemaError(message(values[i]), row=i + 1, column=column)
+
+
+def _duplicate_error(ids: Sequence[str]):
+    return lambda i: DuplicateIdError(f"duplicate record id {ids[i]!r} at row {i + 1}")
+
+
 def read_text(path: str | Path) -> str:
     """A file's text: UTF-8, with or without a byte-order mark, line ends untouched."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"cannot read {path}: {exc}") from exc
 
 
 def csv_rows(text: str) -> list[list[str]]:
-    """The records of CSV text; a quoted field may hold line breaks."""
-    return list(csv.reader(io.StringIO(text, newline="")))
+    """The records of CSV text; a quoted field may hold line breaks.
+
+    Malformed CSV raises SchemaError naming the header or the 1-based data row.
+    """
+    rows: list[list[str]] = []
+    try:
+        # extend keeps the rows read before the error, so len(rows) locates it
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        if not rows:
+            raise SchemaError(f"malformed CSV header: {exc}") from None
+        raise SchemaError(f"malformed CSV: {exc}", row=len(rows)) from None
+    return rows
 
 
 def write_csv_rows(handle: TextIO, header: list[str], columns: Sequence[Sequence[str]]) -> None:
@@ -365,13 +375,8 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     if not rows:
         raise SchemaError("empty file: missing header")
     header, rows = rows[0], rows[1:]
-    allowed = [
-        list(_BASE_COLUMNS),
-        list(_BASE_COLUMNS) + ["date"],
-        list(_BASE_COLUMNS) + ["group"],
-        list(_BASE_COLUMNS) + ["date", "group"],
-    ]
-    if header not in allowed:
+    optional = ([], ["date"], ["group"], ["date", "group"])
+    if header[:3] != list(_BASE_COLUMNS) or header[3:] not in optional:
         raise SchemaError(
             "header must be id,score,label with optional date and/or group columns, "
             f"got {','.join(header)!r}"
@@ -379,41 +384,27 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     # every check runs on the rows before the first ragged one
     n = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header))
     cells = dict(zip(header, zip(*rows[:n]))) if n else {name: () for name in header}
-    ids = cells["id"]
-    scores = np.array(_parse_prefix(float, cells["score"]), dtype=np.float64)
-    labels = np.fromiter(map(_CSV_LABELS.get, cells["label"], repeat(-1)), np.int64, n)
-    dates = [None] * n
+    ids, score_text, label_text = cells["id"], cells["score"], cells["label"]
+    scores = np.array(_parse_prefix(float, score_text)[0], dtype=np.float64)
+    labels = np.fromiter(map(_CSV_LABELS.get, label_text, repeat(-1)), np.int64, n)
+    dates, date_exc = [None] * n, None
     if "date" in cells:
-        dates = _parse_prefix(lambda t: None if t == "" else _to_date(t, date_format), cells["date"])
-    first_bad = min(
-        n,
-        _first(_object_column(ids) == ""),
-        _first_duplicate(ids),
-        len(scores),
-        _first(~((scores >= 0.0) & (scores <= 1.0))),
-        _first(labels < 0),
-        len(dates),
-    )
-    if first_bad < len(rows):
-        _check_csv_row(header, rows[first_bad], first_bad + 1, set(ids[:first_bad]), date_format)
+        dates, date_exc = _parse_prefix(lambda t: None if t == "" else _to_date(t, date_format),
+                                        cells["date"])
+    _raise_first([
+        (n, lambda i: SchemaError(f"expected {len(header)} fields, got {len(rows[i])}", row=i + 1)),
+        (_first(_object_column(ids) == ""), _cell_error(ids, "id", lambda _: "id must be nonempty")),
+        (_first_duplicate(ids), _duplicate_error(ids)),
+        (len(scores), _cell_error(score_text, "score", "score is not a number: {!r}".format)),
+        (_first(~((scores >= 0.0) & (scores <= 1.0))),
+         _cell_error(score_text, "score", "score out of range [0, 1]: {!r}".format)),
+        (_first(labels < 0), _cell_error(label_text, "label", "label must be 0 or 1: {!r}".format)),
+        (len(dates),
+         _cell_error(cells.get("date"), "date", lambda text: f"bad date {text!r}: {date_exc}")),
+    ], len(rows))
     groups = _object_column(cells.get("group", (None,) * n))
     groups[groups == ""] = None
     return ids, scores, labels, dates, groups
-
-
-def _check_csv_row(header: list[str], row: list[str], i: int, seen: set, date_format: str | None) -> None:
-    """Raise the error for the first bad cell of CSV data row i (1-based)."""
-    if len(row) != len(header):
-        raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=i, column=None)
-    cell = dict(zip(header, row))
-    if not cell["id"]:
-        raise SchemaError("id must be nonempty", row=i, column="id")
-    if cell["id"] in seen:
-        raise DuplicateIdError(f"duplicate record id {cell['id']!r} at row {i}")
-    _parse_score(cell["score"], i)
-    _parse_label(cell["label"], i)
-    if cell.get("date", "") != "":
-        _parse_date(cell["date"], date_format, i)
 
 
 def _columns_from_json(text: str, date_format: str | None) -> tuple:
@@ -436,65 +427,43 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
     n_numbers = _first(~_types_in(raw_scores, {int, float}))
     scores = np.array(raw_scores[:n_numbers], dtype=np.float64)
     raw_labels = _object_column(column.get("label", []))
-    good_labels = _types_in(raw_labels, {int}) & ((raw_labels == 0) | (raw_labels == 1))
     raw_dates = column.get("date", [None] * n)
     n_date_strings = _first(~_types_in(raw_dates, {str, type(None)}))
-    dates = _parse_prefix(lambda t: None if t is None else _to_date(t, date_format),
-                          raw_dates[:n_date_strings])
+    dates, date_exc = _parse_prefix(lambda t: None if t is None else _to_date(t, date_format),
+                                    raw_dates[:n_date_strings])
     groups = _object_column(column.get("group", [None] * n))
-    first_bad = min(
-        n,
-        n_ids,
-        _first_duplicate(ids[:n_ids]),
-        n_numbers,
-        _first(~((scores >= 0.0) & (scores <= 1.0))),
-        _first(~good_labels),
-        len(dates),
-        _first(~_types_in(groups, {str, type(None)})),
-    )
-    if first_bad < len(data):
-        _check_json_row(data[first_bad], first_bad + 1, key_set, set(ids[:first_bad]), date_format)
+    _raise_first([
+        (n, lambda i: _key_error(data[i], key_set, i + 1)),
+        (n_ids, _cell_error(ids, "id", "id must be a nonempty string: {!r}".format)),
+        (_first_duplicate(ids[:n_ids]), _duplicate_error(ids)),
+        (n_numbers, _cell_error(raw_scores, "score", "score must be a number: {!r}".format)),
+        (_first(~((scores >= 0.0) & (scores <= 1.0))),
+         _cell_error(raw_scores, "score", "score out of range [0, 1]: {!r}".format)),
+        (_first(~(_types_in(raw_labels, {int}) & ((raw_labels == 0) | (raw_labels == 1)))),
+         _cell_error(raw_labels, "label", "label must be 0 or 1: {!r}".format)),
+        (n_date_strings, _cell_error(raw_dates, "date", "date must be a string: {!r}".format)),
+        (len(dates), _cell_error(raw_dates, "date", lambda text: f"bad date {text!r}: {date_exc}")),
+        (_first(~_types_in(groups, {str, type(None)})),
+         _cell_error(groups, "group", "group must be a string: {!r}".format)),
+    ], len(data))
     groups[groups == ""] = None
     return ids, scores, raw_labels.astype(np.int64), dates, groups
 
 
-def _check_json_row(obj, i: int, key_set: frozenset, seen: set, date_format: str | None) -> None:
-    """Raise the error for the first bad field of JSON record i (1-based).
+def _key_error(obj, key_set: frozenset, row: int) -> SchemaError:
+    """The error for JSON record `row` (1-based) whose keys break the schema.
 
     key_set is the first record's key set, which every record must share.
     """
     if not isinstance(obj, dict):
-        raise SchemaError("record must be an object", row=i)
+        return SchemaError("record must be an object", row=row)
     keys = set(obj)
     if not keys >= set(_BASE_COLUMNS):
-        missing = sorted(set(_BASE_COLUMNS) - keys)
-        raise SchemaError(f"missing required key(s) {missing}", row=i)
+        return SchemaError(f"missing required key(s) {sorted(set(_BASE_COLUMNS) - keys)}", row=row)
     extra = keys - set(_BASE_COLUMNS) - set(_OPTIONAL_COLUMNS)
     if extra:
-        raise SchemaError(f"unknown key(s) {sorted(extra)}", row=i)
-    if keys != key_set:
-        raise SchemaError(f"records must share one key set; expected {sorted(key_set)}", row=i)
-    rec_id = obj["id"]
-    if not isinstance(rec_id, str) or not rec_id:
-        raise SchemaError(f"id must be a nonempty string: {rec_id!r}", row=i, column="id")
-    if rec_id in seen:
-        raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
-    score = obj["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise SchemaError(f"score must be a number: {score!r}", row=i, column="score")
-    if not (0.0 <= float(score) <= 1.0):
-        raise SchemaError(f"score out of range [0, 1]: {score!r}", row=i, column="score")
-    label = obj["label"]
-    if isinstance(label, bool) or not isinstance(label, int) or label not in (0, 1):
-        raise SchemaError(f"label must be 0 or 1: {label!r}", row=i, column="label")
-    raw_date = obj.get("date")
-    if raw_date is not None:
-        if not isinstance(raw_date, str):
-            raise SchemaError(f"date must be a string: {raw_date!r}", row=i, column="date")
-        _parse_date(raw_date, date_format, i)
-    group = obj.get("group")
-    if group is not None and not isinstance(group, str):
-        raise SchemaError(f"group must be a string: {group!r}", row=i, column="group")
+        return SchemaError(f"unknown key(s) {sorted(extra)}", row=row)
+    return SchemaError(f"records must share one key set; expected {sorted(key_set)}", row=row)
 
 
 def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> None:

@@ -4,14 +4,13 @@ validate_guarantee checks the marginal selective-accuracy guarantee: over
 repeated calibration draws, the fraction of feasible certificates whose test
 selective accuracy falls below 1 - alpha should stay near or below beta.
 Each trial derives its own seed substream, so trials are reproducible
-individually and can run across threads without changing the output.
+individually; they run one after another in a single thread.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,21 +133,16 @@ def validate_guarantee(
     test draws each time), certifies on the calibration draw, and measures
     selective accuracy of the certified threshold on the test draw. `spec`
     contributes the score distribution; its own n and seed fields are replaced
-    per trial. Results are ordered by trial index regardless of max_workers.
+    per trial. Results are ordered by trial index.
+
+    `max_workers` is accepted and validated but has no effect: trials run in
+    one thread, since a thread pool measured slower than one thread.
     """
-    for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test)):
+    for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test),
+                        ("max_workers", max_workers)):
         if not isinstance(value, int) or value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    if not isinstance(max_workers, int) or max_workers < 1:
-        raise DomainError(f"max_workers must be a positive integer, got {max_workers!r}")
-
-    def run(t: int) -> GuaranteeTrial:
-        return _run_trial(t, spec, config, n_calib, n_test, seed)
-
-    if max_workers == 1:
-        return [run(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run, range(trials)))
+    return [_run_trial(t, spec, config, n_calib, n_test, seed) for t in range(trials)]
 
 
 def summarize_trials(trials: list[GuaranteeTrial]) -> dict:

@@ -1,0 +1,141 @@
+"""A record-by-record dataset loader, kept as a reference for `load_dataset`.
+
+This is the package's original loader loop: it checks each row cell by cell
+and stops at the first bad one. It reads files with the package's
+`read_text` (UTF-8 with an optional byte-order mark) and `csv_rows`. The
+vectorised loader must raise the same error class, message, row and column,
+and load the same records.
+"""
+
+import json
+from datetime import date, datetime
+from pathlib import Path
+
+from selcert import Dataset, DuplicateIdError, PredictionRecord, SchemaError
+from selcert.records import csv_rows, read_text
+
+BASE_COLUMNS = ("id", "score", "label")
+OPTIONAL_COLUMNS = ("date", "group")
+
+
+def load_dataset_rowwise(path, date_format=None) -> Dataset:
+    text = read_text(path)
+    if Path(path).suffix == ".csv":
+        records = _records_from_csv(text, date_format)
+    else:
+        records = _records_from_json(text, date_format)
+    return Dataset(records=tuple(records), provenance=str(path))
+
+
+def _parse_date(text, date_format, row):
+    try:
+        if date_format is None:
+            return date.fromisoformat(text)
+        return datetime.strptime(text, date_format).date()
+    except ValueError as exc:
+        raise SchemaError(f"bad date {text!r}: {exc}", row=row, column="date") from None
+
+
+def _parse_score(value, row):
+    try:
+        score = float(value)
+    except ValueError:
+        raise SchemaError(f"score is not a number: {value!r}", row=row, column="score") from None
+    if not (0.0 <= score <= 1.0):
+        raise SchemaError(f"score out of range [0, 1]: {value!r}", row=row, column="score")
+    return score
+
+
+def _parse_label(value, row):
+    if value not in ("0", "1"):
+        raise SchemaError(f"label must be 0 or 1: {value!r}", row=row, column="label")
+    return int(value)
+
+
+def _records_from_csv(text, date_format):
+    rows = csv_rows(text)
+    if not rows:
+        raise SchemaError("empty file: missing header")
+    header = rows[0]
+    allowed = [
+        list(BASE_COLUMNS),
+        list(BASE_COLUMNS) + ["date"],
+        list(BASE_COLUMNS) + ["group"],
+        list(BASE_COLUMNS) + ["date", "group"],
+    ]
+    if header not in allowed:
+        raise SchemaError(
+            "header must be id,score,label with optional date and/or group columns, "
+            f"got {','.join(header)!r}"
+        )
+    records = []
+    seen = set()
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=i, column=None)
+        cell = dict(zip(header, row))
+        rec_id = cell["id"]
+        if not rec_id:
+            raise SchemaError("id must be nonempty", row=i, column="id")
+        if rec_id in seen:
+            raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
+        seen.add(rec_id)
+        score = _parse_score(cell["score"], i)
+        label = _parse_label(cell["label"], i)
+        rec_date = None
+        if "date" in cell and cell["date"] != "":
+            rec_date = _parse_date(cell["date"], date_format, i)
+        group = cell.get("group") or None
+        records.append(PredictionRecord(rec_id, score, label, rec_date, group))
+    return records
+
+
+def _records_from_json(text, date_format):
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise SchemaError("top level must be an array of record objects")
+    records = []
+    seen = set()
+    key_set = None
+    for i, obj in enumerate(data, start=1):
+        if not isinstance(obj, dict):
+            raise SchemaError("record must be an object", row=i)
+        keys = set(obj)
+        if not keys >= set(BASE_COLUMNS):
+            missing = sorted(set(BASE_COLUMNS) - keys)
+            raise SchemaError(f"missing required key(s) {missing}", row=i)
+        extra = keys - set(BASE_COLUMNS) - set(OPTIONAL_COLUMNS)
+        if extra:
+            raise SchemaError(f"unknown key(s) {sorted(extra)}", row=i)
+        if key_set is None:
+            key_set = keys
+        elif keys != key_set:
+            raise SchemaError(f"records must share one key set; expected {sorted(key_set)}", row=i)
+        rec_id = obj["id"]
+        if not isinstance(rec_id, str) or not rec_id:
+            raise SchemaError(f"id must be a nonempty string: {rec_id!r}", row=i, column="id")
+        if rec_id in seen:
+            raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
+        seen.add(rec_id)
+        score = obj["score"]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise SchemaError(f"score must be a number: {score!r}", row=i, column="score")
+        if not (0.0 <= float(score) <= 1.0):
+            raise SchemaError(f"score out of range [0, 1]: {score!r}", row=i, column="score")
+        label = obj["label"]
+        if isinstance(label, bool) or not isinstance(label, int) or label not in (0, 1):
+            raise SchemaError(f"label must be 0 or 1: {label!r}", row=i, column="label")
+        rec_date = None
+        raw_date = obj.get("date")
+        if raw_date is not None:
+            if not isinstance(raw_date, str):
+                raise SchemaError(f"date must be a string: {raw_date!r}", row=i, column="date")
+            rec_date = _parse_date(raw_date, date_format, i)
+        group = obj.get("group")
+        if group is not None and not isinstance(group, str):
+            raise SchemaError(f"group must be a string: {group!r}", row=i, column="group")
+        records.append(PredictionRecord(rec_id, float(score), label, rec_date, group or None))
+    return records

@@ -12,6 +12,7 @@ import pytest
 from selcert import (
     BinomialTail,
     Dataset,
+    DatasetIOError,
     Decision,
     DomainError,
     EmptyCalibrationError,
@@ -341,6 +342,19 @@ class TestCertificateSerialization:
         assert loaded.lambda_hat == cert.lambda_hat == 0.6
         assert loaded.config == cert.config
 
+    def test_certificate_with_bom_loads(self, tmp_path):
+        cert = certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))
+        path = tmp_path / "cert.json"
+        text = certificate_to_json(cert)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_certificate(path) == certificate_from_json(text)
+
+    def test_non_utf8_certificate(self, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b'{"status": "\xff"}')
+        with pytest.raises(DatasetIOError, match="'utf-8' codec can't decode"):
+            load_certificate(path)
+
     def test_malformed_certificate(self):
         with pytest.raises(SchemaError):
             certificate_from_json("{not json")
@@ -378,6 +392,19 @@ class TestDecisionsIO:
         path = tmp_path / "dec.csv"
         path.write_text("id,outcome,confidence\na,1,0.9\na,0,0.8\n")
         with pytest.raises(SchemaError):
+            read_decisions(path)
+
+    def test_oversized_field_is_located(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_text('id,outcome,confidence\na,1,0.9\nb,"' + "x" * 131073 + '",0.8\n')
+        with pytest.raises(SchemaError, match="field larger than field limit") as err:
+            read_decisions(path)
+        assert err.value.row == 2
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_bytes(b"id,outcome,confidence\n\xff,1,0.9\n")
+        with pytest.raises(DatasetIOError, match="'utf-8' codec can't decode"):
             read_decisions(path)
 
 

@@ -286,6 +286,39 @@ class TestTradeoff:
         assert code == 1
 
 
+class TestUnreadableInput:
+    def test_malformed_dataset_csv(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text('id,score,label\na,0.5,1\n"' + "x" * 131073 + '",0.5,1\n')
+        code = main(["tradeoff", "--test", str(data), "--out-prefix", str(tmp_path / "curve")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: malformed CSV: field larger than field limit (131072) (row 2)\n"
+        )
+
+    def test_malformed_decisions_csv(self, test_csv, tmp_path, capsys):
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text('id,outcome,confidence\nu1,"' + "x" * 131073 + '",0.7\n')
+        code = main(["evaluate", "--test", test_csv, "--decisions", str(decisions),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed CSV: field larger")
+
+    @pytest.mark.parametrize("kind", ["dataset", "decisions", "certificate"])
+    def test_non_utf8_input(self, kind, cert75, test_csv, tmp_path, capsys):
+        bad = tmp_path / ("bad.json" if kind == "certificate" else "bad.csv")
+        bad.write_bytes(b"id,score,label\n\xff,0.5,1\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "dataset": ["tradeoff", "--test", str(bad), "--out-prefix", out],
+            "decisions": ["evaluate", "--test", test_csv, "--decisions", str(bad), "--out", out],
+            "certificate": ["apply", "--test", test_csv, "--cert", str(bad), "--out", out],
+        }[kind]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 class TestSimulate:
     ARGS = ["simulate", "--trials", "4", "--n-calib", "40", "--n-test", "60",
             "--alpha", "0.3", "--beta", "0.2", "--min-count", "5",
@@ -304,9 +337,3 @@ class TestSimulate:
         assert doc["summary"]["n_trials"] == 4
         assert doc["manifest"]["params"]["pos_shape"] == [3, 2]
         assert "feasible" in capsys.readouterr().out
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SELCERT_THREADS", "abc")
-        assert main(self.ARGS + ["--out-prefix", str(tmp_path / "x")]) == 1
-        monkeypatch.setenv("SELCERT_THREADS", "0")
-        assert main(self.ARGS + ["--out-prefix", str(tmp_path / "y")]) == 1

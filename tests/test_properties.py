@@ -1,16 +1,20 @@
 """Round-trip properties of dataset and decision files (needs hypothesis)."""
 
+import json
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from rowwise_loader import load_dataset_rowwise  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
     Decision,
     PredictionRecord,
     RiskConfig,
+    SelcertError,
     certificate_from_json,
     certificate_to_json,
     certify_threshold,
@@ -92,3 +96,76 @@ def test_certificate_round_trip(data, alpha, beta):
     assert [(p.lam, p.n_at, p.errors_at) for p in back.grid] == [
         (p.lam, p.n_at, p.errors_at) for p in cert.grid
     ]
+
+
+# Cells and JSON values that break one load rule or another, mixed with valid ones
+BAD_CELLS = st.sampled_from(["", "r0", "r1", "0", "1", "2", "0.5", "1.5", "-0", "nan", "high",
+                             "2020-01-31", "2020-02-30", "someday", "g"])
+BAD_VALUES = st.one_of(
+    BAD_CELLS, st.sampled_from([0, 1, 2, -1, 0.5, 1.5, -0.0, True, None, [], {}]), st.floats()
+)
+EXTRA_COLUMNS = st.sampled_from([[], ["date"], ["group"], ["date", "group"]])
+VALID_CELL = {"date": "2020-01-31", "group": "g"}
+
+
+@st.composite
+def corrupted_csv(draw):
+    header = ["id", "score", "label", *draw(EXTRA_COLUMNS)]
+    n = draw(st.integers(0, 8))
+    rows = [[f"r{i}", repr(draw(st.floats(0, 1))), str(draw(st.integers(0, 1))),
+             *(VALID_CELL[name] for name in header[3:])] for i in range(n)]
+    # up to two bad rows, each with one or more bad cells
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        for column in draw(st.sets(st.integers(0, len(header)), min_size=1)):
+            if column == len(header):
+                del row[draw(st.integers(0, len(row))):]  # a short row
+                row.extend(draw(st.lists(BAD_CELLS, max_size=2)))  # or a long one
+            elif column < len(row):
+                row[column] = draw(BAD_CELLS)
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def corrupted_json(draw):
+    keys = ["id", "score", "label", *draw(EXTRA_COLUMNS)]
+    records = [{"id": f"r{i}", "score": draw(st.floats(0, 1)), "label": draw(st.integers(0, 1)),
+                **{name: VALID_CELL[name] for name in keys[3:]}} for i in range(draw(st.integers(0, 8)))]
+    # up to two bad records, each with one or more bad fields
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        for action in draw(st.lists(st.sampled_from(["set", "set", "set", "drop", "add", "replace"]),
+                                    min_size=1, max_size=4)):
+            if action == "replace":
+                records[i] = draw(st.sampled_from([[], "r", 3, None]))
+            elif isinstance(records[i], dict):
+                key = draw(st.sampled_from(keys if action != "add" else ["date", "group", "weight"]))
+                if action == "drop":
+                    records[i].pop(key, None)
+                else:
+                    records[i][key] = draw(BAD_VALUES)
+    return json.dumps(records)
+
+
+def _outcome(load, path):
+    """The records loaded, or the error's class, message, row and column."""
+    try:
+        return load(path).records
+    except SelcertError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+@SETTINGS
+@given(text=corrupted_csv())
+def test_csv_loader_matches_rowwise_reference(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_dataset, path) == _outcome(load_dataset_rowwise, path)
+
+
+@SETTINGS
+@given(text=corrupted_json())
+def test_json_loader_matches_rowwise_reference(tmp_path, text):
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_dataset, path) == _outcome(load_dataset_rowwise, path)

@@ -315,6 +315,34 @@ class TestSyntheticGenerator:
             SyntheticScorerSpec(**base)
 
 
+# A quoted field one character over the csv module's default field size limit
+OVERSIZED_FIELD = '"' + "x" * 131073 + '"'
+
+
+class TestUnreadableFiles:
+    def test_oversized_csv_field_is_located(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,score,label\na,0.5,1\n{OVERSIZED_FIELD},0.5,1\n")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert str(err.value) == "malformed CSV: field larger than field limit (131072) (row 2)"
+        assert (err.value.row, err.value.column) == (2, None)
+
+    def test_oversized_csv_header_field(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{OVERSIZED_FIELD},score,label\na,0.5,1\n")
+        with pytest.raises(SchemaError, match=r"^malformed CSV header: field larger") as err:
+            load_dataset(path)
+        assert err.value.row is None
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_non_utf8_file(self, tmp_path, suffix):
+        path = tmp_path / f"d.{suffix}"
+        path.write_bytes(b"id,score,label\n\xff,0.5,1\n")
+        with pytest.raises(DatasetIOError, match="cannot read .*'utf-8' codec can't decode byte 0xff"):
+            load_dataset(path)
+
+
 class TestCsvQuotingAndBom:
     @pytest.mark.parametrize("rec_id", ["a\nb", "a\r\nb", "a\rb", 'say "hi", then\nleave'])
     def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
@@ -347,17 +375,26 @@ class TestCsvQuotingAndBom:
 
 
 def _rows_file(tmp_path, fmt, corrupt, n=1000):
-    """A grouped n-row dataset file; `corrupt` maps 1-based rows to row rewriters."""
+    """A grouped n-row dataset file; `corrupt` maps 1-based rows to row rewriters.
+
+    fmt is "csv" or "json", with a "+date" suffix for a date column before the group.
+    """
+    fmt, dated = fmt.removesuffix("+date"), fmt.endswith("+date")
     path = tmp_path / f"d.{fmt}"
+    rows = []
+    for i in range(1, n + 1):
+        row = {"id": f"r{i}", "score": (i % 97) / 97, "label": i % 2}
+        if dated:
+            row["date"] = f"2020-01-{i % 28 + 1:02d}"
+        row["group"] = f"g{i % 3}"
+        rows.append(row)
+    header = list(rows[0])
     if fmt == "csv":
-        rows = [[f"r{i}", repr((i % 97) / 97), str(i % 2), f"g{i % 3}"] for i in range(1, n + 1)]
-    else:
-        rows = [{"id": f"r{i}", "score": (i % 97) / 97, "label": i % 2, "group": f"g{i % 3}"}
-                for i in range(1, n + 1)]
+        rows = [[repr(v) if isinstance(v, float) else str(v) for v in row.values()] for row in rows]
     for row, rewrite in corrupt.items():
         rows[row - 1] = rewrite(rows[row - 1])
     if fmt == "csv":
-        path.write_text("id,score,label,group\n" + "".join(",".join(r) + "\n" for r in rows))
+        path.write_text(",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows))
     else:
         path.write_text(json.dumps(rows))
     return path
@@ -408,6 +445,18 @@ FIRST_BAD_ROW = [
      "score out of range [0, 1]: nan (row 737, column 'score')"),
     ("json", "bad label", _set("label", 2), SchemaError, 737, "label",
      "label must be 0 or 1: 2 (row 737, column 'label')"),
+    ("csv+date", "bad date", _set(3, "someday"), SchemaError, 737, "date",
+     "bad date 'someday': Invalid isoformat string: 'someday' (row 737, column 'date')"),
+    ("json", "non-object record", lambda obj: [obj], SchemaError, 737, None,
+     "record must be an object (row 737)"),
+    ("json", "unknown key", _set("weight", 1), SchemaError, 737, None,
+     "unknown key(s) ['weight'] (row 737)"),
+    ("json+date", "non-string date", _set("date", 20200101), SchemaError, 737, "date",
+     "date must be a string: 20200101 (row 737, column 'date')"),
+    ("json+date", "bad date", _set("date", "someday"), SchemaError, 737, "date",
+     "bad date 'someday': Invalid isoformat string: 'someday' (row 737, column 'date')"),
+    ("json", "non-string group", _set("group", 7), SchemaError, 737, "group",
+     "group must be a string: 7 (row 737, column 'group')"),
 ]
 
 
