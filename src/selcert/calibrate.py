@@ -269,7 +269,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"invalid certificate JSON: {exc}") from None
     try:
         config = RiskConfig(
@@ -293,7 +293,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
             config=config,
             calib_size=int(doc["calib_size"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed certificate: {exc!r}") from None
 
 

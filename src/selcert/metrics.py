@@ -5,6 +5,16 @@ computed with midranks so ties contribute exactly one half. pr_auc is average
 precision in step form (recall increment times precision per descending score
 level, tied scores processed as one block), not a trapezoidal interpolation.
 F1 and accuracy threshold scores at 0.5, ties predicting class 1.
+
+Each metric is a kernel over per-record counts. The ranking metrics sort the
+scores once into tie blocks (descending score levels) and read everything
+from two bincounts per evaluation, records and positives per block: pr_auc
+sums recall gain times precision block by block with a left-to-right
+cumsum, and roc_auc takes each block's midrank from its bounds. F1 and
+accuracy are count-weighted sums of the per-record confusion columns. The
+public functions run the kernels with unit counts; bootstrap_significance
+runs the same kernels with each resample's multiplicities, so a resample
+costs no sort and no copy of the score columns.
 """
 
 from __future__ import annotations
@@ -33,76 +43,119 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels, dtype=int)
     if s.ndim != 1 or y.shape != s.shape:
         raise DomainError("scores and labels must be 1-d sequences of equal length")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise DomainError(f"labels must be 0 or 1, got {int(y[bad[0]])}")
     return s, y
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new_group = np.empty(len(values), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = ordered[1:] != ordered[:-1]
-    group_start = np.flatnonzero(new_group)
-    group_end = np.append(group_start[1:], len(values))
-    # midrank of a tie block [start, end) is (start + end - 1) / 2 + 1
-    block_rank = (group_start + group_end - 1) / 2.0 + 1.0
-    ranks = np.empty(len(values), dtype=float)
-    ranks[order] = np.repeat(block_rank, group_end - group_start)
-    return ranks
+def _tie_blocks(scores: np.ndarray) -> np.ndarray:
+    """Each record's tie block, numbered from 0 in descending score order.
+
+    Records with equal scores share a block. One stable argsort.
+    """
+    order = np.argsort(scores, kind="stable")[::-1]
+    ordered = scores[order]
+    new_level = np.zeros(len(scores), dtype=np.intp)
+    new_level[1:] = ordered[1:] != ordered[:-1]
+    blocks = np.empty_like(new_level)
+    blocks[order] = np.cumsum(new_level)
+    return blocks
+
+
+def _block_totals(blocks: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """(records, positives) per non-empty tie block, in descending score order.
+
+    counts is each record's multiplicity: all ones for the sample itself, a
+    bootstrap draw's bincount for a resample. The totals are exact integers.
+    """
+    records = np.bincount(blocks, weights=counts)
+    positives = np.bincount(blocks, weights=labels * counts)
+    kept = records > 0
+    return records[kept], positives[kept]
+
+
+def _pr_auc_from_blocks(records: np.ndarray, positives: np.ndarray) -> float:
+    """Average precision: each block's recall gain times the precision at its end."""
+    n_pos = positives.sum()
+    if n_pos == 0:
+        raise DegenerateLabelsError("pr_auc needs at least one positive record")
+    precision = np.cumsum(positives) / np.cumsum(records)
+    # cumsum adds left to right, down the score levels, as a walk over the
+    # blocks would (np.sum would pair terms); a block without positives adds
+    # an exact +0.0, which leaves the running sum unchanged
+    return float(np.cumsum(positives / n_pos * precision)[-1])
+
+
+def _roc_auc_from_blocks(records: np.ndarray, positives: np.ndarray) -> float:
+    """Mann-Whitney AUC from the midrank of each block."""
+    n_pos = int(positives.sum())
+    n_neg = int(records.sum()) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError(
+            f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"
+        )
+    # 1-based ascending ranks; a block's midrank is a half-integer, so the
+    # rank sum of the positives is exact in any summation order
+    midranks = (n_pos + n_neg) - np.cumsum(records) + (records + 1) / 2.0
+    numerator = float(positives @ midranks) - n_pos * (n_pos + 1) / 2.0
+    return numerator / (n_pos * n_neg)
+
+
+def _confusion_columns(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-record 0/1 rows: correct, true positive, false positive, false negative."""
+    _, correct = _confidence_correct(scores, labels)
+    return np.array(
+        [correct, correct & (labels == 1), ~correct & (labels == 0), ~correct & (labels == 1)],
+        dtype=np.int64,
+    )
+
+
+def _f1_accuracy_from_columns(columns: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    total = int(counts.sum())
+    if total == 0:
+        raise EmptyInputError("f1_accuracy needs at least one record")
+    correct, tp, fp, fn = map(int, columns @ counts)
+    denom = 2 * tp + fp + fn
+    f1 = (2 * tp / denom) if denom > 0 else 0.0
+    return f1, correct / total
+
+
+def _kernel(metric: str, scores: np.ndarray, labels: np.ndarray):
+    """The metric on these records as a function of per-record counts.
+
+    The score sort (or the confusion columns) is done here, once, so a call
+    costs a few passes over the counts and no sort.
+    """
+    if metric in ("f1", "accuracy"):
+        columns = _confusion_columns(scores, labels)
+        pick = ("f1", "accuracy").index(metric)
+        return lambda counts: _f1_accuracy_from_columns(columns, counts)[pick]
+    blocks = _tie_blocks(scores)
+    from_blocks = _pr_auc_from_blocks if metric == "pr_auc" else _roc_auc_from_blocks
+    return lambda counts: from_blocks(*_block_totals(blocks, labels, counts))
+
+
+def _unit_counts(n: int) -> np.ndarray:
+    return np.ones(n, dtype=np.int64)
 
 
 def roc_auc(scores, labels) -> float:
     """Probability a positive outranks a negative, ties counting one half."""
     s, y = _as_arrays(scores, labels)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"
-        )
-    ranks = _midranks(s)
-    rank_sum_pos = float(ranks[y == 1].sum())
-    numerator = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return numerator / (n_pos * n_neg)
+    return _kernel("roc_auc", s, y)(_unit_counts(len(s)))
 
 
 def pr_auc(scores, labels) -> float:
     """Average precision over descending score levels, ties as one block."""
     s, y = _as_arrays(scores, labels)
-    n_pos = int((y == 1).sum())
-    if len(s) == 0 or n_pos == 0:
-        raise DegenerateLabelsError("pr_auc needs at least one positive record")
-    desc = np.argsort(s, kind="stable")[::-1]
-    s_desc = s[desc]
-    y_desc = y[desc]
-    cum_tp = np.cumsum(y_desc)
-    # indices where a score block ends (last occurrence of each level)
-    block_end = np.flatnonzero(np.append(s_desc[1:] != s_desc[:-1], True))
-    ap = 0.0
-    tp_prev = 0
-    for end in block_end:
-        tp_here = int(cum_tp[end])
-        if tp_here > tp_prev:
-            precision = tp_here / (end + 1)
-            ap += ((tp_here - tp_prev) / n_pos) * precision
-        tp_prev = tp_here
-    return ap
+    return _kernel("pr_auc", s, y)(_unit_counts(len(s)))
 
 
 def f1_accuracy(scores, labels) -> tuple[float, float]:
     """(F1, accuracy) thresholding scores at 0.5; F1 is 0 when 0/0."""
     s, y = _as_arrays(scores, labels)
-    if len(s) == 0:
-        raise EmptyInputError("f1_accuracy needs at least one record")
-    _, correct = _confidence_correct(s, y)
-    tp = int((correct & (y == 1)).sum())
-    fp = int((~correct & (y == 0)).sum())
-    fn = int((~correct & (y == 1)).sum())
-    denom = 2 * tp + fp + fn
-    f1 = (2 * tp / denom) if denom > 0 else 0.0
-    accuracy = float(correct.sum()) / len(s)
-    return f1, accuracy
+    return _f1_accuracy_from_columns(_confusion_columns(s, y), _unit_counts(len(s)))
 
 
 @dataclass(frozen=True)
@@ -199,12 +252,7 @@ def selective_report(
     )
 
 
-_METRIC_FUNCTIONS = {
-    "roc_auc": roc_auc,
-    "pr_auc": pr_auc,
-    "f1": lambda s, y: f1_accuracy(s, y)[0],
-    "accuracy": lambda s, y: f1_accuracy(s, y)[1],
-}
+_METRICS = ("accuracy", "f1", "pr_auc", "roc_auc")
 
 MAX_REDRAWS = 100
 
@@ -224,10 +272,17 @@ def bootstrap_significance(
     metric(a*) <= metric(b*). Resample i uses its own seed substream, so the
     result depends only on (data, metric, resamples, seed); a resample that
     leaves the metric undefined is redrawn from the same substream, capped at
-    100 attempts.
+    MAX_REDRAWS attempts.
+
+    A resample holds copies of the original records only, so each side's
+    scores are sorted into tie blocks (or turned into confusion columns)
+    once, up front. A draw is then scored from its multiplicities, the
+    bincount of the drawn positions, by the same kernels the plain metric
+    functions run with unit counts; the values are the ones scoring the
+    resampled copies would give, bit for bit.
     """
-    if metric not in _METRIC_FUNCTIONS:
-        raise DomainError(f"metric must be one of {sorted(_METRIC_FUNCTIONS)}, got {metric!r}")
+    if metric not in _METRICS:
+        raise DomainError(f"metric must be one of {list(_METRICS)}, got {metric!r}")
     if not isinstance(resamples, int) or resamples < 100:
         raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
     ids_a, ids_b = a.ids(), b.ids()
@@ -239,20 +294,19 @@ def bootstrap_significance(
     mismatch = np.flatnonzero(b.labels()[b_order] != labels)
     if mismatch.size:
         raise UnpairedIdsError(f"labels differ for id {ids_a[mismatch[0]]!r}")
-    scores_a = a.scores()
-    scores_b = b.scores()[b_order]
-    fn = _METRIC_FUNCTIONS[metric]
+    kernel_a = _kernel(metric, a.scores(), labels)
+    kernel_b = _kernel(metric, b.scores()[b_order], labels)
 
-    delta = fn(scores_a, labels) - fn(scores_b, labels)
     n = len(labels)
+    delta = kernel_a(_unit_counts(n)) - kernel_b(_unit_counts(n))
     hits = 0
     for i in range(resamples):
         rng = substream(seed, i)
         for _ in range(MAX_REDRAWS):
-            idx = rng.integers(0, n, size=n)
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             try:
-                m_a = fn(scores_a[idx], labels[idx])
-                m_b = fn(scores_b[idx], labels[idx])
+                m_a = kernel_a(counts)
+                m_b = kernel_b(counts)
             except (DegenerateLabelsError, EmptyInputError):
                 continue
             break

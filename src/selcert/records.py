@@ -410,7 +410,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
 def _columns_from_json(text: str, date_format: str | None) -> tuple:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of record objects")
@@ -425,7 +425,7 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
     n_ids = min(_first(~_types_in(ids, {str})), _first(_object_column(ids) == ""))
     raw_scores = column.get("score", [])
     n_numbers = _first(~_types_in(raw_scores, {int, float}))
-    scores = np.array(raw_scores[:n_numbers], dtype=np.float64)
+    scores = _json_floats(raw_scores[:n_numbers])
     raw_labels = _object_column(column.get("label", []))
     raw_dates = column.get("date", [None] * n)
     n_date_strings = _first(~_types_in(raw_dates, {str, type(None)}))
@@ -448,6 +448,21 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
     ], len(data))
     groups[groups == ""] = None
     return ids, scores, raw_labels.astype(np.int64), dates, groups
+
+
+def _json_floats(numbers: list) -> np.ndarray:
+    """JSON numbers as float64; an integer too large for a float becomes inf, out of range."""
+    try:
+        return np.array(numbers, dtype=np.float64)
+    except OverflowError:
+        return np.fromiter(map(_float_or_inf, numbers), np.float64, len(numbers))
+
+
+def _float_or_inf(number: int | float) -> float:
+    try:
+        return float(number)
+    except OverflowError:
+        return np.inf
 
 
 def _key_error(obj, key_set: frozenset, row: int) -> SchemaError:

@@ -5,6 +5,7 @@ The 6-record fixture has confidences [0.6..0.95] with mistakes at 0.6 and
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +361,27 @@ class TestCertificateSerialization:
             certificate_from_json("{not json")
         with pytest.raises(SchemaError):
             certificate_from_json('{"status": "feasible"}')
+
+    @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
+    def test_count_beyond_integer_range(self, tmp_path, field):
+        # 1e400 loads as float infinity, which int() cannot convert
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        (doc["grid"][0] if field in ("n", "errors") else doc)[field] = "@@"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc).replace('"@@"', "1e400"))
+        with pytest.raises(SchemaError) as err:
+            load_certificate(path)
+        assert str(err.value) == (
+            "malformed certificate: OverflowError('cannot convert float infinity to integer')"
+        )
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer digit limit on this Python")
+    def test_integer_past_the_digit_limit(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(SchemaError, match="^invalid certificate JSON: Exceeds the limit"):
+            certificate_from_json('{"min_count": 1' + "0" * digits + "}")
 
 
 class TestDecisionsIO:

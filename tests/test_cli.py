@@ -1,10 +1,18 @@
-"""End-to-end CLI behavior, run in-process through selcert.cli.main."""
+"""End-to-end CLI behavior, run in-process through selcert.cli.main.
+
+TestModuleEntry alone starts `python -m selcert` in a subprocess.
+"""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selcert
 from selcert import (
     RiskConfig,
     SyntheticScorerSpec,
@@ -317,6 +325,41 @@ class TestUnreadableInput:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_integer_score_beyond_float_range(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        data = tmp_path / "big.json"
+        data.write_text(f'[{{"id": "a", "score": {huge}, "label": 1}}]')
+        code = main(["tradeoff", "--test", str(data), "--out-prefix", str(tmp_path / "curve")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: score out of range [0, 1]: {huge} (row 1, column 'score')\n"
+        )
+
+    def test_certificate_count_beyond_integer_range(self, cert75, test_csv, tmp_path, capsys):
+        doc = json.loads(open(cert75, encoding="utf-8").read())
+        doc["min_count"] = "@@"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc).replace('"@@"', "1e400"))
+        code = main(["apply", "--test", test_csv, "--cert", str(cert),
+                     "--out", str(tmp_path / "decisions.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: malformed certificate: "
+            "OverflowError('cannot convert float infinity to integer')\n"
+        )
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["selcert", "selcert.cli"])
+    def test_python_m_prints_version(self, module):
+        src = str(Path(selcert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"selcert {selcert.__version__}\n", "")
 
 
 class TestSimulate:

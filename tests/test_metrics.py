@@ -2,12 +2,16 @@
 
 Bootstrap p-values were frozen from an independent loop-based oracle run
 with the same substream contract (splitmix64 finalizer with the golden
-increment, resample i seeded by mix64(seed ^ i)).
+increment, resample i seeded by mix64(seed ^ i)). The pr_auc, f1 and
+close-pair values were frozen from the loop that scored each resample's
+copied score columns, before resamples were scored from counts.
 """
 
 import numpy as np
 import pytest
 
+import reference_metrics
+import selcert.metrics
 from selcert import (
     Dataset,
     Decision,
@@ -16,6 +20,7 @@ from selcert import (
     EmptyInputError,
     IdMismatchError,
     PredictionRecord,
+    ResampleCapError,
     UnpairedIdsError,
     bootstrap_significance,
     f1_accuracy,
@@ -143,6 +148,12 @@ class TestF1Accuracy:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             f1_accuracy([], [])
+
+
+@pytest.mark.parametrize("fn", [roc_auc, pr_auc, f1_accuracy])
+def test_labels_outside_zero_one_rejected(fn):
+    with pytest.raises(DomainError, match="^labels must be 0 or 1, got 2$"):
+        fn([0.2, 0.8, 0.6], [0, 2, 1])
 
 
 def report_fixture() -> Dataset:
@@ -337,3 +348,87 @@ class TestBootstrapSignificance:
         a, b = paired_fixture()
         with pytest.raises(DomainError):
             bootstrap_significance(a, b, "roc_auc", resamples=99)
+
+    def test_frozen_pr_auc(self):
+        a, b = paired_fixture()
+        result = bootstrap_significance(a, b, "pr_auc", resamples=2000, seed=7)
+        assert result.delta == 0.12779899276766127
+        assert result.p_value == 0.0
+
+    def test_frozen_f1(self):
+        a, b = paired_fixture()
+        result = bootstrap_significance(a, b, "f1", resamples=2000, seed=7)
+        assert result.delta == 0.20295983086680758
+        assert result.p_value == 0.003
+
+    # (tied scores, metric) -> (delta, p_value) at resamples=500, seed=3
+    CLOSE_FROZEN = {
+        (False, "pr_auc"): (0.036573866525963616, 0.308),
+        (False, "f1"): (0.06557377049180324, 0.132),
+        (False, "roc_auc"): (0.034482758620689724, 0.272),
+        (False, "accuracy"): (0.06666666666666665, 0.168),
+        (True, "pr_auc"): (0.03992230047510115, 0.28),
+        (True, "f1"): (0.017788461538461586, 0.366),
+        (True, "roc_auc"): (0.03559510567296997, 0.252),
+        (True, "accuracy"): (0.016666666666666607, 0.442),
+    }
+
+    @pytest.mark.parametrize("tied, metric", sorted(CLOSE_FROZEN))
+    def test_frozen_close_pair(self, tied, metric):
+        a, b = close_fixture(tied)
+        result = bootstrap_significance(a, b, metric, resamples=500, seed=3)
+        assert (result.delta, result.p_value) == self.CLOSE_FROZEN[tied, metric]
+        assert 0.0 < result.p_value < 1.0
+
+    @pytest.mark.parametrize("metric", sorted(reference_metrics.METRICS))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equals_resampling_the_scores(self, metric, tied):
+        # the count-based resamples give what scoring scores[idx] gives, bit for bit
+        a, b = close_fixture(tied)
+        for seed in (0, 1, 29):
+            result = bootstrap_significance(a, b, metric, resamples=100, seed=seed)
+            expected = reference_metrics.bootstrap_reference(
+                a.scores(), b.scores(), a.labels(), metric, resamples=100, seed=seed
+            )
+            assert (result.delta, result.p_value) == expected
+
+    def test_redraws_match_resampling_the_scores(self):
+        # one positive in eight: about a third of the draws are single-class
+        labels = np.array([1, 0, 0, 0, 0, 0, 0, 0])
+        sa = np.array([0.9, 0.4, 0.6, 0.4, 0.1, 0.8, 0.3, 0.5])
+        sb = np.array([0.5, 0.5, 0.7, 0.2, 0.1, 0.6, 0.4, 0.5])
+        ids = [f"r{i}" for i in range(8)]
+        a, b = Dataset.from_columns(ids, sa, labels), Dataset.from_columns(ids, sb, labels)
+        for metric in ("roc_auc", "pr_auc"):
+            result = bootstrap_significance(a, b, metric, resamples=300, seed=13)
+            expected = reference_metrics.bootstrap_reference(sa, sb, labels, metric, 300, 13)
+            assert (result.delta, result.p_value) == expected
+
+    def test_all_positive_labels_fail_before_resampling(self):
+        a = Dataset.from_columns(["r0", "r1", "r2"], np.array([0.9, 0.4, 0.6]), np.ones(3, int))
+        with pytest.raises(DegenerateLabelsError, match="got 3 positive / 0 negative"):
+            bootstrap_significance(a, a, "roc_auc", resamples=100)
+
+    def test_redraw_cap(self, monkeypatch):
+        # a stream that always draws record 0 leaves roc_auc with one class on
+        # every draw, so resample 0 runs out of redraws
+        class OneRecordStream:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        monkeypatch.setattr(selcert.metrics, "substream", lambda seed, index: OneRecordStream())
+        a, b = paired_fixture()
+        with pytest.raises(ResampleCapError, match="^resample 0 stayed undefined for roc_auc after 100"):
+            bootstrap_significance(a, b, "roc_auc", resamples=100)
+
+
+def close_fixture(tied: bool):
+    """Two scorers close enough that every metric's p-value lies inside (0, 1)."""
+    g = np.random.default_rng(11)
+    labels = (g.random(60) < 0.4).astype(int)
+    sa = np.clip(0.3 + 0.4 * labels + g.normal(0, 0.25, 60), 0.0, 1.0)
+    sb = np.clip(0.3 + 0.4 * labels + g.normal(0, 0.27, 60), 0.0, 1.0)
+    if tied:
+        sa, sb = np.round(sa * 10) / 10, np.round(sb * 10) / 10
+    ids = [f"r{i}" for i in range(60)]
+    return Dataset.from_columns(ids, sa, labels), Dataset.from_columns(ids, sb, labels)

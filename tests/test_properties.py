@@ -1,13 +1,19 @@
-"""Round-trip properties of dataset and decision files (needs hypothesis)."""
+"""Properties of dataset and decision files and of the metrics (needs hypothesis).
+
+Files round-trip, the vectorised loader words errors as the row-by-row
+reference does, and the metric kernels equal the original metric loops.
+"""
 
 import json
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import reference_metrics  # noqa: E402
 from rowwise_loader import load_dataset_rowwise  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
@@ -15,11 +21,15 @@ from selcert import (  # noqa: E402
     PredictionRecord,
     RiskConfig,
     SelcertError,
+    bootstrap_significance,
     certificate_from_json,
     certificate_to_json,
     certify_threshold,
+    f1_accuracy,
     load_dataset,
+    pr_auc,
     read_decisions,
+    roc_auc,
     write_dataset,
     write_decisions,
 )
@@ -169,3 +179,62 @@ def test_json_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.json"
     path.write_text(text, encoding="utf-8")
     assert _outcome(load_dataset, path) == _outcome(load_dataset_rowwise, path)
+
+
+# Score columns: distinct floats, a coarse pool that forces ties, and tiny ones
+UNTIED = st.lists(st.floats(0, 1), min_size=1, max_size=40, unique=True)
+TIED = st.lists(st.sampled_from([i / 8 for i in range(9)]), min_size=1, max_size=40)
+TINY = st.lists(st.sampled_from([0.0, 0.5, 0.5000000000000001, 1.0]), max_size=3)
+SCORE_COLUMNS = st.one_of(UNTIED, TIED, TINY)
+
+
+@st.composite
+def scored_labels(draw):
+    scores = draw(SCORE_COLUMNS)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return np.array(scores), np.array(labels, dtype=int)
+
+
+def _metric_outcome(fn, scores, labels):
+    """The metric value, or the error's class and message."""
+    try:
+        return fn(scores, labels)
+    except SelcertError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(case=scored_labels())
+def test_metrics_equal_reference_loops(case):
+    scores, labels = case
+    for fn, reference in ((pr_auc, reference_metrics.pr_auc), (roc_auc, reference_metrics.roc_auc),
+                          (f1_accuracy, reference_metrics.f1_accuracy)):
+        assert _metric_outcome(fn, scores, labels) == _metric_outcome(reference, scores, labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=scored_labels(), other=SCORE_COLUMNS, seed=st.integers(0, 2**32),
+       metric=st.sampled_from(sorted(reference_metrics.METRICS)))
+def test_bootstrap_equals_resampling_the_scores(case, other, seed, metric):
+    scores_a, labels = case
+    # a second scorer over the same records: the other column, cycled to length
+    scores_b = np.resize(np.array(other or [0.5]), len(scores_a))
+    ids = [f"r{i}" for i in range(len(labels))]
+    a = Dataset.from_columns(ids, scores_a, labels)
+    b = Dataset.from_columns(ids, scores_b, labels)
+
+    def counted():
+        result = bootstrap_significance(a, b, metric, resamples=100, seed=seed)
+        return result.delta, result.p_value
+
+    def resampled():
+        return reference_metrics.bootstrap_reference(
+            scores_a, scores_b, labels, metric, resamples=100, seed=seed)
+
+    def outcome(run):
+        try:
+            return run()
+        except SelcertError as exc:
+            return type(exc)
+
+    assert outcome(counted) == outcome(resampled)

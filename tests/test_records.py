@@ -1,6 +1,7 @@
 """Record validation, dataset IO, temporal splits, synthetic generation."""
 
 import json
+import sys
 from datetime import date
 
 import numpy as np
@@ -222,6 +223,38 @@ class TestJsonIO:
         path = tmp_path / "d.json"
         path.write_text('[{"id": "r1", "score": true, "label": 1}]')
         with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    def test_integer_score_beyond_float_range(self, tmp_path):
+        huge = "1" + "0" * 400
+        path = tmp_path / "d.json"
+        path.write_text(f'[{{"id": "r1", "score": 0.5, "label": 1}},'
+                        f' {{"id": "r2", "score": {huge}, "label": 0}}]')
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"score out of range [0, 1]: {huge} (row 2, column 'score')"
+        assert (err.value.row, err.value.column) == (2, "score")
+
+    def test_integer_score_beyond_float_range_keeps_rule_order(self, tmp_path):
+        huge = "-1" + "0" * 400
+        path = tmp_path / "d.json"
+        # an earlier row's bad label is reported first
+        path.write_text(f'[{{"id": "r1", "score": 0.5, "label": 2}},'
+                        f' {{"id": "r2", "score": {huge}, "label": 0}}]')
+        with pytest.raises(SchemaError, match=r"^label must be 0 or 1: 2 \(row 1"):
+            load_dataset(path)
+        # within a row the score rule comes before the label rule
+        path.write_text(f'[{{"id": "r1", "score": {huge}, "label": 2}}]')
+        with pytest.raises(SchemaError, match=r"^score out of range \[0, 1\]: -10+ \(row 1"):
+            load_dataset(path)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer digit limit on this Python")
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "d.json"
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text('[{"id": "r1", "score": 1' + "0" * digits + ', "label": 1}]')
+        with pytest.raises(SchemaError, match="^invalid JSON: Exceeds the limit"):
             load_dataset(path)
 
 
