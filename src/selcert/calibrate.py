@@ -15,6 +15,7 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,9 +30,9 @@ from .errors import (
     InfeasibleCertificateError,
     SchemaError,
 )
-from .jsonio import Exact, format_number
+from .jsonio import Exact, Table, csv_text
 from .jsonio import dumps as json_dumps
-from .records import Dataset, csv_rows, read_text, write_csv_rows
+from .records import Dataset, csv_rows, read_text
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -48,13 +49,21 @@ class RiskConfig:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
+            # v != v is NaN; math.isnan and float() overflow on a huge integer
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
                 raise DomainError(f"{name} must be a number, got {v!r}")
-            if not (0.0 < float(v) < 1.0):
-                raise DomainError(f"{name} must be strictly inside (0, 1), got {v!r}")
+            if not (0.0 < v < 1.0):
+                raise DomainError(f"{name} must be strictly inside (0, 1), got {_shown(v)}")
             object.__setattr__(self, name, float(v))
-        if not isinstance(self.min_count, int) or self.min_count < 1:
-            raise DomainError(f"min_count must be an integer >= 1, got {self.min_count!r}")
+        if isinstance(self.min_count, bool) or not isinstance(self.min_count, int) or self.min_count < 1:
+            raise DomainError(f"min_count must be an integer >= 1, got {_shown(self.min_count)}")
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an integer past the interpreter's limit on digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 @dataclass(frozen=True)
@@ -248,16 +257,13 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
         "beta": cert.config.beta,
         "min_count": cert.config.min_count,
         "calib_size": cert.calib_size,
-        "grid": [
-            {
-                "lambda": Exact(pt.lam),
-                "n": pt.n_at,
-                "errors": pt.errors_at,
-                "risk_hat": pt.risk_hat,
-                "risk_plus": pt.risk_plus,
-            }
-            for pt in cert.grid
-        ],
+        "grid": Table({
+            "lambda": [float(pt.lam) for pt in cert.grid],
+            "n": [pt.n_at for pt in cert.grid],
+            "errors": [pt.errors_at for pt in cert.grid],
+            "risk_hat": [pt.risk_hat for pt in cert.grid],
+            "risk_plus": [pt.risk_plus for pt in cert.grid],
+        }, exact=["lambda"]),
     }
     if manifest is not None:
         doc["manifest"] = manifest
@@ -265,36 +271,39 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
 
 
 def certificate_from_json(text: str) -> ThresholdCertificate:
-    import json
-
+    """Load a certificate; a field not of its JSON type, or errors outside [0, n], is a SchemaError."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
         raise SchemaError(f"invalid certificate JSON: {exc}") from None
     try:
-        config = RiskConfig(
-            alpha=doc["alpha"], beta=doc["beta"], min_count=int(doc.get("min_count", 1))
-        )
-        grid = tuple(
-            GridPoint(
-                lam=float(pt["lambda"]),
-                n_at=int(pt["n"]),
-                errors_at=int(pt["errors"]),
-                risk_hat=float(pt["risk_hat"]),
-                risk_plus=float(pt["risk_plus"]),
-            )
-            for pt in doc["grid"]
-        )
-        lambda_hat = doc["lambda_hat"]
-        return ThresholdCertificate(
-            status=doc["status"],
-            lambda_hat=None if lambda_hat is None else float(lambda_hat),
-            grid=grid,
-            config=config,
-            calib_size=int(doc["calib_size"]),
-        )
+        config = RiskConfig(_field(doc["alpha"], "alpha"), _field(doc["beta"], "beta"),
+                            _field(doc.get("min_count", 1), "min_count", whole=True))
+        grid = tuple(_grid_point_from_json(pt, f"grid[{i}].") for i, pt in enumerate(doc["grid"]))
+        lambda_hat = None if doc["lambda_hat"] is None else float(_field(doc["lambda_hat"], "lambda_hat"))
+        calib_size = _field(doc["calib_size"], "calib_size", whole=True)
+        return ThresholdCertificate(doc["status"], lambda_hat, grid, config, calib_size)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed certificate: {exc!r}") from None
+
+
+def _grid_point_from_json(pt: dict, where: str) -> GridPoint:
+    lam, risk_hat, risk_plus = (float(_field(pt[key], where + key))
+                                for key in ("lambda", "risk_hat", "risk_plus"))
+    n_at, errors_at = (_field(pt[key], where + key, whole=True) for key in ("n", "errors"))
+    if not 0 <= errors_at <= n_at:
+        raise SchemaError(f"malformed certificate: {where}errors must be within [0, n], "
+                          f"got {errors_at} with n {n_at}")
+    return GridPoint(lam, n_at, errors_at, risk_hat, risk_plus)
+
+
+def _field(value, name: str, whole: bool = False):
+    """A certificate field's value, which must be a JSON number, or a whole one."""
+    # int() raises OverflowError on an infinite value and ValueError on NaN
+    if type(value) not in (int, float) or (whole and int(value) != value):
+        raise SchemaError(f"malformed certificate: {name} must be "
+                          f"{'an integer' if whole else 'a number'}, got {value!r}")
+    return int(value) if whole else value
 
 
 def load_certificate(path: str | Path) -> ThresholdCertificate:
@@ -303,14 +312,14 @@ def load_certificate(path: str | Path) -> ThresholdCertificate:
 
 def write_decisions(decisions: list[Decision], path: str | Path) -> None:
     """Write decisions as CSV with columns id,outcome,confidence."""
-    columns = (
-        [d.id for d in decisions],
-        [d.outcome for d in decisions],
-        [format_number(d.confidence) for d in decisions],
-    )
+    text = csv_text(Table({
+        "id": [d.id for d in decisions],
+        "outcome": [d.outcome for d in decisions],
+        "confidence": [d.confidence for d in decisions],
+    }))
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            write_csv_rows(handle, ["id", "outcome", "confidence"], columns)
+            handle.write(text)
     except OSError as exc:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 

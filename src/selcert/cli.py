@@ -25,19 +25,11 @@ from .calibrate import (
     write_decisions,
 )
 from .errors import DomainError, EmptyCalibrationError, InfeasibleCertificateError, SelcertError
-from .jsonio import dumps, format_number
+from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
 from .records import Dataset, SyntheticScorerSpec, load_dataset
 from .rng import substream
-from .sim import (
-    curve_to_csv_text,
-    curve_to_doc,
-    summarize_trials,
-    tradeoff_curve,
-    trials_to_csv_text,
-    trials_to_doc,
-    validate_guarantee,
-)
+from .sim import curve_to_doc, summarize_trials, tradeoff_curve, trials_to_doc, validate_guarantee
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,8 +197,9 @@ def cmd_tradeoff(args) -> int:
             "date_format": args.date_format,
         },
     )
-    _write_text(args.out_prefix + ".csv", curve_to_csv_text(curve))
-    _write_text(args.out_prefix + ".json", dumps({"points": curve_to_doc(curve), "manifest": manifest}))
+    table = curve_to_doc(curve)
+    _write_text(args.out_prefix + ".csv", csv_text(table))
+    _write_text(args.out_prefix + ".json", dumps({"points": table, "manifest": manifest}))
     print(f"tradeoff curve with {len(curve.points)} grid points -> {args.out_prefix}.csv/.json")
     return EXIT_OK
 
@@ -245,11 +238,9 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
         },
     )
-    _write_text(args.out_prefix + ".csv", trials_to_csv_text(trials))
-    _write_text(
-        args.out_prefix + ".json",
-        dumps({"trials": trials_to_doc(trials), "summary": summary, "manifest": manifest}),
-    )
+    table = trials_to_doc(trials)
+    _write_text(args.out_prefix + ".csv", csv_text(table))
+    _write_text(args.out_prefix + ".json", dumps({"trials": table, "summary": summary, "manifest": manifest}))
     rate = summary["violation_rate"]
     print(
         f"feasible {summary['n_feasible']}/{summary['n_trials']},"

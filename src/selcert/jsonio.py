@@ -1,78 +1,140 @@
-"""Deterministic JSON rendering for report-style outputs.
+"""Deterministic JSON and CSV rendering for every file the tool writes.
 
-Reports, certificates and manifests must be byte-identical across runs, so
-floats are printed at a fixed 12 significant digits and key order follows
-insertion order (never sorted behind the caller's back). A float wrapped in
-`Exact` is printed with repr instead, so it loads back bit for bit; that is
-for values a reader acts on, such as certified thresholds. Dataset files are
-not rendered here; they keep full float precision for exact round-trips.
+Outputs must be byte-identical across runs, so every value is spelled here:
+floats at a fixed 12 significant digits, keys in insertion order. A float
+wrapped in `Exact` is printed with repr instead, so it loads back bit for
+bit; that is for values a reader acts on, such as certified thresholds and
+dataset scores. A `Table` holds named columns of one length, one row per
+item; `dumps` renders it as the JSON array of objects its rows would give,
+`csv_text` as CSV, each formatting a column in one pass per value type.
 """
 
 from __future__ import annotations
 
-import json
+import csv
+import io
 import math
-from typing import Any
+from itertools import filterfalse, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Sequence
+
+import numpy as np
+
+_INDENT = 2
 
 
 class Exact(float):
     """A float that `dumps` renders with repr, so it round-trips exactly."""
 
 
+class Table:
+    """Named columns of one length, rendered one row per item by `dumps` and `csv_text`.
+
+    A column is a sequence, or a 1-D numeric array written as its `tolist`.
+    Floats in the columns named in `exact` are printed with repr, as `Exact` ones are.
+    """
+
+    def __init__(self, columns: dict[str, Sequence], exact: Sequence[str] = ()) -> None:
+        self.columns = dict(columns)
+        self.exact = frozenset(exact)
+        lengths = set(map(len, self.columns.values()))
+        if len(lengths) > 1:
+            raise ValueError(f"table columns must all have one length, got {sorted(lengths)}")
+
+    def cells(self, spelling: dict) -> list[list[str]]:
+        """The text of every column, in order."""
+        return [_cells(values, spelling, name in self.exact) for name, values in self.columns.items()]
+
+
+def _numbers(values: Sequence, exact: bool) -> list[str]:
+    """Finite numbers at 12 significant digits, or with repr when `exact`."""
+    bad = next(filterfalse(math.isfinite, values), None)
+    if bad is not None:
+        raise ValueError(f"non-finite number in output: {bad!r}")
+    if exact:
+        return list(map(float.__repr__, values))
+    return list(map(format, map(float, values), repeat(".12g")))
+
+
+# How each value type is spelled, a column of that type at a time, keyed in
+# isinstance order: bool before int, Exact before float.
+_SPELLING = {
+    bool: lambda values: ["true" if x else "false" for x in values],
+    int: lambda values: list(map(str, values)),
+    Exact: lambda values: _numbers(values, exact=True),
+    float: lambda values: _numbers(values, exact=False),
+}
+_JSON = {type(None): lambda values: ["null"] * len(values),
+         **_SPELLING, str: lambda values: list(map(encode_basestring_ascii, values))}
+_CSV = {type(None): lambda values: [""] * len(values), **_SPELLING, str: list}
+
+
 def format_number(x: float) -> str:
     """Render a float at 12 significant digits, or with repr if it is `Exact`."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite number in output: {x!r}")
-    return repr(float(x)) if isinstance(x, Exact) else format(float(x), ".12g")
+    return _numbers([x], isinstance(x, Exact))[0]
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON text with fixed float formatting.
+def _cells(values: Sequence, spelling: dict, exact: bool = False) -> list[str]:
+    """The text of every value in a column, each value type in one pass; floats with repr if `exact`."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf":
+        kind = {"b": bool, "f": Exact if exact else float}.get(values.dtype.kind, int)
+        return spelling[kind](values.tolist())
+    kinds = {cls: next((kind for kind in spelling if issubclass(cls, kind)), None)
+             for cls in set(map(type, values))}
+    for cls, kind in kinds.items():
+        if kind is None:
+            raise TypeError(f"cannot serialize {cls.__name__} to JSON")
+        if exact and kind is float:
+            kinds[cls] = Exact
+    if len(kinds) == 1:
+        return spelling[kinds.popitem()[1]](values)
+    types = list(map(type, values))
+    text = [""] * len(values)
+    for cls, kind in kinds.items():
+        where = [i for i, t in enumerate(types) if t is cls]
+        for i, cell in zip(where, spelling[kind]([values[i] for i in where])):
+            text[i] = cell
+    return text
 
-    Accepts None, bool, int, float, str, list/tuple and dict (string keys,
-    insertion order preserved). Ends with a newline.
+
+def csv_text(table: Table) -> str:
+    """A table as CSV: a header of column names, then one line per row, each ending "\\n".
+
+    None is an empty field, booleans true/false, strings raw and numbers as in
+    JSON. csv.writer does not quote a "\\r" when the line end is "\\n", so rows
+    holding one are written fully quoted.
     """
-    out: list[str] = []
-    _render(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(table.columns)
+    for row in zip(*table.cells(_CSV)):
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
+    return out.getvalue()
 
 
-def _render(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_number(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+def dumps(obj: Any) -> str:
+    """Serialize to JSON text with fixed float formatting and an indent of 2.
+
+    Accepts None, bool, int, float, str, list/tuple, dict (string keys,
+    insertion order preserved) and Table. Ends with a newline.
+    """
+    return _render(obj, "") + "\n"
+
+
+def _render(obj: Any, pad: str) -> str:
+    inner = pad + " " * _INDENT
+    if isinstance(obj, Table):
+        # every row from one template, each column formatted in one pass
+        fields = ",\n".join(inner + " " * _INDENT + encode_basestring_ascii(name).replace("%", "%%")
+                            + ": %s" for name in obj.columns)
+        brackets, items = "[]", map(f"{{\n{fields}\n{inner}}}".__mod__, zip(*obj.cells(_JSON)))
+    elif isinstance(obj, dict):  # encode_basestring_ascii raises TypeError on a key not a str
+        brackets = "{}"
+        items = (encode_basestring_ascii(key) + ": " + _render(value, inner) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(inner)
-            _render(item, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            out.append(inner + json.dumps(key) + ": ")
-            _render(value, out, indent, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
+        brackets, items = "[]", (_render(item, inner) for item in obj)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        return _cells([obj], _JSON)[0]
+    text = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{text}\n{pad}{brackets[1]}" if text else brackets

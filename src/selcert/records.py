@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     MissingDateError,
     SchemaError,
 )
+from .jsonio import Table, csv_text, dumps
 
 _BASE_COLUMNS = ("id", "score", "label")
 _OPTIONAL_COLUMNS = ("date", "group")
@@ -331,19 +332,6 @@ def csv_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def write_csv_rows(handle: TextIO, header: list[str], columns: Sequence[Sequence[str]]) -> None:
-    """Write a header and the rows of `columns` as CSV with "\\n" line ends.
-
-    csv.writer quotes a field holding "\\n" but not one holding "\\r" when the
-    line end is "\\n", so rows with a "\\r" are written fully quoted.
-    """
-    plain = csv.writer(handle, lineterminator="\n")
-    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    plain.writerow(header)
-    for row in zip(*columns):
-        (quoted if "\r" in "".join(row) else plain).writerow(row)
-
-
 def load_dataset(
     path: str | Path,
     fmt: str | None = None,
@@ -410,7 +398,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
 def _columns_from_json(text: str, date_format: str | None) -> tuple:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of record objects")
@@ -488,36 +476,18 @@ def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> No
     Optional columns appear only when some record carries them.
     """
     fmt = _infer_format(path, fmt)
-    values = {"id": data.ids(), "score": data.scores().tolist(), "label": data.labels().tolist()}
-    for name, column in (("date", data.dates()), ("group", data.groups())):
-        if np.not_equal(column, None).any():
-            values[name] = column.tolist()
+    columns = {"id": data.ids(), "score": data.scores(), "label": data.labels()}
+    dates, groups = data.dates(), data.groups()
+    if np.not_equal(dates, None).any():
+        columns["date"] = [None if d is None else d.isoformat() for d in dates.tolist()]
+    if np.not_equal(groups, None).any():
+        columns["group"] = groups.tolist()
+    text = (csv_text if fmt == "csv" else dumps)(Table(columns, exact=["score"]))
     try:
-        if fmt == "csv":
-            _write_csv(values, path)
-        else:
-            _write_json(values, path)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except OSError as exc:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_csv(values: dict[str, list], path: str | Path) -> None:
-    text = [values["id"], list(map(repr, values["score"])), list(map(str, values["label"]))]
-    if "date" in values:
-        text.append(["" if d is None else d.isoformat() for d in values["date"]])
-    if "group" in values:
-        text.append(["" if g is None else g for g in values["group"]])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_csv_rows(handle, list(values), text)
-
-
-def _write_json(values: dict[str, list], path: str | Path) -> None:
-    if "date" in values:
-        values["date"] = [None if d is None else d.isoformat() for d in values["date"]]
-    objs = [dict(zip(values, row)) for row in zip(*values.values())]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(objs, handle, indent=2)
-        handle.write("\n")
 
 
 def temporal_split(data: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:

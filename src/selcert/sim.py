@@ -9,15 +9,13 @@ individually; they run one after another in a single thread.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .calibrate import RiskConfig, ThresholdCertificate, _confidence_correct, certify_threshold
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError
-from .jsonio import format_number
+from .jsonio import Table
 from .records import Dataset, SyntheticScorerSpec, generate_synthetic
 from .rng import substream_seed
 
@@ -160,51 +158,18 @@ def summarize_trials(trials: list[GuaranteeTrial]) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
-def curve_to_csv_text(curve: TradeoffCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "fraction_kept", "selective_accuracy"])
-    for p in curve.points:
-        writer.writerow([
-            format_number(p.lam),
-            format_number(p.fraction_kept),
-            "" if p.selective_accuracy is None else format_number(p.selective_accuracy),
-        ])
-    return buf.getvalue()
+def curve_to_doc(curve: TradeoffCurve) -> Table:
+    return Table({
+        "lambda": [p.lam for p in curve.points],
+        "fraction_kept": [p.fraction_kept for p in curve.points],
+        "selective_accuracy": [p.selective_accuracy for p in curve.points],
+    })
 
 
-def curve_to_doc(curve: TradeoffCurve) -> list[dict]:
-    return [
-        {
-            "lambda": p.lam,
-            "fraction_kept": p.fraction_kept,
-            "selective_accuracy": p.selective_accuracy,
-        }
-        for p in curve.points
-    ]
-
-
-def trials_to_csv_text(trials: list[GuaranteeTrial]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "lambda_hat", "test_selective_accuracy", "violated"])
-    for t in trials:
-        writer.writerow([
-            str(t.trial_index),
-            "" if t.lambda_hat is None else format_number(t.lambda_hat),
-            "" if t.test_selective_accuracy is None else format_number(t.test_selective_accuracy),
-            "true" if t.violated else "false",
-        ])
-    return buf.getvalue()
-
-
-def trials_to_doc(trials: list[GuaranteeTrial]) -> list[dict]:
-    return [
-        {
-            "trial": t.trial_index,
-            "lambda_hat": t.lambda_hat,
-            "test_selective_accuracy": t.test_selective_accuracy,
-            "violated": t.violated,
-        }
-        for t in trials
-    ]
+def trials_to_doc(trials: list[GuaranteeTrial]) -> Table:
+    return Table({
+        "trial": [t.trial_index for t in trials],
+        "lambda_hat": [t.lambda_hat for t in trials],
+        "test_selective_accuracy": [t.test_selective_accuracy for t in trials],
+        "violated": [t.violated for t in trials],
+    })

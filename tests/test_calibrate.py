@@ -6,6 +6,7 @@ The 6-record fixture has confidences [0.6..0.95] with mistakes at 0.6 and
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,10 +219,21 @@ class TestRiskConfig:
         dict(alpha=0.1, beta=0.1, min_count=0),
         dict(alpha=float("nan"), beta=0.1),
         dict(alpha=True, beta=0.1),
+        dict(alpha=10**400, beta=0.1),
+        dict(alpha=0.1, beta=-10**400),
+        dict(alpha=0.1, beta=0.1, min_count=True),
+        # past the interpreter's limit on integer digits, so repr fails
+        dict(alpha=10**5000, beta=0.1),
+        dict(alpha=0.1, beta=0.1, min_count=-10**5000),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(DomainError):
             RiskConfig(**kwargs)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits")
+    def test_names_the_size_of_an_unprintable_integer(self):
+        with pytest.raises(DomainError, match=r"got a negative integer of 16610 bits"):
+            RiskConfig(alpha=0.1, beta=0.1, min_count=-10**5000)
 
 
 class TestCertificateInvariants:
@@ -312,6 +324,11 @@ class TestCertificateSerialization:
         assert loaded.lambda_hat == cert.lambda_hat
         assert [pt.lam for pt in loaded.grid] == [pt.lam for pt in cert.grid]
 
+    def test_integer_threshold_is_written_as_a_float(self):
+        cert = ThresholdCertificate("infeasible", None, (GridPoint(1, 0, 0, 1.0, 1.0),),
+                                    RiskConfig(alpha=0.5, beta=0.2), 1)
+        assert '"lambda": 1.0,' in certificate_to_json(cert)
+
     def test_round_trip_infeasible(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.3, beta=0.2))
         loaded = certificate_from_json(certificate_to_json(cert))
@@ -375,6 +392,39 @@ class TestCertificateSerialization:
         assert str(err.value) == (
             "malformed certificate: OverflowError('cannot convert float infinity to integer')"
         )
+
+    def test_nested_past_the_recursion_limit(self):
+        with pytest.raises(SchemaError, match="^invalid certificate JSON: maximum recursion depth"):
+            certificate_from_json("[" * 100000 + "]" * 100000)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda_hat", "true", "lambda_hat must be a number, got True"),
+        ("lambda_hat", '"0.75"', "lambda_hat must be a number, got '0.75'"),
+        ("alpha", "false", "alpha must be a number, got False"),
+        ("min_count", "true", "min_count must be an integer, got True"),
+        ("min_count", "1.5", "min_count must be an integer, got 1.5"),
+        ("calib_size", "5.9", "calib_size must be an integer, got 5.9"),
+        ("calib_size", '"6"', "calib_size must be an integer, got '6'"),
+        ("n", "2.7", "grid[0].n must be an integer, got 2.7"),
+        ("errors", "true", "grid[0].errors must be an integer, got True"),
+        ("errors", "999", "grid[0].errors must be within [0, n], got 999 with n 6"),
+        ("errors", "-1", "grid[0].errors must be within [0, n], got -1 with n 6"),
+        ("lambda", "null", "grid[0].lambda must be a number, got None"),
+        ("risk_plus", '"1"', "grid[0].risk_plus must be a number, got '1'"),
+    ])
+    def test_field_of_the_wrong_type(self, field, value, message):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        (doc["grid"][0] if field in ("lambda", "n", "errors", "risk_plus") else doc)[field] = "@@"
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc).replace('"@@"', value))
+        assert str(err.value) == "malformed certificate: " + message
+
+    @pytest.mark.parametrize("name", ["cert.json", "cert_carved.json"])
+    def test_golden_certificates_load_unchanged(self, name):
+        text = (Path(__file__).parent / "golden" / "outputs" / name).read_text(encoding="utf-8")
+        manifest = json.loads(text)["manifest"]
+        assert certificate_to_json(certificate_from_json(text), manifest=manifest) == text
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no integer digit limit on this Python")

@@ -350,6 +350,20 @@ class TestUnreadableInput:
         )
 
 
+    @pytest.mark.parametrize("kind", ["dataset", "certificate"])
+    def test_json_nested_past_the_recursion_limit(self, kind, test_csv, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        out = str(tmp_path / "out")
+        argv = {
+            "dataset": ["tradeoff", "--test", str(deep), "--out-prefix", out],
+            "certificate": ["apply", "--test", test_csv, "--cert", str(deep), "--out", out],
+        }[kind]
+        assert main(argv) == 1
+        prefix = {"dataset": "invalid JSON", "certificate": "invalid certificate JSON"}[kind]
+        assert capsys.readouterr().err.startswith(f"error: {prefix}: maximum recursion depth exceeded")
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["selcert", "selcert.cli"])
     def test_python_m_prints_version(self, module):

@@ -52,6 +52,11 @@ SYNTHETIC_SHA256 = {
     "csv": "4e67c073ef3ef528438e3d060f3e49c41f9c563089d26c2fac415377d409c273",
     "json": "8589a27f21daebfa6402b39efd075042867b30d2313f3381157d0a6752c1714c",
 }
+# write_dataset(load_dataset(inputs/test.csv)) pins dates, groups, ungrouped rows and quoted ids
+TEST_SET_SHA256 = {
+    "csv": "4fb9333950f850f1d5a1be036a403666433f9e421c38ae0f5578d430d5ec2958",
+    "json": "6025ad700686448b60f7bea510ec75f4aa5ea91ce0d0aba856526960541d4935",
+}
 
 
 def make_inputs(directory: Path) -> None:
@@ -115,6 +120,14 @@ def synthetic_bytes(tmp: Path, fmt: str) -> bytes:
     return path.read_bytes()
 
 
+def rewritten_test_set(tmp: Path, fmt: str) -> bytes:
+    from selcert import load_dataset, write_dataset
+
+    path = tmp / f"test_set.{fmt}"
+    write_dataset(load_dataset(GOLDEN / "inputs" / "test.csv"), path)
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
@@ -138,6 +151,11 @@ def test_synthetic_dataset_bytes_pinned(tmp_path, fmt):
     assert hashlib.sha256(synthetic_bytes(tmp_path, fmt)).hexdigest() == SYNTHETIC_SHA256[fmt]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_test_set_rewrite_bytes_pinned(tmp_path, fmt):
+    assert hashlib.sha256(rewritten_test_set(tmp_path, fmt)).hexdigest() == TEST_SET_SHA256[fmt]
+
+
 if __name__ == "__main__":
     inputs = GOLDEN / "inputs"
     if not inputs.is_dir():
@@ -154,4 +172,5 @@ if __name__ == "__main__":
             (GOLDEN / "outputs" / name).write_bytes(data)
         for fmt in ("csv", "json"):
             print(fmt, hashlib.sha256(synthetic_bytes(work, fmt)).hexdigest())
+            print("test set", fmt, hashlib.sha256(rewritten_test_set(work, fmt)).hexdigest())
     sys.exit(0)

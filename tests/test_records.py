@@ -248,6 +248,12 @@ class TestJsonIO:
         with pytest.raises(SchemaError, match=r"^score out of range \[0, 1\]: -10+ \(row 1"):
             load_dataset(path)
 
+    def test_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(SchemaError, match="^invalid JSON: maximum recursion depth exceeded"):
+            load_dataset(path)
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no integer digit limit on this Python")
     def test_integer_past_the_digit_limit(self, tmp_path):

@@ -18,7 +18,8 @@ from selcert import (
     tradeoff_curve,
     validate_guarantee,
 )
-from selcert.sim import curve_to_csv_text, curve_to_doc, trials_to_csv_text, trials_to_doc
+from selcert.jsonio import Table, csv_text
+from selcert.sim import curve_to_doc, trials_to_doc
 
 
 def fixture6() -> Dataset:
@@ -151,7 +152,7 @@ class TestSummarizeTrials:
 class TestSerialization:
     def test_curve_csv_text(self):
         curve = tradeoff_curve(fixture6(), [0.5, 0.99])
-        assert curve_to_csv_text(curve) == (
+        assert csv_text(curve_to_doc(curve)) == (
             "lambda,fraction_kept,selective_accuracy\n"
             "0.5,1,0.666666666667\n"
             "0.99,0,\n"
@@ -159,7 +160,9 @@ class TestSerialization:
 
     def test_curve_doc(self):
         doc = curve_to_doc(tradeoffcurve_small())
-        assert doc[0] == {"lambda": 0.6, "fraction_kept": 1.0, "selective_accuracy": 4 / 6}
+        assert isinstance(doc, Table)
+        first = {name: column[0] for name, column in doc.columns.items()}
+        assert first == {"lambda": 0.6, "fraction_kept": 1.0, "selective_accuracy": 4 / 6}
 
     def test_trials_csv_text(self):
         trials = [
@@ -167,7 +170,7 @@ class TestSerialization:
             GuaranteeTrial(1, None, None, False),
             GuaranteeTrial(2, 0.55, 0.62, True),
         ]
-        assert trials_to_csv_text(trials) == (
+        assert csv_text(trials_to_doc(trials)) == (
             "trial,lambda_hat,test_selective_accuracy,violated\n"
             "0,0.75,0.9125,false\n"
             "1,,,false\n"
@@ -176,7 +179,8 @@ class TestSerialization:
 
     def test_trials_doc(self):
         doc = trials_to_doc([GuaranteeTrial(1, None, None, False)])
-        assert doc == [{
+        assert isinstance(doc, Table)
+        assert [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())] == [{
             "trial": 1,
             "lambda_hat": None,
             "test_selective_accuracy": None,
