@@ -3,20 +3,35 @@
 This is the numerical core of the package: certification rests on inverting
 the binomial CDF, so it is computed from first principles rather than from a
 normal or Wilson approximation. Terms are evaluated in log space from a
-compensated double-double log-factorial table and added with numpy's
-pairwise summation. The bound is the root of CDF(k; n, r) = beta, found by
-a Newton solve kept inside a bisection bracket. It starts from a closed-form
-guess (exact for k = 0, Wilson score otherwise) and uses the derivative
-that the CDF sum already provides.
+compensated double-double log-factorial table and added with numpy.
+
+Everything works on arrays of (k, n) points. Each point's CDF sum runs over
+a window of its terms, [start, k], laid end to end with the other points'
+windows. A window holds at every p at or above a floor p0: the p itself
+for a single evaluation, and a proven lower bound on the root for a solve
+(k/n for beta < 1/2; 0, which sums every term, otherwise).
+Below the largest term at p0 the terms fall off at least geometrically, so
+a geometric tail bound, which holds at every p >= p0, puts the cut where the
+missing mass is under 2**-64 of the sum (`_window_start`). Points are
+evaluated in blocks of at most `_BLOCK_TERMS` terms, which bounds memory;
+each point's value depends on its own (k, n, p) alone, so the blocking
+never changes a result. Nothing is cached.
+
+The bound is the root of CDF(k; n, r) = beta, found for every point at once
+by Newton steps kept inside a bisection bracket, each point stopping on its
+own. It starts from a closed-form guess (exact for k = 0, Wilson score
+otherwise) and uses the derivative that the CDF sum already provides.
+Deciding whether a bound is at most some p needs no solve at all: it holds
+exactly when CDF(k; n, p) <= beta (`tail_at_most`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -27,6 +42,13 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 # a Newton step this small (relative to r) is below the CDF's rounding noise
 _STEP_FLOOR = 4 * sys.float_info.epsilon
+# the most terms one array evaluation holds: bounds memory, never results
+_BLOCK_TERMS = 1 << 17
+# the terms a window leaves out add at most this fraction of the CDF sum
+_LOG_TAIL_CUT = -64 * math.log(2.0)
+# a sum whose largest term is this close to i = 0 is not cut: finding the
+# cut would cost more than the terms it saves
+_FULL_SUM_BELOW = 32
 
 
 @dataclass(frozen=True)
@@ -130,40 +152,145 @@ def _check_args(k: int, n: int, p: float) -> None:
         raise DomainError(f"p must be within [0, 1], got {p!r}")
 
 
-def _tail_evaluator(k: int, n: int):
-    """p -> (CDF(k; n, p), pmf(k; n, p)), with the p-independent parts precomputed.
+def _check_beta(beta: float) -> float:
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+        raise DomainError(f"beta must be a number, got {beta!r}")
+    beta = float(beta)
+    if math.isnan(beta) or not (0.0 < beta < 1.0):
+        raise DomainError(f"beta must be strictly inside (0, 1), got {beta!r}")
+    return beta
 
-    The pmf is the last term of the CDF sum, so the solver gets the
-    derivative dCDF/dp = -(n - k) / (1 - p) * pmf(k; n, p) for free.
+
+def _counts(k, n) -> tuple[np.ndarray, np.ndarray]:
+    """k and n as int64 arrays of one length, with n >= 1 and 0 <= k <= n."""
+    k, n = np.asarray(k), np.asarray(n)
+    if k.ndim != 1 or k.shape != n.shape or not all(
+        a.dtype.kind in "iu" or a.size == 0 for a in (k, n)
+    ):
+        raise DomainError("k and n must be one-dimensional integer arrays of one length")
+    k, n = k.astype(np.int64), n.astype(np.int64)
+    if np.any(n < 1) or np.any(k < 0) or np.any(k > n):
+        raise DomainError("need n >= 1 and 0 <= k <= n at every point")
+    return k, n
+
+
+def _window_start(k: np.ndarray, n: np.ndarray, p0) -> np.ndarray:
+    """Lowest term index each CDF sum needs at every p >= p0, for k < n.
+
+    Term i of CDF(k; n, p) is t(i) = C(n, i) p^i (1-p)^(n-i), and the ratio
+    t(i-1)/t(i) = i(1-p)/((n-i+1)p) falls as p grows and rises with i. Take
+    q = min(k, floor(n p0)), near the largest term at p0. For j < q and every
+    p >= p0, each ratio at i <= j is at most rho = j(1-p0)/((n-j+1)p0) < 1,
+    so the terms below j add at most t(j) rho/(1 - rho); and t(j)/t(q) is at
+    most its value at p0. The sum holds t(q), so the missing mass relative
+    to the sum is at most that product, which falls as j falls. The start
+    is a j where it is below 2**-64: first where a linear fit of the log
+    ratio at q puts it, then twice as far below q wherever the exact bound
+    does not hold yet. Points with q <= _FULL_SUM_BELOW sum every term, as
+    does p0 = 0.
     """
-    high, low = _LOG_FACTORIALS.upto(n)
-    # log C(n, i) for i = 0..k: the high parts of log(n!) and log((n-i)!) cancel
-    # first, then the low parts add back what rounding the high parts dropped
-    high_rev, low_rev = high[n - k : n + 1][::-1], low[n - k : n + 1][::-1]
-    log_coef = (high[n] - high_rev - high[: k + 1]) + (low[n] - low_rev - low[: k + 1])
-    i = np.arange(k + 1, dtype=float)
-    n_minus_i = float(n) - i
+    p0 = np.broadcast_to(p0, k.shape)
+    q = np.minimum(k, np.floor(n * p0).astype(np.int64))
+    start = np.zeros_like(k)
+    cut = np.flatnonzero(q > _FULL_SUM_BELOW)
+    if not cut.size:
+        return start
+    q, n, p0 = q[cut], n[cut], p0[cut]
+    high = _LOG_FACTORIALS.upto(int(n.max()))[0]
+    log_odds = np.log(p0) - np.log1p(-p0)
+    log_q_factorials = high[q] + high[n - q]
+    # the depth q - j at which sum_{i=j+1..q} log(ratio(i)), fitted by a line
+    # through log(ratio(q)) with slope d log(ratio)/di = 1/q + 1/(n-q+1), reaches
+    # the cut with 4 nats to spare
+    log_rho_q = np.log(q * (1.0 - p0)) - np.log((n - q + 1) * p0)
+    slope = 1.0 / q + 1.0 / (n - q + 1)
+    drop, need = np.maximum(-log_rho_q, 0.0), 4.0 - _LOG_TAIL_CUT
+    depth = np.ceil(2.0 * need / (drop + np.sqrt(drop * drop + 2.0 * slope * need))).astype(np.int64) + 1
+    while True:
+        j = np.maximum(q - depth, 0)
+        with np.errstate(divide="ignore"):  # j = 0: nothing missing
+            log_missing = ((log_q_factorials - high[j] - high[n - j]) + (j - q) * log_odds
+                           + np.log(j * (1.0 - p0)) - np.log((n + 1) * p0 - j))
+        short = log_missing > _LOG_TAIL_CUT
+        if not short.any():
+            break
+        depth[short] *= 2
+    start[cut] = j
+    return start
 
-    def tail(p: float) -> tuple[float, float]:
-        if p <= 0.0:
-            return 1.0, float(k == 0)
-        if p >= 1.0:
-            return 0.0, 0.0  # only called with k < n
-        terms = np.exp(log_coef + i * math.log(p) + n_minus_i * math.log1p(-p))
-        total = float(terms.sum())
-        return (total if total < 1.0 else 1.0), float(terms[-1])
 
-    return tail
+def _blocks(lengths: np.ndarray):
+    """Slices of consecutive points whose windows hold at most _BLOCK_TERMS terms together."""
+    ends = np.cumsum(lengths)
+    first = 0
+    while first < len(lengths):
+        taken = ends[first - 1] if first else 0
+        stop = max(int(np.searchsorted(ends, taken + _BLOCK_TERMS, side="right")), first + 1)
+        yield slice(first, stop)
+        first = stop
+
+
+class _Windows:
+    """The terms i = start..k of several points' CDF sums, laid end to end.
+
+    The p-independent parts are computed once: log C(n, i) from the
+    double-double table (the high parts of log(n!) and log((n-i)!) cancel
+    first, then the low parts add back what rounding the high parts
+    dropped), i and n - i.
+    """
+
+    def __init__(self, k: np.ndarray, n: np.ndarray, start: np.ndarray) -> None:
+        self.lengths = k - start + 1
+        ends = np.cumsum(self.lengths)
+        self.offsets = ends - self.lengths
+        self.last = ends - 1  # the pmf term, i = k
+        nn = np.repeat(n, self.lengths)
+        i = np.arange(ends[-1]) - np.repeat(self.offsets - start, self.lengths)
+        high, low = _LOG_FACTORIALS.upto(int(n.max()))
+        self.log_coef = (high[nn] - high[nn - i] - high[i]) + (low[nn] - low[nn - i] - low[i])
+        self.i = i.astype(float)
+        self.n_minus_i = (nn - i).astype(float)
+
+    def tails(self, log_p, log_q) -> tuple[np.ndarray, np.ndarray]:
+        """(CDF, pmf) at each point, given log p and log(1 - p) per point (or one for all).
+
+        The pmf is the last term of the CDF sum, so the solver gets the
+        derivative dCDF/dp = -(n - k) / (1 - p) * pmf(k; n, p) for free.
+        """
+        if np.ndim(log_p):
+            log_p, log_q = np.repeat(log_p, self.lengths), np.repeat(log_q, self.lengths)
+        terms = np.exp(self.log_coef + self.i * log_p + self.n_minus_i * log_q)
+        return np.minimum(np.add.reduceat(terms, self.offsets), 1.0), terms[self.last]
+
+    def keep(self, mask: np.ndarray) -> _Windows:
+        """The windows of the points where mask is set, without redoing the table lookups."""
+        kept = copy.copy(self)
+        terms = np.repeat(mask, self.lengths)
+        kept.log_coef, kept.i, kept.n_minus_i = self.log_coef[terms], self.i[terms], self.n_minus_i[terms]
+        kept.lengths = self.lengths[mask]
+        ends = np.cumsum(kept.lengths)
+        kept.offsets, kept.last = ends - kept.lengths, ends - 1
+        return kept
+
+
+def _cdf(k: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
+    """CDF(k; n, p) at each point, for 0 < p < 1 and k < n."""
+    start = _window_start(k, n, p)
+    cdf = np.empty(len(k))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    for block in _blocks(k - start + 1):
+        cdf[block] = _Windows(k[block], n[block], start[block]).tails(log_p, log_q)[0]
+    return cdf
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(n, p).
 
-    Computed as sum_{i<=k} exp(log C(n,i) + i log p + (n-i) log(1-p)); the
-    terms are nonnegative, so pairwise accumulation keeps the relative error
-    near machine epsilon even for n in the thousands. Edge cases are exact:
-    p = 0 gives 1, p = 1 gives 1 iff k = n (else 0), and k = n gives 1 for
-    any p.
+    Computed as sum_{i<=k} exp(log C(n,i) + i log p + (n-i) log(1-p)) over
+    the window of terms the module docstring describes; the terms are
+    nonnegative, so the sum keeps the relative error near machine epsilon
+    even for n in the thousands. Edge cases are exact: p = 0 gives
+    1, p = 1 gives 1 iff k = n (else 0), and k = n gives 1 for any p.
     """
     _check_args(k, n, p)
     k, n, p = int(k), int(n), float(p)
@@ -173,62 +300,137 @@ def binom_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    return _tail_evaluator(k, n)(p)[0]
+    return float(_cdf(np.array([k]), np.array([n]), p)[0])
 
 
-def _initial_guess(k: int, n: int, beta: float) -> float:
-    """Closed-form start for the root of CDF(k; n, r) = beta.
+def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
+    """Whether CDF(k; n, p) <= beta at each (k, n) point, for 0 < p < 1.
+
+    For k < n the CDF is strictly decreasing in p, so this holds exactly
+    when the upper bound risk_upper_bound((k, n), beta) is at most p; for
+    k = n the CDF is 1 and the bound is 1, so neither holds. The binomial
+    median at p = k/n is k, so CDF(k; n, p) >= 1/2 whenever p <= k/n: for
+    beta < 1/2 such points fail without a sum.
+    """
+    k, n = _counts(k, n)
+    beta = _check_beta(beta)
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not (0.0 < p < 1.0):
+        raise DomainError(f"p must be strictly inside (0, 1), got {p!r}")
+    p = float(p)
+    passes = np.zeros(len(k), dtype=bool)
+    summed = (k < n) & (k / n < p) if beta < 0.5 else k < n
+    passes[summed] = _cdf(k[summed], n[summed], p) <= beta
+    return passes
+
+
+def _lower_ends(k: np.ndarray, n: np.ndarray, beta: float) -> np.ndarray:
+    """A proven lower bound on each root of CDF(k; n, r) = beta, for k < n.
+
+    For beta < 1/2 the root is above k/n, because the binomial median at
+    p = k/n is k, so CDF(k; n, k/n) >= 1/2 > beta. Otherwise the bracket
+    starts at 0, whose window is the full sum.
+    """
+    return k / n if beta < 0.5 else np.zeros(len(k))
+
+
+def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) -> np.ndarray:
+    """Closed-form starts for the roots of CDF(k; n, r) = beta.
 
     k = 0 has the exact root 1 - beta**(1/n); otherwise the one-sided Wilson
-    score upper limit. The guess depends on (k, n, beta) alone, so a solve
-    never depends on which bounds were computed before it.
+    score upper limit. A guess depends on its point's (k, n, beta) alone, so
+    a solve never depends on which other bounds are solved with it.
     """
-    if k == 0:
-        return -math.expm1(math.log(beta) / n)
     z = NormalDist().inv_cdf(1.0 - beta)
     z2n = z * z / n
     p_hat = k / n
     centre = p_hat + 0.5 * z2n
-    spread = z * math.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 * z2n / n)
+    spread = z * np.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 * z2n / n)
     guess = (centre + spread) / (1.0 + z2n)
-    # the solver divides by 1 - r; a guess rounded up to 1 restarts mid-range
-    return guess if guess < 1.0 else 0.5
+    # the solver divides by 1 - r, and the windows hold from lo up; a guess
+    # outside [lo, 1) restarts mid-bracket
+    guess = np.where((lo <= guess) & (guess < 1.0), guess, 0.5 * (lo + 1.0))
+    log_beta = math.log(beta)
+    zero = np.flatnonzero(k == 0)
+    guess[zero] = [-math.expm1(log_beta / m) for m in n[zero].tolist()]
+    return guess
 
 
-@lru_cache(maxsize=None)
-def _solve_upper_bound(k: int, n: int, beta: float, tol: float, max_iter: int) -> RiskBound:
-    tail = _tail_evaluator(k, n)
-    lo, hi = 0.0, 1.0  # invariant: cdf(lo) >= beta > cdf(hi)
-    best_value, best_residual = 0.0, 1.0 - beta
-    r = _initial_guess(k, n, beta)
+def _solve_block(k, n, start, lo, beta: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton solves of CDF(k; n, r) = beta for points with k < n; (best value, its residual).
+
+    Every point keeps its own bracket, from its lower end lo, and stops on
+    its own. The state arrays hold the points still iterating, whose windows
+    alone are evaluated; a point's result is written out when it stops.
+    """
+    values, residuals = np.zeros(len(k)), np.full(len(k), 1.0 - beta)
+    windows = _Windows(k, n, start)
+    live = np.arange(len(k))
+    n_minus_k = (n - k).astype(float)
+    hi = np.ones(len(k))  # invariant: cdf(lo) >= beta > cdf(hi)
+    r = _initial_guesses(k, n, beta, lo)
+    best, best_residual = values.copy(), residuals.copy()
     for _ in range(max_iter):
-        f, pmf = tail(r)
-        residual = abs(f - beta)
-        if residual < best_residual:
-            best_value, best_residual = r, residual
-        if f >= beta:
-            lo = r
-        else:
-            hi = r
-        if residual == 0.0:
-            break
+        f, pmf = windows.tails(np.log(r), np.log1p(-r))
+        gap = f - beta
+        residual = np.abs(gap)
+        better = residual < best_residual
+        best, best_residual = np.where(better, r, best), np.where(better, residual, best_residual)
+        above = f >= beta
+        lo, hi = np.where(above, r, lo), np.where(above, hi, r)
         # Newton step on CDF(r) - beta; a step that leaves the bracket bisects
-        slope = (n - k) * pmf / (1.0 - r)
-        step = (f - beta) / slope if slope > 0.0 else math.inf
-        if abs(step) <= _STEP_FLOOR * r:
-            break
+        slope = n_minus_k * pmf / (1.0 - r)
+        step = np.divide(gap, slope, out=np.full(len(r), np.inf), where=slope > 0.0)
         nxt = r + step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if nxt == lo or nxt == hi:
-                break
-        r = nxt
-    if best_residual > tol:
+        mid = 0.5 * (lo + hi)
+        outside = ~((lo < nxt) & (nxt < hi))
+        done = ((residual == 0.0) | (np.abs(step) <= _STEP_FLOOR * r)
+                | (outside & ((mid == lo) | (mid == hi))))
+        r = np.where(outside, mid, nxt)
+        if done.any():
+            values[live[done]], residuals[live[done]] = best[done], best_residual[done]
+            going = ~done
+            if not going.any():
+                return values, residuals
+            live, n_minus_k, lo, hi, r, best, best_residual = (
+                a[going] for a in (live, n_minus_k, lo, hi, r, best, best_residual))
+            windows = windows.keep(going)
+    values[live], residuals[live] = best, best_residual
+    return values, residuals
+
+
+def risk_upper_bounds(
+    k, n, beta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds and their residuals at every (k, n) point, as arrays.
+
+    The value at each point is the one risk_upper_bound returns for it, and
+    the residual that RiskBound's: k = n gives 1 with residual 1 - beta.
+    Each root's bracket starts at a proven lower bound (`_lower_ends`), and
+    every CDF sum of its solve runs over the window that holds from there up.
+    Raises ConvergenceError, naming the first such point, if any residual is
+    still above tol after max_iter CDF evaluations.
+    """
+    k, n = _counts(k, n)
+    beta = _check_beta(beta)
+    tol, max_iter = float(tol), int(max_iter)
+    values, residuals = np.ones(len(k)), np.full(len(k), 1.0 - beta)
+    solved = np.flatnonzero(k < n)
+    if not solved.size:
+        return values, residuals
+    k_s, n_s = k[solved], n[solved]
+    lo = _lower_ends(k_s, n_s, beta)
+    start = _window_start(k_s, n_s, lo)
+    for block in _blocks(k_s - start + 1):
+        values[solved[block]], residuals[solved[block]] = _solve_block(
+            k_s[block], n_s[block], start[block], lo[block], beta, max_iter)
+    failed = np.flatnonzero(residuals[solved] > tol)
+    if failed.size:
+        i = solved[failed[0]]
         raise ConvergenceError(
-            f"Newton solve left residual {best_residual:.3e} > {tol:.1e} "
-            f"for k={k}, n={n}, beta={beta}"
+            f"Newton solve left residual {residuals[i]:.3e} > {tol:.1e} "
+            f"for k={k[i]}, n={n[i]}, beta={beta}"
         )
-    return RiskBound(value=best_value, beta=beta, residual=best_residual)
+    return values, residuals
 
 
 def risk_upper_bound(
@@ -241,19 +443,15 @@ def risk_upper_bound(
 
     This is the one-sided exact upper bound at confidence 1 - beta: the CDF is
     continuous and strictly decreasing in r on (0, 1) for k < n, so the
-    supremum is the unique root of CDF(k; n, r) = beta. It is found by Newton
-    steps from a closed-form start, with a bisection step whenever Newton
-    would leave the bracket; the iterate with the smallest residual is
-    returned (results are cached, keyed by k, n and beta). k = n yields
-    exactly 1.0.
+    supremum is the unique root of CDF(k; n, r) = beta. It is the
+    one-point call of `risk_upper_bounds`: Newton steps from a closed-form
+    start, with a bisection step whenever Newton would leave the bracket, and
+    the iterate with the smallest residual returned. Each CDF sum runs over
+    the window of terms the module docstring describes. k = n yields exactly
+    1.0.
     """
     if not isinstance(tail, BinomialTail):
         tail = BinomialTail(*tail)
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise DomainError(f"beta must be a number, got {beta!r}")
-    beta = float(beta)
-    if math.isnan(beta) or not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must be strictly inside (0, 1), got {beta!r}")
-    if tail.k == tail.n:
-        return RiskBound(value=1.0, beta=beta, residual=1.0 - beta)
-    return _solve_upper_bound(tail.k, tail.n, beta, float(tol), int(max_iter))
+    beta = _check_beta(beta)
+    values, residuals = risk_upper_bounds([tail.k], [tail.n], beta, tol, max_iter)
+    return RiskBound(value=float(values[0]), beta=beta, residual=float(residuals[0]))

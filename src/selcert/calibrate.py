@@ -7,6 +7,22 @@ binomial upper risk bound at or below alpha (confidence level 1 - beta per
 grid point). Applying a feasible certificate keeps predictions at or above
 the threshold and abstains below it.
 
+The scan needs a yes or no at each grid point, never the bound itself. With
+k errors among n retained, k < n, the bound risk_plus is at most alpha
+exactly when CDF(k; n, alpha) <= beta, because the CDF is strictly
+decreasing in the rate. So `lambda_hat` is decided by that one tail test
+per eligible grid point (`binom.tail_at_most`), and the bounds themselves
+are solved afterwards, all at once, as the certificate's evidence.
+
+The equivalence is exact in real arithmetic only. The tail test and the
+recorded risk_plus both come from a floating-point CDF, accurate to about
+1e-14 relative, so when alpha is within a few units in the last place of a
+point's recorded bound the two can land on opposite sides of it: the
+certificate may keep a point whose recorded risk_plus is a unit above
+alpha, or stop at one whose risk_plus is a unit below. Neither side is
+exact there; both are within that rounding of the true root. A relative
+1e-12 away from every recorded bound they agree.
+
 Thin grid tails carry almost no evidence, so their bounds are close to 1 no
 matter how good the classifier is. `RiskConfig.min_count` sets how many
 retained calibration points a grid value needs before it can constrain, or
@@ -22,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binom import BinomialTail, risk_upper_bound
+from .binom import BinomialTail, risk_upper_bound, risk_upper_bounds, tail_at_most
 from .errors import (
     DatasetIOError,
     DomainError,
@@ -164,11 +180,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     """
     conf, correct = _confidence_correct(data.scores(), data.labels())
     kept = conf >= lam
-    return _grid_point(float(lam), int(kept.sum()), int((kept & ~correct).sum()), beta)
-
-
-def _grid_point(lam: float, n_at: int, errors_at: int, beta: float) -> GridPoint:
-    """The grid point for these counts; retaining nothing gives risk 1 (no evidence)."""
+    lam, n_at, errors_at = float(lam), int(kept.sum()), int((kept & ~correct).sum())
     if n_at == 0:
         return GridPoint(lam=lam, n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
     bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)
@@ -185,38 +197,44 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     threshold is the smallest eligible grid value (n_at >= config.min_count)
     such that every eligible grid value above it also has
     risk_plus <= config.alpha; if no grid value qualifies the certificate is
-    infeasible. All grid points are recorded either way.
+    infeasible. The threshold is decided by tail tests (`_scan`); the bounds
+    of every grid point are then solved in one array call and recorded
+    either way.
     """
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
-    conf, correct = _confidence_correct(data.scores(), data.labels())
-    order = np.argsort(conf, kind="stable")
-    suffix_wrong = np.cumsum(~correct[order][::-1])[::-1]
-    grid_values, first_index = np.unique(conf[order], return_index=True)
-
-    n = len(data)
-    points = [
-        _grid_point(value, n_at, errors_at, config.beta)
-        for value, n_at, errors_at in zip(
-            grid_values.tolist(), (n - first_index).tolist(), suffix_wrong[first_index].tolist()
-        )
-    ]
-
-    lambda_hat: float | None = None
-    for point in reversed(points):
-        if point.n_at < config.min_count:
-            continue
-        if point.risk_plus > config.alpha:
-            break
-        lambda_hat = point.lam
-
+    lam, n_at, errors, lambda_hat = _scan(*_confidence_correct(data.scores(), data.labels()), config)
+    risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
+    points = map(GridPoint, lam.tolist(), n_at.tolist(), errors.tolist(),
+                 (errors / n_at).tolist(), risk_plus.tolist())
     return ThresholdCertificate(
         status=FEASIBLE if lambda_hat is not None else INFEASIBLE,
         lambda_hat=lambda_hat,
         grid=tuple(points),
         config=config,
-        calib_size=n,
+        calib_size=len(data),
     )
+
+
+def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
+    """The certification grid (lam, n_at, errors) and its certified threshold.
+
+    Every eligible point (n_at >= config.min_count) gets one tail test,
+    CDF(errors; n_at, alpha) <= beta, which passes exactly when its
+    risk_plus <= alpha, up to the rounding the module docstring describes.
+    lambda_hat is the lowest point of the run of passes that reaches the top
+    of the grid, or None when the top eligible point fails or nothing is
+    eligible.
+    """
+    order = np.argsort(conf, kind="stable")
+    suffix_wrong = np.cumsum(~correct[order][::-1])[::-1]
+    lam, first_index = np.unique(conf[order], return_index=True)
+    n_at, errors = len(conf) - first_index, suffix_wrong[first_index]
+    eligible = np.flatnonzero(n_at >= config.min_count)
+    passes = tail_at_most(errors[eligible], n_at[eligible], config.alpha, config.beta)
+    failed = eligible[~passes]
+    run = eligible[eligible > failed[-1]] if failed.size else eligible
+    return lam, n_at, errors, float(lam[run[0]]) if run.size else None
 
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> list[Decision]:
@@ -276,10 +294,14 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
         raise SchemaError(f"invalid certificate JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("malformed certificate: the document must be an object")
     try:
         config = RiskConfig(_field(doc["alpha"], "alpha"), _field(doc["beta"], "beta"),
                             _field(doc.get("min_count", 1), "min_count", whole=True))
-        grid = tuple(_grid_point_from_json(pt, f"grid[{i}].") for i, pt in enumerate(doc["grid"]))
+        if not isinstance(doc["grid"], list):
+            raise SchemaError("malformed certificate: grid must be a list")
+        grid = tuple(_grid_point_from_json(pt, f"grid[{i}]") for i, pt in enumerate(doc["grid"]))
         lambda_hat = None if doc["lambda_hat"] is None else float(_field(doc["lambda_hat"], "lambda_hat"))
         calib_size = _field(doc["calib_size"], "calib_size", whole=True)
         return ThresholdCertificate(doc["status"], lambda_hat, grid, config, calib_size)
@@ -288,11 +310,13 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
 
 
 def _grid_point_from_json(pt: dict, where: str) -> GridPoint:
-    lam, risk_hat, risk_plus = (float(_field(pt[key], where + key))
+    if not isinstance(pt, dict):
+        raise SchemaError(f"malformed certificate: {where} must be an object")
+    lam, risk_hat, risk_plus = (float(_field(pt[key], f"{where}.{key}"))
                                 for key in ("lambda", "risk_hat", "risk_plus"))
-    n_at, errors_at = (_field(pt[key], where + key, whole=True) for key in ("n", "errors"))
+    n_at, errors_at = (_field(pt[key], f"{where}.{key}", whole=True) for key in ("n", "errors"))
     if not 0 <= errors_at <= n_at:
-        raise SchemaError(f"malformed certificate: {where}errors must be within [0, n], "
+        raise SchemaError(f"malformed certificate: {where}.errors must be within [0, n], "
                           f"got {errors_at} with n {n_at}")
     return GridPoint(lam, n_at, errors_at, risk_hat, risk_plus)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import RiskConfig, ThresholdCertificate, _confidence_correct, certify_threshold
+from .calibrate import RiskConfig, _confidence_correct, _scan
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError
 from .jsonio import Table
 from .records import Dataset, SyntheticScorerSpec, generate_synthetic
@@ -103,17 +103,18 @@ def _run_trial(
     trial_seed = substream_seed(seed, trial_index)
     calib = generate_synthetic(replace(spec, n=n_calib, seed=substream_seed(trial_seed, 1)))
     test = generate_synthetic(replace(spec, n=n_test, seed=substream_seed(trial_seed, 2)))
-    cert: ThresholdCertificate = certify_threshold(calib, config)
-    if not cert.feasible:
+    # the threshold certify_threshold would certify, without solving its bounds
+    lambda_hat = _scan(*_confidence_correct(calib.scores(), calib.labels()), config)[3]
+    if lambda_hat is None:
         return GuaranteeTrial(trial_index, None, None, False)
     conf, correct = _confidence_correct(test.scores(), test.labels())
-    kept = conf >= cert.lambda_hat
+    kept = conf >= lambda_hat
     n_kept = int(kept.sum())
     if n_kept == 0:
-        return GuaranteeTrial(trial_index, cert.lambda_hat, None, False)
+        return GuaranteeTrial(trial_index, lambda_hat, None, False)
     accuracy = int(correct[kept].sum()) / n_kept
     violated = accuracy < 1.0 - config.alpha
-    return GuaranteeTrial(trial_index, cert.lambda_hat, accuracy, violated)
+    return GuaranteeTrial(trial_index, lambda_hat, accuracy, violated)
 
 
 def validate_guarantee(

@@ -158,12 +158,75 @@ class TestRiskUpperBound:
         pairs = [(int(rng.integers(0, n)), int(n)) for n in rng.integers(1, 3000, 60)]
 
         def solve_all(order):
-            # fresh bound cache and log-factorial table, so nothing carries over
-            binom._solve_upper_bound.cache_clear()
+            # a fresh log-factorial table, so nothing carries over
             monkeypatch.setattr(binom, "_LOG_FACTORIALS", binom._LogFactorials())
             return {pair: risk_upper_bound(BinomialTail(*pair), 0.1) for pair in order}
 
         forwards = solve_all(pairs)
         backwards = solve_all(pairs[::-1])
-        binom._solve_upper_bound.cache_clear()
         assert forwards == backwards
+
+
+class TestArrayCalls:
+    def test_bounds_equal_one_point_calls(self):
+        rng = np.random.default_rng(23)
+        n = rng.integers(1, 4000, 300)
+        k = (rng.random(300) * (n + 1)).astype(int)  # k = n included
+        for beta in (0.05, 0.3, 0.5, 0.8):
+            values, residuals = binom.risk_upper_bounds(k, n, beta)
+            for i in range(300):
+                bound = risk_upper_bound(BinomialTail(int(k[i]), int(n[i])), beta)
+                assert (values[i], residuals[i]) == (bound.value, bound.residual)
+
+    def test_blocking_never_changes_a_value(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        n = rng.integers(1, 3000, 200)
+        k = (rng.random(200) * n).astype(int)
+        whole = binom.risk_upper_bounds(k, n, 0.1)[0]
+        monkeypatch.setattr(binom, "_BLOCK_TERMS", 40)
+        assert np.array_equal(binom.risk_upper_bounds(k, n, 0.1)[0], whole)
+
+    def test_convergence_error_names_the_point(self):
+        # k = 0 starts at its exact root; the other point cannot converge in one step
+        with pytest.raises(ConvergenceError, match=r"for k=500, n=2000, beta=0.1$"):
+            binom.risk_upper_bounds([0, 500], [10, 2000], 0.1, max_iter=1)
+
+    @pytest.mark.parametrize("k,n", [([1, 2], [3]), ([[1]], [[3]]), ([4], [3]), ([0], [0]),
+                                     ([True], [3]), ([0.5], [3]), ([-1], [3])])
+    def test_rejects_bad_counts(self, k, n):
+        with pytest.raises(DomainError):
+            binom.risk_upper_bounds(k, n, 0.1)
+        with pytest.raises(DomainError):
+            binom.tail_at_most(k, n, 0.2, 0.1)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan"), True])
+    def test_tail_test_rejects_bad_p(self, p):
+        with pytest.raises(DomainError):
+            binom.tail_at_most([1], [10], p, 0.1)
+
+    def test_tail_test_decides_the_bound(self):
+        # CDF(k; n, p) <= beta exactly when the bound is at most p, on both sides of 1/2
+        rng = np.random.default_rng(31)
+        n = rng.integers(1, 3000, 400)
+        k = (rng.random(400) * (n + 1)).astype(int)
+        for beta in (0.01, 0.1, 0.45, 0.5, 0.7, 0.99):
+            values = binom.risk_upper_bounds(k, n, beta)[0]
+            for p in rng.uniform(0.0, 1.0, 4):
+                p = float(p)
+                assert np.array_equal(binom.tail_at_most(k, n, p, beta), values <= p)
+
+    def test_window_leaves_out_no_measurable_mass(self):
+        # the terms below each window add under 2**-64 of the CDF at every p >= p0
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(37)
+        n = rng.integers(100, 20000, 400)
+        k = (rng.random(400) * n).astype(int)
+        p0 = np.where(rng.random(400) < 0.5, k / n, rng.uniform(0.0, 1.0, 400))
+        start = binom._window_start(k, n, p0)
+        assert np.all((0 <= start) & (start <= k))
+        assert np.any(start > 0)
+        for p in (p0, p0 + (1.0 - p0) * 0.01, p0 + (1.0 - p0) * 0.5):
+            cut = start > 0
+            missing = stats.binom.cdf(start[cut] - 1, n[cut], p[cut])
+            total = stats.binom.cdf(k[cut], n[cut], p[cut])
+            assert np.all(missing <= 2.0**-64 * total * (1 + 1e-9))

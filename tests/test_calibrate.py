@@ -5,7 +5,9 @@ The 6-record fixture has confidences [0.6..0.95] with mistakes at 0.6 and
 """
 
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from selcert import (
     selective_risk,
     write_decisions,
 )
-import selcert.binom as binom
+from selcert.binom import tail_at_most
 from selcert.calibrate import GridPoint, _confidence_correct
 
 
@@ -182,13 +184,97 @@ class TestCertifyThreshold:
             PredictionRecord(f"r{i}", float(s), int(y)) for i, (s, y) in enumerate(zip(scores, labels))
         ))
         cert = certify_threshold(data, RiskConfig(alpha=0.3, beta=0.1, min_count=10))
-        binom._solve_upper_bound.cache_clear()
         for pt in cert.grid:
             assert pt.risk_plus == risk_upper_bound(BinomialTail(pt.errors_at, pt.n_at), 0.1).value
+
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.9])
+    def test_grid_scale_scipy_oracle(self, beta):
+        # every bound of a 20k-point grid is the 1 - beta quantile of Beta(k + 1, n - k)
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(4099)
+        scores = rng.beta(4.0, 2.0, 20000)
+        labels = (rng.random(20000) < scores).astype(int)
+        data = Dataset.from_columns([f"r{i}" for i in range(20000)], scores, labels)
+        config = RiskConfig(alpha=0.1, beta=beta, min_count=25)
+        cert = certify_threshold(data, config)
+        assert len(cert.grid) == 20000
+        k = np.array([pt.errors_at for pt in cert.grid])
+        n = np.array([pt.n_at for pt in cert.grid])
+        got = np.array([pt.risk_plus for pt in cert.grid])
+        expected = np.where(k < n, stats.beta.ppf(1.0 - beta, k + 1, np.maximum(n - k, 1)), 1.0)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
+        assert cert.lambda_hat == scan_bounds(cert.grid, expected, config)
+        assert cert.lambda_hat is not None or beta == 0.05
+
+    def test_decision_equals_scan_over_its_own_bounds(self):
+        # lambda_hat comes from one tail test per point; the scan over the
+        # certificate's own risk_plus must land on the same threshold
+        rng = np.random.default_rng(8128)
+        for trial in range(200):
+            n = int(rng.integers(1, 400))
+            scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))  # ties
+            labels = (rng.random(n) < scores).astype(int)
+            config = RiskConfig(alpha=float(rng.uniform(0.02, 0.6)),
+                                beta=float(rng.choice([0.01, 0.1, 0.3, 0.49, 0.5, 0.7, 0.95])),
+                                min_count=int(rng.integers(1, 30)))
+            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
+            cert = certify_threshold(data, config)
+            bounds = [pt.risk_plus for pt in cert.grid]
+            assert cert.lambda_hat == scan_bounds(cert.grid, bounds, config), f"trial {trial}"
+
+    def test_decision_at_alpha_on_its_own_bounds(self):
+        # alpha set to one of the grid's own recorded bounds. A relative 1e-12
+        # away, the tail test and the recorded bounds agree point by point, and
+        # so do lambda_hat and the scan. Within one unit in the last place they
+        # may not: both come from a floating-point CDF, and a disagreement is
+        # allowed only where alpha lies at the root to within its rounding,
+        # |CDF(k; n, alpha) - beta| <= 1e-13 * beta in exact arithmetic.
+        rng = np.random.default_rng(6174)
+        for trial in range(30):
+            n = int(rng.integers(5, 400))
+            scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))
+            labels = (rng.random(n) < scores).astype(int)
+            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
+            beta = float(rng.choice([0.01, 0.1, 0.3, 0.5, 0.7, 0.95]))
+            grid = certify_threshold(data, RiskConfig(alpha=0.5, beta=beta)).grid
+            k = np.array([pt.errors_at for pt in grid])
+            n_at = np.array([pt.n_at for pt in grid])
+            bounds = np.array([pt.risk_plus for pt in grid])
+            edges = np.unique(bounds[bounds < 1.0])
+            for edge in rng.choice(edges, min(len(edges), 12), replace=False).tolist():
+                for alpha in (edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)):
+                    config = RiskConfig(alpha=alpha, beta=beta)
+                    assert np.array_equal(tail_at_most(k, n_at, alpha, beta), bounds <= alpha)
+                    assert certify_threshold(data, config).lambda_hat == scan_bounds(grid, bounds, config)
+                for alpha in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    alpha = float(alpha)
+                    differ = tail_at_most(k, n_at, alpha, beta) != (bounds <= alpha)
+                    for i in np.flatnonzero(differ):
+                        gap = exact_cdf(int(k[i]), int(n_at[i]), alpha) - Fraction(beta)
+                        assert abs(gap) <= Fraction(1e-13) * Fraction(beta), (
+                            f"trial {trial}, alpha {alpha!r}, k={k[i]}, n={n_at[i]}")
 
     def test_min_count_above_n_is_always_infeasible(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.99, beta=0.2, min_count=7))
         assert not cert.feasible
+
+
+def scan_bounds(grid, bounds, config):
+    """Reference scan from the top of the grid over the given bounds."""
+    lambda_hat = None
+    for pt, bound in zip(reversed(grid), reversed(list(bounds))):
+        if pt.n_at < config.min_count:
+            continue
+        if bound > config.alpha:
+            break
+        lambda_hat = pt.lam
+    return lambda_hat
+
+
+def exact_cdf(k, n, p):
+    """CDF(k; n, p) in rational arithmetic, p taken as the exact value of its float."""
+    a, d = p.as_integer_ratio()
+    return Fraction(sum(math.comb(n, i) * a**i * (d - a) ** (n - i) for i in range(k + 1)), d**n)
 
 
 def brute_force_certify(scores, labels, alpha, beta, min_count):
@@ -378,6 +464,28 @@ class TestCertificateSerialization:
             certificate_from_json("{not json")
         with pytest.raises(SchemaError):
             certificate_from_json('{"status": "feasible"}')
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"certificate"', "null"])
+    def test_document_that_is_not_an_object(self, text):
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(text)
+        assert str(err.value) == "malformed certificate: the document must be an object"
+
+    def test_grid_that_is_not_a_list(self):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        doc["grid"] = {"lambda": 0.6}
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc))
+        assert str(err.value) == "malformed certificate: grid must be a list"
+
+    def test_grid_entry_that_is_not_an_object(self):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        doc["grid"][1] = [0.7, 5, 1]
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc))
+        assert str(err.value) == "malformed certificate: grid[1] must be an object"
 
     @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
     def test_count_beyond_integer_range(self, tmp_path, field):

@@ -1,5 +1,7 @@
 """Tradeoff curves and the Monte Carlo guarantee harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from selcert import (
     TradeoffCurve,
     TradeoffPoint,
     UnsortedLambdasError,
+    certify_threshold,
+    generate_synthetic,
+    substream_seed,
     summarize_trials,
     tradeoff_curve,
     validate_guarantee,
 )
 from selcert.jsonio import Table, csv_text
-from selcert.sim import curve_to_doc, trials_to_doc
+from selcert.sim import _run_trial, curve_to_doc, trials_to_doc
 
 
 def fixture6() -> Dataset:
@@ -113,6 +118,15 @@ class TestValidateGuarantee:
                 assert 0.5 <= t.lambda_hat <= 1.0
                 if t.violated:
                     assert t.test_selective_accuracy < 1 - CONFIG.alpha
+
+    @pytest.mark.parametrize("config", [CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=5),
+                                        RiskConfig(alpha=0.35, beta=0.9, min_count=1)])
+    def test_trial_threshold_is_the_certified_one(self, config):
+        # a trial decides lambda_hat without solving bounds; it must be certify_threshold's
+        for t in range(12):
+            trial = _run_trial(t, SPEC, config, n_calib=150, n_test=20, seed=17)
+            calib = generate_synthetic(replace(SPEC, n=150, seed=substream_seed(substream_seed(17, t), 1)))
+            assert trial.lambda_hat == certify_threshold(calib, config).lambda_hat
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0, n_calib=10, n_test=10, seed=0),
