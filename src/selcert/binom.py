@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_int, check_real
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -59,15 +59,8 @@ class BinomialTail:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("k", "n"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DomainError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}")
-            object.__setattr__(self, name, int(v))
-        if self.n < 1:
-            raise DomainError(f"n must be at least 1, got {self.n}")
-        if not (0 <= self.k <= self.n):
-            raise DomainError(f"k must satisfy 0 <= k <= n, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "k", check_int("k", self.k, 0, self.n))
 
 
 @dataclass(frozen=True)
@@ -141,33 +134,13 @@ class _LogFactorials:
 _LOG_FACTORIALS = _LogFactorials()
 
 
-def _check_args(k: int, n: int, p: float) -> None:
-    if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"k and n must be integers, got k={k!r}, n={n!r}")
-    if n < 1 or not (0 <= k <= n):
-        raise DomainError(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
-    if isinstance(p, bool) or not isinstance(p, (int, float, np.floating)):
-        raise DomainError(f"p must be a number, got {p!r}")
-    if math.isnan(p) or not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must be within [0, 1], got {p!r}")
-
-
-def _check_beta(beta: float) -> float:
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise DomainError(f"beta must be a number, got {beta!r}")
-    beta = float(beta)
-    if math.isnan(beta) or not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must be strictly inside (0, 1), got {beta!r}")
-    return beta
-
-
 def _counts(k, n) -> tuple[np.ndarray, np.ndarray]:
     """k and n as int64 arrays of one length, with n >= 1 and 0 <= k <= n."""
     k, n = np.asarray(k), np.asarray(n)
     if k.ndim != 1 or k.shape != n.shape or not all(
         a.dtype.kind in "iu" or a.size == 0 for a in (k, n)
     ):
-        raise DomainError("k and n must be one-dimensional integer arrays of one length")
+        raise DomainError("k and n must be one-dimensional arrays of 64-bit integers, of one length")
     k, n = k.astype(np.int64), n.astype(np.int64)
     if np.any(n < 1) or np.any(k < 0) or np.any(k > n):
         raise DomainError("need n >= 1 and 0 <= k <= n at every point")
@@ -292,15 +265,15 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     even for n in the thousands. Edge cases are exact: p = 0 gives
     1, p = 1 gives 1 iff k = n (else 0), and k = n gives 1 for any p.
     """
-    _check_args(k, n, p)
-    k, n, p = int(k), int(n), float(p)
+    tail, p = BinomialTail(k, n), check_real("p", p, 0, 1, closed=True)
+    k, n = tail.k, tail.n
     if k == n:
         return 1.0
     if p == 0.0:
         return 1.0
     if p == 1.0:
         return 0.0
-    return float(_cdf(np.array([k]), np.array([n]), p)[0])
+    return float(_cdf(*_counts([k], [n]), p)[0])
 
 
 def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
@@ -313,10 +286,7 @@ def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
     beta < 1/2 such points fail without a sum.
     """
     k, n = _counts(k, n)
-    beta = _check_beta(beta)
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not (0.0 < p < 1.0):
-        raise DomainError(f"p must be strictly inside (0, 1), got {p!r}")
-    p = float(p)
+    beta, p = check_real("beta", beta, 0, 1), check_real("p", p, 0, 1)
     passes = np.zeros(len(k), dtype=bool)
     summed = (k < n) & (k / n < p) if beta < 0.5 else k < n
     passes[summed] = _cdf(k[summed], n[summed], p) <= beta
@@ -355,14 +325,16 @@ def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) 
     return guess
 
 
-def _solve_block(k, n, start, lo, beta: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton solves of CDF(k; n, r) = beta for points with k < n; (best value, its residual).
+def _solve_block(k, n, start, lo, beta: float, max_iter: int):
+    """Newton solves of CDF(k; n, r) = beta for k < n; (best value, its residual, floored).
 
     Every point keeps its own bracket, from its lower end lo, and stops on
-    its own. The state arrays hold the points still iterating, whose windows
-    alone are evaluated; a point's result is written out when it stops.
+    its own; floored marks the points that stopped at the step floor. The
+    state arrays hold the points still iterating, whose windows alone are
+    evaluated; a point's result is written out when it stops.
     """
     values, residuals = np.zeros(len(k)), np.full(len(k), 1.0 - beta)
+    floored = np.zeros(len(k), dtype=bool)
     windows = _Windows(k, n, start)
     live = np.arange(len(k))
     n_minus_k = (n - k).astype(float)
@@ -383,19 +355,21 @@ def _solve_block(k, n, start, lo, beta: float, max_iter: int) -> tuple[np.ndarra
         nxt = r + step
         mid = 0.5 * (lo + hi)
         outside = ~((lo < nxt) & (nxt < hi))
-        done = ((residual == 0.0) | (np.abs(step) <= _STEP_FLOOR * r)
+        at_floor = np.abs(step) <= _STEP_FLOOR * r
+        done = ((residual == 0.0) | at_floor
                 | (outside & ((mid == lo) | (mid == hi))))
         r = np.where(outside, mid, nxt)
         if done.any():
             values[live[done]], residuals[live[done]] = best[done], best_residual[done]
+            floored[live[done]] = at_floor[done]
             going = ~done
             if not going.any():
-                return values, residuals
+                return values, residuals, floored
             live, n_minus_k, lo, hi, r, best, best_residual = (
                 a[going] for a in (live, n_minus_k, lo, hi, r, best, best_residual))
             windows = windows.keep(going)
     values[live], residuals[live] = best, best_residual
-    return values, residuals
+    return values, residuals, floored
 
 
 def risk_upper_bounds(
@@ -408,11 +382,14 @@ def risk_upper_bounds(
     Each root's bracket starts at a proven lower bound (`_lower_ends`), and
     every CDF sum of its solve runs over the window that holds from there up.
     Raises ConvergenceError, naming the first such point, if any residual is
-    still above tol after max_iter CDF evaluations.
+    still above tol after max_iter CDF evaluations. A point whose Newton
+    step fell under the step floor passes: it is at its root to within the
+    floor, and its residual, at most the slope times the floor, is all the
+    CDF can resolve there, which can exceed tol where the CDF is steep.
     """
     k, n = _counts(k, n)
-    beta = _check_beta(beta)
-    tol, max_iter = float(tol), int(max_iter)
+    beta = check_real("beta", beta, 0, 1)
+    tol, max_iter = check_real("tol", tol, 0, math.inf), check_int("max_iter", max_iter, 1)
     values, residuals = np.ones(len(k)), np.full(len(k), 1.0 - beta)
     solved = np.flatnonzero(k < n)
     if not solved.size:
@@ -420,10 +397,11 @@ def risk_upper_bounds(
     k_s, n_s = k[solved], n[solved]
     lo = _lower_ends(k_s, n_s, beta)
     start = _window_start(k_s, n_s, lo)
+    floored = np.zeros(len(k), dtype=bool)
     for block in _blocks(k_s - start + 1):
-        values[solved[block]], residuals[solved[block]] = _solve_block(
+        values[solved[block]], residuals[solved[block]], floored[solved[block]] = _solve_block(
             k_s[block], n_s[block], start[block], lo[block], beta, max_iter)
-    failed = np.flatnonzero(residuals[solved] > tol)
+    failed = np.flatnonzero((residuals[solved] > tol) & ~floored[solved])
     if failed.size:
         i = solved[failed[0]]
         raise ConvergenceError(
@@ -452,6 +430,5 @@ def risk_upper_bound(
     """
     if not isinstance(tail, BinomialTail):
         tail = BinomialTail(*tail)
-    beta = _check_beta(beta)
     values, residuals = risk_upper_bounds([tail.k], [tail.n], beta, tol, max_iter)
-    return RiskBound(value=float(values[0]), beta=beta, residual=float(residuals[0]))
+    return RiskBound(value=float(values[0]), beta=float(beta), residual=float(residuals[0]))

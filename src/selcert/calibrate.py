@@ -7,6 +7,11 @@ binomial upper risk bound at or below alpha (confidence level 1 - beta per
 grid point). Applying a feasible certificate keeps predictions at or above
 the threshold and abstains below it.
 
+That retained-set rule, confidence >= lam with ties kept together, is
+counted in one place, `_retained_counts`, for the certification grid,
+`selective_risk`, `sim.tradeoff_curve` and every simulate trial;
+`apply_certificate` applies the same comparison record by record.
+
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
 exactly when CDF(k; n, alpha) <= beta, because the CDF is strictly
@@ -32,7 +37,6 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,15 +44,16 @@ import numpy as np
 
 from .binom import BinomialTail, risk_upper_bound, risk_upper_bounds, tail_at_most
 from .errors import (
-    DatasetIOError,
     DomainError,
     EmptyCalibrationError,
     InfeasibleCertificateError,
     SchemaError,
+    check_int,
+    check_real,
 )
 from .jsonio import Exact, Table, csv_text
 from .jsonio import dumps as json_dumps
-from .records import Dataset, csv_rows, read_text
+from .records import Dataset, csv_rows, read_text, write_text
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -64,22 +69,8 @@ class RiskConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            # v != v is NaN; math.isnan and float() overflow on a huge integer
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
-                raise DomainError(f"{name} must be a number, got {v!r}")
-            if not (0.0 < v < 1.0):
-                raise DomainError(f"{name} must be strictly inside (0, 1), got {_shown(v)}")
-            object.__setattr__(self, name, float(v))
-        if isinstance(self.min_count, bool) or not isinstance(self.min_count, int) or self.min_count < 1:
-            raise DomainError(f"min_count must be an integer >= 1, got {_shown(self.min_count)}")
-
-
-def _shown(value) -> str:
-    try:
-        return repr(value)
-    except ValueError:  # an integer past the interpreter's limit on digits
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, 1))
+        object.__setattr__(self, "min_count", check_int("min_count", self.min_count, 1))
 
 
 @dataclass(frozen=True)
@@ -157,11 +148,7 @@ def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def confidence(score: float) -> float:
     """Confidence of a binary score: max(score, 1 - score), in [0.5, 1]."""
-    if isinstance(score, bool) or not isinstance(score, (int, float, np.floating)):
-        raise DomainError(f"score must be a number, got {score!r}")
-    score = float(score)
-    if math.isnan(score) or not (0.0 <= score <= 1.0):
-        raise DomainError(f"score must be within [0, 1], got {score!r}")
+    score = check_real("score", score, 0, 1, closed=True)
     return max(score, 1.0 - score)
 
 
@@ -178,9 +165,8 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     An empty retained set reports risk_hat = risk_plus = 1 (no evidence, so
     nothing can be certified there).
     """
-    conf, correct = _confidence_correct(data.scores(), data.labels())
-    kept = conf >= lam
-    lam, n_at, errors_at = float(lam), int(kept.sum()), int((kept & ~correct).sum())
+    n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
+    lam = float(lam)
     if n_at == 0:
         return GridPoint(lam=lam, n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
     bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)
@@ -226,15 +212,25 @@ def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
     of the grid, or None when the top eligible point fails or nothing is
     eligible.
     """
-    order = np.argsort(conf, kind="stable")
-    suffix_wrong = np.cumsum(~correct[order][::-1])[::-1]
-    lam, first_index = np.unique(conf[order], return_index=True)
-    n_at, errors = len(conf) - first_index, suffix_wrong[first_index]
+    lam = np.unique(conf)
+    n_at, errors = _retained_counts(conf, correct, lam)
     eligible = np.flatnonzero(n_at >= config.min_count)
     passes = tail_at_most(errors[eligible], n_at[eligible], config.alpha, config.beta)
     failed = eligible[~passes]
     run = eligible[eligible > failed[-1]] if failed.size else eligible
     return lam, n_at, errors, float(lam[run[0]]) if run.size else None
+
+
+def _retained_counts(conf: np.ndarray, correct: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+    """(n_kept, n_wrong) at each threshold in `lams`, or at a single threshold.
+
+    lam retains the records with conf >= lam, ties together; n_wrong counts
+    those not `correct`. This is the package's one count of a retained set.
+    """
+    order = np.argsort(conf, kind="stable")
+    suffix_wrong = np.append(np.cumsum(~correct[order][::-1])[::-1], 0)
+    start = np.searchsorted(conf[order], lams, side="left")
+    return len(conf) - start, suffix_wrong[start]
 
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> list[Decision]:
@@ -336,16 +332,11 @@ def load_certificate(path: str | Path) -> ThresholdCertificate:
 
 def write_decisions(decisions: list[Decision], path: str | Path) -> None:
     """Write decisions as CSV with columns id,outcome,confidence."""
-    text = csv_text(Table({
+    write_text(path, csv_text(Table({
         "id": [d.id for d in decisions],
         "outcome": [d.outcome for d in decisions],
         "confidence": [d.confidence for d in decisions],
-    }))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write {path}: {exc}") from exc
+    })))
 
 
 def read_decisions(path: str | Path) -> list[Decision]:

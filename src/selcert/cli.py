@@ -24,7 +24,7 @@ from .calibrate import (
     retain_rate,
     write_decisions,
 )
-from .errors import DomainError, EmptyCalibrationError, InfeasibleCertificateError, SelcertError
+from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, check_real
 from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
 from .records import Dataset, SyntheticScorerSpec, load_dataset
@@ -94,8 +94,7 @@ def _lambda_grid(text: str) -> list[float]:
 
 def _carve_calibration(train: Dataset, fraction: float, seed: int) -> Dataset:
     """Draw a seeded calibration subset of `fraction` of the training records."""
-    if not (0.0 < fraction < 1.0):
-        raise DomainError(f"calib fraction must be in (0, 1), got {fraction}")
+    check_real("calib fraction", fraction, 0, 1)
     n_pick = int(round(fraction * len(train)))
     if n_pick < 1:
         raise EmptyCalibrationError(f"fraction {fraction} of {len(train)} records selects nothing")
@@ -206,7 +205,7 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = SyntheticScorerSpec(
-        n=1,  # replaced per draw inside the simulation
+        n=1,  # not read: the simulation draws n_calib and n_test records
         prevalence=args.prevalence,
         pos_shape=args.pos_shape,
         neg_shape=args.neg_shape,
@@ -326,10 +325,7 @@ def main(argv=None) -> int:
     except InfeasibleCertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SelcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SelcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,7 @@ costs no sort and no copy of the score columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import attrgetter
 
@@ -33,6 +33,7 @@ from .errors import (
     IdMismatchError,
     ResampleCapError,
     UnpairedIdsError,
+    check_int,
 )
 from .records import Dataset
 from .rng import substream
@@ -244,12 +245,7 @@ def selective_report(
     for name in sorted(set(groups.tolist()) - {None}):
         in_group = groups == name
         breakdown[name] = _subset_report(scores[in_group], labels[in_group], kept[in_group])
-    return SelectiveReport(
-        pr_auc=report.pr_auc, f1=report.f1, roc_auc=report.roc_auc,
-        accuracy=report.accuracy, retain_rate=report.retain_rate,
-        n_total=report.n_total, n_retained=report.n_retained,
-        group_breakdown=breakdown,
-    )
+    return replace(report, group_breakdown=breakdown)
 
 
 _METRICS = ("accuracy", "f1", "pr_auc", "roc_auc")
@@ -283,8 +279,7 @@ def bootstrap_significance(
     """
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {metric!r}")
-    if not isinstance(resamples, int) or resamples < 100:
-        raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
+    resamples = check_int("resamples", resamples, 100)
     ids_a, ids_b = a.ids(), b.ids()
     if set(ids_a) != set(ids_b):
         raise UnpairedIdsError("datasets must share one id set for a paired comparison")

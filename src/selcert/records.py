@@ -5,6 +5,10 @@ dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
 built with `Dataset.from_columns` or from `PredictionRecord`s, and hands out
 records only as views. Loading is all-or-nothing: one bad row rejects the
 whole file with an error naming the first bad row and column.
+
+Synthetic scores and labels come from one draw function, `_draw`:
+`generate_synthetic` wraps its arrays in a Dataset, and simulate's trials
+read them as they are.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
-from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -28,6 +32,8 @@ from .errors import (
     DuplicateIdError,
     MissingDateError,
     SchemaError,
+    check_int,
+    check_real,
 )
 from .jsonio import Table, csv_text, dumps
 
@@ -48,11 +54,7 @@ class PredictionRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise SchemaError(f"record id must be a nonempty string, got {self.id!r}")
-        if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
-            raise SchemaError(f"score must be a number, got {self.score!r}")
-        object.__setattr__(self, "score", float(self.score))
-        if not (0.0 <= self.score <= 1.0):
-            raise SchemaError(f"score must be within [0, 1], got {self.score!r}")
+        object.__setattr__(self, "score", check_real("score", self.score, 0, 1, closed=True, error=SchemaError))
         if isinstance(self.label, bool) or not isinstance(self.label, int):
             raise SchemaError(f"label must be an integer, got {self.label!r}")
         if self.label not in (0, 1):
@@ -231,17 +233,13 @@ class SyntheticScorerSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 < self.prevalence < 1.0):
-            raise DomainError(f"prevalence must be in (0, 1), got {self.prevalence!r}")
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "prevalence", check_real("prevalence", self.prevalence, 0, 1))
         for name in ("pos_shape", "neg_shape"):
             pair = tuple(getattr(self, name))
-            if len(pair) != 2 or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in pair
-            ):
+            if len(pair) != 2:
                 raise DomainError(f"{name} must be a pair of positive numbers, got {pair!r}")
-            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
+            object.__setattr__(self, name, tuple(check_real(name, v, 0, math.inf) for v in pair))
         if not isinstance(self.seed, int):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
 
@@ -314,6 +312,15 @@ def read_text(path: str | Path) -> str:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8, line ends untouched; failure is a DatasetIOError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -482,12 +489,7 @@ def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> No
         columns["date"] = [None if d is None else d.isoformat() for d in dates.tolist()]
     if np.not_equal(groups, None).any():
         columns["group"] = groups.tolist()
-    text = (csv_text if fmt == "csv" else dumps)(Table(columns, exact=["score"]))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write {path}: {exc}") from exc
+    write_text(path, (csv_text if fmt == "csv" else dumps)(Table(columns, exact=["score"])))
 
 
 def temporal_split(data: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -505,21 +507,23 @@ def temporal_split(data: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 def generate_synthetic(spec: SyntheticScorerSpec) -> Dataset:
-    """Draw a synthetic dataset; a pure function of the spec including its seed."""
-    rng = np.random.default_rng(spec.seed & ((1 << 64) - 1))
-    labels = (rng.random(spec.n) < spec.prevalence).astype(int)
-    scores = np.empty(spec.n, dtype=float)
+    """Draw a synthetic dataset, ids syn-0, syn-1, ...; a pure function of the spec and its seed."""
+    scores, labels = _draw(spec, spec.n, spec.seed)
+    return Dataset.from_columns([f"syn-{i}" for i in range(spec.n)], scores, labels,
+                                provenance=f"synthetic(seed={spec.seed})")
+
+
+def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels of n records from spec's scorer, drawn from `seed`.
+
+    spec's own n and seed are not read. This is the one place that fixes the
+    order of the random draws, so `generate_synthetic` and simulate's trials,
+    which skip building a Dataset, draw the same records from one seed.
+    """
+    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    labels = (rng.random(n) < spec.prevalence).astype(int)
+    scores = np.empty(n, dtype=float)
     n_pos = int(labels.sum())
     scores[labels == 1] = rng.beta(spec.pos_shape[0], spec.pos_shape[1], n_pos)
-    scores[labels == 0] = rng.beta(spec.neg_shape[0], spec.neg_shape[1], spec.n - n_pos)
-    return Dataset.from_columns(
-        _synthetic_ids(spec.n), scores, labels, provenance=f"synthetic(seed={spec.seed})"
-    )
-
-
-@lru_cache(maxsize=4)
-def _synthetic_ids(n: int) -> np.ndarray:
-    """Ids syn-0 ... syn-{n-1}; cached, since simulate draws the same sizes every trial."""
-    ids = _object_column([f"syn-{i}" for i in range(n)])
-    ids.flags.writeable = False
-    return ids
+    scores[labels == 0] = rng.beta(spec.neg_shape[0], spec.neg_shape[1], n - n_pos)
+    return scores, labels

@@ -4,19 +4,22 @@ validate_guarantee checks the marginal selective-accuracy guarantee: over
 repeated calibration draws, the fraction of feasible certificates whose test
 selective accuracy falls below 1 - alpha should stay near or below beta.
 Each trial derives its own seed substream, so trials are reproducible
-individually; they run one after another in a single thread.
+individually; they run one after another in a single thread. A trial draws
+its arrays with `records._draw`, the draw behind `generate_synthetic`, so it
+sees that call's records without building a Dataset, and it counts retained
+records with `calibrate._retained_counts`, as the tradeoff curve does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _scan
-from .errors import DomainError, EmptyInputError, UnsortedLambdasError
+from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan
+from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import Dataset, SyntheticScorerSpec, generate_synthetic
+from .records import Dataset, SyntheticScorerSpec, _draw
 from .rng import substream_seed
 
 
@@ -80,15 +83,11 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
         if np.any(np.diff(grid) <= 0):
             raise UnsortedLambdasError("lambda grid must be strictly increasing")
 
-    order = np.argsort(conf, kind="stable")
-    suffix_correct = np.append(np.cumsum(correct[order][::-1])[::-1], 0)
-    n = len(data)
-    start = np.searchsorted(conf[order], grid, side="left")
-    n_kept = n - start
+    n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):
-        accuracy = suffix_correct[start] / n_kept
+        accuracy = (n_kept - n_wrong) / n_kept
     accuracy = np.where(n_kept > 0, accuracy, None)
-    points = map(TradeoffPoint, grid.tolist(), (n_kept / n).tolist(), accuracy.tolist())
+    points = map(TradeoffPoint, grid.tolist(), (n_kept / len(data)).tolist(), accuracy.tolist())
     return TradeoffCurve(points=tuple(points))
 
 
@@ -101,18 +100,16 @@ def _run_trial(
     seed: int,
 ) -> GuaranteeTrial:
     trial_seed = substream_seed(seed, trial_index)
-    calib = generate_synthetic(replace(spec, n=n_calib, seed=substream_seed(trial_seed, 1)))
-    test = generate_synthetic(replace(spec, n=n_test, seed=substream_seed(trial_seed, 2)))
+    calib = _confidence_correct(*_draw(spec, n_calib, substream_seed(trial_seed, 1)))
     # the threshold certify_threshold would certify, without solving its bounds
-    lambda_hat = _scan(*_confidence_correct(calib.scores(), calib.labels()), config)[3]
+    lambda_hat = _scan(*calib, config)[3]
     if lambda_hat is None:
         return GuaranteeTrial(trial_index, None, None, False)
-    conf, correct = _confidence_correct(test.scores(), test.labels())
-    kept = conf >= lambda_hat
-    n_kept = int(kept.sum())
+    test = _confidence_correct(*_draw(spec, n_test, substream_seed(trial_seed, 2)))
+    n_kept, n_wrong = map(int, _retained_counts(*test, lambda_hat))
     if n_kept == 0:
         return GuaranteeTrial(trial_index, lambda_hat, None, False)
-    accuracy = int(correct[kept].sum()) / n_kept
+    accuracy = (n_kept - n_wrong) / n_kept
     violated = accuracy < 1.0 - config.alpha
     return GuaranteeTrial(trial_index, lambda_hat, accuracy, violated)
 
@@ -131,16 +128,15 @@ def validate_guarantee(
     Trial t derives its data from substream t of `seed` (fresh calibration and
     test draws each time), certifies on the calibration draw, and measures
     selective accuracy of the certified threshold on the test draw. `spec`
-    contributes the score distribution; its own n and seed fields are replaced
-    per trial. Results are ordered by trial index.
+    contributes the score distribution; its own n and seed fields are not
+    read. Results are ordered by trial index.
 
     `max_workers` is accepted and validated but has no effect: trials run in
     one thread, since a thread pool measured slower than one thread.
     """
     for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test),
                         ("max_workers", max_workers)):
-        if not isinstance(value, int) or value < 1:
-            raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        check_int(name, value, 1)
     return [_run_trial(t, spec, config, n_calib, n_test, seed) for t in range(trials)]
 
 

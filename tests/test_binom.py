@@ -153,6 +153,22 @@ class TestRiskUpperBound:
         with pytest.raises(ConvergenceError):
             risk_upper_bound(BinomialTail(500, 2000), 0.1, max_iter=1)
 
+    @pytest.mark.parametrize("k,n,beta", [(999_999, 10**6, 0.01), (1_999_999, 2 * 10**6, 0.005),
+                                          (1_999_999, 2 * 10**6, 0.01)])
+    def test_steep_root_stops_at_the_step_floor(self, k, n, beta):
+        # the root is within 1e-8 of 1, where the CDF moves about 1e-10 per unit
+        # in the last place of r: Newton stops at the step floor with a residual
+        # above tol, and the bound there is still the root
+        stats = pytest.importorskip("scipy.stats")
+        expected = stats.beta.ppf(1 - beta, k + 1, n - k)
+        bound = risk_upper_bound(BinomialTail(k, n), beta)
+        assert bound.residual > binom.DEFAULT_TOL
+        assert bound.value == pytest.approx(expected, rel=1e-12, abs=0)
+        values, _ = binom.risk_upper_bounds([k, 3], [n, n], beta)
+        assert values[0] == bound.value
+        with pytest.raises(ConvergenceError):
+            risk_upper_bound(BinomialTail(k, n), beta, max_iter=1)
+
     def test_result_independent_of_call_order(self, monkeypatch):
         rng = np.random.default_rng(11)
         pairs = [(int(rng.integers(0, n)), int(n)) for n in rng.integers(1, 3000, 60)]

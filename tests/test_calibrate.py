@@ -39,7 +39,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import GridPoint, _confidence_correct
+from selcert.calibrate import GridPoint, _confidence_correct, _retained_counts
 
 
 def fixture6() -> Dataset:
@@ -109,6 +109,26 @@ class TestSelectiveRisk:
     def test_threshold_between_grid_points(self):
         pt = selective_risk(fixture6(), 0.82, beta=0.2)
         assert (pt.n_at, pt.errors_at) == (3, 0)
+
+
+class TestRetainedCounts:
+    def test_equals_brute_force_counts(self):
+        # the one retained-set count against the rule it states, conf >= lam, on
+        # tied scores, at grid points, between them and beyond both ends
+        rng = np.random.default_rng(2718)
+        for trial in range(200):
+            n = int(rng.integers(1, 300))
+            scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))
+            labels = (rng.random(n) < scores).astype(int)
+            conf, correct = _confidence_correct(scores, labels)
+            grid = np.unique(conf)
+            lams = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2, np.nextafter(grid, 0.0),
+                                   np.nextafter(grid, 2.0), [0.0, grid[0] - 0.01, grid[-1] + 0.01, 2.0]])
+            n_kept, n_wrong = _retained_counts(conf, correct, lams)
+            for lam, kept, wrong in zip(lams.tolist(), n_kept.tolist(), n_wrong.tolist()):
+                brute = (int((conf >= lam).sum()), int((~correct & (conf >= lam)).sum()))
+                assert (kept, wrong) == brute, f"trial {trial}, lambda {lam!r}"
+                assert tuple(map(int, _retained_counts(conf, correct, lam))) == brute
 
 
 class TestCertifyThreshold:

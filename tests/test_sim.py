@@ -122,11 +122,25 @@ class TestValidateGuarantee:
     @pytest.mark.parametrize("config", [CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=5),
                                         RiskConfig(alpha=0.35, beta=0.9, min_count=1)])
     def test_trial_threshold_is_the_certified_one(self, config):
-        # a trial decides lambda_hat without solving bounds; it must be certify_threshold's
+        # a trial decides lambda_hat without solving bounds, and draws arrays
+        # rather than Datasets; its threshold must be certify_threshold's, and
+        # its accuracy the count on generate_synthetic's test set
+        measured = 0
         for t in range(12):
             trial = _run_trial(t, SPEC, config, n_calib=150, n_test=20, seed=17)
-            calib = generate_synthetic(replace(SPEC, n=150, seed=substream_seed(substream_seed(17, t), 1)))
+            calib, test = (generate_synthetic(replace(SPEC, n=n, seed=substream_seed(substream_seed(17, t), i)))
+                           for i, n in ((1, 150), (2, 20)))
             assert trial.lambda_hat == certify_threshold(calib, config).lambda_hat
+            if trial.lambda_hat is None:
+                assert trial.test_selective_accuracy is None
+                continue
+            scores = test.scores()
+            kept = np.maximum(scores, 1.0 - scores) >= trial.lambda_hat
+            right = int((kept & ((scores >= 0.5) == test.labels())).sum())
+            expected = right / int(kept.sum()) if kept.any() else None
+            assert trial.test_selective_accuracy == expected, f"trial {t}"
+            measured += expected is not None
+        assert measured > 0
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0, n_calib=10, n_test=10, seed=0),
