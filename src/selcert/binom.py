@@ -281,24 +281,24 @@ def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
 
     For k < n the CDF is strictly decreasing in p, so this holds exactly
     when the upper bound risk_upper_bound((k, n), beta) is at most p; for
-    k = n the CDF is 1 and the bound is 1, so neither holds. The binomial
-    median at p = k/n is k, so CDF(k; n, p) >= 1/2 whenever p <= k/n: for
-    beta < 1/2 such points fail without a sum.
+    k = n the CDF is 1 and the bound is 1, so neither holds. A point whose
+    proven lower end on that bound (`_lower_ends`) is not below p fails
+    without a sum.
     """
     k, n = _counts(k, n)
     beta, p = check_real("beta", beta, 0, 1), check_real("p", p, 0, 1)
     passes = np.zeros(len(k), dtype=bool)
-    summed = (k < n) & (k / n < p) if beta < 0.5 else k < n
+    summed = (k < n) & (_lower_ends(k, n, beta) < p)
     passes[summed] = _cdf(k[summed], n[summed], p) <= beta
     return passes
 
 
 def _lower_ends(k: np.ndarray, n: np.ndarray, beta: float) -> np.ndarray:
-    """A proven lower bound on each root of CDF(k; n, r) = beta, for k < n.
+    """A proven lower bound on each root of CDF(k; n, r) = beta, for k <= n.
 
     For beta < 1/2 the root is above k/n, because the binomial median at
-    p = k/n is k, so CDF(k; n, k/n) >= 1/2 > beta. Otherwise the bracket
-    starts at 0, whose window is the full sum.
+    p = k/n is k, so CDF(k; n, k/n) >= 1/2 > beta (k = n gives 1, never below p).
+    Otherwise the bracket starts at 0, whose window is the full sum.
     """
     return k / n if beta < 0.5 else np.zeros(len(k))
 

@@ -5,9 +5,11 @@ and a risk budget alpha, the certifier scans the grid of observed confidence
 values and picks the smallest threshold whose entire upper grid has an exact
 binomial upper risk bound at or below alpha (confidence level 1 - beta per
 grid point). Applying a feasible certificate keeps predictions at or above
-the threshold and abstains below it.
+the threshold and abstains below it. A threshold must be finite and within
+[0.5, 1], a grid of them strictly ascending: one rule, `_check_thresholds`, run
+by `ThresholdCertificate`, `sim.TradeoffCurve` and `selective_risk`.
 
-That retained-set rule, confidence >= lam with ties kept together, is
+The retained-set rule, confidence >= lam with ties kept together, is
 counted in one place, `_retained_counts`, for the certification grid,
 `selective_risk`, `sim.tradeoff_curve` and every simulate trial;
 `apply_certificate` applies the same comparison record by record.
@@ -48,6 +50,7 @@ from .errors import (
     EmptyCalibrationError,
     InfeasibleCertificateError,
     SchemaError,
+    SelcertError,
     check_int,
     check_real,
 )
@@ -106,9 +109,9 @@ class ThresholdCertificate:
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
         object.__setattr__(self, "grid", tuple(self.grid))
-        lams = [pt.lam for pt in self.grid]
-        if lams != sorted(set(lams)):
-            raise DomainError("grid must be strictly ascending in lambda")
+        _check_thresholds("grid lambda", [pt.lam for pt in self.grid])
+        if self.lambda_hat is not None:
+            _check_thresholds("lambda_hat", self.lambda_hat)
 
     @property
     def feasible(self) -> bool:
@@ -136,6 +139,16 @@ class Decision:
         return "abstain" if self.prediction is None else str(self.prediction)
 
 
+def _check_thresholds(name: str, lams, error: type[SelcertError] = DomainError) -> None:
+    """Raise `error` at the first of `lams` (one or a grid) not finite, in [0.5, 1] and ascending."""
+    grid = np.atleast_1d(np.asarray(lams, dtype=float))
+    bad = ~((0.5 <= grid) & (grid <= 1.0) & np.append(True, grid[1:] > grid[:-1]))  # NaN fails
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error("thresholds must be finite, within [0.5, 1] and strictly ascending: "
+                    f"{f'{name}[{i}]' if np.ndim(lams) else name} is {float(grid[i])!r}")
+
+
 def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per-record confidence max(w, 1 - w) and whether the 0.5-threshold prediction is right.
 
@@ -160,11 +173,12 @@ def predicted_label(score: float) -> int:
 def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     """Empirical selective risk and its upper bound at one threshold.
 
-    Retains records with confidence >= lam, counts wrong predictions among
-    them, and bounds the true retained error rate at confidence 1 - beta.
-    An empty retained set reports risk_hat = risk_plus = 1 (no evidence, so
-    nothing can be certified there).
+    Retains records with confidence >= lam (finite, within [0.5, 1], else a
+    DomainError), counts wrong predictions among them, and bounds the true
+    retained error rate at confidence 1 - beta. An empty retained set reports
+    risk_hat = risk_plus = 1 (no evidence, so nothing can be certified there).
     """
+    _check_thresholds("lam", lam)
     n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     lam = float(lam)
     if n_at == 0:
@@ -318,11 +332,13 @@ def _grid_point_from_json(pt: dict, where: str) -> GridPoint:
 
 
 def _field(value, name: str, whole: bool = False):
-    """A certificate field's value, which must be a JSON number, or a whole one."""
+    """A certificate field's value, which must be a finite JSON number, or a whole one."""
     # int() raises OverflowError on an infinite value and ValueError on NaN
     if type(value) not in (int, float) or (whole and int(value) != value):
         raise SchemaError(f"malformed certificate: {name} must be "
                           f"{'an integer' if whole else 'a number'}, got {value!r}")
+    if not abs(value) < np.inf:  # json reads NaN, Infinity and 1e400; NaN fails any comparison
+        raise SchemaError(f"malformed certificate: {name} must be a finite number, got {value!r}")
     return int(value) if whole else value
 
 

@@ -27,7 +27,7 @@ from .calibrate import (
 from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, check_real
 from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
-from .records import Dataset, SyntheticScorerSpec, load_dataset
+from .records import Dataset, SyntheticScorerSpec, load_dataset, write_text
 from .rng import substream
 from .sim import curve_to_doc, summarize_trials, tradeoff_curve, trials_to_doc, validate_guarantee
 
@@ -65,11 +65,6 @@ def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict
         "inputs": recorded,
         "params": params,
     }
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
 
 
 def _shape_pair(text: str) -> tuple[float, float]:
@@ -124,7 +119,7 @@ def cmd_calibrate(args) -> int:
             "date_format": args.date_format,
         },
     )
-    _write_text(args.out, certificate_to_json(cert, manifest=manifest))
+    write_text(args.out, certificate_to_json(cert, manifest=manifest))
     if cert.feasible:
         print(f"feasible: lambda_hat={format_number(cert.lambda_hat)} from {cert.calib_size} calibration records")
         return EXIT_OK
@@ -145,7 +140,7 @@ def cmd_apply(args) -> int:
         {"date_format": args.date_format},
     )
     write_decisions(decisions, args.out)
-    _write_text(str(args.out) + ".manifest.json", dumps(manifest))
+    write_text(str(args.out) + ".manifest.json", dumps(manifest))
     kept = sum(1 for d in decisions if d.retained)
     print(f"retained {kept}/{len(decisions)} (rate {format_number(retain_rate(decisions))})")
     return EXIT_OK
@@ -176,7 +171,7 @@ def cmd_evaluate(args) -> int:
             "date_format": args.date_format,
         },
     )
-    _write_text(args.out, dumps(doc))
+    write_text(args.out, dumps(doc))
     acc = "n/a" if report.accuracy is None else format_number(report.accuracy)
     print(
         f"evaluated {report.n_retained}/{report.n_total} retained"
@@ -197,8 +192,8 @@ def cmd_tradeoff(args) -> int:
         },
     )
     table = curve_to_doc(curve)
-    _write_text(args.out_prefix + ".csv", csv_text(table))
-    _write_text(args.out_prefix + ".json", dumps({"points": table, "manifest": manifest}))
+    write_text(args.out_prefix + ".csv", csv_text(table))
+    write_text(args.out_prefix + ".json", dumps({"points": table, "manifest": manifest}))
     print(f"tradeoff curve with {len(curve.points)} grid points -> {args.out_prefix}.csv/.json")
     return EXIT_OK
 
@@ -238,8 +233,8 @@ def cmd_simulate(args) -> int:
         },
     )
     table = trials_to_doc(trials)
-    _write_text(args.out_prefix + ".csv", csv_text(table))
-    _write_text(args.out_prefix + ".json", dumps({"trials": table, "summary": summary, "manifest": manifest}))
+    write_text(args.out_prefix + ".csv", csv_text(table))
+    write_text(args.out_prefix + ".json", dumps({"trials": table, "summary": summary, "manifest": manifest}))
     rate = summary["violation_rate"]
     print(
         f"feasible {summary['n_feasible']}/{summary['n_trials']},"
@@ -314,20 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # raised by --help/--version (code 0) or _Parser.error (code 1)
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except InfeasibleCertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (SelcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleCertificateError) else EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -40,14 +40,16 @@ from .rng import substream
 
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
     if s.ndim != 1 or y.shape != s.shape:
         raise DomainError("scores and labels must be 1-d sequences of equal length")
-    bad = np.flatnonzero((y != 0) & (y != 1))
+    bad = np.arange(y.size) if y.dtype.kind in "US" else np.flatnonzero((y != 0) & (y != 1))
     if bad.size:
-        raise DomainError(f"labels must be 0 or 1, got {int(y[bad[0]])}")
-    return s, y
+        raise DomainError(f"labels must be 0 or 1, got {y.tolist()[bad[0]]!r}")
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise DomainError(f"scores must not be NaN, got nan at position {nan[0]}")
+    return s, y.astype(int, copy=False)
 
 
 def _tie_blocks(scores: np.ndarray) -> np.ndarray:

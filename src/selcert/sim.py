@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan
+from .calibrate import RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
 from .records import Dataset, SyntheticScorerSpec, _draw
@@ -40,11 +40,8 @@ class TradeoffCurve:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        lams = [p.lam for p in self.points]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise UnsortedLambdasError("curve points must be strictly increasing in lambda")
-        kept = [p.fraction_kept for p in self.points]
-        if any(b > a for a, b in zip(kept, kept[1:])):
+        _check_thresholds("curve lambda", [p.lam for p in self.points], UnsortedLambdasError)
+        if not np.all(np.diff([p.fraction_kept for p in self.points]) <= 0):  # NaN fails too
             raise DomainError("fraction_kept must be non-increasing in lambda")
 
 
@@ -65,23 +62,17 @@ class GuaranteeTrial:
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """Fraction kept and selective accuracy at each threshold in `lambdas`.
 
-    The grid must be strictly increasing within [0.5, 1]; by default it is the
+    The grid must be nonempty and strictly increasing within [0.5, 1], which
+    `TradeoffCurve` checks (UnsortedLambdasError); by default it is the
     sorted set of distinct confidences observed in `data`. Selective accuracy
     is None at thresholds that keep nothing.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
     conf, correct = _confidence_correct(data.scores(), data.labels())
-    if lambdas is None:
-        grid = np.unique(conf)
-    else:
-        grid = np.asarray(list(lambdas), dtype=float)
-        if grid.size == 0:
-            raise UnsortedLambdasError("lambda grid must be nonempty")
-        if np.any(~np.isfinite(grid)) or grid[0] < 0.5 or grid[-1] > 1.0:
-            raise UnsortedLambdasError("lambda grid must lie within [0.5, 1]")
-        if np.any(np.diff(grid) <= 0):
-            raise UnsortedLambdasError("lambda grid must be strictly increasing")
+    grid = np.unique(conf) if lambdas is None else np.asarray(list(lambdas), dtype=float)
+    if grid.size == 0:
+        raise UnsortedLambdasError("lambda grid must be nonempty")
 
     n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):

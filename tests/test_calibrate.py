@@ -110,6 +110,12 @@ class TestSelectiveRisk:
         pt = selective_risk(fixture6(), 0.82, beta=0.2)
         assert (pt.n_at, pt.errors_at) == (3, 0)
 
+    @pytest.mark.parametrize("lam", [math.nan, 1.5, math.inf, 0.3])
+    def test_rejects_a_threshold_outside_the_rule(self, lam):
+        with pytest.raises(DomainError, match=r"^thresholds must be finite, within \[0.5, 1\] "
+                                              r"and strictly ascending: lam is "):
+            selective_risk(fixture6(), lam, beta=0.2)
+
 
 class TestRetainedCounts:
     def test_equals_brute_force_counts(self):
@@ -355,12 +361,24 @@ class TestCertificateInvariants:
             ThresholdCertificate("maybe", None, (), RiskConfig(0.5, 0.2), 1)
 
     def test_rejects_unsorted_grid(self):
-        pts = (
-            GridPoint(0.9, 1, 0, 0.0, 0.8),
-            GridPoint(0.6, 2, 0, 0.0, 0.5),
-        )
-        with pytest.raises(DomainError):
-            ThresholdCertificate("infeasible", None, pts, RiskConfig(0.5, 0.2), 2)
+        # (grid lambdas, lambda_hat, the value the error names): out of order, a
+        # lone or trailing NaN, out of range, and lambda_hat NaN, inf or below 0.5
+        cases = [
+            ([0.9, 0.6], None, "grid lambda[1] is 0.6"),
+            ([math.nan], None, "grid lambda[0] is nan"),
+            ([0.6, 0.9, math.nan], None, "grid lambda[2] is nan"),
+            ([0.6, 1.5], None, "grid lambda[1] is 1.5"),
+            ([0.6, 0.9], math.nan, "lambda_hat is nan"),
+            ([0.6, 0.9], math.inf, "lambda_hat is inf"),
+            ([0.6, 0.9], 0.2, "lambda_hat is 0.2"),
+        ]
+        for lams, lambda_hat, named in cases:
+            pts = tuple(GridPoint(lam, 2, 0, 0.0, 0.5) for lam in lams)
+            status = "infeasible" if lambda_hat is None else "feasible"
+            with pytest.raises(DomainError) as err:
+                ThresholdCertificate(status, lambda_hat, pts, RiskConfig(0.5, 0.2), 2)
+            assert str(err.value) == (
+                "thresholds must be finite, within [0.5, 1] and strictly ascending: " + named)
 
 
 class TestApplyCertificate:
@@ -539,11 +557,21 @@ class TestCertificateSerialization:
         ("errors", "-1", "grid[0].errors must be within [0, n], got -1 with n 6"),
         ("lambda", "null", "grid[0].lambda must be a number, got None"),
         ("risk_plus", '"1"', "grid[0].risk_plus must be a number, got '1'"),
+        ("lambda_hat", "NaN", "lambda_hat must be a finite number, got nan"),
+        ("lambda_hat", "Infinity", "lambda_hat must be a finite number, got inf"),
+        ("lambda_hat", "-Infinity", "lambda_hat must be a finite number, got -inf"),
+        ("alpha", "NaN", "alpha must be a finite number, got nan"),
+        ("beta", "1e400", "beta must be a finite number, got inf"),
+        ("lambda", "NaN", "grid[0].lambda must be a finite number, got nan"),
+        ("risk_hat", "-Infinity", "grid[0].risk_hat must be a finite number, got -inf"),
+        ("risk_plus", "NaN", "grid[0].risk_plus must be a finite number, got nan"),
+        ("risk_plus", "Infinity", "grid[0].risk_plus must be a finite number, got inf"),
     ])
     def test_field_of_the_wrong_type(self, field, value, message):
         doc = json.loads(certificate_to_json(
             certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
-        (doc["grid"][0] if field in ("lambda", "n", "errors", "risk_plus") else doc)[field] = "@@"
+        in_grid = ("lambda", "n", "errors", "risk_hat", "risk_plus")
+        (doc["grid"][0] if field in in_grid else doc)[field] = "@@"
         with pytest.raises(SchemaError) as err:
             certificate_from_json(json.dumps(doc).replace('"@@"', value))
         assert str(err.value) == "malformed certificate: " + message

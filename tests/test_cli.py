@@ -363,6 +363,47 @@ class TestUnreadableInput:
         prefix = {"dataset": "invalid JSON", "certificate": "invalid certificate JSON"}[kind]
         assert capsys.readouterr().err.startswith(f"error: {prefix}: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("token, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                              ("-Infinity", "-inf")])
+    def test_certificate_threshold_not_finite(self, token, shown, cert75, test_csv, tmp_path, capsys):
+        # json reads these tokens as floats: a NaN or inf lambda_hat would abstain on,
+        # or keep, every record
+        doc = json.loads(open(cert75, encoding="utf-8").read())
+        doc["lambda_hat"] = "@@"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc).replace('"@@"', token))
+        out = tmp_path / "decisions.csv"
+        code = main(["apply", "--test", test_csv, "--cert", str(cert), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed certificate: lambda_hat must be a finite number, got {shown}\n"
+        )
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["calibrate", "apply", "apply-manifest", "evaluate",
+                                         "tradeoff", "simulate"])
+    def test_output_path_that_is_a_directory(self, command, calib_csv, cert75, test_csv,
+                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        blocked = {"apply-manifest": tmp_path / "out.manifest.json", "tradeoff": tmp_path / "out.csv",
+                   "simulate": tmp_path / "out.csv"}.get(command, out)
+        blocked.mkdir()
+        argv = {
+            "calibrate": ["calibrate", "--calib", calib_csv, "--alpha", "0.85", "--beta", "0.2",
+                          "--out", str(out)],
+            "apply": ["apply", "--test", test_csv, "--cert", cert75, "--out", str(out)],
+            "apply-manifest": ["apply", "--test", test_csv, "--cert", cert75, "--out", str(out)],
+            "evaluate": ["evaluate", "--test", test_csv, "--no-abstention", "--out", str(out)],
+            "tradeoff": ["tradeoff", "--test", test_csv, "--out-prefix", str(out)],
+            "simulate": TestSimulate.ARGS + ["--out-prefix", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ")
+        assert err.count("\n") == 1
+
 
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["selcert", "selcert.cli"])

@@ -150,10 +150,30 @@ class TestF1Accuracy:
             f1_accuracy([], [])
 
 
+@pytest.mark.parametrize("fn, scores, labels, message", [
+    pytest.param(fn, scores, labels, message, id=fn.__name__ + suffix)
+    for fn in (roc_auc, pr_auc, f1_accuracy)
+    for scores, labels, message, suffix in [
+        ([0.2, 0.8, 0.6], [0, 2, 1], "labels must be 0 or 1, got 2", ""),
+        # checked before the cast to int, which would read 0.7 as 0
+        ([0.1, 0.9, 0.4], [0.7, 1.2, 0], "labels must be 0 or 1, got 0.7", "-fractional-label"),
+        ([float("nan"), 0.9, 0.4], [1, 1, 0], "scores must not be NaN, got nan at position 0",
+         "-nan-score"),
+        # string labels are not cast either, so "0" is as bad as "yes"
+        ([0.2, 0.8], ["0", "1"], "labels must be 0 or 1, got '0'", "-string-label"),
+    ]
+])
+def test_labels_outside_zero_one_rejected(fn, scores, labels, message):
+    with pytest.raises(DomainError) as err:
+        fn(scores, labels)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("fn", [roc_auc, pr_auc, f1_accuracy])
-def test_labels_outside_zero_one_rejected(fn):
-    with pytest.raises(DomainError, match="^labels must be 0 or 1, got 2$"):
-        fn([0.2, 0.8, 0.6], [0, 2, 1])
+def test_bool_and_whole_float_labels_accepted(fn):
+    scores = [0.2, 0.8, 0.6, 0.4]
+    expected = fn(scores, [1, 0, 1, 0])
+    assert fn(scores, [True, False, True, False]) == fn(scores, [1.0, 0.0, 1.0, 0.0]) == expected
 
 
 def report_fixture() -> Dataset:

@@ -1,5 +1,6 @@
 """Tradeoff curves and the Monte Carlo guarantee harness."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -65,7 +66,8 @@ class TestTradeoffCurve:
             assert all(b <= a for a, b in zip(kept, kept[1:]))
             assert kept[-1] > 0  # top of the default grid keeps at least one record
 
-    @pytest.mark.parametrize("grid", [[0.7, 0.6], [0.5, 0.5], [0.4, 0.6], [0.6, 1.01], []])
+    @pytest.mark.parametrize("grid", [[0.7, 0.6], [0.5, 0.5], [0.4, 0.6], [0.6, 1.01], [],
+                                      [math.nan], [0.6, math.nan], [0.6, math.inf], [-math.inf, 0.7]])
     def test_bad_grids_rejected(self, grid):
         with pytest.raises(UnsortedLambdasError):
             tradeoff_curve(fixture6(), grid)
@@ -84,6 +86,17 @@ class TestTradeoffCurve:
             TradeoffCurve(points=(
                 TradeoffPoint(0.7, 0.5, 0.5),
                 TradeoffPoint(0.8, 0.9, 0.5),
+            ))
+        with pytest.raises(UnsortedLambdasError):
+            TradeoffCurve(points=(
+                TradeoffPoint(0.7, 1.0, 0.5),
+                TradeoffPoint(math.nan, 0.5, 0.5),
+            ))
+        with pytest.raises(DomainError):
+            TradeoffCurve(points=(
+                TradeoffPoint(0.6, 1.0, 0.5),
+                TradeoffPoint(0.7, math.nan, 0.5),
+                TradeoffPoint(0.8, 0.5, 0.5),
             ))
 
 
