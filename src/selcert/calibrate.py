@@ -12,7 +12,9 @@ by `ThresholdCertificate`, `sim.TradeoffCurve` and `selective_risk`.
 The retained-set rule, confidence >= lam with ties kept together, is
 counted in one place, `_retained_counts`, for the certification grid,
 `selective_risk`, `sim.tradeoff_curve` and every simulate trial;
-`apply_certificate` applies the same comparison record by record.
+`apply_certificate` applies the same comparison to the whole test set at
+once. Its decisions are columns, `Decisions`, which `read_decisions` also
+returns; a `Decision` is a view of one row.
 
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -40,7 +42,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +60,18 @@ from .errors import (
 )
 from .jsonio import Exact, Table, csv_text
 from .jsonio import dumps as json_dumps
-from .records import Dataset, csv_rows, read_text, write_text
+from .records import (
+    Dataset,
+    _cell_error,
+    _first,
+    _first_duplicate,
+    _object_column,
+    _parse_prefix,
+    _raise_first,
+    csv_columns,
+    read_text,
+    write_text,
+)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -120,7 +135,7 @@ class ThresholdCertificate:
 
 @dataclass(frozen=True)
 class Decision:
-    """Predict-or-abstain outcome for one record.
+    """Predict-or-abstain outcome for one record, a row of `Decisions`.
 
     prediction is the predicted label (0 or 1) or None for abstention;
     confidence is max(score, 1 - score) regardless of the outcome.
@@ -137,6 +152,71 @@ class Decision:
     @property
     def outcome(self) -> str:
         return "abstain" if self.prediction is None else str(self.prediction)
+
+
+class Decisions:
+    """Predict-or-abstain outcomes held as columns: ids, predictions and confidences.
+
+    prediction is an int array holding the predicted label (0 or 1), or -1
+    where the record is abstained on; confidence is a float array. The
+    arrays are read-only. Length, iteration, indexing and `==` (against
+    Decisions or a list of Decision) go through Decision views, built on
+    first use.
+    """
+
+    def __init__(self, ids: Sequence[str], prediction, confidence) -> None:
+        self.ids = tuple(ids)
+        self.prediction = np.array(prediction, dtype=np.int64)
+        self.confidence = np.array(confidence, dtype=np.float64)
+        if not len(self.ids) == len(self.prediction) == len(self.confidence):
+            raise DomainError("decision columns must all have one length")
+        if ((self.prediction < -1) | (self.prediction > 1)).any():
+            raise DomainError("a prediction must be 0, 1 or -1 (abstain)")
+        self.prediction.flags.writeable = self.confidence.flags.writeable = False
+        self._views: tuple[Decision, ...] | None = None
+
+    @classmethod
+    def of(cls, decisions: "Decisions | Iterable[Decision]") -> "Decisions":
+        """`decisions` as columns; Decisions are returned as they are."""
+        if isinstance(decisions, Decisions):
+            return decisions
+        views = tuple(decisions)
+        columns = cls([d.id for d in views],
+                      [-1 if d.prediction is None else d.prediction for d in views],
+                      [d.confidence for d in views])
+        columns._views = views
+        return columns
+
+    @property
+    def retained(self) -> np.ndarray:
+        """Mask of the decisions that predict rather than abstain."""
+        return self.prediction >= 0
+
+    def _decisions(self) -> tuple[Decision, ...]:
+        if self._views is None:
+            prediction = self.prediction.astype(object)
+            prediction[~self.retained] = None
+            self._views = tuple(map(Decision, self.ids, prediction.tolist(), self.confidence.tolist()))
+        return self._views
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Decision]:
+        return iter(self._decisions())
+
+    def __getitem__(self, index):
+        return self._decisions()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Decisions, list, tuple)):
+            return NotImplemented
+        return self._decisions() == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Decisions(<{len(self)} rows>)"
 
 
 def _check_thresholds(name: str, lams, error: type[SelcertError] = DomainError) -> None:
@@ -247,7 +327,7 @@ def _retained_counts(conf: np.ndarray, correct: np.ndarray, lams) -> tuple[np.nd
     return len(conf) - start, suffix_wrong[start]
 
 
-def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> list[Decision]:
+def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:
     """Predict where confidence clears the certified threshold, abstain elsewhere."""
     if not cert.feasible:
         raise InfeasibleCertificateError(
@@ -256,16 +336,16 @@ def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> list[Decisio
     labels = data.labels()
     conf, correct = _confidence_correct(data.scores(), labels)
     # the predicted label is the true one where the prediction is right
-    predicted = np.where(correct, labels, 1 - labels).astype(object)
-    prediction = np.where(conf >= cert.lambda_hat, predicted, None)
-    return list(map(Decision, data.ids(), prediction.tolist(), conf.tolist()))
+    predicted = np.where(correct, labels, 1 - labels)
+    return Decisions(data.ids(), np.where(conf >= cert.lambda_hat, predicted, -1), conf)
 
 
-def retain_rate(decisions: list[Decision]) -> float:
+def retain_rate(decisions: Decisions | Sequence[Decision]) -> float:
     """Fraction of decisions that predict rather than abstain."""
-    if not decisions:
+    decisions = Decisions.of(decisions)
+    if not len(decisions):
         return 0.0
-    return sum(1 for d in decisions if d.retained) / len(decisions)
+    return int(np.count_nonzero(decisions.retained)) / len(decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +413,13 @@ def _grid_point_from_json(pt: dict, where: str) -> GridPoint:
 
 def _field(value, name: str, whole: bool = False):
     """A certificate field's value, which must be a finite JSON number, or a whole one."""
-    # int() raises OverflowError on an infinite value and ValueError on NaN
-    if type(value) not in (int, float) or (whole and int(value) != value):
-        raise SchemaError(f"malformed certificate: {name} must be "
-                          f"{'an integer' if whole else 'a number'}, got {value!r}")
+    kind = "an integer" if whole else "a number"
+    if type(value) not in (int, float):
+        raise SchemaError(f"malformed certificate: {name} must be {kind}, got {value!r}")
     if not abs(value) < np.inf:  # json reads NaN, Infinity and 1e400; NaN fails any comparison
         raise SchemaError(f"malformed certificate: {name} must be a finite number, got {value!r}")
+    if whole and int(value) != value:
+        raise SchemaError(f"malformed certificate: {name} must be {kind}, got {value!r}")
     return int(value) if whole else value
 
 
@@ -346,39 +427,42 @@ def load_certificate(path: str | Path) -> ThresholdCertificate:
     return certificate_from_json(read_text(path))
 
 
-def write_decisions(decisions: list[Decision], path: str | Path) -> None:
+_OUTCOMES = {"abstain": -1, "0": 0, "1": 1}
+_OUTCOME_TEXT = np.array(["abstain", "0", "1"], dtype=object)  # at prediction + 1
+
+
+def write_decisions(decisions: Decisions | Sequence[Decision], path: str | Path) -> None:
     """Write decisions as CSV with columns id,outcome,confidence."""
+    decisions = Decisions.of(decisions)
     write_text(path, csv_text(Table({
-        "id": [d.id for d in decisions],
-        "outcome": [d.outcome for d in decisions],
-        "confidence": [d.confidence for d in decisions],
+        "id": decisions.ids,
+        "outcome": _OUTCOME_TEXT[decisions.prediction + 1].tolist(),
+        "confidence": decisions.confidence,
     })))
 
 
-def read_decisions(path: str | Path) -> list[Decision]:
-    rows = csv_rows(read_text(path))
-    if not rows or rows[0] != ["id", "outcome", "confidence"]:
+def read_decisions(path: str | Path) -> Decisions:
+    """Load a decisions CSV, rejecting the whole file on any bad row.
+
+    Columns are checked vectorised. The error names the first bad row and,
+    within it, the first failing check, in this order: field count, empty or
+    duplicate id, outcome (0, 1 or abstain), confidence parse, confidence
+    within [0.5, 1].
+    """
+    header, columns, n, width = csv_columns(read_text(path))
+    if header != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
-    decisions: list[Decision] = []
-    seen: set[str] = set()
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 3:
-            raise SchemaError(f"expected 3 fields, got {len(row)}", row=i)
-        rec_id, outcome, conf_text = row
-        if not rec_id or rec_id in seen:
-            raise SchemaError(f"bad or duplicate id {rec_id!r}", row=i, column="id")
-        seen.add(rec_id)
-        if outcome == "abstain":
-            prediction = None
-        elif outcome in ("0", "1"):
-            prediction = int(outcome)
-        else:
-            raise SchemaError(f"outcome must be 0, 1 or abstain: {outcome!r}", row=i, column="outcome")
-        try:
-            conf = float(conf_text)
-        except ValueError:
-            raise SchemaError(f"bad confidence {conf_text!r}", row=i, column="confidence") from None
-        if not (0.5 <= conf <= 1.0):
-            raise SchemaError(f"confidence out of [0.5, 1]: {conf_text!r}", row=i, column="confidence")
-        decisions.append(Decision(id=rec_id, prediction=prediction, confidence=conf))
-    return decisions
+    ids, outcomes, conf_text = columns
+    prediction = np.fromiter(map(_OUTCOMES.get, outcomes, repeat(-2)), np.int64, n)
+    conf = np.array(_parse_prefix(float, conf_text)[0], dtype=np.float64)
+    _raise_first([
+        (n, lambda i: SchemaError(f"expected 3 fields, got {width}", row=i + 1)),
+        (min(_first(_object_column(ids) == ""), _first_duplicate(ids)),
+         _cell_error(ids, "id", "bad or duplicate id {!r}".format)),
+        (_first(prediction < -1),
+         _cell_error(outcomes, "outcome", "outcome must be 0, 1 or abstain: {!r}".format)),
+        (len(conf), _cell_error(conf_text, "confidence", "bad confidence {!r}".format)),
+        (_first(~((conf >= 0.5) & (conf <= 1.0))),
+         _cell_error(conf_text, "confidence", "confidence out of [0.5, 1]: {!r}".format)),
+    ], n + (width is not None))
+    return Decisions(ids, prediction, conf)

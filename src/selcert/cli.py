@@ -141,7 +141,7 @@ def cmd_apply(args) -> int:
     )
     write_decisions(decisions, args.out)
     write_text(str(args.out) + ".manifest.json", dumps(manifest))
-    kept = sum(1 for d in decisions if d.retained)
+    kept = int(decisions.retained.sum())
     print(f"retained {kept}/{len(decisions)} (rate {format_number(retain_rate(decisions))})")
     return EXIT_OK
 
@@ -194,7 +194,7 @@ def cmd_tradeoff(args) -> int:
     table = curve_to_doc(curve)
     write_text(args.out_prefix + ".csv", csv_text(table))
     write_text(args.out_prefix + ".json", dumps({"points": table, "manifest": manifest}))
-    print(f"tradeoff curve with {len(curve.points)} grid points -> {args.out_prefix}.csv/.json")
+    print(f"tradeoff curve with {len(curve.lam)} grid points -> {args.out_prefix}.csv/.json")
     return EXIT_OK
 
 

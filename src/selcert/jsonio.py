@@ -6,7 +6,9 @@ wrapped in `Exact` is printed with repr instead, so it loads back bit for
 bit; that is for values a reader acts on, such as certified thresholds and
 dataset scores. A `Table` holds named columns of one length, one row per
 item; `dumps` renders it as the JSON array of objects its rows would give,
-`csv_text` as CSV, each formatting a column in one pass per value type.
+`csv_text` as CSV, each formatting a column in one pass per value type. The
+two spell numbers and booleans alike, so a table keeps that text once
+spelled, and one written in both formats formats each number once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class Table:
 
     A column is a sequence, or a 1-D numeric array written as its `tolist`.
     Floats in the columns named in `exact` are printed with repr, as `Exact` ones are.
+    The columns must not change once the table is rendered.
     """
 
     def __init__(self, columns: dict[str, Sequence], exact: Sequence[str] = ()) -> None:
@@ -40,10 +43,13 @@ class Table:
         lengths = set(map(len, self.columns.values()))
         if len(lengths) > 1:
             raise ValueError(f"table columns must all have one length, got {sorted(lengths)}")
+        # per column, the text of its numbers and booleans, keyed by value type
+        self._spelled: dict[str, dict[type, list[str]]] = {name: {} for name in self.columns}
 
     def cells(self, spelling: dict) -> list[list[str]]:
         """The text of every column, in order."""
-        return [_cells(values, spelling, name in self.exact) for name, values in self.columns.items()]
+        return [_cells(values, spelling, name in self.exact, self._spelled[name])
+                for name, values in self.columns.items()]
 
 
 def _numbers(values: Sequence, exact: bool) -> list[str]:
@@ -74,11 +80,23 @@ def format_number(x: float) -> str:
     return _numbers([x], isinstance(x, Exact))[0]
 
 
-def _cells(values: Sequence, spelling: dict, exact: bool = False) -> list[str]:
-    """The text of every value in a column, each value type in one pass; floats with repr if `exact`."""
+def _cells(values: Sequence, spelling: dict, exact: bool = False,
+           spelled: dict[type, list[str]] | None = None) -> list[str]:
+    """The text of every value in a column, each value type in one pass; floats with repr if `exact`.
+
+    `spelled`, when given, keeps the text of the numbers and booleans of each
+    value type for the next call on the same column, in either format.
+    """
+    def spell(cls: type, kind: type, part: Sequence) -> list[str]:
+        if spelled is None or kind not in _SPELLING:
+            return spelling[kind](part)
+        if cls not in spelled:
+            spelled[cls] = spelling[kind](part)
+        return spelled[cls]
+
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf":
         kind = {"b": bool, "f": Exact if exact else float}.get(values.dtype.kind, int)
-        return spelling[kind](values.tolist())
+        return spell(kind, kind, values.tolist())
     kinds = {cls: next((kind for kind in spelling if issubclass(cls, kind)), None)
              for cls in set(map(type, values))}
     for cls, kind in kinds.items():
@@ -87,12 +105,12 @@ def _cells(values: Sequence, spelling: dict, exact: bool = False) -> list[str]:
         if exact and kind is float:
             kinds[cls] = Exact
     if len(kinds) == 1:
-        return spelling[kinds.popitem()[1]](values)
+        return spell(*kinds.popitem(), values)
     types = list(map(type, values))
     text = [""] * len(values)
     for cls, kind in kinds.items():
         where = [i for i, t in enumerate(types) if t is cls]
-        for i, cell in zip(where, spelling[kind]([values[i] for i in where])):
+        for i, cell in zip(where, spell(cls, kind, [values[i] for i in where])):
             text[i] = cell
     return text
 
@@ -102,13 +120,20 @@ def csv_text(table: Table) -> str:
 
     None is an empty field, booleans true/false, strings raw and numbers as in
     JSON. csv.writer does not quote a "\\r" when the line end is "\\n", so rows
-    holding one are written fully quoted.
+    holding one are written fully quoted. When no cell holds a comma, quote,
+    line break or NUL and no row is one empty field, which csv.writer would
+    quote, the rows are joined as they are, without it.
     """
     out = io.StringIO()
     plain = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(table.columns)
-    for row in zip(*table.cells(_CSV)):
+    columns = table.cells(_CSV)
+    text = "".join(map("".join, columns))
+    if not any(char in text for char in ',"\n\r\0') and (len(columns) != 1 or all(columns[0])):
+        row = ",".join(["%s"] * len(columns)) + "\n"
+        return out.getvalue() + "".join(map(row.__mod__, zip(*columns)))
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in zip(*columns):
         (quoted if "\r" in "".join(row) else plain).writerow(row)
     return out.getvalue()
 

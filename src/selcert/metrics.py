@@ -20,12 +20,12 @@ costs no sort and no copy of the score columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
-from operator import attrgetter
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
-from .calibrate import Decision, _confidence_correct
+from .calibrate import Decision, Decisions, _confidence_correct
 from .errors import (
     DegenerateLabelsError,
     DomainError,
@@ -46,9 +46,11 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     bad = np.arange(y.size) if y.dtype.kind in "US" else np.flatnonzero((y != 0) & (y != 1))
     if bad.size:
         raise DomainError(f"labels must be 0 or 1, got {y.tolist()[bad[0]]!r}")
-    nan = np.flatnonzero(np.isnan(s))
-    if nan.size:
-        raise DomainError(f"scores must not be NaN, got nan at position {nan[0]}")
+    bad = np.flatnonzero(~((s >= 0.0) & (s <= 1.0)))  # NaN fails too
+    if bad.size:
+        value = s[bad[0]].item()
+        rule = "not be NaN" if value != value else "be within [0, 1]"
+        raise DomainError(f"scores must {rule}, got {value!r} at position {bad[0]}")
     return s, y.astype(int, copy=False)
 
 
@@ -215,7 +217,7 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
 
 def selective_report(
     data: Dataset,
-    decisions: list[Decision] | None = None,
+    decisions: Decisions | Sequence[Decision] | None = None,
     by_group: bool = False,
 ) -> SelectiveReport:
     """Metrics over the records a decision list retains.
@@ -231,14 +233,14 @@ def selective_report(
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
     else:
-        ids = data.ids()
-        decision_ids = list(map(attrgetter("id"), decisions))
-        if set(decision_ids) != set(ids):
+        decisions = Decisions.of(decisions)
+        position = dict(zip(decisions.ids, range(len(decisions))))
+        index = np.fromiter(map(position.get, data.ids(), repeat(-1)), np.intp, len(data))
+        if len(position) != len(data) or (index < 0).any():
             raise IdMismatchError("decision ids do not match the dataset ids")
-        if len(decision_ids) != len(set(decision_ids)):
+        if len(position) != len(decisions):
             raise IdMismatchError("duplicate ids in decisions")
-        retained_ids = set(compress(decision_ids, map(attrgetter("retained"), decisions)))
-        kept = np.fromiter(map(retained_ids.__contains__, ids), dtype=bool, count=len(ids))
+        kept = decisions.retained[index]
     report = _subset_report(scores, labels, kept)
     if not by_group:
         return report

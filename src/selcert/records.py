@@ -4,7 +4,9 @@ A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
 built with `Dataset.from_columns` or from `PredictionRecord`s, and hands out
 records only as views. Loading is all-or-nothing: one bad row rejects the
-whole file with an error naming the first bad row and column.
+whole file with an error naming the first bad row and column. CSV text is
+read straight into columns by `csv_columns`, which the decisions reader
+shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
 `generate_synthetic` wraps its arrays in a Dataset, and simulate's trials
@@ -22,7 +24,7 @@ from datetime import date, datetime
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,11 +325,37 @@ def write_text(path: str | Path, text: str) -> None:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
-def csv_rows(text: str) -> list[list[str]]:
-    """The records of CSV text; a quoted field may hold line breaks.
+class CsvColumns(NamedTuple):
+    """CSV text as columns, read up to its first ragged row.
 
-    Malformed CSV raises SchemaError naming the header or the 1-based data row.
+    header is the first record's fields, or None when the text holds no
+    record. columns holds one list per header field, its cells in data rows
+    1 to n. width is the field count of data row n + 1, the first whose count
+    differs from the header's (a blank row has none), or None when every data
+    row matches.
     """
+
+    header: list[str] | None
+    columns: list[list[str]]
+    n: int
+    width: int | None
+
+
+def csv_columns(text: str) -> CsvColumns:
+    """The header and data columns of CSV text; a quoted field may hold line breaks.
+
+    Text with no '"', "\\r" or NUL, no blank or ragged row and no line longer
+    than `csv.field_size_limit()` is split on "\\n" and "," straight into
+    columns; any other text is read by csv.reader. Either way the columns are
+    those of csv.reader's rows. Malformed CSV raises SchemaError naming the
+    header or the 1-based data row.
+    """
+    lines = _plain_lines(text)
+    if lines is not None:
+        header = lines[0].split(",")
+        cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+        return CsvColumns(header, [cells[j::len(header)] for j in range(len(header))],
+                          len(lines) - 1, None)
     rows: list[list[str]] = []
     try:
         # extend keeps the rows read before the error, so len(rows) locates it
@@ -336,7 +364,30 @@ def csv_rows(text: str) -> list[list[str]]:
         if not rows:
             raise SchemaError(f"malformed CSV header: {exc}") from None
         raise SchemaError(f"malformed CSV: {exc}", row=len(rows)) from None
-    return rows
+    if not rows:
+        return CsvColumns(None, [], 0, None)
+    header, body = rows[0], rows[1:]
+    n = _first(np.fromiter(map(len, body), np.intp, len(body)) != len(header))
+    columns = list(map(list, zip(*body[:n]))) if n else [[] for _ in header]
+    return CsvColumns(header, columns, n, len(body[n]) if n < len(body) else None)
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of text that csv.reader would split on "\\n" and "," alone, or None.
+
+    That is text with no quote, carriage return or NUL, whose lines all hold
+    the header's number of commas, none blank and none longer than the field
+    size limit.
+    """
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the text ends with a line break
+        lines.pop()
+    if ("" in lines or set(map(str.count, lines, repeat(","))) != {lines[0].count(",")}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    return lines
 
 
 def load_dataset(
@@ -366,10 +417,9 @@ _CSV_LABELS = {"0": 0, "1": 1}
 
 
 def _columns_from_csv(text: str, date_format: str | None) -> tuple:
-    rows = csv_rows(text)
-    if not rows:
+    header, columns, n, width = csv_columns(text)
+    if header is None:
         raise SchemaError("empty file: missing header")
-    header, rows = rows[0], rows[1:]
     optional = ([], ["date"], ["group"], ["date", "group"])
     if header[:3] != list(_BASE_COLUMNS) or header[3:] not in optional:
         raise SchemaError(
@@ -377,8 +427,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
             f"got {','.join(header)!r}"
         )
     # every check runs on the rows before the first ragged one
-    n = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header))
-    cells = dict(zip(header, zip(*rows[:n]))) if n else {name: () for name in header}
+    cells = dict(zip(header, columns))
     ids, score_text, label_text = cells["id"], cells["score"], cells["label"]
     scores = np.array(_parse_prefix(float, score_text)[0], dtype=np.float64)
     labels = np.fromiter(map(_CSV_LABELS.get, label_text, repeat(-1)), np.int64, n)
@@ -387,7 +436,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
         dates, date_exc = _parse_prefix(lambda t: None if t == "" else _to_date(t, date_format),
                                         cells["date"])
     _raise_first([
-        (n, lambda i: SchemaError(f"expected {len(header)} fields, got {len(rows[i])}", row=i + 1)),
+        (n, lambda i: SchemaError(f"expected {len(header)} fields, got {width}", row=i + 1)),
         (_first(_object_column(ids) == ""), _cell_error(ids, "id", lambda _: "id must be nonempty")),
         (_first_duplicate(ids), _duplicate_error(ids)),
         (len(scores), _cell_error(score_text, "score", "score is not a number: {!r}".format)),
@@ -396,7 +445,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
         (_first(labels < 0), _cell_error(label_text, "label", "label must be 0 or 1: {!r}".format)),
         (len(dates),
          _cell_error(cells.get("date"), "date", lambda text: f"bad date {text!r}: {date_exc}")),
-    ], len(rows))
+    ], n + (width is not None))
     groups = _object_column(cells.get("group", (None,) * n))
     groups[groups == ""] = None
     return ids, scores, labels, dates, groups

@@ -13,13 +13,14 @@ records with `calibrate._retained_counts`, as the tradeoff curve does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .calibrate import RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import Dataset, SyntheticScorerSpec, _draw
+from .records import Dataset, SyntheticScorerSpec, _draw, _object_column
 from .rng import substream_seed
 
 
@@ -32,17 +33,58 @@ class TradeoffPoint:
     selective_accuracy: float | None
 
 
-@dataclass(frozen=True)
 class TradeoffCurve:
-    """Tradeoff points over a strictly increasing threshold grid."""
+    """Tradeoff points over a strictly increasing threshold grid, held as columns.
 
-    points: tuple[TradeoffPoint, ...]
+    lam and fraction_kept are float arrays, fraction_kept non-increasing;
+    selective_accuracy is an object array, None where nothing is kept. They
+    are validated together, vectorised, when the curve is built, from
+    TradeoffPoints or with `from_columns`, and are read-only afterwards.
+    `points` gives TradeoffPoint views, built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_thresholds("curve lambda", [p.lam for p in self.points], UnsortedLambdasError)
-        if not np.all(np.diff([p.fraction_kept for p in self.points]) <= 0):  # NaN fails too
+    def __init__(self, points: Iterable[TradeoffPoint] = ()) -> None:
+        points = tuple(points)
+        self._set_columns([p.lam for p in points], [p.fraction_kept for p in points],
+                          [p.selective_accuracy for p in points])
+        self._points: tuple[TradeoffPoint, ...] | None = points
+
+    @classmethod
+    def from_columns(cls, lam, fraction_kept, selective_accuracy) -> "TradeoffCurve":
+        """Build a curve from equal-length columns, validated in one pass."""
+        curve = cls.__new__(cls)
+        curve._set_columns(lam, fraction_kept, selective_accuracy)
+        curve._points = None
+        return curve
+
+    def _set_columns(self, lam, fraction_kept, selective_accuracy) -> None:
+        lam, fraction_kept = np.array(lam, dtype=float), np.array(fraction_kept, dtype=float)
+        selective_accuracy = _object_column(selective_accuracy)
+        if not len(lam) == len(fraction_kept) == len(selective_accuracy):
+            raise DomainError("curve columns must all have one length")
+        _check_thresholds("curve lambda", lam, UnsortedLambdasError)
+        if not np.all(np.diff(fraction_kept) <= 0):  # NaN fails too
             raise DomainError("fraction_kept must be non-increasing in lambda")
+        for column in (lam, fraction_kept, selective_accuracy):
+            column.flags.writeable = False
+        self.lam, self.fraction_kept, self.selective_accuracy = lam, fraction_kept, selective_accuracy
+
+    @property
+    def points(self) -> tuple[TradeoffPoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(TradeoffPoint, self.lam.tolist(), self.fraction_kept.tolist(),
+                                     self.selective_accuracy.tolist()))
+        return self._points
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TradeoffCurve):
+            return NotImplemented
+        return self.points == other.points
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TradeoffCurve(<{len(self.lam)} points>)"
 
 
 @dataclass(frozen=True)
@@ -77,9 +119,7 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):
         accuracy = (n_kept - n_wrong) / n_kept
-    accuracy = np.where(n_kept > 0, accuracy, None)
-    points = map(TradeoffPoint, grid.tolist(), (n_kept / len(data)).tolist(), accuracy.tolist())
-    return TradeoffCurve(points=tuple(points))
+    return TradeoffCurve.from_columns(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
 
 
 def _run_trial(
@@ -148,9 +188,9 @@ def summarize_trials(trials: list[GuaranteeTrial]) -> dict:
 
 def curve_to_doc(curve: TradeoffCurve) -> Table:
     return Table({
-        "lambda": [p.lam for p in curve.points],
-        "fraction_kept": [p.fraction_kept for p in curve.points],
-        "selective_accuracy": [p.selective_accuracy for p in curve.points],
+        "lambda": curve.lam,
+        "fraction_kept": curve.fraction_kept,
+        "selective_accuracy": curve.selective_accuracy.tolist(),
     })
 
 

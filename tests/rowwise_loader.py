@@ -2,20 +2,39 @@
 
 This is the package's original loader loop: it checks each row cell by cell
 and stops at the first bad one. It reads files with the package's
-`read_text` (UTF-8 with an optional byte-order mark) and `csv_rows`. The
-vectorised loader must raise the same error class, message, row and column,
-and load the same records.
+`read_text` (UTF-8 with an optional byte-order mark) and splits CSV with
+csv.reader itself, in `csv_rows`, so it shares no CSV code with the package.
+The vectorised loader must raise the same error class, message, row and
+column, and load the same records.
 """
 
+import csv
+import io
 import json
 from datetime import date, datetime
 from pathlib import Path
 
 from selcert import Dataset, DuplicateIdError, PredictionRecord, SchemaError
-from selcert.records import csv_rows, read_text
+from selcert.records import read_text
 
 BASE_COLUMNS = ("id", "score", "label")
 OPTIONAL_COLUMNS = ("date", "group")
+
+
+def csv_rows(text):
+    """csv.reader's rows of the text; malformed CSV names the header or the 1-based data row."""
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return rows
+        except csv.Error as exc:
+            if not rows:
+                raise SchemaError(f"malformed CSV header: {exc}") from None
+            raise SchemaError(f"malformed CSV: {exc}", row=len(rows)) from None
+        rows.append(row)
 
 
 def load_dataset_rowwise(path, date_format=None) -> Dataset:

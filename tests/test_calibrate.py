@@ -18,6 +18,7 @@ from selcert import (
     Dataset,
     DatasetIOError,
     Decision,
+    Decisions,
     DomainError,
     EmptyCalibrationError,
     InfeasibleCertificateError,
@@ -423,6 +424,54 @@ class TestDecision:
         assert not Decision("a", None, 0.9).retained
 
 
+class TestDecisions:
+    ROWS = [Decision("a", 1, 0.9), Decision("b", None, 0.6), Decision("c", 0, 0.75)]
+
+    def test_apply_returns_columns(self):
+        cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
+        decisions = apply_certificate(fixture6(), cert)
+        assert isinstance(decisions, Decisions)
+        assert decisions.ids == ("t1", "t2", "t3", "t4", "t5", "t6")
+        assert decisions.prediction.tolist() == [1, 1, 1, -1, -1, -1]
+        assert decisions.retained.tolist() == [True] * 3 + [False] * 3
+        assert decisions.confidence.tolist() == [confidence(r.score) for r in fixture6()]
+
+    def test_views_and_equality(self):
+        decisions = Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75])
+        assert len(decisions) == 3
+        assert list(decisions) == self.ROWS
+        assert decisions[1] == Decision("b", None, 0.6)
+        assert decisions[1:] == tuple(self.ROWS[1:])
+        assert decisions == self.ROWS and self.ROWS == decisions
+        assert decisions == Decisions.of(self.ROWS) == tuple(self.ROWS)
+        assert decisions != self.ROWS[::-1] and decisions != "abc"
+
+    def test_of_keeps_columns_and_reads_views(self):
+        decisions = Decisions(["a"], [1], [0.9])
+        assert Decisions.of(decisions) is decisions
+        columns = Decisions.of(self.ROWS)
+        assert columns.ids == ("a", "b", "c")
+        assert columns.prediction.tolist() == [1, -1, 0]
+        assert retain_rate(columns) == retain_rate(self.ROWS) == 2 / 3
+
+    def test_columns_are_read_only(self):
+        decisions = Decisions(["a"], [1], [0.9])
+        with pytest.raises(ValueError):
+            decisions.prediction[0] = 0
+        with pytest.raises(ValueError):
+            decisions.confidence[0] = 0.5
+
+    @pytest.mark.parametrize("prediction, confidences, message", [
+        ([1, 0], [0.9], "decision columns must all have one length"),
+        ([2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
+        ([-2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
+    ])
+    def test_bad_columns_rejected(self, prediction, confidences, message):
+        with pytest.raises(DomainError) as err:
+            Decisions(["a"] * len(prediction), prediction, confidences)
+        assert str(err.value) == message
+
+
 class TestCertificateSerialization:
     # thresholds are written with repr; derived statistics at 12 significant
     # digits, so those load stable under re-serialization, not bit-identical
@@ -527,7 +576,7 @@ class TestCertificateSerialization:
 
     @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
     def test_count_beyond_integer_range(self, tmp_path, field):
-        # 1e400 loads as float infinity, which int() cannot convert
+        # 1e400 loads as float infinity, which no count can be
         doc = json.loads(certificate_to_json(
             certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
         (doc["grid"][0] if field in ("n", "errors") else doc)[field] = "@@"
@@ -535,9 +584,19 @@ class TestCertificateSerialization:
         path.write_text(json.dumps(doc).replace('"@@"', "1e400"))
         with pytest.raises(SchemaError) as err:
             load_certificate(path)
-        assert str(err.value) == (
-            "malformed certificate: OverflowError('cannot convert float infinity to integer')"
-        )
+        where = f"grid[0].{field}" if field in ("n", "errors") else field
+        assert str(err.value) == f"malformed certificate: {where} must be a finite number, got inf"
+
+    @pytest.mark.parametrize("value, shown", [("NaN", "nan"), ("-Infinity", "-inf")])
+    @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
+    def test_count_not_finite(self, field, value, shown):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        (doc["grid"][2] if field in ("n", "errors") else doc)[field] = "@@"
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc).replace('"@@"', value))
+        where = f"grid[2].{field}" if field in ("n", "errors") else field
+        assert str(err.value) == f"malformed certificate: {where} must be a finite number, got {shown}"
 
     def test_nested_past_the_recursion_limit(self):
         with pytest.raises(SchemaError, match="^invalid certificate JSON: maximum recursion depth"):
@@ -621,6 +680,31 @@ class TestDecisionsIO:
         path.write_text("id,outcome,confidence\na,1,0.9\na,0,0.8\n")
         with pytest.raises(SchemaError):
             read_decisions(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        # the first bad row, and within it the first failing check
+        ("a,1,0.9\nb,2\nc,x,y\n", "expected 3 fields, got 2 (row 2)"),
+        ("a,1,0.9\n\nb,1,0.9\n", "expected 3 fields, got 0 (row 2)"),
+        ("a,1,0.9\na,x,0.2\n", "bad or duplicate id 'a' (row 2, column 'id')"),
+        (",x,0.2\n", "bad or duplicate id '' (row 1, column 'id')"),
+        ("a,1,0.9\nb,maybe,x\n", "outcome must be 0, 1 or abstain: 'maybe' (row 2, column 'outcome')"),
+        ("a,1,high\nb,0,0.2\n", "bad confidence 'high' (row 1, column 'confidence')"),
+        ("a,1,0.9\nb,0,nan\nc,0,x\n", "confidence out of [0.5, 1]: 'nan' (row 2, column 'confidence')"),
+    ])
+    def test_first_bad_row_and_check_named(self, tmp_path, rows, message):
+        path = tmp_path / "dec.csv"
+        path.write_text("id,outcome,confidence\n" + rows)
+        with pytest.raises(SchemaError) as err:
+            read_decisions(path)
+        assert str(err.value) == message
+
+    def test_reads_columns(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_text("id,outcome,confidence\na,1,0.9\nb,abstain,0.5\nc,0,1\n")
+        decisions = read_decisions(path)
+        assert isinstance(decisions, Decisions)
+        assert decisions.prediction.tolist() == [1, -1, 0]
+        assert decisions.confidence.tolist() == [0.9, 0.5, 1.0]
 
     def test_oversized_field_is_located(self, tmp_path):
         path = tmp_path / "dec.csv"

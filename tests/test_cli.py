@@ -6,6 +6,7 @@ TestModuleEntry alone starts `python -m selcert` in a subprocess.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from selcert import (
     write_dataset,
 )
 from selcert.cli import main
+from selcert.records import _plain_lines
 
 CALIB6 = """id,score,label
 t1,0.95,1
@@ -345,8 +347,7 @@ class TestUnreadableInput:
                      "--out", str(tmp_path / "decisions.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: malformed certificate: "
-            "OverflowError('cannot convert float infinity to integer')\n"
+            "error: malformed certificate: min_count must be a finite number, got inf\n"
         )
 
 
@@ -435,3 +436,47 @@ class TestSimulate:
         assert doc["summary"]["n_trials"] == 4
         assert doc["manifest"]["params"]["pos_shape"] == [3, 2]
         assert "feasible" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _unquoted(text: str) -> str:
+    """The golden test set's text with each id '"tK, quoted"' written tK-quoted, so no field is quoted."""
+    return re.sub(r'"""(t\d+), quoted"""', r"\1-quoted", text)
+
+
+class TestQuoteFreeInput:
+    """golden/inputs/test_unquoted.csv is test.csv without its quoted ids.
+
+    The column reader splits the quote-free copy on commas and line breaks
+    and reads the original with csv.reader. Through apply, evaluate and
+    tradeoff the two must give the same outputs, ids and manifests aside.
+    """
+
+    def outputs(self, tmp_path, name):
+        out = tmp_path / name
+        out.mkdir()
+        test, cert = str(GOLDEN / "inputs" / name), str(GOLDEN / "outputs" / "cert.json")
+        decisions = str(out / "decisions.csv")
+        assert main(["apply", "--test", test, "--cert", cert, "--out", decisions]) == 0
+        assert main(["evaluate", "--test", test, "--decisions", decisions, "--group",
+                     "--out", str(out / "report.json")]) == 0
+        assert main(["tradeoff", "--test", test, "--out-prefix", str(out / "curve")]) == 0
+        docs = [json.loads((out / f).read_text(encoding="utf-8")) for f in ("report.json", "curve.json")]
+        for doc in docs:
+            del doc["manifest"]
+        texts = [(out / f).read_text(encoding="utf-8") for f in ("decisions.csv", "curve.csv")]
+        return texts, docs
+
+    def test_outputs_equal_the_quoted_inputs(self, tmp_path, capsys):
+        quoted = (GOLDEN / "inputs" / "test.csv").read_text(encoding="utf-8")
+        plain = (GOLDEN / "inputs" / "test_unquoted.csv").read_text(encoding="utf-8")
+        assert plain == _unquoted(quoted) != quoted
+        assert _plain_lines(plain) is not None and _plain_lines(quoted) is None
+        (decisions, curve), docs = self.outputs(tmp_path, "test.csv")
+        quoted_stdout = capsys.readouterr().out
+        (plain_decisions, plain_curve), plain_docs = self.outputs(tmp_path, "test_unquoted.csv")
+        assert plain_decisions == _unquoted(decisions) != decisions
+        assert (plain_curve, plain_docs) == (curve, docs)
+        assert capsys.readouterr().out.replace("test_unquoted.csv", "test.csv") == quoted_stdout

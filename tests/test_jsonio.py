@@ -15,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rowwise_csv import csv_text_rowwise  # noqa: E402
+from selcert import jsonio  # noqa: E402
 from selcert.jsonio import Exact, Table, csv_text, dumps  # noqa: E402
 
 # text mixing CSV-special characters, braces and percent signs (which a row
@@ -76,10 +77,27 @@ def test_table_dumps_as_its_rows(drawn):
 
 
 @SETTINGS
-@given(drawn=tables())
-def test_csv_text_equals_rowwise_writer(drawn):
+@given(drawn=tables(), json_first=st.booleans())
+def test_csv_text_equals_rowwise_writer(drawn, json_first):
     table, columns = drawn
+    if json_first:  # so CSV reads the text JSON kept
+        dumps(table)
     assert csv_text(table) == csv_text_rowwise(columns)
+
+
+def test_numbers_formatted_once_for_both_formats(monkeypatch):
+    calls = []
+
+    def counted(values, exact):
+        calls.append(list(values))
+        return numbers(values, exact)
+
+    numbers = jsonio._numbers
+    monkeypatch.setattr(jsonio, "_numbers", counted)
+    table = Table({"x": np.array([0.5, 0.25]), "y": [1.5, None], "z": ["a", "b"]})
+    text = csv_text(table), dumps(table), csv_text(table)
+    assert calls == [[0.5, 0.25], [1.5]]
+    assert text[0] == text[2] == "x,y,z\n0.5,1.5,a\n0.25,,b\n"
 
 
 def test_empty_tables():
@@ -97,6 +115,13 @@ def test_cells_are_spelled_by_type():
 def test_exact_columns_print_floats_with_repr():
     table = Table({"x": [0.1 + 0.2, 1, None, True], "y": [0.1 + 0.2, 1, None, True]}, exact=["x"])
     assert csv_text(table) == "x,y\n0.30000000000000004,0.3\n1,1\n,\ntrue,true\n"
+
+
+@pytest.mark.parametrize("cell", [",", '"', "\n", "\r", "\0", "a\nb", 'x"'])
+def test_one_cell_needing_csv_writer(cell):
+    # every other cell could be joined as it is; this one sends the table through csv.writer
+    columns = {"id": ["a", cell, "c"], "x": [0.5, 1.5, None], "n": [1, 2, 3]}
+    assert csv_text(Table(columns)) == csv_text_rowwise(columns)
 
 
 def test_lone_empty_field_is_quoted_as_csv_writer_does():

@@ -15,6 +15,7 @@ import selcert.metrics
 from selcert import (
     Dataset,
     Decision,
+    Decisions,
     DegenerateLabelsError,
     DomainError,
     EmptyInputError,
@@ -161,6 +162,14 @@ class TestF1Accuracy:
          "-nan-score"),
         # string labels are not cast either, so "0" is as bad as "yes"
         ([0.2, 0.8], ["0", "1"], "labels must be 0 or 1, got '0'", "-string-label"),
+        # scores are probabilities: F1 and accuracy threshold them at 0.5
+        ([7.0, -2.0], [1, 0], "scores must be within [0, 1], got 7.0 at position 0", "-score-above-one"),
+        ([0.3, 0.9, -0.5], [1, 0, 0], "scores must be within [0, 1], got -0.5 at position 2",
+         "-negative-score"),
+        ([float("inf"), 0.2, -3.0], [1, 0, 0], "scores must be within [0, 1], got inf at position 0",
+         "-infinite-score"),
+        ([0.3, float("-inf"), float("nan")], [1, 0, 1],
+         "scores must be within [0, 1], got -inf at position 1", "-first-bad-score"),
     ]
 ])
 def test_labels_outside_zero_one_rejected(fn, scores, labels, message):
@@ -245,6 +254,27 @@ class TestSelectiveReport:
         decisions[0] = Decision(id="other", prediction=1, confidence=0.95)
         with pytest.raises(IdMismatchError):
             selective_report(data, decisions)
+
+    def test_columns_and_views_report_alike(self):
+        data = report_fixture()
+        decisions = decisions_at(data, 0.85)
+        columns = Decisions.of(decisions[::-1])
+        assert isinstance(columns, Decisions)
+        assert (selective_report(data, columns, by_group=True)
+                == selective_report(data, decisions, by_group=True))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ds: ds[:-1], "decision ids do not match the dataset ids"),
+        (lambda ds: ds + [Decision("extra", 1, 0.9)], "decision ids do not match the dataset ids"),
+        (lambda ds: ds[:-1] + [ds[0]], "decision ids do not match the dataset ids"),
+        (lambda ds: ds + [ds[0]], "duplicate ids in decisions"),
+    ])
+    def test_id_mismatch_messages(self, edit, message):
+        data = report_fixture()
+        for decisions in (edit(decisions_at(data, 0.85)), Decisions.of(edit(decisions_at(data, 0.85)))):
+            with pytest.raises(IdMismatchError) as err:
+                selective_report(data, decisions)
+            assert str(err.value) == message
 
     def test_group_breakdown(self):
         data = report_fixture()

@@ -1,9 +1,11 @@
 """Properties of dataset and decision files and of the metrics (needs hypothesis).
 
-Files round-trip, the vectorised loader words errors as the row-by-row
-reference does, and the metric kernels equal the original metric loops.
+Files round-trip, the column reader reads what csv.reader reads, the
+vectorised loaders word errors as the row-by-row references do, and the
+metric kernels equal the original metric loops.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import reference_metrics  # noqa: E402
-from rowwise_loader import load_dataset_rowwise  # noqa: E402
+from rowwise_decisions import read_decisions_rowwise  # noqa: E402
+from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
     Decision,
@@ -34,14 +37,12 @@ from selcert import (  # noqa: E402
     write_decisions,
 )
 from selcert.jsonio import format_number  # noqa: E402
+from selcert.records import csv_columns  # noqa: E402
 
 # ids mix CSV-special characters with ordinary text; surrogates cannot be
 # written as UTF-8 and so are left out
-TEXT = st.text(
-    alphabet=st.one_of(st.sampled_from(',"\r\n \t\ufeff'), st.characters(blacklist_categories=("Cs",))),
-    min_size=1,
-    max_size=12,
-)
+ALPHABET = st.one_of(st.sampled_from(',"\r\n \t\ufeff'), st.characters(blacklist_categories=("Cs",)))
+TEXT = st.text(alphabet=ALPHABET, min_size=1, max_size=12)
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -93,6 +94,7 @@ def test_decisions_round_trip(tmp_path, decisions):
     assert [(d.id, d.prediction) for d in back] == [(d.id, d.prediction) for d in decisions]
     # confidences are written at 12 significant digits
     assert [d.confidence for d in back] == [float(format_number(d.confidence)) for d in decisions]
+    assert back == read_decisions_rowwise(path)
 
 
 @SETTINGS
@@ -179,6 +181,96 @@ def test_json_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.json"
     path.write_text(text, encoding="utf-8")
     assert _outcome(load_dataset, path) == _outcome(load_dataset_rowwise, path)
+
+
+# Decision cells that break one read rule or another, mixed with valid ones
+BAD_DECISION_CELLS = [
+    st.sampled_from(["", "r0", "r1", "r2"]),
+    st.sampled_from(["abstain", "0", "1", "", "2", "Abstain", " 1", "-1"]),
+    st.sampled_from(["0.5", "1", "0.75", "0.49", "1.5", "nan", "inf", "-0", "x", "", " 0.9", "1_0"]),
+]
+
+
+@st.composite
+def corrupted_decisions(draw):
+    rows = [[f"r{i}", draw(st.sampled_from(["abstain", "0", "1"])), repr(draw(st.floats(0.5, 1)))]
+            for i in range(draw(st.integers(0, 8)))]
+    # up to two bad rows, each with one or more bad cells
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        for column in draw(st.sets(st.integers(0, 3), min_size=1)):
+            if column == 3:
+                del row[draw(st.integers(0, len(row))):]  # a short (or blank) row
+                row.extend(draw(st.lists(BAD_DECISION_CELLS[2], max_size=2)))  # or a long one
+            elif column < len(row):
+                row[column] = draw(BAD_DECISION_CELLS[column])
+    header = draw(st.sampled_from(["id,outcome,confidence"] * 3 + ["id,outcome", "id,verdict,confidence"]))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _decisions_outcome(read, path):
+    """The decisions read, or the error's class, message, row and column."""
+    try:
+        return list(read(path))
+    except SelcertError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+@SETTINGS
+@given(text=corrupted_decisions())
+def test_decisions_reader_matches_rowwise_reference(tmp_path, text):
+    path = tmp_path / "dec.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _decisions_outcome(read_decisions, path) == _decisions_outcome(read_decisions_rowwise, path)
+
+
+# CSV text for the column reader: cells quote-free (the split path), with
+# quotes, or from TEXT's alphabet (line breaks and all); regular, ragged and
+# blank rows, "\n" or "\r\n" line ends, with or without a final one, and at
+# most one field at or just over csv.field_size_limit()
+PLAIN_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0')
+CELLS = st.sampled_from([st.text(alphabet=PLAIN_CHARS, max_size=5),
+                         st.text(alphabet=st.one_of(PLAIN_CHARS, st.just('"')), max_size=5),
+                         st.text(alphabet=ALPHABET, max_size=5)])
+
+
+@st.composite
+def csv_texts(draw):
+    cell = draw(CELLS)
+    width = draw(st.integers(1, 4))
+    regular = st.lists(cell, min_size=width, max_size=width)
+    rows = [draw(regular)] + draw(st.lists(
+        st.one_of(regular, regular, st.lists(cell, max_size=width + 2), st.builds(list)), max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row.append("x" * (csv.field_size_limit() + draw(st.integers(-1, 1))))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(map(",".join, rows)) + draw(st.sampled_from([end, ""]))
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+def _columns_of_rows(text):
+    """csv.reader's rows transposed, up to the first ragged one, or the located error."""
+    try:
+        rows = csv_rows(text)
+    except SelcertError as exc:
+        return type(exc), str(exc), exc.row
+    if not rows:
+        return None, [], 0, None
+    header, body = rows[0], rows[1:]
+    n = next((i for i, row in enumerate(body) if len(row) != len(header)), len(body))
+    columns = [[row[j] for row in body[:n]] for j in range(len(header))]
+    return header, columns, n, len(body[n]) if n < len(body) else None
+
+
+@settings(SETTINGS, max_examples=300)
+@given(text=csv_texts())
+def test_csv_columns_transpose_csv_reader_rows(text):
+    try:
+        read = tuple(csv_columns(text))
+    except SelcertError as exc:
+        read = type(exc), str(exc), exc.row
+    assert read == _columns_of_rows(text)
 
 
 # Score columns: distinct floats, a coarse pool that forces ties, and tiny ones

@@ -99,6 +99,26 @@ class TestTradeoffCurve:
                 TradeoffPoint(0.8, 0.5, 0.5),
             ))
 
+    def test_columns_and_point_views(self):
+        curve = tradeoff_curve(fixture6(), [0.5, 0.75, 0.99])
+        assert curve.lam.tolist() == [0.5, 0.75, 0.99]
+        assert curve.fraction_kept.tolist() == [1.0, 4 / 6, 0.0]
+        assert curve.selective_accuracy.tolist() == [4 / 6, 3 / 4, None]
+        assert curve.points == (TradeoffPoint(0.5, 1.0, 4 / 6), TradeoffPoint(0.75, 4 / 6, 3 / 4),
+                                TradeoffPoint(0.99, 0.0, None))
+        assert TradeoffCurve(points=curve.points) == curve
+        assert TradeoffCurve.from_columns(curve.lam, curve.fraction_kept, curve.selective_accuracy) == curve
+        with pytest.raises(ValueError):
+            curve.lam[0] = 0.6
+
+    def test_column_checks(self):
+        with pytest.raises(UnsortedLambdasError, match=r"curve lambda\[1\] is 0\.6"):
+            TradeoffCurve.from_columns([0.7, 0.6], [1.0, 0.5], [0.5, 0.5])
+        with pytest.raises(DomainError, match="non-increasing"):
+            TradeoffCurve.from_columns([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="one length"):
+            TradeoffCurve.from_columns([0.6, 0.7], [1.0, 0.5], [0.5])
+
 
 SPEC = SyntheticScorerSpec(n=1, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=0)
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
