@@ -14,7 +14,10 @@ counted in one place, `_retained_counts`, for the certification grid,
 `selective_risk`, `sim.tradeoff_curve` and every simulate trial;
 `apply_certificate` applies the same comparison to the whole test set at
 once. Its decisions are columns, `Decisions`, which `read_decisions` also
-returns; a `Decision` is a view of one row.
+returns; a `Decision` is a view of one row. The certificate's grid is
+columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
+on the one column base, `records.ColumnTable`, and are checked once: by
+their public constructors, or by the reader that built their columns.
 
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -44,7 +47,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,13 +64,16 @@ from .errors import (
 from .jsonio import Exact, Table, csv_text
 from .jsonio import dumps as json_dumps
 from .records import (
+    ColumnTable,
     Dataset,
     _cell_error,
     _first,
     _first_duplicate,
+    _json_floats,
     _object_column,
     _parse_prefix,
     _raise_first,
+    _types_in,
     csv_columns,
     read_text,
     write_text,
@@ -108,13 +114,50 @@ class GridPoint:
     risk_plus: float
 
 
+class CertificateGrid(ColumnTable):
+    """The certification grid held as columns, one row per candidate threshold.
+
+    lam is a float array, strictly ascending within [0.5, 1]; n_at and
+    errors_at are int arrays with 0 <= errors_at <= n_at and n_at
+    non-increasing; risk_hat and risk_plus are float arrays. A `GridPoint`
+    is a view of one row.
+    """
+
+    _columns = ("lam", "n_at", "errors_at", "risk_hat", "risk_plus")
+    _view = GridPoint
+
+    def __init__(self, lam, n_at, errors_at, risk_hat, risk_plus) -> None:
+        lam, risk_hat, risk_plus = (np.array(c, dtype=np.float64) for c in (lam, risk_hat, risk_plus))
+        n_at, errors_at = np.array(n_at, dtype=np.int64), np.array(errors_at, dtype=np.int64)
+        if not len(lam) == len(n_at) == len(errors_at) == len(risk_hat) == len(risk_plus):
+            raise DomainError("grid columns must all have one length")
+        _raise_first(_grid_faults(lam, n_at, errors_at), len(lam))
+        self._set(lam, n_at, errors_at, risk_hat, risk_plus)
+
+
+def _grid_faults(lam, n_at, errors_at) -> list[tuple[int, Callable[[int], DomainError]]]:
+    """The grid rules in `_raise_first`'s form: thresholds, 0 <= errors <= n, n non-increasing."""
+    return [
+        _threshold_fault("grid lambda", lam),
+        (_first((errors_at < 0) | (errors_at > n_at)), lambda i: DomainError(
+            f"grid[{i}].errors must be within [0, n], got {errors_at[i]} with n {n_at[i]}")),
+        (_first(n_at[1:] > n_at[:-1]) + 1, lambda i: DomainError(
+            f"grid n must be non-increasing: grid[{i}].n is {n_at[i]} after {n_at[i - 1]}")),
+    ]
+
+
 @dataclass(frozen=True)
 class ThresholdCertificate:
-    """Outcome of a certification scan over one calibration set."""
+    """Outcome of a certification scan over one calibration set.
+
+    grid is a `CertificateGrid`; a sequence of `GridPoint`s is accepted and
+    checked as the grid's constructor checks it. Its bottom point retains at
+    most calib_size records.
+    """
 
     status: str
     lambda_hat: float | None
-    grid: tuple[GridPoint, ...]
+    grid: CertificateGrid
     config: RiskConfig
     calib_size: int
 
@@ -123,8 +166,11 @@ class ThresholdCertificate:
             raise DomainError(f"status must be feasible or infeasible, got {self.status!r}")
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
-        object.__setattr__(self, "grid", tuple(self.grid))
-        _check_thresholds("grid lambda", [pt.lam for pt in self.grid])
+        if not isinstance(self.grid, CertificateGrid):
+            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(tuple(self.grid))))
+        if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
+            raise DomainError("grid n must not exceed calib_size: "
+                              f"grid[0].n is {self.grid.n_at[0]} with calib_size {self.calib_size}")
         if self.lambda_hat is not None:
             _check_thresholds("lambda_hat", self.lambda_hat)
 
@@ -154,26 +200,32 @@ class Decision:
         return "abstain" if self.prediction is None else str(self.prediction)
 
 
-class Decisions:
+class Decisions(ColumnTable):
     """Predict-or-abstain outcomes held as columns: ids, predictions and confidences.
 
-    prediction is an int array holding the predicted label (0 or 1), or -1
-    where the record is abstained on; confidence is a float array. The
-    arrays are read-only. Length, iteration, indexing and `==` (against
-    Decisions or a list of Decision) go through Decision views, built on
-    first use.
+    ids is a tuple; prediction is an int array holding the predicted label
+    (0 or 1), or -1 where the record is abstained on; confidence is a float
+    array within [0.5, 1]. A `Decision` is a view of one row.
     """
 
+    _columns = ("ids", "prediction", "confidence")
+    _view = Decision
+
     def __init__(self, ids: Sequence[str], prediction, confidence) -> None:
-        self.ids = tuple(ids)
-        self.prediction = np.array(prediction, dtype=np.int64)
-        self.confidence = np.array(confidence, dtype=np.float64)
-        if not len(self.ids) == len(self.prediction) == len(self.confidence):
+        ids = tuple(ids)
+        prediction = np.array(prediction, dtype=np.float64)
+        confidence = np.array(confidence, dtype=np.float64)
+        if not len(ids) == len(prediction) == len(confidence):
             raise DomainError("decision columns must all have one length")
-        if ((self.prediction < -1) | (self.prediction > 1)).any():
+        bad = _first(prediction != np.trunc(prediction))  # NaN fails
+        if bad < len(ids):
+            raise DomainError(f"prediction[{bad}] must be an integer, got {prediction[bad].item()!r}")
+        if ((prediction < -1) | (prediction > 1)).any():
             raise DomainError("a prediction must be 0, 1 or -1 (abstain)")
-        self.prediction.flags.writeable = self.confidence.flags.writeable = False
-        self._views: tuple[Decision, ...] | None = None
+        bad = _first(~((confidence >= 0.5) & (confidence <= 1.0)))
+        if bad < len(ids):
+            raise DomainError(f"confidence[{bad}] must be within [0.5, 1], got {confidence[bad].item()!r}")
+        self._set(ids, prediction.astype(np.int64), confidence)
 
     @classmethod
     def of(cls, decisions: "Decisions | Iterable[Decision]") -> "Decisions":
@@ -181,9 +233,8 @@ class Decisions:
         if isinstance(decisions, Decisions):
             return decisions
         views = tuple(decisions)
-        columns = cls([d.id for d in views],
-                      [-1 if d.prediction is None else d.prediction for d in views],
-                      [d.confidence for d in views])
+        ids, prediction, confidence = cls._columns_of(views)
+        columns = cls(ids, [-1 if p is None else p for p in prediction], confidence)
         columns._views = views
         return columns
 
@@ -192,41 +243,25 @@ class Decisions:
         """Mask of the decisions that predict rather than abstain."""
         return self.prediction >= 0
 
-    def _decisions(self) -> tuple[Decision, ...]:
-        if self._views is None:
-            prediction = self.prediction.astype(object)
-            prediction[~self.retained] = None
-            self._views = tuple(map(Decision, self.ids, prediction.tolist(), self.confidence.tolist()))
-        return self._views
+    def _values(self) -> list:
+        prediction = self.prediction.astype(object)
+        prediction[~self.retained] = None
+        return [self.ids, prediction.tolist(), self.confidence.tolist()]
 
-    def __len__(self) -> int:
-        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Decision]:
-        return iter(self._decisions())
-
-    def __getitem__(self, index):
-        return self._decisions()[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Decisions, list, tuple)):
-            return NotImplemented
-        return self._decisions() == tuple(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Decisions(<{len(self)} rows>)"
+def _threshold_fault(name: str, lams, error: type[SelcertError] = DomainError):
+    """The index of the first of `lams` (one or a grid) not finite, in [0.5, 1] and ascending,
+    and its error, in `_raise_first`'s form."""
+    grid = np.atleast_1d(np.asarray(lams, dtype=float))
+    bad = ~((0.5 <= grid) & (grid <= 1.0) & np.append(True, grid[1:] > grid[:-1]))  # NaN fails
+    return _first(bad), lambda i: error(
+        "thresholds must be finite, within [0.5, 1] and strictly ascending: "
+        f"{f'{name}[{i}]' if np.ndim(lams) else name} is {float(grid[i])!r}")
 
 
 def _check_thresholds(name: str, lams, error: type[SelcertError] = DomainError) -> None:
     """Raise `error` at the first of `lams` (one or a grid) not finite, in [0.5, 1] and ascending."""
-    grid = np.atleast_1d(np.asarray(lams, dtype=float))
-    bad = ~((0.5 <= grid) & (grid <= 1.0) & np.append(True, grid[1:] > grid[:-1]))  # NaN fails
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error("thresholds must be finite, within [0.5, 1] and strictly ascending: "
-                    f"{f'{name}[{i}]' if np.ndim(lams) else name} is {float(grid[i])!r}")
+    _raise_first([_threshold_fault(name, lams, error)], np.size(lams))
 
 
 def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +320,10 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
     lam, n_at, errors, lambda_hat = _scan(*_confidence_correct(data.scores(), data.labels()), config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
-    points = map(GridPoint, lam.tolist(), n_at.tolist(), errors.tolist(),
-                 (errors / n_at).tolist(), risk_plus.tolist())
     return ThresholdCertificate(
         status=FEASIBLE if lambda_hat is not None else INFEASIBLE,
         lambda_hat=lambda_hat,
-        grid=tuple(points),
+        grid=CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus),
         config=config,
         calib_size=len(data),
     )
@@ -337,7 +370,7 @@ def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:
     conf, correct = _confidence_correct(data.scores(), labels)
     # the predicted label is the true one where the prediction is right
     predicted = np.where(correct, labels, 1 - labels)
-    return Decisions(data.ids(), np.where(conf >= cert.lambda_hat, predicted, -1), conf)
+    return Decisions._unchecked(tuple(data.ids()), np.where(conf >= cert.lambda_hat, predicted, -1), conf)
 
 
 def retain_rate(decisions: Decisions | Sequence[Decision]) -> float:
@@ -351,27 +384,25 @@ def retain_rate(decisions: Decisions | Sequence[Decision]) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
+_GRID_KEYS = ("lambda", "n", "errors", "risk_hat", "risk_plus")  # the grid's columns, in order
+
+
 def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None) -> str:
     """Render a certificate as JSON.
 
-    Thresholds (`lambda_hat` and each grid `lambda`) are written with repr,
-    so a loaded certificate retains exactly the records the original does;
-    derived statistics are written at 12 significant digits.
+    Thresholds (`lambda_hat` and each grid `lambda`) and the budget (alpha
+    and beta) are written with repr, so a loaded certificate retains exactly
+    the records the original does, under the same budget; derived
+    statistics are written at 12 significant digits.
     """
     doc: dict[str, object] = {
         "status": cert.status,
         "lambda_hat": None if cert.lambda_hat is None else Exact(cert.lambda_hat),
-        "alpha": cert.config.alpha,
-        "beta": cert.config.beta,
+        "alpha": Exact(cert.config.alpha),
+        "beta": Exact(cert.config.beta),
         "min_count": cert.config.min_count,
         "calib_size": cert.calib_size,
-        "grid": Table({
-            "lambda": [float(pt.lam) for pt in cert.grid],
-            "n": [pt.n_at for pt in cert.grid],
-            "errors": [pt.errors_at for pt in cert.grid],
-            "risk_hat": [pt.risk_hat for pt in cert.grid],
-            "risk_plus": [pt.risk_plus for pt in cert.grid],
-        }, exact=["lambda"]),
+        "grid": Table(dict(zip(_GRID_KEYS, cert.grid._values())), exact=["lambda"]),
     }
     if manifest is not None:
         doc["manifest"] = manifest
@@ -379,7 +410,13 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
 
 
 def certificate_from_json(text: str) -> ThresholdCertificate:
-    """Load a certificate; a field not of its JSON type, or errors outside [0, n], is a SchemaError."""
+    """Load a certificate, checked as its constructors check it; any fault is a SchemaError.
+
+    Each field must be of its JSON type. A grid fault names the first bad
+    entry and, within it, the first failing check: the entry an object, its
+    fields in column order each a finite number (n and errors integers),
+    then the grid's own rules.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
@@ -391,36 +428,57 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
                             _field(doc.get("min_count", 1), "min_count", whole=True))
         if not isinstance(doc["grid"], list):
             raise SchemaError("malformed certificate: grid must be a list")
-        grid = tuple(_grid_point_from_json(pt, f"grid[{i}]") for i, pt in enumerate(doc["grid"]))
-        lambda_hat = None if doc["lambda_hat"] is None else float(_field(doc["lambda_hat"], "lambda_hat"))
+        grid = _grid_from_json(doc["grid"])
+        lambda_hat = None if doc["lambda_hat"] is None else _field(doc["lambda_hat"], "lambda_hat")
         calib_size = _field(doc["calib_size"], "calib_size", whole=True)
         return ThresholdCertificate(doc["status"], lambda_hat, grid, config, calib_size)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except DomainError as exc:  # a rule of the certificate's own types
+        raise SchemaError(f"malformed certificate: {exc}") from None
+    except KeyError as exc:
         raise SchemaError(f"malformed certificate: {exc!r}") from None
 
 
-def _grid_point_from_json(pt: dict, where: str) -> GridPoint:
-    if not isinstance(pt, dict):
-        raise SchemaError(f"malformed certificate: {where} must be an object")
-    lam, risk_hat, risk_plus = (float(_field(pt[key], f"{where}.{key}"))
-                                for key in ("lambda", "risk_hat", "risk_plus"))
-    n_at, errors_at = (_field(pt[key], f"{where}.{key}", whole=True) for key in ("n", "errors"))
-    if not 0 <= errors_at <= n_at:
-        raise SchemaError(f"malformed certificate: {where}.errors must be within [0, n], "
-                          f"got {errors_at} with n {n_at}")
-    return GridPoint(lam, n_at, errors_at, risk_hat, risk_plus)
+def _grid_from_json(entries: list) -> CertificateGrid:
+    objects = _first(~_types_in(entries, {dict}))
+    checks = [(objects, lambda i: SchemaError(f"malformed certificate: grid[{i}] must be an object"))]
+    columns = []
+    for key in _GRID_KEYS:
+        column, key_checks = _numbers([entry.get(key) for entry in entries[:objects]],
+                                      f"grid[{{}}].{key}", whole=key in ("n", "errors"))
+        columns.append(column)
+        checks += key_checks
+    columns = [column[:min(map(len, columns))] for column in columns]
+    _raise_first(checks + _grid_faults(*columns[:3]), len(entries))
+    return CertificateGrid._unchecked(*columns)
+
+
+def _numbers(values: list, where: str, whole: bool = False) -> tuple[np.ndarray, list]:
+    """Certificate fields as a column, up to the first bad one, and their checks for `_raise_first`.
+
+    Each value must be a finite JSON number or, if `whole`, an integer below
+    2**63 in size. `where` names a value, with "{}" for its index.
+    """
+    def fault(rule: str):
+        return lambda i: SchemaError(
+            f"malformed certificate: {where.format(i)} must be {rule}, got {values[i]!r}")
+
+    kind = "an integer" if whole else "a number"
+    numbers = _json_floats(values[:_first(~_types_in(values, {int, float}))])
+    finite = numbers[:_first(~np.isfinite(numbers))]  # json reads NaN, Infinity and 1e400
+    checks = [(len(numbers), fault(kind)), (len(finite), fault("a finite number"))]
+    if not whole:
+        return finite, checks
+    integral = finite[:_first(finite != np.trunc(finite))]
+    counts = integral[:_first(~(np.abs(integral) < 2.0**63))]
+    checks += [(len(integral), fault(kind)), (len(counts), fault("an integer below 2**63 in size"))]
+    return np.array(values[:len(counts)], dtype=np.int64), checks
 
 
 def _field(value, name: str, whole: bool = False):
     """A certificate field's value, which must be a finite JSON number, or a whole one."""
-    kind = "an integer" if whole else "a number"
-    if type(value) not in (int, float):
-        raise SchemaError(f"malformed certificate: {name} must be {kind}, got {value!r}")
-    if not abs(value) < np.inf:  # json reads NaN, Infinity and 1e400; NaN fails any comparison
-        raise SchemaError(f"malformed certificate: {name} must be a finite number, got {value!r}")
-    if whole and int(value) != value:
-        raise SchemaError(f"malformed certificate: {name} must be {kind}, got {value!r}")
-    return int(value) if whole else value
+    column, checks = _numbers([value], name, whole)
+    _raise_first(checks, 1)
+    return column[0].item()
 
 
 def load_certificate(path: str | Path) -> ThresholdCertificate:
@@ -465,4 +523,4 @@ def read_decisions(path: str | Path) -> Decisions:
         (_first(~((conf >= 0.5) & (conf <= 1.0))),
          _cell_error(conf_text, "confidence", "confidence out of [0.5, 1]: {!r}".format)),
     ], n + (width is not None))
-    return Decisions(ids, prediction, conf)
+    return Decisions._unchecked(tuple(ids), prediction, conf)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 from . import __version__
 from .calibrate import (
@@ -44,20 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict:
-    recorded = {}
-    for name, path in inputs.items():
-        if path is None:
-            continue
-        recorded[name] = {"path": str(path), "sha256": _sha256(path)}
+    recorded = {name: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+                for name, path in inputs.items() if path is not None}
     return {
         "command": command,
         "tool": "selcert",
@@ -68,13 +58,11 @@ def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict
 
 
 def _shape_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        first, second = map(float, text.split(","))  # a count other than two is a ValueError too
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}") from None
+    return first, second
 
 
 def _lambda_grid(text: str) -> list[float]:

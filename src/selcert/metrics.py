@@ -322,15 +322,7 @@ def bootstrap_significance(
 
 def report_to_doc(report: SelectiveReport, metadata: dict | None = None) -> dict:
     """Report as a JSON-ready dict: metric row first, then metadata, then groups."""
-    doc: dict[str, object] = {
-        "pr_auc": report.pr_auc,
-        "f1": report.f1,
-        "roc_auc": report.roc_auc,
-        "accuracy": report.accuracy,
-        "retain_rate": report.retain_rate,
-        "n_total": report.n_total,
-        "n_retained": report.n_retained,
-    }
+    doc: dict[str, object] = {name: value for name, value in vars(report).items() if name != "group_breakdown"}
     if metadata:
         doc.update(metadata)
     if report.group_breakdown is not None:

@@ -3,10 +3,13 @@
 A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
 built with `Dataset.from_columns` or from `PredictionRecord`s, and hands out
-records only as views. Loading is all-or-nothing: one bad row rejects the
-whole file with an error naming the first bad row and column. CSV text is
-read straight into columns by `csv_columns`, which the decisions reader
-shares.
+records only as views. `ColumnTable` is that pattern, written once: the base
+of `Dataset`, the decisions, the certificate grid and the tradeoff curve.
+Each table is checked once: its public constructors check every column, and
+a reader that has already checked them builds it unchecked. Loading is
+all-or-nothing: one bad row rejects the whole file with an error naming the
+first bad row and column. CSV text is read straight into columns by
+`csv_columns`, which the decisions reader shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
 `generate_synthetic` wraps its arrays in a Dataset, and simulate's trials
@@ -19,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime
 from itertools import repeat
 from operator import itemgetter
@@ -63,7 +66,69 @@ class PredictionRecord:
             raise SchemaError(f"label must be 0 or 1, got {self.label!r}")
 
 
-class Dataset:
+class ColumnTable:
+    """Rows held as equal-length, read-only columns, with one view per row, built on first use.
+
+    The one column pattern, the base of `Dataset`, `calibrate.Decisions`,
+    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. A subclass checks
+    its columns in its public constructors; `_unchecked` builds one from
+    columns its caller has already checked, of their final types. Length,
+    iteration, indexing and `==` (against the same class, or a list or tuple
+    of views) go through the views.
+    """
+
+    _columns: tuple[str, ...]  # the column attributes, in the field order of `_view`
+    _view: type  # the frozen dataclass viewing one row
+    _attributes: tuple[str, ...] = ()  # other attributes, compared by `==` and shown by repr
+    __hash__ = None  # type: ignore[assignment]
+
+    @classmethod
+    def _unchecked(cls, *columns, **attributes):
+        return cls.__new__(cls)._set(*columns, **attributes)
+
+    def _set(self, *columns, views: tuple | None = None, **attributes):
+        for column in columns:
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        self.__dict__.update(zip(self._columns, columns), _views=views, **attributes)
+        return self
+
+    @classmethod
+    def _columns_of(cls, views: tuple) -> list[list]:
+        """The column values of a tuple of views, in field order."""
+        return [[getattr(view, field.name) for view in views] for field in fields(cls._view)]
+
+    def _values(self) -> list:
+        """Each column as a sequence of plain Python values, in field order."""
+        columns = map(self.__getattribute__, self._columns)
+        return [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+
+    def _rows(self) -> tuple:
+        if self._views is None:
+            self._views = tuple(map(self._view, *self._values()))
+        return self._views
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._columns[0]))
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows())
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            same = all(getattr(self, name) == getattr(other, name) for name in self._attributes)
+            return same and self._rows() == other._rows()
+        return self._rows() == tuple(other) if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = "".join(f", {name}={getattr(self, name)!r}" for name in self._attributes)
+        return f"{type(self).__name__}(<{len(self)} rows>{shown})"
+
+
+class Dataset(ColumnTable):
     """Ordered rows held as columns, plus a provenance note.
 
     The columns are ids (unique nonempty strings), scores (floats in [0, 1]),
@@ -73,17 +138,13 @@ class Dataset:
     PredictionRecord views, built on first use.
     """
 
+    _columns = ("_ids", "_scores", "_labels", "_dates", "_groups")
+    _view = PredictionRecord
+    _attributes = ("provenance",)
+
     def __init__(self, records: Iterable[PredictionRecord] = (), provenance: str = "") -> None:
         records = tuple(records)
-        self._set_columns(
-            [rec.id for rec in records],
-            [rec.score for rec in records],
-            [rec.label for rec in records],
-            [rec.date for rec in records],
-            [rec.group for rec in records],
-            provenance,
-        )
-        self._records: tuple[PredictionRecord, ...] | None = records
+        self._set(*self._checked(*self._columns_of(records)), views=records, provenance=provenance)
 
     @classmethod
     def from_columns(
@@ -96,12 +157,10 @@ class Dataset:
         provenance: str = "",
     ) -> "Dataset":
         """Build a dataset from equal-length columns, validated in one pass."""
-        data = cls.__new__(cls)
-        data._set_columns(ids, scores, labels, dates, groups, provenance)
-        data._records = None
-        return data
+        return cls._unchecked(*cls._checked(ids, scores, labels, dates, groups), provenance=provenance)
 
-    def _set_columns(self, ids, scores, labels, dates, groups, provenance: str) -> None:
+    @staticmethod
+    def _checked(ids, scores, labels, dates, groups) -> tuple:
         ids = _object_column(ids)
         n = len(ids)
         scores, labels = np.asarray(scores), np.asarray(labels)
@@ -129,36 +188,9 @@ class Dataset:
         bad = _first((labels != 0) & (labels != 1))
         if bad < n:
             raise SchemaError(f"label must be 0 or 1, got {labels[bad].item()!r}", row=bad + 1)
-        for column in (ids, scores, labels, dates, groups):
-            column.flags.writeable = False
-        self._ids, self._scores, self._labels = ids, scores, labels
-        self._dates, self._groups = dates, groups
-        self.provenance = provenance
+        return ids, scores, labels, dates, groups
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        return iter(self.records)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.provenance == other.provenance and self.records == other.records
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Dataset(<{len(self)} rows>, provenance={self.provenance!r})"
-
-    @property
-    def records(self) -> tuple[PredictionRecord, ...]:
-        if self._records is None:
-            self._records = tuple(map(
-                PredictionRecord, self._ids.tolist(), self._scores.tolist(),
-                self._labels.tolist(), self._dates.tolist(), self._groups.tolist(),
-            ))
-        return self._records
+    records = property(ColumnTable._rows, doc="The rows as PredictionRecords.")
 
     def ids(self) -> list[str]:
         return self._ids.tolist()
@@ -182,10 +214,8 @@ class Dataset:
 
     def take(self, index, provenance: str) -> "Dataset":
         """Rows at `index` (integer positions or a boolean mask), in that order."""
-        return Dataset.from_columns(
-            self._ids[index], self._scores[index], self._labels[index],
-            self._dates[index], self._groups[index], provenance,
-        )
+        columns = (getattr(self, name)[index] for name in self._columns)
+        return Dataset._unchecked(*columns, provenance=provenance)
 
 
 def _object_column(values: Sequence) -> np.ndarray:
@@ -401,16 +431,13 @@ def load_dataset(
     and/or group columns; quoted fields may hold commas, quotes and line
     breaks. JSON is an array of objects sharing one key set. Either may start
     with a UTF-8 byte-order mark. `date_format` is a strptime pattern;
-    default is ISO-8601. Columns are checked vectorised; the error names the
-    first bad row and, within it, the first bad cell.
+    default is ISO-8601. Columns are checked once, vectorised; the error names
+    the first bad row and, within it, the first bad cell.
     """
     fmt = _infer_format(path, fmt)
     text = read_text(path)
-    if fmt == "csv":
-        columns = _columns_from_csv(text, date_format)
-    else:
-        columns = _columns_from_json(text, date_format)
-    return Dataset.from_columns(*columns, provenance=str(path))
+    read = _columns_from_csv if fmt == "csv" else _columns_from_json
+    return Dataset._unchecked(*read(text, date_format), provenance=str(path))
 
 
 _CSV_LABELS = {"0": 0, "1": 1}
@@ -429,6 +456,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     # every check runs on the rows before the first ragged one
     cells = dict(zip(header, columns))
     ids, score_text, label_text = cells["id"], cells["score"], cells["label"]
+    id_column = _object_column(ids)
     scores = np.array(_parse_prefix(float, score_text)[0], dtype=np.float64)
     labels = np.fromiter(map(_CSV_LABELS.get, label_text, repeat(-1)), np.int64, n)
     dates, date_exc = [None] * n, None
@@ -437,7 +465,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
                                         cells["date"])
     _raise_first([
         (n, lambda i: SchemaError(f"expected {len(header)} fields, got {width}", row=i + 1)),
-        (_first(_object_column(ids) == ""), _cell_error(ids, "id", lambda _: "id must be nonempty")),
+        (_first(id_column == ""), _cell_error(ids, "id", lambda _: "id must be nonempty")),
         (_first_duplicate(ids), _duplicate_error(ids)),
         (len(scores), _cell_error(score_text, "score", "score is not a number: {!r}".format)),
         (_first(~((scores >= 0.0) & (scores <= 1.0))),
@@ -448,7 +476,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     ], n + (width is not None))
     groups = _object_column(cells.get("group", (None,) * n))
     groups[groups == ""] = None
-    return ids, scores, labels, dates, groups
+    return id_column, scores, labels, _object_column(dates), groups
 
 
 def _columns_from_json(text: str, date_format: str | None) -> tuple:
@@ -466,7 +494,8 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
         n = _first(np.fromiter(map(key_set.__ne__, key_sets), bool, len(key_sets)))
     column = {name: list(map(itemgetter(name), data[:n])) for name in key_set} if n else {}
     ids = column.get("id", [])
-    n_ids = min(_first(~_types_in(ids, {str})), _first(_object_column(ids) == ""))
+    id_column = _object_column(ids)
+    n_ids = min(_first(~_types_in(ids, {str})), _first(id_column == ""))
     raw_scores = column.get("score", [])
     n_numbers = _first(~_types_in(raw_scores, {int, float}))
     scores = _json_floats(raw_scores[:n_numbers])
@@ -491,7 +520,7 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
          _cell_error(groups, "group", "group must be a string: {!r}".format)),
     ], len(data))
     groups[groups == ""] = None
-    return ids, scores, raw_labels.astype(np.int64), dates, groups
+    return id_column, scores, raw_labels.astype(np.int64), _object_column(dates), groups
 
 
 def _json_floats(numbers: list) -> np.ndarray:
@@ -558,8 +587,10 @@ def temporal_split(data: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
 def generate_synthetic(spec: SyntheticScorerSpec) -> Dataset:
     """Draw a synthetic dataset, ids syn-0, syn-1, ...; a pure function of the spec and its seed."""
     scores, labels = _draw(spec, spec.n, spec.seed)
-    return Dataset.from_columns([f"syn-{i}" for i in range(spec.n)], scores, labels,
-                                provenance=f"synthetic(seed={spec.seed})")
+    ids = _object_column([f"syn-{i}" for i in range(spec.n)])
+    undated, ungrouped = np.empty(spec.n, dtype=object), np.empty(spec.n, dtype=object)
+    return Dataset._unchecked(ids, scores, labels, undated, ungrouped,
+                              provenance=f"synthetic(seed={spec.seed})")
 
 
 def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +601,7 @@ def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.
     which skip building a Dataset, draw the same records from one seed.
     """
     rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    labels = (rng.random(n) < spec.prevalence).astype(int)
+    labels = (rng.random(n) < spec.prevalence).astype(np.int64)
     scores = np.empty(n, dtype=float)
     n_pos = int(labels.sum())
     scores[labels == 1] = rng.beta(spec.pos_shape[0], spec.pos_shape[1], n_pos)

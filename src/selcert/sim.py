@@ -20,7 +20,7 @@ import numpy as np
 from .calibrate import RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import Dataset, SyntheticScorerSpec, _draw, _object_column
+from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _object_column
 from .rng import substream_seed
 
 
@@ -33,31 +33,31 @@ class TradeoffPoint:
     selective_accuracy: float | None
 
 
-class TradeoffCurve:
+class TradeoffCurve(ColumnTable):
     """Tradeoff points over a strictly increasing threshold grid, held as columns.
 
-    lam and fraction_kept are float arrays, fraction_kept non-increasing;
-    selective_accuracy is an object array, None where nothing is kept. They
-    are validated together, vectorised, when the curve is built, from
-    TradeoffPoints or with `from_columns`, and are read-only afterwards.
-    `points` gives TradeoffPoint views, built on first use.
+    lam and fraction_kept are float arrays, fraction_kept non-increasing
+    within [0, 1]; selective_accuracy is an object array, a number within
+    [0, 1] or None where nothing is kept. They are validated together,
+    vectorised, when the curve is built, from TradeoffPoints or with
+    `from_columns`, and are read-only afterwards. `points` gives
+    TradeoffPoint views, built on first use.
     """
+
+    _columns = ("lam", "fraction_kept", "selective_accuracy")
+    _view = TradeoffPoint
 
     def __init__(self, points: Iterable[TradeoffPoint] = ()) -> None:
         points = tuple(points)
-        self._set_columns([p.lam for p in points], [p.fraction_kept for p in points],
-                          [p.selective_accuracy for p in points])
-        self._points: tuple[TradeoffPoint, ...] | None = points
+        self._set(*self._checked(*self._columns_of(points)), views=points)
 
     @classmethod
     def from_columns(cls, lam, fraction_kept, selective_accuracy) -> "TradeoffCurve":
         """Build a curve from equal-length columns, validated in one pass."""
-        curve = cls.__new__(cls)
-        curve._set_columns(lam, fraction_kept, selective_accuracy)
-        curve._points = None
-        return curve
+        return cls._unchecked(*cls._checked(lam, fraction_kept, selective_accuracy))
 
-    def _set_columns(self, lam, fraction_kept, selective_accuracy) -> None:
+    @staticmethod
+    def _checked(lam, fraction_kept, selective_accuracy) -> tuple:
         lam, fraction_kept = np.array(lam, dtype=float), np.array(fraction_kept, dtype=float)
         selective_accuracy = _object_column(selective_accuracy)
         if not len(lam) == len(fraction_kept) == len(selective_accuracy):
@@ -65,26 +65,14 @@ class TradeoffCurve:
         _check_thresholds("curve lambda", lam, UnsortedLambdasError)
         if not np.all(np.diff(fraction_kept) <= 0):  # NaN fails too
             raise DomainError("fraction_kept must be non-increasing in lambda")
-        for column in (lam, fraction_kept, selective_accuracy):
-            column.flags.writeable = False
-        self.lam, self.fraction_kept, self.selective_accuracy = lam, fraction_kept, selective_accuracy
+        accuracy = np.where(np.equal(selective_accuracy, None), 0.0, selective_accuracy).astype(float)
+        for name, column in (("fraction_kept", fraction_kept), ("selective_accuracy", accuracy)):
+            bad = _first(~((column >= 0.0) & (column <= 1.0)))
+            if bad < len(lam):
+                raise DomainError(f"{name}[{bad}] must be within [0, 1], got {column[bad].item()!r}")
+        return lam, fraction_kept, selective_accuracy
 
-    @property
-    def points(self) -> tuple[TradeoffPoint, ...]:
-        if self._points is None:
-            self._points = tuple(map(TradeoffPoint, self.lam.tolist(), self.fraction_kept.tolist(),
-                                     self.selective_accuracy.tolist()))
-        return self._points
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TradeoffCurve):
-            return NotImplemented
-        return self.points == other.points
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"TradeoffCurve(<{len(self.lam)} points>)"
+    points = property(ColumnTable._rows, doc="The rows as TradeoffPoints.")
 
 
 @dataclass(frozen=True)
@@ -104,10 +92,10 @@ class GuaranteeTrial:
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """Fraction kept and selective accuracy at each threshold in `lambdas`.
 
-    The grid must be nonempty and strictly increasing within [0.5, 1], which
-    `TradeoffCurve` checks (UnsortedLambdasError); by default it is the
-    sorted set of distinct confidences observed in `data`. Selective accuracy
-    is None at thresholds that keep nothing.
+    The grid must be nonempty and strictly increasing within [0.5, 1], else
+    an UnsortedLambdasError; by default it is the sorted set of distinct
+    confidences observed in `data`. Selective accuracy is None at thresholds
+    that keep nothing.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
@@ -115,11 +103,13 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     grid = np.unique(conf) if lambdas is None else np.asarray(list(lambdas), dtype=float)
     if grid.size == 0:
         raise UnsortedLambdasError("lambda grid must be nonempty")
+    _check_thresholds("curve lambda", grid, UnsortedLambdasError)
 
     n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):
         accuracy = (n_kept - n_wrong) / n_kept
-    return TradeoffCurve.from_columns(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
+    # the grid is checked; the fractions are right by construction
+    return TradeoffCurve._unchecked(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
 
 
 def _run_trial(
@@ -187,11 +177,7 @@ def summarize_trials(trials: list[GuaranteeTrial]) -> dict:
 # serialization
 
 def curve_to_doc(curve: TradeoffCurve) -> Table:
-    return Table({
-        "lambda": curve.lam,
-        "fraction_kept": curve.fraction_kept,
-        "selective_accuracy": curve.selective_accuracy.tolist(),
-    })
+    return Table(dict(zip(("lambda", "fraction_kept", "selective_accuracy"), curve._values())))
 
 
 def trials_to_doc(trials: list[GuaranteeTrial]) -> Table:

@@ -40,7 +40,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import GridPoint, _confidence_correct, _retained_counts
+from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _retained_counts
 
 
 def fixture6() -> Dataset:
@@ -381,6 +381,29 @@ class TestCertificateInvariants:
             assert str(err.value) == (
                 "thresholds must be finite, within [0.5, 1] and strictly ascending: " + named)
 
+    @pytest.mark.parametrize("n_at, errors_at, calib_size, message", [
+        ([3, 2, 2], [1, 3, 0], 3, "grid[1].errors must be within [0, n], got 3 with n 2"),
+        ([3, 2, 2], [1, -1, 0], 3, "grid[1].errors must be within [0, n], got -1 with n 2"),
+        ([3, 2, 5], [0, 0, 0], 5, "grid n must be non-increasing: grid[2].n is 5 after 2"),
+        ([3, 2, 1], [0, 0, 0], 2, "grid n must not exceed calib_size: grid[0].n is 3 with calib_size 2"),
+    ])
+    def test_grid_counts_checked(self, n_at, errors_at, calib_size, message):
+        pts = tuple(GridPoint(lam, n, e, 0.0, 0.5) for lam, n, e in zip([0.6, 0.7, 0.8], n_at, errors_at))
+        with pytest.raises(DomainError) as err:
+            ThresholdCertificate("infeasible", None, pts, RiskConfig(0.5, 0.2), calib_size)
+        assert str(err.value) == message
+
+    def test_grid_is_columns_with_point_views(self):
+        cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
+        assert isinstance(cert.grid, CertificateGrid) and len(cert.grid) == 6
+        assert cert.grid.lam.tolist() == [g[0] for g in FROZEN_GRID]
+        assert cert.grid.n_at.dtype == cert.grid.errors_at.dtype == np.int64
+        assert cert.grid[0] == GridPoint(0.6, 6, 2, 2 / 6, cert.grid.risk_plus[0])
+        rebuilt = ThresholdCertificate(cert.status, cert.lambda_hat, tuple(cert.grid), cert.config, 6)
+        assert rebuilt == cert and rebuilt.grid == list(cert.grid)
+        with pytest.raises(TypeError):
+            hash(cert)
+
 
 class TestApplyCertificate:
     def test_decisions(self):
@@ -465,6 +488,13 @@ class TestDecisions:
         ([1, 0], [0.9], "decision columns must all have one length"),
         ([2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
         ([-2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
+        # an abstention coded as -0.5 must not be cast to a label-0 prediction
+        ([0.6, -0.5], [0.9, 0.8], "prediction[0] must be an integer, got 0.6"),
+        ([1, -0.5], [0.9, 0.8], "prediction[1] must be an integer, got -0.5"),
+        ([1, float("nan")], [0.9, 0.8], "prediction[1] must be an integer, got nan"),
+        ([1, 0], [0.9, 0.1], "confidence[1] must be within [0.5, 1], got 0.1"),
+        ([1], [float("nan")], "confidence[0] must be within [0.5, 1], got nan"),
+        ([1], [1.5], "confidence[0] must be within [0.5, 1], got 1.5"),
     ])
     def test_bad_columns_rejected(self, prediction, confidences, message):
         with pytest.raises(DomainError) as err:
@@ -633,6 +663,38 @@ class TestCertificateSerialization:
         (doc["grid"][0] if field in in_grid else doc)[field] = "@@"
         with pytest.raises(SchemaError) as err:
             certificate_from_json(json.dumps(doc).replace('"@@"', value))
+        assert str(err.value) == "malformed certificate: " + message
+
+    @pytest.mark.parametrize("tamper, message", [
+        # n rises at grid[3]: 4 records retained at 0.8, a million at 0.85
+        (lambda doc: doc["grid"][3].update(n=1000000),
+         "grid n must be non-increasing: grid[3].n is 1000000 after 4"),
+        # the same rule reaches below the grid: the bottom point retains at most calib_size
+        (lambda doc: doc.update(calib_size=5),
+         "grid n must not exceed calib_size: grid[0].n is 6 with calib_size 5"),
+        # errors > n at grid[4], before a threshold out of order at grid[5]
+        (lambda doc: (doc["grid"][4].update(errors=3), doc["grid"][5].update({"lambda": 0.6})),
+         "grid[4].errors must be within [0, n], got 3 with n 2"),
+        # thresholds out of order: 0.8 and 0.85 swapped
+        (lambda doc: (doc["grid"][3].update({"lambda": 0.85}), doc["grid"][4].update({"lambda": 0.8})),
+         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid lambda[4] is 0.8"),
+        # a threshold out of order at grid[1], before a rising n at grid[2]
+        (lambda doc: (doc["grid"][1].update({"lambda": 0.55}), doc["grid"][2].update(n=9)),
+         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid lambda[1] is 0.55"),
+        (lambda doc: doc.update(status="infeasible"),
+         "lambda_hat must be present exactly when status is feasible"),
+        (lambda doc: doc.update(status="maybe"), "status must be feasible or infeasible, got 'maybe'"),
+        (lambda doc: doc.update(alpha=1.5), "alpha must be within (0, 1), got 1.5"),
+        # a missing grid field is located, as a null one is
+        (lambda doc: doc["grid"][2].pop("risk_plus"), "grid[2].risk_plus must be a number, got None"),
+    ])
+    def test_tampered_certificate_is_a_located_schema_error(self, tamper, message):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))))
+        assert [pt["n"] for pt in doc["grid"]] == [6, 5, 4, 3, 2, 1]
+        tamper(doc)
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc))
         assert str(err.value) == "malformed certificate: " + message
 
     @pytest.mark.parametrize("name", ["cert.json", "cert_carved.json"])

@@ -339,7 +339,7 @@ class TestUnreadableInput:
         )
 
     def test_certificate_count_beyond_integer_range(self, cert75, test_csv, tmp_path, capsys):
-        doc = json.loads(open(cert75, encoding="utf-8").read())
+        doc = json.loads(Path(cert75).read_text(encoding="utf-8"))
         doc["min_count"] = "@@"
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(doc).replace('"@@"', "1e400"))
@@ -369,7 +369,7 @@ class TestUnreadableInput:
     def test_certificate_threshold_not_finite(self, token, shown, cert75, test_csv, tmp_path, capsys):
         # json reads these tokens as floats: a NaN or inf lambda_hat would abstain on,
         # or keep, every record
-        doc = json.loads(open(cert75, encoding="utf-8").read())
+        doc = json.loads(Path(cert75).read_text(encoding="utf-8"))
         doc["lambda_hat"] = "@@"
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(doc).replace('"@@"', token))

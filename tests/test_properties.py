@@ -36,6 +36,7 @@ from selcert import (  # noqa: E402
     write_dataset,
     write_decisions,
 )
+from selcert.calibrate import CertificateGrid, ThresholdCertificate  # noqa: E402
 from selcert.jsonio import format_number  # noqa: E402
 from selcert.records import csv_columns  # noqa: E402
 
@@ -108,6 +109,36 @@ def test_certificate_round_trip(data, alpha, beta):
     assert [(p.lam, p.n_at, p.errors_at) for p in back.grid] == [
         (p.lam, p.n_at, p.errors_at) for p in cert.grid
     ]
+
+
+@st.composite
+def certificates(draw):
+    """Any valid certificate: ascending thresholds, counts that fall, any bounds."""
+    lam = sorted(set(draw(st.lists(st.floats(0.5, 1.0), max_size=12))))
+    n_at = sorted(draw(st.lists(st.integers(0, 2**62), min_size=len(lam), max_size=len(lam))), reverse=True)
+    errors = [draw(st.integers(0, n)) for n in n_at]
+    risks = [draw(st.lists(st.floats(0.0, 1.0), min_size=len(lam), max_size=len(lam))) for _ in "hp"]
+    lambda_hat = draw(st.sampled_from([None, *lam]))
+    budget = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    config = RiskConfig(draw(budget), draw(budget), draw(st.integers(1, 2**62)))
+    return ThresholdCertificate("infeasible" if lambda_hat is None else "feasible", lambda_hat,
+                                CertificateGrid(lam, n_at, errors, *risks), config,
+                                draw(st.integers(n_at[0] if n_at else 0, 2**62)))
+
+
+@SETTINGS
+@given(cert=certificates())
+def test_certificate_json_round_trip_is_exact(cert):
+    # thresholds and counts come back bit for bit; the rest at 12 digits, stable
+    text = certificate_to_json(cert)
+    back = certificate_from_json(text)
+    assert (back.status, back.calib_size, back.config) == (cert.status, cert.calib_size, cert.config)
+    assert (back.lambda_hat is None) == (cert.lambda_hat is None)
+    assert np.array(back.lambda_hat, dtype=float).tobytes() == np.array(cert.lambda_hat, dtype=float).tobytes()
+    assert back.grid.lam.tobytes() == cert.grid.lam.tobytes()
+    assert back.grid.n_at.tolist() == cert.grid.n_at.tolist()
+    assert back.grid.errors_at.tolist() == cert.grid.errors_at.tolist()
+    assert certificate_to_json(back) == text
 
 
 # Cells and JSON values that break one load rule or another, mixed with valid ones

@@ -10,6 +10,7 @@ import pytest
 from selcert import (
     Dataset,
     DatasetIOError,
+    Decisions,
     DomainError,
     DuplicateIdError,
     MissingDateError,
@@ -17,11 +18,13 @@ from selcert import (
     SchemaError,
     SplitSpec,
     SyntheticScorerSpec,
+    TradeoffCurve,
     generate_synthetic,
     load_dataset,
     temporal_split,
     write_dataset,
 )
+from selcert.calibrate import CertificateGrid
 
 
 def make_dataset():
@@ -531,6 +534,38 @@ class TestFirstBadRow:
         assert (err.value.row, err.value.column) == (737, "score")
 
 
+# the four tables on the one column base, and the repr each gives
+TABLES = {
+    "Dataset": (lambda: Dataset.from_columns(["a", "b", "c"], [0.9, 0.2, 0.5], [1, 0, 1], provenance="p"),
+                "Dataset(<3 rows>, provenance='p')"),
+    "Decisions": (lambda: Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75]), "Decisions(<3 rows>)"),
+    "TradeoffCurve": (lambda: TradeoffCurve.from_columns([0.6, 0.8, 0.9], [1.0, 0.5, 0.0], [0.75, 1.0, None]),
+                      "TradeoffCurve(<3 rows>)"),
+    "CertificateGrid": (lambda: CertificateGrid([0.6, 0.8, 0.9], [3, 2, 1], [1, 1, 0],
+                                                [1 / 3, 0.5, 0.0], [0.9, 0.95, 0.9]),
+                        "CertificateGrid(<3 rows>)"),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_column_base_contract(name):
+    build, shown = TABLES[name]
+    table = build()
+    columns = [getattr(table, column) for column in table._columns]
+    arrays = [column for column in columns if isinstance(column, np.ndarray)]
+    assert arrays and all(len(column) == 3 for column in columns)
+    for column in arrays:
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    with pytest.raises(TypeError):
+        hash(table)
+    assert repr(table) == shown
+    views = list(table)
+    assert len(table) == 3 and table[1] == views[1] and table[1:] == tuple(views[1:])
+    assert table == views and views == table and table == tuple(views)
+    assert table == build() and table != views[::-1] and table != "abc"
+
+
 class TestColumns:
     def test_records_and_columns_agree(self):
         records = make_dataset()
@@ -584,6 +619,17 @@ class TestColumns:
         columns.update(kwargs)
         with pytest.raises(error):
             Dataset.from_columns(**columns)
+
+    def test_unchecked_builders_agree_with_a_checked_build(self, tmp_path):
+        # generate_synthetic and load_dataset check their columns once and build unchecked
+        data = generate_synthetic(SyntheticScorerSpec(50, 0.3, (4, 2), (2, 4), 5))
+        assert data.labels().dtype == np.int64 and data.scores().dtype == np.float64
+        checked = Dataset.from_columns(data.ids(), data.scores(), data.labels(), provenance=data.provenance)
+        assert data == checked and data.records == checked.records
+        for suffix in ("csv", "json"):
+            write_dataset(data, tmp_path / f"d.{suffix}")
+            loaded = load_dataset(tmp_path / f"d.{suffix}")
+            assert loaded.records == data.records and loaded.ids() == data.ids()
 
     def test_take(self):
         data = make_dataset()

@@ -118,6 +118,19 @@ class TestTradeoffCurve:
             TradeoffCurve.from_columns([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
         with pytest.raises(DomainError, match="one length"):
             TradeoffCurve.from_columns([0.6, 0.7], [1.0, 0.5], [0.5])
+        # coverage and accuracy are fractions, located at the first bad point
+        with pytest.raises(DomainError) as err:
+            TradeoffCurve([TradeoffPoint(0.6, 3.0, 7.0)])
+        assert str(err.value) == "fraction_kept[0] must be within [0, 1], got 3.0"
+        with pytest.raises(DomainError) as err:
+            TradeoffCurve.from_columns([0.6, 0.7], [1.0, -0.5], [0.5, None])
+        assert str(err.value) == "fraction_kept[1] must be within [0, 1], got -0.5"
+        with pytest.raises(DomainError) as err:
+            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], [0.5, 1.5, None])
+        assert str(err.value) == "selective_accuracy[1] must be within [0, 1], got 1.5"
+        with pytest.raises(DomainError) as err:
+            TradeoffCurve.from_columns([0.6], [1.0], [math.nan])
+        assert str(err.value) == "selective_accuracy[0] must be within [0, 1], got nan"
 
 
 SPEC = SyntheticScorerSpec(n=1, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=0)
