@@ -16,8 +16,9 @@ counted in one place, `_retained_counts`, for the certification grid,
 once. Its decisions are columns, `Decisions`, which `read_decisions` also
 returns; a `Decision` is a view of one row. The certificate's grid is
 columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
-on the one column base, `records.ColumnTable`, and are checked once: by
-their public constructors, or by the reader that built their columns.
+on the one column base, `records.ColumnTable`, and state their rules in one
+located list each, run by constructors and reader alike: `_decision_faults`
+(with the id rules of `records._id_faults`) and `_grid_faults`.
 
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -44,8 +45,8 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -67,11 +68,11 @@ from .records import (
     ColumnTable,
     Dataset,
     _cell_error,
+    _coded,
     _first,
-    _first_duplicate,
-    _json_floats,
-    _object_column,
-    _parse_prefix,
+    _floats,
+    _id_faults,
+    _parse_cells,
     _raise_first,
     _types_in,
     csv_columns,
@@ -203,9 +204,11 @@ class Decision:
 class Decisions(ColumnTable):
     """Predict-or-abstain outcomes held as columns: ids, predictions and confidences.
 
-    ids is a tuple; prediction is an int array holding the predicted label
-    (0 or 1), or -1 where the record is abstained on; confidence is a float
-    array within [0.5, 1]. A `Decision` is a view of one row.
+    ids is a tuple of unique nonempty strings; prediction is an int array,
+    the predicted label (0 or 1) or -1 where the record is abstained on;
+    confidence is a float array within [0.5, 1]. The constructor and
+    `read_decisions` check them by one rule list, `_decision_faults`. A
+    `Decision` is a view of one row.
     """
 
     _columns = ("ids", "prediction", "confidence")
@@ -213,30 +216,19 @@ class Decisions(ColumnTable):
 
     def __init__(self, ids: Sequence[str], prediction, confidence) -> None:
         ids = tuple(ids)
-        prediction = np.array(prediction, dtype=np.float64)
-        confidence = np.array(confidence, dtype=np.float64)
         if not len(ids) == len(prediction) == len(confidence):
             raise DomainError("decision columns must all have one length")
-        bad = _first(prediction != np.trunc(prediction))  # NaN fails
-        if bad < len(ids):
-            raise DomainError(f"prediction[{bad}] must be an integer, got {prediction[bad].item()!r}")
-        if ((prediction < -1) | (prediction > 1)).any():
-            raise DomainError("a prediction must be 0, 1 or -1 (abstain)")
-        bad = _first(~((confidence >= 0.5) & (confidence <= 1.0)))
-        if bad < len(ids):
-            raise DomainError(f"confidence[{bad}] must be within [0.5, 1], got {confidence[bad].item()!r}")
-        self._set(ids, prediction.astype(np.int64), confidence)
+        columns = ids, _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
+        _raise_first(_decision_faults(*columns, prediction, confidence), len(ids))
+        self._set(*columns)
 
     @classmethod
     def of(cls, decisions: "Decisions | Iterable[Decision]") -> "Decisions":
         """`decisions` as columns; Decisions are returned as they are."""
         if isinstance(decisions, Decisions):
             return decisions
-        views = tuple(decisions)
-        ids, prediction, confidence = cls._columns_of(views)
-        columns = cls(ids, [-1 if p is None else p for p in prediction], confidence)
-        columns._views = views
-        return columns
+        ids, prediction, confidence = cls._columns_of(tuple(decisions))
+        return cls(ids, [-1 if p is None else p for p in prediction], confidence)
 
     @property
     def retained(self) -> np.ndarray:
@@ -247,6 +239,23 @@ class Decisions(ColumnTable):
         prediction = self.prediction.astype(object)
         prediction[~self.retained] = None
         return [self.ids, prediction.tolist(), self.confidence.tolist()]
+
+
+def _decision_faults(ids, prediction, confidence, prediction_cells, confidence_cells) -> list:
+    """The decision row rules, in `_raise_first`'s form and cell order.
+
+    prediction is -2, and confidence NaN, where a cell is not an integer or
+    number; the messages quote the `*_cells` as the caller wrote them.
+    """
+    return [
+        *_id_faults(ids),
+        (_first((prediction < -1) | (prediction > 1)),
+         _cell_error(prediction_cells, "outcome",
+                     "outcome must be 0, 1 or abstain (-1 in code), got '{}'".format)),
+        (_first(~((confidence >= 0.5) & (confidence <= 1.0))),
+         _cell_error(confidence_cells, "confidence",
+                     "confidence must be a number within [0.5, 1], got '{}'".format)),
+    ]
 
 
 def _threshold_fault(name: str, lams, error: type[SelcertError] = DomainError):
@@ -294,6 +303,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     risk_hat = risk_plus = 1 (no evidence, so nothing can be certified there).
     """
     _check_thresholds("lam", lam)
+    beta = check_real("beta", beta, 0, 1)
     n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     lam = float(lam)
     if n_at == 0:
@@ -439,7 +449,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
 
 
 def _grid_from_json(entries: list) -> CertificateGrid:
-    objects = _first(~_types_in(entries, {dict}))
+    objects = _first(~_types_in(entries, dict))
     checks = [(objects, lambda i: SchemaError(f"malformed certificate: grid[{i}] must be an object"))]
     columns = []
     for key in _GRID_KEYS:
@@ -463,7 +473,7 @@ def _numbers(values: list, where: str, whole: bool = False) -> tuple[np.ndarray,
             f"malformed certificate: {where.format(i)} must be {rule}, got {values[i]!r}")
 
     kind = "an integer" if whole else "a number"
-    numbers = _json_floats(values[:_first(~_types_in(values, {int, float}))])
+    numbers = _floats(values[:_first(~_types_in(values, (int, float)))])
     finite = numbers[:_first(~np.isfinite(numbers))]  # json reads NaN, Infinity and 1e400
     checks = [(len(numbers), fault(kind)), (len(finite), fault("a finite number"))]
     if not whole:
@@ -485,7 +495,8 @@ def load_certificate(path: str | Path) -> ThresholdCertificate:
     return certificate_from_json(read_text(path))
 
 
-_OUTCOMES = {"abstain": -1, "0": 0, "1": 1}
+# a prediction from its outcome's CSV text, or from an integer
+_OUTCOMES = {"abstain": -1, "0": 0, "1": 1, -1: -1, 0: 0, 1: 1}
 _OUTCOME_TEXT = np.array(["abstain", "0", "1"], dtype=object)  # at prediction + 1
 
 
@@ -502,25 +513,19 @@ def write_decisions(decisions: Decisions | Sequence[Decision], path: str | Path)
 def read_decisions(path: str | Path) -> Decisions:
     """Load a decisions CSV, rejecting the whole file on any bad row.
 
-    Columns are checked vectorised. The error names the first bad row and,
-    within it, the first failing check, in this order: field count, empty or
-    duplicate id, outcome (0, 1 or abstain), confidence parse, confidence
-    within [0.5, 1].
+    Columns are checked vectorised, by the rules `Decisions` checks. The
+    error names the first bad row and, within it, the first bad cell, in this
+    order: field count, id (nonempty, not repeated), outcome (0, 1 or
+    abstain), confidence (a number within [0.5, 1]).
     """
     header, columns, n, width = csv_columns(read_text(path))
     if header != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
     ids, outcomes, conf_text = columns
-    prediction = np.fromiter(map(_OUTCOMES.get, outcomes, repeat(-2)), np.int64, n)
-    conf = np.array(_parse_prefix(float, conf_text)[0], dtype=np.float64)
+    columns = (tuple(ids), _coded(outcomes, _OUTCOMES, -2),
+               np.array(_parse_cells(float, conf_text, math.nan)[0], dtype=np.float64))
     _raise_first([
         (n, lambda i: SchemaError(f"expected 3 fields, got {width}", row=i + 1)),
-        (min(_first(_object_column(ids) == ""), _first_duplicate(ids)),
-         _cell_error(ids, "id", "bad or duplicate id {!r}".format)),
-        (_first(prediction < -1),
-         _cell_error(outcomes, "outcome", "outcome must be 0, 1 or abstain: {!r}".format)),
-        (len(conf), _cell_error(conf_text, "confidence", "bad confidence {!r}".format)),
-        (_first(~((conf >= 0.5) & (conf <= 1.0))),
-         _cell_error(conf_text, "confidence", "confidence out of [0.5, 1]: {!r}".format)),
+        *_decision_faults(*columns, outcomes, conf_text),
     ], n + (width is not None))
-    return Decisions._unchecked(tuple(ids), prediction, conf)
+    return Decisions._unchecked(*columns)

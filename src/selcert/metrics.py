@@ -238,8 +238,6 @@ def selective_report(
         index = np.fromiter(map(position.get, data.ids(), repeat(-1)), np.intp, len(data))
         if len(position) != len(data) or (index < 0).any():
             raise IdMismatchError("decision ids do not match the dataset ids")
-        if len(position) != len(decisions):
-            raise IdMismatchError("duplicate ids in decisions")
         kept = decisions.retained[index]
     report = _subset_report(scores, labels, kept)
     if not by_group:

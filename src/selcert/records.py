@@ -3,12 +3,16 @@
 A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
 built with `Dataset.from_columns` or from `PredictionRecord`s, and hands out
-records only as views. `ColumnTable` is that pattern, written once: the base
-of `Dataset`, the decisions, the certificate grid and the tradeoff curve.
-Each table is checked once: its public constructors check every column, and
-a reader that has already checked them builds it unchecked. Loading is
-all-or-nothing: one bad row rejects the whole file with an error naming the
-first bad row and column. CSV text is read straight into columns by
+records only as plain views. `ColumnTable` is that pattern, written once: the
+base of `Dataset`, the decisions, the certificate grid and the tradeoff curve.
+
+A table states its row rules once, as one located list in `_raise_first`'s
+form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
+run by its public constructors and its readers alike. A reader keeps only
+what text alone needs, the field count or key set and a date's parse
+message; a cell that does not parse becomes a value its rule rejects. The
+error names the first bad row and, within it, the first bad cell, quoted as
+written. Loading is all-or-nothing; CSV text is read into columns by
 `csv_columns`, which the decisions reader shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
@@ -22,6 +26,8 @@ import csv
 import io
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from itertools import repeat
@@ -48,22 +54,17 @@ _OPTIONAL_COLUMNS = ("date", "group")
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One scored example: classifier score for class 1 plus the true label."""
+    """One scored example, a row of a `Dataset`: classifier score for class 1 plus the true label.
+
+    A plain view: its fields meet the dataset rules once it is in a Dataset,
+    which checks them when it is built.
+    """
 
     id: str
     score: float
     label: int
     date: date | None = None
     group: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise SchemaError(f"record id must be a nonempty string, got {self.id!r}")
-        object.__setattr__(self, "score", check_real("score", self.score, 0, 1, closed=True, error=SchemaError))
-        if isinstance(self.label, bool) or not isinstance(self.label, int):
-            raise SchemaError(f"label must be an integer, got {self.label!r}")
-        if self.label not in (0, 1):
-            raise SchemaError(f"label must be 0 or 1, got {self.label!r}")
 
 
 class ColumnTable:
@@ -86,11 +87,11 @@ class ColumnTable:
     def _unchecked(cls, *columns, **attributes):
         return cls.__new__(cls)._set(*columns, **attributes)
 
-    def _set(self, *columns, views: tuple | None = None, **attributes):
+    def _set(self, *columns, **attributes):
         for column in columns:
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
-        self.__dict__.update(zip(self._columns, columns), _views=views, **attributes)
+        self.__dict__.update(zip(self._columns, columns), _views=None, **attributes)
         return self
 
     @classmethod
@@ -132,10 +133,11 @@ class Dataset(ColumnTable):
     """Ordered rows held as columns, plus a provenance note.
 
     The columns are ids (unique nonempty strings), scores (floats in [0, 1]),
-    labels (0 or 1) and optional dates and groups (None where a row has
-    none). They are validated together, vectorised, when the dataset is built
-    and are read-only afterwards. `records`, iteration and `by_id()` give
-    PredictionRecord views, built on first use.
+    labels (0 or 1), dates (`datetime.date`s) and groups (strings, "" read as
+    None), None where a row has no date or group. Both constructors check
+    them together, vectorised, by `_dataset_faults`, and they are read-only
+    afterwards. `records`, iteration and `by_id()` give PredictionRecord
+    views of the checked columns, built on first use.
     """
 
     _columns = ("_ids", "_scores", "_labels", "_dates", "_groups")
@@ -143,8 +145,7 @@ class Dataset(ColumnTable):
     _attributes = ("provenance",)
 
     def __init__(self, records: Iterable[PredictionRecord] = (), provenance: str = "") -> None:
-        records = tuple(records)
-        self._set(*self._checked(*self._columns_of(records)), views=records, provenance=provenance)
+        self._set(*self._checked(*self._columns_of(tuple(records))), provenance=provenance)
 
     @classmethod
     def from_columns(
@@ -163,32 +164,13 @@ class Dataset(ColumnTable):
     def _checked(ids, scores, labels, dates, groups) -> tuple:
         ids = _object_column(ids)
         n = len(ids)
-        scores, labels = np.asarray(scores), np.asarray(labels)
-        # a new object array holds None everywhere
-        dates = np.empty(n, dtype=object) if dates is None else _object_column(dates)
-        groups = np.empty(n, dtype=object) if groups is None else _object_column(groups)
+        dates = _object_column([None] * n if dates is None else dates)
+        groups = _group_column([None] * n if groups is None else groups)
         if any(len(column) != n for column in (scores, labels, dates, groups)):
             raise SchemaError("columns must all have one length")
-        if n and (scores.dtype.kind not in "fiu" or labels.dtype.kind not in "iu"):
-            raise SchemaError("scores must be numbers and labels integers")
-        scores = scores.astype(np.float64)
-        labels = labels.astype(np.int64)
-        id_list = ids.tolist()
-        bad = min(
-            _first(~np.fromiter(map(isinstance, id_list, repeat(str)), bool, n)),
-            _first(ids == ""),
-        )
-        if bad < n:
-            raise SchemaError(f"record id must be a nonempty string, got {id_list[bad]!r}", row=bad + 1)
-        if len(set(id_list)) != n:
-            raise DuplicateIdError(f"duplicate record id {id_list[_first_duplicate(id_list)]!r}")
-        bad = _first(~((scores >= 0.0) & (scores <= 1.0)))
-        if bad < n:
-            raise SchemaError(f"score must be within [0, 1], got {scores[bad].item()!r}", row=bad + 1)
-        bad = _first((labels != 0) & (labels != 1))
-        if bad < n:
-            raise SchemaError(f"label must be 0 or 1, got {labels[bad].item()!r}", row=bad + 1)
-        return ids, scores, labels, dates, groups
+        columns = ids, _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
+        _raise_first(_dataset_faults(*columns, scores, labels), n)
+        return columns
 
     records = property(ColumnTable._rows, doc="The rows as PredictionRecords.")
 
@@ -230,16 +212,71 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else len(mask)
 
 
-def _first_duplicate(values: Sequence) -> int:
-    """Index of the first value seen earlier in `values`, or its length."""
-    if len(set(values)) == len(values):
-        return len(values)
+def _group_column(values: Sequence) -> np.ndarray:
+    """Group cells as an object column, "" read as None, as both file formats read it."""
+    column = _object_column(values)
+    column[column == ""] = None
+    return column
+
+
+def _types_in(values: Sequence, types) -> np.ndarray:
+    """Mask of the values that are instances of `types`; a bool is no number here, a datetime no date."""
+    kinds = set(map(type, values))
+    rejected = {kind for kind in kinds if not issubclass(kind, types) or issubclass(kind, (bool, datetime))}
+    if not rejected:  # the common case, a pass over the values' types alone
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter((type(value) not in rejected for value in values), bool, len(values))
+
+
+def _floats(cells: Sequence) -> np.ndarray:
+    """Cells as float64: NaN where a cell is not a real number, ±inf where it is past the float range."""
+    real = _types_in(cells, numbers.Real)
+    if not real.all():
+        cells = [cell if ok else math.nan for cell, ok in zip(cells, real)]
+    try:
+        return np.array(cells, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range, read as inf
+        return np.array([cell if abs(cell) <= sys.float_info.max else math.inf for cell in cells], dtype=np.float64)
+
+
+def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -> np.ndarray:
+    """Cells as int64 through `codes`: `missing` where a cell has no code or, if `integral`, is no integer."""
+    if integral:  # 1.0 and True would find the code of 1
+        cells = [cell if ok else None for cell, ok in zip(cells, _types_in(cells, numbers.Integral))]
+    return np.fromiter(map(codes.get, cells, repeat(missing)), np.int64, len(cells))
+
+
+def _id_faults(ids: Sequence) -> list:
+    """The id rules of every table, in `_raise_first`'s form: each id a nonempty string, none repeated."""
+    bad = _first(~_types_in(ids, str) | (_object_column(ids) == ""))
     seen: set = set()
-    for i, value in enumerate(values):
-        if value in seen:
-            return i
-        seen.add(value)
-    return len(values)
+    repeated = bad if len(set(ids[:bad])) == bad else next(
+        i for i, rec_id in enumerate(ids[:bad]) if rec_id in seen or seen.add(rec_id))
+    return [
+        (bad, _cell_error(ids, "id", "id must be a nonempty string, got {!r}".format)),
+        (repeated, lambda i: DuplicateIdError(f"duplicate record id {ids[i]!r} at row {i + 1}")),
+    ]
+
+
+def _dataset_faults(ids, scores, labels, dates, groups, score_cells, label_cells, date_parse=None) -> list:
+    """The dataset row rules, in `_raise_first`'s form and cell order.
+
+    scores is NaN, and labels -1, where a cell is not a number or integer;
+    the messages quote the `*_cells` as the caller wrote them. A reader's
+    date parse fault, `date_parse`, goes before the date rule.
+    """
+    return [
+        *_id_faults(ids),
+        (_first(~((scores >= 0.0) & (scores <= 1.0))),
+         _cell_error(score_cells, "score", "score must be a number within [0, 1], got '{}'".format)),
+        (_first((labels != 0) & (labels != 1)),
+         _cell_error(label_cells, "label", "label must be 0 or 1, got '{}'".format)),
+        *filter(None, [date_parse]),
+        (_first(~_types_in(dates, (date, type(None)))),
+         _cell_error(dates, "date", "date must be a datetime.date or None, got {!r}".format)),
+        (_first(~_types_in(groups, (str, type(None)))),
+         _cell_error(groups, "group", "group must be a string or None, got {!r}".format)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -295,24 +332,29 @@ def _to_date(text: str, date_format: str | None) -> date:
     return datetime.strptime(text, date_format).date()
 
 
-def _parse_prefix(parse, cells: Sequence) -> tuple[list, ValueError | None]:
-    """parse(cell) for each cell up to the first that raises ValueError, and that error."""
+def _parse_cells(parse, cells: Sequence, bad) -> tuple[list, int, ValueError | None]:
+    """parse(cell) for each cell, `bad` where it raises ValueError; and the first error's index and error."""
     try:
-        return list(map(parse, cells)), None
+        return list(map(parse, cells)), len(cells), None
     except ValueError:
         pass
-    parsed = []
-    for cell in cells:
+    parsed, first, error = [], len(cells), None
+    for i, cell in enumerate(cells):
         try:
             parsed.append(parse(cell))
         except ValueError as exc:
-            return parsed, exc
-    return parsed, None
+            parsed.append(bad)
+            if error is None:
+                first, error = i, exc
+    return parsed, first, error
 
 
-def _types_in(values: Sequence, types: set) -> np.ndarray:
-    """Mask of the values whose exact type is one of `types`."""
-    return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+def _parsed_dates(cells: Sequence | None, parse, n: int) -> tuple[np.ndarray, tuple | None]:
+    """A reader's n date cells (None if it has none) as an object column, and their parse fault."""
+    if cells is None:
+        return np.empty(n, dtype=object), None  # a new object array holds None everywhere
+    dates, first, error = _parse_cells(parse, cells, None)
+    return _object_column(dates), (first, _cell_error(cells, "date", lambda text: f"bad date {text!r}: {error}"))
 
 
 def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: int) -> None:
@@ -331,10 +373,6 @@ def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: i
 def _cell_error(values: Sequence, column: str, message: Callable[[object], str]):
     """The located error for a bad `column` cell at 0-based index i: message(values[i])."""
     return lambda i: SchemaError(message(values[i]), row=i + 1, column=column)
-
-
-def _duplicate_error(ids: Sequence[str]):
-    return lambda i: DuplicateIdError(f"duplicate record id {ids[i]!r} at row {i + 1}")
 
 
 def read_text(path: str | Path) -> str:
@@ -440,7 +478,7 @@ def load_dataset(
     return Dataset._unchecked(*read(text, date_format), provenance=str(path))
 
 
-_CSV_LABELS = {"0": 0, "1": 1}
+_LABELS = {0: 0, 1: 1, "0": 0, "1": 1}  # a label from an integer, or from CSV text
 
 
 def _columns_from_csv(text: str, date_format: str | None) -> tuple:
@@ -455,28 +493,17 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
         )
     # every check runs on the rows before the first ragged one
     cells = dict(zip(header, columns))
-    ids, score_text, label_text = cells["id"], cells["score"], cells["label"]
-    id_column = _object_column(ids)
-    scores = np.array(_parse_prefix(float, score_text)[0], dtype=np.float64)
-    labels = np.fromiter(map(_CSV_LABELS.get, label_text, repeat(-1)), np.int64, n)
-    dates, date_exc = [None] * n, None
-    if "date" in cells:
-        dates, date_exc = _parse_prefix(lambda t: None if t == "" else _to_date(t, date_format),
-                                        cells["date"])
+    score_text, label_text = cells["score"], cells["label"]
+    dates, date_parse = _parsed_dates(cells.get("date"), lambda t: None if t == "" else _to_date(t, date_format), n)
+    columns = (_object_column(cells["id"]),
+               np.array(_parse_cells(float, score_text, math.nan)[0], dtype=np.float64),
+               _coded(label_text, _LABELS, -1),
+               dates, _group_column(cells.get("group", (None,) * n)))
     _raise_first([
         (n, lambda i: SchemaError(f"expected {len(header)} fields, got {width}", row=i + 1)),
-        (_first(id_column == ""), _cell_error(ids, "id", lambda _: "id must be nonempty")),
-        (_first_duplicate(ids), _duplicate_error(ids)),
-        (len(scores), _cell_error(score_text, "score", "score is not a number: {!r}".format)),
-        (_first(~((scores >= 0.0) & (scores <= 1.0))),
-         _cell_error(score_text, "score", "score out of range [0, 1]: {!r}".format)),
-        (_first(labels < 0), _cell_error(label_text, "label", "label must be 0 or 1: {!r}".format)),
-        (len(dates),
-         _cell_error(cells.get("date"), "date", lambda text: f"bad date {text!r}: {date_exc}")),
+        *_dataset_faults(*columns, score_text, label_text, date_parse),
     ], n + (width is not None))
-    groups = _object_column(cells.get("group", (None,) * n))
-    groups[groups == ""] = None
-    return id_column, scores, labels, _object_column(dates), groups
+    return columns
 
 
 def _columns_from_json(text: str, date_format: str | None) -> tuple:
@@ -487,55 +514,23 @@ def _columns_from_json(text: str, date_format: str | None) -> tuple:
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of record objects")
     # every check runs on the leading objects that share the first one's valid key set
-    key_sets = list(map(frozenset, data[:_first(~_types_in(data, {dict}))]))
+    key_sets = list(map(frozenset, data[:_first(~_types_in(data, dict))]))
     key_set = key_sets[0] if key_sets else frozenset()
     n = 0
     if set(_BASE_COLUMNS) <= key_set <= set(_BASE_COLUMNS + _OPTIONAL_COLUMNS):
         n = _first(np.fromiter(map(key_set.__ne__, key_sets), bool, len(key_sets)))
-    column = {name: list(map(itemgetter(name), data[:n])) for name in key_set} if n else {}
-    ids = column.get("id", [])
-    id_column = _object_column(ids)
-    n_ids = min(_first(~_types_in(ids, {str})), _first(id_column == ""))
-    raw_scores = column.get("score", [])
-    n_numbers = _first(~_types_in(raw_scores, {int, float}))
-    scores = _json_floats(raw_scores[:n_numbers])
-    raw_labels = _object_column(column.get("label", []))
-    raw_dates = column.get("date", [None] * n)
-    n_date_strings = _first(~_types_in(raw_dates, {str, type(None)}))
-    dates, date_exc = _parse_prefix(lambda t: None if t is None else _to_date(t, date_format),
-                                    raw_dates[:n_date_strings])
-    groups = _object_column(column.get("group", [None] * n))
+    cells = {name: list(map(itemgetter(name), data[:n])) for name in key_set} if n else {}
+    raw_scores, raw_labels = cells.get("score", []), cells.get("label", [])
+    # a date that is not a string is left for the date rule to reject
+    dates, date_parse = _parsed_dates(cells.get("date"),
+                                      lambda t: _to_date(t, date_format) if isinstance(t, str) else t, n)
+    columns = (_object_column(cells.get("id", [])), _floats(raw_scores), _coded(raw_labels, _LABELS, -1, integral=True),
+               dates, _group_column(cells.get("group", [None] * n)))
     _raise_first([
         (n, lambda i: _key_error(data[i], key_set, i + 1)),
-        (n_ids, _cell_error(ids, "id", "id must be a nonempty string: {!r}".format)),
-        (_first_duplicate(ids[:n_ids]), _duplicate_error(ids)),
-        (n_numbers, _cell_error(raw_scores, "score", "score must be a number: {!r}".format)),
-        (_first(~((scores >= 0.0) & (scores <= 1.0))),
-         _cell_error(raw_scores, "score", "score out of range [0, 1]: {!r}".format)),
-        (_first(~(_types_in(raw_labels, {int}) & ((raw_labels == 0) | (raw_labels == 1)))),
-         _cell_error(raw_labels, "label", "label must be 0 or 1: {!r}".format)),
-        (n_date_strings, _cell_error(raw_dates, "date", "date must be a string: {!r}".format)),
-        (len(dates), _cell_error(raw_dates, "date", lambda text: f"bad date {text!r}: {date_exc}")),
-        (_first(~_types_in(groups, {str, type(None)})),
-         _cell_error(groups, "group", "group must be a string: {!r}".format)),
+        *_dataset_faults(*columns, raw_scores, raw_labels, date_parse),
     ], len(data))
-    groups[groups == ""] = None
-    return id_column, scores, raw_labels.astype(np.int64), _object_column(dates), groups
-
-
-def _json_floats(numbers: list) -> np.ndarray:
-    """JSON numbers as float64; an integer too large for a float becomes inf, out of range."""
-    try:
-        return np.array(numbers, dtype=np.float64)
-    except OverflowError:
-        return np.fromiter(map(_float_or_inf, numbers), np.float64, len(numbers))
-
-
-def _float_or_inf(number: int | float) -> float:
-    try:
-        return float(number)
-    except OverflowError:
-        return np.inf
+    return columns
 
 
 def _key_error(obj, key_set: frozenset, row: int) -> SchemaError:

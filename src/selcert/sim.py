@@ -48,8 +48,7 @@ class TradeoffCurve(ColumnTable):
     _view = TradeoffPoint
 
     def __init__(self, points: Iterable[TradeoffPoint] = ()) -> None:
-        points = tuple(points)
-        self._set(*self._checked(*self._columns_of(points)), views=points)
+        self._set(*self._checked(*self._columns_of(tuple(points))))
 
     @classmethod
     def from_columns(cls, lam, fraction_kept, selective_accuracy) -> "TradeoffCurve":

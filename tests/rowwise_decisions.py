@@ -1,15 +1,15 @@
 """A row-by-row decisions reader, kept as a reference for `read_decisions`.
 
 This is the package's original reader loop: it checks each row in turn, in
-the order field count, empty or duplicate id, outcome, confidence parse,
-confidence range, and stops at the first failure. It reads files with the
+the order field count, empty id, repeated id, outcome, confidence (parse
+and range alike), and stops at the first failure. It reads files with the
 package's `read_text` and the reference loader's `csv_rows`, which calls
 csv.reader itself. The vectorised reader must raise the same error class,
 message, row and column, and load the same decisions.
 """
 
 from rowwise_loader import csv_rows
-from selcert import Decision, SchemaError
+from selcert import Decision, DuplicateIdError, SchemaError
 from selcert.records import read_text
 
 
@@ -23,20 +23,25 @@ def read_decisions_rowwise(path) -> list[Decision]:
         if len(row) != 3:
             raise SchemaError(f"expected 3 fields, got {len(row)}", row=i)
         rec_id, outcome, conf_text = row
-        if not rec_id or rec_id in seen:
-            raise SchemaError(f"bad or duplicate id {rec_id!r}", row=i, column="id")
+        if not rec_id:
+            raise SchemaError("id must be a nonempty string, got ''", row=i, column="id")
+        if rec_id in seen:
+            raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
         seen.add(rec_id)
         if outcome == "abstain":
             prediction = None
         elif outcome in ("0", "1"):
             prediction = int(outcome)
         else:
-            raise SchemaError(f"outcome must be 0, 1 or abstain: {outcome!r}", row=i, column="outcome")
+            raise SchemaError(f"outcome must be 0, 1 or abstain (-1 in code), got '{outcome}'",
+                              row=i, column="outcome")
+        bad_confidence = SchemaError(f"confidence must be a number within [0.5, 1], got '{conf_text}'",
+                                     row=i, column="confidence")
         try:
             conf = float(conf_text)
         except ValueError:
-            raise SchemaError(f"bad confidence {conf_text!r}", row=i, column="confidence") from None
+            raise bad_confidence from None
         if not (0.5 <= conf <= 1.0):
-            raise SchemaError(f"confidence out of [0.5, 1]: {conf_text!r}", row=i, column="confidence")
+            raise bad_confidence
         decisions.append(Decision(id=rec_id, prediction=prediction, confidence=conf))
     return decisions

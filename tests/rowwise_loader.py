@@ -55,19 +55,23 @@ def _parse_date(text, date_format, row):
         raise SchemaError(f"bad date {text!r}: {exc}", row=row, column="date") from None
 
 
+def _score_error(value, row):
+    return SchemaError(f"score must be a number within [0, 1], got '{value}'", row=row, column="score")
+
+
 def _parse_score(value, row):
     try:
         score = float(value)
     except ValueError:
-        raise SchemaError(f"score is not a number: {value!r}", row=row, column="score") from None
+        raise _score_error(value, row) from None
     if not (0.0 <= score <= 1.0):
-        raise SchemaError(f"score out of range [0, 1]: {value!r}", row=row, column="score")
+        raise _score_error(value, row)
     return score
 
 
 def _parse_label(value, row):
     if value not in ("0", "1"):
-        raise SchemaError(f"label must be 0 or 1: {value!r}", row=row, column="label")
+        raise SchemaError(f"label must be 0 or 1, got '{value}'", row=row, column="label")
     return int(value)
 
 
@@ -95,7 +99,7 @@ def _records_from_csv(text, date_format):
         cell = dict(zip(header, row))
         rec_id = cell["id"]
         if not rec_id:
-            raise SchemaError("id must be nonempty", row=i, column="id")
+            raise SchemaError("id must be a nonempty string, got ''", row=i, column="id")
         if rec_id in seen:
             raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
         seen.add(rec_id)
@@ -135,26 +139,27 @@ def _records_from_json(text, date_format):
             raise SchemaError(f"records must share one key set; expected {sorted(key_set)}", row=i)
         rec_id = obj["id"]
         if not isinstance(rec_id, str) or not rec_id:
-            raise SchemaError(f"id must be a nonempty string: {rec_id!r}", row=i, column="id")
+            raise SchemaError(f"id must be a nonempty string, got {rec_id!r}", row=i, column="id")
         if rec_id in seen:
             raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
         seen.add(rec_id)
         score = obj["score"]
         if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaError(f"score must be a number: {score!r}", row=i, column="score")
+            raise _score_error(score, i)
         if not (0.0 <= float(score) <= 1.0):
-            raise SchemaError(f"score out of range [0, 1]: {score!r}", row=i, column="score")
+            raise _score_error(score, i)
         label = obj["label"]
         if isinstance(label, bool) or not isinstance(label, int) or label not in (0, 1):
-            raise SchemaError(f"label must be 0 or 1: {label!r}", row=i, column="label")
+            raise SchemaError(f"label must be 0 or 1, got '{label}'", row=i, column="label")
         rec_date = None
         raw_date = obj.get("date")
         if raw_date is not None:
             if not isinstance(raw_date, str):
-                raise SchemaError(f"date must be a string: {raw_date!r}", row=i, column="date")
+                raise SchemaError(f"date must be a datetime.date or None, got {raw_date!r}",
+                                  row=i, column="date")
             rec_date = _parse_date(raw_date, date_format, i)
         group = obj.get("group")
         if group is not None and not isinstance(group, str):
-            raise SchemaError(f"group must be a string: {group!r}", row=i, column="group")
+            raise SchemaError(f"group must be a string or None, got {group!r}", row=i, column="group")
         records.append(PredictionRecord(rec_id, float(score), label, rec_date, group or None))
     return records

@@ -20,6 +20,7 @@ from selcert import (
     Decision,
     Decisions,
     DomainError,
+    DuplicateIdError,
     EmptyCalibrationError,
     InfeasibleCertificateError,
     PredictionRecord,
@@ -116,6 +117,18 @@ class TestSelectiveRisk:
         with pytest.raises(DomainError, match=r"^thresholds must be finite, within \[0.5, 1\] "
                                               r"and strictly ascending: lam is "):
             selective_risk(fixture6(), lam, beta=0.2)
+
+    # beta is checked whether or not the threshold retains anything (0.95 retains nothing here)
+    @pytest.mark.parametrize("lam", [0.95, 0.8])
+    @pytest.mark.parametrize("beta, message", [
+        (5, "beta must be within (0, 1), got 5"),
+        (math.nan, "beta must be a number, got nan"),
+    ])
+    def test_rejects_a_bad_beta_at_any_threshold(self, lam, beta, message):
+        data = Dataset.from_columns(["a", "b"], [0.9, 0.2], [1, 0])
+        with pytest.raises(DomainError) as err:
+            selective_risk(data, lam, beta=beta)
+        assert str(err.value) == message
 
 
 class TestRetainedCounts:
@@ -484,22 +497,47 @@ class TestDecisions:
         with pytest.raises(ValueError):
             decisions.confidence[0] = 0.5
 
-    @pytest.mark.parametrize("prediction, confidences, message", [
-        ([1, 0], [0.9], "decision columns must all have one length"),
-        ([2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
-        ([-2], [0.9], "a prediction must be 0, 1 or -1 (abstain)"),
+    # a cell fault is located, as read_decisions locates it; the column is named as in a file
+    @pytest.mark.parametrize("prediction, confidences, message, error", [
+        ([1, 0], [0.9], "decision columns must all have one length", DomainError),
+        ([2], [0.9], "outcome must be 0, 1 or abstain (-1 in code), got '2' (row 1, column 'outcome')",
+         SchemaError),
+        ([-2], [0.9], "outcome must be 0, 1 or abstain (-1 in code), got '-2' (row 1, column 'outcome')",
+         SchemaError),
         # an abstention coded as -0.5 must not be cast to a label-0 prediction
-        ([0.6, -0.5], [0.9, 0.8], "prediction[0] must be an integer, got 0.6"),
-        ([1, -0.5], [0.9, 0.8], "prediction[1] must be an integer, got -0.5"),
-        ([1, float("nan")], [0.9, 0.8], "prediction[1] must be an integer, got nan"),
-        ([1, 0], [0.9, 0.1], "confidence[1] must be within [0.5, 1], got 0.1"),
-        ([1], [float("nan")], "confidence[0] must be within [0.5, 1], got nan"),
-        ([1], [1.5], "confidence[0] must be within [0.5, 1], got 1.5"),
+        ([0.6, -0.5], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got '0.6' "
+         "(row 1, column 'outcome')", SchemaError),
+        ([1, -0.5], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got '-0.5' "
+         "(row 2, column 'outcome')", SchemaError),
+        ([1, float("nan")], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got 'nan' "
+         "(row 2, column 'outcome')", SchemaError),
+        ([1, 0], [0.9, 0.1], "confidence must be a number within [0.5, 1], got '0.1' "
+         "(row 2, column 'confidence')", SchemaError),
+        ([1], [float("nan")], "confidence must be a number within [0.5, 1], got 'nan' "
+         "(row 1, column 'confidence')", SchemaError),
+        ([1], [1.5], "confidence must be a number within [0.5, 1], got '1.5' (row 1, column 'confidence')",
+         SchemaError),
+        ([1], ["0.9"], "confidence must be a number within [0.5, 1], got '0.9' (row 1, column 'confidence')",
+         SchemaError),
+        ([1, True], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got 'True' "
+         "(row 2, column 'outcome')", SchemaError),
     ])
-    def test_bad_columns_rejected(self, prediction, confidences, message):
-        with pytest.raises(DomainError) as err:
-            Decisions(["a"] * len(prediction), prediction, confidences)
-        assert str(err.value) == message
+    def test_bad_columns_rejected(self, prediction, confidences, message, error):
+        with pytest.raises(error) as err:
+            Decisions([f"r{i}" for i in range(len(prediction))], prediction, confidences)
+        assert type(err.value) is error and str(err.value) == message
+
+    # the id rules datasets keep, so that every Decisions written reads back as it was
+    @pytest.mark.parametrize("ids, error, message", [
+        (["a", "a"], DuplicateIdError, "duplicate record id 'a' at row 2"),
+        (["", "b"], SchemaError, "id must be a nonempty string, got '' (row 1, column 'id')"),
+        ([1, 2], SchemaError, "id must be a nonempty string, got 1 (row 1, column 'id')"),
+        (["a", None], SchemaError, "id must be a nonempty string, got None (row 2, column 'id')"),
+    ])
+    def test_ids_checked_as_a_reader_checks_them(self, ids, error, message):
+        with pytest.raises(error) as err:
+            Decisions(ids, [1, -1], [0.9, 0.6])
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestCertificateSerialization:
@@ -740,25 +778,30 @@ class TestDecisionsIO:
     def test_duplicate_ids(self, tmp_path):
         path = tmp_path / "dec.csv"
         path.write_text("id,outcome,confidence\na,1,0.9\na,0,0.8\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(DuplicateIdError, match=r"^duplicate record id 'a' at row 2$"):
             read_decisions(path)
 
     @pytest.mark.parametrize("rows, message", [
         # the first bad row, and within it the first failing check
         ("a,1,0.9\nb,2\nc,x,y\n", "expected 3 fields, got 2 (row 2)"),
         ("a,1,0.9\n\nb,1,0.9\n", "expected 3 fields, got 0 (row 2)"),
-        ("a,1,0.9\na,x,0.2\n", "bad or duplicate id 'a' (row 2, column 'id')"),
-        (",x,0.2\n", "bad or duplicate id '' (row 1, column 'id')"),
-        ("a,1,0.9\nb,maybe,x\n", "outcome must be 0, 1 or abstain: 'maybe' (row 2, column 'outcome')"),
-        ("a,1,high\nb,0,0.2\n", "bad confidence 'high' (row 1, column 'confidence')"),
-        ("a,1,0.9\nb,0,nan\nc,0,x\n", "confidence out of [0.5, 1]: 'nan' (row 2, column 'confidence')"),
+        # the id rules come before the outcome within a row; a repeat is a DuplicateIdError
+        pytest.param("a,1,0.9\na,x,0.2\n", "duplicate record id 'a' at row 2",
+                     id="a,1,0.9\na,x,0.2\n-bad or duplicate id before bad outcome"),
+        (",x,0.2\n", "id must be a nonempty string, got '' (row 1, column 'id')"),
+        ("a,1,0.9\nb,maybe,x\n",
+         "outcome must be 0, 1 or abstain (-1 in code), got 'maybe' (row 2, column 'outcome')"),
+        ("a,1,high\nb,0,0.2\n", "confidence must be a number within [0.5, 1], got 'high' (row 1, column 'confidence')"),
+        ("a,1,0.9\nb,0,nan\nc,0,x\n",
+         "confidence must be a number within [0.5, 1], got 'nan' (row 2, column 'confidence')"),
     ])
     def test_first_bad_row_and_check_named(self, tmp_path, rows, message):
         path = tmp_path / "dec.csv"
         path.write_text("id,outcome,confidence\n" + rows)
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises((SchemaError, DuplicateIdError)) as err:
             read_decisions(path)
         assert str(err.value) == message
+        assert type(err.value) is (DuplicateIdError if message.startswith("duplicate") else SchemaError)
 
     def test_reads_columns(self, tmp_path):
         path = tmp_path / "dec.csv"

@@ -335,7 +335,7 @@ class TestUnreadableInput:
         code = main(["tradeoff", "--test", str(data), "--out-prefix", str(tmp_path / "curve")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: score out of range [0, 1]: {huge} (row 1, column 'score')\n"
+            f"error: score must be a number within [0, 1], got '{huge}' (row 1, column 'score')\n"
         )
 
     def test_certificate_count_beyond_integer_range(self, cert75, test_csv, tmp_path, capsys):

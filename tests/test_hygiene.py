@@ -1,0 +1,77 @@
+"""Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper.
+
+Helpers move between modules as rules are shared; a leftover import or a
+private function nothing calls any more fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import selcert
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "selcert"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """The names read inside the string annotations of `node`, if it carries annotations."""
+    if isinstance(node, ast.arg):
+        annotations = [node.annotation]
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotations = [node.returns]
+    elif isinstance(node, ast.AnnAssign):
+        annotations = [node.annotation]
+    else:
+        return set()
+    strings = [part.value for annotation in filter(None, annotations) for part in ast.walk(annotation)
+               if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+    return set().union(*(_names_read(ast.parse(text, mode="eval")) for text in strings))
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name `tree` reads, as a name or an attribute, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        names |= _annotation_names(node)
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The names a module binds by its imports, `from __future__` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _names_read(tree)
+    if module == "__init__.py":  # the package re-exports what it imports
+        used |= set(selcert.__all__)
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+def test_every_private_helper_is_referenced():
+    read = set().union(*map(_names_read, TREES.values()))
+    unreferenced = [f"{module}:{node.name}" for module, tree in TREES.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and node.name not in read]
+    assert unreferenced == []
+
+
+def test_the_checks_see_what_they_look_for():
+    tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
+                     "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
+    assert [name for name in _imported(tree) if name not in _names_read(tree)] == ["os", "Sequence"]
+    assert "_g" not in _names_read(tree)

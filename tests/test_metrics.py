@@ -18,6 +18,7 @@ from selcert import (
     Decisions,
     DegenerateLabelsError,
     DomainError,
+    DuplicateIdError,
     EmptyInputError,
     IdMismatchError,
     PredictionRecord,
@@ -266,8 +267,6 @@ class TestSelectiveReport:
     @pytest.mark.parametrize("edit, message", [
         (lambda ds: ds[:-1], "decision ids do not match the dataset ids"),
         (lambda ds: ds + [Decision("extra", 1, 0.9)], "decision ids do not match the dataset ids"),
-        (lambda ds: ds[:-1] + [ds[0]], "decision ids do not match the dataset ids"),
-        (lambda ds: ds + [ds[0]], "duplicate ids in decisions"),
     ])
     def test_id_mismatch_messages(self, edit, message):
         data = report_fixture()
@@ -275,6 +274,14 @@ class TestSelectiveReport:
             with pytest.raises(IdMismatchError) as err:
                 selective_report(data, decisions)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("edit", [lambda ds: ds[:-1] + [ds[0]], lambda ds: ds + [ds[0]]],
+                             ids=["in-place-of-another", "extra"])
+    def test_repeated_decision_id_is_rejected_by_decisions(self, edit):
+        # Decisions rejects a repeated id itself, so no report sees one
+        data = report_fixture()
+        with pytest.raises(DuplicateIdError, match=r"^duplicate record id 't1' at row \d+$"):
+            selective_report(data, edit(decisions_at(data, 0.85)))
 
     def test_group_breakdown(self):
         data = report_fixture()

@@ -7,6 +7,8 @@ metric kernels equal the original metric loops.
 
 import csv
 import json
+import math
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
     Decision,
+    Decisions,
     PredictionRecord,
     RiskConfig,
     SelcertError,
@@ -96,6 +99,85 @@ def test_decisions_round_trip(tmp_path, decisions):
     # confidences are written at 12 significant digits
     assert [d.confidence for d in back] == [float(format_number(d.confidence)) for d in decisions]
     assert back == read_decisions_rowwise(path)
+
+
+# Valid columns with up to three cells swapped for odd ones: values a file
+# cannot hold, and values the constructor reads as a reader would
+ODD_CELLS = {
+    "ids": ["", "dup", 3, None, np.str_("np-id")],
+    "scores": [1.5, -0.0, math.nan, "0.5", True, 10**400, np.float32(0.1)],
+    "labels": [2, -1, True, 1.0, "1", np.int64(1)],
+    "dates": ["2020-01-01", datetime(2020, 1, 1), 20200101, date.min, date.max],
+    "groups": ["", 3, None, "g\r\nh", np.str_("")],
+}
+
+
+@st.composite
+def dataset_columns(draw):
+    n = draw(st.integers(0, 6))
+    columns = {
+        "ids": draw(st.lists(TEXT, min_size=n, max_size=n, unique=True)),
+        "scores": draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        "labels": draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        "dates": draw(st.lists(st.one_of(st.none(), st.dates()), min_size=n, max_size=n)),
+        "groups": draw(st.lists(st.one_of(st.none(), TEXT), min_size=n, max_size=n)),
+    }
+    return _with_odd_cells(draw, columns, ODD_CELLS)
+
+
+def _with_odd_cells(draw, columns, odd):
+    """`columns` with up to three cells set to one of `odd`'s, "dup" repeating the first id."""
+    n = len(columns["ids"])
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        name = draw(st.sampled_from(sorted(columns)))
+        cell = draw(st.sampled_from(odd[name]))
+        columns[name][draw(st.integers(0, n - 1))] = columns["ids"][0] if cell == "dup" else cell
+    return columns
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@SETTINGS
+@given(columns=dataset_columns())
+def test_any_dataset_that_constructs_round_trips(tmp_path, suffix, columns):
+    try:
+        data = Dataset.from_columns(**columns)
+    except SelcertError:
+        return
+    path = tmp_path / f"d.{suffix}"
+    write_dataset(data, path)
+    assert load_dataset(path).records == data.records
+
+
+ODD_DECISION_CELLS = {
+    "ids": ["", "dup", 1, None],
+    "prediction": [2, -2, 0.5, True, 1.0, None, np.int64(1)],
+    "confidence": [0.4, math.nan, "0.9", True, 1, np.float64(0.75)],
+}
+
+
+@st.composite
+def decision_columns(draw):
+    n = draw(st.integers(0, 6))
+    columns = {
+        "ids": draw(st.lists(TEXT, min_size=n, max_size=n, unique=True)),
+        "prediction": draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)),
+        # confidences are written at 12 significant digits, so drawn at that precision
+        "confidence": draw(st.lists(st.floats(0.5, 1.0).map(lambda c: float(format_number(c))),
+                                    min_size=n, max_size=n)),
+    }
+    return _with_odd_cells(draw, columns, ODD_DECISION_CELLS)
+
+
+@SETTINGS
+@given(columns=decision_columns())
+def test_any_decisions_that_construct_round_trip(tmp_path, columns):
+    try:
+        decisions = Decisions(**columns)
+    except SelcertError:
+        return
+    path = tmp_path / "dec.csv"
+    write_decisions(decisions, path)
+    assert read_decisions(path) == decisions
 
 
 @SETTINGS

@@ -2,7 +2,7 @@
 
 import json
 import sys
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from selcert import (
     MissingDateError,
     PredictionRecord,
     SchemaError,
+    SelcertError,
     SplitSpec,
     SyntheticScorerSpec,
     TradeoffCurve,
@@ -39,27 +40,32 @@ def make_dataset():
 
 
 class TestPredictionRecord:
+    # a record is a plain view; a Dataset holding it checks its fields
     def test_valid(self):
         rec = PredictionRecord("x", 0.25, 0)
         assert rec.score == 0.25 and rec.date is None and rec.group is None
 
     def test_int_score_coerced(self):
-        assert PredictionRecord("x", 1, 1).score == 1.0
+        score = Dataset([PredictionRecord("x", 1, 1)]).records[0].score
+        assert score == 1.0 and type(score) is float
 
     @pytest.mark.parametrize("bad", ["", None, 3])
     def test_bad_id(self, bad):
-        with pytest.raises(SchemaError):
-            PredictionRecord(bad, 0.5, 1)
+        with pytest.raises(SchemaError) as err:
+            Dataset([PredictionRecord("a", 0.5, 1), PredictionRecord(bad, 0.5, 1)])
+        assert str(err.value) == f"id must be a nonempty string, got {bad!r} (row 2, column 'id')"
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, "0.5", True, float("nan")])
     def test_bad_score(self, bad):
-        with pytest.raises(SchemaError):
-            PredictionRecord("x", bad, 1)
+        with pytest.raises(SchemaError) as err:
+            Dataset([PredictionRecord("x", bad, 1)])
+        assert str(err.value) == f"score must be a number within [0, 1], got '{bad}' (row 1, column 'score')"
 
     @pytest.mark.parametrize("bad", [2, -1, 0.0, "1", True])
     def test_bad_label(self, bad):
-        with pytest.raises(SchemaError):
-            PredictionRecord("x", 0.5, bad)
+        with pytest.raises(SchemaError) as err:
+            Dataset([PredictionRecord("x", 0.5, bad)])
+        assert str(err.value) == f"label must be 0 or 1, got '{bad}' (row 1, column 'label')"
 
 
 class TestDataset:
@@ -235,7 +241,7 @@ class TestJsonIO:
                         f' {{"id": "r2", "score": {huge}, "label": 0}}]')
         with pytest.raises(SchemaError) as err:
             load_dataset(path)
-        assert str(err.value) == f"score out of range [0, 1]: {huge} (row 2, column 'score')"
+        assert str(err.value) == f"score must be a number within [0, 1], got '{huge}' (row 2, column 'score')"
         assert (err.value.row, err.value.column) == (2, "score")
 
     def test_integer_score_beyond_float_range_keeps_rule_order(self, tmp_path):
@@ -244,11 +250,11 @@ class TestJsonIO:
         # an earlier row's bad label is reported first
         path.write_text(f'[{{"id": "r1", "score": 0.5, "label": 2}},'
                         f' {{"id": "r2", "score": {huge}, "label": 0}}]')
-        with pytest.raises(SchemaError, match=r"^label must be 0 or 1: 2 \(row 1"):
+        with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got '2' \(row 1"):
             load_dataset(path)
         # within a row the score rule comes before the label rule
         path.write_text(f'[{{"id": "r1", "score": {huge}, "label": 2}}]')
-        with pytest.raises(SchemaError, match=r"^score out of range \[0, 1\]: -10+ \(row 1"):
+        with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got '-10+' \(row 1"):
             load_dataset(path)
 
     def test_nested_past_the_recursion_limit(self, tmp_path):
@@ -460,33 +466,33 @@ FIRST_BAD_ROW = [
     ("csv", "field count", lambda r: r[:3], SchemaError, 737, None,
      "expected 4 fields, got 3 (row 737)"),
     ("csv", "empty id", _set(0, ""), SchemaError, 737, "id",
-     "id must be nonempty (row 737, column 'id')"),
+     "id must be a nonempty string, got '' (row 737, column 'id')"),
     ("csv", "duplicate id", _set(0, "r5"), DuplicateIdError, None, None,
      "duplicate record id 'r5' at row 737"),
     ("csv", "non-numeric score", _set(1, "high"), SchemaError, 737, "score",
-     "score is not a number: 'high' (row 737, column 'score')"),
+     "score must be a number within [0, 1], got 'high' (row 737, column 'score')"),
     ("csv", "out-of-range score", _set(1, "1.5"), SchemaError, 737, "score",
-     "score out of range [0, 1]: '1.5' (row 737, column 'score')"),
+     "score must be a number within [0, 1], got '1.5' (row 737, column 'score')"),
     ("csv", "nan score", _set(1, "nan"), SchemaError, 737, "score",
-     "score out of range [0, 1]: 'nan' (row 737, column 'score')"),
+     "score must be a number within [0, 1], got 'nan' (row 737, column 'score')"),
     ("csv", "bad label", _set(2, "2"), SchemaError, 737, "label",
-     "label must be 0 or 1: '2' (row 737, column 'label')"),
+     "label must be 0 or 1, got '2' (row 737, column 'label')"),
     ("json", "missing key", _drop("label"), SchemaError, 737, None,
      "missing required key(s) ['label'] (row 737)"),
     ("json", "key set", _drop("group"), SchemaError, 737, None,
      "records must share one key set; expected ['group', 'id', 'label', 'score'] (row 737)"),
     ("json", "empty id", _set("id", ""), SchemaError, 737, "id",
-     "id must be a nonempty string: '' (row 737, column 'id')"),
+     "id must be a nonempty string, got '' (row 737, column 'id')"),
     ("json", "duplicate id", _set("id", "r5"), DuplicateIdError, None, None,
      "duplicate record id 'r5' at row 737"),
     ("json", "non-numeric score", _set("score", "high"), SchemaError, 737, "score",
-     "score must be a number: 'high' (row 737, column 'score')"),
+     "score must be a number within [0, 1], got 'high' (row 737, column 'score')"),
     ("json", "out-of-range score", _set("score", 1.5), SchemaError, 737, "score",
-     "score out of range [0, 1]: 1.5 (row 737, column 'score')"),
+     "score must be a number within [0, 1], got '1.5' (row 737, column 'score')"),
     ("json", "nan score", _set("score", float("nan")), SchemaError, 737, "score",
-     "score out of range [0, 1]: nan (row 737, column 'score')"),
+     "score must be a number within [0, 1], got 'nan' (row 737, column 'score')"),
     ("json", "bad label", _set("label", 2), SchemaError, 737, "label",
-     "label must be 0 or 1: 2 (row 737, column 'label')"),
+     "label must be 0 or 1, got '2' (row 737, column 'label')"),
     ("csv+date", "bad date", _set(3, "someday"), SchemaError, 737, "date",
      "bad date 'someday': Invalid isoformat string: 'someday' (row 737, column 'date')"),
     ("json", "non-object record", lambda obj: [obj], SchemaError, 737, None,
@@ -494,11 +500,11 @@ FIRST_BAD_ROW = [
     ("json", "unknown key", _set("weight", 1), SchemaError, 737, None,
      "unknown key(s) ['weight'] (row 737)"),
     ("json+date", "non-string date", _set("date", 20200101), SchemaError, 737, "date",
-     "date must be a string: 20200101 (row 737, column 'date')"),
+     "date must be a datetime.date or None, got 20200101 (row 737, column 'date')"),
     ("json+date", "bad date", _set("date", "someday"), SchemaError, 737, "date",
      "bad date 'someday': Invalid isoformat string: 'someday' (row 737, column 'date')"),
     ("json", "non-string group", _set("group", 7), SchemaError, 737, "group",
-     "group must be a string: 7 (row 737, column 'group')"),
+     "group must be a string or None, got 7 (row 737, column 'group')"),
 ]
 
 
@@ -532,6 +538,102 @@ class TestFirstBadRow:
         with pytest.raises(SchemaError) as err:
             load_dataset(path)
         assert (err.value.row, err.value.column) == (737, "score")
+
+
+# One bad row 2, between two good rows, given as CSV text, as JSON text and to
+# Dataset.from_columns: each change to the row, the sources that can hold it,
+# and the one error all of them must raise.
+SAME_FAULT = [
+    ("empty id", {"id": ""}, ("csv", "json", "columns"), SchemaError, 2, "id",
+     "id must be a nonempty string, got '' (row 2, column 'id')"),
+    ("repeated id", {"id": "r1"}, ("csv", "json", "columns"), DuplicateIdError, None, None,
+     "duplicate record id 'r1' at row 2"),
+    ("score 1.5", {"score": 1.5}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got '1.5' (row 2, column 'score')"),
+    ("non-number score", {"score": "high"}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got 'high' (row 2, column 'score')"),
+    ("label 2", {"label": 2}, ("csv", "json", "columns"), SchemaError, 2, "label",
+     "label must be 0 or 1, got '2' (row 2, column 'label')"),
+    # a CSV group cell is always a string
+    ("group 3", {"group": 3}, ("json", "columns"), SchemaError, 2, "group",
+     "group must be a string or None, got 3 (row 2, column 'group')"),
+]
+
+
+def _load_row_fault(tmp_path, source, rows):
+    """The error of loading `rows` from `source`, as (class, message, row, column)."""
+    with pytest.raises(SelcertError) as err:
+        if source == "columns":
+            Dataset.from_columns(*([row[key] for row in rows] for key in ("id", "score", "label")),
+                                 groups=[row["group"] for row in rows])
+        else:
+            path = tmp_path / f"d.{source}"
+            if source == "csv":
+                path.write_text("id,score,label,group\n"
+                                + "".join(",".join(map(str, row.values())) + "\n" for row in rows))
+            else:
+                path.write_text(json.dumps(rows))
+            load_dataset(path)
+    return type(err.value), str(err.value), getattr(err.value, "row", None), getattr(err.value, "column", None)
+
+
+@pytest.mark.parametrize("name, change, sources, exc_type, row, column, message", SAME_FAULT,
+                         ids=[case[0] for case in SAME_FAULT])
+def test_one_bad_row_is_one_error_from_every_source(tmp_path, name, change, sources, exc_type, row, column,
+                                                    message):
+    rows = [{"id": "r1", "score": 0.25, "label": 0, "group": "g"},
+            {"id": "r2", "score": 0.5, "label": 1, "group": "g", **change},
+            {"id": "r3", "score": 0.75, "label": 1, "group": "h"}]
+    errors = [_load_row_fault(tmp_path, source, rows) for source in sources]
+    assert errors == [(exc_type, message, row, column)] * len(sources)
+
+
+class TestConstructorMeetsTheReaders:
+    """A Dataset built in code holds only what its files can hold."""
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_blank_group_is_read_as_none(self, tmp_path, suffix):
+        data = Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], groups=["", "g"])
+        assert data.groups().tolist() == [None, "g"]
+        write_dataset(data, tmp_path / f"d.{suffix}")
+        assert load_dataset(tmp_path / f"d.{suffix}").records == data.records
+        assert Dataset([PredictionRecord("a", 0.5, 1, group="")]).records[0].group is None
+
+    @pytest.mark.parametrize("dates, message", [
+        (["2020-01-01"], "date must be a datetime.date or None, got '2020-01-01' (row 1, column 'date')"),
+        ([datetime(2020, 1, 1)],
+         "date must be a datetime.date or None, got datetime.datetime(2020, 1, 1, 0, 0) (row 1, column 'date')"),
+        ([20200101], "date must be a datetime.date or None, got 20200101 (row 1, column 'date')"),
+    ])
+    def test_dates_must_be_dates(self, dates, message):
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_columns(["a"], [0.5], [1], dates=dates)
+        assert str(err.value) == message
+
+    def test_groups_must_be_strings(self):
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], groups=[3, "x"])
+        assert str(err.value) == "group must be a string or None, got 3 (row 1, column 'group')"
+
+    def test_first_bad_cell_in_column_order(self):
+        # row 1's date and group are both bad: the date, the earlier column, is named
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], dates=["x", None], groups=[3, "g"])
+        assert (err.value.row, err.value.column) == (1, "date")
+        # a bad id in row 2 comes after every fault of row 1
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_columns(["a", ""], [0.5, 0.7], [2, 0])
+        assert (err.value.row, err.value.column) == (1, "label")
+
+    def test_numpy_columns_and_cells(self):
+        data = Dataset.from_columns(np.array(["a", "b"]), np.array([0.5, 1.0], dtype=np.float32),
+                                    [np.int64(1), np.uint8(0)], groups=np.array(["g", ""]))
+        assert data.ids() == ["a", "b"] and data.labels().tolist() == [1, 0]
+        assert data.groups().tolist() == ["g", None]
+        with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got '18446744073709551615' \(row 2"):
+            Dataset.from_columns(["a", "b"], [0.5, 0.5], np.array([1, 2**64 - 1], dtype=np.uint64))
+        with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got 'True' \(row 1"):
+            Dataset.from_columns(["a"], np.array([True]), [1])
 
 
 # the four tables on the one column base, and the repr each gives
