@@ -18,7 +18,10 @@ returns; a `Decision` is a view of one row. The certificate's grid is
 columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
 on the one column base, `records.ColumnTable`, and state their rules in one
 located list each, run by constructors and reader alike: `_decision_faults`
-(with the id rules of `records._id_faults`) and `_grid_faults`.
+(with the id rules of `records._id_faults`) and `_grid_faults`. Every other
+certificate rule is `RiskConfig`'s or `ThresholdCertificate`'s;
+`certificate_from_json` checks only what JSON text needs and hands each
+field to the constructors as it was read.
 
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -45,10 +48,10 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from .errors import (
     InfeasibleCertificateError,
     SchemaError,
     SelcertError,
+    _shown,
     check_int,
     check_real,
 )
@@ -69,10 +73,11 @@ from .records import (
     Dataset,
     _cell_error,
     _coded,
+    _counts,
     _first,
+    _float_cells,
     _floats,
     _id_faults,
-    _parse_cells,
     _raise_first,
     _types_in,
     csv_columns,
@@ -120,30 +125,41 @@ class CertificateGrid(ColumnTable):
 
     lam is a float array, strictly ascending within [0.5, 1]; n_at and
     errors_at are int arrays with 0 <= errors_at <= n_at and n_at
-    non-increasing; risk_hat and risk_plus are float arrays. A `GridPoint`
-    is a view of one row.
+    non-increasing; risk_hat and risk_plus are float arrays within [0, 1].
+    The constructor reads its cells as `_floats` and `_counts` do and checks
+    them by one rule list, `_grid_faults`. A `GridPoint` is a view of one row.
     """
 
     _columns = ("lam", "n_at", "errors_at", "risk_hat", "risk_plus")
     _view = GridPoint
 
     def __init__(self, lam, n_at, errors_at, risk_hat, risk_plus) -> None:
-        lam, risk_hat, risk_plus = (np.array(c, dtype=np.float64) for c in (lam, risk_hat, risk_plus))
-        n_at, errors_at = np.array(n_at, dtype=np.int64), np.array(errors_at, dtype=np.int64)
-        if not len(lam) == len(n_at) == len(errors_at) == len(risk_hat) == len(risk_plus):
+        cells = lam, n_at, errors_at, risk_hat, risk_plus
+        if len(set(map(len, cells))) > 1:
             raise DomainError("grid columns must all have one length")
-        _raise_first(_grid_faults(lam, n_at, errors_at), len(lam))
-        self._set(lam, n_at, errors_at, risk_hat, risk_plus)
+        columns = _floats(lam), _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus)
+        _raise_first(_grid_faults(*columns, cells), len(lam))
+        self._set(*columns)
 
 
-def _grid_faults(lam, n_at, errors_at) -> list[tuple[int, Callable[[int], DomainError]]]:
-    """The grid rules in `_raise_first`'s form: thresholds, 0 <= errors <= n, n non-increasing."""
+def _grid_faults(lam, n_at, errors_at, risk_hat, risk_plus, cells) -> list:
+    """The grid rules, in `_raise_first`'s form and cell order.
+
+    The columns are read from the `cells` as the constructor reads them: NaN
+    where a cell is not a number, -1 where it is not a count; the messages
+    quote the cells.
+    """
     return [
+        _value_fault(~_types_in(cells[0], numbers.Real), "grid[{}].lambda", "a number", cells[0]),
         _threshold_fault("grid lambda", lam),
-        (_first((errors_at < 0) | (errors_at > n_at)), lambda i: DomainError(
-            f"grid[{i}].errors must be within [0, n], got {errors_at[i]} with n {n_at[i]}")),
+        _value_fault(n_at < 0, "grid[{}].n", "an integer within [0, 2**63)", cells[1]),
         (_first(n_at[1:] > n_at[:-1]) + 1, lambda i: DomainError(
             f"grid n must be non-increasing: grid[{i}].n is {n_at[i]} after {n_at[i - 1]}")),
+        (_first((errors_at < 0) | (errors_at > n_at)), lambda i: DomainError(
+            f"grid[{i}].errors must be an integer within [0, n], got {_shown(cells[2][i])} with n {n_at[i]}")),
+        _value_fault(~((risk_hat >= 0.0) & (risk_hat <= 1.0)), "grid[{}].risk_hat", "a number within [0, 1]", cells[3]),
+        _value_fault(~((risk_plus >= 0.0) & (risk_plus <= 1.0)), "grid[{}].risk_plus", "a number within [0, 1]",
+                     cells[4]),
     ]
 
 
@@ -152,8 +168,9 @@ class ThresholdCertificate:
     """Outcome of a certification scan over one calibration set.
 
     grid is a `CertificateGrid`; a sequence of `GridPoint`s is accepted and
-    checked as the grid's constructor checks it. Its bottom point retains at
-    most calib_size records.
+    checked as the grid's constructor checks it. calib_size is an integer
+    >= 1, and the grid's bottom point retains at most that many records.
+    lambda_hat is None, or a number that is one of the grid's thresholds.
     """
 
     status: str
@@ -169,11 +186,17 @@ class ThresholdCertificate:
             raise DomainError("lambda_hat must be present exactly when status is feasible")
         if not isinstance(self.grid, CertificateGrid):
             object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(tuple(self.grid))))
+        object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "
                               f"grid[0].n is {self.grid.n_at[0]} with calib_size {self.calib_size}")
         if self.lambda_hat is not None:
+            if not _types_in([self.lambda_hat], numbers.Real)[0]:
+                raise DomainError(f"lambda_hat must be a number, got {self.lambda_hat!r}")
             _check_thresholds("lambda_hat", self.lambda_hat)
+            if not np.any(self.grid.lam == self.lambda_hat):
+                raise DomainError(f"lambda_hat must be one of the grid's thresholds, got {self.lambda_hat!r}")
+            object.__setattr__(self, "lambda_hat", float(self.lambda_hat))
 
     @property
     def feasible(self) -> bool:
@@ -266,6 +289,12 @@ def _threshold_fault(name: str, lams, error: type[SelcertError] = DomainError):
     return _first(bad), lambda i: error(
         "thresholds must be finite, within [0.5, 1] and strictly ascending: "
         f"{f'{name}[{i}]' if np.ndim(lams) else name} is {float(grid[i])!r}")
+
+
+def _value_fault(bad: np.ndarray, where: str, rule: str, cells: Sequence):
+    """The index of the first True in `bad`, and its error quoting that cell ("{where} must be {rule},
+    got ..." with the index in `where`'s "{}"), in `_raise_first`'s form."""
+    return _first(bad), lambda i: DomainError(f"{where.format(i)} must be {rule}, got {_shown(cells[i])}")
 
 
 def _check_thresholds(name: str, lams, error: type[SelcertError] = DomainError) -> None:
@@ -420,12 +449,13 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
 
 
 def certificate_from_json(text: str) -> ThresholdCertificate:
-    """Load a certificate, checked as its constructors check it; any fault is a SchemaError.
+    """Load a certificate, checked by its constructors; any fault is a SchemaError.
 
-    Each field must be of its JSON type. A grid fault names the first bad
-    entry and, within it, the first failing check: the entry an object, its
-    fields in column order each a finite number (n and errors integers),
-    then the grid's own rules.
+    The loader itself checks only what JSON text needs: the parse, a
+    document that is an object, and a grid that is a list of objects. Every
+    field goes as it was read to `RiskConfig`, `CertificateGrid` and
+    `ThresholdCertificate`, whose rules name the first bad grid entry and,
+    within it, the first bad field.
     """
     try:
         doc = json.loads(text)
@@ -434,61 +464,19 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
     if not isinstance(doc, dict):
         raise SchemaError("malformed certificate: the document must be an object")
     try:
-        config = RiskConfig(_field(doc["alpha"], "alpha"), _field(doc["beta"], "beta"),
-                            _field(doc.get("min_count", 1), "min_count", whole=True))
-        if not isinstance(doc["grid"], list):
+        config = RiskConfig(doc["alpha"], doc["beta"], doc.get("min_count", 1))
+        entries = doc["grid"]
+        if not isinstance(entries, list):
             raise SchemaError("malformed certificate: grid must be a list")
-        grid = _grid_from_json(doc["grid"])
-        lambda_hat = None if doc["lambda_hat"] is None else _field(doc["lambda_hat"], "lambda_hat")
-        calib_size = _field(doc["calib_size"], "calib_size", whole=True)
-        return ThresholdCertificate(doc["status"], lambda_hat, grid, config, calib_size)
+        bad = _first(~_types_in(entries, dict))
+        if bad < len(entries):
+            raise SchemaError(f"malformed certificate: grid[{bad}] must be an object")
+        grid = CertificateGrid(*([entry.get(key) for entry in entries] for key in _GRID_KEYS))
+        return ThresholdCertificate(doc["status"], doc["lambda_hat"], grid, config, doc["calib_size"])
     except DomainError as exc:  # a rule of the certificate's own types
         raise SchemaError(f"malformed certificate: {exc}") from None
     except KeyError as exc:
         raise SchemaError(f"malformed certificate: {exc!r}") from None
-
-
-def _grid_from_json(entries: list) -> CertificateGrid:
-    objects = _first(~_types_in(entries, dict))
-    checks = [(objects, lambda i: SchemaError(f"malformed certificate: grid[{i}] must be an object"))]
-    columns = []
-    for key in _GRID_KEYS:
-        column, key_checks = _numbers([entry.get(key) for entry in entries[:objects]],
-                                      f"grid[{{}}].{key}", whole=key in ("n", "errors"))
-        columns.append(column)
-        checks += key_checks
-    columns = [column[:min(map(len, columns))] for column in columns]
-    _raise_first(checks + _grid_faults(*columns[:3]), len(entries))
-    return CertificateGrid._unchecked(*columns)
-
-
-def _numbers(values: list, where: str, whole: bool = False) -> tuple[np.ndarray, list]:
-    """Certificate fields as a column, up to the first bad one, and their checks for `_raise_first`.
-
-    Each value must be a finite JSON number or, if `whole`, an integer below
-    2**63 in size. `where` names a value, with "{}" for its index.
-    """
-    def fault(rule: str):
-        return lambda i: SchemaError(
-            f"malformed certificate: {where.format(i)} must be {rule}, got {values[i]!r}")
-
-    kind = "an integer" if whole else "a number"
-    numbers = _floats(values[:_first(~_types_in(values, (int, float)))])
-    finite = numbers[:_first(~np.isfinite(numbers))]  # json reads NaN, Infinity and 1e400
-    checks = [(len(numbers), fault(kind)), (len(finite), fault("a finite number"))]
-    if not whole:
-        return finite, checks
-    integral = finite[:_first(finite != np.trunc(finite))]
-    counts = integral[:_first(~(np.abs(integral) < 2.0**63))]
-    checks += [(len(integral), fault(kind)), (len(counts), fault("an integer below 2**63 in size"))]
-    return np.array(values[:len(counts)], dtype=np.int64), checks
-
-
-def _field(value, name: str, whole: bool = False):
-    """A certificate field's value, which must be a finite JSON number, or a whole one."""
-    column, checks = _numbers([value], name, whole)
-    _raise_first(checks, 1)
-    return column[0].item()
 
 
 def load_certificate(path: str | Path) -> ThresholdCertificate:
@@ -522,8 +510,7 @@ def read_decisions(path: str | Path) -> Decisions:
     if header != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
     ids, outcomes, conf_text = columns
-    columns = (tuple(ids), _coded(outcomes, _OUTCOMES, -2),
-               np.array(_parse_cells(float, conf_text, math.nan)[0], dtype=np.float64))
+    columns = tuple(ids), _coded(outcomes, _OUTCOMES, -2), _float_cells(conf_text)
     _raise_first([
         (n, lambda i: SchemaError(f"expected 3 fields, got {width}", row=i + 1)),
         *_decision_faults(*columns, outcomes, conf_text),

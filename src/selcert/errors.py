@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 class SelcertError(Exception):
     """Base class for all errors raised by selcert."""
@@ -52,22 +54,21 @@ class DomainError(SelcertError):
     """A numeric argument is outside its legal domain."""
 
 
-def check_real(name: str, value, low: float, high: float, closed: bool = False,
-               error: type[SelcertError] = DomainError) -> float:
+def check_real(name: str, value, low: float, high: float, closed: bool = False) -> float:
     """`value` as a float, if it is a real number (not a bool or NaN) within the interval.
 
     The interval runs from low to high, open unless `closed`; anything else
-    raises `error` naming `name`.
+    raises a DomainError naming `name`.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
-        raise error(f"{name} must be a number, got {_shown(value)}")
+        raise DomainError(f"{name} must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer or fraction beyond the float range
         number = math.inf if value > 0 else -math.inf
     if not (low <= number <= high if closed else low < number < high):
         ends = "[]" if closed else "()"
-        raise error(f"{name} must be within {ends[0]}{low}, {high}{ends[1]}, got {_shown(value)}")
+        raise DomainError(f"{name} must be within {ends[0]}{low}, {high}{ends[1]}, got {_shown(value)}")
     return number
 
 
@@ -82,7 +83,10 @@ def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int
 
 
 def _shown(value) -> str:
-    """repr(value), or the size of an integer too long to read (or, past a limit, to print)."""
+    """repr(value), of a numpy scalar's Python value, or the size of an integer too long to read (or,
+    past a limit, to print)."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return repr(value)

@@ -10,9 +10,10 @@ A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
 run by its public constructors and its readers alike. A reader keeps only
 what text alone needs, the field count or key set and a date's parse
-message; a cell that does not parse becomes a value its rule rejects. The
-error names the first bad row and, within it, the first bad cell, quoted as
-written. Loading is all-or-nothing; CSV text is read into columns by
+message; a cell that does not parse becomes a value its rule rejects (a
+number cell parses in float()'s syntax, less the underscores, whitespace and
+non-ASCII digits float() lets pass). The error names the first bad row and,
+within it, the first bad cell, quoted as written. Loading is all-or-nothing; CSV text is read into columns by
 `csv_columns`, which the decisions reader shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
@@ -27,6 +28,7 @@ import io
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime
@@ -239,6 +241,14 @@ def _floats(cells: Sequence) -> np.ndarray:
         return np.array([cell if abs(cell) <= sys.float_info.max else math.inf for cell in cells], dtype=np.float64)
 
 
+def _counts(cells: Sequence) -> np.ndarray:
+    """Cells as int64: -1 where a cell is not an integer (a bool is none) within [0, 2**63)."""
+    column = _object_column(cells)
+    column[~_types_in(cells, numbers.Integral)] = -1
+    column[(column < 0) | (column >= 2**63)] = -1
+    return column.astype(np.int64)
+
+
 def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -> np.ndarray:
     """Cells as int64 through `codes`: `missing` where a cell has no code or, if `integral`, is no integer."""
     if integral:  # 1.0 and True would find the code of 1
@@ -246,14 +256,28 @@ def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -
     return np.fromiter(map(codes.get, cells, repeat(missing)), np.int64, len(cells))
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
+
+
+def _first_unencodable(cells: Sequence) -> int:
+    """Index of the first string cell UTF-8 cannot encode, which holds a lone surrogate, or len(cells)."""
+    try:
+        "".join(filter(None, cells)).encode("utf-8")  # the common case: all the text at once
+        return len(cells)
+    except (TypeError, UnicodeEncodeError):  # a cell that is not a string is left to its own rule
+        return _first(np.fromiter((isinstance(c, str) and bool(_SURROGATE.search(c)) for c in cells), bool, len(cells)))
+
+
 def _id_faults(ids: Sequence) -> list:
-    """The id rules of every table, in `_raise_first`'s form: each id a nonempty string, none repeated."""
+    """The id rules of every table, in `_raise_first`'s form: each id a nonempty string that
+    UTF-8 can encode, none repeated."""
     bad = _first(~_types_in(ids, str) | (_object_column(ids) == ""))
     seen: set = set()
     repeated = bad if len(set(ids[:bad])) == bad else next(
         i for i, rec_id in enumerate(ids[:bad]) if rec_id in seen or seen.add(rec_id))
     return [
         (bad, _cell_error(ids, "id", "id must be a nonempty string, got {!r}".format)),
+        (_first_unencodable(ids), _cell_error(ids, "id", "id must be encodable as UTF-8, got {!r}".format)),
         (repeated, lambda i: DuplicateIdError(f"duplicate record id {ids[i]!r} at row {i + 1}")),
     ]
 
@@ -276,6 +300,7 @@ def _dataset_faults(ids, scores, labels, dates, groups, score_cells, label_cells
          _cell_error(dates, "date", "date must be a datetime.date or None, got {!r}".format)),
         (_first(~_types_in(groups, (str, type(None)))),
          _cell_error(groups, "group", "group must be a string or None, got {!r}".format)),
+        (_first_unencodable(groups), _cell_error(groups, "group", "group must be encodable as UTF-8, got {!r}".format)),
     ]
 
 
@@ -347,6 +372,18 @@ def _parse_cells(parse, cells: Sequence, bad) -> tuple[list, int, ValueError | N
             if error is None:
                 first, error = i, exc
     return parsed, first, error
+
+
+def _lax_number(text: str) -> bool:
+    """Whether number text holds what float() reads past: an underscore, whitespace or a non-ASCII character."""
+    return not text.isascii() or any(char in text for char in "_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def _float_cells(cells: Sequence[str]) -> np.ndarray:
+    """CSV number cells as float64: NaN where a cell is not in float()'s syntax, or is `_lax_number`."""
+    if _lax_number("".join(cells)):  # the rare case: such cells are read as "nan"
+        cells = ["nan" if _lax_number(cell) else cell for cell in cells]
+    return np.array(_parse_cells(float, cells, math.nan)[0], dtype=np.float64)
 
 
 def _parsed_dates(cells: Sequence | None, parse, n: int) -> tuple[np.ndarray, tuple | None]:
@@ -496,7 +533,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     score_text, label_text = cells["score"], cells["label"]
     dates, date_parse = _parsed_dates(cells.get("date"), lambda t: None if t == "" else _to_date(t, date_format), n)
     columns = (_object_column(cells["id"]),
-               np.array(_parse_cells(float, score_text, math.nan)[0], dtype=np.float64),
+               _float_cells(score_text),
                _coded(label_text, _LABELS, -1),
                dates, _group_column(cells.get("group", (None,) * n)))
     _raise_first([

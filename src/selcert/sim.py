@@ -17,10 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .calibrate import RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan
+from .calibrate import (RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan,
+                        _threshold_fault, _value_fault)
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _object_column
+from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first
 from .rng import substream_seed
 
 
@@ -57,19 +58,21 @@ class TradeoffCurve(ColumnTable):
 
     @staticmethod
     def _checked(lam, fraction_kept, selective_accuracy) -> tuple:
-        lam, fraction_kept = np.array(lam, dtype=float), np.array(fraction_kept, dtype=float)
-        selective_accuracy = _object_column(selective_accuracy)
-        if not len(lam) == len(fraction_kept) == len(selective_accuracy):
+        cells = lam, fraction_kept, _object_column(selective_accuracy)
+        if len(set(map(len, cells))) > 1:
             raise DomainError("curve columns must all have one length")
-        _check_thresholds("curve lambda", lam, UnsortedLambdasError)
-        if not np.all(np.diff(fraction_kept) <= 0):  # NaN fails too
-            raise DomainError("fraction_kept must be non-increasing in lambda")
-        accuracy = np.where(np.equal(selective_accuracy, None), 0.0, selective_accuracy).astype(float)
-        for name, column in (("fraction_kept", fraction_kept), ("selective_accuracy", accuracy)):
-            bad = _first(~((column >= 0.0) & (column <= 1.0)))
-            if bad < len(lam):
-                raise DomainError(f"{name}[{bad}] must be within [0, 1], got {column[bad].item()!r}")
-        return lam, fraction_kept, selective_accuracy
+        accuracy = _floats(np.where(np.equal(cells[2], None), 0.0, cells[2]))
+        lam, fraction_kept = _floats(lam), _floats(fraction_kept)
+        _raise_first([
+            _threshold_fault("curve lambda", lam, UnsortedLambdasError),
+            _value_fault(~((fraction_kept >= 0.0) & (fraction_kept <= 1.0)), "fraction_kept[{}]",
+                         "a number within [0, 1]", cells[1]),
+            (_first(fraction_kept[1:] > fraction_kept[:-1]) + 1,
+             lambda i: DomainError("fraction_kept must be non-increasing in lambda")),
+            _value_fault(~((accuracy >= 0.0) & (accuracy <= 1.0)), "selective_accuracy[{}]",
+                         "a number within [0, 1] or None", cells[2]),
+        ], len(lam))
+        return lam, fraction_kept, cells[2]
 
     points = property(ColumnTable._rows, doc="The rows as TradeoffPoints.")
 

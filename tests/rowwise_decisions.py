@@ -8,7 +8,7 @@ csv.reader itself. The vectorised reader must raise the same error class,
 message, row and column, and load the same decisions.
 """
 
-from rowwise_loader import csv_rows
+from rowwise_loader import csv_rows, parse_number
 from selcert import Decision, DuplicateIdError, SchemaError
 from selcert.records import read_text
 
@@ -38,7 +38,7 @@ def read_decisions_rowwise(path) -> list[Decision]:
         bad_confidence = SchemaError(f"confidence must be a number within [0.5, 1], got '{conf_text}'",
                                      row=i, column="confidence")
         try:
-            conf = float(conf_text)
+            conf = parse_number(conf_text)
         except ValueError:
             raise bad_confidence from None
         if not (0.5 <= conf <= 1.0):

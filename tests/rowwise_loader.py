@@ -11,6 +11,7 @@ column, and load the same records.
 import csv
 import io
 import json
+import re
 from datetime import date, datetime
 from pathlib import Path
 
@@ -59,9 +60,17 @@ def _score_error(value, row):
     return SchemaError(f"score must be a number within [0, 1], got '{value}'", row=row, column="score")
 
 
+def parse_number(text):
+    """A number cell as float, in float()'s syntax written with ASCII letters, digits, signs and
+    points alone: no underscore, no surrounding space."""
+    if not re.fullmatch("[0-9A-Za-z.+-]*", text):
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def _parse_score(value, row):
     try:
-        score = float(value)
+        score = parse_number(value)
     except ValueError:
         raise _score_error(value, row) from None
     if not (0.0 <= score <= 1.0):

@@ -43,6 +43,7 @@ from selcert import (
 from selcert.binom import tail_at_most
 from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _retained_counts
 
+THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
 def fixture6() -> Dataset:
     rows = [
@@ -395,8 +396,8 @@ class TestCertificateInvariants:
                 "thresholds must be finite, within [0.5, 1] and strictly ascending: " + named)
 
     @pytest.mark.parametrize("n_at, errors_at, calib_size, message", [
-        ([3, 2, 2], [1, 3, 0], 3, "grid[1].errors must be within [0, n], got 3 with n 2"),
-        ([3, 2, 2], [1, -1, 0], 3, "grid[1].errors must be within [0, n], got -1 with n 2"),
+        ([3, 2, 2], [1, 3, 0], 3, "grid[1].errors must be an integer within [0, n], got 3 with n 2"),
+        ([3, 2, 2], [1, -1, 0], 3, "grid[1].errors must be an integer within [0, n], got -1 with n 2"),
         ([3, 2, 5], [0, 0, 0], 5, "grid n must be non-increasing: grid[2].n is 5 after 2"),
         ([3, 2, 1], [0, 0, 0], 2, "grid n must not exceed calib_size: grid[0].n is 3 with calib_size 2"),
     ])
@@ -405,6 +406,14 @@ class TestCertificateInvariants:
         with pytest.raises(DomainError) as err:
             ThresholdCertificate("infeasible", None, pts, RiskConfig(0.5, 0.2), calib_size)
         assert str(err.value) == message
+
+    def test_numpy_cells_are_quoted_as_python_values(self):
+        with pytest.raises(DomainError) as err:
+            CertificateGrid(np.array([0.6]), np.array([2]), np.array([3]), np.array([0.5]), np.array([0.9]))
+        assert str(err.value) == "grid[0].errors must be an integer within [0, n], got 3 with n 2"
+        with pytest.raises(DomainError) as err:
+            RiskConfig(alpha=np.float64(1.5), beta=0.1)
+        assert str(err.value) == "alpha must be within (0, 1), got 1.5"
 
     def test_grid_is_columns_with_point_views(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
@@ -533,11 +542,89 @@ class TestDecisions:
         (["", "b"], SchemaError, "id must be a nonempty string, got '' (row 1, column 'id')"),
         ([1, 2], SchemaError, "id must be a nonempty string, got 1 (row 1, column 'id')"),
         (["a", None], SchemaError, "id must be a nonempty string, got None (row 2, column 'id')"),
+        (["a", "\ud83d"], SchemaError, "id must be encodable as UTF-8, got '\\ud83d' (row 2, column 'id')"),
     ])
     def test_ids_checked_as_a_reader_checks_them(self, ids, error, message):
         with pytest.raises(error) as err:
             Decisions(ids, [1, -1], [0.9, 0.6])
         assert type(err.value) is error and str(err.value) == message
+
+
+def certificate_of(status, lambda_hat, grid, config, calib_size) -> ThresholdCertificate:
+    """Build a certificate from its fields, in the order `certificate_from_json` reads them.
+
+    grid is the five columns; config is (alpha, beta, min_count).
+    """
+    config = RiskConfig(*config)
+    return ThresholdCertificate(status, lambda_hat, CertificateGrid(*grid), config, calib_size)
+
+
+def certificate_json(status, lambda_hat, grid, config, calib_size) -> str:
+    """The certificate document of these fields, written as they are (NaN and Infinity included)."""
+    return json.dumps({"status": status, "lambda_hat": lambda_hat, "alpha": config[0], "beta": config[1],
+                       "min_count": config[2], "calib_size": calib_size,
+                       "grid": [dict(zip(("lambda", "n", "errors", "risk_hat", "risk_plus"), row))
+                                for row in zip(*grid)]})
+
+
+FIELDS = ("status", "lambda_hat", "grid", "config", "calib_size")
+GRID_KEYS = ("lambda", "n", "errors", "risk_hat", "risk_plus")
+
+
+def fixture6_fields(*edits) -> list:
+    """The fields of fixture6's certificate at alpha 0.85, beta 0.2 (feasible at 0.6, grid n 6 to 1),
+    with each (field, value) or ((grid key, index), value) of `edits` applied."""
+    cert = certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))
+    fields = [cert.status, cert.lambda_hat, [list(column) for column in cert.grid._values()],
+              (0.85, 0.2, 1), cert.calib_size]
+    for where, value in edits:
+        if isinstance(where, tuple):
+            fields[2][GRID_KEYS.index(where[0])][where[1]] = value
+        else:
+            fields[FIELDS.index(where)] = value
+    return fields
+
+
+class TestOneBadValueTwoSources:
+    """Each certificate rule is its constructors': code and JSON fail with the same words."""
+
+    @pytest.mark.parametrize("edits, message", [
+        # a fractional count, or a bool, that numpy would cast
+        ([(("n", 0), 2.7)], "grid[0].n must be an integer within [0, 2**63), got 2.7"),
+        ([(("errors", 1), True)], "grid[1].errors must be an integer within [0, n], got True with n 5"),
+        # a count past the int64 range
+        ([(("n", 0), 2**63 + 5)], "grid[0].n must be an integer within [0, 2**63), got 9223372036854775813"),
+        ([(("errors", 0), 2**63 + 5)],
+         "grid[0].errors must be an integer within [0, n], got 9223372036854775813 with n 6"),
+        # a risk that is NaN, outside [0, 1] or a string
+        ([(("risk_plus", 2), math.nan)], "grid[2].risk_plus must be a number within [0, 1], got nan"),
+        ([(("risk_plus", 2), -7.0)], "grid[2].risk_plus must be a number within [0, 1], got -7.0"),
+        ([(("risk_hat", 3), "0.5")], "grid[3].risk_hat must be a number within [0, 1], got '0.5'"),
+        # calib_size a fraction
+        ([("calib_size", 5.5)], "calib_size must be an integer, got 5.5"),
+        ([("calib_size", 6.0)], "calib_size must be an integer, got 6.0"),
+        # lambda_hat a string, a bool, or no threshold of the grid
+        ([("lambda_hat", "0.8")], "lambda_hat must be a number, got '0.8'"),
+        ([("lambda_hat", True)], "lambda_hat must be a number, got True"),
+        ([("lambda_hat", 0.65)], "lambda_hat must be one of the grid's thresholds, got 0.65"),
+        # an empty grid evidences nothing: no calibration record, no threshold
+        ([("grid", [[]] * 5), ("lambda_hat", 0.9), ("calib_size", 0)], "calib_size must be an integer >= 1, got 0"),
+        ([("grid", [[]] * 5), ("lambda_hat", 0.9)], "lambda_hat must be one of the grid's thresholds, got 0.9"),
+    ])
+    def test_defect(self, edits, message):
+        fields = fixture6_fields(*edits)
+        with pytest.raises(DomainError) as err:
+            certificate_of(*fields)
+        assert str(err.value) == message
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(certificate_json(*fields))
+        assert str(err.value) == "malformed certificate: " + message
+
+    def test_untampered_fields_build_the_certificate_both_ways(self):
+        fields = fixture6_fields()
+        cert = certificate_of(*fields)
+        assert cert == certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))
+        assert certificate_to_json(certificate_from_json(certificate_json(*fields))) == certificate_to_json(cert)
 
 
 class TestCertificateSerialization:
@@ -642,6 +729,12 @@ class TestCertificateSerialization:
             certificate_from_json(json.dumps(doc))
         assert str(err.value) == "malformed certificate: grid[1] must be an object"
 
+    # each count's rule, as its constructor words it, with the grid's n at the index
+    COUNT_RULES = {"min_count": "min_count must be an integer, got {}",
+                   "calib_size": "calib_size must be an integer, got {}",
+                   "n": "grid[{i}].n must be an integer within [0, 2**63), got {}",
+                   "errors": "grid[{i}].errors must be an integer within [0, n], got {} with n {n}"}
+
     @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
     def test_count_beyond_integer_range(self, tmp_path, field):
         # 1e400 loads as float infinity, which no count can be
@@ -652,8 +745,7 @@ class TestCertificateSerialization:
         path.write_text(json.dumps(doc).replace('"@@"', "1e400"))
         with pytest.raises(SchemaError) as err:
             load_certificate(path)
-        where = f"grid[0].{field}" if field in ("n", "errors") else field
-        assert str(err.value) == f"malformed certificate: {where} must be a finite number, got inf"
+        assert str(err.value) == "malformed certificate: " + self.COUNT_RULES[field].format("inf", i=0, n=6)
 
     @pytest.mark.parametrize("value, shown", [("NaN", "nan"), ("-Infinity", "-inf")])
     @pytest.mark.parametrize("field", ["min_count", "calib_size", "n", "errors"])
@@ -663,8 +755,7 @@ class TestCertificateSerialization:
         (doc["grid"][2] if field in ("n", "errors") else doc)[field] = "@@"
         with pytest.raises(SchemaError) as err:
             certificate_from_json(json.dumps(doc).replace('"@@"', value))
-        where = f"grid[2].{field}" if field in ("n", "errors") else field
-        assert str(err.value) == f"malformed certificate: {where} must be a finite number, got {shown}"
+        assert str(err.value) == "malformed certificate: " + self.COUNT_RULES[field].format(shown, i=2, n=4)
 
     def test_nested_past_the_recursion_limit(self):
         with pytest.raises(SchemaError, match="^invalid certificate JSON: maximum recursion depth"):
@@ -678,21 +769,21 @@ class TestCertificateSerialization:
         ("min_count", "1.5", "min_count must be an integer, got 1.5"),
         ("calib_size", "5.9", "calib_size must be an integer, got 5.9"),
         ("calib_size", '"6"', "calib_size must be an integer, got '6'"),
-        ("n", "2.7", "grid[0].n must be an integer, got 2.7"),
-        ("errors", "true", "grid[0].errors must be an integer, got True"),
-        ("errors", "999", "grid[0].errors must be within [0, n], got 999 with n 6"),
-        ("errors", "-1", "grid[0].errors must be within [0, n], got -1 with n 6"),
+        ("n", "2.7", "grid[0].n must be an integer within [0, 2**63), got 2.7"),
+        ("errors", "true", "grid[0].errors must be an integer within [0, n], got True with n 6"),
+        ("errors", "999", "grid[0].errors must be an integer within [0, n], got 999 with n 6"),
+        ("errors", "-1", "grid[0].errors must be an integer within [0, n], got -1 with n 6"),
         ("lambda", "null", "grid[0].lambda must be a number, got None"),
-        ("risk_plus", '"1"', "grid[0].risk_plus must be a number, got '1'"),
-        ("lambda_hat", "NaN", "lambda_hat must be a finite number, got nan"),
-        ("lambda_hat", "Infinity", "lambda_hat must be a finite number, got inf"),
-        ("lambda_hat", "-Infinity", "lambda_hat must be a finite number, got -inf"),
-        ("alpha", "NaN", "alpha must be a finite number, got nan"),
-        ("beta", "1e400", "beta must be a finite number, got inf"),
-        ("lambda", "NaN", "grid[0].lambda must be a finite number, got nan"),
-        ("risk_hat", "-Infinity", "grid[0].risk_hat must be a finite number, got -inf"),
-        ("risk_plus", "NaN", "grid[0].risk_plus must be a finite number, got nan"),
-        ("risk_plus", "Infinity", "grid[0].risk_plus must be a finite number, got inf"),
+        ("risk_plus", '"1"', "grid[0].risk_plus must be a number within [0, 1], got '1'"),
+        ("lambda_hat", "NaN", f"{THRESHOLD_RULE}lambda_hat is nan"),
+        ("lambda_hat", "Infinity", f"{THRESHOLD_RULE}lambda_hat is inf"),
+        ("lambda_hat", "-Infinity", f"{THRESHOLD_RULE}lambda_hat is -inf"),
+        ("alpha", "NaN", "alpha must be a number, got nan"),
+        ("beta", "1e400", "beta must be within (0, 1), got inf"),
+        ("lambda", "NaN", f"{THRESHOLD_RULE}grid lambda[0] is nan"),
+        ("risk_hat", "-Infinity", "grid[0].risk_hat must be a number within [0, 1], got -inf"),
+        ("risk_plus", "NaN", "grid[0].risk_plus must be a number within [0, 1], got nan"),
+        ("risk_plus", "Infinity", "grid[0].risk_plus must be a number within [0, 1], got inf"),
     ])
     def test_field_of_the_wrong_type(self, field, value, message):
         doc = json.loads(certificate_to_json(
@@ -712,7 +803,7 @@ class TestCertificateSerialization:
          "grid n must not exceed calib_size: grid[0].n is 6 with calib_size 5"),
         # errors > n at grid[4], before a threshold out of order at grid[5]
         (lambda doc: (doc["grid"][4].update(errors=3), doc["grid"][5].update({"lambda": 0.6})),
-         "grid[4].errors must be within [0, n], got 3 with n 2"),
+         "grid[4].errors must be an integer within [0, n], got 3 with n 2"),
         # thresholds out of order: 0.8 and 0.85 swapped
         (lambda doc: (doc["grid"][3].update({"lambda": 0.85}), doc["grid"][4].update({"lambda": 0.8})),
          "thresholds must be finite, within [0.5, 1] and strictly ascending: grid lambda[4] is 0.8"),
@@ -724,7 +815,7 @@ class TestCertificateSerialization:
         (lambda doc: doc.update(status="maybe"), "status must be feasible or infeasible, got 'maybe'"),
         (lambda doc: doc.update(alpha=1.5), "alpha must be within (0, 1), got 1.5"),
         # a missing grid field is located, as a null one is
-        (lambda doc: doc["grid"][2].pop("risk_plus"), "grid[2].risk_plus must be a number, got None"),
+        (lambda doc: doc["grid"][2].pop("risk_plus"), "grid[2].risk_plus must be a number within [0, 1], got None"),
     ])
     def test_tampered_certificate_is_a_located_schema_error(self, tamper, message):
         doc = json.loads(certificate_to_json(
@@ -794,6 +885,10 @@ class TestDecisionsIO:
         ("a,1,high\nb,0,0.2\n", "confidence must be a number within [0.5, 1], got 'high' (row 1, column 'confidence')"),
         ("a,1,0.9\nb,0,nan\nc,0,x\n",
          "confidence must be a number within [0.5, 1], got 'nan' (row 2, column 'confidence')"),
+        # text float() would read: an underscore or surrounding space
+        ("a,1,0.9_5\n", "confidence must be a number within [0.5, 1], got '0.9_5' (row 1, column 'confidence')"),
+        ("a,1,0.9\nb,0, 0.6\n",
+         "confidence must be a number within [0.5, 1], got ' 0.6' (row 2, column 'confidence')"),
     ])
     def test_first_bad_row_and_check_named(self, tmp_path, rows, message):
         path = tmp_path / "dec.csv"

@@ -347,7 +347,7 @@ class TestUnreadableInput:
                      "--out", str(tmp_path / "decisions.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: malformed certificate: min_count must be a finite number, got inf\n"
+            "error: malformed certificate: min_count must be an integer, got inf\n"
         )
 
 
@@ -364,6 +364,44 @@ class TestUnreadableInput:
         prefix = {"dataset": "invalid JSON", "certificate": "invalid certificate JSON"}[kind]
         assert capsys.readouterr().err.startswith(f"error: {prefix}: maximum recursion depth exceeded")
 
+    def test_lone_surrogate_id_is_a_located_error(self, cert75, tmp_path, capsys):
+        # JSON can spell a lone surrogate, which no UTF-8 decisions file can hold
+        data = tmp_path / "d.json"
+        data.write_text('[{"id": "a", "score": 0.9, "label": 1}, {"id": "b\\ud800", "score": 0.8, "label": 1}]')
+        out = tmp_path / "decisions.csv"
+        code = main(["apply", "--test", str(data), "--cert", cert75, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: id must be encodable as UTF-8, got 'b\\ud800' (row 2, column 'id')\n")
+        assert not out.exists()
+
+    def test_csv_score_with_an_underscore(self, cert75, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,score,label\na,0.9,1\nb,0.7_5,1\n")
+        out = tmp_path / "decisions.csv"
+        code = main(["apply", "--test", str(data), "--cert", cert75, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: score must be a number within [0, 1], got '0.7_5' (row 2, column 'score')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        # a feasible lambda_hat that no grid point evidences
+        ({"lambda_hat": 0.9}, "lambda_hat must be one of the grid's thresholds, got 0.9"),
+        ({"lambda_hat": 0.9, "grid": [], "calib_size": 0}, "calib_size must be an integer >= 1, got 0"),
+        ({"lambda_hat": 0.9, "grid": []}, "lambda_hat must be one of the grid's thresholds, got 0.9"),
+    ])
+    def test_certificate_threshold_without_evidence(self, change, message, cert75, test_csv, tmp_path, capsys):
+        doc = json.loads(Path(cert75).read_text(encoding="utf-8"))
+        doc.update(change)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        out = tmp_path / "decisions.csv"
+        code = main(["apply", "--test", test_csv, "--cert", str(cert), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: malformed certificate: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("token, shown", [("NaN", "nan"), ("Infinity", "inf"),
                                               ("-Infinity", "-inf")])
     def test_certificate_threshold_not_finite(self, token, shown, cert75, test_csv, tmp_path, capsys):
@@ -377,7 +415,8 @@ class TestUnreadableInput:
         code = main(["apply", "--test", test_csv, "--cert", str(cert), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: malformed certificate: lambda_hat must be a finite number, got {shown}\n"
+            "error: malformed certificate: thresholds must be finite, within [0.5, 1] and strictly "
+            f"ascending: lambda_hat is {shown}\n"
         )
         assert not out.exists()
 

@@ -1,8 +1,9 @@
 """Properties of dataset and decision files and of the metrics (needs hypothesis).
 
 Files round-trip, the column reader reads what csv.reader reads, the
-vectorised loaders word errors as the row-by-row references do, and the
-metric kernels equal the original metric loops.
+vectorised loaders word errors as the row-by-row references do, a bad
+certificate value fails alike in code and in JSON, and the metric kernels
+equal the original metric loops.
 """
 
 import csv
@@ -20,12 +21,15 @@ from hypothesis import strategies as st  # noqa: E402
 import reference_metrics  # noqa: E402
 from rowwise_decisions import read_decisions_rowwise  # noqa: E402
 from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
+from test_calibrate import FIELDS, certificate_json, certificate_of  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
     Decision,
     Decisions,
+    DomainError,
     PredictionRecord,
     RiskConfig,
+    SchemaError,
     SelcertError,
     bootstrap_significance,
     certificate_from_json,
@@ -39,7 +43,7 @@ from selcert import (  # noqa: E402
     write_dataset,
     write_decisions,
 )
-from selcert.calibrate import CertificateGrid, ThresholdCertificate  # noqa: E402
+from selcert.calibrate import ThresholdCertificate  # noqa: E402
 from selcert.jsonio import format_number  # noqa: E402
 from selcert.records import csv_columns  # noqa: E402
 
@@ -194,24 +198,79 @@ def test_certificate_round_trip(data, alpha, beta):
 
 
 @st.composite
-def certificates(draw):
-    """Any valid certificate: ascending thresholds, counts that fall, any bounds."""
+def certificate_fields(draw):
+    """The fields of any valid certificate: ascending thresholds, counts that fall, any bounds.
+
+    Returned as (status, lambda_hat, grid columns, (alpha, beta, min_count), calib_size).
+    """
     lam = sorted(set(draw(st.lists(st.floats(0.5, 1.0), max_size=12))))
     n_at = sorted(draw(st.lists(st.integers(0, 2**62), min_size=len(lam), max_size=len(lam))), reverse=True)
     errors = [draw(st.integers(0, n)) for n in n_at]
     risks = [draw(st.lists(st.floats(0.0, 1.0), min_size=len(lam), max_size=len(lam))) for _ in "hp"]
     lambda_hat = draw(st.sampled_from([None, *lam]))
     budget = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    config = RiskConfig(draw(budget), draw(budget), draw(st.integers(1, 2**62)))
-    return ThresholdCertificate("infeasible" if lambda_hat is None else "feasible", lambda_hat,
-                                CertificateGrid(lam, n_at, errors, *risks), config,
-                                draw(st.integers(n_at[0] if n_at else 0, 2**62)))
+    config = (draw(budget), draw(budget), draw(st.integers(1, 2**62)))
+    return ["infeasible" if lambda_hat is None else "feasible", lambda_hat, [lam, n_at, errors, *risks],
+            config, draw(st.integers(max(n_at[0] if n_at else 0, 1), 2**62))]
+
+
+def certificates():
+    return certificate_fields().map(lambda fields: certificate_of(*fields))
+
+
+# values that break a certificate rule, or that numpy would cast into a valid one
+HOSTILE = st.sampled_from([None, True, False, "0.6", "3", 2.0, 0, -1, 2**63, 2**63 + 5, 10**30,
+                           math.nan, math.inf, -math.inf, -7.0, 1.5, 0.55, []])
+
+
+@st.composite
+def loose_certificate_fields(draw, values=HOSTILE):
+    """A valid certificate's fields with at most one value replaced by one of `values`."""
+    fields = draw(certificate_fields())
+    where = draw(st.sampled_from(["none", *FIELDS]))
+    if where in ("status", "lambda_hat", "calib_size"):
+        fields[FIELDS.index(where)] = draw(values)
+    elif where == "config":
+        config = list(fields[3])
+        config[draw(st.integers(0, 2))] = draw(values)
+        fields[3] = tuple(config)
+    elif where == "grid" and fields[2][0]:
+        column = fields[2][draw(st.integers(0, 4))]
+        column[draw(st.integers(0, len(column) - 1))] = draw(values)
+    return fields
 
 
 @SETTINGS
-@given(cert=certificates())
+@given(fields=loose_certificate_fields())
+def test_one_bad_certificate_value_two_sources(fields):
+    # the constructors and the loader run one rule list: the same value fails with the same words
+    try:
+        cert = certificate_of(*fields)
+    except DomainError as exc:
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(certificate_json(*fields))
+        assert str(err.value) == f"malformed certificate: {exc}"
+        return
+    loaded = certificate_from_json(certificate_json(*fields))
+    assert certificate_to_json(loaded) == certificate_to_json(cert)
+
+
+def built(fields) -> ThresholdCertificate | None:
+    try:
+        return certificate_of(*fields)
+    except DomainError:
+        return None
+
+
+# numpy scalars reach a constructor from code only; JSON cannot carry them
+NUMPY_VALUES = st.sampled_from([np.float64(0.75), np.float64(math.nan), np.int64(3), np.int64(-1), np.bool_(True)])
+
+
+@SETTINGS
+@given(cert=certificates() | loose_certificate_fields(HOSTILE | NUMPY_VALUES).map(built).filter(bool))
 def test_certificate_json_round_trip_is_exact(cert):
-    # thresholds and counts come back bit for bit; the rest at 12 digits, stable
+    # any certificate that constructs writes and loads back: thresholds and counts bit for
+    # bit, the rest at 12 digits, stable
     text = certificate_to_json(cert)
     back = certificate_from_json(text)
     assert (back.status, back.calib_size, back.config) == (cert.status, cert.calib_size, cert.config)
@@ -225,7 +284,7 @@ def test_certificate_json_round_trip_is_exact(cert):
 
 # Cells and JSON values that break one load rule or another, mixed with valid ones
 BAD_CELLS = st.sampled_from(["", "r0", "r1", "0", "1", "2", "0.5", "1.5", "-0", "nan", "high",
-                             "2020-01-31", "2020-02-30", "someday", "g"])
+                             "2020-01-31", "2020-02-30", "someday", "g", "0.2_5", " 0.75 ", "\u0660.5"])
 BAD_VALUES = st.one_of(
     BAD_CELLS, st.sampled_from([0, 1, 2, -1, 0.5, 1.5, -0.0, True, None, [], {}]), st.floats()
 )
@@ -300,7 +359,8 @@ def test_json_loader_matches_rowwise_reference(tmp_path, text):
 BAD_DECISION_CELLS = [
     st.sampled_from(["", "r0", "r1", "r2"]),
     st.sampled_from(["abstain", "0", "1", "", "2", "Abstain", " 1", "-1"]),
-    st.sampled_from(["0.5", "1", "0.75", "0.49", "1.5", "nan", "inf", "-0", "x", "", " 0.9", "1_0"]),
+    st.sampled_from(["0.5", "1", "0.75", "0.49", "1.5", "nan", "inf", "-0", "x", "", " 0.9", "1_0", "0.9_5",
+                     "0.6 ", "\u0660.9"]),
 ]
 
 

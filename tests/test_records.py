@@ -557,6 +557,18 @@ SAME_FAULT = [
     # a CSV group cell is always a string
     ("group 3", {"group": 3}, ("json", "columns"), SchemaError, 2, "group",
      "group must be a string or None, got 3 (row 2, column 'group')"),
+    # text float() would read: an underscore, surrounding space, a non-ASCII digit
+    ("score 0.2_5", {"score": "0.2_5"}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got '0.2_5' (row 2, column 'score')"),
+    ("score ' 0.75 '", {"score": " 0.75 "}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got ' 0.75 ' (row 2, column 'score')"),
+    ("score '\u0660.5'", {"score": "\u0660.5"}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got '\u0660.5' (row 2, column 'score')"),
+    # a lone surrogate, which no UTF-8 file can hold and so no table may hold either
+    ("id lone surrogate", {"id": "r\ud800"}, ("json", "columns"), SchemaError, 2, "id",
+     "id must be encodable as UTF-8, got 'r\\ud800' (row 2, column 'id')"),
+    ("group lone surrogate", {"group": "\udfff"}, ("json", "columns"), SchemaError, 2, "group",
+     "group must be encodable as UTF-8, got '\\udfff' (row 2, column 'group')"),
 ]
 
 

@@ -121,16 +121,28 @@ class TestTradeoffCurve:
         # coverage and accuracy are fractions, located at the first bad point
         with pytest.raises(DomainError) as err:
             TradeoffCurve([TradeoffPoint(0.6, 3.0, 7.0)])
-        assert str(err.value) == "fraction_kept[0] must be within [0, 1], got 3.0"
+        assert str(err.value) == "fraction_kept[0] must be a number within [0, 1], got 3.0"
         with pytest.raises(DomainError) as err:
             TradeoffCurve.from_columns([0.6, 0.7], [1.0, -0.5], [0.5, None])
-        assert str(err.value) == "fraction_kept[1] must be within [0, 1], got -0.5"
+        assert str(err.value) == "fraction_kept[1] must be a number within [0, 1], got -0.5"
+
+    @pytest.mark.parametrize("accuracy, shown", [
+        ([0.5, 1.5, None], "1.5"),
+        ([0.5, math.nan, None], "nan"),
+        # a string or a bool is no accuracy, though numpy would cast it to one
+        ([0.5, "0.3", None], "'0.3'"),
+        ([0.5, True, None], "True"),
+    ])
+    def test_accuracy_is_a_number_or_none(self, accuracy, shown):
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], [0.5, 1.5, None])
-        assert str(err.value) == "selective_accuracy[1] must be within [0, 1], got 1.5"
+            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], accuracy)
+        assert str(err.value) == f"selective_accuracy[1] must be a number within [0, 1] or None, got {shown}"
+
+    def test_located_in_row_order(self):
+        # a fraction that rises at point 1 is named before a bad accuracy at point 2
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.from_columns([0.6], [1.0], [math.nan])
-        assert str(err.value) == "selective_accuracy[0] must be within [0, 1], got nan"
+            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [0.5, 0.75, 0.0], [0.5, 0.5, 2.0])
+        assert str(err.value) == "fraction_kept must be non-increasing in lambda"
 
 
 SPEC = SyntheticScorerSpec(n=1, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=0)
