@@ -98,12 +98,10 @@ class _LogFactorials:
         self._lock = threading.Lock()
 
     def upto(self, n: int) -> np.ndarray:
-        length = self._len
-        if n < length:
-            return self._values[:, : n + 1]
-        with self._lock:
-            if n >= self._len:
-                self._grow(n)
+        if n >= self._len:
+            with self._lock:
+                if n >= self._len:
+                    self._grow(n)
         return self._values[:, : n + 1]
 
     def _grow(self, n: int) -> None:
@@ -267,9 +265,7 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     """
     tail, p = BinomialTail(k, n), check_real("p", p, 0, 1, closed=True)
     k, n = tail.k, tail.n
-    if k == n:
-        return 1.0
-    if p == 0.0:
+    if k == n or p == 0.0:
         return 1.0
     if p == 1.0:
         return 0.0

@@ -6,7 +6,7 @@ values and picks the smallest threshold whose entire upper grid has an exact
 binomial upper risk bound at or below alpha (confidence level 1 - beta per
 grid point). Applying a feasible certificate keeps predictions at or above
 the threshold and abstains below it. A threshold must be finite and within
-[0.5, 1], a grid of them strictly ascending: one rule, `_check_thresholds`, run
+[0.5, 1], a grid of them strictly ascending: one rule, `_threshold_fault`, run
 by `ThresholdCertificate`, `sim.TradeoffCurve` and `selective_risk`.
 
 The retained-set rule, confidence >= lam with ties kept together, is
@@ -17,11 +17,11 @@ once. Its decisions are columns, `Decisions`, which `read_decisions` also
 returns; a `Decision` is a view of one row. The certificate's grid is
 columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
 on the one column base, `records.ColumnTable`, and state their rules in one
-located list each, run by constructors and reader alike: `_decision_faults`
-(with the id rules of `records._id_faults`) and `_grid_faults`. Every other
-certificate rule is `RiskConfig`'s or `ThresholdCertificate`'s;
-`certificate_from_json` checks only what JSON text needs and hands each
-field to the constructors as it was read.
+located list each: `_decision_faults` (with the id rules of
+`records._id_faults`), run by constructor and reader alike, and the grid
+constructor's. Every other certificate rule is `RiskConfig`'s or
+`ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
+needs and hands each field to the constructors as it was read.
 
 The scan needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -127,7 +127,7 @@ class CertificateGrid(ColumnTable):
     errors_at are int arrays with 0 <= errors_at <= n_at and n_at
     non-increasing; risk_hat and risk_plus are float arrays within [0, 1].
     The constructor reads its cells as `_floats` and `_counts` do and checks
-    them by one rule list, `_grid_faults`. A `GridPoint` is a view of one row.
+    them by one located rule list. A `GridPoint` is a view of one row.
     """
 
     _columns = ("lam", "n_at", "errors_at", "risk_hat", "risk_plus")
@@ -137,30 +137,22 @@ class CertificateGrid(ColumnTable):
         cells = lam, n_at, errors_at, risk_hat, risk_plus
         if len(set(map(len, cells))) > 1:
             raise DomainError("grid columns must all have one length")
-        columns = _floats(lam), _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus)
-        _raise_first(_grid_faults(*columns, cells), len(lam))
+        columns = lam, n_at, errors_at, risk_hat, risk_plus = (
+            _floats(lam), _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus))
+        _raise_first([  # the grid rules, in cell order; the messages quote the cells
+            _value_fault(~_types_in(cells[0], numbers.Real), "grid[{}].lambda", "a number", cells[0]),
+            _threshold_fault("grid lambda", lam),
+            _value_fault(n_at < 0, "grid[{}].n", "an integer within [0, 2**63)", cells[1]),
+            (_first(n_at[1:] > n_at[:-1]) + 1, lambda i: DomainError(
+                f"grid n must be non-increasing: grid[{i}].n is {n_at[i]} after {n_at[i - 1]}")),
+            (_first((errors_at < 0) | (errors_at > n_at)), lambda i: DomainError(
+                f"grid[{i}].errors must be an integer within [0, n], got {_shown(cells[2][i])} with n {n_at[i]}")),
+            _value_fault(~((risk_hat >= 0.0) & (risk_hat <= 1.0)), "grid[{}].risk_hat", "a number within [0, 1]",
+                         cells[3]),
+            _value_fault(~((risk_plus >= 0.0) & (risk_plus <= 1.0)), "grid[{}].risk_plus", "a number within [0, 1]",
+                         cells[4]),
+        ], len(lam))
         self._set(*columns)
-
-
-def _grid_faults(lam, n_at, errors_at, risk_hat, risk_plus, cells) -> list:
-    """The grid rules, in `_raise_first`'s form and cell order.
-
-    The columns are read from the `cells` as the constructor reads them: NaN
-    where a cell is not a number, -1 where it is not a count; the messages
-    quote the cells.
-    """
-    return [
-        _value_fault(~_types_in(cells[0], numbers.Real), "grid[{}].lambda", "a number", cells[0]),
-        _threshold_fault("grid lambda", lam),
-        _value_fault(n_at < 0, "grid[{}].n", "an integer within [0, 2**63)", cells[1]),
-        (_first(n_at[1:] > n_at[:-1]) + 1, lambda i: DomainError(
-            f"grid n must be non-increasing: grid[{i}].n is {n_at[i]} after {n_at[i - 1]}")),
-        (_first((errors_at < 0) | (errors_at > n_at)), lambda i: DomainError(
-            f"grid[{i}].errors must be an integer within [0, n], got {_shown(cells[2][i])} with n {n_at[i]}")),
-        _value_fault(~((risk_hat >= 0.0) & (risk_hat <= 1.0)), "grid[{}].risk_hat", "a number within [0, 1]", cells[3]),
-        _value_fault(~((risk_plus >= 0.0) & (risk_plus <= 1.0)), "grid[{}].risk_plus", "a number within [0, 1]",
-                     cells[4]),
-    ]
 
 
 @dataclass(frozen=True)
@@ -190,13 +182,15 @@ class ThresholdCertificate:
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "
                               f"grid[0].n is {self.grid.n_at[0]} with calib_size {self.calib_size}")
-        if self.lambda_hat is not None:
-            if not _types_in([self.lambda_hat], numbers.Real)[0]:
-                raise DomainError(f"lambda_hat must be a number, got {self.lambda_hat!r}")
-            _check_thresholds("lambda_hat", self.lambda_hat)
-            if not np.any(self.grid.lam == self.lambda_hat):
-                raise DomainError(f"lambda_hat must be one of the grid's thresholds, got {self.lambda_hat!r}")
-            object.__setattr__(self, "lambda_hat", float(self.lambda_hat))
+        if self.lambda_hat is not None:  # read as the grid reads its thresholds
+            cell = [self.lambda_hat]
+            lam = _floats(cell)[0]
+            _raise_first([
+                _value_fault(~_types_in(cell, numbers.Real), "lambda_hat", "a number", cell),
+                _threshold_fault("lambda_hat", lam),
+                _value_fault([lam not in self.grid.lam], "lambda_hat", "one of the grid's thresholds", cell),
+            ], 1)
+            object.__setattr__(self, "lambda_hat", float(lam))
 
     @property
     def feasible(self) -> bool:
@@ -292,14 +286,8 @@ def _threshold_fault(name: str, lams, error: type[SelcertError] = DomainError):
 
 
 def _value_fault(bad: np.ndarray, where: str, rule: str, cells: Sequence):
-    """The index of the first True in `bad`, and its error quoting that cell ("{where} must be {rule},
-    got ..." with the index in `where`'s "{}"), in `_raise_first`'s form."""
+    """The first index where `bad` and its error, "{where} must be {rule}, got <that cell>", for `_raise_first`."""
     return _first(bad), lambda i: DomainError(f"{where.format(i)} must be {rule}, got {_shown(cells[i])}")
-
-
-def _check_thresholds(name: str, lams, error: type[SelcertError] = DomainError) -> None:
-    """Raise `error` at the first of `lams` (one or a grid) not finite, in [0.5, 1] and ascending."""
-    _raise_first([_threshold_fault(name, lams, error)], np.size(lams))
 
 
 def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +319,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     retained error rate at confidence 1 - beta. An empty retained set reports
     risk_hat = risk_plus = 1 (no evidence, so nothing can be certified there).
     """
-    _check_thresholds("lam", lam)
+    _raise_first([_threshold_fault("lam", lam)], 1)
     beta = check_real("beta", beta, 0, 1)
     n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     lam = float(lam)
@@ -468,10 +456,10 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
         entries = doc["grid"]
         if not isinstance(entries, list):
             raise SchemaError("malformed certificate: grid must be a list")
-        bad = _first(~_types_in(entries, dict))
-        if bad < len(entries):
-            raise SchemaError(f"malformed certificate: grid[{bad}] must be an object")
-        grid = CertificateGrid(*([entry.get(key) for entry in entries] for key in _GRID_KEYS))
+        objects = _first(~_types_in(entries, dict))  # the grid's rules name any bad entry before it
+        grid = CertificateGrid(*([entry.get(key) for entry in entries[:objects]] for key in _GRID_KEYS))
+        if objects < len(entries):
+            raise SchemaError(f"malformed certificate: grid[{objects}] must be an object")
         return ThresholdCertificate(doc["status"], doc["lambda_hat"], grid, config, doc["calib_size"])
     except DomainError as exc:  # a rule of the certificate's own types
         raise SchemaError(f"malformed certificate: {exc}") from None

@@ -99,9 +99,7 @@ def cmd_calibrate(args) -> int:
         "calibrate",
         {"calib": args.calib, "train": args.train},
         {
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "min_count": config.min_count,
+            **vars(config),
             "calib_fraction": args.calib_fraction if args.calib is None else None,
             "seed": args.seed if args.calib is None else None,
             "date_format": args.date_format,
@@ -208,9 +206,7 @@ def cmd_simulate(args) -> int:
         "simulate",
         {},
         {
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "min_count": config.min_count,
+            **vars(config),
             "trials": args.trials,
             "n_calib": args.n_calib,
             "n_test": args.n_test,

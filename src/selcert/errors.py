@@ -83,8 +83,7 @@ def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int
 
 
 def _shown(value) -> str:
-    """repr(value), of a numpy scalar's Python value, or the size of an integer too long to read (or,
-    past a limit, to print)."""
+    """repr(value) (a numpy scalar's as its Python value's), or the size of a too-long integer."""
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, int) and value.bit_length() > 64:

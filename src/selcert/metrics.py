@@ -141,26 +141,22 @@ def _kernel(metric: str, scores: np.ndarray, labels: np.ndarray):
     return lambda counts: from_blocks(*_block_totals(blocks, labels, counts))
 
 
-def _unit_counts(n: int) -> np.ndarray:
-    return np.ones(n, dtype=np.int64)
-
-
 def roc_auc(scores, labels) -> float:
     """Probability a positive outranks a negative, ties counting one half."""
     s, y = _as_arrays(scores, labels)
-    return _kernel("roc_auc", s, y)(_unit_counts(len(s)))
+    return _kernel("roc_auc", s, y)(np.ones(len(s), np.int64))
 
 
 def pr_auc(scores, labels) -> float:
     """Average precision over descending score levels, ties as one block."""
     s, y = _as_arrays(scores, labels)
-    return _kernel("pr_auc", s, y)(_unit_counts(len(s)))
+    return _kernel("pr_auc", s, y)(np.ones(len(s), np.int64))
 
 
 def f1_accuracy(scores, labels) -> tuple[float, float]:
     """(F1, accuracy) thresholding scores at 0.5; F1 is 0 when 0/0."""
     s, y = _as_arrays(scores, labels)
-    return _f1_accuracy_from_columns(_confusion_columns(s, y), _unit_counts(len(s)))
+    return _f1_accuracy_from_columns(_confusion_columns(s, y), np.ones(len(s), np.int64))
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ def bootstrap_significance(
     kernel_b = _kernel(metric, b.scores()[b_order], labels)
 
     n = len(labels)
-    delta = kernel_a(_unit_counts(n)) - kernel_b(_unit_counts(n))
+    delta = kernel_a(np.ones(n, np.int64)) - kernel_b(np.ones(n, np.int64))
     hits = 0
     for i in range(resamples):
         rng = substream(seed, i)

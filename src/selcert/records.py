@@ -13,8 +13,9 @@ what text alone needs, the field count or key set and a date's parse
 message; a cell that does not parse becomes a value its rule rejects (a
 number cell parses in float()'s syntax, less the underscores, whitespace and
 non-ASCII digits float() lets pass). The error names the first bad row and,
-within it, the first bad cell, quoted as written. Loading is all-or-nothing; CSV text is read into columns by
-`csv_columns`, which the decisions reader shares.
+within it, the first bad cell, quoted as written. Loading is all-or-nothing;
+CSV text is read into columns by `csv_columns`, which the decisions reader
+shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
 `generate_synthetic` wraps its arrays in a Dataset, and simulate's trials
@@ -28,7 +29,6 @@ import io
 import json
 import math
 import numbers
-import re
 import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime
@@ -256,21 +256,17 @@ def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -
     return np.fromiter(map(codes.get, cells, repeat(missing)), np.int64, len(cells))
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
-
-
 def _first_unencodable(cells: Sequence) -> int:
-    """Index of the first string cell UTF-8 cannot encode, which holds a lone surrogate, or len(cells)."""
+    """Index of the first string cell UTF-8 cannot encode (it holds a lone surrogate), or len(cells)."""
     try:
-        "".join(filter(None, cells)).encode("utf-8")  # the common case: all the text at once
+        "".join(filter(None, cells)).encode()  # the common case: all the text at once
         return len(cells)
     except (TypeError, UnicodeEncodeError):  # a cell that is not a string is left to its own rule
-        return _first(np.fromiter((isinstance(c, str) and bool(_SURROGATE.search(c)) for c in cells), bool, len(cells)))
+        return _first([isinstance(cell, str) and cell.encode(errors="replace").decode() != cell for cell in cells])
 
 
 def _id_faults(ids: Sequence) -> list:
-    """The id rules of every table, in `_raise_first`'s form: each id a nonempty string that
-    UTF-8 can encode, none repeated."""
+    """The id rules of every table, in `_raise_first`'s form: each a nonempty UTF-8 string, none repeated."""
     bad = _first(~_types_in(ids, str) | (_object_column(ids) == ""))
     seen: set = set()
     repeated = bad if len(set(ids[:bad])) == bad else next(
@@ -339,16 +335,11 @@ class SyntheticScorerSpec:
 
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".json":
-        return "json"
-    raise DomainError(f"cannot infer format of {path!r}; pass format='csv' or 'json'")
+    if fmt is None and Path(path).suffix.lower() not in (".csv", ".json"):
+        raise DomainError(f"cannot infer format of {path!r}; pass format='csv' or 'json'")
+    if fmt not in ("csv", "json", None):
+        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
+    return fmt or Path(path).suffix.lower()[1:]
 
 
 def _to_date(text: str, date_format: str | None) -> date:
@@ -376,7 +367,7 @@ def _parse_cells(parse, cells: Sequence, bad) -> tuple[list, int, ValueError | N
 
 def _lax_number(text: str) -> bool:
     """Whether number text holds what float() reads past: an underscore, whitespace or a non-ASCII character."""
-    return not text.isascii() or any(char in text for char in "_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+    return "_" in text or not text.isascii() or "".join(text.split()) != text
 
 
 def _float_cells(cells: Sequence[str]) -> np.ndarray:

@@ -17,8 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .calibrate import (RiskConfig, _check_thresholds, _confidence_correct, _retained_counts, _scan,
-                        _threshold_fault, _value_fault)
+from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan, _threshold_fault, _value_fault
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
 from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first
@@ -105,7 +104,7 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     grid = np.unique(conf) if lambdas is None else np.asarray(list(lambdas), dtype=float)
     if grid.size == 0:
         raise UnsortedLambdasError("lambda grid must be nonempty")
-    _check_thresholds("curve lambda", grid, UnsortedLambdasError)
+    _raise_first([_threshold_fault("curve lambda", grid, UnsortedLambdasError)], grid.size)
 
     n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):

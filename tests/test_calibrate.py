@@ -778,6 +778,9 @@ class TestCertificateSerialization:
         ("lambda_hat", "NaN", f"{THRESHOLD_RULE}lambda_hat is nan"),
         ("lambda_hat", "Infinity", f"{THRESHOLD_RULE}lambda_hat is inf"),
         ("lambda_hat", "-Infinity", f"{THRESHOLD_RULE}lambda_hat is -inf"),
+        # an integer past the float range reads as inf, as a grid threshold does
+        pytest.param("lambda_hat", "1" + "0" * 400, f"{THRESHOLD_RULE}lambda_hat is inf", id="lambda_hat-huge"),
+        pytest.param("lambda", "1" + "0" * 400, f"{THRESHOLD_RULE}grid lambda[0] is inf", id="lambda-huge"),
         ("alpha", "NaN", "alpha must be a number, got nan"),
         ("beta", "1e400", "beta must be within (0, 1), got inf"),
         ("lambda", "NaN", f"{THRESHOLD_RULE}grid lambda[0] is nan"),
@@ -816,6 +819,11 @@ class TestCertificateSerialization:
         (lambda doc: doc.update(alpha=1.5), "alpha must be within (0, 1), got 1.5"),
         # a missing grid field is located, as a null one is
         (lambda doc: doc["grid"][2].pop("risk_plus"), "grid[2].risk_plus must be a number within [0, 1], got None"),
+        # the first bad grid entry wins, whether its fault is a field or the entry itself
+        (lambda doc: (doc["grid"][1].update(n=2.7), doc["grid"].__setitem__(4, [0.9, 2])),
+         "grid[1].n must be an integer within [0, 2**63), got 2.7"),
+        (lambda doc: (doc["grid"].__setitem__(1, None), doc["grid"][4].update(n=2.7)),
+         "grid[1] must be an object"),
     ])
     def test_tampered_certificate_is_a_located_schema_error(self, tamper, message):
         doc = json.loads(certificate_to_json(

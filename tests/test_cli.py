@@ -350,6 +350,18 @@ class TestUnreadableInput:
             "error: malformed certificate: min_count must be an integer, got inf\n"
         )
 
+    def test_certificate_threshold_beyond_float_range(self, cert75, test_csv, tmp_path, capsys):
+        doc = json.loads(Path(cert75).read_text(encoding="utf-8"))
+        doc["lambda_hat"] = "@@"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc).replace('"@@"', "1" + "0" * 400))
+        out = tmp_path / "decisions.csv"
+        assert main(["apply", "--test", test_csv, "--cert", str(cert), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed certificate: thresholds must be finite, within [0.5, 1] and strictly ascending:"
+            " lambda_hat is inf\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["dataset", "certificate"])
     def test_json_nested_past_the_recursion_limit(self, kind, test_csv, tmp_path, capsys):

@@ -219,7 +219,7 @@ def certificates():
 
 
 # values that break a certificate rule, or that numpy would cast into a valid one
-HOSTILE = st.sampled_from([None, True, False, "0.6", "3", 2.0, 0, -1, 2**63, 2**63 + 5, 10**30,
+HOSTILE = st.sampled_from([None, True, False, "0.6", "3", 2.0, 0, -1, 2**63, 2**63 + 5, 10**30, 10**400,
                            math.nan, math.inf, -math.inf, -7.0, 1.5, 0.55, []])
 
 
