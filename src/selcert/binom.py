@@ -37,6 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_int, check_real
+from .records import _first, _raise_first
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -132,16 +133,16 @@ class _LogFactorials:
 _LOG_FACTORIALS = _LogFactorials()
 
 
-def _counts(k, n) -> tuple[np.ndarray, np.ndarray]:
-    """k and n as int64 arrays of one length, with n >= 1 and 0 <= k <= n."""
+def _points(k, n) -> tuple[np.ndarray, np.ndarray]:
+    """k and n as int64 arrays of one length, with n >= 1 and 0 <= k <= n; a fault names its point."""
     k, n = np.asarray(k), np.asarray(n)
     if k.ndim != 1 or k.shape != n.shape or not all(
         a.dtype.kind in "iu" or a.size == 0 for a in (k, n)
     ):
         raise DomainError("k and n must be one-dimensional arrays of 64-bit integers, of one length")
     k, n = k.astype(np.int64), n.astype(np.int64)
-    if np.any(n < 1) or np.any(k < 0) or np.any(k > n):
-        raise DomainError("need n >= 1 and 0 <= k <= n at every point")
+    _raise_first([(_first((n < 1) | (k < 0) | (k > n)), lambda i: DomainError(
+        f"need n >= 1 and 0 <= k <= n at every point, got k={k[i]}, n={n[i]} at point {i}"))], len(k))
     return k, n
 
 
@@ -269,7 +270,7 @@ def binom_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    return float(_cdf(*_counts([k], [n]), p)[0])
+    return float(_cdf(*_points([k], [n]), p)[0])
 
 
 def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
@@ -281,7 +282,7 @@ def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
     proven lower end on that bound (`_lower_ends`) is not below p fails
     without a sum.
     """
-    k, n = _counts(k, n)
+    k, n = _points(k, n)
     beta, p = check_real("beta", beta, 0, 1), check_real("p", p, 0, 1)
     passes = np.zeros(len(k), dtype=bool)
     summed = (k < n) & (_lower_ends(k, n, beta) < p)
@@ -383,7 +384,7 @@ def risk_upper_bounds(
     floor, and its residual, at most the slope times the floor, is all the
     CDF can resolve there, which can exceed tol where the CDF is steep.
     """
-    k, n = _counts(k, n)
+    k, n = _points(k, n)
     beta = check_real("beta", beta, 0, 1)
     tol, max_iter = check_real("tol", tol, 0, math.inf), check_int("max_iter", max_iter, 1)
     values, residuals = np.ones(len(k)), np.full(len(k), 1.0 - beta)

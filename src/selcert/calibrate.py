@@ -5,9 +5,9 @@ and a risk budget alpha, the certifier scans the grid of observed confidence
 values and picks the smallest threshold whose entire upper grid has an exact
 binomial upper risk bound at or below alpha (confidence level 1 - beta per
 grid point). Applying a feasible certificate keeps predictions at or above
-the threshold and abstains below it. A threshold must be finite and within
-[0.5, 1], a grid of them strictly ascending: one rule, `_threshold_fault`, run
-by `ThresholdCertificate`, `sim.TradeoffCurve` and `selective_risk`.
+the threshold and abstains below it. A threshold is a number, finite, within
+[0.5, 1] and, in a grid, strictly ascending: one reader, `_thresholds`, run by
+`CertificateGrid`, `ThresholdCertificate`, `selective_risk` and `sim`'s curves.
 
 The retained-set rule, confidence >= lam with ties kept together, is
 counted in one place, `_retained_counts`, for the certification grid,
@@ -48,7 +48,6 @@ be picked as, the certified threshold; the default of 1 applies no floor.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -80,6 +79,7 @@ from .records import (
     _id_faults,
     _raise_first,
     _types_in,
+    _value_fault,
     csv_columns,
     read_text,
     write_text,
@@ -137,11 +137,11 @@ class CertificateGrid(ColumnTable):
         cells = lam, n_at, errors_at, risk_hat, risk_plus
         if len(set(map(len, cells))) > 1:
             raise DomainError("grid columns must all have one length")
+        lam, lam_faults = _thresholds("grid[{}].lambda", lam)
         columns = lam, n_at, errors_at, risk_hat, risk_plus = (
-            _floats(lam), _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus))
+            lam, _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus))
         _raise_first([  # the grid rules, in cell order; the messages quote the cells
-            _value_fault(~_types_in(cells[0], numbers.Real), "grid[{}].lambda", "a number", cells[0]),
-            _threshold_fault("grid lambda", lam),
+            *lam_faults,
             _value_fault(n_at < 0, "grid[{}].n", "an integer within [0, 2**63)", cells[1]),
             (_first(n_at[1:] > n_at[:-1]) + 1, lambda i: DomainError(
                 f"grid n must be non-increasing: grid[{i}].n is {n_at[i]} after {n_at[i - 1]}")),
@@ -184,11 +184,9 @@ class ThresholdCertificate:
                               f"grid[0].n is {self.grid.n_at[0]} with calib_size {self.calib_size}")
         if self.lambda_hat is not None:  # read as the grid reads its thresholds
             cell = [self.lambda_hat]
-            lam = _floats(cell)[0]
+            (lam,), faults = _thresholds("lambda_hat", cell)
             _raise_first([
-                _value_fault(~_types_in(cell, numbers.Real), "lambda_hat", "a number", cell),
-                _threshold_fault("lambda_hat", lam),
-                _value_fault([lam not in self.grid.lam], "lambda_hat", "one of the grid's thresholds", cell),
+                *faults, _value_fault([lam not in self.grid.lam], "lambda_hat", "one of the grid's thresholds", cell),
             ], 1)
             object.__setattr__(self, "lambda_hat", float(lam))
 
@@ -275,29 +273,25 @@ def _decision_faults(ids, prediction, confidence, prediction_cells, confidence_c
     ]
 
 
-def _threshold_fault(name: str, lams, error: type[SelcertError] = DomainError):
-    """The index of the first of `lams` (one or a grid) not finite, in [0.5, 1] and ascending,
-    and its error, in `_raise_first`'s form."""
-    grid = np.atleast_1d(np.asarray(lams, dtype=float))
-    bad = ~((0.5 <= grid) & (grid <= 1.0) & np.append(True, grid[1:] > grid[:-1]))  # NaN fails
-    return _first(bad), lambda i: error(
-        "thresholds must be finite, within [0.5, 1] and strictly ascending: "
-        f"{f'{name}[{i}]' if np.ndim(lams) else name} is {float(grid[i])!r}")
-
-
-def _value_fault(bad: np.ndarray, where: str, rule: str, cells: Sequence):
-    """The first index where `bad` and its error, "{where} must be {rule}, got <that cell>", for `_raise_first`."""
-    return _first(bad), lambda i: DomainError(f"{where.format(i)} must be {rule}, got {_shown(cells[i])}")
+def _thresholds(where: str, cells: Sequence, error: type[SelcertError] = DomainError) -> tuple[np.ndarray, list]:
+    """Threshold cells read as `_floats` does, and their rules in `_raise_first`'s form, naming cell i
+    `where.format(i)`: a number (no bool, text, list or NaN), then finite, within [0.5, 1] and ascending."""
+    lam = _floats(cells)
+    bad = ~((0.5 <= lam) & (lam <= 1.0) & np.append(True, lam[1:] > lam[:-1]))  # NaN fails
+    return lam, [
+        _value_fault(np.isnan(lam), where, "a number", cells, error),
+        (_first(bad), lambda i: error("thresholds must be finite, within [0.5, 1] and strictly ascending: "
+                                      f"{where.format(i)} is {float(lam[i])!r}")),
+    ]
 
 
 def _confidence_correct(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per-record confidence max(w, 1 - w) and whether the 0.5-threshold prediction is right.
 
-    The predicted label is 1 where score >= 0.5 (ties go to class 1), the
-    rule `predicted_label` applies to one score.
+    scores and labels are checked arrays. The predicted label is 1 where score
+    >= 0.5 (ties go to class 1), the rule `predicted_label` applies to one score.
     """
-    scores = np.asarray(scores, dtype=float)
-    return np.maximum(scores, 1.0 - scores), (scores >= 0.5) == np.asarray(labels)
+    return np.maximum(scores, 1.0 - scores), (scores >= 0.5) == labels
 
 
 def confidence(score: float) -> float:
@@ -319,10 +313,11 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     retained error rate at confidence 1 - beta. An empty retained set reports
     risk_hat = risk_plus = 1 (no evidence, so nothing can be certified there).
     """
-    _raise_first([_threshold_fault("lam", lam)], 1)
+    (lam,), faults = _thresholds("lam", [lam])
+    _raise_first(faults, 1)
     beta = check_real("beta", beta, 0, 1)
-    n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     lam = float(lam)
+    n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     if n_at == 0:
         return GridPoint(lam=lam, n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
     bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)

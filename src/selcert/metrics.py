@@ -12,9 +12,10 @@ from two bincounts per evaluation, records and positives per block: pr_auc
 sums recall gain times precision block by block with a left-to-right
 cumsum, and roc_auc takes each block's midrank from its bounds. F1 and
 accuracy are count-weighted sums of the per-record confusion columns. The
-public functions run the kernels with unit counts; bootstrap_significance
-runs the same kernels with each resample's multiplicities, so a resample
-costs no sort and no copy of the score columns.
+public functions read their inputs as the tables read cells (`_as_arrays`)
+and run the kernels with unit counts, as a selective report does on a
+Dataset's checked columns; bootstrap_significance runs the same kernels with
+each resample's multiplicities, so a resample costs no sort and no copy.
 """
 
 from __future__ import annotations
@@ -35,23 +36,21 @@ from .errors import (
     UnpairedIdsError,
     check_int,
 )
-from .records import Dataset
+from .records import Dataset, _coded, _floats, _raise_first, _value_fault
 from .rng import substream
 
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
-    if s.ndim != 1 or y.shape != s.shape:
+    """Scores read as `_floats` does, each a number within [0, 1], and labels each equal to 0 or 1 (text is not)."""
+    sequences = all(hasattr(cells, "__len__") and getattr(cells, "ndim", 1) == 1 for cells in (scores, labels))
+    if not sequences or len(scores) != len(labels):
         raise DomainError("scores and labels must be 1-d sequences of equal length")
-    bad = np.arange(y.size) if y.dtype.kind in "US" else np.flatnonzero((y != 0) & (y != 1))
-    if bad.size:
-        raise DomainError(f"labels must be 0 or 1, got {y.tolist()[bad[0]]!r}")
-    bad = np.flatnonzero(~((s >= 0.0) & (s <= 1.0)))  # NaN fails too
-    if bad.size:
-        value = s[bad[0]].item()
-        rule = "not be NaN" if value != value else "be within [0, 1]"
-        raise DomainError(f"scores must {rule}, got {value!r} at position {bad[0]}")
-    return s, y.astype(int, copy=False)
+    s, y = _floats(scores), _coded(labels, {0: 0, 1: 1}, -1)
+    _raise_first([
+        _value_fault(~((s >= 0.0) & (s <= 1.0)), "scores[{}]", "a number within [0, 1]", scores),
+        _value_fault(y < 0, "labels[{}]", "0 or 1", labels),
+    ], len(s))
+    return s, y
 
 
 def _tie_blocks(scores: np.ndarray) -> np.ndarray:
@@ -195,18 +194,18 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
             pr_auc=None, f1=None, roc_auc=None, accuracy=None,
             retain_rate=0.0, n_total=n_total, n_retained=0,
         )
-    s, y = scores[kept], labels[kept]
-    try:
-        roc = roc_auc(s, y)
-    except DegenerateLabelsError:
-        roc = None
-    try:
-        pr = pr_auc(s, y)
-    except DegenerateLabelsError:
-        pr = None
-    f1, accuracy = f1_accuracy(s, y)
+    # the Dataset's columns are checked, so the kernels score them as they are, one sort for both AUCs
+    s, y, ones = scores[kept], labels[kept], np.ones(n_retained, np.int64)
+    totals = _block_totals(_tie_blocks(s), y, ones)
+    aucs = {}
+    for name, from_blocks in (("pr_auc", _pr_auc_from_blocks), ("roc_auc", _roc_auc_from_blocks)):
+        try:
+            aucs[name] = from_blocks(*totals)
+        except DegenerateLabelsError:
+            aucs[name] = None
+    f1, accuracy = _f1_accuracy_from_columns(_confusion_columns(s, y), ones)
     return SelectiveReport(
-        pr_auc=pr, f1=f1, roc_auc=roc, accuracy=accuracy,
+        **aucs, f1=f1, accuracy=accuracy,
         retain_rate=n_retained / n_total, n_total=n_total, n_retained=n_retained,
     )
 
@@ -278,6 +277,7 @@ def bootstrap_significance(
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {metric!r}")
     resamples = check_int("resamples", resamples, 100)
+    seed = check_int("seed", seed, float("-inf"))
     ids_a, ids_b = a.ids(), b.ids()
     if set(ids_a) != set(ids_b):
         raise UnpairedIdsError("datasets must share one id set for a paired comparison")

@@ -45,6 +45,7 @@ from .errors import (
     DuplicateIdError,
     MissingDateError,
     SchemaError,
+    _shown,
     check_int,
     check_real,
 )
@@ -223,7 +224,8 @@ def _group_column(values: Sequence) -> np.ndarray:
 
 def _types_in(values: Sequence, types) -> np.ndarray:
     """Mask of the values that are instances of `types`; a bool is no number here, a datetime no date."""
-    kinds = set(map(type, values))
+    typed = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object
+    kinds = {values.dtype.type} if typed else set(map(type, values))  # a typed array's cells share one type
     rejected = {kind for kind in kinds if not issubclass(kind, types) or issubclass(kind, (bool, datetime))}
     if not rejected:  # the common case, a pass over the values' types alone
         return np.ones(len(values), dtype=bool)
@@ -251,9 +253,27 @@ def _counts(cells: Sequence) -> np.ndarray:
 
 def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -> np.ndarray:
     """Cells as int64 through `codes`: `missing` where a cell has no code or, if `integral`, is no integer."""
-    if integral:  # 1.0 and True would find the code of 1
-        cells = [cell if ok else None for cell, ok in zip(cells, _types_in(cells, numbers.Integral))]
-    return np.fromiter(map(codes.get, cells, repeat(missing)), np.int64, len(cells))
+    if isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "biuf":
+        # a number finds the one key it equals, so a typed array adds up its numeric keys' codes
+        column = np.full(len(cells), missing, dtype=np.int64)
+        for key in filter(lambda key: isinstance(key, numbers.Number), codes):
+            column += (cells == key) * (codes[key] - missing)
+    else:
+        try:
+            column = np.fromiter(map(codes.get, cells, repeat(missing)), np.int64, len(cells))
+        except TypeError:  # an unhashable cell (a list, or a tuple holding one) has no code
+            column = np.fromiter(map(_code, repeat(codes), cells, repeat(missing)), np.int64, len(cells))
+    if integral:  # 1.0 and True found the code of 1
+        column[~_types_in(cells, numbers.Integral)] = missing
+    return column
+
+
+def _code(codes: dict, cell, missing: int) -> int:
+    """`cell`'s code, or `missing` where it has none or cannot be hashed."""
+    try:
+        return codes.get(cell, missing)
+    except TypeError:
+        return missing
 
 
 def _first_unencodable(cells: Sequence) -> int:
@@ -330,8 +350,7 @@ class SyntheticScorerSpec:
             if len(pair) != 2:
                 raise DomainError(f"{name} must be a pair of positive numbers, got {pair!r}")
             object.__setattr__(self, name, tuple(check_real(name, v, 0, math.inf) for v in pair))
-        if not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, float("-inf")))
 
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
@@ -401,6 +420,11 @@ def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: i
 def _cell_error(values: Sequence, column: str, message: Callable[[object], str]):
     """The located error for a bad `column` cell at 0-based index i: message(values[i])."""
     return lambda i: SchemaError(message(values[i]), row=i + 1, column=column)
+
+
+def _value_fault(bad, where: str, rule: str, cells: Sequence, error: type[Exception] = DomainError):
+    """The first index where `bad` and its error, "{where} must be {rule}, got <that cell>", for `_raise_first`."""
+    return _first(bad), lambda i: error(f"{where.format(i)} must be {rule}, got {_shown(cells[i])}")
 
 
 def read_text(path: str | Path) -> str:

@@ -17,10 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan, _threshold_fault, _value_fault
+from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan, _thresholds
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first
+from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first, _value_fault
 from .rng import substream_seed
 
 
@@ -61,9 +61,10 @@ class TradeoffCurve(ColumnTable):
         if len(set(map(len, cells))) > 1:
             raise DomainError("curve columns must all have one length")
         accuracy = _floats(np.where(np.equal(cells[2], None), 0.0, cells[2]))
-        lam, fraction_kept = _floats(lam), _floats(fraction_kept)
+        lam, lam_faults = _thresholds("lambda[{}]", lam, UnsortedLambdasError)
+        fraction_kept = _floats(fraction_kept)
         _raise_first([
-            _threshold_fault("curve lambda", lam, UnsortedLambdasError),
+            *lam_faults,
             _value_fault(~((fraction_kept >= 0.0) & (fraction_kept <= 1.0)), "fraction_kept[{}]",
                          "a number within [0, 1]", cells[1]),
             (_first(fraction_kept[1:] > fraction_kept[:-1]) + 1,
@@ -93,18 +94,19 @@ class GuaranteeTrial:
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """Fraction kept and selective accuracy at each threshold in `lambdas`.
 
-    The grid must be nonempty and strictly increasing within [0.5, 1], else
+    A grid the caller passes must be nonempty and read as thresholds, else
     an UnsortedLambdasError; by default it is the sorted set of distinct
-    confidences observed in `data`. Selective accuracy is None at thresholds
-    that keep nothing.
+    confidences observed in `data`, a threshold grid as it is. Selective
+    accuracy is None at thresholds that keep nothing.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
     conf, correct = _confidence_correct(data.scores(), data.labels())
-    grid = np.unique(conf) if lambdas is None else np.asarray(list(lambdas), dtype=float)
+    grid, faults = (np.unique(conf), []) if lambdas is None else _thresholds(
+        "lambda[{}]", list(lambdas), UnsortedLambdasError)
     if grid.size == 0:
         raise UnsortedLambdasError("lambda grid must be nonempty")
-    _raise_first([_threshold_fault("curve lambda", grid, UnsortedLambdasError)], grid.size)
+    _raise_first(faults, grid.size)
 
     n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):
@@ -159,6 +161,7 @@ def validate_guarantee(
     for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test),
                         ("max_workers", max_workers)):
         check_int(name, value, 1)
+    seed = check_int("seed", seed, float("-inf"))
     return [_run_trial(t, spec, config, n_calib, n_test, seed) for t in range(trials)]
 
 

@@ -27,10 +27,10 @@ SPEC = SyntheticScorerSpec(n=30, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2,
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
 
 
-def _bootstrap(resamples):
+def _bootstrap(resamples, seed=1):
     a = generate_synthetic(SPEC)
     b = Dataset.from_columns(a.ids(), a.scores()[::-1], a.labels())
-    return bootstrap_significance(a, b, "roc_auc", resamples=resamples, seed=1)
+    return bootstrap_significance(a, b, "roc_auc", resamples=resamples, seed=seed)
 
 
 # entry point -> (call taking the value under test, kind of value)
@@ -60,6 +60,9 @@ ENTRY_POINTS = {
     "validate_guarantee.n_calib": (lambda v: validate_guarantee(SPEC, CONFIG, 1, v, 20, 0), "count"),
     "validate_guarantee.n_test": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, v, 0), "count"),
     "bootstrap_significance.resamples": (_bootstrap, "resamples"),
+    "SyntheticScorerSpec.seed": (lambda v: SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), v), "seed"),
+    "validate_guarantee.seed": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, 20, v), "seed"),
+    "bootstrap_significance.seed": (lambda v: _bootstrap(100, seed=v), "seed"),
 }
 
 HUGE = 10**400
@@ -72,6 +75,8 @@ BAD = {
     "count": COMMON + [0, -1, 1.0, 2.5, np.float64(3.0)],
     "bounded count": COMMON + [HUGE, -1, 11, 1.0],
     "resamples": COMMON + [0, 99, 100.0],
+    # a seed is any integer, of either sign and any size
+    "seed": [True, False, float("nan"), "1", None, 1.5, 1.0, np.float64(3.0)],
 }
 # numpy scalars of legal values, which every entry point accepts
 GOOD = {
@@ -81,6 +86,7 @@ GOOD = {
     "count": [np.int64(5), np.int32(5)],
     "bounded count": [np.int64(3), np.int64(0), np.int64(10)],
     "resamples": [np.int64(100)],
+    "seed": [np.int64(5), np.int32(-5), -HUGE, HUGE],
 }
 
 

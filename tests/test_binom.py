@@ -215,6 +215,15 @@ class TestArrayCalls:
         with pytest.raises(DomainError):
             binom.tail_at_most(k, n, 0.2, 0.1)
 
+    @pytest.mark.parametrize("k,n,point", [([1, 5], [3, 4], 1), ([1, 0], [3, 0], 1), ([-1, 9], [3, 2], 0)])
+    def test_bad_count_names_its_point(self, k, n, point):
+        message = (r"^need n >= 1 and 0 <= k <= n at every point, "
+                   rf"got k={k[point]}, n={n[point]} at point {point}$")
+        with pytest.raises(DomainError, match=message):
+            binom.risk_upper_bounds(k, n, 0.1)
+        with pytest.raises(DomainError, match=message):
+            binom.tail_at_most(k, n, 0.2, 0.1)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan"), True])
     def test_tail_test_rejects_bad_p(self, p):
         with pytest.raises(DomainError):

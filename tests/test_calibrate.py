@@ -26,7 +26,10 @@ from selcert import (
     PredictionRecord,
     RiskConfig,
     SchemaError,
+    SelcertError,
     ThresholdCertificate,
+    TradeoffCurve,
+    UnsortedLambdasError,
     apply_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -38,6 +41,7 @@ from selcert import (
     retain_rate,
     risk_upper_bound,
     selective_risk,
+    tradeoff_curve,
     write_decisions,
 )
 from selcert.binom import tail_at_most
@@ -115,9 +119,10 @@ class TestSelectiveRisk:
 
     @pytest.mark.parametrize("lam", [math.nan, 1.5, math.inf, 0.3])
     def test_rejects_a_threshold_outside_the_rule(self, lam):
-        with pytest.raises(DomainError, match=r"^thresholds must be finite, within \[0.5, 1\] "
-                                              r"and strictly ascending: lam is "):
+        # NaN is no number; the others are numbers but no thresholds
+        with pytest.raises(DomainError) as err:
             selective_risk(fixture6(), lam, beta=0.2)
+        assert str(err.value) == ("lam must be a number, got nan" if lam != lam else f"{THRESHOLD_RULE}lam is {lam!r}")
 
     # beta is checked whether or not the threshold retains anything (0.95 retains nothing here)
     @pytest.mark.parametrize("lam", [0.95, 0.8])
@@ -376,24 +381,23 @@ class TestCertificateInvariants:
             ThresholdCertificate("maybe", None, (), RiskConfig(0.5, 0.2), 1)
 
     def test_rejects_unsorted_grid(self):
-        # (grid lambdas, lambda_hat, the value the error names): out of order, a
-        # lone or trailing NaN, out of range, and lambda_hat NaN, inf or below 0.5
+        # (grid lambdas, lambda_hat, the error): out of order, a lone or trailing
+        # NaN (no number), out of range, and lambda_hat NaN, inf or below 0.5
         cases = [
-            ([0.9, 0.6], None, "grid lambda[1] is 0.6"),
-            ([math.nan], None, "grid lambda[0] is nan"),
-            ([0.6, 0.9, math.nan], None, "grid lambda[2] is nan"),
-            ([0.6, 1.5], None, "grid lambda[1] is 1.5"),
-            ([0.6, 0.9], math.nan, "lambda_hat is nan"),
-            ([0.6, 0.9], math.inf, "lambda_hat is inf"),
-            ([0.6, 0.9], 0.2, "lambda_hat is 0.2"),
+            ([0.9, 0.6], None, f"{THRESHOLD_RULE}grid[1].lambda is 0.6"),
+            ([math.nan], None, "grid[0].lambda must be a number, got nan"),
+            ([0.6, 0.9, math.nan], None, "grid[2].lambda must be a number, got nan"),
+            ([0.6, 1.5], None, f"{THRESHOLD_RULE}grid[1].lambda is 1.5"),
+            ([0.6, 0.9], math.nan, "lambda_hat must be a number, got nan"),
+            ([0.6, 0.9], math.inf, f"{THRESHOLD_RULE}lambda_hat is inf"),
+            ([0.6, 0.9], 0.2, f"{THRESHOLD_RULE}lambda_hat is 0.2"),
         ]
-        for lams, lambda_hat, named in cases:
+        for lams, lambda_hat, message in cases:
             pts = tuple(GridPoint(lam, 2, 0, 0.0, 0.5) for lam in lams)
             status = "infeasible" if lambda_hat is None else "feasible"
             with pytest.raises(DomainError) as err:
                 ThresholdCertificate(status, lambda_hat, pts, RiskConfig(0.5, 0.2), 2)
-            assert str(err.value) == (
-                "thresholds must be finite, within [0.5, 1] and strictly ascending: " + named)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("n_at, errors_at, calib_size, message", [
         ([3, 2, 2], [1, 3, 0], 3, "grid[1].errors must be an integer within [0, n], got 3 with n 2"),
@@ -775,15 +779,15 @@ class TestCertificateSerialization:
         ("errors", "-1", "grid[0].errors must be an integer within [0, n], got -1 with n 6"),
         ("lambda", "null", "grid[0].lambda must be a number, got None"),
         ("risk_plus", '"1"', "grid[0].risk_plus must be a number within [0, 1], got '1'"),
-        ("lambda_hat", "NaN", f"{THRESHOLD_RULE}lambda_hat is nan"),
+        ("lambda_hat", "NaN", "lambda_hat must be a number, got nan"),
         ("lambda_hat", "Infinity", f"{THRESHOLD_RULE}lambda_hat is inf"),
         ("lambda_hat", "-Infinity", f"{THRESHOLD_RULE}lambda_hat is -inf"),
         # an integer past the float range reads as inf, as a grid threshold does
         pytest.param("lambda_hat", "1" + "0" * 400, f"{THRESHOLD_RULE}lambda_hat is inf", id="lambda_hat-huge"),
-        pytest.param("lambda", "1" + "0" * 400, f"{THRESHOLD_RULE}grid lambda[0] is inf", id="lambda-huge"),
+        pytest.param("lambda", "1" + "0" * 400, f"{THRESHOLD_RULE}grid[0].lambda is inf", id="lambda-huge"),
         ("alpha", "NaN", "alpha must be a number, got nan"),
         ("beta", "1e400", "beta must be within (0, 1), got inf"),
-        ("lambda", "NaN", f"{THRESHOLD_RULE}grid lambda[0] is nan"),
+        ("lambda", "NaN", "grid[0].lambda must be a number, got nan"),
         ("risk_hat", "-Infinity", "grid[0].risk_hat must be a number within [0, 1], got -inf"),
         ("risk_plus", "NaN", "grid[0].risk_plus must be a number within [0, 1], got nan"),
         ("risk_plus", "Infinity", "grid[0].risk_plus must be a number within [0, 1], got inf"),
@@ -809,10 +813,10 @@ class TestCertificateSerialization:
          "grid[4].errors must be an integer within [0, n], got 3 with n 2"),
         # thresholds out of order: 0.8 and 0.85 swapped
         (lambda doc: (doc["grid"][3].update({"lambda": 0.85}), doc["grid"][4].update({"lambda": 0.8})),
-         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid lambda[4] is 0.8"),
+         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid[4].lambda is 0.8"),
         # a threshold out of order at grid[1], before a rising n at grid[2]
         (lambda doc: (doc["grid"][1].update({"lambda": 0.55}), doc["grid"][2].update(n=9)),
-         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid lambda[1] is 0.55"),
+         "thresholds must be finite, within [0.5, 1] and strictly ascending: grid[1].lambda is 0.55"),
         (lambda doc: doc.update(status="infeasible"),
          "lambda_hat must be present exactly when status is feasible"),
         (lambda doc: doc.update(status="maybe"), "status must be feasible or infeasible, got 'maybe'"),
@@ -950,3 +954,37 @@ class TestConfidenceCorrectKernel:
         conf, correct = _confidence_correct(scores, labels)
         assert conf.tolist() == [confidence(s) for s in scores]
         assert correct.tolist() == [predicted_label(s) == y for s, y in zip(scores, labels)]
+
+
+# threshold entry point -> (call taking one threshold cell, how it names that cell, its error)
+THRESHOLD_ENTRY_POINTS = {
+    "CertificateGrid": (lambda v: CertificateGrid([0.55, v], [2, 1], [0, 0], [0.0, 0.0], [0.5, 0.5]),
+                        "grid[1].lambda", DomainError),
+    "ThresholdCertificate.lambda_hat": (
+        lambda v: ThresholdCertificate("feasible", v, [GridPoint(0.6, 2, 0, 0.0, 0.5)], RiskConfig(0.5, 0.2), 2),
+        "lambda_hat", DomainError),
+    "TradeoffCurve": (lambda v: TradeoffCurve.from_columns([0.55, v], [1.0, 0.5], [0.5, 0.5]),
+                      "lambda[1]", UnsortedLambdasError),
+    "tradeoff_curve": (lambda v: tradeoff_curve(fixture6(), [0.55, v]), "lambda[1]", UnsortedLambdasError),
+    "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),
+}
+# a hostile threshold cell -> the error it gets, given the cell's name: a bool, text, a list and
+# NaN are no number, and an integer past the float range reads as inf
+HOSTILE_THRESHOLDS = {
+    "True": (True, "{} must be a number, got True"),
+    "text": ("0.6", "{} must be a number, got '0.6'"),
+    "huge": (10**400, THRESHOLD_RULE + "{} is inf"),
+    "nan": (math.nan, "{} must be a number, got nan"),
+    "list": ([0.6], "{} must be a number, got [0.6]"),
+}
+
+
+@pytest.mark.parametrize("value", HOSTILE_THRESHOLDS)
+@pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS)
+def test_one_threshold_rule_at_every_entry_point(entry, value):
+    call, where, error = THRESHOLD_ENTRY_POINTS[entry]
+    cell, message = HOSTILE_THRESHOLDS[value]
+    with pytest.raises(SelcertError) as err:
+        call(cell)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(where)

@@ -426,10 +426,9 @@ class TestUnreadableInput:
         out = tmp_path / "decisions.csv"
         code = main(["apply", "--test", test_csv, "--cert", str(cert), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: malformed certificate: thresholds must be finite, within [0.5, 1] and strictly "
-            f"ascending: lambda_hat is {shown}\n"
-        )
+        rule = ("lambda_hat must be a number, got nan" if token == "NaN" else
+                "thresholds must be finite, within [0.5, 1] and strictly ascending: lambda_hat is " + shown)
+        assert capsys.readouterr().err == f"error: malformed certificate: {rule}\n"
         assert not out.exists()
 
 

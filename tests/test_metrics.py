@@ -156,27 +156,74 @@ class TestF1Accuracy:
     pytest.param(fn, scores, labels, message, id=fn.__name__ + suffix)
     for fn in (roc_auc, pr_auc, f1_accuracy)
     for scores, labels, message, suffix in [
-        ([0.2, 0.8, 0.6], [0, 2, 1], "labels must be 0 or 1, got 2", ""),
-        # checked before the cast to int, which would read 0.7 as 0
-        ([0.1, 0.9, 0.4], [0.7, 1.2, 0], "labels must be 0 or 1, got 0.7", "-fractional-label"),
-        ([float("nan"), 0.9, 0.4], [1, 1, 0], "scores must not be NaN, got nan at position 0",
+        ([0.2, 0.8, 0.6], [0, 2, 1], "labels[1] must be 0 or 1, got 2", ""),
+        # a label is equal to 0 or 1, never cast: 0.7 is not read as 0
+        ([0.1, 0.9, 0.4], [0.7, 1.2, 0], "labels[0] must be 0 or 1, got 0.7", "-fractional-label"),
+        ([float("nan"), 0.9, 0.4], [1, 1, 0], "scores[0] must be a number within [0, 1], got nan",
          "-nan-score"),
         # string labels are not cast either, so "0" is as bad as "yes"
-        ([0.2, 0.8], ["0", "1"], "labels must be 0 or 1, got '0'", "-string-label"),
+        ([0.2, 0.8], ["0", "1"], "labels[0] must be 0 or 1, got '0'", "-string-label"),
         # scores are probabilities: F1 and accuracy threshold them at 0.5
-        ([7.0, -2.0], [1, 0], "scores must be within [0, 1], got 7.0 at position 0", "-score-above-one"),
-        ([0.3, 0.9, -0.5], [1, 0, 0], "scores must be within [0, 1], got -0.5 at position 2",
+        ([7.0, -2.0], [1, 0], "scores[0] must be a number within [0, 1], got 7.0", "-score-above-one"),
+        ([0.3, 0.9, -0.5], [1, 0, 0], "scores[2] must be a number within [0, 1], got -0.5",
          "-negative-score"),
-        ([float("inf"), 0.2, -3.0], [1, 0, 0], "scores must be within [0, 1], got inf at position 0",
+        ([float("inf"), 0.2, -3.0], [1, 0, 0], "scores[0] must be a number within [0, 1], got inf",
          "-infinite-score"),
         ([0.3, float("-inf"), float("nan")], [1, 0, 1],
-         "scores must be within [0, 1], got -inf at position 1", "-first-bad-score"),
+         "scores[1] must be a number within [0, 1], got -inf", "-first-bad-score"),
     ]
 ])
 def test_labels_outside_zero_one_rejected(fn, scores, labels, message):
     with pytest.raises(DomainError) as err:
         fn(scores, labels)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fn", [roc_auc, pr_auc, f1_accuracy])
+@pytest.mark.parametrize("scores, labels, message", [
+    # a score is read as the dataset reads one: text, a bool and a list are no number,
+    # and an integer past the float range is out of range
+    pytest.param(["0.9", "0.1"], [1, 0], "scores[0] must be a number within [0, 1], got '0.9'", id="text"),
+    pytest.param([True, 0.1], [1, 0], "scores[0] must be a number within [0, 1], got True", id="bool"),
+    pytest.param([10**400, 0.1], [1, 0], "scores[0] must be a number within [0, 1], got an integer of 1329 bits",
+                 id="huge"),
+    pytest.param([0.5, [0.6]], [1, 0], "scores[1] must be a number within [0, 1], got [0.6]", id="list"),
+    pytest.param([0.5, float("nan")], [1, 0], "scores[1] must be a number within [0, 1], got nan", id="nan"),
+    pytest.param([0.5, 0.6], [[1], 0], "labels[0] must be 0 or 1, got [1]", id="list-label"),
+    # a tuple is hashable as a type, yet one holding a list cannot be hashed
+    pytest.param([0.5, 0.6], [(0, [1]), 1], "labels[0] must be 0 or 1, got (0, [1])", id="tuple-label"),
+    pytest.param(np.array(0.5), np.array(1), "scores and labels must be 1-d sequences of equal length", id="0-d"),
+])
+def test_metric_inputs_read_as_table_cells(fn, scores, labels, message):
+    with pytest.raises(DomainError) as err:
+        fn(scores, labels)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fn", [roc_auc, pr_auc, f1_accuracy])
+@pytest.mark.parametrize("scores, labels", [
+    ([0.2, 0.8, 0.6, 0.4], [1, 0, 1, 0]),
+    ([0.2, 0.8, 0.6, 0.4], [True, False, True, False]),
+    ([0.2, 0.8, 0.6, 0.4], [1.0, 0.0, 1.0, -0.0]),
+    ([0.2, 0.8, 0.6, 0.4], [1, 0, 2, 0]),
+    ([0.2, 0.8, 0.6, 0.4], [1, 0, -1, 0]),
+    ([0.2, 0.8, 0.6, 0.4], [1.0, 0.0, 0.5, float("nan")]),
+    ([0.2, 0.8, 0.6, 0.4], ["1", "0", "1", "0"]),
+    ([0.2, float("nan"), 0.6, 0.4], [1, 0, 1, 0]),
+    ([0.2, 1.5, 0.6, 0.4], [1, 0, 1, 0]),
+    ([1, 0, 1, 0], [1, 0, 1, 0]),
+    ([True, False, True, False], [1, 0, 1, 0]),
+])
+def test_numpy_columns_read_as_their_lists(fn, scores, labels):
+    # a typed array is read a column at a time, a list a cell at a time: one answer
+    def outcome(s, y):
+        try:
+            return fn(s, y)
+        except DomainError as err:
+            return str(err)
+
+    assert outcome(np.array(scores), np.array(labels)) == outcome(scores, labels)
+    assert outcome(np.array(scores), np.array(labels, dtype=object)) == outcome(scores, labels)
 
 
 @pytest.mark.parametrize("fn", [roc_auc, pr_auc, f1_accuracy])

@@ -2,8 +2,8 @@
 
 Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
-certificate value fails alike in code and in JSON, and the metric kernels
-equal the original metric loops.
+certificate value fails alike in code and in JSON, the metric kernels
+equal the original metric loops, and a tradeoff grid is read as thresholds.
 """
 
 import csv
@@ -31,6 +31,7 @@ from selcert import (  # noqa: E402
     RiskConfig,
     SchemaError,
     SelcertError,
+    UnsortedLambdasError,
     bootstrap_significance,
     certificate_from_json,
     certificate_to_json,
@@ -40,6 +41,7 @@ from selcert import (  # noqa: E402
     pr_auc,
     read_decisions,
     roc_auc,
+    tradeoff_curve,
     write_dataset,
     write_decisions,
 )
@@ -503,3 +505,37 @@ def test_bootstrap_equals_resampling_the_scores(case, other, seed, metric):
             return type(exc)
 
     assert outcome(counted) == outcome(resampled)
+
+
+THRESHOLD_CELLS = st.one_of(
+    st.floats(0.45, 1.05), st.floats(), st.integers(-2, 2), st.booleans(), st.none(), st.just(10**400),
+    st.sampled_from(["0.6", [0.6], np.float64(0.75), np.int64(1), np.bool_(True)]))
+CURVE = Dataset.from_columns([f"r{i}" for i in range(5)], [0.1, 0.35, 0.6, 0.8, 0.95], [0, 1, 1, 0, 1])
+
+
+def _first_bad_threshold(cells) -> int:
+    """Index of the first cell that is no real number (a bool is none), or no threshold above the last."""
+    last = -math.inf
+    for i, cell in enumerate(cells):
+        if isinstance(cell, (bool, np.bool_)) or not isinstance(cell, (int, float, np.number)) or cell != cell:
+            return i
+        value = math.inf if isinstance(cell, int) and abs(cell) > 2**1024 else float(cell)
+        if not (0.5 <= value <= 1.0 and value > last):
+            return i
+        last = value
+    return len(cells)
+
+
+@SETTINGS
+@given(cells=st.lists(THRESHOLD_CELLS, max_size=5) | st.lists(st.floats(0.5, 1), max_size=5, unique=True).map(sorted))
+def test_tradeoff_grid_is_read_as_thresholds(cells):
+    # a grid either fails at its first bad cell, named, or is its cells as floats
+    bad = _first_bad_threshold(cells)
+    try:
+        curve = tradeoff_curve(CURVE, cells)
+    except SelcertError as exc:
+        assert type(exc) is UnsortedLambdasError
+        assert str(exc) == "lambda grid must be nonempty" if not cells else f"lambda[{bad}] " in str(exc)
+        return
+    assert bad == len(cells) > 0
+    assert curve.lam.tolist() == [float(cell) for cell in cells]

@@ -1,18 +1,22 @@
-"""The README's CLI quickstart runs as written.
+"""The README's quickstarts run as written.
 
 The shell block under "Quickstart (CLI)" is run in a fresh directory: each
 heredoc writes its file, and each `selcert ...` command goes through
 `selcert.cli.main`. A command must exit 0, and where `# ...` lines follow it,
-they must be its standard output, line for line.
+they must be its standard output, line for line. The Python block under
+"Quickstart (library)" runs in a fresh directory holding the golden
+calibration and test files as `calib.csv` and `test.csv`.
 """
 
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 from selcert.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def quickstart_steps() -> list:
@@ -51,3 +55,14 @@ def test_cli_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if body:  # the command's expected output lines
             assert out.splitlines() == body, target
+
+
+def test_library_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Quickstart \(library\)\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    for name in ("calib.csv", "test.csv"):
+        shutil.copy(GOLDEN_INPUTS / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})  # a SystemExit here is an infeasible certificate
+    lambda_hat, accuracy, retain_rate = map(float, capsys.readouterr().out.split())
+    assert lambda_hat == 0.7070000000000001
+    assert 0 < accuracy <= 1 and 0 < retain_rate <= 1

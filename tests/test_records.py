@@ -646,6 +646,11 @@ class TestConstructorMeetsTheReaders:
             Dataset.from_columns(["a", "b"], [0.5, 0.5], np.array([1, 2**64 - 1], dtype=np.uint64))
         with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got 'True' \(row 1"):
             Dataset.from_columns(["a"], np.array([True]), [1])
+        # a typed label array is read as its cells are: integers only, so a bool or 1.0 is no label
+        assert Dataset.from_columns(["a", "b"], [0.5, 0.5], np.array([0, 1])).labels().tolist() == [0, 1]
+        for labels in (np.array([True, False]), np.array([1.0, 0.0]), [1, (0, [1])]):
+            with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got .* \(row (1|2)"):
+                Dataset.from_columns(["a", "b"], [0.5, 0.5], labels)
 
 
 # the four tables on the one column base, and the repr each gives

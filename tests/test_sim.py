@@ -112,7 +112,7 @@ class TestTradeoffCurve:
             curve.lam[0] = 0.6
 
     def test_column_checks(self):
-        with pytest.raises(UnsortedLambdasError, match=r"curve lambda\[1\] is 0\.6"):
+        with pytest.raises(UnsortedLambdasError, match=r": lambda\[1\] is 0\.6$"):
             TradeoffCurve.from_columns([0.7, 0.6], [1.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError, match="non-increasing"):
             TradeoffCurve.from_columns([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
