@@ -10,11 +10,13 @@ the threshold and abstains below it. A threshold is a number, finite, within
 `CertificateGrid`, `ThresholdCertificate`, `selective_risk` and `sim`'s curves.
 
 The retained-set rule, confidence >= lam with ties kept together, is
-counted in one place, `_retained_counts`, for the certification grid,
-`selective_risk`, `sim.tradeoff_curve` and every simulate trial;
-`apply_certificate` applies the same comparison to the whole test set at
-once. Its decisions are columns, `Decisions`, which `read_decisions` also
-returns; a `Decision` is a view of one row. The certificate's grid is
+counted at given thresholds in one place, `_retained_counts`, for
+`selective_risk` and `sim.tradeoff_curve`. The scan (`_scan`) counts the
+certification grid from each calibration set sorted once: a grid point is
+the start of a run of tied confidences, and its counts are what lies from
+there up. `apply_certificate` and simulate's test sets apply the comparison
+itself to every record at once. The decisions are columns, `Decisions`,
+which `read_decisions` also returns; a `Decision` is a view of one row. The certificate's grid is
 columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
 on the one column base, `records.ColumnTable`, and state their rules in one
 located list each: `_decision_faults` (with the id rules of
@@ -340,11 +342,14 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     """
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
-    lam, n_at, errors, lambda_hat = _scan(*_confidence_correct(data.scores(), data.labels()), config)
+    # one row: its grid is the whole of the scan's grid
+    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores()[None], data.labels()[None]),
+                                            config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
+    feasible = not np.isnan(lambda_hat)
     return ThresholdCertificate(
-        status=FEASIBLE if lambda_hat is not None else INFEASIBLE,
-        lambda_hat=lambda_hat,
+        status=FEASIBLE if feasible else INFEASIBLE,
+        lambda_hat=float(lambda_hat) if feasible else None,
         grid=CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus),
         config=config,
         calib_size=len(data),
@@ -352,29 +357,54 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
 
 
 def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
-    """The certification grid (lam, n_at, errors) and its certified threshold.
+    """Each row's certification grid (lam, n_at, errors) and certified threshold.
 
-    Every eligible point (n_at >= config.min_count) gets one tail test,
-    CDF(errors; n_at, alpha) <= beta, which passes exactly when its
-    risk_plus <= alpha, up to the rounding the module docstring describes.
-    lambda_hat is the lowest point of the run of passes that reaches the top
-    of the grid, or None when the top eligible point fails or nothing is
-    eligible.
+    conf and correct are (rows, n) arrays, one calibration set per row. Each
+    row is sorted once: its grid is its distinct confidences, ascending, and
+    a point's n_at and errors count the records, and the mistakes, from the
+    start of its run of ties up. The grids are returned end to end, row
+    after row, with lambda_hat per row.
+
+    Every eligible point (n_at >= config.min_count) of every row gets one
+    tail test, CDF(errors; n_at, alpha) <= beta, all in one call; a point's
+    result depends on its own (errors, n_at) alone, so the rows stacked with
+    it change nothing. A test passes exactly when the point's risk_plus <=
+    alpha, up to the rounding the module docstring describes. A row's
+    lambda_hat is the lowest point of its run of passes that reaches the top
+    of its grid, or NaN when its top eligible point fails or nothing in it
+    is eligible.
     """
-    lam = np.unique(conf)
-    n_at, errors = _retained_counts(conf, correct, lam)
+    rows, n = conf.shape
+    order = np.argsort(conf, axis=1)
+    conf = np.take_along_axis(conf, order, axis=1)
+    # the mistakes at or above each sorted position of its row
+    suffix_wrong = np.cumsum(np.take_along_axis(~correct, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    run_start = np.ones(conf.shape, dtype=bool)
+    run_start[:, 1:] = conf[:, 1:] != conf[:, :-1]
+    at = np.flatnonzero(run_start)
+    lam, n_at, errors = conf.ravel()[at], n - at % n, suffix_wrong.ravel()[at]
+
     eligible = np.flatnonzero(n_at >= config.min_count)
     passes = tail_at_most(errors[eligible], n_at[eligible], config.alpha, config.beta)
-    failed = eligible[~passes]
-    run = eligible[eligible > failed[-1]] if failed.size else eligible
-    return lam, n_at, errors, float(lam[run[0]]) if run.size else None
+    # each row's eligible points lie together in `eligible`, at [low, high)
+    high = np.cumsum(np.bincount(at[eligible] // n, minlength=rows))
+    low = np.append(0, high[:-1])
+    # the last failure below each row's high, -1 for none, found by the count
+    # of failures up to there; one in an earlier row leaves the row's run whole
+    last_failure = np.append(-1, np.flatnonzero(~passes))[np.append(0, np.cumsum(~passes))[high]]
+    first_pass = np.maximum(last_failure + 1, low)
+    lambda_hat = np.full(rows, np.nan)
+    feasible = first_pass < high
+    lambda_hat[feasible] = lam[eligible[first_pass[feasible]]]
+    return lam, n_at, errors, lambda_hat
 
 
 def _retained_counts(conf: np.ndarray, correct: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     """(n_kept, n_wrong) at each threshold in `lams`, or at a single threshold.
 
     lam retains the records with conf >= lam, ties together; n_wrong counts
-    those not `correct`. This is the package's one count of a retained set.
+    those not `correct`. This is the package's one count of a retained set at
+    given thresholds; the scan counts its own grid from the sort it makes.
     """
     order = np.argsort(conf, kind="stable")
     suffix_wrong = np.append(np.cumsum(~correct[order][::-1])[::-1], 0)

@@ -4,21 +4,24 @@ validate_guarantee checks the marginal selective-accuracy guarantee: over
 repeated calibration draws, the fraction of feasible certificates whose test
 selective accuracy falls below 1 - alpha should stay near or below beta.
 Each trial derives its own seed substream, so trials are reproducible
-individually; they run one after another in a single thread. A trial draws
+individually. They run a chunk at a time, in one thread: each trial draws
 its arrays with `records._draw`, the draw behind `generate_synthetic`, so it
-sees that call's records without building a Dataset, and it counts retained
-records with `calibrate._retained_counts`, as the tradeoff curve does.
+sees that call's records without building a Dataset; the chunk's
+calibration draws go through one `calibrate._scan`, the scan behind
+`certify_threshold`, as stacked rows; and each feasible trial's test draw is
+counted at its threshold with one comparison, conf >= lam.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan, _thresholds
-from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
+from .errors import DomainError, EmptyInputError, UnsortedLambdasError, _shown, check_int
 from .jsonio import Table
 from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first, _value_fault
 from .rng import substream_seed
@@ -94,13 +97,17 @@ class GuaranteeTrial:
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """Fraction kept and selective accuracy at each threshold in `lambdas`.
 
-    A grid the caller passes must be nonempty and read as thresholds, else
-    an UnsortedLambdasError; by default it is the sorted set of distinct
-    confidences observed in `data`, a threshold grid as it is. Selective
-    accuracy is None at thresholds that keep nothing.
+    A grid the caller passes must be a sequence (a list, a tuple or an
+    array, not text, a mapping or a set) of thresholds, nonempty, whose
+    cells read as thresholds, else an UnsortedLambdasError; by default it is
+    the sorted set of distinct confidences observed in `data`, a threshold
+    grid as it is. Selective accuracy is None at thresholds that keep
+    nothing.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
+    if lambdas is not None and not _is_sequence(lambdas):
+        raise UnsortedLambdasError(f"lambdas must be a sequence of thresholds, got {_shown(lambdas)}")
     conf, correct = _confidence_correct(data.scores(), data.labels())
     grid, faults = (np.unique(conf), []) if lambdas is None else _thresholds(
         "lambda[{}]", list(lambdas), UnsortedLambdasError)
@@ -115,27 +122,16 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     return TradeoffCurve._unchecked(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
 
 
-def _run_trial(
-    trial_index: int,
-    spec: SyntheticScorerSpec,
-    config: RiskConfig,
-    n_calib: int,
-    n_test: int,
-    seed: int,
-) -> GuaranteeTrial:
-    trial_seed = substream_seed(seed, trial_index)
-    calib = _confidence_correct(*_draw(spec, n_calib, substream_seed(trial_seed, 1)))
-    # the threshold certify_threshold would certify, without solving its bounds
-    lambda_hat = _scan(*calib, config)[3]
-    if lambda_hat is None:
-        return GuaranteeTrial(trial_index, None, None, False)
-    test = _confidence_correct(*_draw(spec, n_test, substream_seed(trial_seed, 2)))
-    n_kept, n_wrong = map(int, _retained_counts(*test, lambda_hat))
-    if n_kept == 0:
-        return GuaranteeTrial(trial_index, lambda_hat, None, False)
-    accuracy = (n_kept - n_wrong) / n_kept
-    violated = accuracy < 1.0 - config.alpha
-    return GuaranteeTrial(trial_index, lambda_hat, accuracy, violated)
+def _is_sequence(value) -> bool:
+    """Whether value is a sequence of cells: a list, tuple, range or array of one or more dimensions, not text."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+
+
+# calibration plus test records one chunk of trials holds at most, unless a
+# single trial is larger and runs alone: bounds memory, never results
+_CHUNK_RECORDS = 1 << 14
 
 
 def validate_guarantee(
@@ -155,14 +151,48 @@ def validate_guarantee(
     contributes the score distribution; its own n and seed fields are not
     read. Results are ordered by trial index.
 
-    `max_workers` is accepted and validated but has no effect: trials run in
-    one thread, since a thread pool measured slower than one thread.
+    Trials run a chunk at a time (`_chunk`), as many as fit in
+    `_CHUNK_RECORDS` calibration plus test records; a trial's result depends
+    on its seed and index alone, never on the chunking. `max_workers` is
+    accepted and validated but has no effect: trials run in one thread,
+    since a thread pool measured slower than one thread.
     """
     for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test),
                         ("max_workers", max_workers)):
         check_int(name, value, 1)
     seed = check_int("seed", seed, float("-inf"))
-    return [_run_trial(t, spec, config, n_calib, n_test, seed) for t in range(trials)]
+    size = max(1, _CHUNK_RECORDS // (n_calib + n_test))
+    return [trial for first in range(0, trials, size)
+            for trial in _chunk(range(first, min(first + size, trials)), spec, config, n_calib, n_test, seed)]
+
+
+def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, n_calib: int, n_test: int,
+           seed: int) -> list[GuaranteeTrial]:
+    """The trials at `indices`: one scan over their calibration draws, then test draws where feasible.
+
+    The scan decides each trial's threshold as `certify_threshold` does,
+    without solving bounds. A test set keeps the records with conf >= lam,
+    the comparison `apply_certificate` makes.
+    """
+    trial_seeds = [substream_seed(seed, t) for t in indices]
+    lambda_hat = _scan(*_draws(spec, n_calib, [substream_seed(s, 1) for s in trial_seeds]), config)[3]
+    feasible = np.flatnonzero(~np.isnan(lambda_hat))
+    conf, correct = _draws(spec, n_test, [substream_seed(trial_seeds[i], 2) for i in feasible])
+    kept = conf >= lambda_hat[feasible, None]
+    accuracy = [None] * len(indices)  # stays None where nothing is tested or kept
+    for i, n_kept, n_wrong in zip(feasible.tolist(), np.count_nonzero(kept, axis=1).tolist(),
+                                  np.count_nonzero(kept & ~correct, axis=1).tolist()):
+        accuracy[i] = (n_kept - n_wrong) / n_kept if n_kept else None
+    return [GuaranteeTrial(t, None if math.isnan(lam) else lam, acc, acc is not None and acc < 1.0 - config.alpha)
+            for t, lam, acc in zip(indices, lambda_hat.tolist(), accuracy)]
+
+
+def _draws(spec: SyntheticScorerSpec, n: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Confidence and correctness of n records drawn from each seed by `records._draw`, one row per seed."""
+    scores, labels = np.empty((len(seeds), n)), np.empty((len(seeds), n), dtype=np.int64)
+    for row, trial_seed in enumerate(seeds):
+        scores[row], labels[row] = _draw(spec, n, trial_seed)
+    return _confidence_correct(scores, labels)
 
 
 def summarize_trials(trials: list[GuaranteeTrial]) -> dict:

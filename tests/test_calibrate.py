@@ -45,7 +45,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _retained_counts
+from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _retained_counts, _scan
 
 THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
@@ -155,6 +155,62 @@ class TestRetainedCounts:
                 brute = (int((conf >= lam).sum()), int((~correct & (conf >= lam)).sum()))
                 assert (kept, wrong) == brute, f"trial {trial}, lambda {lam!r}"
                 assert tuple(map(int, _retained_counts(conf, correct, lam))) == brute
+
+
+def tied_sets(rng, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores rounded to 1-3 decimals, so that many confidences tie, and labels, one set per row."""
+    scores = np.round(rng.beta(3.0, 2.0, (rows, n)), int(rng.integers(1, 4)))
+    return scores, (rng.random((rows, n)) < scores).astype(int)
+
+
+def reference_grid(conf, correct, config):
+    """The grid by np.unique and searchsorted, and its lambda_hat by one tail test per point, from the top."""
+    lam = np.unique(conf)
+    wrong = np.sort(conf[~correct])
+    n_at = len(conf) - np.searchsorted(np.sort(conf), lam, side="left")
+    errors = len(wrong) - np.searchsorted(wrong, lam, side="left")
+    lambda_hat = None
+    for i in reversed(range(len(lam))):
+        if n_at[i] < config.min_count:
+            continue
+        if not tail_at_most([int(errors[i])], [int(n_at[i])], config.alpha, config.beta)[0]:
+            break
+        lambda_hat = float(lam[i])
+    return lam, n_at, errors, lambda_hat
+
+
+class TestScan:
+    def test_tied_grid_equals_the_unique_reference(self):
+        # one sort per calibration set: a grid point is a run of tied
+        # confidences, counted from its start up
+        rng = np.random.default_rng(1618)
+        for trial in range(150):
+            n = int(rng.integers(1, 300))
+            scores, labels = tied_sets(rng, 1, n)
+            config = RiskConfig(alpha=float(rng.uniform(0.05, 0.5)), beta=float(rng.choice([0.05, 0.2, 0.5, 0.9])),
+                                min_count=int(rng.integers(1, 40)))
+            cert = certify_threshold(Dataset.from_columns([f"r{i}" for i in range(n)], scores[0], labels[0]), config)
+            lam, n_at, errors, lambda_hat = reference_grid(*_confidence_correct(scores[0], labels[0]), config)
+            assert cert.grid.lam.tolist() == lam.tolist(), f"trial {trial}"
+            assert cert.grid.n_at.tolist() == n_at.tolist() and cert.grid.errors_at.tolist() == errors.tolist()
+            assert cert.lambda_hat == lambda_hat, f"trial {trial}"
+
+    @pytest.mark.parametrize("rows, n, min_count", [(1, 1, 1), (7, 40, 5), (12, 150, 1), (5, 30, 31), (9, 3, 2)])
+    def test_stacked_rows_equal_each_row_alone(self, rows, n, min_count):
+        # rows share one sort call and one tail test call, and nothing else
+        rng = np.random.default_rng(rows * 1000 + n)
+        for beta in (0.1, 0.6):
+            config = RiskConfig(alpha=0.3, beta=beta, min_count=min_count)
+            conf, correct = _confidence_correct(*tied_sets(rng, rows, n))
+            lam, n_at, errors, lambda_hat = _scan(conf, correct, config)
+            alone = [_scan(conf[[r]], correct[[r]], config) for r in range(rows)]
+            for got, parts in zip((lam, n_at, errors, lambda_hat), zip(*alone)):
+                assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
+            for r in range(rows):
+                expected = reference_grid(conf[r], correct[r], config)[3]
+                assert (None if np.isnan(lambda_hat[r]) else lambda_hat[r]) == expected
+            if min_count > n:
+                assert np.isnan(lambda_hat).all()
 
 
 class TestCertifyThreshold:

@@ -1,7 +1,10 @@
-"""Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper.
+"""Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
+and no read of the environment.
 
 Helpers move between modules as rules are shared; a leftover import or a
-private function nothing calls any more fails here.
+private function nothing calls any more fails here. Sizes such as the
+solver's block and simulate's chunk are module constants, never settings
+read from the environment, so a result never depends on where it is run.
 """
 
 import ast
@@ -70,8 +73,22 @@ def test_every_private_helper_is_referenced():
     assert unreferenced == []
 
 
+def _environment_reads(tree: ast.Module) -> set[str]:
+    """The environment readers `tree` names, read as a name or an attribute or imported under any name."""
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return (_names_read(tree) | imported) & {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_nothing_reads_the_environment(module):
+    assert _environment_reads(TREES[module]) == set()
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
     assert [name for name in _imported(tree) if name not in _names_read(tree)] == ["os", "Sequence"]
     assert "_g" not in _names_read(tree)
+    assert _environment_reads(ast.parse("import os\nsize = os.environ.get('N')\n")) == {"environ"}
+    assert _environment_reads(ast.parse("from os import getenv as g\nsize = g('N')\n")) == {"getenv"}
+    assert _environment_reads(tree) == set()

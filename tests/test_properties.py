@@ -3,7 +3,8 @@
 Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
 certificate value fails alike in code and in JSON, the metric kernels
-equal the original metric loops, and a tradeoff grid is read as thresholds.
+equal the original metric loops, a tradeoff grid is read as thresholds, and
+simulate's chunked trials equal their one-at-a-time reference.
 """
 
 import csv
@@ -22,6 +23,7 @@ import reference_metrics  # noqa: E402
 from rowwise_decisions import read_decisions_rowwise  # noqa: E402
 from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
 from test_calibrate import FIELDS, certificate_json, certificate_of  # noqa: E402
+from test_sim import reference_trials  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
     Decision,
@@ -31,6 +33,7 @@ from selcert import (  # noqa: E402
     RiskConfig,
     SchemaError,
     SelcertError,
+    SyntheticScorerSpec,
     UnsortedLambdasError,
     bootstrap_significance,
     certificate_from_json,
@@ -42,12 +45,14 @@ from selcert import (  # noqa: E402
     read_decisions,
     roc_auc,
     tradeoff_curve,
+    validate_guarantee,
     write_dataset,
     write_decisions,
 )
 from selcert.calibrate import ThresholdCertificate  # noqa: E402
 from selcert.jsonio import format_number  # noqa: E402
 from selcert.records import csv_columns  # noqa: E402
+import selcert.sim as sim  # noqa: E402
 
 # ids mix CSV-special characters with ordinary text; surrogates cannot be
 # written as UTF-8 and so are left out
@@ -539,3 +544,21 @@ def test_tradeoff_grid_is_read_as_thresholds(cells):
         return
     assert bad == len(cells) > 0
     assert curve.lam.tolist() == [float(cell) for cell in cells]
+
+
+SHAPES = st.tuples(st.floats(0.3, 12.0), st.floats(0.3, 12.0))
+
+
+@SETTINGS
+@given(spec=st.builds(SyntheticScorerSpec, n=st.just(1), prevalence=st.floats(0.02, 0.98), pos_shape=SHAPES,
+                      neg_shape=SHAPES, seed=st.just(0)),
+       config=st.builds(RiskConfig, alpha=st.floats(0.02, 0.6), beta=st.floats(0.01, 0.99),
+                        min_count=st.integers(1, 70)),
+       trials=st.integers(1, 7), n_calib=st.integers(1, 60), n_test=st.integers(1, 30),
+       per_chunk=st.integers(0, 8), seed=st.integers(-(2**63), 2**64 - 1))
+def test_simulate_equals_its_per_trial_reference(monkeypatch, spec, config, trials, n_calib, n_test, per_chunk, seed):
+    # whatever the chunk holds (0: a budget one record short of one trial),
+    # each trial is certify_threshold's threshold and the count on its test set
+    monkeypatch.setattr(sim, "_CHUNK_RECORDS", max(per_chunk * (n_calib + n_test), n_calib + n_test - 1))
+    got = validate_guarantee(spec, config, trials=trials, n_calib=n_calib, n_test=n_test, seed=seed)
+    assert got == reference_trials(spec, config, trials, n_calib, n_test, seed)

@@ -25,7 +25,9 @@ from selcert import (
     validate_guarantee,
 )
 from selcert.jsonio import Table, csv_text
-from selcert.sim import _run_trial, curve_to_doc, trials_to_doc
+import selcert.sim as sim
+from selcert.records import _draw
+from selcert.sim import curve_to_doc, trials_to_doc
 
 
 def fixture6() -> Dataset:
@@ -71,6 +73,22 @@ class TestTradeoffCurve:
     def test_bad_grids_rejected(self, grid):
         with pytest.raises(UnsortedLambdasError):
             tradeoff_curve(fixture6(), grid)
+
+    @pytest.mark.parametrize("grid, shown", [
+        (0.6, "0.6"), (np.float64(0.6), "0.6"), (np.array(0.6), "array(0.6)"),
+        ("0.6", "'0.6'"), (b"0.6", "b'0.6'"), ({0.6: 1}, "{0.6: 1}"), ({0.6}, "{0.6}"),
+        (frozenset([0.6]), "frozenset({0.6})"),
+    ])
+    def test_grid_that_is_no_sequence_rejected(self, grid, shown):
+        # a number, text, a mapping or a set is no grid, though some iterate
+        with pytest.raises(UnsortedLambdasError) as err:
+            tradeoff_curve(fixture6(), grid)
+        assert str(err.value) == f"lambdas must be a sequence of thresholds, got {shown}"
+
+    def test_grid_sequences_accepted(self):
+        expected = tradeoff_curve(fixture6(), [0.6, 0.75])
+        for grid in ((0.6, 0.75), np.array([0.6, 0.75])):
+            assert tradeoff_curve(fixture6(), grid) == expected
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -149,6 +167,31 @@ SPEC = SyntheticScorerSpec(n=1, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
 
 
+def rounded(scores, labels):
+    """Scores rounded to two decimals, so that many confidences tie."""
+    return np.round(scores, 2), labels
+
+
+def reference_trials(spec, config, trials, n_calib, n_test, seed, tie=lambda scores, labels: (scores, labels)):
+    """validate_guarantee one trial at a time: certify_threshold on generate_synthetic's calibration
+    set, then the count on its test set, each drawn as `tie` leaves generate_synthetic's records."""
+    out = []
+    for t in range(trials):
+        calib, test = (Dataset.from_columns(data.ids(), *tie(data.scores(), data.labels()))
+                       for data in (generate_synthetic(replace(spec, n=n, seed=substream_seed(substream_seed(seed, t), i)))
+                                    for i, n in ((1, n_calib), (2, n_test))))
+        lambda_hat = certify_threshold(calib, config).lambda_hat
+        if lambda_hat is None:
+            out.append(GuaranteeTrial(t, None, None, False))
+            continue
+        scores = test.scores()
+        kept = np.maximum(scores, 1.0 - scores) >= lambda_hat
+        right = int((kept & ((scores >= 0.5) == test.labels())).sum())
+        accuracy = right / int(kept.sum()) if kept.any() else None
+        out.append(GuaranteeTrial(t, lambda_hat, accuracy, accuracy is not None and accuracy < 1.0 - config.alpha))
+    return out
+
+
 class TestValidateGuarantee:
     def test_reproducible_and_thread_invariant(self):
         kwargs = dict(trials=6, n_calib=80, n_test=120, seed=42)
@@ -180,25 +223,46 @@ class TestValidateGuarantee:
     @pytest.mark.parametrize("config", [CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=5),
                                         RiskConfig(alpha=0.35, beta=0.9, min_count=1)])
     def test_trial_threshold_is_the_certified_one(self, config):
-        # a trial decides lambda_hat without solving bounds, and draws arrays
-        # rather than Datasets; its threshold must be certify_threshold's, and
-        # its accuracy the count on generate_synthetic's test set
-        measured = 0
-        for t in range(12):
-            trial = _run_trial(t, SPEC, config, n_calib=150, n_test=20, seed=17)
-            calib, test = (generate_synthetic(replace(SPEC, n=n, seed=substream_seed(substream_seed(17, t), i)))
-                           for i, n in ((1, 150), (2, 20)))
-            assert trial.lambda_hat == certify_threshold(calib, config).lambda_hat
-            if trial.lambda_hat is None:
-                assert trial.test_selective_accuracy is None
-                continue
-            scores = test.scores()
-            kept = np.maximum(scores, 1.0 - scores) >= trial.lambda_hat
-            right = int((kept & ((scores >= 0.5) == test.labels())).sum())
-            expected = right / int(kept.sum()) if kept.any() else None
-            assert trial.test_selective_accuracy == expected, f"trial {t}"
-            measured += expected is not None
-        assert measured > 0
+        # trials decide lambda_hat without solving bounds, and draw arrays
+        # rather than Datasets; each threshold must be certify_threshold's, and
+        # each accuracy the count on generate_synthetic's test set
+        trials = validate_guarantee(SPEC, config, trials=12, n_calib=150, n_test=20, seed=17)
+        assert trials == reference_trials(SPEC, config, trials=12, n_calib=150, n_test=20, seed=17)
+        assert any(t.test_selective_accuracy is not None for t in trials)
+
+    @pytest.mark.parametrize("config, trials, n_calib, n_test, per_chunk", [
+        (CONFIG, 11, 60, 40, 4),  # a trial count that is no multiple of the chunk
+        (CONFIG, 5, 60, 40, 0),  # each trial above the budget, so alone in its chunk
+        (CONFIG, 1, 60, 40, 4),
+        (RiskConfig(alpha=0.01, beta=0.01, min_count=5), 7, 60, 40, 3),  # every trial infeasible
+        (RiskConfig(alpha=0.3, beta=0.2, min_count=61), 7, 60, 40, 3),  # min_count above n_calib
+        (RiskConfig(alpha=0.3, beta=0.5, min_count=5), 9, 60, 40, 4),  # beta >= 1/2 sums every term
+        (RiskConfig(alpha=0.35, beta=0.9, min_count=1), 9, 60, 40, 4),
+        (RiskConfig(alpha=0.3, beta=0.2, min_count=1), 9, 60, 5, 2),
+        (CONFIG, 6, 3000, 1000, None),  # the module's own budget (4 trials a chunk at 1 << 14)
+    ])
+    def test_chunks_equal_the_per_trial_reference(self, monkeypatch, config, trials, n_calib, n_test, per_chunk):
+        # the chunk budget is set so that `per_chunk` trials share a chunk (0: the
+        # budget is one record short of one trial); no chunking changes a trial
+        if per_chunk is None:
+            assert 1 < sim._CHUNK_RECORDS // (n_calib + n_test) < trials  # several trials, several chunks
+        else:
+            monkeypatch.setattr(sim, "_CHUNK_RECORDS", max(per_chunk * (n_calib + n_test), n_calib + n_test - 1))
+        got = validate_guarantee(SPEC, config, trials=trials, n_calib=n_calib, n_test=n_test, seed=5)
+        assert got == reference_trials(SPEC, config, trials, n_calib, n_test, seed=5)
+        if config.alpha == 0.01 or config.min_count > n_calib:
+            assert not any(t.feasible for t in got)
+
+    @pytest.mark.parametrize("per_chunk", [0, 3, 50])
+    def test_tied_scores_equal_the_per_trial_reference(self, monkeypatch, per_chunk):
+        # scores rounded to two decimals tie often; the trials' one-sort scan
+        # must still certify what certify_threshold certifies
+        monkeypatch.setattr(sim, "_draw", lambda spec, n, seed: rounded(*_draw(spec, n, seed)))
+        monkeypatch.setattr(sim, "_CHUNK_RECORDS", max(per_chunk * 400, 399))
+        for config in (CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=1)):
+            got = validate_guarantee(SPEC, config, trials=10, n_calib=200, n_test=200, seed=3)
+            assert got == reference_trials(SPEC, config, 10, 200, 200, seed=3, tie=rounded)
+            assert sum(t.feasible for t in got) > 0
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0, n_calib=10, n_test=10, seed=0),
