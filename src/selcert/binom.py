@@ -379,7 +379,8 @@ def risk_upper_bounds(
     Each root's bracket starts at a proven lower bound (`_lower_ends`), and
     every CDF sum of its solve runs over the window that holds from there up.
     Raises ConvergenceError, naming the first such point, if any residual is
-    still above tol after max_iter CDF evaluations. A point whose Newton
+    still above tol (`DEFAULT_TOL`) after max_iter (`DEFAULT_MAX_ITER`) CDF
+    evaluations; no caller passes other values. A point whose Newton
     step fell under the step floor passes: it is at its root to within the
     floor, and its residual, at most the slope times the floor, is all the
     CDF can resolve there, which can exceed tol where the CDF is steep.

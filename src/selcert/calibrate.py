@@ -10,18 +10,19 @@ the threshold and abstains below it. A threshold is a number, finite, within
 `CertificateGrid`, `ThresholdCertificate`, `selective_risk` and `sim`'s curves.
 
 The retained-set rule, confidence >= lam with ties kept together, is
-counted at given thresholds in one place, `_retained_counts`, for
-`selective_risk` and `sim.tradeoff_curve`. The scan (`_scan`) counts the
-certification grid from each calibration set sorted once: a grid point is
-the start of a run of tied confidences, and its counts are what lies from
-there up. `apply_certificate` and simulate's test sets apply the comparison
-itself to every record at once. The decisions are columns, `Decisions`,
-which `read_decisions` also returns; a `Decision` is a view of one row. The certificate's grid is
-columns too, `CertificateGrid`, with `GridPoint` as its row view. Both sit
-on the one column base, `records.ColumnTable`, and state their rules in one
-located list each: `_decision_faults` (with the id rules of
-`records._id_faults`), run by constructor and reader alike, and the grid
-constructor's. Every other certificate rule is `RiskConfig`'s or
+counted in one place, `_grid`, which sorts each set of records once: a grid
+point is the start of a run of tied confidences, and its counts are what
+lies from there up. The scan (`_scan`) decides on that grid, the default
+tradeoff curve is that grid, and `_retained_counts` looks other thresholds
+up in it, for `selective_risk` and a caller's own curve grid.
+`apply_certificate` and simulate's test sets apply the comparison itself to
+every record at once. The decisions are columns, `Decisions`, which
+`read_decisions` also returns; a `Decision` is a view of one row. The
+certificate's grid is columns too, `CertificateGrid`, with `GridPoint` as
+its row view. Both sit on the one column base, `records.ColumnTable`, and
+state their rules in one located list each: `_decision_faults` (with the id
+rules of `records._id_faults`), run by constructor and reader alike, and the
+grid constructor's. Every other certificate rule is `RiskConfig`'s or
 `ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
 needs and hands each field to the constructors as it was read.
 
@@ -318,14 +319,11 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     (lam,), faults = _thresholds("lam", [lam])
     _raise_first(faults, 1)
     beta = check_real("beta", beta, 0, 1)
-    lam = float(lam)
     n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     if n_at == 0:
-        return GridPoint(lam=lam, n_at=0, errors_at=0, risk_hat=1.0, risk_plus=1.0)
-    bound = risk_upper_bound(BinomialTail(errors_at, n_at), beta)
-    return GridPoint(
-        lam=lam, n_at=n_at, errors_at=errors_at, risk_hat=errors_at / n_at, risk_plus=bound.value
-    )
+        return GridPoint(float(lam), 0, 0, 1.0, 1.0)
+    risk_plus = risk_upper_bound(BinomialTail(errors_at, n_at), beta).value
+    return GridPoint(float(lam), n_at, errors_at, errors_at / n_at, risk_plus)
 
 
 def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate:
@@ -343,27 +341,36 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
     # one row: its grid is the whole of the scan's grid
-    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores()[None], data.labels()[None]),
-                                            config)
+    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores()[None], data.labels()[None]), config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
-    feasible = not np.isnan(lambda_hat)
-    return ThresholdCertificate(
-        status=FEASIBLE if feasible else INFEASIBLE,
-        lambda_hat=float(lambda_hat) if feasible else None,
-        grid=CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus),
-        config=config,
-        calib_size=len(data),
-    )
+    grid = CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus)
+    if np.isnan(lambda_hat):
+        return ThresholdCertificate(INFEASIBLE, None, grid, config, len(data))
+    return ThresholdCertificate(FEASIBLE, float(lambda_hat), grid, config, len(data))
+
+
+def _grid(conf: np.ndarray, correct: np.ndarray):
+    """Each row's grid (at, lam, n_at, errors), from one sort: the package's one count of a retained set.
+
+    conf and correct are (rows, n) arrays, one set of records per row. A
+    row's grid is its distinct confidences, ascending; a point's n_at and
+    errors count the records, and the mistakes, with conf >= lam: its run of
+    ties and all above. The grids lie end to end, row after row; `at` is a
+    point's run start in the flattened sorted rows, so `at // n` is its row.
+    """
+    n = conf.shape[1]
+    order = np.argsort(conf, axis=1)
+    conf = np.take_along_axis(conf, order, axis=1)
+    # the mistakes at or above each sorted position of its row
+    suffix_wrong = np.cumsum(np.take_along_axis(~correct, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    run_start = np.ones(conf.shape, dtype=bool)
+    run_start[:, 1:] = conf[:, 1:] != conf[:, :-1]
+    at = np.flatnonzero(run_start)
+    return at, conf.ravel()[at], n - at % n, suffix_wrong.ravel()[at]
 
 
 def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
-    """Each row's certification grid (lam, n_at, errors) and certified threshold.
-
-    conf and correct are (rows, n) arrays, one calibration set per row. Each
-    row is sorted once: its grid is its distinct confidences, ascending, and
-    a point's n_at and errors count the records, and the mistakes, from the
-    start of its run of ties up. The grids are returned end to end, row
-    after row, with lambda_hat per row.
+    """`_grid`'s (lam, n_at, errors) for rows of calibration sets, and each row's certified threshold.
 
     Every eligible point (n_at >= config.min_count) of every row gets one
     tail test, CDF(errors; n_at, alpha) <= beta, all in one call; a point's
@@ -375,15 +382,7 @@ def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
     is eligible.
     """
     rows, n = conf.shape
-    order = np.argsort(conf, axis=1)
-    conf = np.take_along_axis(conf, order, axis=1)
-    # the mistakes at or above each sorted position of its row
-    suffix_wrong = np.cumsum(np.take_along_axis(~correct, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
-    run_start = np.ones(conf.shape, dtype=bool)
-    run_start[:, 1:] = conf[:, 1:] != conf[:, :-1]
-    at = np.flatnonzero(run_start)
-    lam, n_at, errors = conf.ravel()[at], n - at % n, suffix_wrong.ravel()[at]
-
+    at, lam, n_at, errors = _grid(conf, correct)
     eligible = np.flatnonzero(n_at >= config.min_count)
     passes = tail_at_most(errors[eligible], n_at[eligible], config.alpha, config.beta)
     # each row's eligible points lie together in `eligible`, at [low, high)
@@ -400,16 +399,14 @@ def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
 
 
 def _retained_counts(conf: np.ndarray, correct: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
-    """(n_kept, n_wrong) at each threshold in `lams`, or at a single threshold.
+    """(n_kept, n_wrong) at each threshold in `lams`, or at a single threshold, looked up in `_grid`.
 
-    lam retains the records with conf >= lam, ties together; n_wrong counts
-    those not `correct`. This is the package's one count of a retained set at
-    given thresholds; the scan counts its own grid from the sort it makes.
+    A threshold keeps what the lowest grid point at or above it keeps, and
+    nothing past the top of the grid.
     """
-    order = np.argsort(conf, kind="stable")
-    suffix_wrong = np.append(np.cumsum(~correct[order][::-1])[::-1], 0)
-    start = np.searchsorted(conf[order], lams, side="left")
-    return len(conf) - start, suffix_wrong[start]
+    _, lam, n_at, errors = _grid(conf[None], correct[None])
+    start = np.searchsorted(lam, lams, side="left")
+    return np.append(n_at, 0)[start], np.append(errors, 0)[start]
 
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:

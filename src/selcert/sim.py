@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _retained_counts, _scan, _thresholds
+from .calibrate import RiskConfig, _confidence_correct, _grid, _retained_counts, _scan, _thresholds
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, _shown, check_int
 from .jsonio import Table
 from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first, _value_fault
@@ -99,23 +99,23 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
 
     A grid the caller passes must be a sequence (a list, a tuple or an
     array, not text, a mapping or a set) of thresholds, nonempty, whose
-    cells read as thresholds, else an UnsortedLambdasError; by default it is
-    the sorted set of distinct confidences observed in `data`, a threshold
-    grid as it is. Selective accuracy is None at thresholds that keep
-    nothing.
+    cells read as thresholds, else an UnsortedLambdasError. By default the
+    grid and its counts are `calibrate._grid`'s, the certifier's grid of
+    `data`. Selective accuracy is None at thresholds that keep nothing.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
     if lambdas is not None and not _is_sequence(lambdas):
         raise UnsortedLambdasError(f"lambdas must be a sequence of thresholds, got {_shown(lambdas)}")
     conf, correct = _confidence_correct(data.scores(), data.labels())
-    grid, faults = (np.unique(conf), []) if lambdas is None else _thresholds(
-        "lambda[{}]", list(lambdas), UnsortedLambdasError)
-    if grid.size == 0:
-        raise UnsortedLambdasError("lambda grid must be nonempty")
-    _raise_first(faults, grid.size)
-
-    n_kept, n_wrong = _retained_counts(conf, correct, grid)
+    if lambdas is None:
+        _, grid, n_kept, n_wrong = _grid(conf[None], correct[None])
+    else:
+        grid, faults = _thresholds("lambda[{}]", list(lambdas), UnsortedLambdasError)
+        if grid.size == 0:
+            raise UnsortedLambdasError("lambda grid must be nonempty")
+        _raise_first(faults, grid.size)
+        n_kept, n_wrong = _retained_counts(conf, correct, grid)
     with np.errstate(invalid="ignore"):
         accuracy = (n_kept - n_wrong) / n_kept
     # the grid is checked; the fractions are right by construction

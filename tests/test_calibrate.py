@@ -117,6 +117,11 @@ class TestSelectiveRisk:
         pt = selective_risk(fixture6(), 0.82, beta=0.2)
         assert (pt.n_at, pt.errors_at) == (3, 0)
 
+    def test_empty_dataset_retains_nothing(self):
+        # an empty set is a grid of no points: every threshold is past its top
+        empty = Dataset.from_columns([], [], [])
+        assert selective_risk(empty, 0.7, beta=0.2) == GridPoint(0.7, 0, 0, 1.0, 1.0)
+
     @pytest.mark.parametrize("lam", [math.nan, 1.5, math.inf, 0.3])
     def test_rejects_a_threshold_outside_the_rule(self, lam):
         # NaN is no number; the others are numbers but no thresholds
@@ -211,6 +216,27 @@ class TestScan:
                 assert (None if np.isnan(lambda_hat[r]) else lambda_hat[r]) == expected
             if min_count > n:
                 assert np.isnan(lambda_hat).all()
+
+
+class TestOneCountThreePaths:
+    def test_grid_curve_and_selective_risk_agree(self):
+        # the certificate's grid, the default tradeoff curve and selective_risk
+        # count one retained set, on tied scores, and agree bit for bit
+        rng = np.random.default_rng(3141)
+        for trial in range(12):
+            n = int(rng.integers(1, 200))
+            scores, labels = tied_sets(rng, 1, n)
+            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores[0], labels[0])
+            config = RiskConfig(alpha=0.2, beta=float(rng.choice([0.05, 0.5, 0.9])))
+            cert = certify_threshold(data, config)
+            for i, lam in enumerate(cert.grid.lam.tolist()):
+                assert selective_risk(data, lam, config.beta) == cert.grid[i], f"trial {trial}, grid[{i}]"
+            curve = tradeoff_curve(data)
+            assert curve.lam.tolist() == cert.grid.lam.tolist(), f"trial {trial}"
+            # the fraction as the curve computes it: (n_at / n) * n is not always n_at in floats
+            assert curve.fraction_kept.tolist() == (cert.grid.n_at / n).tolist(), f"trial {trial}"
+            accuracy = (cert.grid.n_at - cert.grid.errors_at) / cert.grid.n_at
+            assert curve.selective_accuracy.tolist() == accuracy.tolist(), f"trial {trial}"
 
 
 class TestCertifyThreshold:

@@ -1,10 +1,12 @@
 """Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
-and no read of the environment.
+no read of the environment, and numpy sorts in two places only.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
 solver's block and simulate's chunk are module constants, never settings
 read from the environment, so a result never depends on where it is run.
+Every retained-set count reads one sort, `calibrate._grid`'s; the ranking
+metrics' tie blocks (`metrics._tie_blocks`) are the only other sort of data.
 """
 
 import ast
@@ -84,6 +86,26 @@ def test_nothing_reads_the_environment(module):
     assert _environment_reads(TREES[module]) == set()
 
 
+# numpy's sorts of data, read as a name or an attribute; `np.sort` is matched by its module
+_SORTS = {"argsort", "lexsort", "unique"}
+
+
+def _numpy_sorts(tree: ast.Module) -> set[str]:
+    """The top-level functions and classes of `tree` that sort with numpy, and "<module>" for other statements."""
+    def sorts(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in _SORTS or (node.attr == "sort" and isinstance(node.value, ast.Name)
+                                           and node.value.id == "np")
+        return isinstance(node, ast.Name) and node.id in _SORTS
+
+    return {getattr(node, "name", "<module>") for node in tree.body if any(map(sorts, ast.walk(node)))}
+
+
+def test_numpy_sorts_only_in_the_grid_and_the_tie_blocks():
+    sorting = {f"{module}:{name}" for module, tree in TREES.items() for name in _numpy_sorts(tree)}
+    assert sorting == {"calibrate.py:_grid", "metrics.py:_tie_blocks"}
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
@@ -92,3 +114,7 @@ def test_the_checks_see_what_they_look_for():
     assert _environment_reads(ast.parse("import os\nsize = os.environ.get('N')\n")) == {"environ"}
     assert _environment_reads(ast.parse("from os import getenv as g\nsize = g('N')\n")) == {"getenv"}
     assert _environment_reads(tree) == set()
+    sorting = ast.parse("import numpy as np\nfrom numpy import lexsort\ndef f(x): return np.unique(x)\n"
+                        "def g(p): p.sort()\nclass C:\n    def h(self, x): return x.argsort()\n"
+                        "def k(x): return np.sort(x)\norder = lexsort([])\n")
+    assert _numpy_sorts(sorting) == {"f", "C", "k", "<module>"}
