@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_int, check_real
+from .errors import ConvergenceError, DomainError, check_beta, check_int, check_real
 from .records import _first, _raise_first
 
 DEFAULT_TOL = 1e-10
@@ -70,9 +70,12 @@ class RiskBound:
 
     `value` is the largest rate still consistent with the observed tail at
     confidence level 1 - beta; `residual` is |CDF(k; n, value) - beta| at the
-    returned point. For k < n the solver drives the residual below its
-    tolerance; for k = n the bound is pinned at 1 and the residual is 1 - beta
-    because the CDF is identically 1 there.
+    returned point. For k < n it is the smallest residual of the solve, which
+    stops at a zero residual, a Newton step under the step floor, a bracket
+    that no longer splits, or DEFAULT_MAX_ITER CDF evaluations; it is at most
+    DEFAULT_TOL unless the step floor stopped it (`risk_upper_bounds`). For
+    k = n the bound is pinned at 1 and the residual is 1 - beta because the
+    CDF is identically 1 there.
     """
 
     value: float
@@ -283,7 +286,7 @@ def tail_at_most(k, n, p: float, beta: float) -> np.ndarray:
     without a sum.
     """
     k, n = _points(k, n)
-    beta, p = check_real("beta", beta, 0, 1), check_real("p", p, 0, 1)
+    beta, p = check_beta(beta), check_real("p", p, 0, 1)
     passes = np.zeros(len(k), dtype=bool)
     summed = (k < n) & (_lower_ends(k, n, beta) < p)
     passes[summed] = _cdf(k[summed], n[summed], p) <= beta
@@ -322,7 +325,7 @@ def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) 
     return guess
 
 
-def _solve_block(k, n, start, lo, beta: float, max_iter: int):
+def _solve_block(k, n, start, lo, beta: float):
     """Newton solves of CDF(k; n, r) = beta for k < n; (best value, its residual, floored).
 
     Every point keeps its own bracket, from its lower end lo, and stops on
@@ -338,7 +341,7 @@ def _solve_block(k, n, start, lo, beta: float, max_iter: int):
     hi = np.ones(len(k))  # invariant: cdf(lo) >= beta > cdf(hi)
     r = _initial_guesses(k, n, beta, lo)
     best, best_residual = values.copy(), residuals.copy()
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         f, pmf = windows.tails(np.log(r), np.log1p(-r))
         gap = f - beta
         residual = np.abs(gap)
@@ -369,25 +372,24 @@ def _solve_block(k, n, start, lo, beta: float, max_iter: int):
     return values, residuals, floored
 
 
-def risk_upper_bounds(
-    k, n, beta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray]:
+def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper bounds and their residuals at every (k, n) point, as arrays.
 
     The value at each point is the one risk_upper_bound returns for it, and
     the residual that RiskBound's: k = n gives 1 with residual 1 - beta.
     Each root's bracket starts at a proven lower bound (`_lower_ends`), and
     every CDF sum of its solve runs over the window that holds from there up.
-    Raises ConvergenceError, naming the first such point, if any residual is
-    still above tol (`DEFAULT_TOL`) after max_iter (`DEFAULT_MAX_ITER`) CDF
-    evaluations; no caller passes other values. A point whose Newton
+    The solve takes no tuning arguments: it reads the module constants
+    DEFAULT_TOL and DEFAULT_MAX_ITER when called. Raises ConvergenceError,
+    naming the first point whose residual is still above DEFAULT_TOL after
+    at most DEFAULT_MAX_ITER CDF evaluations. A point whose Newton
     step fell under the step floor passes: it is at its root to within the
     floor, and its residual, at most the slope times the floor, is all the
-    CDF can resolve there, which can exceed tol where the CDF is steep.
+    CDF can resolve there, which can exceed DEFAULT_TOL where the CDF is
+    steep. beta must leave 1 - beta a float below 1 (`errors.check_beta`).
     """
     k, n = _points(k, n)
-    beta = check_real("beta", beta, 0, 1)
-    tol, max_iter = check_real("tol", tol, 0, math.inf), check_int("max_iter", max_iter, 1)
+    beta = check_beta(beta)
     values, residuals = np.ones(len(k)), np.full(len(k), 1.0 - beta)
     solved = np.flatnonzero(k < n)
     if not solved.size:
@@ -398,23 +400,18 @@ def risk_upper_bounds(
     floored = np.zeros(len(k), dtype=bool)
     for block in _blocks(k_s - start + 1):
         values[solved[block]], residuals[solved[block]], floored[solved[block]] = _solve_block(
-            k_s[block], n_s[block], start[block], lo[block], beta, max_iter)
-    failed = np.flatnonzero((residuals[solved] > tol) & ~floored[solved])
+            k_s[block], n_s[block], start[block], lo[block], beta)
+    failed = np.flatnonzero((residuals[solved] > DEFAULT_TOL) & ~floored[solved])
     if failed.size:
         i = solved[failed[0]]
         raise ConvergenceError(
-            f"Newton solve left residual {residuals[i]:.3e} > {tol:.1e} "
+            f"Newton solve left residual {residuals[i]:.3e} > {DEFAULT_TOL:.1e} "
             f"for k={k[i]}, n={n[i]}, beta={beta}"
         )
     return values, residuals
 
 
-def risk_upper_bound(
-    tail: BinomialTail,
-    beta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RiskBound:
+def risk_upper_bound(tail: BinomialTail, beta: float) -> RiskBound:
     """Largest error rate r with CDF(k; n, r) still >= beta.
 
     This is the one-sided exact upper bound at confidence 1 - beta: the CDF is
@@ -428,5 +425,5 @@ def risk_upper_bound(
     """
     if not isinstance(tail, BinomialTail):
         tail = BinomialTail(*tail)
-    values, residuals = risk_upper_bounds([tail.k], [tail.n], beta, tol, max_iter)
+    values, residuals = risk_upper_bounds([tail.k], [tail.n], beta)
     return RiskBound(value=float(values[0]), beta=float(beta), residual=float(residuals[0]))

@@ -65,6 +65,7 @@ from .errors import (
     SchemaError,
     SelcertError,
     _shown,
+    check_beta,
     check_int,
     check_real,
 )
@@ -101,8 +102,8 @@ class RiskConfig:
     min_count: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, 1))
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0, 1))
+        object.__setattr__(self, "beta", check_beta(self.beta))
         object.__setattr__(self, "min_count", check_int("min_count", self.min_count, 1))
 
 
@@ -305,7 +306,7 @@ def confidence(score: float) -> float:
 
 def predicted_label(score: float) -> int:
     """Label with the larger score mass; ties at 0.5 go to class 1."""
-    return 1 if score >= 0.5 else 0
+    return 1 if check_real("score", score, 0, 1, closed=True) >= 0.5 else 0
 
 
 def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
@@ -318,7 +319,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     """
     (lam,), faults = _thresholds("lam", [lam])
     _raise_first(faults, 1)
-    beta = check_real("beta", beta, 0, 1)
+    beta = check_beta(beta)
     n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
     if n_at == 0:
         return GridPoint(float(lam), 0, 0, 1.0, 1.0)

@@ -82,6 +82,19 @@ def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int
     return int(value)
 
 
+def check_beta(beta) -> float:
+    """`beta` as a float, if it is within (0, 1) and 1 - beta is a float below 1.
+
+    At beta <= 2**-54, 1.0 - beta rounds to 1.0: the solver has no start at
+    such a level, and its absolute tolerance says nothing about the root.
+    Every entry point that reads a beta checks it here.
+    """
+    number = check_real("beta", beta, 0, 1)
+    if 1.0 - number == 1.0:
+        raise DomainError(f"beta must be within (0, 1) with 1 - beta below 1 as a float, got {number!r}")
+    return number
+
+
 def _shown(value) -> str:
     """repr(value) (a numpy scalar's as its Python value's), or the size of a too-long integer."""
     if isinstance(value, np.generic):
@@ -92,7 +105,12 @@ def _shown(value) -> str:
 
 
 class ConvergenceError(SelcertError):
-    """An iterative solver ran out of iterations."""
+    """The bound solver left a residual above binom.DEFAULT_TOL at some point.
+
+    It is raised after at most binom.DEFAULT_MAX_ITER CDF evaluations, and
+    only for a point whose Newton step never fell under the step floor: such
+    a step means the root is found to within the floor, whatever the residual.
+    """
 
 
 class EmptyCalibrationError(SelcertError):

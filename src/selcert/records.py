@@ -355,9 +355,9 @@ class SyntheticScorerSpec:
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
     if fmt is None and Path(path).suffix.lower() not in (".csv", ".json"):
-        raise DomainError(f"cannot infer format of {path!r}; pass format='csv' or 'json'")
+        raise DomainError(f"cannot infer format of {str(path)!r}; pass fmt='csv' or 'json'")
     if fmt not in ("csv", "json", None):
-        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
+        raise DomainError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     return fmt or Path(path).suffix.lower()[1:]
 
 

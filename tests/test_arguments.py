@@ -1,8 +1,9 @@
-"""Every public numeric argument goes through one of two checks in selcert.errors.
+"""Every public numeric argument goes through one of the checks in selcert.errors.
 
 A real number inside an interval, or an integer at or above a minimum: bools,
 NaN, strings, out-of-range and huge values raise DomainError at every entry
-point, and numpy scalars are accepted wherever a Python number is.
+point, and numpy scalars are accepted wherever a Python number is. A beta is
+also rejected where 1.0 - beta rounds to 1.0 (`check_beta`).
 """
 
 import numpy as np
@@ -12,19 +13,26 @@ from selcert import (
     BinomialTail,
     Dataset,
     DomainError,
+    PredictionRecord,
     RiskConfig,
     SyntheticScorerSpec,
     binom_cdf,
     bootstrap_significance,
     confidence,
     generate_synthetic,
+    predicted_label,
     risk_upper_bound,
+    selective_risk,
     validate_guarantee,
 )
 from selcert.binom import risk_upper_bounds, tail_at_most
 
 SPEC = SyntheticScorerSpec(n=30, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=3)
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
+# records retained at lam = 0.5, so selective_risk solves a bound
+RETAINED = Dataset([PredictionRecord("a", 0.9, 1), PredictionRecord("b", 0.8, 0)])
+# the smallest legal beta: 1.0 - beta rounds to 1.0 at 2**-54 and below
+SMALLEST_BETA = np.nextafter(2.0**-54, 1.0)
 
 
 def _bootstrap(resamples, seed=1):
@@ -36,7 +44,7 @@ def _bootstrap(resamples, seed=1):
 # entry point -> (call taking the value under test, kind of value)
 ENTRY_POINTS = {
     "RiskConfig.alpha": (lambda v: RiskConfig(alpha=v, beta=0.1), "open unit"),
-    "RiskConfig.beta": (lambda v: RiskConfig(alpha=0.1, beta=v), "open unit"),
+    "RiskConfig.beta": (lambda v: RiskConfig(alpha=0.1, beta=v), "beta"),
     "RiskConfig.min_count": (lambda v: RiskConfig(alpha=0.1, beta=0.1, min_count=v), "count"),
     "BinomialTail.k": (lambda v: BinomialTail(v, 10), "bounded count"),
     "BinomialTail.n": (lambda v: BinomialTail(0, v), "count"),
@@ -44,15 +52,12 @@ ENTRY_POINTS = {
     "binom_cdf.n": (lambda v: binom_cdf(0, v, 0.5), "count"),
     "binom_cdf.p": (lambda v: binom_cdf(1, 10, v), "closed unit"),
     "tail_at_most.p": (lambda v: tail_at_most([1], [10], v, 0.1), "open unit"),
-    "tail_at_most.beta": (lambda v: tail_at_most([1], [10], 0.2, v), "open unit"),
-    "risk_upper_bound.beta": (lambda v: risk_upper_bound(BinomialTail(1, 10), v), "open unit"),
-    "risk_upper_bound.tol": (lambda v: risk_upper_bound(BinomialTail(3, 50), 0.1, tol=v), "tol"),
-    "risk_upper_bound.max_iter": (lambda v: risk_upper_bound(BinomialTail(3, 50), 0.1, max_iter=v),
-                                  "count"),
-    "risk_upper_bounds.beta": (lambda v: risk_upper_bounds([1], [10], v), "open unit"),
-    "risk_upper_bounds.tol": (lambda v: risk_upper_bounds([3], [50], 0.1, tol=v), "tol"),
-    "risk_upper_bounds.max_iter": (lambda v: risk_upper_bounds([3], [50], 0.1, max_iter=v), "count"),
+    "tail_at_most.beta": (lambda v: tail_at_most([1], [10], 0.2, v), "beta"),
+    "risk_upper_bound.beta": (lambda v: risk_upper_bound(BinomialTail(1, 10), v), "beta"),
+    "risk_upper_bounds.beta": (lambda v: risk_upper_bounds([1], [10], v), "beta"),
+    "selective_risk.beta": (lambda v: selective_risk(RETAINED, 0.5, v), "beta"),
     "confidence": (confidence, "closed unit"),
+    "predicted_label": (predicted_label, "closed unit"),
     "SyntheticScorerSpec.n": (lambda v: SyntheticScorerSpec(v, 0.5, (2, 2), (2, 2), 0), "count"),
     "SyntheticScorerSpec.prevalence": (lambda v: SyntheticScorerSpec(5, v, (2, 2), (2, 2), 0),
                                        "open unit"),
@@ -67,10 +72,12 @@ ENTRY_POINTS = {
 
 HUGE = 10**400
 COMMON = [True, False, float("nan"), np.float64("nan"), "0.5", None, -HUGE]
+OPEN_UNIT = COMMON + [HUGE, 0, 1, 0.0, 1.0, -0.1, 1.5, float("inf")]
 BAD = {
-    "open unit": COMMON + [HUGE, 0, 1, 0.0, 1.0, -0.1, 1.5, float("inf")],
+    "open unit": OPEN_UNIT,
     "closed unit": COMMON + [HUGE, -0.1, 1.5, float("-inf"), float("inf")],
-    "tol": COMMON + [HUGE, 0, 0.0, -1e-10, float("inf")],
+    # and betas at which 1.0 - beta rounds to 1.0
+    "beta": OPEN_UNIT + [1e-17, 5e-324, 2.0**-54],
     # +HUGE is a legal count wherever there is no maximum
     "count": COMMON + [0, -1, 1.0, 2.5, np.float64(3.0)],
     "bounded count": COMMON + [HUGE, -1, 11, 1.0],
@@ -82,7 +89,7 @@ BAD = {
 GOOD = {
     "open unit": [np.float64(0.25), np.float32(0.25)],
     "closed unit": [np.float64(0.25), np.float32(0.25), np.float64(0.0), np.float32(1.0)],
-    "tol": [np.float64(1e-10), np.float32(1e-9)],
+    "beta": [np.float64(0.25), np.float32(0.25), SMALLEST_BETA],
     "count": [np.int64(5), np.int32(5)],
     "bounded count": [np.int64(3), np.int64(0), np.int64(10)],
     "resamples": [np.int64(100)],
@@ -122,9 +129,3 @@ def test_count_past_64_bits_cannot_be_summed(call):
     with pytest.raises(DomainError, match="64-bit integers"):
         call()
 
-
-def test_nan_tolerance_is_not_a_converged_bound():
-    # a NaN tol makes every residual test false, so one step would pass off
-    # its first iterate, 0.1186, as the bound, which is 0.1288
-    with pytest.raises(DomainError, match="^tol must be a number, got nan$"):
-        risk_upper_bound(BinomialTail(3, 50), 0.1, tol=float("nan"), max_iter=1)

@@ -5,6 +5,7 @@ arithmetic (Fraction-based CDF, long-running exact bisection) and pasted in
 as decimals.
 """
 
+import inspect
 import math
 import threading
 from fractions import Fraction
@@ -148,17 +149,18 @@ class TestRiskUpperBound:
         with pytest.raises(DomainError):
             BinomialTail(0, 0)
 
-    def test_iteration_budget_is_enforced(self):
+    def test_iteration_budget_is_enforced(self, monkeypatch):
         # one CDF evaluation at the closed-form start cannot meet the tolerance
+        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            risk_upper_bound(BinomialTail(500, 2000), 0.1, max_iter=1)
+            risk_upper_bound(BinomialTail(500, 2000), 0.1)
 
     @pytest.mark.parametrize("k,n,beta", [(999_999, 10**6, 0.01), (1_999_999, 2 * 10**6, 0.005),
                                           (1_999_999, 2 * 10**6, 0.01)])
-    def test_steep_root_stops_at_the_step_floor(self, k, n, beta):
+    def test_steep_root_stops_at_the_step_floor(self, k, n, beta, monkeypatch):
         # the root is within 1e-8 of 1, where the CDF moves about 1e-10 per unit
         # in the last place of r: Newton stops at the step floor with a residual
-        # above tol, and the bound there is still the root
+        # above DEFAULT_TOL, and the bound there is still the root
         stats = pytest.importorskip("scipy.stats")
         expected = stats.beta.ppf(1 - beta, k + 1, n - k)
         bound = risk_upper_bound(BinomialTail(k, n), beta)
@@ -166,8 +168,9 @@ class TestRiskUpperBound:
         assert bound.value == pytest.approx(expected, rel=1e-12, abs=0)
         values, _ = binom.risk_upper_bounds([k, 3], [n, n], beta)
         assert values[0] == bound.value
+        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            risk_upper_bound(BinomialTail(k, n), beta, max_iter=1)
+            risk_upper_bound(BinomialTail(k, n), beta)
 
     def test_result_independent_of_call_order(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -202,10 +205,24 @@ class TestArrayCalls:
         monkeypatch.setattr(binom, "_BLOCK_TERMS", 40)
         assert np.array_equal(binom.risk_upper_bounds(k, n, 0.1)[0], whole)
 
-    def test_convergence_error_names_the_point(self):
+    def test_convergence_error_names_the_point(self, monkeypatch):
         # k = 0 starts at its exact root; the other point cannot converge in one step
+        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=r"for k=500, n=2000, beta=0.1$"):
-            binom.risk_upper_bounds([0, 500], [10, 2000], 0.1, max_iter=1)
+            binom.risk_upper_bounds([0, 500], [10, 2000], 0.1)
+
+    def test_tolerance_is_read_at_call_time(self, monkeypatch):
+        # five evaluations leave (3, 50) short of the step floor, with a residual of 4.1e-15
+        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 5)
+        _, residuals = binom.risk_upper_bounds([0, 3], [10, 50], 0.1)
+        assert 0 < residuals[1] < binom.DEFAULT_TOL
+        monkeypatch.setattr(binom, "DEFAULT_TOL", residuals[1] / 2)
+        with pytest.raises(ConvergenceError, match=r"for k=3, n=50, beta=0.1$"):
+            binom.risk_upper_bounds([0, 3], [10, 50], 0.1)
+
+    def test_solver_takes_no_tuning_arguments(self):
+        assert list(inspect.signature(binom.risk_upper_bound).parameters) == ["tail", "beta"]
+        assert list(inspect.signature(binom.risk_upper_bounds).parameters) == ["k", "n", "beta"]
 
     @pytest.mark.parametrize("k,n", [([1, 2], [3]), ([[1]], [[3]]), ([4], [3]), ([0], [0]),
                                      ([True], [3]), ([0.5], [3]), ([-1], [3])])

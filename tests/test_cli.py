@@ -49,6 +49,8 @@ g3,0.3,0,south
 g4,0.6,1,south
 """
 
+TINY_BETA_ERROR = "error: beta must be within (0, 1) with 1 - beta below 1 as a float, got 1e-17\n"
+
 
 @pytest.fixture
 def calib_csv(tmp_path):
@@ -118,6 +120,14 @@ class TestCalibrate:
         code = main(["calibrate", "--calib", str(data), "--alpha", "0.5", "--beta", "0.2",
                      "--out", str(tmp_path / "cert.json")])
         assert code == 1
+
+    def test_beta_too_small_for_the_solver(self, calib_csv, tmp_path, capsys):
+        # 1.0 - 1e-17 rounds to 1.0: a located usage error, not a traceback
+        out = tmp_path / "cert.json"
+        code = main(["calibrate", "--calib", calib_csv, "--alpha", "0.1", "--beta", "1e-17",
+                     "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, TINY_BETA_ERROR)
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path):
         code = main(["calibrate", "--calib", str(tmp_path / "nope.csv"), "--alpha", "0.5",
@@ -472,6 +482,14 @@ class TestSimulate:
     ARGS = ["simulate", "--trials", "4", "--n-calib", "40", "--n-test", "60",
             "--alpha", "0.3", "--beta", "0.2", "--min-count", "5",
             "--pos-shape", "3,2", "--neg-shape", "2,3", "--seed", "7"]
+
+    def test_beta_too_small_for_the_solver(self, tmp_path, capsys):
+        # simulate reads beta by calibrate's rule, so the two commands agree
+        args = list(self.ARGS)
+        args[args.index("--beta") + 1] = "1e-17"
+        code = main(args + ["--out-prefix", str(tmp_path / "sim")])
+        assert (code, capsys.readouterr().err) == (1, TINY_BETA_ERROR)
+        assert list(tmp_path.iterdir()) == []
 
     def test_outputs_and_thread_invariance(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SELCERT_THREADS", "1")

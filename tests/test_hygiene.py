@@ -1,15 +1,19 @@
 """Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
-no read of the environment, and numpy sorts in two places only.
+no read of the environment, no import beyond the standard library and numpy, and numpy sorts in
+two places only.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
 solver's block and simulate's chunk are module constants, never settings
 read from the environment, so a result never depends on where it is run.
-Every retained-set count reads one sort, `calibrate._grid`'s; the ranking
-metrics' tie blocks (`metrics._tie_blocks`) are the only other sort of data.
+numpy is the one runtime dependency pyproject.toml declares: scipy,
+hypothesis and mpmath serve the tests alone. Every retained-set count reads
+one sort, `calibrate._grid`'s; the ranking metrics' tie blocks
+(`metrics._tie_blocks`) are the only other sort of data.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +90,26 @@ def test_nothing_reads_the_environment(module):
     assert _environment_reads(TREES[module]) == set()
 
 
+# pyproject.toml's [project] dependencies
+_RUNTIME = {"numpy"}
+
+
+def _foreign_imports(tree: ast.Module) -> set[str]:
+    """The top-level modules `tree` imports from outside the standard library, _RUNTIME and the package."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots - set(sys.stdlib_module_names) - _RUNTIME - {"selcert"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_only_the_standard_library_and_numpy(module):
+    assert _foreign_imports(TREES[module]) == set()
+
+
 # numpy's sorts of data, read as a name or an attribute; `np.sort` is matched by its module
 _SORTS = {"argsort", "lexsort", "unique"}
 
@@ -114,6 +138,9 @@ def test_the_checks_see_what_they_look_for():
     assert _environment_reads(ast.parse("import os\nsize = os.environ.get('N')\n")) == {"environ"}
     assert _environment_reads(ast.parse("from os import getenv as g\nsize = g('N')\n")) == {"getenv"}
     assert _environment_reads(tree) == set()
+    imports = ast.parse("import scipy.stats\nfrom hypothesis import given\nimport numpy as np\n"
+                        "from . import binom\nfrom selcert.errors import DomainError\nimport os.path\n")
+    assert _foreign_imports(imports) == {"scipy", "hypothesis"}
     sorting = ast.parse("import numpy as np\nfrom numpy import lexsort\ndef f(x): return np.unique(x)\n"
                         "def g(p): p.sort()\nclass C:\n    def h(self, x): return x.argsort()\n"
                         "def k(x): return np.sort(x)\norder = lexsort([])\n")

@@ -216,7 +216,9 @@ def certificate_fields(draw):
     risks = [draw(st.lists(st.floats(0.0, 1.0), min_size=len(lam), max_size=len(lam))) for _ in "hp"]
     lambda_hat = draw(st.sampled_from([None, *lam]))
     budget = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    config = (draw(budget), draw(budget), draw(st.integers(1, 2**62)))
+    # a beta must also leave 1.0 - beta below 1.0, which holds above 2**-54
+    beta = st.floats(2.0**-54, 1.0, exclude_min=True, exclude_max=True)
+    config = (draw(budget), draw(beta), draw(st.integers(1, 2**62)))
     return ["infeasible" if lambda_hat is None else "feasible", lambda_hat, [lam, n_at, errors, *risks],
             config, draw(st.integers(max(n_at[0] if n_at else 0, 1), 2**62))]
 

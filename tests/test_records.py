@@ -274,6 +274,10 @@ class TestJsonIO:
 
 
 class TestFormatInference:
+    # the messages name the keyword the readers and writers take
+    UNKNOWN_SUFFIX = r"^cannot infer format of .*d\.dat'; pass fmt='csv' or 'json'$"
+    BAD_FORMAT = r"^fmt must be 'csv' or 'json', got 'xml'$"
+
     def test_explicit_format_wins_over_suffix(self, tmp_path):
         path = tmp_path / "d.dat"
         path.write_text("id,score,label\nr1,0.7,1\n")
@@ -282,12 +286,24 @@ class TestFormatInference:
     def test_unknown_suffix_needs_format(self, tmp_path):
         path = tmp_path / "d.dat"
         path.write_text("id,score,label\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=self.UNKNOWN_SUFFIX):
             load_dataset(path)
 
+    def test_unknown_suffix_needs_format_to_write(self, tmp_path):
+        path = tmp_path / "d.dat"
+        with pytest.raises(DomainError, match=self.UNKNOWN_SUFFIX):
+            write_dataset(make_dataset(), path)
+        assert not path.exists()
+
     def test_bad_format_name(self, tmp_path):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=self.BAD_FORMAT):
             load_dataset(tmp_path / "d.csv", fmt="xml")
+
+    def test_bad_format_name_to_write(self, tmp_path):
+        path = tmp_path / "d.csv"
+        with pytest.raises(DomainError, match=self.BAD_FORMAT):
+            write_dataset(make_dataset(), path, fmt="xml")
+        assert not path.exists()
 
 
 class TestTemporalSplit:
