@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_beta, check_int, check_real
-from .records import _first, _raise_first
+from .records import _columns, _first, _raise_first
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -137,12 +137,11 @@ _LOG_FACTORIALS = _LogFactorials()
 
 
 def _points(k, n) -> tuple[np.ndarray, np.ndarray]:
-    """k and n as int64 arrays of one length, with n >= 1 and 0 <= k <= n; a fault names its point."""
+    """k and n, two columns of one length, as int64 arrays, with n >= 1 and 0 <= k <= n; a fault names its point."""
     k, n = np.asarray(k), np.asarray(n)
-    if k.ndim != 1 or k.shape != n.shape or not all(
-        a.dtype.kind in "iu" or a.size == 0 for a in (k, n)
-    ):
-        raise DomainError("k and n must be one-dimensional arrays of 64-bit integers, of one length")
+    _columns(DomainError, k=k, n=n)
+    if not all(a.dtype.kind in "iu" or a.size == 0 for a in (k, n)):
+        raise DomainError("k and n must hold 64-bit integers")
     k, n = k.astype(np.int64), n.astype(np.int64)
     _raise_first([(_first((n < 1) | (k < 0) | (k > n)), lambda i: DomainError(
         f"need n >= 1 and 0 <= k <= n at every point, got k={k[i]}, n={n[i]} at point {i}"))], len(k))
@@ -423,7 +422,8 @@ def risk_upper_bound(tail: BinomialTail, beta: float) -> RiskBound:
     the window of terms the module docstring describes. k = n yields exactly
     1.0.
     """
-    if not isinstance(tail, BinomialTail):
+    if not isinstance(tail, BinomialTail):  # a (k, n) pair
+        _columns(DomainError, 2, tail=tail)
         tail = BinomialTail(*tail)
     values, residuals = risk_upper_bounds([tail.k], [tail.n], beta)
     return RiskBound(value=float(values[0]), beta=float(beta), residual=float(residuals[0]))

@@ -9,20 +9,18 @@ the threshold and abstains below it. A threshold is a number, finite, within
 [0.5, 1] and, in a grid, strictly ascending: one reader, `_thresholds`, run by
 `CertificateGrid`, `ThresholdCertificate`, `selective_risk` and `sim`'s curves.
 
-The retained-set rule, confidence >= lam with ties kept together, is
-counted in one place, `_grid`, which sorts each set of records once: a grid
-point is the start of a run of tied confidences, and its counts are what
-lies from there up. The scan (`_scan`) decides on that grid, the default
-tradeoff curve is that grid, and `_retained_counts` looks other thresholds
-up in it, for `selective_risk` and a caller's own curve grid.
-`apply_certificate` and simulate's test sets apply the comparison itself to
-every record at once. The decisions are columns, `Decisions`, which
-`read_decisions` also returns; a `Decision` is a view of one row. The
-certificate's grid is columns too, `CertificateGrid`, with `GridPoint` as
-its row view. Both sit on the one column base, `records.ColumnTable`, and
-state their rules in one located list each: `_decision_faults` (with the id
-rules of `records._id_faults`), run by constructor and reader alike, and the
-grid constructor's. Every other certificate rule is `RiskConfig`'s or
+The retained-set rule, confidence >= lam with ties kept together, is counted
+for a whole grid in one place, `_grid`, from one sort of each set of records:
+a grid point is the start of a run of tied confidences, and its counts are
+what lies from there up; the scan (`_scan`) and the tradeoff curve read them.
+At one threshold, `selective_risk`, `apply_certificate` and simulate's test
+sets apply the comparison itself. The decisions are columns, `Decisions`,
+which `read_decisions` also returns, with `Decision` the view of one row, and
+the certificate's grid is columns, `CertificateGrid`, with `GridPoint`. Both
+sit on the one column base, `records.ColumnTable`, and state their rules in
+one located list each: `_decision_faults` (with the id rules of
+`records._id_faults`), run by constructor and reader alike, and the grid
+constructor's. Every other certificate rule is `RiskConfig`'s or
 `ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
 needs and hands each field to the constructors as it was read.
 
@@ -76,6 +74,7 @@ from .records import (
     Dataset,
     _cell_error,
     _coded,
+    _columns,
     _counts,
     _first,
     _float_cells,
@@ -138,9 +137,8 @@ class CertificateGrid(ColumnTable):
     _view = GridPoint
 
     def __init__(self, lam, n_at, errors_at, risk_hat, risk_plus) -> None:
+        _columns(DomainError, lam=lam, n_at=n_at, errors_at=errors_at, risk_hat=risk_hat, risk_plus=risk_plus)
         cells = lam, n_at, errors_at, risk_hat, risk_plus
-        if len(set(map(len, cells))) > 1:
-            raise DomainError("grid columns must all have one length")
         lam, lam_faults = _thresholds("grid[{}].lambda", lam)
         columns = lam, n_at, errors_at, risk_hat, risk_plus = (
             lam, _counts(n_at), _counts(errors_at), _floats(risk_hat), _floats(risk_plus))
@@ -163,10 +161,10 @@ class CertificateGrid(ColumnTable):
 class ThresholdCertificate:
     """Outcome of a certification scan over one calibration set.
 
-    grid is a `CertificateGrid`; a sequence of `GridPoint`s is accepted and
-    checked as the grid's constructor checks it. calib_size is an integer
-    >= 1, and the grid's bottom point retains at most that many records.
-    lambda_hat is None, or a number that is one of the grid's thresholds.
+    grid is a `CertificateGrid`, or `GridPoint` rows in any iterable but a
+    set or a mapping, checked as the grid's constructor checks them.
+    calib_size is an integer >= 1, and the grid's bottom point retains at
+    most that many records. lambda_hat is None or one of the grid's thresholds.
     """
 
     status: str
@@ -181,7 +179,7 @@ class ThresholdCertificate:
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
         if not isinstance(self.grid, CertificateGrid):
-            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(tuple(self.grid))))
+            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(self.grid, "grid", DomainError)))
         object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "
@@ -234,11 +232,9 @@ class Decisions(ColumnTable):
     _view = Decision
 
     def __init__(self, ids: Sequence[str], prediction, confidence) -> None:
-        ids = tuple(ids)
-        if not len(ids) == len(prediction) == len(confidence):
-            raise DomainError("decision columns must all have one length")
-        columns = ids, _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
-        _raise_first(_decision_faults(*columns, prediction, confidence), len(ids))
+        n = _columns(DomainError, ids=ids, prediction=prediction, confidence=confidence)
+        columns = tuple(ids), _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
+        _raise_first(_decision_faults(*columns, prediction, confidence), n)
         self._set(*columns)
 
     @classmethod
@@ -246,7 +242,7 @@ class Decisions(ColumnTable):
         """`decisions` as columns; Decisions are returned as they are."""
         if isinstance(decisions, Decisions):
             return decisions
-        ids, prediction, confidence = cls._columns_of(tuple(decisions))
+        ids, prediction, confidence = cls._columns_of(decisions, "decisions", DomainError)
         return cls(ids, [-1 if p is None else p for p in prediction], confidence)
 
     @property
@@ -320,7 +316,9 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     (lam,), faults = _thresholds("lam", [lam])
     _raise_first(faults, 1)
     beta = check_beta(beta)
-    n_at, errors_at = map(int, _retained_counts(*_confidence_correct(data.scores(), data.labels()), lam))
+    conf, correct = _confidence_correct(data.scores(), data.labels())
+    kept = conf >= lam
+    n_at, errors_at = int(np.count_nonzero(kept)), int(np.count_nonzero(kept & ~correct))
     if n_at == 0:
         return GridPoint(float(lam), 0, 0, 1.0, 1.0)
     risk_plus = risk_upper_bound(BinomialTail(errors_at, n_at), beta).value
@@ -397,17 +395,6 @@ def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
     feasible = first_pass < high
     lambda_hat[feasible] = lam[eligible[first_pass[feasible]]]
     return lam, n_at, errors, lambda_hat
-
-
-def _retained_counts(conf: np.ndarray, correct: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
-    """(n_kept, n_wrong) at each threshold in `lams`, or at a single threshold, looked up in `_grid`.
-
-    A threshold keeps what the lowest grid point at or above it keeps, and
-    nothing past the top of the grid.
-    """
-    _, lam, n_at, errors = _grid(conf[None], correct[None])
-    start = np.searchsorted(lam, lams, side="left")
-    return np.append(n_at, 0)[start], np.append(errors, 0)[start]
 
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:

@@ -36,15 +36,13 @@ from .errors import (
     UnpairedIdsError,
     check_int,
 )
-from .records import Dataset, _coded, _floats, _raise_first, _value_fault
+from .records import Dataset, _coded, _columns, _floats, _raise_first, _value_fault
 from .rng import substream
 
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Scores read as `_floats` does, each a number within [0, 1], and labels each equal to 0 or 1 (text is not)."""
-    sequences = all(hasattr(cells, "__len__") and getattr(cells, "ndim", 1) == 1 for cells in (scores, labels))
-    if not sequences or len(scores) != len(labels):
-        raise DomainError("scores and labels must be 1-d sequences of equal length")
+    """Two columns of one length read as the tables read cells: scores within [0, 1] (`_floats`), labels 0 or 1."""
+    _columns(DomainError, scores=scores, labels=labels)
     s, y = _floats(scores), _coded(labels, {0: 0, 1: 1}, -1)
     _raise_first([
         _value_fault(~((s >= 0.0) & (s <= 1.0)), "scores[{}]", "a number within [0, 1]", scores),

@@ -30,12 +30,13 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -98,9 +99,14 @@ class ColumnTable:
         return self
 
     @classmethod
-    def _columns_of(cls, views: tuple) -> list[list]:
-        """The column values of a tuple of views, in field order."""
-        return [[getattr(view, field.name) for view in views] for field in fields(cls._view)]
+    def _columns_of(cls, views, name: str, error: type[Exception]) -> list[list]:
+        """Rows' column values in field order, from any iterable of `_view`s but an unordered set or mapping."""
+        view = cls._view.__name__
+        if isinstance(views, (Set, Mapping)) or not np.iterable(views):
+            raise error(f"{name} must be an ordered collection of {view}s (not a set or a mapping), got {type(views).__name__}")
+        rows = tuple(views)
+        _raise_first([_value_fault(~_types_in(rows, cls._view), name + "[{}]", f"a {view}", rows, error)], len(rows))
+        return [[getattr(row, field.name) for row in rows] for field in fields(cls._view)]
 
     def _values(self) -> list:
         """Each column as a sequence of plain Python values, in field order."""
@@ -148,7 +154,7 @@ class Dataset(ColumnTable):
     _attributes = ("provenance",)
 
     def __init__(self, records: Iterable[PredictionRecord] = (), provenance: str = "") -> None:
-        self._set(*self._checked(*self._columns_of(tuple(records))), provenance=provenance)
+        self._set(*self._checked(*self._columns_of(records, "records", SchemaError)), provenance=provenance)
 
     @classmethod
     def from_columns(
@@ -165,13 +171,11 @@ class Dataset(ColumnTable):
 
     @staticmethod
     def _checked(ids, scores, labels, dates, groups) -> tuple:
-        ids = _object_column(ids)
-        n = len(ids)
+        optional = {name: cells for name, cells in (("dates", dates), ("groups", groups)) if cells is not None}
+        n = _columns(SchemaError, ids=ids, scores=scores, labels=labels, **optional)
         dates = _object_column([None] * n if dates is None else dates)
         groups = _group_column([None] * n if groups is None else groups)
-        if any(len(column) != n for column in (scores, labels, dates, groups)):
-            raise SchemaError("columns must all have one length")
-        columns = ids, _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
+        columns = _object_column(ids), _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
         _raise_first(_dataset_faults(*columns, scores, labels), n)
         return columns
 
@@ -224,12 +228,28 @@ def _group_column(values: Sequence) -> np.ndarray:
 
 def _types_in(values: Sequence, types) -> np.ndarray:
     """Mask of the values that are instances of `types`; a bool is no number here, a datetime no date."""
-    typed = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object
+    typed = isinstance(values, np.ndarray) and values.dtype != object
     kinds = {values.dtype.type} if typed else set(map(type, values))  # a typed array's cells share one type
     rejected = {kind for kind in kinds if not issubclass(kind, types) or issubclass(kind, (bool, datetime))}
     if not rejected:  # the common case, a pass over the values' types alone
         return np.ones(len(values), dtype=bool)
     return np.fromiter((type(value) not in rejected for value in values), bool, len(values))
+
+
+def _columns(error: type[Exception], length: int | None = None, /, **columns) -> int:
+    """The one length of the named columns (`length`, if given), else `error` naming the first value that breaks
+    the package's one rule of what holds cells: a column is a list, tuple, range or 1-d array, not text or bytes."""
+    first = None
+    for name, cells in columns.items():
+        column = cells.ndim == 1 if isinstance(cells, np.ndarray) else (
+            isinstance(cells, Sequence) and not isinstance(cells, (str, bytes, bytearray, memoryview)))
+        if column and length is None:
+            length, first = len(cells), name
+        if not column or len(cells) != length:
+            size = f" of one length with {first} ({length})" if first else "" if length is None else f" of length {length}"
+            got = f"{type(cells).__name__} of length {len(cells)}" if column else _shown(cells)
+            raise error(f"{name} must be a column (a list, tuple, range or 1-d array){size}, got {got}")
+    return length
 
 
 def _floats(cells: Sequence) -> np.ndarray:
@@ -239,8 +259,9 @@ def _floats(cells: Sequence) -> np.ndarray:
         cells = [cell if ok else math.nan for cell, ok in zip(cells, real)]
     try:
         return np.array(cells, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range, read as inf
-        return np.array([cell if abs(cell) <= sys.float_info.max else math.inf for cell in cells], dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range, read as the infinity of its sign
+        return np.array([cell if abs(cell) <= sys.float_info.max else math.inf if cell > 0 else -math.inf
+                         for cell in cells], dtype=np.float64)
 
 
 def _counts(cells: Sequence) -> np.ndarray:
@@ -253,7 +274,7 @@ def _counts(cells: Sequence) -> np.ndarray:
 
 def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -> np.ndarray:
     """Cells as int64 through `codes`: `missing` where a cell has no code or, if `integral`, is no integer."""
-    if isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "biuf":
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "biuf":
         # a number finds the one key it equals, so a typed array adds up its numeric keys' codes
         column = np.full(len(cells), missing, dtype=np.int64)
         for key in filter(lambda key: isinstance(key, numbers.Number), codes):
@@ -326,6 +347,10 @@ class SplitSpec:
 
     split_date: date
 
+    def __post_init__(self) -> None:
+        cell = [self.split_date]  # read as a dataset reads a date cell
+        _raise_first([_value_fault(~_types_in(cell, date), "split_date", "a datetime.date", cell)], 1)
+
 
 @dataclass(frozen=True)
 class SyntheticScorerSpec:
@@ -345,11 +370,9 @@ class SyntheticScorerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         object.__setattr__(self, "prevalence", check_real("prevalence", self.prevalence, 0, 1))
+        _columns(DomainError, 2, pos_shape=self.pos_shape, neg_shape=self.neg_shape)
         for name in ("pos_shape", "neg_shape"):
-            pair = tuple(getattr(self, name))
-            if len(pair) != 2:
-                raise DomainError(f"{name} must be a pair of positive numbers, got {pair!r}")
-            object.__setattr__(self, name, tuple(check_real(name, v, 0, math.inf) for v in pair))
+            object.__setattr__(self, name, tuple(check_real(name, v, 0, math.inf) for v in getattr(self, name)))
         object.__setattr__(self, "seed", check_int("seed", self.seed, float("-inf")))
 
 

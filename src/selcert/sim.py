@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _grid, _retained_counts, _scan, _thresholds
-from .errors import DomainError, EmptyInputError, UnsortedLambdasError, _shown, check_int
+from .calibrate import RiskConfig, _confidence_correct, _grid, _scan, _thresholds
+from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
-from .records import ColumnTable, Dataset, SyntheticScorerSpec, _draw, _first, _floats, _object_column, _raise_first, _value_fault
+from .records import ColumnTable, Dataset, SyntheticScorerSpec, _columns, _draw, _first, _floats, _object_column, _raise_first, _value_fault
 from .rng import substream_seed
 
 
@@ -51,7 +51,7 @@ class TradeoffCurve(ColumnTable):
     _view = TradeoffPoint
 
     def __init__(self, points: Iterable[TradeoffPoint] = ()) -> None:
-        self._set(*self._checked(*self._columns_of(tuple(points))))
+        self._set(*self._checked(*self._columns_of(points, "points", DomainError)))
 
     @classmethod
     def from_columns(cls, lam, fraction_kept, selective_accuracy) -> "TradeoffCurve":
@@ -60,9 +60,8 @@ class TradeoffCurve(ColumnTable):
 
     @staticmethod
     def _checked(lam, fraction_kept, selective_accuracy) -> tuple:
+        _columns(DomainError, lam=lam, fraction_kept=fraction_kept, selective_accuracy=selective_accuracy)
         cells = lam, fraction_kept, _object_column(selective_accuracy)
-        if len(set(map(len, cells))) > 1:
-            raise DomainError("curve columns must all have one length")
         accuracy = _floats(np.where(np.equal(cells[2], None), 0.0, cells[2]))
         lam, lam_faults = _thresholds("lambda[{}]", lam, UnsortedLambdasError)
         fraction_kept = _floats(fraction_kept)
@@ -97,36 +96,27 @@ class GuaranteeTrial:
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """Fraction kept and selective accuracy at each threshold in `lambdas`.
 
-    A grid the caller passes must be a sequence (a list, a tuple or an
-    array, not text, a mapping or a set) of thresholds, nonempty, whose
-    cells read as thresholds, else an UnsortedLambdasError. By default the
-    grid and its counts are `calibrate._grid`'s, the certifier's grid of
-    `data`. Selective accuracy is None at thresholds that keep nothing.
+    A grid the caller passes must be a nonempty column of thresholds
+    (`records._columns`), else an UnsortedLambdasError. The counts are
+    `calibrate._grid`'s, and by default so is the grid, the certifier's
+    grid of `data`. Selective accuracy is None where nothing is kept.
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
-    if lambdas is not None and not _is_sequence(lambdas):
-        raise UnsortedLambdasError(f"lambdas must be a sequence of thresholds, got {_shown(lambdas)}")
     conf, correct = _confidence_correct(data.scores(), data.labels())
-    if lambdas is None:
-        _, grid, n_kept, n_wrong = _grid(conf[None], correct[None])
-    else:
-        grid, faults = _thresholds("lambda[{}]", list(lambdas), UnsortedLambdasError)
-        if grid.size == 0:
+    _, grid, n_kept, n_wrong = _grid(conf[None], correct[None])
+    if lambdas is not None:
+        if not _columns(UnsortedLambdasError, lambdas=lambdas):
             raise UnsortedLambdasError("lambda grid must be nonempty")
-        _raise_first(faults, grid.size)
-        n_kept, n_wrong = _retained_counts(conf, correct, grid)
+        lam, faults = _thresholds("lambda[{}]", lambdas, UnsortedLambdasError)
+        _raise_first(faults, lam.size)
+        # a threshold keeps what the lowest grid point at or above it keeps, and nothing past the top
+        start = np.searchsorted(grid, lam, side="left")
+        grid, n_kept, n_wrong = lam, np.append(n_kept, 0)[start], np.append(n_wrong, 0)[start]
     with np.errstate(invalid="ignore"):
         accuracy = (n_kept - n_wrong) / n_kept
     # the grid is checked; the fractions are right by construction
     return TradeoffCurve._unchecked(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
-
-
-def _is_sequence(value) -> bool:
-    """Whether value is a sequence of cells: a list, tuple, range or array of one or more dimensions, not text."""
-    if isinstance(value, np.ndarray):
-        return value.ndim > 0
-    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
 
 
 # calibration plus test records one chunk of trials holds at most, unless a

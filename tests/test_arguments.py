@@ -3,7 +3,10 @@
 A real number inside an interval, or an integer at or above a minimum: bools,
 NaN, strings, out-of-range and huge values raise DomainError at every entry
 point, and numpy scalars are accepted wherever a Python number is. A beta is
-also rejected where 1.0 - beta rounds to 1.0 (`check_beta`).
+also rejected where 1.0 - beta rounds to 1.0 (`check_beta`). A seed, and each
+argument of the `rng` functions, is any integer of either sign and any size.
+What holds cells, a column, a row list or a pair, has its own matrix in
+test_shapes.py.
 """
 
 import numpy as np
@@ -20,9 +23,12 @@ from selcert import (
     bootstrap_significance,
     confidence,
     generate_synthetic,
+    mix64,
     predicted_label,
     risk_upper_bound,
     selective_risk,
+    substream,
+    substream_seed,
     validate_guarantee,
 )
 from selcert.binom import risk_upper_bounds, tail_at_most
@@ -68,6 +74,11 @@ ENTRY_POINTS = {
     "SyntheticScorerSpec.seed": (lambda v: SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), v), "seed"),
     "validate_guarantee.seed": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, 20, v), "seed"),
     "bootstrap_significance.seed": (lambda v: _bootstrap(100, seed=v), "seed"),
+    "mix64.x": (mix64, "seed"),
+    "substream_seed.seed": (lambda v: substream_seed(v, 0), "seed"),
+    "substream_seed.index": (lambda v: substream_seed(0, v), "seed"),
+    "substream.seed": (lambda v: substream(v, 0), "seed"),
+    "substream.index": (lambda v: substream(0, v), "seed"),
 }
 
 HUGE = 10**400

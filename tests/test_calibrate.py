@@ -45,7 +45,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _retained_counts, _scan
+from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _scan
 
 THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
@@ -144,22 +144,30 @@ class TestSelectiveRisk:
 
 class TestRetainedCounts:
     def test_equals_brute_force_counts(self):
-        # the one retained-set count against the rule it states, conf >= lam, on
-        # tied scores, at grid points, between them and beyond both ends
+        # the retained set at a caller's thresholds, looked up in the grid by tradeoff_curve and
+        # counted by comparison in selective_risk, against the rule it states, conf >= lam, on tied
+        # scores: at grid points, between them, just below and just above them, and above the top.
+        # Both reject a threshold outside [0.5, 1] before counting, so none is counted there.
         rng = np.random.default_rng(2718)
         for trial in range(200):
             n = int(rng.integers(1, 300))
             scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))
             labels = (rng.random(n) < scores).astype(int)
+            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
             conf, correct = _confidence_correct(scores, labels)
             grid = np.unique(conf)
             lams = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2, np.nextafter(grid, 0.0),
-                                   np.nextafter(grid, 2.0), [0.0, grid[0] - 0.01, grid[-1] + 0.01, 2.0]])
-            n_kept, n_wrong = _retained_counts(conf, correct, lams)
-            for lam, kept, wrong in zip(lams.tolist(), n_kept.tolist(), n_wrong.tolist()):
-                brute = (int((conf >= lam).sum()), int((~correct & (conf >= lam)).sum()))
-                assert (kept, wrong) == brute, f"trial {trial}, lambda {lam!r}"
-                assert tuple(map(int, _retained_counts(conf, correct, lam))) == brute
+                                   np.nextafter(grid, 2.0), [grid[-1] + 0.01]])
+            lams = np.unique(lams[(lams >= 0.5) & (lams <= 1.0)]).tolist()
+            brute = [(int((conf >= lam).sum()), int((~correct & (conf >= lam)).sum())) for lam in lams]
+            curve = tradeoff_curve(data, lams)
+            assert curve.fraction_kept.tolist() == [kept / n for kept, _ in brute], f"trial {trial}"
+            accuracy = [(kept - wrong) / kept if kept else None for kept, wrong in brute]
+            assert curve.selective_accuracy.tolist() == accuracy, f"trial {trial}"
+            # each selective_risk call solves a bound, so it checks a sample, the top threshold included
+            for i in {len(lams) - 1, *rng.integers(0, len(lams), 8).tolist()}:
+                point = selective_risk(data, lams[i], 0.1)
+                assert (point.n_at, point.errors_at) == brute[i], f"trial {trial}, lambda {lams[i]!r}"
 
 
 def tied_sets(rng, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -594,7 +602,9 @@ class TestDecisions:
 
     # a cell fault is located, as read_decisions locates it; the column is named as in a file
     @pytest.mark.parametrize("prediction, confidences, message, error", [
-        ([1, 0], [0.9], "decision columns must all have one length", DomainError),
+        pytest.param([1, 0], [0.9], "confidence must be a column (a list, tuple, range or 1-d array) of one length "
+                     "with ids (2), got list of length 1", DomainError,
+                     id="prediction0-confidences0-decision columns of two lengths"),
         ([2], [0.9], "outcome must be 0, 1 or abstain (-1 in code), got '2' (row 1, column 'outcome')",
          SchemaError),
         ([-2], [0.9], "outcome must be 0, 1 or abstain (-1 in code), got '-2' (row 1, column 'outcome')",
@@ -1051,11 +1061,12 @@ THRESHOLD_ENTRY_POINTS = {
     "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),
 }
 # a hostile threshold cell -> the error it gets, given the cell's name: a bool, text, a list and
-# NaN are no number, and an integer past the float range reads as inf
+# NaN are no number, and an integer past the float range reads as an infinity of its sign
 HOSTILE_THRESHOLDS = {
     "True": (True, "{} must be a number, got True"),
     "text": ("0.6", "{} must be a number, got '0.6'"),
     "huge": (10**400, THRESHOLD_RULE + "{} is inf"),
+    "negative huge": (-10**400, THRESHOLD_RULE + "{} is -inf"),
     "nan": (math.nan, "{} must be a number, got nan"),
     "list": ([0.6], "{} must be a number, got [0.6]"),
 }

@@ -192,7 +192,8 @@ def test_labels_outside_zero_one_rejected(fn, scores, labels, message):
     pytest.param([0.5, 0.6], [[1], 0], "labels[0] must be 0 or 1, got [1]", id="list-label"),
     # a tuple is hashable as a type, yet one holding a list cannot be hashed
     pytest.param([0.5, 0.6], [(0, [1]), 1], "labels[0] must be 0 or 1, got (0, [1])", id="tuple-label"),
-    pytest.param(np.array(0.5), np.array(1), "scores and labels must be 1-d sequences of equal length", id="0-d"),
+    pytest.param(np.array(0.5), np.array(1), "scores must be a column (a list, tuple, range or 1-d array), "
+                 "got array(0.5)", id="0-d"),
 ])
 def test_metric_inputs_read_as_table_cells(fn, scores, labels, message):
     with pytest.raises(DomainError) as err:

@@ -329,6 +329,17 @@ class TestTemporalSplit:
         train, test = temporal_split(data, SplitSpec(date(2030, 1, 1)))
         assert len(train) == 3 and len(test) == 0
 
+    # read as a dataset reads a date cell: a datetime, text or None is no date
+    @pytest.mark.parametrize("split_date, shown", [
+        (datetime(2021, 1, 1), "datetime.datetime(2021, 1, 1, 0, 0)"),
+        ("2021-01-01", "'2021-01-01'"),
+        (None, "None"),
+    ])
+    def test_split_date_must_be_a_date(self, split_date, shown):
+        with pytest.raises(DomainError) as err:
+            SplitSpec(split_date)
+        assert str(err.value) == f"split_date must be a datetime.date, got {shown}"
+
 
 class TestSyntheticGenerator:
     def test_draw_order_contract(self):

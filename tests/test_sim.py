@@ -80,10 +80,10 @@ class TestTradeoffCurve:
         (frozenset([0.6]), "frozenset({0.6})"),
     ])
     def test_grid_that_is_no_sequence_rejected(self, grid, shown):
-        # a number, text, a mapping or a set is no grid, though some iterate
+        # a number, text, a mapping or a set is no column, though some iterate
         with pytest.raises(UnsortedLambdasError) as err:
             tradeoff_curve(fixture6(), grid)
-        assert str(err.value) == f"lambdas must be a sequence of thresholds, got {shown}"
+        assert str(err.value) == f"lambdas must be a column (a list, tuple, range or 1-d array), got {shown}"
 
     def test_grid_sequences_accepted(self):
         expected = tradeoff_curve(fixture6(), [0.6, 0.75])
