@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -83,54 +82,44 @@ class RiskBound:
     residual: float
 
 
-class _LogFactorials:
-    """Grow-on-demand table of log(i!) as double-double pairs.
+def _log_factorials(size: int) -> np.ndarray:
+    """log(i!) for i < size as double-double pairs, read-only.
 
     Row 0 holds the rounded value and row 1 what rounding left out, both from
-    a running Neumaier-compensated sum of log(j). Differences such as
-    log(n!) - log((n-i)!) then keep the precision of the i terms they span
-    instead of inheriting the rounding error of log(n!) itself. The running
-    compensation is carried across growths, so the table contents never
-    depend on the order in which sizes were requested.
+    a running Neumaier-compensated sum of log(j) from j = 1. Differences such
+    as log(n!) - log((n-i)!) then keep the precision of the i terms they span
+    instead of inheriting the rounding error of log(n!) itself. Every table
+    runs the same sum, so a larger one extends a smaller one bit for bit.
+    """
+    values = np.zeros((2, size), dtype=float)
+    high, low = values
+    s = c = 0.0
+    for j in range(1, size):
+        x = math.log(j)
+        t = s + x
+        c += (s - t) + x if s >= x else (x - t) + s  # both are >= 0
+        s = t
+        high[j] = s + c
+        low[j] = c - (high[j] - s)
+    values.flags.writeable = False
+    return values
+
+
+class _LogFactorials:
+    """The shared `_log_factorials` table, replaced by one at least twice its size when a call outgrows it.
+
+    A table is never changed once published, so threads that grow it at once
+    build equal tables, and whichever is assigned last serves.
     """
 
     def __init__(self) -> None:
-        self._values = np.zeros((2, 1024), dtype=float)
-        self._len = 1
-        self._sum = 0.0
-        self._comp = 0.0
-        self._lock = threading.Lock()
+        self._values = _log_factorials(1)
 
     def upto(self, n: int) -> np.ndarray:
-        if n >= self._len:
-            with self._lock:
-                if n >= self._len:
-                    self._grow(n)
-        return self._values[:, : n + 1]
-
-    def _grow(self, n: int) -> None:
         values = self._values
-        if n + 1 > values.shape[1]:
-            capacity = max(2 * values.shape[1], n + 1)
-            bigger = np.zeros((2, capacity), dtype=float)
-            bigger[:, : self._len] = values[:, : self._len]
-            values = bigger
-        high, low = values
-        s, c = self._sum, self._comp
-        for j in range(self._len, n + 1):
-            x = math.log(j)
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-            high[j] = s + c
-            low[j] = c - (high[j] - s)
-        self._sum, self._comp = s, c
-        # publish the array before the length so readers never over-index
-        self._values = values
-        self._len = n + 1
+        if n >= values.shape[1]:
+            values = self._values = _log_factorials(max(n + 1, 2 * values.shape[1]))
+        return values[:, : n + 1]
 
 
 _LOG_FACTORIALS = _LogFactorials()

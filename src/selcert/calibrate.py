@@ -161,8 +161,8 @@ class CertificateGrid(ColumnTable):
 class ThresholdCertificate:
     """Outcome of a certification scan over one calibration set.
 
-    grid is a `CertificateGrid`, or `GridPoint` rows in any iterable but a
-    set or a mapping, checked as the grid's constructor checks them.
+    grid is a `CertificateGrid`, or `GridPoint` rows that `CertificateGrid.of`
+    reads and checks.
     calib_size is an integer >= 1, and the grid's bottom point retains at
     most that many records. lambda_hat is None or one of the grid's thresholds.
     """
@@ -175,11 +175,10 @@ class ThresholdCertificate:
 
     def __post_init__(self) -> None:
         if self.status not in (FEASIBLE, INFEASIBLE):
-            raise DomainError(f"status must be feasible or infeasible, got {self.status!r}")
+            raise DomainError(f"status must be feasible or infeasible, got {_shown(self.status)}")
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
-        if not isinstance(self.grid, CertificateGrid):
-            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(self.grid, "grid", DomainError)))
+        object.__setattr__(self, "grid", CertificateGrid.of(self.grid))
         object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "
@@ -239,10 +238,10 @@ class Decisions(ColumnTable):
 
     @classmethod
     def of(cls, decisions: "Decisions | Iterable[Decision]") -> "Decisions":
-        """`decisions` as columns; Decisions are returned as they are."""
+        """`ColumnTable.of`, with a view's None prediction (an abstention) -1 in the column."""
         if isinstance(decisions, Decisions):
             return decisions
-        ids, prediction, confidence = cls._columns_of(decisions, "decisions", DomainError)
+        ids, prediction, confidence = cls._columns_of(decisions, "decisions")
         return cls(ids, [-1 if p is None else p for p in prediction], confidence)
 
     @property

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -95,13 +96,18 @@ def check_beta(beta) -> float:
     return number
 
 
+_QUOTE = reprlib.Repr()  # a message's quote of a value: at most 80 characters, and 8 items of a container
+_QUOTE.maxstring = _QUOTE.maxother = 80
+_QUOTE.maxtuple = _QUOTE.maxlist = _QUOTE.maxdict = _QUOTE.maxset = _QUOTE.maxfrozenset = _QUOTE.maxdeque = 8
+
+
 def _shown(value) -> str:
-    """repr(value) (a numpy scalar's as its Python value's), or the size of a too-long integer."""
+    """repr(value) cut as `_QUOTE` cuts it (a numpy scalar's as its Python value's), or a too-long integer's size."""
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-    return repr(value)
+    return _QUOTE.repr(value)
 
 
 class ConvergenceError(SelcertError):

@@ -34,6 +34,7 @@ from .errors import (
     IdMismatchError,
     ResampleCapError,
     UnpairedIdsError,
+    _shown,
     check_int,
 )
 from .records import Dataset, _coded, _columns, _floats, _raise_first, _value_fault
@@ -113,7 +114,7 @@ def _confusion_columns(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     )
 
 
-def _f1_accuracy_from_columns(columns: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+def _counted_f1_accuracy(columns: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     total = int(counts.sum())
     if total == 0:
         raise EmptyInputError("f1_accuracy needs at least one record")
@@ -132,7 +133,7 @@ def _kernel(metric: str, scores: np.ndarray, labels: np.ndarray):
     if metric in ("f1", "accuracy"):
         columns = _confusion_columns(scores, labels)
         pick = ("f1", "accuracy").index(metric)
-        return lambda counts: _f1_accuracy_from_columns(columns, counts)[pick]
+        return lambda counts: _counted_f1_accuracy(columns, counts)[pick]
     blocks = _tie_blocks(scores)
     from_blocks = _pr_auc_from_blocks if metric == "pr_auc" else _roc_auc_from_blocks
     return lambda counts: from_blocks(*_block_totals(blocks, labels, counts))
@@ -153,7 +154,7 @@ def pr_auc(scores, labels) -> float:
 def f1_accuracy(scores, labels) -> tuple[float, float]:
     """(F1, accuracy) thresholding scores at 0.5; F1 is 0 when 0/0."""
     s, y = _as_arrays(scores, labels)
-    return _f1_accuracy_from_columns(_confusion_columns(s, y), np.ones(len(s), np.int64))
+    return _counted_f1_accuracy(_confusion_columns(s, y), np.ones(len(s), np.int64))
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
             aucs[name] = from_blocks(*totals)
         except DegenerateLabelsError:
             aucs[name] = None
-    f1, accuracy = _f1_accuracy_from_columns(_confusion_columns(s, y), ones)
+    f1, accuracy = _counted_f1_accuracy(_confusion_columns(s, y), ones)
     return SelectiveReport(
         **aucs, f1=f1, accuracy=accuracy,
         retain_rate=n_retained / n_total, n_total=n_total, n_retained=n_retained,
@@ -273,7 +274,7 @@ def bootstrap_significance(
     resampled copies would give, bit for bit.
     """
     if metric not in _METRICS:
-        raise DomainError(f"metric must be one of {list(_METRICS)}, got {metric!r}")
+        raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
     resamples = check_int("resamples", resamples, 100)
     seed = check_int("seed", seed, float("-inf"))
     ids_a, ids_b = a.ids(), b.ids()
@@ -284,7 +285,7 @@ def bootstrap_significance(
     labels = a.labels()
     mismatch = np.flatnonzero(b.labels()[b_order] != labels)
     if mismatch.size:
-        raise UnpairedIdsError(f"labels differ for id {ids_a[mismatch[0]]!r}")
+        raise UnpairedIdsError(f"labels differ for id {_shown(ids_a[mismatch[0]])}")
     kernel_a = _kernel(metric, a.scores(), labels)
     kernel_b = _kernel(metric, b.scores()[b_order], labels)
 

@@ -2,9 +2,10 @@
 
 A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
-built with `Dataset.from_columns` or from `PredictionRecord`s, and hands out
-records only as plain views. `ColumnTable` is that pattern, written once: the
-base of `Dataset`, the decisions, the certificate grid and the tradeoff curve.
+built from columns by `Dataset` or from `PredictionRecord`s by `Dataset.of`,
+and hands out records only as plain views. `ColumnTable` is that pattern,
+written once: the base of `Dataset`, the decisions, the certificate grid and
+the tradeoff curve, each with those same two ways in.
 
 A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
@@ -36,7 +37,7 @@ from datetime import date, datetime
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,17 +76,24 @@ class ColumnTable:
     """Rows held as equal-length, read-only columns, with one view per row, built on first use.
 
     The one column pattern, the base of `Dataset`, `calibrate.Decisions`,
-    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. A subclass checks
-    its columns in its public constructors; `_unchecked` builds one from
-    columns its caller has already checked, of their final types. Length,
-    iteration, indexing and `==` (against the same class, or a list or tuple
-    of views) go through the views.
+    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. Every table has the
+    same two ways in: its `__init__` takes its columns and checks them, and
+    `of` reads rows of its views into those columns; `_unchecked` builds one
+    from columns its caller has already checked, of their final types.
+    Length, iteration, indexing and `==` (against the same class, or a list
+    or tuple of views) go through the views.
     """
 
     _columns: tuple[str, ...]  # the column attributes, in the field order of `_view`
     _view: type  # the frozen dataclass viewing one row
     _attributes: tuple[str, ...] = ()  # other attributes, compared by `==` and shown by repr
+    _error: type[Exception] = DomainError  # what the table's rules raise
     __hash__ = None  # type: ignore[assignment]
+
+    @classmethod
+    def of(cls, rows, **attributes):
+        """A table of `rows`, checked by `__init__` with `attributes`; a table of this class is returned as it is."""
+        return rows if isinstance(rows, cls) else cls(*cls._columns_of(rows, "rows"), **attributes)
 
     @classmethod
     def _unchecked(cls, *columns, **attributes):
@@ -99,9 +107,9 @@ class ColumnTable:
         return self
 
     @classmethod
-    def _columns_of(cls, views, name: str, error: type[Exception]) -> list[list]:
+    def _columns_of(cls, views, name: str) -> list[list]:
         """Rows' column values in field order, from any iterable of `_view`s but an unordered set or mapping."""
-        view = cls._view.__name__
+        view, error = cls._view.__name__, cls._error
         if isinstance(views, (Set, Mapping)) or not np.iterable(views):
             raise error(f"{name} must be an ordered collection of {view}s (not a set or a mapping), got {type(views).__name__}")
         rows = tuple(views)
@@ -143,41 +151,27 @@ class Dataset(ColumnTable):
 
     The columns are ids (unique nonempty strings), scores (floats in [0, 1]),
     labels (0 or 1), dates (`datetime.date`s) and groups (strings, "" read as
-    None), None where a row has no date or group. Both constructors check
-    them together, vectorised, by `_dataset_faults`, and they are read-only
-    afterwards. `records`, iteration and `by_id()` give PredictionRecord
-    views of the checked columns, built on first use.
+    None), None where a row has no date or group. `Dataset(ids, scores,
+    labels, ...)` and `Dataset.of(records)` check them together, vectorised,
+    by `_dataset_faults`, and they are read-only afterwards. `records`,
+    iteration and `by_id()` give PredictionRecord views of the checked
+    columns, built on first use.
     """
 
     _columns = ("_ids", "_scores", "_labels", "_dates", "_groups")
     _view = PredictionRecord
     _attributes = ("provenance",)
+    _error = SchemaError
 
-    def __init__(self, records: Iterable[PredictionRecord] = (), provenance: str = "") -> None:
-        self._set(*self._checked(*self._columns_of(records, "records", SchemaError)), provenance=provenance)
-
-    @classmethod
-    def from_columns(
-        cls,
-        ids: Sequence[str],
-        scores,
-        labels,
-        dates: Sequence[date | None] | None = None,
-        groups: Sequence[str | None] | None = None,
-        provenance: str = "",
-    ) -> "Dataset":
-        """Build a dataset from equal-length columns, validated in one pass."""
-        return cls._unchecked(*cls._checked(ids, scores, labels, dates, groups), provenance=provenance)
-
-    @staticmethod
-    def _checked(ids, scores, labels, dates, groups) -> tuple:
+    def __init__(self, ids: Sequence[str], scores, labels, dates: Sequence[date | None] | None = None,
+                 groups: Sequence[str | None] | None = None, provenance: str = "") -> None:
         optional = {name: cells for name, cells in (("dates", dates), ("groups", groups)) if cells is not None}
         n = _columns(SchemaError, ids=ids, scores=scores, labels=labels, **optional)
         dates = _object_column([None] * n if dates is None else dates)
         groups = _group_column([None] * n if groups is None else groups)
         columns = _object_column(ids), _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
         _raise_first(_dataset_faults(*columns, scores, labels), n)
-        return columns
+        self._set(*columns, provenance=provenance)
 
     records = property(ColumnTable._rows, doc="The rows as PredictionRecords.")
 
@@ -313,9 +307,10 @@ def _id_faults(ids: Sequence) -> list:
     repeated = bad if len(set(ids[:bad])) == bad else next(
         i for i, rec_id in enumerate(ids[:bad]) if rec_id in seen or seen.add(rec_id))
     return [
-        (bad, _cell_error(ids, "id", "id must be a nonempty string, got {!r}".format)),
-        (_first_unencodable(ids), _cell_error(ids, "id", "id must be encodable as UTF-8, got {!r}".format)),
-        (repeated, lambda i: DuplicateIdError(f"duplicate record id {ids[i]!r} at row {i + 1}")),
+        (bad, _cell_error(ids, "id", lambda cell: f"id must be a nonempty string, got {_shown(cell)}")),
+        (_first_unencodable(ids),
+         _cell_error(ids, "id", lambda cell: f"id must be encodable as UTF-8, got {_shown(cell)}")),
+        (repeated, lambda i: DuplicateIdError(f"duplicate record id {_shown(ids[i])} at row {i + 1}")),
     ]
 
 
@@ -334,10 +329,11 @@ def _dataset_faults(ids, scores, labels, dates, groups, score_cells, label_cells
          _cell_error(label_cells, "label", "label must be 0 or 1, got '{}'".format)),
         *filter(None, [date_parse]),
         (_first(~_types_in(dates, (date, type(None)))),
-         _cell_error(dates, "date", "date must be a datetime.date or None, got {!r}".format)),
+         _cell_error(dates, "date", lambda cell: f"date must be a datetime.date or None, got {_shown(cell)}")),
         (_first(~_types_in(groups, (str, type(None)))),
-         _cell_error(groups, "group", "group must be a string or None, got {!r}".format)),
-        (_first_unencodable(groups), _cell_error(groups, "group", "group must be encodable as UTF-8, got {!r}".format)),
+         _cell_error(groups, "group", lambda cell: f"group must be a string or None, got {_shown(cell)}")),
+        (_first_unencodable(groups),
+         _cell_error(groups, "group", lambda cell: f"group must be encodable as UTF-8, got {_shown(cell)}")),
     ]
 
 
@@ -372,15 +368,16 @@ class SyntheticScorerSpec:
         object.__setattr__(self, "prevalence", check_real("prevalence", self.prevalence, 0, 1))
         _columns(DomainError, 2, pos_shape=self.pos_shape, neg_shape=self.neg_shape)
         for name in ("pos_shape", "neg_shape"):
-            object.__setattr__(self, name, tuple(check_real(name, v, 0, math.inf) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(check_real(f"{name}[{i}]", v, 0, math.inf)
+                                                 for i, v in enumerate(getattr(self, name))))
         object.__setattr__(self, "seed", check_int("seed", self.seed, float("-inf")))
 
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
     if fmt is None and Path(path).suffix.lower() not in (".csv", ".json"):
-        raise DomainError(f"cannot infer format of {str(path)!r}; pass fmt='csv' or 'json'")
+        raise DomainError(f"cannot infer format of {_shown(str(path))}; pass fmt='csv' or 'json'")
     if fmt not in ("csv", "json", None):
-        raise DomainError(f"fmt must be 'csv' or 'json', got {fmt!r}")
+        raise DomainError(f"fmt must be 'csv' or 'json', got {_shown(fmt)}")
     return fmt or Path(path).suffix.lower()[1:]
 
 
@@ -424,7 +421,7 @@ def _parsed_dates(cells: Sequence | None, parse, n: int) -> tuple[np.ndarray, tu
     if cells is None:
         return np.empty(n, dtype=object), None  # a new object array holds None everywhere
     dates, first, error = _parse_cells(parse, cells, None)
-    return _object_column(dates), (first, _cell_error(cells, "date", lambda text: f"bad date {text!r}: {error}"))
+    return _object_column(dates), (first, _cell_error(cells, "date", lambda text: f"bad date {_shown(text)}: {error}"))
 
 
 def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: int) -> None:
@@ -564,7 +561,7 @@ def _columns_from_csv(text: str, date_format: str | None) -> tuple:
     if header[:3] != list(_BASE_COLUMNS) or header[3:] not in optional:
         raise SchemaError(
             "header must be id,score,label with optional date and/or group columns, "
-            f"got {','.join(header)!r}"
+            f"got {_shown(','.join(header))}"
         )
     # every check runs on the rows before the first ragged one
     cells = dict(zip(header, columns))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,25 +40,16 @@ class TradeoffCurve(ColumnTable):
 
     lam and fraction_kept are float arrays, fraction_kept non-increasing
     within [0, 1]; selective_accuracy is an object array, a number within
-    [0, 1] or None where nothing is kept. They are validated together,
-    vectorised, when the curve is built, from TradeoffPoints or with
-    `from_columns`, and are read-only afterwards. `points` gives
+    [0, 1] or None where nothing is kept. `TradeoffCurve(lam, fraction_kept,
+    selective_accuracy)` and `TradeoffCurve.of(points)` check them together,
+    vectorised, and they are read-only afterwards. `points` gives
     TradeoffPoint views, built on first use.
     """
 
     _columns = ("lam", "fraction_kept", "selective_accuracy")
     _view = TradeoffPoint
 
-    def __init__(self, points: Iterable[TradeoffPoint] = ()) -> None:
-        self._set(*self._checked(*self._columns_of(points, "points", DomainError)))
-
-    @classmethod
-    def from_columns(cls, lam, fraction_kept, selective_accuracy) -> "TradeoffCurve":
-        """Build a curve from equal-length columns, validated in one pass."""
-        return cls._unchecked(*cls._checked(lam, fraction_kept, selective_accuracy))
-
-    @staticmethod
-    def _checked(lam, fraction_kept, selective_accuracy) -> tuple:
+    def __init__(self, lam, fraction_kept, selective_accuracy) -> None:
         _columns(DomainError, lam=lam, fraction_kept=fraction_kept, selective_accuracy=selective_accuracy)
         cells = lam, fraction_kept, _object_column(selective_accuracy)
         accuracy = _floats(np.where(np.equal(cells[2], None), 0.0, cells[2]))
@@ -74,7 +64,7 @@ class TradeoffCurve(ColumnTable):
             _value_fault(~((accuracy >= 0.0) & (accuracy <= 1.0)), "selective_accuracy[{}]",
                          "a number within [0, 1] or None", cells[2]),
         ], len(lam))
-        return lam, fraction_kept, cells[2]
+        self._set(lam, fraction_kept, cells[2])
 
     points = property(ColumnTable._rows, doc="The rows as TradeoffPoints.")
 

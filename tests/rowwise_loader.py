@@ -44,7 +44,7 @@ def load_dataset_rowwise(path, date_format=None) -> Dataset:
         records = _records_from_csv(text, date_format)
     else:
         records = _records_from_json(text, date_format)
-    return Dataset(records=tuple(records), provenance=str(path))
+    return Dataset.of(tuple(records), provenance=str(path))
 
 
 def _parse_date(text, date_format, row):

@@ -220,7 +220,7 @@ def test_c5_certification_oracle(capsys):
                 # mostly-correct labels so the feasible branch gets real coverage
                 label = predicted_label(score) if rng.random() < 0.75 else 1 - predicted_label(score)
                 records.append(PredictionRecord(f"r{i}", score, label))
-            data = Dataset(records=tuple(records))
+            data = Dataset.of(tuple(records))
             config = RiskConfig(
                 alpha=float(rng.uniform(0.05, 0.9)),
                 beta=float(rng.choice([0.05, 0.1, 0.2, 0.3])),

@@ -7,6 +7,7 @@ as decimals.
 
 import inspect
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -92,6 +93,29 @@ class TestBinomCdf:
         for t in threads:
             t.join()
         assert len(set(results)) == 1
+
+    def test_racing_growth_serves_one_table(self):
+        # threads outgrow one fresh table in interleaved sizes; each slice must be the reference's
+        reference = binom._log_factorials(20001)
+        table, failures = binom._LogFactorials(), []
+
+        def work(offset):
+            for n in range(offset, 20001, 997):
+                if not np.array_equal(table.upto(n), reference[:, : n + 1]):
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(0, 800, 100)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        assert not table.upto(5).flags.writeable
 
 
 class TestRiskUpperBound:

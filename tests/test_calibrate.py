@@ -58,7 +58,7 @@ def fixture6() -> Dataset:
         ("t5", 0.70, 1),  # correct
         ("t6", 0.60, 0),  # wrong
     ]
-    return Dataset(records=tuple(PredictionRecord(i, s, y) for i, s, y in rows))
+    return Dataset.of(tuple(PredictionRecord(i, s, y) for i, s, y in rows))
 
 
 # ascending grid lambda -> (n_at, errors_at, frozen bound at beta=0.2)
@@ -119,7 +119,7 @@ class TestSelectiveRisk:
 
     def test_empty_dataset_retains_nothing(self):
         # an empty set is a grid of no points: every threshold is past its top
-        empty = Dataset.from_columns([], [], [])
+        empty = Dataset([], [], [])
         assert selective_risk(empty, 0.7, beta=0.2) == GridPoint(0.7, 0, 0, 1.0, 1.0)
 
     @pytest.mark.parametrize("lam", [math.nan, 1.5, math.inf, 0.3])
@@ -136,7 +136,7 @@ class TestSelectiveRisk:
         (math.nan, "beta must be a number, got nan"),
     ])
     def test_rejects_a_bad_beta_at_any_threshold(self, lam, beta, message):
-        data = Dataset.from_columns(["a", "b"], [0.9, 0.2], [1, 0])
+        data = Dataset(["a", "b"], [0.9, 0.2], [1, 0])
         with pytest.raises(DomainError) as err:
             selective_risk(data, lam, beta=beta)
         assert str(err.value) == message
@@ -153,7 +153,7 @@ class TestRetainedCounts:
             n = int(rng.integers(1, 300))
             scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))
             labels = (rng.random(n) < scores).astype(int)
-            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
+            data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             conf, correct = _confidence_correct(scores, labels)
             grid = np.unique(conf)
             lams = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2, np.nextafter(grid, 0.0),
@@ -202,7 +202,7 @@ class TestScan:
             scores, labels = tied_sets(rng, 1, n)
             config = RiskConfig(alpha=float(rng.uniform(0.05, 0.5)), beta=float(rng.choice([0.05, 0.2, 0.5, 0.9])),
                                 min_count=int(rng.integers(1, 40)))
-            cert = certify_threshold(Dataset.from_columns([f"r{i}" for i in range(n)], scores[0], labels[0]), config)
+            cert = certify_threshold(Dataset([f"r{i}" for i in range(n)], scores[0], labels[0]), config)
             lam, n_at, errors, lambda_hat = reference_grid(*_confidence_correct(scores[0], labels[0]), config)
             assert cert.grid.lam.tolist() == lam.tolist(), f"trial {trial}"
             assert cert.grid.n_at.tolist() == n_at.tolist() and cert.grid.errors_at.tolist() == errors.tolist()
@@ -234,7 +234,7 @@ class TestOneCountThreePaths:
         for trial in range(12):
             n = int(rng.integers(1, 200))
             scores, labels = tied_sets(rng, 1, n)
-            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores[0], labels[0])
+            data = Dataset([f"r{i}" for i in range(n)], scores[0], labels[0])
             config = RiskConfig(alpha=0.2, beta=float(rng.choice([0.05, 0.5, 0.9])))
             cert = certify_threshold(data, config)
             for i, lam in enumerate(cert.grid.lam.tolist()):
@@ -278,12 +278,12 @@ class TestCertifyThreshold:
 
     def test_empty_calibration(self):
         with pytest.raises(EmptyCalibrationError):
-            certify_threshold(Dataset(records=()), RiskConfig(alpha=0.3, beta=0.2))
+            certify_threshold(Dataset.of(()), RiskConfig(alpha=0.3, beta=0.2))
 
     def test_tied_confidences_share_grid_point(self):
         # 0.3 and 0.7 both map to confidence 0.7
-        data = Dataset(
-            records=(
+        data = Dataset.of(
+            (
                 PredictionRecord("a", 0.3, 0),
                 PredictionRecord("b", 0.7, 1),
                 PredictionRecord("c", 0.9, 1),
@@ -303,8 +303,8 @@ class TestCertifyThreshold:
             alpha = float(rng.uniform(0.05, 0.9))
             beta = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
             min_count = int(rng.integers(1, 4))
-            data = Dataset(
-                records=tuple(
+            data = Dataset.of(
+                tuple(
                     PredictionRecord(f"r{i}", float(scores[i]), int(labels[i])) for i in range(n)
                 )
             )
@@ -316,7 +316,7 @@ class TestCertifyThreshold:
         rng = np.random.default_rng(77)
         scores = rng.beta(3.0, 2.0, 500)
         labels = (rng.random(500) < scores).astype(int)
-        data = Dataset(records=tuple(
+        data = Dataset.of(tuple(
             PredictionRecord(f"r{i}", float(s), int(y)) for i, (s, y) in enumerate(zip(scores, labels))
         ))
         cert = certify_threshold(data, RiskConfig(alpha=0.3, beta=0.1, min_count=10))
@@ -330,7 +330,7 @@ class TestCertifyThreshold:
         rng = np.random.default_rng(4099)
         scores = rng.beta(4.0, 2.0, 20000)
         labels = (rng.random(20000) < scores).astype(int)
-        data = Dataset.from_columns([f"r{i}" for i in range(20000)], scores, labels)
+        data = Dataset([f"r{i}" for i in range(20000)], scores, labels)
         config = RiskConfig(alpha=0.1, beta=beta, min_count=25)
         cert = certify_threshold(data, config)
         assert len(cert.grid) == 20000
@@ -353,7 +353,7 @@ class TestCertifyThreshold:
             config = RiskConfig(alpha=float(rng.uniform(0.02, 0.6)),
                                 beta=float(rng.choice([0.01, 0.1, 0.3, 0.49, 0.5, 0.7, 0.95])),
                                 min_count=int(rng.integers(1, 30)))
-            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
+            data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             cert = certify_threshold(data, config)
             bounds = [pt.risk_plus for pt in cert.grid]
             assert cert.lambda_hat == scan_bounds(cert.grid, bounds, config), f"trial {trial}"
@@ -370,7 +370,7 @@ class TestCertifyThreshold:
             n = int(rng.integers(5, 400))
             scores = np.round(rng.beta(3.0, 2.0, n), int(rng.integers(1, 4)))
             labels = (rng.random(n) < scores).astype(int)
-            data = Dataset.from_columns([f"r{i}" for i in range(n)], scores, labels)
+            data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             beta = float(rng.choice([0.01, 0.1, 0.3, 0.5, 0.7, 0.95]))
             grid = certify_threshold(data, RiskConfig(alpha=0.5, beta=beta)).grid
             k = np.array([pt.errors_at for pt in grid])
@@ -531,7 +531,7 @@ class TestApplyCertificate:
     def test_abstention_keeps_confidence(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
         decisions = apply_certificate(
-            Dataset(records=(PredictionRecord("low", 0.287, 0),)), cert
+            Dataset.of((PredictionRecord("low", 0.287, 0),)), cert
         )
         assert decisions[0].prediction is None
         assert decisions[0].confidence == 1 - 0.287
@@ -539,7 +539,7 @@ class TestApplyCertificate:
     def test_boundary_score_is_retained(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
         decisions = apply_certificate(
-            Dataset(records=(PredictionRecord("edge", 0.85, 1),)), cert
+            Dataset.of((PredictionRecord("edge", 0.85, 1),)), cert
         )
         assert decisions[0].prediction == 1
 
@@ -740,7 +740,7 @@ class TestCertificateSerialization:
     def test_thresholds_round_trip_exactly(self):
         # confidences with more than 12 significant digits
         scores = [0.5 + i / 7.0 / 3.0 for i in range(1, 8)]
-        data = Dataset(records=tuple(
+        data = Dataset.of(tuple(
             PredictionRecord(f"r{i}", s, 1) for i, s in enumerate(scores)
         ))
         cert = certify_threshold(data, RiskConfig(alpha=0.9, beta=0.2))
@@ -1055,7 +1055,7 @@ THRESHOLD_ENTRY_POINTS = {
     "ThresholdCertificate.lambda_hat": (
         lambda v: ThresholdCertificate("feasible", v, [GridPoint(0.6, 2, 0, 0.0, 0.5)], RiskConfig(0.5, 0.2), 2),
         "lambda_hat", DomainError),
-    "TradeoffCurve": (lambda v: TradeoffCurve.from_columns([0.55, v], [1.0, 0.5], [0.5, 0.5]),
+    "TradeoffCurve": (lambda v: TradeoffCurve([0.55, v], [1.0, 0.5], [0.5, 0.5]),
                       "lambda[1]", UnsortedLambdasError),
     "tradeoff_curve": (lambda v: tradeoff_curve(fixture6(), [0.55, v]), "lambda[1]", UnsortedLambdasError),
     "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),

@@ -491,6 +491,13 @@ class TestSimulate:
         assert (code, capsys.readouterr().err) == (1, TINY_BETA_ERROR)
         assert list(tmp_path.iterdir()) == []
 
+    def test_shape_fault_is_located(self, tmp_path, capsys):
+        args = list(self.ARGS)
+        args[args.index("--pos-shape") + 1] = "2,0"
+        assert main(args + ["--out-prefix", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == "error: pos_shape[1] must be within (0, inf), got 0.0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_outputs_and_thread_invariance(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SELCERT_THREADS", "1")
         assert main(self.ARGS + ["--out-prefix", str(tmp_path / "one")]) == 0

@@ -243,8 +243,8 @@ def report_fixture() -> Dataset:
         ("t5", 0.70, 1, "early"),
         ("t6", 0.60, 0, None),
     ]
-    return Dataset(
-        records=tuple(PredictionRecord(i, s, y, group=g) for i, s, y, g in rows)
+    return Dataset.of(
+        tuple(PredictionRecord(i, s, y, group=g) for i, s, y, g in rows)
     )
 
 
@@ -375,8 +375,8 @@ def paired_fixture():
     sb = np.clip(0.25 + 0.5 * labels + noise_b, 0.0, 1.0)
 
     def build(scores):
-        return Dataset(
-            records=tuple(
+        return Dataset.of(
+            tuple(
                 PredictionRecord(f"r{i}", float(scores[i]), int(labels[i])) for i in range(40)
             )
         )
@@ -402,10 +402,10 @@ class TestBootstrapSignificance:
         # n=3 with one positive: many resamples are single-class and must be
         # redrawn from the same substream before the comparison counts
         y = [1, 0, 0]
-        a = Dataset(records=tuple(
+        a = Dataset.of(tuple(
             PredictionRecord(f"r{i}", s, y[i]) for i, s in enumerate([0.9, 0.4, 0.6])
         ))
-        b = Dataset(records=tuple(
+        b = Dataset.of(tuple(
             PredictionRecord(f"r{i}", s, y[i]) for i, s in enumerate([0.55, 0.5, 0.62])
         ))
         result = bootstrap_significance(a, b, "roc_auc", resamples=200, seed=5)
@@ -424,22 +424,22 @@ class TestBootstrapSignificance:
 
     def test_record_order_irrelevant_on_b(self):
         a, b = paired_fixture()
-        reordered = Dataset(records=tuple(reversed(b.records)))
+        reordered = Dataset.of(tuple(reversed(b.records)))
         r1 = bootstrap_significance(a, b, "f1", resamples=300, seed=4)
         r2 = bootstrap_significance(a, reordered, "f1", resamples=300, seed=4)
         assert r1 == r2
 
     def test_unpaired_ids(self):
         a, b = paired_fixture()
-        extra = Dataset(records=b.records[:-1] + (PredictionRecord("other", 0.5, 1),))
+        extra = Dataset.of(b.records[:-1] + (PredictionRecord("other", 0.5, 1),))
         with pytest.raises(UnpairedIdsError):
             bootstrap_significance(a, extra, "roc_auc")
 
     def test_label_disagreement(self):
         a, b = paired_fixture()
         rec = b.records[0]
-        flipped = Dataset(
-            records=(PredictionRecord(rec.id, rec.score, 1 - rec.label),) + b.records[1:]
+        flipped = Dataset.of(
+            (PredictionRecord(rec.id, rec.score, 1 - rec.label),) + b.records[1:]
         )
         with pytest.raises(UnpairedIdsError):
             bootstrap_significance(a, flipped, "roc_auc")
@@ -503,14 +503,14 @@ class TestBootstrapSignificance:
         sa = np.array([0.9, 0.4, 0.6, 0.4, 0.1, 0.8, 0.3, 0.5])
         sb = np.array([0.5, 0.5, 0.7, 0.2, 0.1, 0.6, 0.4, 0.5])
         ids = [f"r{i}" for i in range(8)]
-        a, b = Dataset.from_columns(ids, sa, labels), Dataset.from_columns(ids, sb, labels)
+        a, b = Dataset(ids, sa, labels), Dataset(ids, sb, labels)
         for metric in ("roc_auc", "pr_auc"):
             result = bootstrap_significance(a, b, metric, resamples=300, seed=13)
             expected = reference_metrics.bootstrap_reference(sa, sb, labels, metric, 300, 13)
             assert (result.delta, result.p_value) == expected
 
     def test_all_positive_labels_fail_before_resampling(self):
-        a = Dataset.from_columns(["r0", "r1", "r2"], np.array([0.9, 0.4, 0.6]), np.ones(3, int))
+        a = Dataset(["r0", "r1", "r2"], np.array([0.9, 0.4, 0.6]), np.ones(3, int))
         with pytest.raises(DegenerateLabelsError, match="got 3 positive / 0 negative"):
             bootstrap_significance(a, a, "roc_auc", resamples=100)
 
@@ -536,4 +536,4 @@ def close_fixture(tied: bool):
     if tied:
         sa, sb = np.round(sa * 10) / 10, np.round(sb * 10) / 10
     ids = [f"r{i}" for i in range(60)]
-    return Dataset.from_columns(ids, sa, labels), Dataset.from_columns(ids, sb, labels)
+    return Dataset(ids, sa, labels), Dataset(ids, sb, labels)

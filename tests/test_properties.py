@@ -75,7 +75,7 @@ def datasets(draw):
         )
         for rec_id in ids
     )
-    return Dataset(records=records)
+    return Dataset.of(records)
 
 
 @st.composite
@@ -151,7 +151,7 @@ def _with_odd_cells(draw, columns, odd):
 @given(columns=dataset_columns())
 def test_any_dataset_that_constructs_round_trips(tmp_path, suffix, columns):
     try:
-        data = Dataset.from_columns(**columns)
+        data = Dataset(**columns)
     except SelcertError:
         return
     path = tmp_path / f"d.{suffix}"
@@ -494,8 +494,8 @@ def test_bootstrap_equals_resampling_the_scores(case, other, seed, metric):
     # a second scorer over the same records: the other column, cycled to length
     scores_b = np.resize(np.array(other or [0.5]), len(scores_a))
     ids = [f"r{i}" for i in range(len(labels))]
-    a = Dataset.from_columns(ids, scores_a, labels)
-    b = Dataset.from_columns(ids, scores_b, labels)
+    a = Dataset(ids, scores_a, labels)
+    b = Dataset(ids, scores_b, labels)
 
     def counted():
         result = bootstrap_significance(a, b, metric, resamples=100, seed=seed)
@@ -517,7 +517,7 @@ def test_bootstrap_equals_resampling_the_scores(case, other, seed, metric):
 THRESHOLD_CELLS = st.one_of(
     st.floats(0.45, 1.05), st.floats(), st.integers(-2, 2), st.booleans(), st.none(), st.just(10**400),
     st.sampled_from(["0.6", [0.6], np.float64(0.75), np.int64(1), np.bool_(True)]))
-CURVE = Dataset.from_columns([f"r{i}" for i in range(5)], [0.1, 0.35, 0.6, 0.8, 0.95], [0, 1, 1, 0, 1])
+CURVE = Dataset([f"r{i}" for i in range(5)], [0.1, 0.35, 0.6, 0.8, 0.95], [0, 1, 1, 0, 1])
 
 
 def _first_bad_threshold(cells) -> int:

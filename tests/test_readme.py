@@ -6,13 +6,20 @@ heredoc writes its file, and each `selcert ...` command goes through
 they must be its standard output, line for line. The Python block under
 "Quickstart (library)" runs in a fresh directory holding the golden
 calibration and test files as `calib.csv` and `test.csv`.
+
+Every name the prose quotes in backticks that is dotted, or starts with a
+capital letter or an underscore, is a name of the package: an attribute of
+`selcert` or of one of its modules, with a leading `selcert.` dropped.
 """
 
+import importlib
+import pkgutil
 import re
 import shlex
 import shutil
 from pathlib import Path
 
+import selcert
 from selcert.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,3 +73,33 @@ def test_library_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
     lambda_hat, accuracy, retain_rate = map(float, capsys.readouterr().out.split())
     assert lambda_hat == 0.7070000000000001
     assert 0 < accuracy <= 1 and 0 < retain_rate <= 1
+
+
+# quoted names that are not the package's: JSON's literals and a quickstart variable
+NOT_PACKAGE_NAMES = {"NaN", "Infinity", "cert.lambda_hat"}
+
+
+def package_names() -> list:
+    """The names in the README's prose, outside code blocks, that must be the package's."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", prose))
+    return sorted({name for name in names if "." in name or not name[0].islower()} - NOT_PACKAGE_NAMES)
+
+
+def _resolves(name: str, modules: list) -> bool:
+    head, *rest = name.removeprefix("selcert.").split(".")
+    for owner in [getattr(module, head) for module in modules if hasattr(module, head)]:
+        for part in rest:
+            owner = getattr(owner, part, None)
+        if owner is not None:
+            return True
+    return False
+
+
+def test_readme_names_are_the_packages():
+    # importing __main__ would run the command line
+    modules = [selcert, *(importlib.import_module(f"selcert.{module.name}")
+                          for module in pkgutil.iter_modules(selcert.__path__) if module.name != "__main__")]
+    names = package_names()
+    assert len(names) > 30 and {"Dataset.of", "calibrate._grid", "ColumnTable._columns_of"} <= set(names)
+    assert [name for name in names if not _resolves(name, modules)] == []

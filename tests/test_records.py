@@ -26,11 +26,12 @@ from selcert import (
     write_dataset,
 )
 from selcert.calibrate import CertificateGrid
+from selcert.records import ColumnTable
 
 
 def make_dataset():
-    return Dataset(
-        records=(
+    return Dataset.of(
+        (
             PredictionRecord("a", 0.91, 1, date(2019, 3, 1), "phase-1"),
             PredictionRecord("b", 0.12, 0, date(2020, 6, 15), "phase-2"),
             PredictionRecord("c", 0.5, 1, date(2021, 1, 1), None),
@@ -46,25 +47,25 @@ class TestPredictionRecord:
         assert rec.score == 0.25 and rec.date is None and rec.group is None
 
     def test_int_score_coerced(self):
-        score = Dataset([PredictionRecord("x", 1, 1)]).records[0].score
+        score = Dataset.of([PredictionRecord("x", 1, 1)]).records[0].score
         assert score == 1.0 and type(score) is float
 
     @pytest.mark.parametrize("bad", ["", None, 3])
     def test_bad_id(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset([PredictionRecord("a", 0.5, 1), PredictionRecord(bad, 0.5, 1)])
+            Dataset.of([PredictionRecord("a", 0.5, 1), PredictionRecord(bad, 0.5, 1)])
         assert str(err.value) == f"id must be a nonempty string, got {bad!r} (row 2, column 'id')"
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, "0.5", True, float("nan")])
     def test_bad_score(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset([PredictionRecord("x", bad, 1)])
+            Dataset.of([PredictionRecord("x", bad, 1)])
         assert str(err.value) == f"score must be a number within [0, 1], got '{bad}' (row 1, column 'score')"
 
     @pytest.mark.parametrize("bad", [2, -1, 0.0, "1", True])
     def test_bad_label(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset([PredictionRecord("x", 0.5, bad)])
+            Dataset.of([PredictionRecord("x", 0.5, bad)])
         assert str(err.value) == f"label must be 0 or 1, got '{bad}' (row 1, column 'label')"
 
 
@@ -80,10 +81,10 @@ class TestDataset:
     def test_duplicate_ids_rejected(self):
         rec = PredictionRecord("a", 0.5, 1)
         with pytest.raises(DuplicateIdError):
-            Dataset(records=(rec, rec))
+            Dataset.of((rec, rec))
 
     def test_empty_is_allowed(self):
-        assert len(Dataset(records=())) == 0
+        assert len(Dataset.of(())) == 0
 
 
 class TestCsvIO:
@@ -96,7 +97,7 @@ class TestCsvIO:
         assert back.records == data.records
 
     def test_awkward_float_round_trip(self, tmp_path):
-        data = Dataset(records=(PredictionRecord("a", 0.1 + 0.2, 1),))
+        data = Dataset.of((PredictionRecord("a", 0.1 + 0.2, 1),))
         path = tmp_path / "d.csv"
         write_dataset(data, path)
         assert load_dataset(path).records[0].score == 0.1 + 0.2
@@ -108,7 +109,7 @@ class TestCsvIO:
         assert len(data) == 2 and data.records[0].date is None
 
     def test_optional_columns_written_only_when_present(self, tmp_path):
-        data = Dataset(records=(PredictionRecord("a", 0.5, 1),))
+        data = Dataset.of((PredictionRecord("a", 0.5, 1),))
         path = tmp_path / "d.csv"
         write_dataset(data, path)
         assert path.read_text().splitlines()[0] == "id,score,label"
@@ -319,7 +320,7 @@ class TestTemporalSplit:
         assert test.provenance.endswith("[on or after 2020-06-15]")
 
     def test_undated_records_rejected(self):
-        data = Dataset(records=(PredictionRecord("a", 0.5, 1),))
+        data = Dataset.of((PredictionRecord("a", 0.5, 1),))
         with pytest.raises(MissingDateError) as err:
             temporal_split(data, SplitSpec(date(2020, 1, 1)))
         assert err.value.ids == ["a"]
@@ -389,6 +390,17 @@ class TestSyntheticGenerator:
         with pytest.raises(DomainError):
             SyntheticScorerSpec(**base)
 
+    @pytest.mark.parametrize("shapes, message", [
+        (((0.0, 2.0), (2, 2)), "pos_shape[0] must be within (0, inf), got 0.0"),
+        (((2.0, 0.0), (2, 2)), "pos_shape[1] must be within (0, inf), got 0.0"),
+        (((2, 2), (-1, 2)), "neg_shape[0] must be within (0, inf), got -1"),
+        (((2, 2), (2, "x")), "neg_shape[1] must be a number, got 'x'"),
+    ])
+    def test_shape_fault_names_its_position(self, shapes, message):
+        with pytest.raises(DomainError) as err:
+            SyntheticScorerSpec(3, 0.5, *shapes, 0)
+        assert str(err.value) == message
+
 
 # A quoted field one character over the csv module's default field size limit
 OVERSIZED_FIELD = '"' + "x" * 131073 + '"'
@@ -421,7 +433,7 @@ class TestUnreadableFiles:
 class TestCsvQuotingAndBom:
     @pytest.mark.parametrize("rec_id", ["a\nb", "a\r\nb", "a\rb", 'say "hi", then\nleave'])
     def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
-        data = Dataset(records=(PredictionRecord(rec_id, 0.25, 0, group="g\nh"),
+        data = Dataset.of((PredictionRecord(rec_id, 0.25, 0, group="g\nh"),
                                 PredictionRecord("plain", 0.75, 1)))
         path = tmp_path / "d.csv"
         write_dataset(data, path)
@@ -568,7 +580,7 @@ class TestFirstBadRow:
 
 
 # One bad row 2, between two good rows, given as CSV text, as JSON text and to
-# Dataset.from_columns: each change to the row, the sources that can hold it,
+# the Dataset constructor: each change to the row, the sources that can hold it,
 # and the one error all of them must raise.
 SAME_FAULT = [
     ("empty id", {"id": ""}, ("csv", "json", "columns"), SchemaError, 2, "id",
@@ -603,8 +615,8 @@ def _load_row_fault(tmp_path, source, rows):
     """The error of loading `rows` from `source`, as (class, message, row, column)."""
     with pytest.raises(SelcertError) as err:
         if source == "columns":
-            Dataset.from_columns(*([row[key] for row in rows] for key in ("id", "score", "label")),
-                                 groups=[row["group"] for row in rows])
+            Dataset(*([row[key] for row in rows] for key in ("id", "score", "label")),
+                    groups=[row["group"] for row in rows])
         else:
             path = tmp_path / f"d.{source}"
             if source == "csv":
@@ -632,11 +644,11 @@ class TestConstructorMeetsTheReaders:
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_blank_group_is_read_as_none(self, tmp_path, suffix):
-        data = Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], groups=["", "g"])
+        data = Dataset(["a", "b"], [0.5, 0.7], [1, 0], groups=["", "g"])
         assert data.groups().tolist() == [None, "g"]
         write_dataset(data, tmp_path / f"d.{suffix}")
         assert load_dataset(tmp_path / f"d.{suffix}").records == data.records
-        assert Dataset([PredictionRecord("a", 0.5, 1, group="")]).records[0].group is None
+        assert Dataset.of([PredictionRecord("a", 0.5, 1, group="")]).records[0].group is None
 
     @pytest.mark.parametrize("dates, message", [
         (["2020-01-01"], "date must be a datetime.date or None, got '2020-01-01' (row 1, column 'date')"),
@@ -646,46 +658,46 @@ class TestConstructorMeetsTheReaders:
     ])
     def test_dates_must_be_dates(self, dates, message):
         with pytest.raises(SchemaError) as err:
-            Dataset.from_columns(["a"], [0.5], [1], dates=dates)
+            Dataset(["a"], [0.5], [1], dates=dates)
         assert str(err.value) == message
 
     def test_groups_must_be_strings(self):
         with pytest.raises(SchemaError) as err:
-            Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], groups=[3, "x"])
+            Dataset(["a", "b"], [0.5, 0.7], [1, 0], groups=[3, "x"])
         assert str(err.value) == "group must be a string or None, got 3 (row 1, column 'group')"
 
     def test_first_bad_cell_in_column_order(self):
         # row 1's date and group are both bad: the date, the earlier column, is named
         with pytest.raises(SchemaError) as err:
-            Dataset.from_columns(["a", "b"], [0.5, 0.7], [1, 0], dates=["x", None], groups=[3, "g"])
+            Dataset(["a", "b"], [0.5, 0.7], [1, 0], dates=["x", None], groups=[3, "g"])
         assert (err.value.row, err.value.column) == (1, "date")
         # a bad id in row 2 comes after every fault of row 1
         with pytest.raises(SchemaError) as err:
-            Dataset.from_columns(["a", ""], [0.5, 0.7], [2, 0])
+            Dataset(["a", ""], [0.5, 0.7], [2, 0])
         assert (err.value.row, err.value.column) == (1, "label")
 
     def test_numpy_columns_and_cells(self):
-        data = Dataset.from_columns(np.array(["a", "b"]), np.array([0.5, 1.0], dtype=np.float32),
+        data = Dataset(np.array(["a", "b"]), np.array([0.5, 1.0], dtype=np.float32),
                                     [np.int64(1), np.uint8(0)], groups=np.array(["g", ""]))
         assert data.ids() == ["a", "b"] and data.labels().tolist() == [1, 0]
         assert data.groups().tolist() == ["g", None]
         with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got '18446744073709551615' \(row 2"):
-            Dataset.from_columns(["a", "b"], [0.5, 0.5], np.array([1, 2**64 - 1], dtype=np.uint64))
+            Dataset(["a", "b"], [0.5, 0.5], np.array([1, 2**64 - 1], dtype=np.uint64))
         with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got 'True' \(row 1"):
-            Dataset.from_columns(["a"], np.array([True]), [1])
+            Dataset(["a"], np.array([True]), [1])
         # a typed label array is read as its cells are: integers only, so a bool or 1.0 is no label
-        assert Dataset.from_columns(["a", "b"], [0.5, 0.5], np.array([0, 1])).labels().tolist() == [0, 1]
+        assert Dataset(["a", "b"], [0.5, 0.5], np.array([0, 1])).labels().tolist() == [0, 1]
         for labels in (np.array([True, False]), np.array([1.0, 0.0]), [1, (0, [1])]):
             with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got .* \(row (1|2)"):
-                Dataset.from_columns(["a", "b"], [0.5, 0.5], labels)
+                Dataset(["a", "b"], [0.5, 0.5], labels)
 
 
 # the four tables on the one column base, and the repr each gives
 TABLES = {
-    "Dataset": (lambda: Dataset.from_columns(["a", "b", "c"], [0.9, 0.2, 0.5], [1, 0, 1], provenance="p"),
+    "Dataset": (lambda: Dataset(["a", "b", "c"], [0.9, 0.2, 0.5], [1, 0, 1], provenance="p"),
                 "Dataset(<3 rows>, provenance='p')"),
     "Decisions": (lambda: Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75]), "Decisions(<3 rows>)"),
-    "TradeoffCurve": (lambda: TradeoffCurve.from_columns([0.6, 0.8, 0.9], [1.0, 0.5, 0.0], [0.75, 1.0, None]),
+    "TradeoffCurve": (lambda: TradeoffCurve([0.6, 0.8, 0.9], [1.0, 0.5, 0.0], [0.75, 1.0, None]),
                       "TradeoffCurve(<3 rows>)"),
     "CertificateGrid": (lambda: CertificateGrid([0.6, 0.8, 0.9], [3, 2, 1], [1, 1, 0],
                                                 [1 / 3, 0.5, 0.0], [0.9, 0.95, 0.9]),
@@ -712,10 +724,23 @@ def test_column_base_contract(name):
     assert table == build() and table != views[::-1] and table != "abc"
 
 
+@pytest.mark.parametrize("name", TABLES)
+def test_rows_go_in_through_of(name):
+    table = TABLES[name][0]()
+    cls = type(table)
+    assert cls.of(table) is table
+    rows = cls.of(list(table), **{attribute: getattr(table, attribute) for attribute in table._attributes})
+    assert type(rows) is cls and rows == table and cls.of(tuple(table)) == list(table)
+
+
+def test_every_table_is_listed():
+    assert {type(build()) for build, _ in TABLES.values()} == set(ColumnTable.__subclasses__())
+
+
 class TestColumns:
     def test_records_and_columns_agree(self):
         records = make_dataset()
-        columns = Dataset.from_columns(
+        columns = Dataset(
             ["a", "b", "c"], np.array([0.91, 0.12, 0.5]), np.array([1, 0, 1]),
             dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
             groups=["phase-1", "phase-2", None], provenance="unit fixture",
@@ -764,13 +789,13 @@ class TestColumns:
         columns = dict(ids=["a", "b"], scores=[0.5, 0.6], labels=[0, 1])
         columns.update(kwargs)
         with pytest.raises(error):
-            Dataset.from_columns(**columns)
+            Dataset(**columns)
 
     def test_unchecked_builders_agree_with_a_checked_build(self, tmp_path):
         # generate_synthetic and load_dataset check their columns once and build unchecked
         data = generate_synthetic(SyntheticScorerSpec(50, 0.3, (4, 2), (2, 4), 5))
         assert data.labels().dtype == np.int64 and data.scores().dtype == np.float64
-        checked = Dataset.from_columns(data.ids(), data.scores(), data.labels(), provenance=data.provenance)
+        checked = Dataset(data.ids(), data.scores(), data.labels(), provenance=data.provenance)
         assert data == checked and data.records == checked.records
         for suffix in ("csv", "json"):
             write_dataset(data, tmp_path / f"d.{suffix}")

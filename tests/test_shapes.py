@@ -42,19 +42,21 @@ from selcert.calibrate import CertificateGrid
 from selcert.records import ColumnTable
 
 COLUMN = "must be a column (a list, tuple, range or 1-d array)"
-DATA = Dataset.from_columns(["a", "b"], [0.9, 0.2], [1, 0])
+DATA = Dataset(["a", "b"], [0.9, 0.2], [1, 0])
 DECISIONS = [Decision("a", 1, 0.9), Decision("b", None, 0.8)]  # DATA's ids
 
-# entry point -> (call, its column arguments' names and good values, its error)
+# entry point -> (call, its column arguments' names and good values, its error); each key is the
+# entry point's test id, which for `Dataset` and `TradeoffCurve` is the name their constructors had
+# first, `Dataset.from_columns` and `TradeoffCurve.from_columns`
 COLUMN_ENTRY_POINTS = {
-    "Dataset.from_columns": (Dataset.from_columns, {
+    "Dataset.from_columns": (Dataset, {
         "ids": ["a", "b"], "scores": [0.9, 0.2], "labels": [1, 0], "dates": [date(2020, 1, 1), None],
         "groups": ["g", None]}, SchemaError),
     "Decisions": (Decisions, {"ids": ["a", "b"], "prediction": [1, -1], "confidence": [0.9, 0.6]}, DomainError),
     "CertificateGrid": (CertificateGrid, {
         "lam": [0.6, 0.8], "n_at": [3, 2], "errors_at": [1, 1], "risk_hat": [1 / 3, 0.5],
         "risk_plus": [0.9, 0.95]}, DomainError),
-    "TradeoffCurve.from_columns": (TradeoffCurve.from_columns, {
+    "TradeoffCurve.from_columns": (TradeoffCurve, {
         "lam": [0.6, 0.8], "fraction_kept": [1.0, 0.5], "selective_accuracy": [0.75, None]}, DomainError),
     "roc_auc": (roc_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
     "pr_auc": (pr_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
@@ -63,10 +65,11 @@ COLUMN_ENTRY_POINTS = {
                        UnsortedLambdasError),
 }
 
-# entry point -> (call taking rows and a scratch directory, the rows' argument name, good rows, its error)
+# entry point -> (call taking rows and a scratch directory, the rows' argument name, good rows, its error);
+# the keys `Dataset` and `TradeoffCurve`, test ids as above, stand for `Dataset.of` and `TradeoffCurve.of`
 ROW_ENTRY_POINTS = {
-    "Dataset": (lambda rows, _: Dataset(rows), "records", list(DATA), SchemaError),
-    "TradeoffCurve": (lambda rows, _: TradeoffCurve(rows), "points",
+    "Dataset": (lambda rows, _: Dataset.of(rows), "rows", list(DATA), SchemaError),
+    "TradeoffCurve": (lambda rows, _: TradeoffCurve.of(rows), "rows",
                       [TradeoffPoint(0.6, 1.0, 0.75), TradeoffPoint(0.8, 0.5, None)], DomainError),
     "Decisions.of": (lambda rows, _: Decisions.of(rows), "decisions", DECISIONS, DomainError),
     "retain_rate": (lambda rows, _: retain_rate(rows), "decisions", DECISIONS, DomainError),
@@ -74,7 +77,7 @@ ROW_ENTRY_POINTS = {
                         DomainError),
     "selective_report": (lambda rows, _: selective_report(DATA, rows), "decisions", DECISIONS, DomainError),
     "ThresholdCertificate.grid": (
-        lambda rows, _: ThresholdCertificate("infeasible", None, rows, RiskConfig(0.5, 0.2), 3), "grid",
+        lambda rows, _: ThresholdCertificate("infeasible", None, rows, RiskConfig(0.5, 0.2), 3), "rows",
         [GridPoint(0.6, 3, 1, 1 / 3, 0.9), GridPoint(0.8, 2, 1, 0.5, 0.95)], DomainError),
 }
 
@@ -143,8 +146,8 @@ def test_columns_read_alike(entry, argument, kind):
 
 
 def test_ranges_read_as_lists():
-    labels = Dataset.from_columns(["a", "b"], [0.2, 0.9], [0, 1])
-    assert Dataset.from_columns(["a", "b"], [0.2, 0.9], range(2)) == labels
+    labels = Dataset(["a", "b"], [0.2, 0.9], [0, 1])
+    assert Dataset(["a", "b"], [0.2, 0.9], range(2)) == labels
     assert Decisions(["a", "b"], range(-1, 1), [0.6, 0.9]) == Decisions(["a", "b"], [-1, 0], [0.6, 0.9])
     assert tradeoff_curve(DATA, range(1, 2)) == tradeoff_curve(DATA, [1])
     assert SyntheticScorerSpec(3, 0.5, range(2, 9, 6), (2, 8), 0) == SyntheticScorerSpec(3, 0.5, (2, 8), (2, 8), 0)
@@ -193,7 +196,7 @@ def test_rows_read_alike(entry, kind, tmp_path):
     assert call(GOOD_ROWS[kind](good), tmp_path) == call(good, tmp_path)
 
 
-# each table -> its entry points from columns and from rows
+# each table -> its entry points from columns and from rows, by their keys above
 TABLES = {
     Dataset: ("Dataset.from_columns", "Dataset"),
     Decisions: ("Decisions", "Decisions.of"),
@@ -236,12 +239,12 @@ RECORDS = [PredictionRecord("b", 0.9, 1), PredictionRecord("a", 0.8, 0), Predict
     # the shapes would be read in set order, swapped here
     (lambda: SyntheticScorerSpec(3, 0.5, {2.0, 8.0}, (2, 8), 0), DomainError),
     # a mapping's keys, or the bytes' values, would be read as the labels
-    (lambda: Dataset.from_columns(["a", "b"], [0.9, 0.2], {1: 0, 0: 1}), SchemaError),
-    (lambda: Dataset.from_columns(["a", "b"], [0.9, 0.2], b"\x01\x00"), SchemaError),
+    (lambda: Dataset(["a", "b"], [0.9, 0.2], {1: 0, 0: 1}), SchemaError),
+    (lambda: Dataset(["a", "b"], [0.9, 0.2], b"\x01\x00"), SchemaError),
     (lambda: roc_auc([0.9, 0.2], {1: "x", 0: "y"}), DomainError),
     # rows would be ordered by string hash, which differs from one process to the next
     (lambda: Decisions({"b", "a", "c"}, [0, 1, -1], [0.9, 0.8, 0.7]), DomainError),
-    (lambda: Dataset(set(RECORDS)), SchemaError),
+    (lambda: Dataset.of(set(RECORDS)), SchemaError),
 ], ids=["set shapes", "mapping labels", "bytes labels", "mapping labels in roc_auc", "set of ids",
         "set of records"])
 def test_values_once_read_quietly_rejected(call, error):

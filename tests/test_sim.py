@@ -33,7 +33,7 @@ from selcert.sim import curve_to_doc, trials_to_doc
 def fixture6() -> Dataset:
     rows = [("t1", 0.95, 1), ("t2", 0.90, 1), ("t3", 0.85, 1),
             ("t4", 0.80, 0), ("t5", 0.70, 1), ("t6", 0.60, 0)]
-    return Dataset(records=tuple(PredictionRecord(i, s, y) for i, s, y in rows))
+    return Dataset.of(tuple(PredictionRecord(i, s, y) for i, s, y in rows))
 
 
 class TestTradeoffCurve:
@@ -60,7 +60,7 @@ class TestTradeoffCurve:
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(1, 60))
-            data = Dataset(records=tuple(
+            data = Dataset.of(tuple(
                 PredictionRecord(f"r{i}", float(rng.random()), int(rng.integers(0, 2)))
                 for i in range(n)
             ))
@@ -92,26 +92,26 @@ class TestTradeoffCurve:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
-            tradeoff_curve(Dataset(records=()))
+            tradeoff_curve(Dataset.of(()))
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve(points=(
+            TradeoffCurve.of((
                 TradeoffPoint(0.8, 1.0, 0.5),
                 TradeoffPoint(0.7, 0.5, 0.5),
             ))
         with pytest.raises(DomainError):
-            TradeoffCurve(points=(
+            TradeoffCurve.of((
                 TradeoffPoint(0.7, 0.5, 0.5),
                 TradeoffPoint(0.8, 0.9, 0.5),
             ))
         with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve(points=(
+            TradeoffCurve.of((
                 TradeoffPoint(0.7, 1.0, 0.5),
                 TradeoffPoint(math.nan, 0.5, 0.5),
             ))
         with pytest.raises(DomainError):
-            TradeoffCurve(points=(
+            TradeoffCurve.of((
                 TradeoffPoint(0.6, 1.0, 0.5),
                 TradeoffPoint(0.7, math.nan, 0.5),
                 TradeoffPoint(0.8, 0.5, 0.5),
@@ -124,24 +124,24 @@ class TestTradeoffCurve:
         assert curve.selective_accuracy.tolist() == [4 / 6, 3 / 4, None]
         assert curve.points == (TradeoffPoint(0.5, 1.0, 4 / 6), TradeoffPoint(0.75, 4 / 6, 3 / 4),
                                 TradeoffPoint(0.99, 0.0, None))
-        assert TradeoffCurve(points=curve.points) == curve
-        assert TradeoffCurve.from_columns(curve.lam, curve.fraction_kept, curve.selective_accuracy) == curve
+        assert TradeoffCurve.of(curve.points) == curve
+        assert TradeoffCurve(curve.lam, curve.fraction_kept, curve.selective_accuracy) == curve
         with pytest.raises(ValueError):
             curve.lam[0] = 0.6
 
     def test_column_checks(self):
         with pytest.raises(UnsortedLambdasError, match=r": lambda\[1\] is 0\.6$"):
-            TradeoffCurve.from_columns([0.7, 0.6], [1.0, 0.5], [0.5, 0.5])
+            TradeoffCurve([0.7, 0.6], [1.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError, match="non-increasing"):
-            TradeoffCurve.from_columns([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
+            TradeoffCurve([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
         with pytest.raises(DomainError, match="one length"):
-            TradeoffCurve.from_columns([0.6, 0.7], [1.0, 0.5], [0.5])
+            TradeoffCurve([0.6, 0.7], [1.0, 0.5], [0.5])
         # coverage and accuracy are fractions, located at the first bad point
         with pytest.raises(DomainError) as err:
-            TradeoffCurve([TradeoffPoint(0.6, 3.0, 7.0)])
+            TradeoffCurve.of([TradeoffPoint(0.6, 3.0, 7.0)])
         assert str(err.value) == "fraction_kept[0] must be a number within [0, 1], got 3.0"
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.from_columns([0.6, 0.7], [1.0, -0.5], [0.5, None])
+            TradeoffCurve([0.6, 0.7], [1.0, -0.5], [0.5, None])
         assert str(err.value) == "fraction_kept[1] must be a number within [0, 1], got -0.5"
 
     @pytest.mark.parametrize("accuracy, shown", [
@@ -153,13 +153,13 @@ class TestTradeoffCurve:
     ])
     def test_accuracy_is_a_number_or_none(self, accuracy, shown):
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], accuracy)
+            TradeoffCurve([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], accuracy)
         assert str(err.value) == f"selective_accuracy[1] must be a number within [0, 1] or None, got {shown}"
 
     def test_located_in_row_order(self):
         # a fraction that rises at point 1 is named before a bad accuracy at point 2
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.from_columns([0.6, 0.7, 0.8], [0.5, 0.75, 0.0], [0.5, 0.5, 2.0])
+            TradeoffCurve([0.6, 0.7, 0.8], [0.5, 0.75, 0.0], [0.5, 0.5, 2.0])
         assert str(err.value) == "fraction_kept must be non-increasing in lambda"
 
 
@@ -177,7 +177,7 @@ def reference_trials(spec, config, trials, n_calib, n_test, seed, tie=lambda sco
     set, then the count on its test set, each drawn as `tie` leaves generate_synthetic's records."""
     out = []
     for t in range(trials):
-        calib, test = (Dataset.from_columns(data.ids(), *tie(data.scores(), data.labels()))
+        calib, test = (Dataset(data.ids(), *tie(data.scores(), data.labels()))
                        for data in (generate_synthetic(replace(spec, n=n, seed=substream_seed(substream_seed(seed, t), i)))
                                     for i, n in ((1, n_calib), (2, n_test))))
         lambda_hat = certify_threshold(calib, config).lambda_hat
