@@ -91,16 +91,16 @@ def _log_factorials(size: int) -> np.ndarray:
     instead of inheriting the rounding error of log(n!) itself. Every table
     runs the same sum, so a larger one extends a smaller one bit for bit.
     """
-    values = np.zeros((2, size), dtype=float)
-    high, low = values
+    high, low = [0.0], [0.0]
     s = c = 0.0
     for j in range(1, size):
         x = math.log(j)
         t = s + x
         c += (s - t) + x if s >= x else (x - t) + s  # both are >= 0
         s = t
-        high[j] = s + c
-        low[j] = c - (high[j] - s)
+        high.append(s + c)
+        low.append(c - (high[-1] - s))
+    values = np.array([high, low])
     values.flags.writeable = False
     return values
 

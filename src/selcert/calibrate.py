@@ -161,8 +161,8 @@ class CertificateGrid(ColumnTable):
 class ThresholdCertificate:
     """Outcome of a certification scan over one calibration set.
 
-    grid is a `CertificateGrid`, or `GridPoint` rows that `CertificateGrid.of`
-    reads and checks.
+    grid is a `CertificateGrid`, or `GridPoint` rows read and checked as
+    `CertificateGrid.of` reads them, a fault named by `grid`.
     calib_size is an integer >= 1, and the grid's bottom point retains at
     most that many records. lambda_hat is None or one of the grid's thresholds.
     """
@@ -178,7 +178,8 @@ class ThresholdCertificate:
             raise DomainError(f"status must be feasible or infeasible, got {_shown(self.status)}")
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
-        object.__setattr__(self, "grid", CertificateGrid.of(self.grid))
+        if not isinstance(self.grid, CertificateGrid):
+            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(self.grid, "grid")))
         object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "

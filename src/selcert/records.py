@@ -92,8 +92,8 @@ class ColumnTable:
 
     @classmethod
     def of(cls, rows, **attributes):
-        """A table of `rows`, checked by `__init__` with `attributes`; a table of this class is returned as it is."""
-        return rows if isinstance(rows, cls) else cls(*cls._columns_of(rows, "rows"), **attributes)
+        """A table of `rows`, checked by `__init__` with `attributes`; a table of this class given alone, as it is."""
+        return rows if isinstance(rows, cls) and not attributes else cls(*cls._columns_of(rows, "rows"), **attributes)
 
     @classmethod
     def _unchecked(cls, *columns, **attributes):

@@ -731,6 +731,9 @@ def test_rows_go_in_through_of(name):
     assert cls.of(table) is table
     rows = cls.of(list(table), **{attribute: getattr(table, attribute) for attribute in table._attributes})
     assert type(rows) is cls and rows == table and cls.of(tuple(table)) == list(table)
+    for attribute in table._attributes:  # an attribute stated with a table is applied, not dropped
+        restated = cls.of(table, **{attribute: "restated"})
+        assert restated is not table and getattr(restated, attribute) == "restated" and list(restated) == list(table)
 
 
 def test_every_table_is_listed():

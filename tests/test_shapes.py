@@ -77,7 +77,7 @@ ROW_ENTRY_POINTS = {
                         DomainError),
     "selective_report": (lambda rows, _: selective_report(DATA, rows), "decisions", DECISIONS, DomainError),
     "ThresholdCertificate.grid": (
-        lambda rows, _: ThresholdCertificate("infeasible", None, rows, RiskConfig(0.5, 0.2), 3), "rows",
+        lambda rows, _: ThresholdCertificate("infeasible", None, rows, RiskConfig(0.5, 0.2), 3), "grid",
         [GridPoint(0.6, 3, 1, 1 / 3, 0.9), GridPoint(0.8, 2, 1, 0.5, 0.95)], DomainError),
 }
 
