@@ -60,7 +60,6 @@ from .metrics import (
 from .records import (
     Dataset,
     PredictionRecord,
-    SplitSpec,
     SyntheticScorerSpec,
     generate_synthetic,
     load_dataset,

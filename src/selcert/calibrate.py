@@ -80,6 +80,7 @@ from .records import (
     _float_cells,
     _floats,
     _id_faults,
+    _object_column,
     _raise_first,
     _types_in,
     _value_fault,
@@ -221,7 +222,7 @@ class Decision:
 class Decisions(ColumnTable):
     """Predict-or-abstain outcomes held as columns: ids, predictions and confidences.
 
-    ids is a tuple of unique nonempty strings; prediction is an int array,
+    ids is an object array of unique nonempty strings; prediction is an int array,
     the predicted label (0 or 1) or -1 where the record is abstained on;
     confidence is a float array within [0.5, 1]. The constructor and
     `read_decisions` check them by one rule list, `_decision_faults`. A
@@ -233,7 +234,7 @@ class Decisions(ColumnTable):
 
     def __init__(self, ids: Sequence[str], prediction, confidence) -> None:
         n = _columns(DomainError, ids=ids, prediction=prediction, confidence=confidence)
-        columns = tuple(ids), _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
+        columns = _object_column(ids), _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
         _raise_first(_decision_faults(*columns, prediction, confidence), n)
         self._set(*columns)
 
@@ -251,9 +252,8 @@ class Decisions(ColumnTable):
         return self.prediction >= 0
 
     def _values(self) -> list:
-        prediction = self.prediction.astype(object)
-        prediction[~self.retained] = None
-        return [self.ids, prediction.tolist(), self.confidence.tolist()]
+        ids, prediction, confidence = super()._values()
+        return [ids, [None if p < 0 else p for p in prediction], confidence]
 
 
 def _decision_faults(ids, prediction, confidence, prediction_cells, confidence_cells) -> list:
@@ -316,7 +316,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     (lam,), faults = _thresholds("lam", [lam])
     _raise_first(faults, 1)
     beta = check_beta(beta)
-    conf, correct = _confidence_correct(data.scores(), data.labels())
+    conf, correct = _confidence_correct(data.scores, data.labels)
     kept = conf >= lam
     n_at, errors_at = int(np.count_nonzero(kept)), int(np.count_nonzero(kept & ~correct))
     if n_at == 0:
@@ -340,7 +340,7 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
     # one row: its grid is the whole of the scan's grid
-    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores()[None], data.labels()[None]), config)
+    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores[None], data.labels[None]), config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
     grid = CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus)
     if np.isnan(lambda_hat):
@@ -403,11 +403,10 @@ def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:
         raise InfeasibleCertificateError(
             "certificate is infeasible; no threshold satisfies the risk budget"
         )
-    labels = data.labels()
-    conf, correct = _confidence_correct(data.scores(), labels)
+    conf, correct = _confidence_correct(data.scores, data.labels)
     # the predicted label is the true one where the prediction is right
-    predicted = np.where(correct, labels, 1 - labels)
-    return Decisions._unchecked(tuple(data.ids()), np.where(conf >= cert.lambda_hat, predicted, -1), conf)
+    predicted = np.where(correct, data.labels, 1 - data.labels)
+    return Decisions._unchecked(data.ids, np.where(conf >= cert.lambda_hat, predicted, -1), conf)
 
 
 def retain_rate(decisions: Decisions | Sequence[Decision]) -> float:
@@ -474,7 +473,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
     except DomainError as exc:  # a rule of the certificate's own types
         raise SchemaError(f"malformed certificate: {exc}") from None
     except KeyError as exc:
-        raise SchemaError(f"malformed certificate: {exc!r}") from None
+        raise SchemaError(f"malformed certificate: {exc}") from None
 
 
 def load_certificate(path: str | Path) -> ThresholdCertificate:
@@ -508,7 +507,7 @@ def read_decisions(path: str | Path) -> Decisions:
     if header != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
     ids, outcomes, conf_text = columns
-    columns = tuple(ids), _coded(outcomes, _OUTCOMES, -2), _float_cells(conf_text)
+    columns = _object_column(ids), _coded(outcomes, _OUTCOMES, -2), _float_cells(conf_text)
     _raise_first([
         (n, lambda i: SchemaError(f"expected 3 fields, got {width}", row=i + 1)),
         *_decision_faults(*columns, outcomes, conf_text),

@@ -46,7 +46,7 @@ class MissingDateError(SelcertError):
     """A temporal split was requested but some records have no date."""
 
     def __init__(self, ids: list[str]):
-        shown = ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else "")
+        shown = ", ".join(map(_shown, ids[:10])) + (", ..." if len(ids) > 10 else "")
         super().__init__(f"{len(ids)} record(s) have no date: {shown}")
         self.ids = list(ids)
 
@@ -96,18 +96,30 @@ def check_beta(beta) -> float:
     return number
 
 
-_QUOTE = reprlib.Repr()  # a message's quote of a value: at most 80 characters, and 8 items of a container
+class _Quote(reprlib.Repr):
+    """A message's quote of a value: at most 80 characters and 8 items of a container, an integer past 64 bits its size."""
+
+    def repr1(self, x, level):  # at any depth, where such an integer's repr may be too long to make
+        if isinstance(x, int) and x.bit_length() > 64:
+            return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+        return super().repr1(x, level)
+
+
+_QUOTE = _Quote()
 _QUOTE.maxstring = _QUOTE.maxother = 80
 _QUOTE.maxtuple = _QUOTE.maxlist = _QUOTE.maxdict = _QUOTE.maxset = _QUOTE.maxfrozenset = _QUOTE.maxdeque = 8
 
 
 def _shown(value) -> str:
-    """repr(value) cut as `_QUOTE` cuts it (a numpy scalar's as its Python value's), or a too-long integer's size."""
+    """repr(value) cut as `_QUOTE` cuts it, a numpy scalar's as its Python value's."""
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return _QUOTE.repr(value)
+
+
+def _cut(text: str) -> str:
+    """Text past 80 characters cut to its first 38 and last 39 around "...", as `_QUOTE` cuts a string."""
+    return text if len(text) <= 80 else text[:38] + "..." + text[-39:]
 
 
 class ConvergenceError(SelcertError):

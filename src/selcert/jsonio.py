@@ -32,7 +32,7 @@ class Exact(float):
 class Table:
     """Named columns of one length, rendered one row per item by `dumps` and `csv_text`.
 
-    A column is a sequence, or a 1-D numeric array written as its `tolist`.
+    A column is a sequence or a 1-D array, a numeric one written as its `tolist`.
     Floats in the columns named in `exact` are printed with repr, as `Exact` ones are.
     The columns must not change once the table is rendered.
     """

@@ -222,21 +222,20 @@ def selective_report(
     group value over that group's records (ungrouped records appear only in
     the overall block).
     """
-    scores = data.scores()
-    labels = data.labels()
+    scores, labels = data.scores, data.labels
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
     else:
         decisions = Decisions.of(decisions)
-        position = dict(zip(decisions.ids, range(len(decisions))))
-        index = np.fromiter(map(position.get, data.ids(), repeat(-1)), np.intp, len(data))
+        position = dict(zip(decisions.ids.tolist(), range(len(decisions))))
+        index = np.fromiter(map(position.get, data.ids.tolist(), repeat(-1)), np.intp, len(data))
         if len(position) != len(data) or (index < 0).any():
             raise IdMismatchError("decision ids do not match the dataset ids")
         kept = decisions.retained[index]
     report = _subset_report(scores, labels, kept)
     if not by_group:
         return report
-    groups = data.groups()
+    groups = data.groups
     breakdown: dict[str, SelectiveReport] = {}
     for name in sorted(set(groups.tolist()) - {None}):
         in_group = groups == name
@@ -277,17 +276,17 @@ def bootstrap_significance(
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
     resamples = check_int("resamples", resamples, 100)
     seed = check_int("seed", seed, float("-inf"))
-    ids_a, ids_b = a.ids(), b.ids()
+    ids_a, ids_b = a.ids.tolist(), b.ids.tolist()
     if set(ids_a) != set(ids_b):
         raise UnpairedIdsError("datasets must share one id set for a paired comparison")
     position_b = dict(zip(ids_b, range(len(ids_b))))
     b_order = np.fromiter(map(position_b.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))
-    labels = a.labels()
-    mismatch = np.flatnonzero(b.labels()[b_order] != labels)
+    labels = a.labels
+    mismatch = np.flatnonzero(b.labels[b_order] != labels)
     if mismatch.size:
         raise UnpairedIdsError(f"labels differ for id {_shown(ids_a[mismatch[0]])}")
-    kernel_a = _kernel(metric, a.scores(), labels)
-    kernel_b = _kernel(metric, b.scores()[b_order], labels)
+    kernel_a = _kernel(metric, a.scores, labels)
+    kernel_b = _kernel(metric, b.scores[b_order], labels)
 
     n = len(labels)
     delta = kernel_a(np.ones(n, np.int64)) - kernel_b(np.ones(n, np.int64))

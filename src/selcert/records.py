@@ -1,11 +1,12 @@
 """Prediction records, dataset files, temporal splits and synthetic scores.
 
 A dataset is an ordered collection of (id, score, label) rows, optionally
-dated and grouped, read from CSV or JSON. It holds its rows as numpy columns,
-built from columns by `Dataset` or from `PredictionRecord`s by `Dataset.of`,
-and hands out records only as plain views. `ColumnTable` is that pattern,
-written once: the base of `Dataset`, the decisions, the certificate grid and
-the tradeoff curve, each with those same two ways in.
+dated and grouped, read from CSV or JSON. It holds its rows as read-only numpy
+columns, read as attributes, built from columns by `Dataset` or from
+`PredictionRecord`s by `Dataset.of`, and hands out records only as plain
+views. `ColumnTable` is that pattern, written once: the base of `Dataset`,
+the decisions, the certificate grid and the tradeoff curve, each with those
+same two ways in and one way out.
 
 A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
@@ -47,6 +48,7 @@ from .errors import (
     DuplicateIdError,
     MissingDateError,
     SchemaError,
+    _cut,
     _shown,
     check_int,
     check_real,
@@ -79,9 +81,10 @@ class ColumnTable:
     `calibrate.CertificateGrid` and `sim.TradeoffCurve`. Every table has the
     same two ways in: its `__init__` takes its columns and checks them, and
     `of` reads rows of its views into those columns; `_unchecked` builds one
-    from columns its caller has already checked, of their final types.
-    Length, iteration, indexing and `==` (against the same class, or a list
-    or tuple of views) go through the views.
+    from columns its caller has already checked, of their final types. It
+    has one way out: each column is a numpy array, marked read-only, read as
+    the attribute `_columns` names. Length, iteration, indexing and `==`
+    (against the same class, or a list or tuple of views) go through the views.
     """
 
     _columns: tuple[str, ...]  # the column attributes, in the field order of `_view`
@@ -101,8 +104,7 @@ class ColumnTable:
 
     def _set(self, *columns, **attributes):
         for column in columns:
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
+            column.flags.writeable = False
         self.__dict__.update(zip(self._columns, columns), _views=None, **attributes)
         return self
 
@@ -117,9 +119,8 @@ class ColumnTable:
         return [[getattr(row, field.name) for row in rows] for field in fields(cls._view)]
 
     def _values(self) -> list:
-        """Each column as a sequence of plain Python values, in field order."""
-        columns = map(self.__getattribute__, self._columns)
-        return [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+        """Each column as a list of plain Python values, in field order."""
+        return [getattr(self, name).tolist() for name in self._columns]
 
     def _rows(self) -> tuple:
         if self._views is None:
@@ -149,8 +150,9 @@ class ColumnTable:
 class Dataset(ColumnTable):
     """Ordered rows held as columns, plus a provenance note.
 
-    The columns are ids (unique nonempty strings), scores (floats in [0, 1]),
-    labels (0 or 1), dates (`datetime.date`s) and groups (strings, "" read as
+    The columns are ids (an object array of unique nonempty strings), scores
+    (float64 in [0, 1]), labels (int64, 0 or 1), dates (an object array of
+    `datetime.date`s) and groups (an object array of strings, "" read as
     None), None where a row has no date or group. `Dataset(ids, scores,
     labels, ...)` and `Dataset.of(records)` check them together, vectorised,
     by `_dataset_faults`, and they are read-only afterwards. `records`,
@@ -158,7 +160,7 @@ class Dataset(ColumnTable):
     columns, built on first use.
     """
 
-    _columns = ("_ids", "_scores", "_labels", "_dates", "_groups")
+    _columns = ("ids", "scores", "labels", "dates", "groups")
     _view = PredictionRecord
     _attributes = ("provenance",)
     _error = SchemaError
@@ -175,25 +177,8 @@ class Dataset(ColumnTable):
 
     records = property(ColumnTable._rows, doc="The rows as PredictionRecords.")
 
-    def ids(self) -> list[str]:
-        return self._ids.tolist()
-
-    def scores(self) -> np.ndarray:
-        return self._scores
-
-    def labels(self) -> np.ndarray:
-        return self._labels
-
-    def dates(self) -> np.ndarray:
-        """Object array of dates, None where a row is undated."""
-        return self._dates
-
-    def groups(self) -> np.ndarray:
-        """Object array of group names, None where a row is ungrouped."""
-        return self._groups
-
     def by_id(self) -> dict[str, PredictionRecord]:
-        return dict(zip(self.ids(), self.records))
+        return dict(zip(self.ids.tolist(), self.records))
 
     def take(self, index, provenance: str) -> "Dataset":
         """Rows at `index` (integer positions or a boolean mask), in that order."""
@@ -338,17 +323,6 @@ def _dataset_faults(ids, scores, labels, dates, groups, score_cells, label_cells
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """Date boundary for a temporal split: train strictly before, test on or after."""
-
-    split_date: date
-
-    def __post_init__(self) -> None:
-        cell = [self.split_date]  # read as a dataset reads a date cell
-        _raise_first([_value_fault(~_types_in(cell, date), "split_date", "a datetime.date", cell)], 1)
-
-
-@dataclass(frozen=True)
 class SyntheticScorerSpec:
     """Parameters of the synthetic binary scorer.
 
@@ -421,7 +395,8 @@ def _parsed_dates(cells: Sequence | None, parse, n: int) -> tuple[np.ndarray, tu
     if cells is None:
         return np.empty(n, dtype=object), None  # a new object array holds None everywhere
     dates, first, error = _parse_cells(parse, cells, None)
-    return _object_column(dates), (first, _cell_error(cells, "date", lambda text: f"bad date {_shown(text)}: {error}"))
+    return _object_column(dates), (first, _cell_error(
+        cells, "date", lambda text: f"bad date {_shown(text)}: {_cut(str(error))}"))
 
 
 def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: int) -> None:
@@ -628,23 +603,23 @@ def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> No
     Optional columns appear only when some record carries them.
     """
     fmt = _infer_format(path, fmt)
-    columns = {"id": data.ids(), "score": data.scores(), "label": data.labels()}
-    dates, groups = data.dates(), data.groups()
-    if np.not_equal(dates, None).any():
-        columns["date"] = [None if d is None else d.isoformat() for d in dates.tolist()]
-    if np.not_equal(groups, None).any():
-        columns["group"] = groups.tolist()
+    columns = {"id": data.ids, "score": data.scores, "label": data.labels}
+    if np.not_equal(data.dates, None).any():
+        columns["date"] = [None if d is None else d.isoformat() for d in data.dates.tolist()]
+    if np.not_equal(data.groups, None).any():
+        columns["group"] = data.groups.tolist()
     write_text(path, (csv_text if fmt == "csv" else dumps)(Table(columns, exact=["score"])))
 
 
-def temporal_split(data: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Split by record date: strictly before the boundary is train, the rest test."""
-    dates = data.dates()
-    undated = np.equal(dates, None)
+def temporal_split(data: Dataset, split_date: date) -> tuple[Dataset, Dataset]:
+    """Split by record date: strictly before `split_date` is train, the rest test."""
+    cell = [split_date]  # read as a dataset reads a date cell
+    _raise_first([_value_fault(~_types_in(cell, date), "split_date", "a datetime.date", cell)], 1)
+    undated = np.equal(data.dates, None)
     if undated.any():
-        raise MissingDateError(np.array(data.ids(), dtype=object)[undated].tolist())
-    before = dates < split.split_date
-    boundary = split.split_date.isoformat()
+        raise MissingDateError(data.ids[undated].tolist())
+    before = data.dates < split_date
+    boundary = split_date.isoformat()
     return (
         data.take(before, provenance=f"{data.provenance} [before {boundary}]"),
         data.take(~before, provenance=f"{data.provenance} [on or after {boundary}]"),

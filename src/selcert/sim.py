@@ -93,7 +93,7 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     """
     if len(data) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
-    conf, correct = _confidence_correct(data.scores(), data.labels())
+    conf, correct = _confidence_correct(data.scores, data.labels)
     _, grid, n_kept, n_wrong = _grid(conf[None], correct[None])
     if lambdas is not None:
         if not _columns(UnsortedLambdasError, lambdas=lambdas):

@@ -43,7 +43,7 @@ SMALLEST_BETA = np.nextafter(2.0**-54, 1.0)
 
 def _bootstrap(resamples, seed=1):
     a = generate_synthetic(SPEC)
-    b = Dataset(a.ids(), a.scores()[::-1], a.labels())
+    b = Dataset(a.ids, a.scores[::-1], a.labels)
     return bootstrap_significance(a, b, "roc_auc", resamples=resamples, seed=seed)
 
 

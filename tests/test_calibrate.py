@@ -457,6 +457,16 @@ class TestRiskConfig:
         with pytest.raises(DomainError, match=r"got a negative integer of 16610 bits"):
             RiskConfig(alpha=0.1, beta=0.1, min_count=-10**5000)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits")
+    @pytest.mark.parametrize("alpha, shown", [
+        ([10**5000, 1], "[an integer of 16610 bits, 1]"),
+        ({"a": [-10**5000]}, "{'a': [a negative integer of 16610 bits]}"),
+    ])
+    def test_names_the_size_of_an_unprintable_integer_in_a_container(self, alpha, shown):
+        with pytest.raises(DomainError) as err:
+            RiskConfig(alpha=alpha, beta=0.1)
+        assert str(err.value) == f"alpha must be a number, got {shown}"
+
 
 class TestCertificateInvariants:
     def test_lambda_hat_required_iff_feasible(self):
@@ -570,7 +580,7 @@ class TestDecisions:
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
         decisions = apply_certificate(fixture6(), cert)
         assert isinstance(decisions, Decisions)
-        assert decisions.ids == ("t1", "t2", "t3", "t4", "t5", "t6")
+        assert decisions.ids.tolist() == ["t1", "t2", "t3", "t4", "t5", "t6"]
         assert decisions.prediction.tolist() == [1, 1, 1, -1, -1, -1]
         assert decisions.retained.tolist() == [True] * 3 + [False] * 3
         assert decisions.confidence.tolist() == [confidence(r.score) for r in fixture6()]
@@ -589,7 +599,7 @@ class TestDecisions:
         decisions = Decisions(["a"], [1], [0.9])
         assert Decisions.of(decisions) is decisions
         columns = Decisions.of(self.ROWS)
-        assert columns.ids == ("a", "b", "c")
+        assert columns.ids.tolist() == ["a", "b", "c"]
         assert columns.prediction.tolist() == [1, -1, 0]
         assert retain_rate(columns) == retain_rate(self.ROWS) == 2 / 3
 
@@ -802,6 +812,15 @@ class TestCertificateSerialization:
             certificate_from_json("{not json")
         with pytest.raises(SchemaError):
             certificate_from_json('{"status": "feasible"}')
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "grid", "status", "lambda_hat", "calib_size"])
+    def test_missing_field_is_named(self, key):
+        doc = json.loads(certificate_to_json(
+            certify_threshold(fixture6(), RiskConfig(alpha=0.85, beta=0.2))))
+        del doc[key]
+        with pytest.raises(SchemaError) as err:
+            certificate_from_json(json.dumps(doc))
+        assert str(err.value) == f"malformed certificate: '{key}'"
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"certificate"', "null"])
     def test_document_that_is_not_an_object(self, text):

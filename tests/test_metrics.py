@@ -493,7 +493,7 @@ class TestBootstrapSignificance:
         for seed in (0, 1, 29):
             result = bootstrap_significance(a, b, metric, resamples=100, seed=seed)
             expected = reference_metrics.bootstrap_reference(
-                a.scores(), b.scores(), a.labels(), metric, resamples=100, seed=seed
+                a.scores, b.scores, a.labels, metric, resamples=100, seed=seed
             )
             assert (result.delta, result.p_value) == expected
 

@@ -9,7 +9,9 @@ calibration and test files as `calib.csv` and `test.csv`.
 
 Every name the prose quotes in backticks that is dotted, or starts with a
 capital letter or an underscore, is a name of the package: an attribute of
-`selcert` or of one of its modules, with a leading `selcert.` dropped.
+`selcert` or of one of its modules, with a leading `selcert.` dropped. A
+table's column, such as `Dataset.scores`, is an attribute of each instance,
+so a table class's `_columns` names count as its attributes.
 """
 
 import importlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import selcert
 from selcert.cli import main
+from selcert.records import ColumnTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -90,7 +93,8 @@ def _resolves(name: str, modules: list) -> bool:
     head, *rest = name.removeprefix("selcert.").split(".")
     for owner in [getattr(module, head) for module in modules if hasattr(module, head)]:
         for part in rest:
-            owner = getattr(owner, part, None)
+            table = isinstance(owner, type) and issubclass(owner, ColumnTable)
+            owner = part if table and part in getattr(owner, "_columns", ()) else getattr(owner, part, None)
         if owner is not None:
             return True
     return False
@@ -101,5 +105,5 @@ def test_readme_names_are_the_packages():
     modules = [selcert, *(importlib.import_module(f"selcert.{module.name}")
                           for module in pkgutil.iter_modules(selcert.__path__) if module.name != "__main__")]
     names = package_names()
-    assert len(names) > 30 and {"Dataset.of", "calibrate._grid", "ColumnTable._columns_of"} <= set(names)
+    assert len(names) > 30 and {"Dataset.of", "Dataset.scores", "calibrate._grid", "ColumnTable._columns_of"} <= set(names)
     assert [name for name in names if not _resolves(name, modules)] == []

@@ -15,15 +15,20 @@ from selcert import (
     DuplicateIdError,
     MissingDateError,
     PredictionRecord,
+    RiskConfig,
     SchemaError,
     SelcertError,
-    SplitSpec,
     SyntheticScorerSpec,
     TradeoffCurve,
+    apply_certificate,
+    certify_threshold,
     generate_synthetic,
     load_dataset,
+    read_decisions,
     temporal_split,
+    tradeoff_curve,
     write_dataset,
+    write_decisions,
 )
 from selcert.calibrate import CertificateGrid
 from selcert.records import ColumnTable
@@ -73,9 +78,9 @@ class TestDataset:
     def test_accessors(self):
         data = make_dataset()
         assert len(data) == 3
-        assert data.ids() == ["a", "b", "c"]
-        assert np.array_equal(data.scores(), [0.91, 0.12, 0.5])
-        assert np.array_equal(data.labels(), [1, 0, 1])
+        assert data.ids.tolist() == ["a", "b", "c"]
+        assert np.array_equal(data.scores, [0.91, 0.12, 0.5])
+        assert np.array_equal(data.labels, [1, 0, 1])
         assert data.by_id()["b"].group == "phase-2"
 
     def test_duplicate_ids_rejected(self):
@@ -310,27 +315,36 @@ class TestFormatInference:
 class TestTemporalSplit:
     def test_boundary_goes_to_test(self):
         data = make_dataset()
-        train, test = temporal_split(data, SplitSpec(date(2020, 6, 15)))
-        assert train.ids() == ["a"]
-        assert test.ids() == ["b", "c"]
+        train, test = temporal_split(data, date(2020, 6, 15))
+        assert train.ids.tolist() == ["a"]
+        assert test.ids.tolist() == ["b", "c"]
 
     def test_provenance_notes_boundary(self):
-        train, test = temporal_split(make_dataset(), SplitSpec(date(2020, 6, 15)))
+        train, test = temporal_split(make_dataset(), date(2020, 6, 15))
         assert train.provenance.endswith("[before 2020-06-15]")
         assert test.provenance.endswith("[on or after 2020-06-15]")
 
     def test_undated_records_rejected(self):
         data = Dataset.of((PredictionRecord("a", 0.5, 1),))
         with pytest.raises(MissingDateError) as err:
-            temporal_split(data, SplitSpec(date(2020, 1, 1)))
+            temporal_split(data, date(2020, 1, 1))
         assert err.value.ids == ["a"]
+
+    def test_undated_ids_are_quoted_as_values(self):
+        long_id = "x" * 100_000
+        data = Dataset([long_id, *"abcdefghijk"], [0.5] * 12, [1] * 12)
+        with pytest.raises(MissingDateError) as err:
+            temporal_split(data, date(2020, 1, 1))
+        shown = "'" + "x" * 37 + "..." + "x" * 38 + "'"  # 80 characters, quotes included
+        assert str(err.value) == f"12 record(s) have no date: {shown}, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', ..."
+        assert err.value.ids == data.ids.tolist()
 
     def test_all_on_one_side(self):
         data = make_dataset()
-        train, test = temporal_split(data, SplitSpec(date(2030, 1, 1)))
+        train, test = temporal_split(data, date(2030, 1, 1))
         assert len(train) == 3 and len(test) == 0
 
-    # read as a dataset reads a date cell: a datetime, text or None is no date
+    # read as a dataset reads a date cell: a datetime, text or None is no date, checked before any record's date
     @pytest.mark.parametrize("split_date, shown", [
         (datetime(2021, 1, 1), "datetime.datetime(2021, 1, 1, 0, 0)"),
         ("2021-01-01", "'2021-01-01'"),
@@ -338,7 +352,7 @@ class TestTemporalSplit:
     ])
     def test_split_date_must_be_a_date(self, split_date, shown):
         with pytest.raises(DomainError) as err:
-            SplitSpec(split_date)
+            temporal_split(Dataset.of([PredictionRecord("a", 0.5, 1)]), split_date)
         assert str(err.value) == f"split_date must be a datetime.date, got {shown}"
 
 
@@ -354,14 +368,14 @@ class TestSyntheticGenerator:
         n_pos = int(labels.sum())
         scores[labels == 1] = rng.beta(3, 2, n_pos)
         scores[labels == 0] = rng.beta(2, 3, 50 - n_pos)
-        assert np.array_equal(data.labels(), labels)
-        assert np.array_equal(data.scores(), scores)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.scores, scores)
 
     def test_ids_and_provenance(self):
         data = generate_synthetic(
             SyntheticScorerSpec(n=3, prevalence=0.5, pos_shape=(2, 2), neg_shape=(2, 2), seed=9)
         )
-        assert data.ids() == ["syn-0", "syn-1", "syn-2"]
+        assert data.ids.tolist() == ["syn-0", "syn-1", "syn-2"]
         assert data.provenance == "synthetic(seed=9)"
 
     def test_same_seed_same_data(self):
@@ -371,7 +385,7 @@ class TestSyntheticGenerator:
     def test_different_seed_differs(self):
         a = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 1))
         b = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 2))
-        assert not np.array_equal(a.scores(), b.scores())
+        assert not np.array_equal(a.scores, b.scores)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -442,7 +456,7 @@ class TestCsvQuotingAndBom:
     def test_quoted_newline_is_one_record(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('id,score,label\n"a\nb",0.7,1\nc,0.2,0\n', newline="")
-        assert load_dataset(path).ids() == ["a\nb", "c"]
+        assert load_dataset(path).ids.tolist() == ["a\nb", "c"]
 
     def test_rows_count_records_not_lines(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -562,6 +576,15 @@ class TestFirstBadRow:
         assert getattr(err.value, "row", None) == row
         assert getattr(err.value, "column", None) == column
 
+    @pytest.mark.parametrize("date_format", [None, "%Y-%m-%d"])
+    def test_a_long_bad_date_cell_is_quoted_once(self, tmp_path, date_format):
+        path = tmp_path / "d.csv"
+        path.write_text("id,score,label,date\na,0.5,1," + "9" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path, date_format=date_format)
+        assert str(err.value).startswith("bad date '999") and str(err.value).endswith("(row 1, column 'date')")
+        assert len(str(err.value)) < 300
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_earliest_bad_row_wins_over_check_order(self, tmp_path, fmt):
         # a bad label at row 300 is reported before a bad score at row 737
@@ -645,7 +668,7 @@ class TestConstructorMeetsTheReaders:
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_blank_group_is_read_as_none(self, tmp_path, suffix):
         data = Dataset(["a", "b"], [0.5, 0.7], [1, 0], groups=["", "g"])
-        assert data.groups().tolist() == [None, "g"]
+        assert data.groups.tolist() == [None, "g"]
         write_dataset(data, tmp_path / f"d.{suffix}")
         assert load_dataset(tmp_path / f"d.{suffix}").records == data.records
         assert Dataset.of([PredictionRecord("a", 0.5, 1, group="")]).records[0].group is None
@@ -679,14 +702,14 @@ class TestConstructorMeetsTheReaders:
     def test_numpy_columns_and_cells(self):
         data = Dataset(np.array(["a", "b"]), np.array([0.5, 1.0], dtype=np.float32),
                                     [np.int64(1), np.uint8(0)], groups=np.array(["g", ""]))
-        assert data.ids() == ["a", "b"] and data.labels().tolist() == [1, 0]
-        assert data.groups().tolist() == ["g", None]
+        assert data.ids.tolist() == ["a", "b"] and data.labels.tolist() == [1, 0]
+        assert data.groups.tolist() == ["g", None]
         with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got '18446744073709551615' \(row 2"):
             Dataset(["a", "b"], [0.5, 0.5], np.array([1, 2**64 - 1], dtype=np.uint64))
         with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got 'True' \(row 1"):
             Dataset(["a"], np.array([True]), [1])
         # a typed label array is read as its cells are: integers only, so a bool or 1.0 is no label
-        assert Dataset(["a", "b"], [0.5, 0.5], np.array([0, 1])).labels().tolist() == [0, 1]
+        assert Dataset(["a", "b"], [0.5, 0.5], np.array([0, 1])).labels.tolist() == [0, 1]
         for labels in (np.array([True, False]), np.array([1.0, 0.0]), [1, (0, [1])]):
             with pytest.raises(SchemaError, match=r"^label must be 0 or 1, got .* \(row (1|2)"):
                 Dataset(["a", "b"], [0.5, 0.5], labels)
@@ -740,6 +763,30 @@ def test_every_table_is_listed():
     assert {type(build()) for build, _ in TABLES.values()} == set(ColumnTable.__subclasses__())
 
 
+def every_way_built(tmp_path) -> list:
+    """Each table from its constructor and `of`, the two readers, and every builder that skips the checks."""
+    data = generate_synthetic(SyntheticScorerSpec(40, 0.5, (4, 1), (1, 4), 2))
+    cert = certify_threshold(data, RiskConfig(alpha=0.5, beta=0.2, min_count=10))
+    assert cert.feasible
+    decisions = apply_certificate(data, cert)
+    write_dataset(data, tmp_path / "d.csv")
+    write_decisions(decisions, tmp_path / "dec.csv")
+    constructed = [build() for build, _ in TABLES.values()]
+    return [*constructed, *(type(table).of(list(table)) for table in constructed),
+            load_dataset(tmp_path / "d.csv"), read_decisions(tmp_path / "dec.csv"),
+            decisions, cert.grid, data, data.take(data.labels == 1, provenance="positives"), tradeoff_curve(data)]
+
+
+def test_every_column_is_a_read_only_array_read_as_an_attribute(tmp_path):
+    tables = every_way_built(tmp_path)
+    assert {type(table) for table in tables} == set(ColumnTable.__subclasses__())
+    for table in tables:
+        for name in table._columns:
+            column = getattr(table, name)
+            assert isinstance(column, np.ndarray) and not column.flags.writeable, (type(table).__name__, name)
+            assert not hasattr(type(table), name), (type(table).__name__, name)  # no method of a column's name
+
+
 class TestColumns:
     def test_records_and_columns_agree(self):
         records = make_dataset()
@@ -748,28 +795,28 @@ class TestColumns:
             dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
             groups=["phase-1", "phase-2", None], provenance="unit fixture",
         )
-        assert columns.ids() == records.ids()
-        assert np.array_equal(columns.scores(), records.scores())
-        assert np.array_equal(columns.labels(), records.labels())
-        assert columns.groups().tolist() == records.groups().tolist()
-        assert columns.dates().tolist() == records.dates().tolist()
+        assert columns.ids.tolist() == records.ids.tolist()
+        assert np.array_equal(columns.scores, records.scores)
+        assert np.array_equal(columns.labels, records.labels)
+        assert columns.groups.tolist() == records.groups.tolist()
+        assert columns.dates.tolist() == records.dates.tolist()
         assert columns.records == records.records
         assert columns == records
 
     def test_column_types(self):
         data = make_dataset()
-        assert data.scores().dtype == np.float64 and data.labels().dtype == np.int64
+        assert data.scores.dtype == np.float64 and data.labels.dtype == np.int64
         assert type(data.records[0].score) is float and type(data.records[0].label) is int
 
     def test_columns_are_read_only(self):
         data = make_dataset()
         with pytest.raises(ValueError):
-            data.scores()[0] = 0.0
+            data.scores[0] = 0.0
 
     def test_records_built_once_on_demand(self):
         data = generate_synthetic(SyntheticScorerSpec(4, 0.5, (2, 2), (2, 2), 3))
         assert data.records is data.records
-        assert [rec.id for rec in data] == data.ids()
+        assert [rec.id for rec in data] == data.ids.tolist()
         assert data.by_id()["syn-2"] == data.records[2]
 
     @pytest.mark.parametrize(
@@ -797,17 +844,17 @@ class TestColumns:
     def test_unchecked_builders_agree_with_a_checked_build(self, tmp_path):
         # generate_synthetic and load_dataset check their columns once and build unchecked
         data = generate_synthetic(SyntheticScorerSpec(50, 0.3, (4, 2), (2, 4), 5))
-        assert data.labels().dtype == np.int64 and data.scores().dtype == np.float64
-        checked = Dataset(data.ids(), data.scores(), data.labels(), provenance=data.provenance)
+        assert data.labels.dtype == np.int64 and data.scores.dtype == np.float64
+        checked = Dataset(data.ids, data.scores, data.labels, provenance=data.provenance)
         assert data == checked and data.records == checked.records
         for suffix in ("csv", "json"):
             write_dataset(data, tmp_path / f"d.{suffix}")
             loaded = load_dataset(tmp_path / f"d.{suffix}")
-            assert loaded.records == data.records and loaded.ids() == data.ids()
+            assert loaded.records == data.records and loaded.ids.tolist() == data.ids.tolist()
 
     def test_take(self):
         data = make_dataset()
         picked = data.take(np.array([2, 0]), provenance="picked")
-        assert picked.ids() == ["c", "a"] and picked.provenance == "picked"
+        assert picked.ids.tolist() == ["c", "a"] and picked.provenance == "picked"
         assert picked.records == (data.records[2], data.records[0])
-        assert data.take(data.labels() == 1, provenance="").ids() == ["a", "c"]
+        assert data.take(data.labels == 1, provenance="").ids.tolist() == ["a", "c"]

@@ -177,16 +177,16 @@ def reference_trials(spec, config, trials, n_calib, n_test, seed, tie=lambda sco
     set, then the count on its test set, each drawn as `tie` leaves generate_synthetic's records."""
     out = []
     for t in range(trials):
-        calib, test = (Dataset(data.ids(), *tie(data.scores(), data.labels()))
+        calib, test = (Dataset(data.ids, *tie(data.scores, data.labels))
                        for data in (generate_synthetic(replace(spec, n=n, seed=substream_seed(substream_seed(seed, t), i)))
                                     for i, n in ((1, n_calib), (2, n_test))))
         lambda_hat = certify_threshold(calib, config).lambda_hat
         if lambda_hat is None:
             out.append(GuaranteeTrial(t, None, None, False))
             continue
-        scores = test.scores()
+        scores = test.scores
         kept = np.maximum(scores, 1.0 - scores) >= lambda_hat
-        right = int((kept & ((scores >= 0.5) == test.labels())).sum())
+        right = int((kept & ((scores >= 0.5) == test.labels)).sum())
         accuracy = right / int(kept.sum()) if kept.any() else None
         out.append(GuaranteeTrial(t, lambda_hat, accuracy, accuracy is not None and accuracy < 1.0 - config.alpha))
     return out
