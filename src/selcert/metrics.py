@@ -7,15 +7,18 @@ level, tied scores processed as one block), not a trapezoidal interpolation.
 F1 and accuracy threshold scores at 0.5, ties predicting class 1.
 
 Each metric is a kernel over per-record counts. The ranking metrics sort the
-scores once into tie blocks (descending score levels) and read everything
-from two bincounts per evaluation, records and positives per block: pr_auc
-sums recall gain times precision block by block with a left-to-right
-cumsum, and roc_auc takes each block's midrank from its bounds. F1 and
-accuracy are count-weighted sums of the per-record confusion columns. The
-public functions read their inputs as the tables read cells (`_as_arrays`)
-and run the kernels with unit counts, as a selective report does on a
-Dataset's checked columns; bootstrap_significance runs the same kernels with
-each resample's multiplicities, so a resample costs no sort and no copy.
+scores once into tie blocks (descending score levels) and note the blocks
+that hold a positive record (`_Ranking`). An evaluation gathers the counts
+into score order and takes one integer prefix sum over all records and one
+over the positive records; the rest runs over the positive blocks alone, as
+a block without a positive adds nothing to either AUC. pr_auc sums recall
+gain times precision block by block with a left-to-right cumsum, and
+roc_auc takes each block's midrank from its bounds. F1 and accuracy are
+count-weighted sums of the per-record confusion columns. The public
+functions read their inputs as the tables read cells (`_as_arrays`) and run
+the kernels with unit counts, as a selective report does on a Dataset's
+checked columns; bootstrap_significance runs the same kernels with each
+resample's multiplicities, so a resample costs no sort and no copy.
 """
 
 from __future__ import annotations
@@ -52,57 +55,71 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def _tie_blocks(scores: np.ndarray) -> np.ndarray:
-    """Each record's tie block, numbered from 0 in descending score order.
+def _tie_blocks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records in descending score order, and where each tie block starts and ends in it.
 
-    Records with equal scores share a block. One stable argsort.
+    Records with equal scores share a block: block k is
+    order[starts[k]:ends[k]]. One stable argsort.
     """
     order = np.argsort(scores, kind="stable")[::-1]
     ordered = scores[order]
-    new_level = np.zeros(len(scores), dtype=np.intp)
-    new_level[1:] = ordered[1:] != ordered[:-1]
-    blocks = np.empty_like(new_level)
-    blocks[order] = np.cumsum(new_level)
-    return blocks
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return order, np.append(0, bounds), np.append(bounds, len(scores))
 
 
-def _block_totals(blocks: np.ndarray, labels: np.ndarray, counts: np.ndarray):
-    """(records, positives) per non-empty tie block, in descending score order.
+class _Ranking:
+    """One score column's tie blocks, sorted once, scored from per-record counts.
 
     counts is each record's multiplicity: all ones for the sample itself, a
-    bootstrap draw's bincount for a resample. The totals are exact integers.
+    bootstrap draw's bincount for a resample. Every total is an exact integer.
     """
-    records = np.bincount(blocks, weights=counts)
-    positives = np.bincount(blocks, weights=labels * counts)
-    kept = records > 0
-    return records[kept], positives[kept]
 
+    def __init__(self, scores: np.ndarray, labels: np.ndarray):
+        self.order, starts, ends = _tie_blocks(scores)
+        is_positive = labels[self.order] == 1
+        self.positive_order = self.order[is_positive]
+        positives_before = np.append(0, np.cumsum(is_positive))  # positive records ahead of each rank
+        holds_positive = positives_before[ends] > positives_before[starts]
+        self.starts, self.ends = starts[holds_positive], ends[holds_positive]  # the positive blocks
+        # positive records through each positive block, after a leading 0
+        self.positive_bounds = np.append(0, positives_before[self.ends])
 
-def _pr_auc_from_blocks(records: np.ndarray, positives: np.ndarray) -> float:
-    """Average precision: each block's recall gain times the precision at its end."""
-    n_pos = positives.sum()
-    if n_pos == 0:
-        raise DegenerateLabelsError("pr_auc needs at least one positive record")
-    precision = np.cumsum(positives) / np.cumsum(records)
-    # cumsum adds left to right, down the score levels, as a walk over the
-    # blocks would (np.sum would pair terms); a block without positives adds
-    # an exact +0.0, which leaves the running sum unchanged
-    return float(np.cumsum(positives / n_pos * precision)[-1])
+    def _totals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Records drawn ahead of each rank, and positives drawn through each positive block, both after a leading 0."""
+        records = np.zeros(len(self.order) + 1, np.int64)
+        np.cumsum(counts[self.order], out=records[1:])
+        positives = np.zeros(len(self.positive_order) + 1, np.int64)
+        np.cumsum(counts[self.positive_order], out=positives[1:])
+        return records, positives[self.positive_bounds]
 
+    def pr_auc(self, counts: np.ndarray) -> float:
+        """Average precision: each block's recall gain times the precision at its end."""
+        records, positives = self._totals(counts)
+        n_pos = positives[-1]
+        if n_pos == 0:
+            raise DegenerateLabelsError("pr_auc needs at least one positive record")
+        # with no record drawn through a block, no positive is either: 0 / 1 stands for 0 / 0
+        precision = positives[1:] / np.maximum(records[self.ends], 1)
+        # cumsum adds left to right, down the score levels, as a walk over the
+        # blocks would (np.sum would pair terms); a block without a drawn
+        # positive adds an exact +0.0, so leaving such blocks out changes nothing
+        return float(np.cumsum(np.diff(positives) / n_pos * precision)[-1])
 
-def _roc_auc_from_blocks(records: np.ndarray, positives: np.ndarray) -> float:
-    """Mann-Whitney AUC from the midrank of each block."""
-    n_pos = int(positives.sum())
-    n_neg = int(records.sum()) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"
-        )
-    # 1-based ascending ranks; a block's midrank is a half-integer, so the
-    # rank sum of the positives is exact in any summation order
-    midranks = (n_pos + n_neg) - np.cumsum(records) + (records + 1) / 2.0
-    numerator = float(positives @ midranks) - n_pos * (n_pos + 1) / 2.0
-    return numerator / (n_pos * n_neg)
+    def roc_auc(self, counts: np.ndarray) -> float:
+        """Mann-Whitney AUC from the midrank of each block."""
+        records, positives = self._totals(counts)
+        n_pos = int(positives[-1])
+        n_neg = int(records[-1]) - n_pos
+        if n_pos == 0 or n_neg == 0:
+            raise DegenerateLabelsError(
+                f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"
+            )
+        # 1-based ascending ranks; a block's midrank is a half-integer, so the
+        # rank sum of the positives is exact in any summation order
+        start, end = records[self.starts], records[self.ends]
+        midranks = (n_pos + n_neg) - end + (end - start + 1) / 2.0
+        numerator = float(np.diff(positives) @ midranks) - n_pos * (n_pos + 1) / 2.0
+        return numerator / (n_pos * n_neg)
 
 
 def _confusion_columns(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -134,9 +151,8 @@ def _kernel(metric: str, scores: np.ndarray, labels: np.ndarray):
         columns = _confusion_columns(scores, labels)
         pick = ("f1", "accuracy").index(metric)
         return lambda counts: _counted_f1_accuracy(columns, counts)[pick]
-    blocks = _tie_blocks(scores)
-    from_blocks = _pr_auc_from_blocks if metric == "pr_auc" else _roc_auc_from_blocks
-    return lambda counts: from_blocks(*_block_totals(blocks, labels, counts))
+    ranking = _Ranking(scores, labels)
+    return ranking.pr_auc if metric == "pr_auc" else ranking.roc_auc
 
 
 def roc_auc(scores, labels) -> float:
@@ -195,11 +211,11 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
         )
     # the Dataset's columns are checked, so the kernels score them as they are, one sort for both AUCs
     s, y, ones = scores[kept], labels[kept], np.ones(n_retained, np.int64)
-    totals = _block_totals(_tie_blocks(s), y, ones)
+    ranking = _Ranking(s, y)
     aucs = {}
-    for name, from_blocks in (("pr_auc", _pr_auc_from_blocks), ("roc_auc", _roc_auc_from_blocks)):
+    for name, score in (("pr_auc", ranking.pr_auc), ("roc_auc", ranking.roc_auc)):
         try:
-            aucs[name] = from_blocks(*totals)
+            aucs[name] = score(ones)
         except DegenerateLabelsError:
             aucs[name] = None
     f1, accuracy = _counted_f1_accuracy(_confusion_columns(s, y), ones)
@@ -207,6 +223,19 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
         **aucs, f1=f1, accuracy=accuracy,
         retain_rate=n_retained / n_total, n_total=n_total, n_retained=n_retained,
     )
+
+
+def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each of `wanted` stands in `ids`, -1 where it is missing.
+
+    When the two columns are equal in order, as a dataset's ids and the
+    decisions `apply_certificate` makes from it are, that is every position
+    in turn, and no id map is built.
+    """
+    if np.array_equal(ids, wanted):
+        return np.arange(len(ids))
+    position = dict(zip(ids.tolist(), range(len(ids))))
+    return np.fromiter(map(position.get, wanted.tolist(), repeat(-1)), np.intp, len(wanted))
 
 
 def selective_report(
@@ -227,9 +256,8 @@ def selective_report(
         kept = np.ones(len(data), dtype=bool)
     else:
         decisions = Decisions.of(decisions)
-        position = dict(zip(decisions.ids.tolist(), range(len(decisions))))
-        index = np.fromiter(map(position.get, data.ids.tolist(), repeat(-1)), np.intp, len(data))
-        if len(position) != len(data) or (index < 0).any():
+        index = _positions(decisions.ids, data.ids)
+        if len(decisions) != len(data) or (index < 0).any():
             raise IdMismatchError("decision ids do not match the dataset ids")
         kept = decisions.retained[index]
     report = _subset_report(scores, labels, kept)
@@ -269,22 +297,23 @@ def bootstrap_significance(
     scores are sorted into tie blocks (or turned into confusion columns)
     once, up front. A draw is then scored from its multiplicities, the
     bincount of the drawn positions, by the same kernels the plain metric
-    functions run with unit counts; the values are the ones scoring the
-    resampled copies would give, bit for bit.
+    functions run with unit counts: for an AUC, one prefix sum over the
+    records in score order and the rest over the blocks that hold a
+    positive. The values are the ones scoring the resampled copies would
+    give, bit for bit, as every total is an exact integer.
     """
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
     resamples = check_int("resamples", resamples, 100)
     seed = check_int("seed", seed, float("-inf"))
-    ids_a, ids_b = a.ids.tolist(), b.ids.tolist()
-    if set(ids_a) != set(ids_b):
+    # each dataset's ids are unique, so the two share one id set when every id of a is in b and no more
+    b_order = _positions(b.ids, a.ids)
+    if len(a) != len(b) or (b_order < 0).any():
         raise UnpairedIdsError("datasets must share one id set for a paired comparison")
-    position_b = dict(zip(ids_b, range(len(ids_b))))
-    b_order = np.fromiter(map(position_b.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))
     labels = a.labels
     mismatch = np.flatnonzero(b.labels[b_order] != labels)
     if mismatch.size:
-        raise UnpairedIdsError(f"labels differ for id {_shown(ids_a[mismatch[0]])}")
+        raise UnpairedIdsError(f"labels differ for id {_shown(a.ids[mismatch[0]])}")
     kernel_a = _kernel(metric, a.scores, labels)
     kernel_b = _kernel(metric, b.scores[b_order], labels)
 

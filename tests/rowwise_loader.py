@@ -6,12 +6,17 @@ and stops at the first bad one. It reads files with the package's
 csv.reader itself, in `csv_rows`, so it shares no CSV code with the package.
 The vectorised loader must raise the same error class, message, row and
 column, and load the same records.
+
+A message quotes a cell by reprlib's rule at 80 characters: a longer repr
+keeps its first 38 and last 39 characters around "...". It cuts the
+parser's error the same way.
 """
 
 import csv
 import io
 import json
 import re
+import reprlib
 from datetime import date, datetime
 from pathlib import Path
 
@@ -20,6 +25,13 @@ from selcert.records import read_text
 
 BASE_COLUMNS = ("id", "score", "label")
 OPTIONAL_COLUMNS = ("date", "group")
+
+_QUOTE = reprlib.Repr()
+_QUOTE.maxstring = 80
+
+
+def _cut(text):
+    return text if len(text) <= 80 else text[:38] + "..." + text[-39:]
 
 
 def csv_rows(text):
@@ -53,7 +65,7 @@ def _parse_date(text, date_format, row):
             return date.fromisoformat(text)
         return datetime.strptime(text, date_format).date()
     except ValueError as exc:
-        raise SchemaError(f"bad date {text!r}: {exc}", row=row, column="date") from None
+        raise SchemaError(f"bad date {_QUOTE.repr(text)}: {_cut(str(exc))}", row=row, column="date") from None
 
 
 def _score_error(value, row):
@@ -110,7 +122,7 @@ def _records_from_csv(text, date_format):
         if not rec_id:
             raise SchemaError("id must be a nonempty string, got ''", row=i, column="id")
         if rec_id in seen:
-            raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
+            raise DuplicateIdError(f"duplicate record id {_QUOTE.repr(rec_id)} at row {i}")
         seen.add(rec_id)
         score = _parse_score(cell["score"], i)
         label = _parse_label(cell["label"], i)
@@ -150,7 +162,7 @@ def _records_from_json(text, date_format):
         if not isinstance(rec_id, str) or not rec_id:
             raise SchemaError(f"id must be a nonempty string, got {rec_id!r}", row=i, column="id")
         if rec_id in seen:
-            raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
+            raise DuplicateIdError(f"duplicate record id {_QUOTE.repr(rec_id)} at row {i}")
         seen.add(rec_id)
         score = obj["score"]
         if isinstance(score, bool) or not isinstance(score, (int, float)):

@@ -435,6 +435,14 @@ class TestBootstrapSignificance:
         with pytest.raises(UnpairedIdsError):
             bootstrap_significance(a, extra, "roc_auc")
 
+    def test_unpaired_when_one_side_holds_more_ids(self):
+        a, b = paired_fixture()
+        fewer = Dataset.of(b.records[1:])
+        for left, right in ((a, fewer), (fewer, a)):
+            with pytest.raises(UnpairedIdsError) as err:
+                bootstrap_significance(left, right, "roc_auc")
+            assert str(err.value) == "datasets must share one id set for a paired comparison"
+
     def test_label_disagreement(self):
         a, b = paired_fixture()
         rec = b.records[0]

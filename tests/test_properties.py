@@ -3,8 +3,9 @@
 Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
 certificate value fails alike in code and in JSON, the metric kernels
-equal the original metric loops, a tradeoff grid is read as thresholds, and
-simulate's chunked trials equal their one-at-a-time reference.
+equal the original metric loops and score each bootstrap draw as its drawn
+copies, a tradeoff grid is read as thresholds, and simulate's chunked
+trials equal their one-at-a-time reference.
 """
 
 import csv
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import reference_metrics  # noqa: E402
@@ -51,6 +52,7 @@ from selcert import (  # noqa: E402
 )
 from selcert.calibrate import ThresholdCertificate  # noqa: E402
 from selcert.jsonio import format_number  # noqa: E402
+from selcert.metrics import _kernel  # noqa: E402
 from selcert.records import csv_columns  # noqa: E402
 import selcert.sim as sim  # noqa: E402
 
@@ -291,9 +293,11 @@ def test_certificate_json_round_trip_is_exact(cert):
     assert certificate_to_json(back) == text
 
 
-# Cells and JSON values that break one load rule or another, mixed with valid ones
+# Cells and JSON values that break one load rule or another, mixed with valid ones; the two long
+# cells are past where a message cuts the parser's error, and the second past where it cuts a quote
 BAD_CELLS = st.sampled_from(["", "r0", "r1", "0", "1", "2", "0.5", "1.5", "-0", "nan", "high",
-                             "2020-01-31", "2020-02-30", "someday", "g", "0.2_5", " 0.75 ", "\u0660.5"])
+                             "2020-01-31", "2020-02-30", "someday", "g", "0.2_5", " 0.75 ", "\u0660.5",
+                             "2020-01-31" + "x" * 50, "someday " * 12])
 BAD_VALUES = st.one_of(
     BAD_CELLS, st.sampled_from([0, 1, 2, -1, 0.5, 1.5, -0.0, True, None, [], {}]), st.floats()
 )
@@ -350,6 +354,8 @@ def _outcome(load, path):
 
 @SETTINGS
 @given(text=corrupted_csv())
+@example(text="id,score,label,date\nr0,0.5,1,2020-01-31" + "x" * 50 + "\n")
+@example(text="id,score,label,date\nr0,0.5,1," + "someday " * 12 + "\nr0,0.5,1,\n")
 def test_csv_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8")
@@ -358,6 +364,7 @@ def test_csv_loader_matches_rowwise_reference(tmp_path, text):
 
 @SETTINGS
 @given(text=corrupted_json())
+@example(text=json.dumps([{"id": "someday " * 12, "score": 0.5, "label": 1}] * 2))
 def test_json_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.json"
     path.write_text(text, encoding="utf-8")
@@ -484,6 +491,50 @@ def test_metrics_equal_reference_loops(case):
     for fn, reference in ((pr_auc, reference_metrics.pr_auc), (roc_auc, reference_metrics.roc_auc),
                           (f1_accuracy, reference_metrics.f1_accuracy)):
         assert _metric_outcome(fn, scores, labels) == _metric_outcome(reference, scores, labels)
+
+
+@st.composite
+def drawn_positions(draw):
+    """A scored column and positions drawn from it with replacement: from every record, from those at
+    or below one of its scores (the blocks above left undrawn), or from one class alone."""
+    scores, labels = draw(scored_labels())
+    pool = draw(st.sampled_from(["all", "at or below", "negatives", "positives"]))
+    if pool == "at or below":
+        positions = np.flatnonzero(scores <= draw(st.sampled_from(scores.tolist() or [0.0])))
+    else:
+        positions = np.flatnonzero({"all": labels >= 0, "negatives": labels == 0, "positives": labels == 1}[pool])
+    drawn = draw(st.lists(st.sampled_from(positions.tolist()), max_size=2 * len(scores))) if positions.size else []
+    return scores, labels, np.array(drawn, dtype=np.intp)
+
+
+def _draw_case(scores, labels, drawn):
+    return np.array(scores), np.array(labels), np.array(drawn, dtype=np.intp)
+
+
+PLAIN_METRICS = {"pr_auc": pr_auc, "roc_auc": roc_auc,
+                 "f1": lambda s, y: f1_accuracy(s, y)[0], "accuracy": lambda s, y: f1_accuracy(s, y)[1]}
+
+
+@SETTINGS
+@given(case=drawn_positions())
+@example(case=_draw_case([0.9, 0.5, 0.1], [1, 1, 0], [1, 2, 2]))  # the top block undrawn: no record through it
+@example(case=_draw_case([0.9, 0.5, 0.1, 0.3], [1, 0, 1, 0], [1, 3, 3, 1, 2]))  # a positive never drawn
+@example(case=_draw_case([0.5] * 4, [1, 0, 1, 0], [0, 1, 1, 3]))  # a single tie block
+@example(case=_draw_case([0.9, 0.2, 0.4], [1, 0, 0], [1, 2, 2]))  # negatives alone
+@example(case=_draw_case([0.9, 0.2, 0.4], [1, 0, 0], [0, 0]))  # positives alone
+@example(case=_draw_case([0.9, 0.2], [1, 0], []))  # nothing drawn
+def test_each_draw_scores_as_the_metric_on_its_copies(case):
+    # a bootstrap draw scored from its counts is the plain metric on the drawn copies, bit for bit,
+    # or the same error
+    scores, labels, drawn = case
+    counts = np.bincount(drawn, minlength=len(scores))
+
+    def bits(outcome):
+        return outcome.hex() if isinstance(outcome, float) else outcome
+
+    for metric, plain in PLAIN_METRICS.items():
+        counted = _metric_outcome(lambda s, y: _kernel(metric, s, y)(counts), scores, labels)
+        assert bits(counted) == bits(_metric_outcome(plain, scores[drawn], labels[drawn])), metric
 
 
 @settings(max_examples=25, deadline=None)
