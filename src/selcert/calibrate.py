@@ -12,7 +12,7 @@ the threshold and abstains below it. A threshold is a number, finite, within
 The retained-set rule, confidence >= lam with ties kept together, is counted
 for a whole grid in one place, `_grid`, from one sort of each set of records:
 a grid point is the start of a run of tied confidences, and its counts are
-what lies from there up; the scan (`_scan`) and the tradeoff curve read them.
+what lies from there up; `_decide` and the tradeoff curve read them.
 At one threshold, `selective_risk`, `apply_certificate` and simulate's test
 sets apply the comparison itself. The decisions are columns, `Decisions`,
 which `read_decisions` also returns, with `Decision` the view of one row, and
@@ -24,7 +24,7 @@ constructor's. Every other certificate rule is `RiskConfig`'s or
 `ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
 needs and hands each field to the constructors as it was read.
 
-The scan needs a yes or no at each grid point, never the bound itself. With
+`_decide` needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
 exactly when CDF(k; n, alpha) <= beta, because the CDF is strictly
 decreasing in the rate. So `lambda_hat` is decided by that one tail test
@@ -333,19 +333,20 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     threshold is the smallest eligible grid value (n_at >= config.min_count)
     such that every eligible grid value above it also has
     risk_plus <= config.alpha; if no grid value qualifies the certificate is
-    infeasible. The threshold is decided by tail tests (`_scan`); the bounds
-    of every grid point are then solved in one array call and recorded
-    either way.
+    infeasible. The threshold is decided on `_grid`'s counts by tail tests
+    (`_decide`); the bounds of every grid point are then solved in one
+    array call and recorded either way.
     """
     if len(data) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
-    # one row: its grid is the whole of the scan's grid
-    lam, n_at, errors, (lambda_hat,) = _scan(*_confidence_correct(data.scores[None], data.labels[None]), config)
+    # one row: its grid is the whole of `_grid`'s
+    at, lam, n_at, errors = _grid(*_confidence_correct(data.scores[None], data.labels[None]))
+    (decided,) = _decide(at // len(data), n_at, errors, config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
     grid = CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus)
-    if np.isnan(lambda_hat):
+    if decided < 0:
         return ThresholdCertificate(INFEASIBLE, None, grid, config, len(data))
-    return ThresholdCertificate(FEASIBLE, float(lambda_hat), grid, config, len(data))
+    return ThresholdCertificate(FEASIBLE, float(lam[decided]), grid, config, len(data))
 
 
 def _grid(conf: np.ndarray, correct: np.ndarray):
@@ -368,33 +369,29 @@ def _grid(conf: np.ndarray, correct: np.ndarray):
     return at, conf.ravel()[at], n - at % n, suffix_wrong.ravel()[at]
 
 
-def _scan(conf: np.ndarray, correct: np.ndarray, config: RiskConfig):
-    """`_grid`'s (lam, n_at, errors) for rows of calibration sets, and each row's certified threshold.
+def _decide(row: np.ndarray, n_at: np.ndarray, errors: np.ndarray, config: RiskConfig) -> np.ndarray:
+    """Each row's certified grid index, -1 for none, from `_grid`'s counts, with `row = at // n`.
 
     Every eligible point (n_at >= config.min_count) of every row gets one
     tail test, CDF(errors; n_at, alpha) <= beta, all in one call; a point's
     result depends on its own (errors, n_at) alone, so the rows stacked with
     it change nothing. A test passes exactly when the point's risk_plus <=
     alpha, up to the rounding the module docstring describes. A row's
-    lambda_hat is the lowest point of its run of passes that reaches the top
-    of its grid, or NaN when its top eligible point fails or nothing in it
-    is eligible.
+    certified point is the lowest of its run of passes that reaches the top
+    of its grid; it has none when its top eligible point fails or nothing in
+    it is eligible. The point that blocks a row is the eligible one just
+    below its certified point, or its top eligible point when it has none.
     """
-    rows, n = conf.shape
-    at, lam, n_at, errors = _grid(conf, correct)
     eligible = np.flatnonzero(n_at >= config.min_count)
     passes = tail_at_most(errors[eligible], n_at[eligible], config.alpha, config.beta)
     # each row's eligible points lie together in `eligible`, at [low, high)
-    high = np.cumsum(np.bincount(at[eligible] // n, minlength=rows))
+    high = np.searchsorted(row[eligible], np.arange(int(row[-1]) + 1), side="right")
     low = np.append(0, high[:-1])
     # the last failure below each row's high, -1 for none, found by the count
     # of failures up to there; one in an earlier row leaves the row's run whole
     last_failure = np.append(-1, np.flatnonzero(~passes))[np.append(0, np.cumsum(~passes))[high]]
     first_pass = np.maximum(last_failure + 1, low)
-    lambda_hat = np.full(rows, np.nan)
-    feasible = first_pass < high
-    lambda_hat[feasible] = lam[eligible[first_pass[feasible]]]
-    return lam, n_at, errors, lambda_hat
+    return np.where(first_pass < high, np.append(eligible, -1)[first_pass], -1)
 
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:

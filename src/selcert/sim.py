@@ -7,19 +7,19 @@ Each trial derives its own seed substream, so trials are reproducible
 individually. They run a chunk at a time, in one thread: each trial draws
 its arrays with `records._draw`, the draw behind `generate_synthetic`, so it
 sees that call's records without building a Dataset; the chunk's
-calibration draws go through one `calibrate._scan`, the scan behind
-`certify_threshold`, as stacked rows; and each feasible trial's test draw is
-counted at its threshold with one comparison, conf >= lam.
+calibration draws go as stacked rows through one `calibrate._grid` and one
+`calibrate._decide`, the decision behind `certify_threshold`; and each
+feasible trial's test draw is counted at its threshold with one comparison,
+conf >= lam.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import RiskConfig, _confidence_correct, _grid, _scan, _thresholds
+from .calibrate import RiskConfig, _confidence_correct, _decide, _grid, _thresholds
 from .errors import DomainError, EmptyInputError, UnsortedLambdasError, check_int
 from .jsonio import Table
 from .records import ColumnTable, Dataset, SyntheticScorerSpec, _columns, _draw, _first, _floats, _object_column, _raise_first, _value_fault
@@ -148,23 +148,25 @@ def validate_guarantee(
 
 def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, n_calib: int, n_test: int,
            seed: int) -> list[GuaranteeTrial]:
-    """The trials at `indices`: one scan over their calibration draws, then test draws where feasible.
+    """The trials at `indices`: one decision over their calibration draws, then test draws where feasible.
 
-    The scan decides each trial's threshold as `certify_threshold` does,
-    without solving bounds. A test set keeps the records with conf >= lam,
-    the comparison `apply_certificate` makes.
+    `_decide` decides each trial's threshold on `_grid`'s counts as
+    `certify_threshold` does, without solving bounds. A test set keeps the
+    records with conf >= lam, the comparison `apply_certificate` makes.
     """
     trial_seeds = [substream_seed(seed, t) for t in indices]
-    lambda_hat = _scan(*_draws(spec, n_calib, [substream_seed(s, 1) for s in trial_seeds]), config)[3]
-    feasible = np.flatnonzero(~np.isnan(lambda_hat))
+    at, grid, n_at, errors = _grid(*_draws(spec, n_calib, [substream_seed(s, 1) for s in trial_seeds]))
+    decided = _decide(at // n_calib, n_at, errors, config)
+    lambda_hat = [lam if i >= 0 else None for i, lam in zip(decided.tolist(), grid[decided].tolist())]
+    feasible = np.flatnonzero(decided >= 0)
     conf, correct = _draws(spec, n_test, [substream_seed(trial_seeds[i], 2) for i in feasible])
-    kept = conf >= lambda_hat[feasible, None]
+    kept = conf >= grid[decided[feasible], None]
     accuracy = [None] * len(indices)  # stays None where nothing is tested or kept
     for i, n_kept, n_wrong in zip(feasible.tolist(), np.count_nonzero(kept, axis=1).tolist(),
                                   np.count_nonzero(kept & ~correct, axis=1).tolist()):
         accuracy[i] = (n_kept - n_wrong) / n_kept if n_kept else None
-    return [GuaranteeTrial(t, None if math.isnan(lam) else lam, acc, acc is not None and acc < 1.0 - config.alpha)
-            for t, lam, acc in zip(indices, lambda_hat.tolist(), accuracy)]
+    return [GuaranteeTrial(t, lam, acc, acc is not None and acc < 1.0 - config.alpha)
+            for t, lam, acc in zip(indices, lambda_hat, accuracy)]
 
 
 def _draws(spec: SyntheticScorerSpec, n: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:

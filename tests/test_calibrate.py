@@ -45,7 +45,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _scan
+from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _decide, _grid
 
 THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
@@ -192,6 +192,13 @@ def reference_grid(conf, correct, config):
     return lam, n_at, errors, lambda_hat
 
 
+def decided(conf, correct, config):
+    """`_grid`'s (lam, n_at, errors) for rows of records, and each row's threshold by `_decide`, None for none."""
+    at, lam, n_at, errors = _grid(conf, correct)
+    index = _decide(at // conf.shape[1], n_at, errors, config)
+    return lam, n_at, errors, [float(lam[i]) if i >= 0 else None for i in index]
+
+
 class TestScan:
     def test_tied_grid_equals_the_unique_reference(self):
         # one sort per calibration set: a grid point is a run of tied
@@ -215,15 +222,13 @@ class TestScan:
         for beta in (0.1, 0.6):
             config = RiskConfig(alpha=0.3, beta=beta, min_count=min_count)
             conf, correct = _confidence_correct(*tied_sets(rng, rows, n))
-            lam, n_at, errors, lambda_hat = _scan(conf, correct, config)
-            alone = [_scan(conf[[r]], correct[[r]], config) for r in range(rows)]
+            lam, n_at, errors, lambda_hat = decided(conf, correct, config)
+            alone = [decided(conf[[r]], correct[[r]], config) for r in range(rows)]
             for got, parts in zip((lam, n_at, errors, lambda_hat), zip(*alone)):
-                assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
-            for r in range(rows):
-                expected = reference_grid(conf[r], correct[r], config)[3]
-                assert (None if np.isnan(lambda_hat[r]) else lambda_hat[r]) == expected
+                assert np.array_equal(got, np.concatenate(parts))
+            assert lambda_hat == [reference_grid(conf[r], correct[r], config)[3] for r in range(rows)]
             if min_count > n:
-                assert np.isnan(lambda_hat).all()
+                assert lambda_hat == [None] * rows
 
 
 class TestOneCountThreePaths:

@@ -1,6 +1,6 @@
 """Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
-no read of the environment, no import beyond the standard library and numpy, and numpy sorts in
-two places only.
+no read of the environment, no import beyond the standard library and numpy, numpy sorts in
+two places only, and the tail test in one.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
@@ -9,7 +9,9 @@ read from the environment, so a result never depends on where it is run.
 numpy is the one runtime dependency pyproject.toml declares: scipy,
 hypothesis and mpmath serve the tests alone. Every retained-set count reads
 one sort, `calibrate._grid`'s; the ranking metrics' tie blocks
-(`metrics._tie_blocks`) are the only other sort of data.
+(`metrics._tie_blocks`) are the only other sort of data. Every threshold is
+decided by one function, `calibrate._decide`, the one caller of the tail
+test `binom.tail_at_most`.
 """
 
 import ast
@@ -130,6 +132,16 @@ def test_numpy_sorts_only_in_the_grid_and_the_tie_blocks():
     assert sorting == {"calibrate.py:_grid", "metrics.py:_tie_blocks"}
 
 
+def _tail_testers(tree: ast.Module) -> set[str]:
+    """The top-level functions and classes of `tree` that name `tail_at_most`, and "<module>" for other statements."""
+    return {getattr(node, "name", "<module>") for node in tree.body if "tail_at_most" in _names_read(node)}
+
+
+def test_the_tail_test_runs_in_the_decision_only():
+    testing = {f"{module}:{name}" for module, tree in TREES.items() for name in _tail_testers(tree)}
+    assert testing == {"calibrate.py:_decide"}
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
@@ -145,3 +157,7 @@ def test_the_checks_see_what_they_look_for():
                         "def g(p): p.sort()\nclass C:\n    def h(self, x): return x.argsort()\n"
                         "def k(x): return np.sort(x)\norder = lexsort([])\n")
     assert _numpy_sorts(sorting) == {"f", "C", "k", "<module>"}
+    callers = ast.parse("from .binom import tail_at_most\nfrom . import binom\n"
+                        "def _decide(k, n): return tail_at_most(k, n, 0.1, 0.1)\n"
+                        "def second(k, n): return binom.tail_at_most(k, n, 0.1, 0.1)\n")
+    assert _tail_testers(callers) == {"_decide", "second"}

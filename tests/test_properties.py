@@ -4,8 +4,9 @@ Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
 certificate value fails alike in code and in JSON, the metric kernels
 equal the original metric loops and score each bootstrap draw as its drawn
-copies, a tradeoff grid is read as thresholds, and simulate's chunked
-trials equal their one-at-a-time reference.
+copies, a tradeoff grid is read as thresholds, a certificate's own grid
+decides as the certificate did, and simulate's chunked trials equal their
+one-at-a-time reference.
 """
 
 import csv
@@ -23,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 import reference_metrics  # noqa: E402
 from rowwise_decisions import read_decisions_rowwise  # noqa: E402
 from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
-from test_calibrate import FIELDS, certificate_json, certificate_of  # noqa: E402
+from test_calibrate import FIELDS, certificate_json, certificate_of, reference_grid  # noqa: E402
 from test_sim import reference_trials  # noqa: E402
 from selcert import (  # noqa: E402
     Dataset,
@@ -50,7 +51,7 @@ from selcert import (  # noqa: E402
     write_dataset,
     write_decisions,
 )
-from selcert.calibrate import ThresholdCertificate  # noqa: E402
+from selcert.calibrate import ThresholdCertificate, _confidence_correct, _decide  # noqa: E402
 from selcert.jsonio import format_number  # noqa: E402
 from selcert.metrics import _kernel  # noqa: E402
 from selcert.records import csv_columns  # noqa: E402
@@ -597,6 +598,26 @@ def test_tradeoff_grid_is_read_as_thresholds(cells):
         return
     assert bad == len(cells) > 0
     assert curve.lam.tolist() == [float(cell) for cell in cells]
+
+
+@SETTINGS
+@given(scores=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0]) | st.floats(0, 1), min_size=1,
+                       max_size=40),
+       wrong=st.lists(st.sampled_from([False] * 5 + [True]), min_size=40, max_size=40), alpha=st.floats(0.02, 0.95),
+       beta=st.floats(0.01, 0.49) | st.just(0.5) | st.floats(0.51, 0.99),
+       edge=st.sampled_from(["one", "at a run", "above a run", "above n"]), run=st.integers(0, 40))
+def test_decide_on_a_certificate_grid_gives_back_its_decision(scores, wrong, alpha, beta, edge, run):
+    # tied scores make runs; min_count sits at 1, at a run's n_at, one above it, or above n
+    labels = [int((score >= 0.5) != miss) for score, miss in zip(scores, wrong)]
+    data = Dataset([f"r{i}" for i in range(len(scores))], scores, labels)
+    n_at = certify_threshold(data, RiskConfig(alpha, beta)).grid.n_at
+    at_run = int(n_at[run % len(n_at)])
+    min_count = {"one": 1, "at a run": at_run, "above a run": at_run + 1, "above n": len(data) + 1}[edge]
+    cert = certify_threshold(data, RiskConfig(alpha, beta, min_count))
+    g = cert.grid
+    (index,) = _decide(np.zeros(len(g)), g.n_at, g.errors_at, cert.config)
+    assert (cert.status, cert.lambda_hat) == (("feasible", g.lam[index]) if index >= 0 else ("infeasible", None))
+    assert cert.lambda_hat == reference_grid(*_confidence_correct(data.scores, data.labels), cert.config)[3]
 
 
 SHAPES = st.tuples(st.floats(0.3, 12.0), st.floats(0.3, 12.0))
