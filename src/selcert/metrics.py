@@ -19,13 +19,21 @@ functions read their inputs as the tables read cells (`_as_arrays`) and run
 the kernels with unit counts, as a selective report does on a Dataset's
 checked columns; bootstrap_significance runs the same kernels with each
 resample's multiplicities, so a resample costs no sort and no copy.
+
+A kernel takes one draw's counts, of shape (n,), or a stack of draws, of
+shape (B, n): it gathers and sums along the last axis, so each row scores
+as its draw alone would, bit for bit. One draw gives a float and raises
+where the metric is undefined; a stack gives one value per row, NaN where
+undefined. bootstrap_significance scores its draws a chunk at a time, at
+most `_CHUNK_RECORDS` drawn records to a chunk, so each side's kernel runs
+once per chunk; the result never depends on the chunking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,7 +69,7 @@ def _tie_blocks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Records with equal scores share a block: block k is
     order[starts[k]:ends[k]]. One stable argsort.
     """
-    order = np.argsort(scores, kind="stable")[::-1]
+    order = np.argsort(scores, kind="stable")[::-1].copy()  # contiguous: `take` gathers faster through it
     ordered = scores[order]
     bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     return order, np.append(0, bounds), np.append(bounds, len(scores))
@@ -72,6 +80,8 @@ class _Ranking:
 
     counts is each record's multiplicity: all ones for the sample itself, a
     bootstrap draw's bincount for a resample. Every total is an exact integer.
+    A 1-d counts vector gives a float and raises where the metric is
+    undefined; a (B, n) stack of draws gives B values, NaN where undefined.
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray):
@@ -86,40 +96,60 @@ class _Ranking:
 
     def _totals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Records drawn ahead of each rank, and positives drawn through each positive block, both after a leading 0."""
-        records = np.zeros(len(self.order) + 1, np.int64)
-        np.cumsum(counts[self.order], out=records[1:])
-        positives = np.zeros(len(self.positive_order) + 1, np.int64)
-        np.cumsum(counts[self.positive_order], out=positives[1:])
-        return records, positives[self.positive_bounds]
+        records = np.zeros(counts.shape[:-1] + (len(self.order) + 1,), np.int64)
+        np.cumsum(_gathered(counts, self.order), axis=-1, out=records[..., 1:])
+        positives = np.zeros(counts.shape[:-1] + (len(self.positive_order) + 1,), np.int64)
+        np.cumsum(_gathered(counts, self.positive_order), axis=-1, out=positives[..., 1:])
+        return records, positives.take(self.positive_bounds, axis=-1)
 
-    def pr_auc(self, counts: np.ndarray) -> float:
+    def pr_auc(self, counts: np.ndarray) -> float | np.ndarray:
         """Average precision: each block's recall gain times the precision at its end."""
         records, positives = self._totals(counts)
-        n_pos = positives[-1]
-        if n_pos == 0:
-            raise DegenerateLabelsError("pr_auc needs at least one positive record")
+        n_pos = positives[..., -1:]
         # with no record drawn through a block, no positive is either: 0 / 1 stands for 0 / 0
-        precision = positives[1:] / np.maximum(records[self.ends], 1)
+        precision = positives[..., 1:] / np.maximum(records.take(self.ends, axis=-1), 1)
+        gains = np.diff(positives, axis=-1) / np.maximum(n_pos, 1) * precision
         # cumsum adds left to right, down the score levels, as a walk over the
         # blocks would (np.sum would pair terms); a block without a drawn
-        # positive adds an exact +0.0, so leaving such blocks out changes nothing
-        return float(np.cumsum(np.diff(positives) / n_pos * precision)[-1])
+        # positive adds an exact +0.0, so leaving such blocks out changes
+        # nothing. The leading 0 is the sum over no positive block.
+        average = np.zeros(gains.shape[:-1] + (gains.shape[-1] + 1,))
+        np.cumsum(gains, axis=-1, out=average[..., 1:])
+        return _defined(average[..., -1], n_pos[..., 0] == 0,
+                        lambda: DegenerateLabelsError("pr_auc needs at least one positive record"))
 
-    def roc_auc(self, counts: np.ndarray) -> float:
+    def roc_auc(self, counts: np.ndarray) -> float | np.ndarray:
         """Mann-Whitney AUC from the midrank of each block."""
         records, positives = self._totals(counts)
-        n_pos = int(positives[-1])
-        n_neg = int(records[-1]) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            raise DegenerateLabelsError(
-                f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"
-            )
+        n_pos = positives[..., -1]
+        n_neg = records[..., -1] - n_pos
         # 1-based ascending ranks; a block's midrank is a half-integer, so the
         # rank sum of the positives is exact in any summation order
-        start, end = records[self.starts], records[self.ends]
-        midranks = (n_pos + n_neg) - end + (end - start + 1) / 2.0
-        numerator = float(np.diff(positives) @ midranks) - n_pos * (n_pos + 1) / 2.0
-        return numerator / (n_pos * n_neg)
+        start, end = records.take(self.starts, axis=-1), records.take(self.ends, axis=-1)
+        midranks = records[..., -1:] - end + (end - start + 1) / 2.0
+        numerator = np.vecdot(np.diff(positives, axis=-1), midranks) - n_pos * (n_pos + 1) / 2.0
+        return _defined(numerator / np.maximum(n_pos * n_neg, 1), (n_pos == 0) | (n_neg == 0),
+                        lambda: DegenerateLabelsError(
+                            f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"))
+
+
+def _gathered(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """counts[..., order], laid out with the draws of a stack side by side in memory.
+
+    A prefix sum along the last axis then adds one value of every draw per
+    step. `take` gathers a single draw as fast as 1-d indexing; indexing
+    with `...` is several times slower there.
+    """
+    return counts.T.take(order, axis=0).T
+
+
+def _defined(values: np.ndarray, undefined: np.ndarray, fault: Callable[[], Exception]) -> float | np.ndarray:
+    """One draw's value as a float, raising `fault()` where it is undefined; a stack's values, NaN where undefined."""
+    if values.ndim == 0:
+        if undefined:
+            raise fault()
+        return float(values)
+    return np.where(undefined, np.nan, values)
 
 
 def _confusion_columns(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -131,14 +161,14 @@ def _confusion_columns(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     )
 
 
-def _counted_f1_accuracy(columns: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    total = int(counts.sum())
-    if total == 0:
-        raise EmptyInputError("f1_accuracy needs at least one record")
-    correct, tp, fp, fn = map(int, columns @ counts)
+def _counted_f1_accuracy(columns: np.ndarray, counts: np.ndarray) -> tuple:
+    """(F1, accuracy) of one draw's counts, or of each row of a (B, n) stack, as `_Ranking`'s kernels give them."""
+    total = counts.sum(axis=-1)
+    correct, tp, fp, fn = np.moveaxis(counts @ columns.T, -1, 0)
     denom = 2 * tp + fp + fn
-    f1 = (2 * tp / denom) if denom > 0 else 0.0
-    return f1, correct / total
+    f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+    return tuple(_defined(value, total == 0, lambda: EmptyInputError("f1_accuracy needs at least one record"))
+                 for value in (f1, correct / np.maximum(total, 1)))
 
 
 def _kernel(metric: str, scores: np.ndarray, labels: np.ndarray):
@@ -263,10 +293,12 @@ def selective_report(
     report = _subset_report(scores, labels, kept)
     if not by_group:
         return report
-    groups = data.groups
+    names = sorted(set(data.groups.tolist()) - {None})
+    # each record's group as its index among the names (-1 ungrouped), coded in one pass
+    coded = _coded(data.groups, dict(zip(names, range(len(names)))), -1)
     breakdown: dict[str, SelectiveReport] = {}
-    for name in sorted(set(groups.tolist()) - {None}):
-        in_group = groups == name
+    for code, name in enumerate(names):
+        in_group = coded == code
         breakdown[name] = _subset_report(scores[in_group], labels[in_group], kept[in_group])
     return replace(report, group_breakdown=breakdown)
 
@@ -274,6 +306,9 @@ def selective_report(
 _METRICS = ("accuracy", "f1", "pr_auc", "roc_auc")
 
 MAX_REDRAWS = 100
+
+# drawn records per chunk of bootstrap resamples: 8 draws at n=2000, so each of a chunk's arrays is 128 KB
+_CHUNK_RECORDS = 1 << 14
 
 
 def bootstrap_significance(
@@ -301,6 +336,14 @@ def bootstrap_significance(
     records in score order and the rest over the blocks that hold a
     positive. The values are the ones scoring the resampled copies would
     give, bit for bit, as every total is an exact integer.
+
+    Draws are scored a chunk at a time: a chunk's draws are the rows of one
+    counts matrix, built with one bincount, and each side's kernel runs
+    once over it. A chunk holds at most `_CHUNK_RECORDS` drawn records (one
+    draw at least). A row left undefined is redrawn alone from its own
+    stream, and the lowest resample that runs out of redraws raises. Each
+    row scores as its draw alone would, so the result never depends on the
+    chunking.
     """
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
@@ -319,23 +362,24 @@ def bootstrap_significance(
 
     n = len(labels)
     delta = kernel_a(np.ones(n, np.int64)) - kernel_b(np.ones(n, np.int64))
+    per_chunk = max(1, _CHUNK_RECORDS // n)
     hits = 0
-    for i in range(resamples):
-        rng = substream(seed, i)
-        for _ in range(MAX_REDRAWS):
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            try:
-                m_a = kernel_a(counts)
-                m_b = kernel_b(counts)
-            except (DegenerateLabelsError, EmptyInputError):
-                continue
-            break
-        else:
-            raise ResampleCapError(
-                f"resample {i} stayed undefined for {metric} after {MAX_REDRAWS} redraws"
-            )
-        if m_a <= m_b:
-            hits += 1
+    for first in range(0, resamples, per_chunk):
+        streams = [substream(seed, i) for i in range(first, min(first + per_chunk, resamples))]
+        counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in streams])
+        m_a, m_b = kernel_a(counts), kernel_b(counts)
+        # a row undefined on either side is NaN in the difference; it is redrawn from its own stream
+        for row in np.flatnonzero(np.isnan(m_a - m_b)):
+            for _ in range(MAX_REDRAWS - 1):
+                counts = np.bincount(streams[row].integers(0, n, size=n), minlength=n)[None]
+                m_a[row], m_b[row] = kernel_a(counts)[0], kernel_b(counts)[0]
+                if not np.isnan(m_a[row] - m_b[row]):
+                    break
+            else:
+                raise ResampleCapError(
+                    f"resample {first + row} stayed undefined for {metric} after {MAX_REDRAWS} redraws"
+                )
+        hits += int(np.count_nonzero(m_a <= m_b))
     return SignificanceResult(
         metric=metric, delta=delta, p_value=hits / resamples, resamples=resamples
     )

@@ -133,12 +133,7 @@ def outputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     for name in INPUTS:
         shutil.copy(GOLDEN / "inputs" / name, work / name)
-    saved = os.environ.pop("SELCERT_THREADS", None)
-    try:
-        return run_pipeline(work)
-    finally:
-        if saved is not None:
-            os.environ["SELCERT_THREADS"] = saved
+    return run_pipeline(work)
 
 
 @pytest.mark.parametrize("name", OUTPUTS)

@@ -4,8 +4,9 @@ two places only, and the tail test in one.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
-solver's block and simulate's chunk are module constants, never settings
-read from the environment, so a result never depends on where it is run.
+solver's block, simulate's chunk and the bootstrap's chunk
+(`metrics._CHUNK_RECORDS`) are module constants, never settings read from
+the environment, so a result never depends on where it is run.
 numpy is the one runtime dependency pyproject.toml declares: scipy,
 hypothesis and mpmath serve the tests alone. Every retained-set count reads
 one sort, `calibrate._grid`'s; the ranking metrics' tie blocks

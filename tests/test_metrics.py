@@ -517,6 +517,61 @@ class TestBootstrapSignificance:
             expected = reference_metrics.bootstrap_reference(sa, sb, labels, metric, 300, 13)
             assert (result.delta, result.p_value) == expected
 
+    @pytest.mark.parametrize("chunk", ["one draw", "seven draws", "default"])
+    @pytest.mark.parametrize("metric", sorted(reference_metrics.METRICS))
+    @pytest.mark.parametrize("fixture", ["tied", "one positive in eight"])
+    def test_chunking_never_changes_the_result(self, monkeypatch, chunk, metric, fixture):
+        # one record short of one draw holds one draw a chunk; seven draws do not divide the resamples;
+        # with one positive in eight, redraws land mid-chunk
+        if fixture == "tied":
+            a, b = close_fixture(True)
+        else:
+            a, b = one_positive_in_eight()
+        n, resamples = len(a), 200
+        budget = {"one draw": n - 1, "seven draws": 7 * n, "default": selcert.metrics._CHUNK_RECORDS}[chunk]
+        monkeypatch.setattr(selcert.metrics, "_CHUNK_RECORDS", budget)
+        result = bootstrap_significance(a, b, metric, resamples=resamples, seed=13)
+        expected = reference_metrics.bootstrap_reference(a.scores, b.scores, a.labels, metric, resamples, 13)
+        assert (result.delta, result.p_value) == expected
+
+    def test_lowest_resample_out_of_redraws_raises(self, monkeypatch):
+        # resamples 5 and 7, both in the second chunk of four draws, always draw record 0, a single
+        # class; 5 is named
+        class OneRecordStream:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        real = selcert.metrics.substream
+        monkeypatch.setattr(selcert.metrics, "substream",
+                            lambda seed, index: OneRecordStream() if index in (5, 7) else real(seed, index))
+        a, b = paired_fixture()
+        monkeypatch.setattr(selcert.metrics, "_CHUNK_RECORDS", 4 * len(a))
+        with pytest.raises(ResampleCapError, match="^resample 5 stayed undefined for roc_auc after 100"):
+            bootstrap_significance(a, b, "roc_auc", resamples=100)
+
+    @pytest.mark.parametrize("defined_on", [selcert.metrics.MAX_REDRAWS, selcert.metrics.MAX_REDRAWS + 1])
+    def test_a_resample_has_max_redraws_attempts(self, monkeypatch, defined_on):
+        # resample 0 draws record 0 alone until its draw number defined_on, which comes from its real stream
+        class LateStream:
+            def __init__(self, stream):
+                self.stream, self.calls = stream, 0
+
+            def integers(self, low, high, size):
+                self.calls += 1
+                if self.calls < defined_on:
+                    return np.zeros(size, dtype=np.int64)
+                return self.stream.integers(low, high, size=size)
+
+        real = selcert.metrics.substream
+        monkeypatch.setattr(selcert.metrics, "substream",
+                            lambda seed, index: LateStream(real(seed, index)) if index == 0 else real(seed, index))
+        a, b = paired_fixture()
+        if defined_on > selcert.metrics.MAX_REDRAWS:
+            with pytest.raises(ResampleCapError, match="^resample 0 "):
+                bootstrap_significance(a, b, "roc_auc", resamples=100)
+        else:
+            assert bootstrap_significance(a, b, "roc_auc", resamples=100).resamples == 100
+
     def test_all_positive_labels_fail_before_resampling(self):
         a = Dataset(["r0", "r1", "r2"], np.array([0.9, 0.4, 0.6]), np.ones(3, int))
         with pytest.raises(DegenerateLabelsError, match="got 3 positive / 0 negative"):
@@ -533,6 +588,13 @@ class TestBootstrapSignificance:
         a, b = paired_fixture()
         with pytest.raises(ResampleCapError, match="^resample 0 stayed undefined for roc_auc after 100"):
             bootstrap_significance(a, b, "roc_auc", resamples=100)
+
+
+def one_positive_in_eight():
+    """Eight records, one positive: about a third of the draws are single-class."""
+    ids, labels = [f"r{i}" for i in range(8)], np.array([1, 0, 0, 0, 0, 0, 0, 0])
+    return (Dataset(ids, np.array([0.9, 0.4, 0.6, 0.4, 0.1, 0.8, 0.3, 0.5]), labels),
+            Dataset(ids, np.array([0.5, 0.5, 0.7, 0.2, 0.1, 0.6, 0.4, 0.5]), labels))
 
 
 def close_fixture(tied: bool):

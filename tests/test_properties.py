@@ -499,13 +499,17 @@ def drawn_positions(draw):
     """A scored column and positions drawn from it with replacement: from every record, from those at
     or below one of its scores (the blocks above left undrawn), or from one class alone."""
     scores, labels = draw(scored_labels())
+    return scores, labels, _drawn_from_a_pool(draw, scores, labels)
+
+
+def _drawn_from_a_pool(draw, scores, labels):
     pool = draw(st.sampled_from(["all", "at or below", "negatives", "positives"]))
     if pool == "at or below":
         positions = np.flatnonzero(scores <= draw(st.sampled_from(scores.tolist() or [0.0])))
     else:
         positions = np.flatnonzero({"all": labels >= 0, "negatives": labels == 0, "positives": labels == 1}[pool])
     drawn = draw(st.lists(st.sampled_from(positions.tolist()), max_size=2 * len(scores))) if positions.size else []
-    return scores, labels, np.array(drawn, dtype=np.intp)
+    return np.array(drawn, dtype=np.intp)
 
 
 def _draw_case(scores, labels, drawn):
@@ -536,6 +540,33 @@ def test_each_draw_scores_as_the_metric_on_its_copies(case):
     for metric, plain in PLAIN_METRICS.items():
         counted = _metric_outcome(lambda s, y: _kernel(metric, s, y)(counts), scores, labels)
         assert bits(counted) == bits(_metric_outcome(plain, scores[drawn], labels[drawn])), metric
+
+
+@st.composite
+def stacked_draws(draw):
+    """A scored column and a (B, n) stack of draws' counts from it, each row drawn as `drawn_positions` draws."""
+    scores, labels = draw(scored_labels())
+    rows = [np.bincount(_drawn_from_a_pool(draw, scores, labels), minlength=len(scores))
+            for _ in range(draw(st.integers(1, 5)))]
+    return scores, labels, np.array(rows, dtype=np.int64).reshape(len(rows), len(scores))
+
+
+@SETTINGS
+@given(case=stacked_draws())
+@example(case=(np.array([0.9, 0.5, 0.1]), np.array([1, 0, 0]),
+               np.array([[0, 1, 1], [1, 1, 1], [0, 0, 0], [2, 0, 0]])))  # rows with no positive, nothing, no negative
+@example(case=(np.array([0.5] * 4), np.array([1, 0, 1, 0]), np.array([[1, 1, 0, 0], [0, 2, 0, 1]])))  # one tie block
+def test_a_stack_of_draws_scores_each_row_as_its_draw_alone(case):
+    # each row of a counts matrix scores as the 1-d kernel scores it, bit for bit, and NaN where the
+    # 1-d kernel raises; pyproject turns RuntimeWarning into an error, so an undefined row warns nothing
+    scores, labels, counts = case
+    for metric in PLAIN_METRICS:
+        kernel = _kernel(metric, scores, labels)
+        stacked = kernel(counts)
+        assert stacked.shape == (len(counts),), metric
+        for row, value in zip(counts, stacked.tolist()):
+            alone = _metric_outcome(lambda s, y: kernel(row), scores, labels)
+            assert value.hex() == (alone.hex() if isinstance(alone, float) else "nan"), metric
 
 
 @settings(max_examples=25, deadline=None)
