@@ -1,7 +1,7 @@
 """Ranking and thresholded metrics, selective reports, paired bootstrap tests.
 
 roc_auc is the Mann-Whitney statistic P(score_pos > score_neg) + 0.5 P(tie),
-computed with midranks so ties contribute exactly one half. pr_auc is average
+counted exactly, so ties contribute exactly one half. pr_auc is average
 precision in step form (recall increment times precision per descending score
 level, tied scores processed as one block), not a trapezoidal interpolation.
 F1 and accuracy threshold scores at 0.5, ties predicting class 1.
@@ -9,16 +9,17 @@ F1 and accuracy threshold scores at 0.5, ties predicting class 1.
 Each metric is a kernel over per-record counts. The ranking metrics sort the
 scores once into tie blocks (descending score levels) and note the blocks
 that hold a positive record (`_Ranking`). An evaluation gathers the counts
-into score order and takes one integer prefix sum over all records and one
-over the positive records; the rest runs over the positive blocks alone, as
-a block without a positive adds nothing to either AUC. pr_auc sums recall
-gain times precision block by block with a left-to-right cumsum, and
-roc_auc takes each block's midrank from its bounds. F1 and accuracy are
-count-weighted sums of the per-record confusion columns. The public
-functions read their inputs as the tables read cells (`_as_arrays`) and run
-the kernels with unit counts, as a selective report does on a Dataset's
-checked columns; bootstrap_significance runs the same kernels with each
-resample's multiplicities, so a resample costs no sort and no copy.
+into score order and takes one integer prefix sum over the positive records
+and one over the negative records; the rest runs over the positive blocks
+alone, as a block without a positive adds nothing to either AUC. pr_auc
+sums recall gain times precision block by block with a left-to-right
+cumsum, and roc_auc counts, for each positive block, the negatives drawn
+ahead of it and within it. F1 and accuracy are count-weighted sums of the
+per-record confusion columns. The public functions read their inputs as the
+tables read cells (`_as_arrays`) and run the kernels with unit counts, as a
+selective report does on a Dataset's checked columns; bootstrap_significance
+runs the same kernels with each resample's multiplicities, so a resample
+costs no sort and no copy.
 
 A kernel takes one draw's counts, of shape (n,), or a stack of draws, of
 shape (B, n): it gathers and sums along the last axis, so each row scores
@@ -69,7 +70,7 @@ def _tie_blocks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Records with equal scores share a block: block k is
     order[starts[k]:ends[k]]. One stable argsort.
     """
-    order = np.argsort(scores, kind="stable")[::-1].copy()  # contiguous: `take` gathers faster through it
+    order = np.argsort(scores, kind="stable")[::-1]
     ordered = scores[order]
     bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     return order, np.append(0, bounds), np.append(bounds, len(scores))
@@ -85,29 +86,33 @@ class _Ranking:
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray):
-        self.order, starts, ends = _tie_blocks(scores)
-        is_positive = labels[self.order] == 1
-        self.positive_order = self.order[is_positive]
+        order, starts, ends = _tie_blocks(scores)
+        is_positive = labels[order] == 1
+        self.positive_order, self.negative_order = order[is_positive], order[~is_positive]
         positives_before = np.append(0, np.cumsum(is_positive))  # positive records ahead of each rank
+        negatives_before = np.arange(len(order) + 1) - positives_before
         holds_positive = positives_before[ends] > positives_before[starts]
-        self.starts, self.ends = starts[holds_positive], ends[holds_positive]  # the positive blocks
+        starts, ends = starts[holds_positive], ends[holds_positive]  # the positive blocks
         # positive records through each positive block, after a leading 0
-        self.positive_bounds = np.append(0, positives_before[self.ends])
+        self.positive_bounds = np.append(0, positives_before[ends])
+        # negative records ahead of each positive block's start and of its end
+        self.negatives_at_start, self.negatives_at_end = negatives_before[starts], negatives_before[ends]
 
     def _totals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Records drawn ahead of each rank, and positives drawn through each positive block, both after a leading 0."""
-        records = np.zeros(counts.shape[:-1] + (len(self.order) + 1,), np.int64)
-        np.cumsum(_gathered(counts, self.order), axis=-1, out=records[..., 1:])
+        """Positives drawn through each positive block and negatives drawn ahead of each negative, after a leading 0."""
         positives = np.zeros(counts.shape[:-1] + (len(self.positive_order) + 1,), np.int64)
-        np.cumsum(_gathered(counts, self.positive_order), axis=-1, out=positives[..., 1:])
-        return records, positives.take(self.positive_bounds, axis=-1)
+        np.cumsum(counts.take(self.positive_order, axis=-1), axis=-1, out=positives[..., 1:])
+        negatives = np.zeros(counts.shape[:-1] + (len(self.negative_order) + 1,), np.int64)
+        np.cumsum(counts.take(self.negative_order, axis=-1), axis=-1, out=negatives[..., 1:])
+        return positives.take(self.positive_bounds, axis=-1), negatives
 
     def pr_auc(self, counts: np.ndarray) -> float | np.ndarray:
         """Average precision: each block's recall gain times the precision at its end."""
-        records, positives = self._totals(counts)
-        n_pos = positives[..., -1:]
-        # with no record drawn through a block, no positive is either: 0 / 1 stands for 0 / 0
-        precision = positives[..., 1:] / np.maximum(records.take(self.ends, axis=-1), 1)
+        positives, negatives = self._totals(counts)
+        n_pos, through = positives[..., -1:], positives[..., 1:]
+        # the records drawn through a block are its positives and the negatives
+        # ahead of its end; with none drawn, no positive is either: 0 / 1 stands for 0 / 0
+        precision = through / np.maximum(through + negatives.take(self.negatives_at_end, axis=-1), 1)
         gains = np.diff(positives, axis=-1) / np.maximum(n_pos, 1) * precision
         # cumsum adds left to right, down the score levels, as a walk over the
         # blocks would (np.sum would pair terms); a block without a drawn
@@ -119,28 +124,18 @@ class _Ranking:
                         lambda: DegenerateLabelsError("pr_auc needs at least one positive record"))
 
     def roc_auc(self, counts: np.ndarray) -> float | np.ndarray:
-        """Mann-Whitney AUC from the midrank of each block."""
-        records, positives = self._totals(counts)
-        n_pos = positives[..., -1]
-        n_neg = records[..., -1] - n_pos
-        # 1-based ascending ranks; a block's midrank is a half-integer, so the
-        # rank sum of the positives is exact in any summation order
-        start, end = records.take(self.starts, axis=-1), records.take(self.ends, axis=-1)
-        midranks = records[..., -1:] - end + (end - start + 1) / 2.0
-        numerator = np.vecdot(np.diff(positives, axis=-1), midranks) - n_pos * (n_pos + 1) / 2.0
-        return _defined(numerator / np.maximum(n_pos * n_neg, 1), (n_pos == 0) | (n_neg == 0),
+        """Mann-Whitney AUC from the negatives drawn ahead of each positive block and within it."""
+        positives, negatives = self._totals(counts)
+        n_pos, n_neg = positives[..., -1], negatives[..., -1]
+        # a positive of a block outranks the negatives drawn from the block's
+        # end on and ties those drawn within it: with s and e the negatives
+        # ahead of the block's start and end, it scores n_neg - (s + e) / 2.
+        # Twice the sum over the positives is an exact integer.
+        ahead = negatives.take(self.negatives_at_start, axis=-1) + negatives.take(self.negatives_at_end, axis=-1)
+        twice_u = 2 * n_pos * n_neg - (np.diff(positives, axis=-1) * ahead).sum(axis=-1)
+        return _defined(twice_u / 2.0 / np.maximum(n_pos * n_neg, 1), (n_pos == 0) | (n_neg == 0),
                         lambda: DegenerateLabelsError(
                             f"roc_auc needs both classes, got {n_pos} positive / {n_neg} negative"))
-
-
-def _gathered(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """counts[..., order], laid out with the draws of a stack side by side in memory.
-
-    A prefix sum along the last axis then adds one value of every draw per
-    step. `take` gathers a single draw as fast as 1-d indexing; indexing
-    with `...` is several times slower there.
-    """
-    return counts.T.take(order, axis=0).T
 
 
 def _defined(values: np.ndarray, undefined: np.ndarray, fault: Callable[[], Exception]) -> float | np.ndarray:
@@ -307,8 +302,8 @@ _METRICS = ("accuracy", "f1", "pr_auc", "roc_auc")
 
 MAX_REDRAWS = 100
 
-# drawn records per chunk of bootstrap resamples: 8 draws at n=2000, so each of a chunk's arrays is 128 KB
-_CHUNK_RECORDS = 1 << 14
+# drawn records per chunk of bootstrap resamples: 16 draws at n=2000, so each of a chunk's arrays is 256 KB
+_CHUNK_RECORDS = 1 << 15
 
 
 def bootstrap_significance(
@@ -333,17 +328,17 @@ def bootstrap_significance(
     once, up front. A draw is then scored from its multiplicities, the
     bincount of the drawn positions, by the same kernels the plain metric
     functions run with unit counts: for an AUC, one prefix sum over the
-    records in score order and the rest over the blocks that hold a
-    positive. The values are the ones scoring the resampled copies would
-    give, bit for bit, as every total is an exact integer.
+    positive records and one over the negative records in score order, and
+    the rest over the blocks that hold a positive. The values are the ones
+    scoring the resampled copies would give, bit for bit, as every total is
+    an exact integer.
 
-    Draws are scored a chunk at a time: a chunk's draws are the rows of one
-    counts matrix, built with one bincount, and each side's kernel runs
-    once over it. A chunk holds at most `_CHUNK_RECORDS` drawn records (one
-    draw at least). A row left undefined is redrawn alone from its own
-    stream, and the lowest resample that runs out of redraws raises. Each
-    row scores as its draw alone would, so the result never depends on the
-    chunking.
+    Draws are scored a chunk at a time: each draw's bincount is a row of
+    the chunk's counts matrix, and each side's kernel runs once over it. A
+    chunk holds at most `_CHUNK_RECORDS` drawn records (one draw at least).
+    A row left undefined is redrawn alone from its own stream, and the
+    lowest resample that runs out of redraws raises. Each row scores as its
+    draw alone would, so the result never depends on the chunking.
     """
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
