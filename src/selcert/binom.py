@@ -18,9 +18,16 @@ each point's value depends on its own (k, n, p) alone, so the blocking
 never changes a result. Nothing is cached.
 
 The bound is the root of CDF(k; n, r) = beta, found for every point at once
-by Newton steps kept inside a bisection bracket, each point stopping on its
-own. It starts from a closed-form guess (exact for k = 0, Wilson score
-otherwise) and uses the derivative that the CDF sum already provides.
+by Halley steps kept inside a bisection bracket, each point stopping on its
+own. It starts from a closed-form guess: exact for k = 0, otherwise
+Paulson's cube-root (Wilson-Hilferty) approximation of the Beta(k+1, n-k)
+quantile. The step needs the CDF's first and second derivatives, and the
+pmf term that the CDF sum already holds gives both. A point stops when its
+step falls below the step floor: 4 eps r, or the step that would move the
+CDF by its own rounding bound, eps times the pmf term's log-space exponent
+k |log r| + (n - k) |log(1 - r)|, times the CDF, if that is larger. Below
+it the step is rounding noise. A point typically stops after two or three
+CDF evaluations.
 Deciding whether a bound is at most some p needs no solve at all: it holds
 exactly when CDF(k; n, p) <= beta (`tail_at_most`).
 """
@@ -40,8 +47,11 @@ from .records import _columns, _first, _raise_first
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-# a Newton step this small (relative to r) is below the CDF's rounding noise
-_STEP_FLOOR = 4 * sys.float_info.epsilon
+_EPS = sys.float_info.epsilon
+# the step floor relative to r, below which a step is lost in the rounding of r
+# itself; `_solve_block` raises the floor to the CDF's own rounding bound where
+# that is larger, as it is for n in the thousands
+_STEP_FLOOR = 4 * _EPS
 # the most terms one array evaluation holds: bounds memory, never results
 _BLOCK_TERMS = 1 << 17
 # the terms a window leaves out add at most this fraction of the CDF sum
@@ -70,8 +80,9 @@ class RiskBound:
     `value` is the largest rate still consistent with the observed tail at
     confidence level 1 - beta; `residual` is |CDF(k; n, value) - beta| at the
     returned point. For k < n it is the smallest residual of the solve, which
-    stops at a zero residual, a Newton step under the step floor, a bracket
-    that no longer splits, or DEFAULT_MAX_ITER CDF evaluations; it is at most
+    stops at a zero residual, a step under the step floor (the larger of
+    4 eps r and what moves the CDF by its own rounding bound), a bracket that
+    no longer splits, or DEFAULT_MAX_ITER CDF evaluations; it is at most
     DEFAULT_TOL unless the step floor stopped it (`risk_upper_bounds`). For
     k = n the bound is pinned at 1 and the residual is 1 - beta because the
     CDF is identically 1 there.
@@ -207,22 +218,39 @@ class _Windows:
         ends = np.cumsum(self.lengths)
         self.offsets = ends - self.lengths
         self.last = ends - 1  # the pmf term, i = k
-        nn = np.repeat(n, self.lengths)
-        i = np.arange(ends[-1]) - np.repeat(self.offsets - start, self.lengths)
+        # term j of the run is i = j - (offset - start), and n - i = (n + offset - start) - j
+        j = np.arange(ends[-1])
+        i = np.repeat(self.offsets - start, self.lengths)
+        np.subtract(j, i, out=i)
+        n_minus_i = np.repeat(n + self.offsets - start, self.lengths)
+        n_minus_i -= j
         high, low = _LOG_FACTORIALS.upto(int(n.max()))
-        self.log_coef = (high[nn] - high[nn - i] - high[i]) + (low[nn] - low[nn - i] - low[i])
-        self.i = i.astype(float)
-        self.n_minus_i = (nn - i).astype(float)
+        # (high[n] - high[n - i] - high[i]) + (low[n] - low[n - i] - low[i]), in place
+        log_coef, low_part = np.repeat(high[n], self.lengths), np.repeat(low[n], self.lengths)
+        buffer = high.take(n_minus_i)
+        log_coef -= buffer
+        log_coef -= high.take(i, out=buffer)
+        low_part -= low.take(n_minus_i, out=buffer)
+        low_part -= low.take(i, out=buffer)
+        log_coef += low_part
+        self.log_coef, self.i, self.n_minus_i = log_coef, i.astype(float), n_minus_i.astype(float)
+        self._scratch = low_part, buffer  # the buffers `tails` writes its terms into
 
     def tails(self, log_p, log_q) -> tuple[np.ndarray, np.ndarray]:
         """(CDF, pmf) at each point, given log p and log(1 - p) per point (or one for all).
 
         The pmf is the last term of the CDF sum, so the solver gets the
         derivative dCDF/dp = -(n - k) / (1 - p) * pmf(k; n, p) for free.
+        Each term is exp(log_coef + i log p + (n - i) log(1 - p)), summed in
+        that order in the two scratch buffers.
         """
         if np.ndim(log_p):
             log_p, log_q = np.repeat(log_p, self.lengths), np.repeat(log_q, self.lengths)
-        terms = np.exp(self.log_coef + self.i * log_p + self.n_minus_i * log_q)
+        terms, scratch = self._scratch
+        np.multiply(self.i, log_p, out=terms)
+        terms += self.log_coef
+        terms += np.multiply(self.n_minus_i, log_q, out=scratch)
+        np.exp(terms, out=terms)
         return np.minimum(np.add.reduceat(terms, self.offsets), 1.0), terms[self.last]
 
     def keep(self, mask: np.ndarray) -> _Windows:
@@ -233,6 +261,7 @@ class _Windows:
         kept.lengths = self.lengths[mask]
         ends = np.cumsum(kept.lengths)
         kept.offsets, kept.last = ends - kept.lengths, ends - 1
+        kept._scratch = tuple(buffer[: len(kept.log_coef)] for buffer in self._scratch)
         return kept
 
 
@@ -294,19 +323,29 @@ def _lower_ends(k: np.ndarray, n: np.ndarray, beta: float) -> np.ndarray:
 def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) -> np.ndarray:
     """Closed-form starts for the roots of CDF(k; n, r) = beta.
 
-    k = 0 has the exact root 1 - beta**(1/n); otherwise the one-sided Wilson
-    score upper limit. A guess depends on its point's (k, n, beta) alone, so
-    a solve never depends on which other bounds are solved with it.
+    The root is the 1 - beta quantile of Beta(a, b), a = k + 1, b = n - k.
+    k = 0 has the exact root 1 - beta**(1/n). Otherwise the start is
+    Paulson's approximation. The root is r = a x / (b + a x) for x the
+    1 - beta quantile of F(2a, 2b), and for the cube root u of x,
+    (1 - 1/(9b)) u - (1 - 1/(9a)) is about normal with variance
+    1/(9a) + u**2/(9b) (Wilson-Hilferty). So u solves the quadratic that
+    sets it to z times its standard deviation, z the normal 1 - beta
+    quantile. A guess depends on its point's (k, n, beta) alone, so a solve
+    never depends on which other bounds are solved with it.
     """
     z = NormalDist().inv_cdf(1.0 - beta)
-    z2n = z * z / n
-    p_hat = k / n
-    centre = p_hat + 0.5 * z2n
-    spread = z * np.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 * z2n / n)
-    guess = (centre + spread) / (1.0 + z2n)
+    a, b = (k + 1).astype(float), (n - k).astype(float)
+    va, vb = 1.0 / (9.0 * a), 1.0 / (9.0 * b)
+    ma, mb = 1.0 - va, 1.0 - vb
+    # mb u - ma = z sqrt(va + vb u^2), solved for u
+    disc = va * mb * mb + vb * ma * ma - z * z * va * vb
+    denom = mb * mb - z * z * vb
+    u = np.divide(ma * mb + z * np.sqrt(np.maximum(disc, 0.0)), denom,
+                  out=np.zeros(len(k)), where=(disc >= 0.0) & (denom > 0.0))
+    guess = 1.0 - b / (b + a * u**3)
     # the solver divides by 1 - r, and the windows hold from lo up; a guess
-    # outside [lo, 1) restarts mid-bracket
-    guess = np.where((lo <= guess) & (guess < 1.0), guess, 0.5 * (lo + 1.0))
+    # outside [lo, 1) (u = 0 among them) restarts mid-bracket
+    guess = np.where((lo <= guess) & (guess < 1.0) & (u > 0.0), guess, 0.5 * (lo + 1.0))
     log_beta = math.log(beta)
     zero = np.flatnonzero(k == 0)
     guess[zero] = [-math.expm1(log_beta / m) for m in n[zero].tolist()]
@@ -314,7 +353,7 @@ def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) 
 
 
 def _solve_block(k, n, start, lo, beta: float):
-    """Newton solves of CDF(k; n, r) = beta for k < n; (best value, its residual, floored).
+    """Halley solves of CDF(k; n, r) = beta for k < n; (best value, its residual, floored).
 
     Every point keeps its own bracket, from its lower end lo, and stops on
     its own; floored marks the points that stopped at the step floor. The
@@ -325,25 +364,36 @@ def _solve_block(k, n, start, lo, beta: float):
     floored = np.zeros(len(k), dtype=bool)
     windows = _Windows(k, n, start)
     live = np.arange(len(k))
-    n_minus_k = (n - k).astype(float)
     hi = np.ones(len(k))  # invariant: cdf(lo) >= beta > cdf(hi)
     r = _initial_guesses(k, n, beta, lo)
+    k, n_minus_k = k.astype(float), (n - k).astype(float)
     best, best_residual = values.copy(), residuals.copy()
     for _ in range(DEFAULT_MAX_ITER):
-        f, pmf = windows.tails(np.log(r), np.log1p(-r))
+        log_r, log_q = np.log(r), np.log1p(-r)
+        f, pmf = windows.tails(log_r, log_q)
         gap = f - beta
         residual = np.abs(gap)
         better = residual < best_residual
         best, best_residual = np.where(better, r, best), np.where(better, residual, best_residual)
         above = f >= beta
         lo, hi = np.where(above, r, lo), np.where(above, hi, r)
-        # Newton step on CDF(r) - beta; a step that leaves the bracket bisects
+        # -dCDF/dr; the Newton step on CDF(r) - beta is gap / slope, NaN (so a
+        # bisection) where the slope underflows
         slope = n_minus_k * pmf / (1.0 - r)
-        step = np.divide(gap, slope, out=np.full(len(r), np.inf), where=slope > 0.0)
+        with np.errstate(over="ignore"):  # far from the root a step may overflow
+            newton = np.divide(gap, slope, out=np.full(len(r), np.nan), where=slope > 0.0)
+            # Halley's step divides Newton's by 1 + newton / 2 * d log(slope)/dr;
+            # a divisor off [1/2, 2] means the curvature term is no correction,
+            # as far from the root, and Newton's step is taken
+            divisor = 1.0 + 0.5 * newton * (k / r - (n_minus_k - 1.0) / (1.0 - r))
+            step = np.divide(newton, divisor, out=newton, where=(0.5 <= divisor) & (divisor <= 2.0))
+            # the step is below what r can hold, or moves the CDF by less than the
+            # sum's own rounding: about eps times its terms' exponent, times the sum
+            at_floor = ((np.abs(step) <= _STEP_FLOOR * r)
+                        | (np.abs(step) * slope <= _EPS * -(k * log_r + n_minus_k * log_q) * f))
         nxt = r + step
         mid = 0.5 * (lo + hi)
         outside = ~((lo < nxt) & (nxt < hi))
-        at_floor = np.abs(step) <= _STEP_FLOOR * r
         done = ((residual == 0.0) | at_floor
                 | (outside & ((mid == lo) | (mid == hi))))
         r = np.where(outside, mid, nxt)
@@ -353,8 +403,8 @@ def _solve_block(k, n, start, lo, beta: float):
             going = ~done
             if not going.any():
                 return values, residuals, floored
-            live, n_minus_k, lo, hi, r, best, best_residual = (
-                a[going] for a in (live, n_minus_k, lo, hi, r, best, best_residual))
+            live, k, n_minus_k, lo, hi, r, best, best_residual = (
+                a[going] for a in (live, k, n_minus_k, lo, hi, r, best, best_residual))
             windows = windows.keep(going)
     values[live], residuals[live] = best, best_residual
     return values, residuals, floored
@@ -370,11 +420,13 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     The solve takes no tuning arguments: it reads the module constants
     DEFAULT_TOL and DEFAULT_MAX_ITER when called. Raises ConvergenceError,
     naming the first point whose residual is still above DEFAULT_TOL after
-    at most DEFAULT_MAX_ITER CDF evaluations. A point whose Newton
-    step fell under the step floor passes: it is at its root to within the
-    floor, and its residual, at most the slope times the floor, is all the
-    CDF can resolve there, which can exceed DEFAULT_TOL where the CDF is
-    steep. beta must leave 1 - beta a float below 1 (`errors.check_beta`).
+    at most DEFAULT_MAX_ITER CDF evaluations. A point whose step fell under
+    the step floor passes: it is at its root to within the floor. The floor
+    is 4 eps r, or the CDF's rounding bound (eps times the pmf term's
+    log-space exponent, times the CDF) over the slope where that is larger,
+    so the residual is all the CDF can resolve there. It can exceed
+    DEFAULT_TOL where the CDF is steep. beta must leave 1 - beta a float
+    below 1 (`errors.check_beta`).
     """
     k, n = _points(k, n)
     beta = check_beta(beta)
@@ -393,7 +445,7 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if failed.size:
         i = solved[failed[0]]
         raise ConvergenceError(
-            f"Newton solve left residual {residuals[i]:.3e} > {DEFAULT_TOL:.1e} "
+            f"bound solve left residual {residuals[i]:.3e} > {DEFAULT_TOL:.1e} "
             f"for k={k[i]}, n={n[i]}, beta={beta}"
         )
     return values, residuals
@@ -405,11 +457,12 @@ def risk_upper_bound(tail: BinomialTail, beta: float) -> RiskBound:
     This is the one-sided exact upper bound at confidence 1 - beta: the CDF is
     continuous and strictly decreasing in r on (0, 1) for k < n, so the
     supremum is the unique root of CDF(k; n, r) = beta. It is the
-    one-point call of `risk_upper_bounds`: Newton steps from a closed-form
-    start, with a bisection step whenever Newton would leave the bracket, and
-    the iterate with the smallest residual returned. Each CDF sum runs over
-    the window of terms the module docstring describes. k = n yields exactly
-    1.0.
+    one-point call of `risk_upper_bounds`: Halley steps from Paulson's
+    cube-root start (exact for k = 0), with a bisection step whenever the
+    step would leave the bracket, until a step falls under the step floor;
+    the iterate with the smallest residual is returned. Each CDF sum runs
+    over the window of terms the module docstring describes. k = n yields
+    exactly 1.0.
     """
     if not isinstance(tail, BinomialTail):  # a (k, n) pair
         _columns(DomainError, 2, tail=tail)

@@ -126,8 +126,10 @@ class ConvergenceError(SelcertError):
     """The bound solver left a residual above binom.DEFAULT_TOL at some point.
 
     It is raised after at most binom.DEFAULT_MAX_ITER CDF evaluations, and
-    only for a point whose Newton step never fell under the step floor: such
-    a step means the root is found to within the floor, whatever the residual.
+    only for a point whose step never fell under the step floor. The floor is
+    4 eps r, or the step that moves the CDF by its own rounding bound where
+    that is larger. A step under it means the root is found to within the
+    floor, whatever the residual.
     """
 
 

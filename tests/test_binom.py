@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import selcert.binom as binom
+import selcert.calibrate as calibrate
 from selcert import (
     BinomialTail,
     ConvergenceError,
@@ -179,12 +180,12 @@ class TestRiskUpperBound:
         with pytest.raises(ConvergenceError):
             risk_upper_bound(BinomialTail(500, 2000), 0.1)
 
-    @pytest.mark.parametrize("k,n,beta", [(999_999, 10**6, 0.01), (1_999_999, 2 * 10**6, 0.005),
-                                          (1_999_999, 2 * 10**6, 0.01)])
+    @pytest.mark.parametrize("k,n,beta", [(999_999, 10**6, 0.2), (1_999_999, 2 * 10**6, 0.005),
+                                          (1_999_999, 2 * 10**6, 0.2)])
     def test_steep_root_stops_at_the_step_floor(self, k, n, beta, monkeypatch):
         # the root is within 1e-8 of 1, where the CDF moves about 1e-10 per unit
-        # in the last place of r: Newton stops at the step floor with a residual
-        # above DEFAULT_TOL, and the bound there is still the root
+        # in the last place of r: the solve stops at the step floor with a
+        # residual above DEFAULT_TOL, and the bound there is still the root
         stats = pytest.importorskip("scipy.stats")
         expected = stats.beta.ppf(1 - beta, k + 1, n - k)
         bound = risk_upper_bound(BinomialTail(k, n), beta)
@@ -236,13 +237,44 @@ class TestArrayCalls:
             binom.risk_upper_bounds([0, 500], [10, 2000], 0.1)
 
     def test_tolerance_is_read_at_call_time(self, monkeypatch):
-        # five evaluations leave (3, 50) short of the step floor, with a residual of 4.1e-15
-        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 5)
-        _, residuals = binom.risk_upper_bounds([0, 3], [10, 50], 0.1)
+        # two evaluations leave (20, 400) short of the step floor, with a residual of 1.8e-11
+        monkeypatch.setattr(binom, "DEFAULT_MAX_ITER", 2)
+        _, residuals = binom.risk_upper_bounds([0, 20], [10, 400], 0.1)
         assert 0 < residuals[1] < binom.DEFAULT_TOL
         monkeypatch.setattr(binom, "DEFAULT_TOL", residuals[1] / 2)
-        with pytest.raises(ConvergenceError, match=r"for k=3, n=50, beta=0.1$"):
-            binom.risk_upper_bounds([0, 3], [10, 50], 0.1)
+        with pytest.raises(ConvergenceError, match=r"for k=20, n=400, beta=0.1$"):
+            binom.risk_upper_bounds([0, 20], [10, 400], 0.1)
+
+    def test_a_dense_grid_takes_about_two_evaluations_per_bound(self, monkeypatch):
+        # a grid shaped like a 10k-record calibration set with distinct confidences
+        # (prevalence 0.3, positives Beta(4, 2), negatives Beta(2, 4)): each bound
+        # starts close enough that it stops within four CDF evaluations, and the
+        # mean is at most three, on either side of beta = 1/2
+        rng = np.random.default_rng(41)
+        labels = (rng.random(10_000) < 0.3).astype(int)
+        scores = np.where(labels == 1, rng.beta(4, 2, 10_000), rng.beta(2, 4, 10_000))
+        _, _, n_at, errors = calibrate._grid(*calibrate._confidence_correct(scores[None], labels[None]))
+        live, calls = [], []  # points per CDF evaluation; evaluations per block
+        tails, solve = binom._Windows.tails, binom._solve_block
+
+        def counted_tails(self, log_p, log_q):
+            live.append(len(self.lengths))
+            return tails(self, log_p, log_q)
+
+        def counted_solve(*args):
+            first = len(live)
+            solved = solve(*args)
+            calls.append(len(live) - first)
+            return solved
+
+        monkeypatch.setattr(binom._Windows, "tails", counted_tails)
+        monkeypatch.setattr(binom, "_solve_block", counted_solve)
+        for beta in (0.1, 0.9):
+            live.clear()
+            calls.clear()
+            binom.risk_upper_bounds(errors, n_at, beta)
+            assert sum(live) / np.count_nonzero(errors < n_at) <= 3
+            assert max(calls) <= 4
 
     def test_solver_takes_no_tuning_arguments(self):
         assert list(inspect.signature(binom.risk_upper_bound).parameters) == ["tail", "beta"]

@@ -6,13 +6,16 @@ certificate value fails alike in code and in JSON, the metric kernels
 equal the original metric loops and score each bootstrap draw as its drawn
 copies, a tradeoff grid is read as thresholds, a certificate's own grid
 decides as the certificate did, and simulate's chunked trials equal their
-one-at-a-time reference.
+one-at-a-time reference. Each solved bound is its root to within the
+solver's stated step floor, and agrees with an exact or scipy quantile.
 """
 
 import csv
 import json
 import math
+import sys
 from datetime import date, datetime
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
 from test_calibrate import FIELDS, certificate_json, certificate_of, reference_grid  # noqa: E402
 from test_sim import reference_trials  # noqa: E402
 from selcert import (  # noqa: E402
+    BinomialTail,
     Dataset,
     Decision,
     Decisions,
@@ -37,6 +41,7 @@ from selcert import (  # noqa: E402
     SelcertError,
     SyntheticScorerSpec,
     UnsortedLambdasError,
+    binom_cdf,
     bootstrap_significance,
     certificate_from_json,
     certificate_to_json,
@@ -45,6 +50,7 @@ from selcert import (  # noqa: E402
     load_dataset,
     pr_auc,
     read_decisions,
+    risk_upper_bound,
     roc_auc,
     tradeoff_curve,
     validate_guarantee,
@@ -667,3 +673,51 @@ def test_simulate_equals_its_per_trial_reference(monkeypatch, spec, config, tria
     monkeypatch.setattr(sim, "_CHUNK_RECORDS", max(per_chunk * (n_calib + n_test), n_calib + n_test - 1))
     got = validate_guarantee(spec, config, trials=trials, n_calib=n_calib, n_test=n_test, seed=seed)
     assert got == reference_trials(spec, config, trials, n_calib, n_test, seed)
+
+
+def _stated_floor(k, n, beta, v):
+    """The solver's step floor at its root v, relative to v.
+
+    A step stops below max(4 eps r, dF / slope), where dF, the CDF's rounding
+    bound, is eps times the pmf term's exponent k |log r| + (n - k) |log(1 - r)|,
+    times the CDF; the slope is (n - k) pmf / (1 - r), here from lgamma.
+    """
+    eps = sys.float_info.epsilon
+    exponent = -(k * math.log(v) + (n - k) * math.log1p(-v))
+    log_pmf = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) - exponent
+    slope = (n - k) * math.exp(log_pmf) / (1.0 - v)
+    return max(4 * eps, eps * exponent * beta / (slope * v))
+
+
+def _exact_cdf(k, n, p):
+    """CDF(k; n, p) summed in 60-digit decimals from the exact value of the float p."""
+    with localcontext() as context:
+        context.prec = 60
+        p = Decimal(p)
+        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k + 1))
+
+
+@st.composite
+def binomial_tails(draw):
+    n = draw(st.integers(1, 10**5))
+    return draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1)), n
+
+
+@SETTINGS
+@given(tail=binomial_tails(), beta=st.floats(0.01, 0.9))
+@example(tail=(0, 1), beta=0.01).via("k = 0 at n = 1")
+@example(tail=(99_999, 10**5), beta=0.9).via("k = n - 1 at the largest n")
+def test_bound_is_the_root_within_the_step_floor(tail, beta):
+    # the bound is within one floor of the root, and each CDF below carries up
+    # to one floor of rounding, so two floors either side bracket the root
+    k, n = tail
+    v = risk_upper_bound(BinomialTail(k, n), beta).value
+    m = 2 * _stated_floor(k, n, beta, v)
+    assert binom_cdf(k, n, v * (1 - m)) >= beta >= binom_cdf(k, n, v * (1 + m))
+    if k < 30:
+        # scipy's quantile is off by up to 3.6e-12 at k = 1 and n near 1e5 (it
+        # agrees to 1e-15 at most such points), so an exact sum decides there
+        assert _exact_cdf(k, n, v * (1 - 1e-12)) >= Decimal(beta) >= _exact_cdf(k, n, v * (1 + 1e-12))
+    else:
+        stats = pytest.importorskip("scipy.stats")
+        assert v == pytest.approx(stats.beta.ppf(1 - beta, k + 1, n - k), rel=1e-12, abs=0)
