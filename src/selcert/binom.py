@@ -15,7 +15,9 @@ a geometric tail bound, which holds at every p >= p0, puts the cut where the
 missing mass is under 2**-64 of the sum (`_window_start`). Points are
 evaluated in blocks of at most `_BLOCK_TERMS` terms, which bounds memory;
 each point's value depends on its own (k, n, p) alone, so the blocking
-never changes a result. Nothing is cached.
+never changes a result. The blocks of one call build their terms in one set
+of buffers, sized to its largest block and freed when the call returns.
+Nothing is cached.
 
 The bound is the root of CDF(k; n, r) = beta, found for every point at once
 by Halley steps kept inside a bisection bracket, each point stopping on its
@@ -52,7 +54,8 @@ _EPS = sys.float_info.epsilon
 # itself; `_solve_block` raises the floor to the CDF's own rounding bound where
 # that is larger, as it is for n in the thousands
 _STEP_FLOOR = 4 * _EPS
-# the most terms one array evaluation holds: bounds memory, never results
+# the most terms one array evaluation holds (unless one window alone holds more):
+# bounds memory, never results; a call's blocks share one set of buffers
 _BLOCK_TERMS = 1 << 17
 # the terms a window leaves out add at most this fraction of the CDF sum
 _LOG_TAIL_CUT = -64 * math.log(2.0)
@@ -193,15 +196,18 @@ def _window_start(k: np.ndarray, n: np.ndarray, p0) -> np.ndarray:
     return start
 
 
-def _blocks(lengths: np.ndarray):
-    """Slices of consecutive points whose windows hold at most _BLOCK_TERMS terms together."""
+def _blocks(lengths: np.ndarray) -> tuple[list[slice], int]:
+    """Slices of consecutive points whose windows hold at most _BLOCK_TERMS terms together (or one
+    window that alone holds more), and the most terms a slice holds."""
     ends = np.cumsum(lengths)
-    first = 0
+    blocks, first, size = [], 0, 0
     while first < len(lengths):
-        taken = ends[first - 1] if first else 0
+        taken = int(ends[first - 1]) if first else 0
         stop = max(int(np.searchsorted(ends, taken + _BLOCK_TERMS, side="right")), first + 1)
-        yield slice(first, stop)
+        blocks.append(slice(first, stop))
+        size = max(size, int(ends[stop - 1]) - taken)
         first = stop
+    return blocks, size
 
 
 class _Windows:
@@ -210,31 +216,37 @@ class _Windows:
     The p-independent parts are computed once: log C(n, i) from the
     double-double table (the high parts of log(n!) and log((n-i)!) cancel
     first, then the low parts add back what rounding the high parts
-    dropped), i and n - i.
+    dropped), i and n - i, into the leading slices of a call's `workspace`.
     """
 
-    def __init__(self, k: np.ndarray, n: np.ndarray, start: np.ndarray) -> None:
+    def __init__(self, k: np.ndarray, n: np.ndarray, start: np.ndarray, workspace) -> None:
         self.lengths = k - start + 1
         ends = np.cumsum(self.lengths)
         self.offsets = ends - self.lengths
         self.last = ends - 1  # the pmf term, i = k
         # term j of the run is i = j - (offset - start), and n - i = (n + offset - start) - j
-        j = np.arange(ends[-1])
-        i = np.repeat(self.offsets - start, self.lengths)
-        np.subtract(j, i, out=i)
-        n_minus_i = np.repeat(n + self.offsets - start, self.lengths)
-        n_minus_i -= j
+        j, log_coef, low_part, buffer, i_float, n_minus_i_float = (a[: ends[-1]] for a in workspace)
+        # i and n - i are integers in their float buffers until the table lookups are done
+        i, n_minus_i = i_float.view(np.int64), n_minus_i_float.view(np.int64)
+        shift = self.offsets - start
+        np.subtract(j, np.repeat(shift, self.lengths), out=i)
+        np.subtract(np.repeat(n + shift, self.lengths), j, out=n_minus_i)
         high, low = _LOG_FACTORIALS.upto(int(n.max()))
-        # (high[n] - high[n - i] - high[i]) + (low[n] - low[n - i] - low[i]), in place
-        log_coef, low_part = np.repeat(high[n], self.lengths), np.repeat(low[n], self.lengths)
-        buffer = high.take(n_minus_i)
-        log_coef -= buffer
-        log_coef -= high.take(i, out=buffer)
-        low_part -= low.take(n_minus_i, out=buffer)
-        low_part -= low.take(i, out=buffer)
+        # (high[n] - high[n - i] - high[i]) + (low[n] - low[n - i] - low[i]), in place; every
+        # index is in the table, and "clip" takes into out directly where "raise" copies it
+        np.subtract(np.repeat(high[n], self.lengths), high.take(n_minus_i, out=buffer, mode="clip"), out=log_coef)
+        log_coef -= high.take(i, out=buffer, mode="clip")
+        np.subtract(np.repeat(low[n], self.lengths), low.take(n_minus_i, out=buffer, mode="clip"), out=low_part)
+        low_part -= low.take(i, out=buffer, mode="clip")
         log_coef += low_part
-        self.log_coef, self.i, self.n_minus_i = log_coef, i.astype(float), n_minus_i.astype(float)
+        i_float[:], n_minus_i_float[:] = i, n_minus_i
+        self.log_coef, self.i, self.n_minus_i = log_coef, i_float, n_minus_i_float
         self._scratch = low_part, buffer  # the buffers `tails` writes its terms into
+
+    @staticmethod
+    def workspace(size: int) -> tuple[np.ndarray, ...]:
+        """The term index and buffers for log_coef, the two scratch buffers, i and n - i, for size terms."""
+        return np.arange(size), *np.empty((5, size))
 
     def tails(self, log_p, log_q) -> tuple[np.ndarray, np.ndarray]:
         """(CDF, pmf) at each point, given log p and log(1 - p) per point (or one for all).
@@ -270,8 +282,10 @@ def _cdf(k: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
     start = _window_start(k, n, p)
     cdf = np.empty(len(k))
     log_p, log_q = math.log(p), math.log1p(-p)
-    for block in _blocks(k - start + 1):
-        cdf[block] = _Windows(k[block], n[block], start[block]).tails(log_p, log_q)[0]
+    blocks, size = _blocks(k - start + 1)
+    workspace = _Windows.workspace(size)
+    for block in blocks:
+        cdf[block] = _Windows(k[block], n[block], start[block], workspace).tails(log_p, log_q)[0]
     return cdf
 
 
@@ -352,7 +366,7 @@ def _initial_guesses(k: np.ndarray, n: np.ndarray, beta: float, lo: np.ndarray) 
     return guess
 
 
-def _solve_block(k, n, start, lo, beta: float):
+def _solve_block(k, n, start, lo, beta: float, workspace):
     """Halley solves of CDF(k; n, r) = beta for k < n; (best value, its residual, floored).
 
     Every point keeps its own bracket, from its lower end lo, and stops on
@@ -362,7 +376,7 @@ def _solve_block(k, n, start, lo, beta: float):
     """
     values, residuals = np.zeros(len(k)), np.full(len(k), 1.0 - beta)
     floored = np.zeros(len(k), dtype=bool)
-    windows = _Windows(k, n, start)
+    windows = _Windows(k, n, start, workspace)
     live = np.arange(len(k))
     hi = np.ones(len(k))  # invariant: cdf(lo) >= beta > cdf(hi)
     r = _initial_guesses(k, n, beta, lo)
@@ -425,8 +439,10 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     is 4 eps r, or the CDF's rounding bound (eps times the pmf term's
     log-space exponent, times the CDF) over the slope where that is larger,
     so the residual is all the CDF can resolve there. It can exceed
-    DEFAULT_TOL where the CDF is steep. beta must leave 1 - beta a float
-    below 1 (`errors.check_beta`).
+    DEFAULT_TOL where the CDF is steep. The CDF is summed as F, not 1 - F,
+    so relative accuracy degrades as beta approaches 1: at beta 0.999 a
+    bound can be several 1e-12 relative from the root. beta must leave
+    1 - beta a float below 1 (`errors.check_beta`).
     """
     k, n = _points(k, n)
     beta = check_beta(beta)
@@ -438,9 +454,11 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     lo = _lower_ends(k_s, n_s, beta)
     start = _window_start(k_s, n_s, lo)
     floored = np.zeros(len(k), dtype=bool)
-    for block in _blocks(k_s - start + 1):
+    blocks, size = _blocks(k_s - start + 1)
+    workspace = _Windows.workspace(size)
+    for block in blocks:
         values[solved[block]], residuals[solved[block]], floored[solved[block]] = _solve_block(
-            k_s[block], n_s[block], start[block], lo[block], beta)
+            k_s[block], n_s[block], start[block], lo[block], beta, workspace)
     failed = np.flatnonzero((residuals[solved] > DEFAULT_TOL) & ~floored[solved])
     if failed.size:
         i = solved[failed[0]]

@@ -239,8 +239,9 @@ def _floats(cells: Sequence) -> np.ndarray:
     try:
         return np.array(cells, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range, read as the infinity of its sign
-        return np.array([cell if abs(cell) <= sys.float_info.max else math.inf if cell > 0 else -math.inf
-                         for cell in cells], dtype=np.float64)
+        # (only integers are compared: a float32 cell would cast float_info.max to float32, and warn)
+        return np.array([cell if not isinstance(cell, numbers.Integral) or abs(cell) <= sys.float_info.max
+                         else math.inf if cell > 0 else -math.inf for cell in cells], dtype=np.float64)
 
 
 def _counts(cells: Sequence) -> np.ndarray:

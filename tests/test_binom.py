@@ -223,12 +223,61 @@ class TestArrayCalls:
                 assert (values[i], residuals[i]) == (bound.value, bound.residual)
 
     def test_blocking_never_changes_a_value(self, monkeypatch):
+        # at beta 0.9 every window is a full sum of k + 1 terms, so most blocks
+        # of 40 terms are one window that alone holds more
         rng = np.random.default_rng(29)
         n = rng.integers(1, 3000, 200)
         k = (rng.random(200) * n).astype(int)
-        whole = binom.risk_upper_bounds(k, n, 0.1)[0]
+        k[:3], k[3:6] = 0, n[3:6]
+        whole = {beta: binom.risk_upper_bounds(k, n, beta) for beta in (0.1, 0.9)}
         monkeypatch.setattr(binom, "_BLOCK_TERMS", 40)
-        assert np.array_equal(binom.risk_upper_bounds(k, n, 0.1)[0], whole)
+        for beta, (values, residuals) in whole.items():
+            blocked = binom.risk_upper_bounds(k, n, beta)
+            assert np.array_equal(blocked[0], values) and np.array_equal(blocked[1], residuals)
+
+    def test_blocking_never_changes_a_tail(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        n = rng.integers(1, 3000, 300)
+        k = (rng.random(300) * n).astype(int)
+        ps = (0.02, 0.3, 0.8)
+        lengths = [k - binom._window_start(*binom._points(k, n), p) + 1 for p in ps]
+        assert all(np.any(m < 40) and np.any(m > 40) for m in lengths)
+        points = list(zip(k[:40].tolist(), n[:40].tolist()))
+
+        def tails():
+            return ([binom._cdf(*binom._points(k, n), p) for p in ps],
+                    [binom.tail_at_most(k, n, p, beta) for p in ps for beta in (0.1, 0.6)],
+                    [binom_cdf(a, b, p) for a, b in points for p in ps])
+
+        whole = tails()
+        monkeypatch.setattr(binom, "_BLOCK_TERMS", 40)
+        blocked = tails()
+        for expected, got in zip(whole, blocked):
+            assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+
+    @pytest.mark.parametrize("call", [lambda k, n: binom.risk_upper_bounds(k, n, 0.1),
+                                      lambda k, n: binom.tail_at_most(k, n, 0.2, 0.1)],
+                             ids=["risk_upper_bounds", "tail_at_most"])
+    def test_blocks_of_one_call_share_their_buffers(self, call, monkeypatch):
+        rng = np.random.default_rng(47)
+        n = rng.integers(100, 3000, 50)
+        k = (rng.random(50) * n * 0.1).astype(int)
+        built = []
+        init = binom._Windows.__init__
+
+        def recorded_init(self, *args):
+            init(self, *args)
+            built.append(self.log_coef)
+
+        monkeypatch.setattr(binom._Windows, "__init__", recorded_init)
+        monkeypatch.setattr(binom, "_BLOCK_TERMS", 40)
+        call(k, n)
+        first_call = list(built)
+        assert len(first_call) > 1
+        assert all(np.shares_memory(log_coef, first_call[0]) for log_coef in first_call)
+        built.clear()
+        call(k, n)
+        assert not any(np.shares_memory(log_coef, first_call[0]) for log_coef in built)
 
     def test_convergence_error_names_the_point(self, monkeypatch):
         # k = 0 starts at its exact root; the other point cannot converge in one step

@@ -833,6 +833,7 @@ class TestColumns:
             (dict(labels=[0.0, 1.0]), SchemaError),
             (dict(labels=[0]), SchemaError),
             (dict(groups=["g"]), SchemaError),
+            (dict(scores=[np.float32(0.5), 10**400]), SchemaError),
         ],
     )
     def test_from_columns_validates(self, kwargs, error):
