@@ -59,7 +59,6 @@ from .metrics import (
 )
 from .records import (
     Dataset,
-    PredictionRecord,
     SyntheticScorerSpec,
     generate_synthetic,
     load_dataset,

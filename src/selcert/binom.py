@@ -120,11 +120,7 @@ def _log_factorials(size: int) -> np.ndarray:
 
 
 class _LogFactorials:
-    """The shared `_log_factorials` table, replaced by one at least twice its size when a call outgrows it.
-
-    A table is never changed once published, so threads that grow it at once
-    build equal tables, and whichever is assigned last serves.
-    """
+    """The shared `_log_factorials` table, replaced by one at least twice its size when a call outgrows it."""
 
     def __init__(self) -> None:
         self._values = _log_factorials(1)

@@ -15,12 +15,13 @@ a grid point is the start of a run of tied confidences, and its counts are
 what lies from there up; `_decide` and the tradeoff curve read them.
 At one threshold, `selective_risk`, `apply_certificate` and simulate's test
 sets apply the comparison itself. The decisions are columns, `Decisions`,
-which `read_decisions` also returns, with `Decision` the view of one row, and
-the certificate's grid is columns, `CertificateGrid`, with `GridPoint`. Both
-sit on the one column base, `records.ColumnTable`, and state their rules in
-one located list each: `_decision_faults` (with the id rules of
-`records._id_faults`), run by constructor and reader alike, and the grid
-constructor's. Every other certificate rule is `RiskConfig`'s or
+which `read_decisions` also returns, and the certificate's grid is columns,
+`CertificateGrid`. Both sit on the one column base, `records.ColumnTable`,
+are built from columns alone, and state their rules in one located list
+each: `_decision_faults` (with the id rules of `records._id_faults`), run by
+constructor and reader alike, and the grid constructor's. Each can be
+iterated as read-only row views, `Decision` and `GridPoint`, built on each
+pass. Every other certificate rule is `RiskConfig`'s or
 `ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
 needs and hands each field to the constructors as it was read.
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class CertificateGrid(ColumnTable):
     errors_at are int arrays with 0 <= errors_at <= n_at and n_at
     non-increasing; risk_hat and risk_plus are float arrays within [0, 1].
     The constructor reads its cells as `_floats` and `_counts` do and checks
-    them by one located rule list. A `GridPoint` is a view of one row.
+    them by one located rule list. Iteration gives a `GridPoint` per row.
     """
 
     _columns = ("lam", "n_at", "errors_at", "risk_hat", "risk_plus")
@@ -162,8 +163,7 @@ class CertificateGrid(ColumnTable):
 class ThresholdCertificate:
     """Outcome of a certification scan over one calibration set.
 
-    grid is a `CertificateGrid`, or `GridPoint` rows read and checked as
-    `CertificateGrid.of` reads them, a fault named by `grid`.
+    grid is a `CertificateGrid`, anything else a DomainError naming `grid`.
     calib_size is an integer >= 1, and the grid's bottom point retains at
     most that many records. lambda_hat is None or one of the grid's thresholds.
     """
@@ -179,8 +179,7 @@ class ThresholdCertificate:
             raise DomainError(f"status must be feasible or infeasible, got {_shown(self.status)}")
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
-        if not isinstance(self.grid, CertificateGrid):
-            object.__setattr__(self, "grid", CertificateGrid(*CertificateGrid._columns_of(self.grid, "grid")))
+        CertificateGrid._given(self.grid, "grid")
         object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
             raise DomainError("grid n must not exceed calib_size: "
@@ -214,10 +213,6 @@ class Decision:
     def retained(self) -> bool:
         return self.prediction is not None
 
-    @property
-    def outcome(self) -> str:
-        return "abstain" if self.prediction is None else str(self.prediction)
-
 
 class Decisions(ColumnTable):
     """Predict-or-abstain outcomes held as columns: ids, predictions and confidences.
@@ -225,8 +220,9 @@ class Decisions(ColumnTable):
     ids is an object array of unique nonempty strings; prediction is an int array,
     the predicted label (0 or 1) or -1 where the record is abstained on;
     confidence is a float array within [0.5, 1]. The constructor and
-    `read_decisions` check them by one rule list, `_decision_faults`. A
-    `Decision` is a view of one row.
+    `read_decisions` check them by one rule list, `_decision_faults`.
+    Iteration gives a `Decision` per row, its prediction None where the
+    record is abstained on.
     """
 
     _columns = ("ids", "prediction", "confidence")
@@ -237,14 +233,6 @@ class Decisions(ColumnTable):
         columns = _object_column(ids), _coded(prediction, _OUTCOMES, -2, integral=True), _floats(confidence)
         _raise_first(_decision_faults(*columns, prediction, confidence), n)
         self._set(*columns)
-
-    @classmethod
-    def of(cls, decisions: "Decisions | Iterable[Decision]") -> "Decisions":
-        """`ColumnTable.of`, with a view's None prediction (an abstention) -1 in the column."""
-        if isinstance(decisions, Decisions):
-            return decisions
-        ids, prediction, confidence = cls._columns_of(decisions, "decisions")
-        return cls(ids, [-1 if p is None else p for p in prediction], confidence)
 
     @property
     def retained(self) -> np.ndarray:
@@ -406,9 +394,9 @@ def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:
     return Decisions._unchecked(data.ids, np.where(conf >= cert.lambda_hat, predicted, -1), conf)
 
 
-def retain_rate(decisions: Decisions | Sequence[Decision]) -> float:
+def retain_rate(decisions: Decisions) -> float:
     """Fraction of decisions that predict rather than abstain."""
-    decisions = Decisions.of(decisions)
+    decisions = Decisions._given(decisions, "decisions")
     if not len(decisions):
         return 0.0
     return int(np.count_nonzero(decisions.retained)) / len(decisions)
@@ -482,9 +470,9 @@ _OUTCOMES = {"abstain": -1, "0": 0, "1": 1, -1: -1, 0: 0, 1: 1}
 _OUTCOME_TEXT = np.array(["abstain", "0", "1"], dtype=object)  # at prediction + 1
 
 
-def write_decisions(decisions: Decisions | Sequence[Decision], path: str | Path) -> None:
+def write_decisions(decisions: Decisions, path: str | Path) -> None:
     """Write decisions as CSV with columns id,outcome,confidence."""
-    decisions = Decisions.of(decisions)
+    decisions = Decisions._given(decisions, "decisions")
     write_text(path, csv_text(Table({
         "id": decisions.ids,
         "outcome": _OUTCOME_TEXT[decisions.prediction + 1].tolist(),

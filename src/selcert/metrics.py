@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .calibrate import Decision, Decisions, _confidence_correct
+from .calibrate import Decisions, _confidence_correct
 from .errors import (
     DegenerateLabelsError,
     DomainError,
@@ -265,22 +265,22 @@ def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 def selective_report(
     data: Dataset,
-    decisions: Decisions | Sequence[Decision] | None = None,
+    decisions: Decisions | None = None,
     by_group: bool = False,
 ) -> SelectiveReport:
-    """Metrics over the records a decision list retains.
+    """Metrics over the records the decisions retain.
 
-    decisions must cover exactly the ids of `data`; pass None to score the
-    whole set with no abstention (retain_rate 1). Ranking metrics use the raw
-    scores of retained records. With by_group, the same block is computed per
-    group value over that group's records (ungrouped records appear only in
-    the overall block).
+    decisions must be a `Decisions` covering exactly the ids of `data`; pass
+    None to score the whole set with no abstention (retain_rate 1). Ranking
+    metrics use the raw scores of retained records. With by_group, the same
+    block is computed per group value over that group's records (ungrouped
+    records appear only in the overall block).
     """
     scores, labels = data.scores, data.labels
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
     else:
-        decisions = Decisions.of(decisions)
+        decisions = Decisions._given(decisions, "decisions")
         index = _positions(decisions.ids, data.ids)
         if len(decisions) != len(data) or (index < 0).any():
             raise IdMismatchError("decision ids do not match the dataset ids")

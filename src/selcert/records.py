@@ -1,16 +1,15 @@
-"""Prediction records, dataset files, temporal splits and synthetic scores.
+"""Datasets, dataset files, temporal splits and synthetic scores.
 
 A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as read-only numpy
-columns, read as attributes, built from columns by `Dataset` or from
-`PredictionRecord`s by `Dataset.of`, and hands out records only as plain
-views. `ColumnTable` is that pattern, written once: the base of `Dataset`,
-the decisions, the certificate grid and the tradeoff curve, each with those
-same two ways in and one way out.
+columns, built from columns by `Dataset` and read as attributes.
+`ColumnTable` is that pattern, written once: the base of `Dataset`, the
+decisions, the certificate grid and the tradeoff curve, each with one way in,
+its constructor from columns, and one way out, its column attributes.
 
 A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
-run by its public constructors and its readers alike. A reader keeps only
+run by its constructor and its readers alike. A reader keeps only
 what text alone needs, the field count or key set and a date's parse
 message; a cell that does not parse becomes a value its rule rejects (a
 number cell parses in float()'s syntax, less the underscores, whitespace and
@@ -32,8 +31,8 @@ import json
 import math
 import numbers
 import sys
-from collections.abc import Mapping, Sequence, Set
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
 from operator import itemgetter
@@ -59,88 +58,60 @@ _BASE_COLUMNS = ("id", "score", "label")
 _OPTIONAL_COLUMNS = ("date", "group")
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One scored example, a row of a `Dataset`: classifier score for class 1 plus the true label.
-
-    A plain view: its fields meet the dataset rules once it is in a Dataset,
-    which checks them when it is built.
-    """
-
-    id: str
-    score: float
-    label: int
-    date: date | None = None
-    group: str | None = None
-
-
 class ColumnTable:
-    """Rows held as equal-length, read-only columns, with one view per row, built on first use.
+    """Rows held as equal-length, read-only columns.
 
     The one column pattern, the base of `Dataset`, `calibrate.Decisions`,
-    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. Every table has the
-    same two ways in: its `__init__` takes its columns and checks them, and
-    `of` reads rows of its views into those columns; `_unchecked` builds one
-    from columns its caller has already checked, of their final types. It
-    has one way out: each column is a numpy array, marked read-only, read as
-    the attribute `_columns` names. Length, iteration, indexing and `==`
-    (against the same class, or a list or tuple of views) go through the views.
+    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. Every table has one
+    way in: its `__init__` takes its columns and checks them; `_unchecked`
+    builds one from columns its caller has already checked, of their final
+    types. It has one way out: each column is a numpy array, marked
+    read-only, read as the attribute `_columns` names. `len` reads the first
+    column, and `==` compares the attributes and the columns' values.
+
+    A table that names a `_view`, a frozen dataclass of one row, can also be
+    iterated, read-only, one view per row, built on each pass: the
+    decisions, the grid and the curve, whose rows the benchmark harness
+    (perfbench/child.py) still reads. `Dataset` cannot be iterated.
     """
 
-    _columns: tuple[str, ...]  # the column attributes, in the field order of `_view`
+    _columns: tuple[str, ...]  # the column attributes, in the field order of `_view` where there is one
     _view: type  # the frozen dataclass viewing one row
     _attributes: tuple[str, ...] = ()  # other attributes, compared by `==` and shown by repr
-    _error: type[Exception] = DomainError  # what the table's rules raise
     __hash__ = None  # type: ignore[assignment]
-
-    @classmethod
-    def of(cls, rows, **attributes):
-        """A table of `rows`, checked by `__init__` with `attributes`; a table of this class given alone, as it is."""
-        return rows if isinstance(rows, cls) and not attributes else cls(*cls._columns_of(rows, "rows"), **attributes)
 
     @classmethod
     def _unchecked(cls, *columns, **attributes):
         return cls.__new__(cls)._set(*columns, **attributes)
 
+    @classmethod
+    def _given(cls, table, name: str):
+        """`table` itself when it is one of this class, else a DomainError naming the argument `name`."""
+        if not isinstance(table, cls):
+            raise DomainError(f"{name} must be a {cls.__name__}, got {type(table).__name__}")
+        return table
+
     def _set(self, *columns, **attributes):
         for column in columns:
             column.flags.writeable = False
-        self.__dict__.update(zip(self._columns, columns), _views=None, **attributes)
+        self.__dict__.update(zip(self._columns, columns), **attributes)
         return self
-
-    @classmethod
-    def _columns_of(cls, views, name: str) -> list[list]:
-        """Rows' column values in field order, from any iterable of `_view`s but an unordered set or mapping."""
-        view, error = cls._view.__name__, cls._error
-        if isinstance(views, (Set, Mapping)) or not np.iterable(views):
-            raise error(f"{name} must be an ordered collection of {view}s (not a set or a mapping), got {type(views).__name__}")
-        rows = tuple(views)
-        _raise_first([_value_fault(~_types_in(rows, cls._view), name + "[{}]", f"a {view}", rows, error)], len(rows))
-        return [[getattr(row, field.name) for row in rows] for field in fields(cls._view)]
 
     def _values(self) -> list:
         """Each column as a list of plain Python values, in field order."""
         return [getattr(self, name).tolist() for name in self._columns]
 
-    def _rows(self) -> tuple:
-        if self._views is None:
-            self._views = tuple(map(self._view, *self._values()))
-        return self._views
-
     def __len__(self) -> int:
         return len(getattr(self, self._columns[0]))
 
     def __iter__(self) -> Iterator:
-        return iter(self._rows())
-
-    def __getitem__(self, index):
-        return self._rows()[index]
+        return map(self._view, *self._values())
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            same = all(getattr(self, name) == getattr(other, name) for name in self._attributes)
-            return same and self._rows() == other._rows()
-        return self._rows() == tuple(other) if isinstance(other, (list, tuple)) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        same = all(getattr(self, name) == getattr(other, name) for name in self._attributes)
+        return same and self._values() == other._values()
 
     def __repr__(self) -> str:
         shown = "".join(f", {name}={getattr(self, name)!r}" for name in self._attributes)
@@ -154,16 +125,13 @@ class Dataset(ColumnTable):
     (float64 in [0, 1]), labels (int64, 0 or 1), dates (an object array of
     `datetime.date`s) and groups (an object array of strings, "" read as
     None), None where a row has no date or group. `Dataset(ids, scores,
-    labels, ...)` and `Dataset.of(records)` check them together, vectorised,
-    by `_dataset_faults`, and they are read-only afterwards. `records`,
-    iteration and `by_id()` give PredictionRecord views of the checked
-    columns, built on first use.
+    labels, ...)` checks them together, vectorised, by `_dataset_faults`, and
+    they are read-only afterwards. A dataset is read by its columns alone.
     """
 
     _columns = ("ids", "scores", "labels", "dates", "groups")
-    _view = PredictionRecord
     _attributes = ("provenance",)
-    _error = SchemaError
+    __iter__ = None  # type: ignore[assignment]
 
     def __init__(self, ids: Sequence[str], scores, labels, dates: Sequence[date | None] | None = None,
                  groups: Sequence[str | None] | None = None, provenance: str = "") -> None:
@@ -174,11 +142,6 @@ class Dataset(ColumnTable):
         columns = _object_column(ids), _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
         _raise_first(_dataset_faults(*columns, scores, labels), n)
         self._set(*columns, provenance=provenance)
-
-    records = property(ColumnTable._rows, doc="The rows as PredictionRecords.")
-
-    def by_id(self) -> dict[str, PredictionRecord]:
-        return dict(zip(self.ids.tolist(), self.records))
 
     def take(self, index, provenance: str) -> "Dataset":
         """Rows at `index` (integer positions or a boolean mask), in that order."""

@@ -41,9 +41,9 @@ class TradeoffCurve(ColumnTable):
     lam and fraction_kept are float arrays, fraction_kept non-increasing
     within [0, 1]; selective_accuracy is an object array, a number within
     [0, 1] or None where nothing is kept. `TradeoffCurve(lam, fraction_kept,
-    selective_accuracy)` and `TradeoffCurve.of(points)` check them together,
-    vectorised, and they are read-only afterwards. `points` gives
-    TradeoffPoint views, built on first use.
+    selective_accuracy)` checks them together, vectorised, and they are
+    read-only afterwards. Iteration, and `points`, give a TradeoffPoint per
+    row, built on each pass.
     """
 
     _columns = ("lam", "fraction_kept", "selective_accuracy")
@@ -66,7 +66,7 @@ class TradeoffCurve(ColumnTable):
         ], len(lam))
         self._set(lam, fraction_kept, cells[2])
 
-    points = property(ColumnTable._rows, doc="The rows as TradeoffPoints.")
+    points = property(tuple, doc="The rows as a tuple of TradeoffPoints.")
 
 
 @dataclass(frozen=True)

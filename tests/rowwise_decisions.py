@@ -9,11 +9,11 @@ message, row and column, and load the same decisions.
 """
 
 from rowwise_loader import csv_rows, parse_number
-from selcert import Decision, DuplicateIdError, SchemaError
+from selcert import Decisions, DuplicateIdError, SchemaError
 from selcert.records import read_text
 
 
-def read_decisions_rowwise(path) -> list[Decision]:
+def read_decisions_rowwise(path) -> Decisions:
     rows = csv_rows(read_text(path))
     if not rows or rows[0] != ["id", "outcome", "confidence"]:
         raise SchemaError("decisions header must be id,outcome,confidence")
@@ -29,7 +29,7 @@ def read_decisions_rowwise(path) -> list[Decision]:
             raise DuplicateIdError(f"duplicate record id {rec_id!r} at row {i}")
         seen.add(rec_id)
         if outcome == "abstain":
-            prediction = None
+            prediction = -1
         elif outcome in ("0", "1"):
             prediction = int(outcome)
         else:
@@ -43,5 +43,5 @@ def read_decisions_rowwise(path) -> list[Decision]:
             raise bad_confidence from None
         if not (0.5 <= conf <= 1.0):
             raise bad_confidence
-        decisions.append(Decision(id=rec_id, prediction=prediction, confidence=conf))
-    return decisions
+        decisions.append((rec_id, prediction, conf))
+    return Decisions(*[list(column) for column in zip(*decisions)] or [[], [], []])

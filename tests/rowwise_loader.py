@@ -20,7 +20,7 @@ import reprlib
 from datetime import date, datetime
 from pathlib import Path
 
-from selcert import Dataset, DuplicateIdError, PredictionRecord, SchemaError
+from selcert import Dataset, DuplicateIdError, SchemaError
 from selcert.records import read_text
 
 BASE_COLUMNS = ("id", "score", "label")
@@ -56,7 +56,8 @@ def load_dataset_rowwise(path, date_format=None) -> Dataset:
         records = _records_from_csv(text, date_format)
     else:
         records = _records_from_json(text, date_format)
-    return Dataset.of(tuple(records), provenance=str(path))
+    columns = [list(column) for column in zip(*records)] or [[] for _ in range(5)]
+    return Dataset(*columns, provenance=str(path))
 
 
 def _parse_date(text, date_format, row):
@@ -130,7 +131,7 @@ def _records_from_csv(text, date_format):
         if "date" in cell and cell["date"] != "":
             rec_date = _parse_date(cell["date"], date_format, i)
         group = cell.get("group") or None
-        records.append(PredictionRecord(rec_id, score, label, rec_date, group))
+        records.append((rec_id, score, label, rec_date, group))
     return records
 
 
@@ -182,5 +183,5 @@ def _records_from_json(text, date_format):
         group = obj.get("group")
         if group is not None and not isinstance(group, str):
             raise SchemaError(f"group must be a string or None, got {group!r}", row=i, column="group")
-        records.append(PredictionRecord(rec_id, float(score), label, rec_date, group or None))
+        records.append((rec_id, float(score), label, rec_date, group or None))
     return records

@@ -17,7 +17,6 @@ import pytest
 from selcert import (
     BinomialTail,
     Dataset,
-    PredictionRecord,
     RiskConfig,
     SyntheticScorerSpec,
     apply_certificate,
@@ -196,11 +195,12 @@ def test_c4_metric_oracles(capsys):
 
 def test_c5_certification_oracle(capsys):
     def brute_force(data, config):
-        grid = sorted({confidence(r.score) for r in data})
+        rows = list(zip(data.scores.tolist(), data.labels.tolist()))
+        grid = sorted({confidence(score) for score, _ in rows})
         stats = []
         for lam in grid:
-            kept = [r for r in data if confidence(r.score) >= lam]
-            errors = sum(1 for r in kept if predicted_label(r.score) != r.label)
+            kept = [(score, label) for score, label in rows if confidence(score) >= lam]
+            errors = sum(1 for score, label in kept if predicted_label(score) != label)
             stats.append((lam, len(kept), errors))
         eligible = [(lam, n, k) for lam, n, k in stats if n >= config.min_count]
         for idx, (lam, _, _) in enumerate(eligible):
@@ -214,13 +214,14 @@ def test_c5_certification_oracle(capsys):
         feasible = infeasible = 0
         for _ in range(200):
             n = int(rng.integers(1, 13))
-            records = []
-            for i in range(n):
+            scores, labels = [], []
+            for _ in range(n):
                 score = float(rng.integers(0, 17) / 16)
                 # mostly-correct labels so the feasible branch gets real coverage
                 label = predicted_label(score) if rng.random() < 0.75 else 1 - predicted_label(score)
-                records.append(PredictionRecord(f"r{i}", score, label))
-            data = Dataset.of(tuple(records))
+                scores.append(score)
+                labels.append(label)
+            data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             config = RiskConfig(
                 alpha=float(rng.uniform(0.05, 0.9)),
                 beta=float(rng.choice([0.05, 0.1, 0.2, 0.3])),
@@ -279,10 +280,10 @@ def _midranks(values):
 def test_c7_tradeoff_shape(capsys, test_fixture):
     def body():
         curve = tradeoff_curve(test_fixture)
-        kept = [p.fraction_kept for p in curve.points]
+        kept = curve.fraction_kept.tolist()
         assert all(b <= a for a, b in zip(kept, kept[1:]))
-        pairs = [(p.lam, p.selective_accuracy) for p in curve.points
-                 if p.selective_accuracy is not None]
+        pairs = [(lam, accuracy) for lam, accuracy in zip(curve.lam.tolist(), curve.selective_accuracy.tolist())
+                 if accuracy is not None]
         rx = _midranks([lam for lam, _ in pairs])
         ry = _midranks([acc for _, acc in pairs])
         rx -= rx.mean()

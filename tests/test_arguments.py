@@ -16,7 +16,6 @@ from selcert import (
     BinomialTail,
     Dataset,
     DomainError,
-    PredictionRecord,
     RiskConfig,
     SyntheticScorerSpec,
     binom_cdf,
@@ -36,7 +35,7 @@ from selcert.binom import risk_upper_bounds, tail_at_most
 SPEC = SyntheticScorerSpec(n=30, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=3)
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
 # records retained at lam = 0.5, so selective_risk solves a bound
-RETAINED = Dataset.of([PredictionRecord("a", 0.9, 1), PredictionRecord("b", 0.8, 0)])
+RETAINED = Dataset(["a", "b"], [0.9, 0.8], [1, 0])
 # the smallest legal beta: 1.0 - beta rounds to 1.0 at 2**-54 and below
 SMALLEST_BETA = np.nextafter(2.0**-54, 1.0)
 

@@ -23,7 +23,6 @@ from selcert import (
     DuplicateIdError,
     EmptyCalibrationError,
     InfeasibleCertificateError,
-    PredictionRecord,
     RiskConfig,
     SchemaError,
     SelcertError,
@@ -45,7 +44,7 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import CertificateGrid, GridPoint, _confidence_correct, _decide, _grid
+from selcert.calibrate import _OUTCOME_TEXT, CertificateGrid, GridPoint, _confidence_correct, _decide, _grid
 
 THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
@@ -58,7 +57,12 @@ def fixture6() -> Dataset:
         ("t5", 0.70, 1),  # correct
         ("t6", 0.60, 0),  # wrong
     ]
-    return Dataset.of(tuple(PredictionRecord(i, s, y) for i, s, y in rows))
+    return Dataset(*map(list, zip(*rows)))
+
+
+def grid_point(grid: CertificateGrid, i: int) -> GridPoint:
+    """Row i of a certificate's grid, as `selective_risk` gives one point."""
+    return GridPoint(*(column[i] for column in grid._values()))
 
 
 # ascending grid lambda -> (n_at, errors_at, frozen bound at beta=0.2)
@@ -243,7 +247,7 @@ class TestOneCountThreePaths:
             config = RiskConfig(alpha=0.2, beta=float(rng.choice([0.05, 0.5, 0.9])))
             cert = certify_threshold(data, config)
             for i, lam in enumerate(cert.grid.lam.tolist()):
-                assert selective_risk(data, lam, config.beta) == cert.grid[i], f"trial {trial}, grid[{i}]"
+                assert selective_risk(data, lam, config.beta) == grid_point(cert.grid, i), f"trial {trial}, grid[{i}]"
             curve = tradeoff_curve(data)
             assert curve.lam.tolist() == cert.grid.lam.tolist(), f"trial {trial}"
             # the fraction as the curve computes it: (n_at / n) * n is not always n_at in floats
@@ -270,8 +274,8 @@ class TestCertifyThreshold:
 
     def test_grid_is_fully_recorded(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.3, beta=0.2))
-        assert [pt.lam for pt in cert.grid] == [g[0] for g in FROZEN_GRID]
-        assert [(pt.n_at, pt.errors_at) for pt in cert.grid] == [(g[1], g[2]) for g in FROZEN_GRID]
+        assert cert.grid.lam.tolist() == [g[0] for g in FROZEN_GRID]
+        assert list(zip(cert.grid.n_at.tolist(), cert.grid.errors_at.tolist())) == [(g[1], g[2]) for g in FROZEN_GRID]
         assert cert.calib_size == 6
 
     def test_thin_failing_point_does_not_block(self):
@@ -279,24 +283,18 @@ class TestCertifyThreshold:
         # min_count=5 it is exempt; the scan lands on the eligible 0.7
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.5, beta=0.2, min_count=5))
         assert cert.lambda_hat == 0.7
-        assert cert.grid[2].risk_plus > 0.5  # the exempted 0.8 point
+        assert cert.grid.risk_plus[2] > 0.5  # the exempted 0.8 point
 
     def test_empty_calibration(self):
         with pytest.raises(EmptyCalibrationError):
-            certify_threshold(Dataset.of(()), RiskConfig(alpha=0.3, beta=0.2))
+            certify_threshold(Dataset([], [], []), RiskConfig(alpha=0.3, beta=0.2))
 
     def test_tied_confidences_share_grid_point(self):
         # 0.3 and 0.7 both map to confidence 0.7
-        data = Dataset.of(
-            (
-                PredictionRecord("a", 0.3, 0),
-                PredictionRecord("b", 0.7, 1),
-                PredictionRecord("c", 0.9, 1),
-            )
-        )
+        data = Dataset(["a", "b", "c"], [0.3, 0.7, 0.9], [0, 1, 1])
         cert = certify_threshold(data, RiskConfig(alpha=0.9, beta=0.2))
-        assert [pt.lam for pt in cert.grid] == [0.7, 0.9]
-        assert cert.grid[0].n_at == 3
+        assert cert.grid.lam.tolist() == [0.7, 0.9]
+        assert cert.grid.n_at[0] == 3
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2024)
@@ -308,11 +306,7 @@ class TestCertifyThreshold:
             alpha = float(rng.uniform(0.05, 0.9))
             beta = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
             min_count = int(rng.integers(1, 4))
-            data = Dataset.of(
-                tuple(
-                    PredictionRecord(f"r{i}", float(scores[i]), int(labels[i])) for i in range(n)
-                )
-            )
+            data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             cert = certify_threshold(data, RiskConfig(alpha=alpha, beta=beta, min_count=min_count))
             expected = brute_force_certify(scores, labels, alpha, beta, min_count)
             assert cert.lambda_hat == expected, f"trial {trial}"
@@ -321,12 +315,11 @@ class TestCertifyThreshold:
         rng = np.random.default_rng(77)
         scores = rng.beta(3.0, 2.0, 500)
         labels = (rng.random(500) < scores).astype(int)
-        data = Dataset.of(tuple(
-            PredictionRecord(f"r{i}", float(s), int(y)) for i, (s, y) in enumerate(zip(scores, labels))
-        ))
+        data = Dataset([f"r{i}" for i in range(500)], scores, labels)
         cert = certify_threshold(data, RiskConfig(alpha=0.3, beta=0.1, min_count=10))
-        for pt in cert.grid:
-            assert pt.risk_plus == risk_upper_bound(BinomialTail(pt.errors_at, pt.n_at), 0.1).value
+        grid = cert.grid
+        for k, n, risk_plus in zip(grid.errors_at.tolist(), grid.n_at.tolist(), grid.risk_plus.tolist()):
+            assert risk_plus == risk_upper_bound(BinomialTail(k, n), 0.1).value
 
     @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.9])
     def test_grid_scale_scipy_oracle(self, beta):
@@ -339,9 +332,7 @@ class TestCertifyThreshold:
         config = RiskConfig(alpha=0.1, beta=beta, min_count=25)
         cert = certify_threshold(data, config)
         assert len(cert.grid) == 20000
-        k = np.array([pt.errors_at for pt in cert.grid])
-        n = np.array([pt.n_at for pt in cert.grid])
-        got = np.array([pt.risk_plus for pt in cert.grid])
+        k, n, got = cert.grid.errors_at, cert.grid.n_at, cert.grid.risk_plus
         expected = np.where(k < n, stats.beta.ppf(1.0 - beta, k + 1, np.maximum(n - k, 1)), 1.0)
         assert np.max(np.abs(got - expected) / expected) <= 1e-12
         assert cert.lambda_hat == scan_bounds(cert.grid, expected, config)
@@ -360,7 +351,7 @@ class TestCertifyThreshold:
                                 min_count=int(rng.integers(1, 30)))
             data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             cert = certify_threshold(data, config)
-            bounds = [pt.risk_plus for pt in cert.grid]
+            bounds = cert.grid.risk_plus.tolist()
             assert cert.lambda_hat == scan_bounds(cert.grid, bounds, config), f"trial {trial}"
 
     def test_decision_at_alpha_on_its_own_bounds(self):
@@ -378,9 +369,7 @@ class TestCertifyThreshold:
             data = Dataset([f"r{i}" for i in range(n)], scores, labels)
             beta = float(rng.choice([0.01, 0.1, 0.3, 0.5, 0.7, 0.95]))
             grid = certify_threshold(data, RiskConfig(alpha=0.5, beta=beta)).grid
-            k = np.array([pt.errors_at for pt in grid])
-            n_at = np.array([pt.n_at for pt in grid])
-            bounds = np.array([pt.risk_plus for pt in grid])
+            k, n_at, bounds = grid.errors_at, grid.n_at, grid.risk_plus
             edges = np.unique(bounds[bounds < 1.0])
             for edge in rng.choice(edges, min(len(edges), 12), replace=False).tolist():
                 for alpha in (edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)):
@@ -403,12 +392,12 @@ class TestCertifyThreshold:
 def scan_bounds(grid, bounds, config):
     """Reference scan from the top of the grid over the given bounds."""
     lambda_hat = None
-    for pt, bound in zip(reversed(grid), reversed(list(bounds))):
-        if pt.n_at < config.min_count:
+    for lam, n_at, bound in zip(grid.lam.tolist()[::-1], grid.n_at.tolist()[::-1], list(bounds)[::-1]):
+        if n_at < config.min_count:
             continue
         if bound > config.alpha:
             break
-        lambda_hat = pt.lam
+        lambda_hat = lam
     return lambda_hat
 
 
@@ -473,17 +462,20 @@ class TestRiskConfig:
         assert str(err.value) == f"alpha must be a number, got {shown}"
 
 
+EMPTY_GRID = CertificateGrid([], [], [], [], [])
+
+
 class TestCertificateInvariants:
     def test_lambda_hat_required_iff_feasible(self):
         config = RiskConfig(alpha=0.5, beta=0.2)
         with pytest.raises(DomainError):
-            ThresholdCertificate("feasible", None, (), config, 1)
+            ThresholdCertificate("feasible", None, EMPTY_GRID, config, 1)
         with pytest.raises(DomainError):
-            ThresholdCertificate("infeasible", 0.7, (), config, 1)
+            ThresholdCertificate("infeasible", 0.7, EMPTY_GRID, config, 1)
 
     def test_rejects_unknown_status(self):
         with pytest.raises(DomainError):
-            ThresholdCertificate("maybe", None, (), RiskConfig(0.5, 0.2), 1)
+            ThresholdCertificate("maybe", None, EMPTY_GRID, RiskConfig(0.5, 0.2), 1)
 
     def test_rejects_unsorted_grid(self):
         # (grid lambdas, lambda_hat, the error): out of order, a lone or trailing
@@ -498,10 +490,10 @@ class TestCertificateInvariants:
             ([0.6, 0.9], 0.2, f"{THRESHOLD_RULE}lambda_hat is 0.2"),
         ]
         for lams, lambda_hat, message in cases:
-            pts = tuple(GridPoint(lam, 2, 0, 0.0, 0.5) for lam in lams)
             status = "infeasible" if lambda_hat is None else "feasible"
             with pytest.raises(DomainError) as err:
-                ThresholdCertificate(status, lambda_hat, pts, RiskConfig(0.5, 0.2), 2)
+                grid = CertificateGrid(lams, [2] * len(lams), [0] * len(lams), [0.0] * len(lams), [0.5] * len(lams))
+                ThresholdCertificate(status, lambda_hat, grid, RiskConfig(0.5, 0.2), 2)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("n_at, errors_at, calib_size, message", [
@@ -511,9 +503,9 @@ class TestCertificateInvariants:
         ([3, 2, 1], [0, 0, 0], 2, "grid n must not exceed calib_size: grid[0].n is 3 with calib_size 2"),
     ])
     def test_grid_counts_checked(self, n_at, errors_at, calib_size, message):
-        pts = tuple(GridPoint(lam, n, e, 0.0, 0.5) for lam, n, e in zip([0.6, 0.7, 0.8], n_at, errors_at))
         with pytest.raises(DomainError) as err:
-            ThresholdCertificate("infeasible", None, pts, RiskConfig(0.5, 0.2), calib_size)
+            grid = CertificateGrid([0.6, 0.7, 0.8], n_at, errors_at, [0.0] * 3, [0.5] * 3)
+            ThresholdCertificate("infeasible", None, grid, RiskConfig(0.5, 0.2), calib_size)
         assert str(err.value) == message
 
     def test_numpy_cells_are_quoted_as_python_values(self):
@@ -529,9 +521,10 @@ class TestCertificateInvariants:
         assert isinstance(cert.grid, CertificateGrid) and len(cert.grid) == 6
         assert cert.grid.lam.tolist() == [g[0] for g in FROZEN_GRID]
         assert cert.grid.n_at.dtype == cert.grid.errors_at.dtype == np.int64
-        assert cert.grid[0] == GridPoint(0.6, 6, 2, 2 / 6, cert.grid.risk_plus[0])
-        rebuilt = ThresholdCertificate(cert.status, cert.lambda_hat, tuple(cert.grid), cert.config, 6)
-        assert rebuilt == cert and rebuilt.grid == list(cert.grid)
+        assert next(iter(cert.grid)) == GridPoint(0.6, 6, 2, 2 / 6, cert.grid.risk_plus[0])
+        rebuilt = ThresholdCertificate(cert.status, cert.lambda_hat, CertificateGrid(*cert.grid._values()),
+                                       cert.config, 6)
+        assert rebuilt == cert and rebuilt.grid == cert.grid
         with pytest.raises(TypeError):
             hash(cert)
 
@@ -540,23 +533,19 @@ class TestApplyCertificate:
     def test_decisions(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
         decisions = apply_certificate(fixture6(), cert)
-        assert [d.outcome for d in decisions] == ["1", "1", "1", "abstain", "abstain", "abstain"]
+        assert _OUTCOME_TEXT[decisions.prediction + 1].tolist() == ["1", "1", "1", "abstain", "abstain", "abstain"]
         assert retain_rate(decisions) == 0.5
 
     def test_abstention_keeps_confidence(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
-        decisions = apply_certificate(
-            Dataset.of((PredictionRecord("low", 0.287, 0),)), cert
-        )
-        assert decisions[0].prediction is None
-        assert decisions[0].confidence == 1 - 0.287
+        decisions = apply_certificate(Dataset(["low"], [0.287], [0]), cert)
+        assert decisions.prediction.tolist() == [-1]
+        assert decisions.confidence[0] == 1 - 0.287
 
     def test_boundary_score_is_retained(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))
-        decisions = apply_certificate(
-            Dataset.of((PredictionRecord("edge", 0.85, 1),)), cert
-        )
-        assert decisions[0].prediction == 1
+        decisions = apply_certificate(Dataset(["edge"], [0.85], [1]), cert)
+        assert decisions.prediction.tolist() == [1]
 
     def test_infeasible_certificate_refuses(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.3, beta=0.2))
@@ -564,15 +553,10 @@ class TestApplyCertificate:
             apply_certificate(fixture6(), cert)
 
     def test_retain_rate_of_nothing(self):
-        assert retain_rate([]) == 0.0
+        assert retain_rate(Decisions([], [], [])) == 0.0
 
 
 class TestDecision:
-    def test_outcome_strings(self):
-        assert Decision("a", 1, 0.9).outcome == "1"
-        assert Decision("a", 0, 0.9).outcome == "0"
-        assert Decision("a", None, 0.9).outcome == "abstain"
-
     def test_retained_flag(self):
         assert Decision("a", 0, 0.9).retained
         assert not Decision("a", None, 0.9).retained
@@ -588,25 +572,16 @@ class TestDecisions:
         assert decisions.ids.tolist() == ["t1", "t2", "t3", "t4", "t5", "t6"]
         assert decisions.prediction.tolist() == [1, 1, 1, -1, -1, -1]
         assert decisions.retained.tolist() == [True] * 3 + [False] * 3
-        assert decisions.confidence.tolist() == [confidence(r.score) for r in fixture6()]
+        assert decisions.confidence.tolist() == [confidence(s) for s in fixture6().scores.tolist()]
 
     def test_views_and_equality(self):
         decisions = Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75])
         assert len(decisions) == 3
         assert list(decisions) == self.ROWS
-        assert decisions[1] == Decision("b", None, 0.6)
-        assert decisions[1:] == tuple(self.ROWS[1:])
-        assert decisions == self.ROWS and self.ROWS == decisions
-        assert decisions == Decisions.of(self.ROWS) == tuple(self.ROWS)
-        assert decisions != self.ROWS[::-1] and decisions != "abc"
-
-    def test_of_keeps_columns_and_reads_views(self):
-        decisions = Decisions(["a"], [1], [0.9])
-        assert Decisions.of(decisions) is decisions
-        columns = Decisions.of(self.ROWS)
-        assert columns.ids.tolist() == ["a", "b", "c"]
-        assert columns.prediction.tolist() == [1, -1, 0]
-        assert retain_rate(columns) == retain_rate(self.ROWS) == 2 / 3
+        assert decisions == Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75])
+        assert decisions != Decisions(["c", "b", "a"], [0, -1, 1], [0.75, 0.6, 0.9])
+        assert decisions != self.ROWS and self.ROWS != decisions and decisions != "abc"
+        assert retain_rate(decisions) == 2 / 3
 
     def test_columns_are_read_only(self):
         decisions = Decisions(["a"], [1], [0.9])
@@ -748,23 +723,20 @@ class TestCertificateSerialization:
         assert certificate_to_json(loaded) == text
         assert loaded.status == cert.status
         assert loaded.lambda_hat == pytest.approx(cert.lambda_hat, rel=1e-11)
-        assert [(pt.n_at, pt.errors_at) for pt in loaded.grid] == [
-            (pt.n_at, pt.errors_at) for pt in cert.grid
-        ]
+        assert loaded.grid.n_at.tolist() == cert.grid.n_at.tolist()
+        assert loaded.grid.errors_at.tolist() == cert.grid.errors_at.tolist()
 
     def test_thresholds_round_trip_exactly(self):
         # confidences with more than 12 significant digits
         scores = [0.5 + i / 7.0 / 3.0 for i in range(1, 8)]
-        data = Dataset.of(tuple(
-            PredictionRecord(f"r{i}", s, 1) for i, s in enumerate(scores)
-        ))
+        data = Dataset([f"r{i}" for i in range(len(scores))], scores, [1] * len(scores))
         cert = certify_threshold(data, RiskConfig(alpha=0.9, beta=0.2))
         loaded = certificate_from_json(certificate_to_json(cert))
         assert loaded.lambda_hat == cert.lambda_hat
-        assert [pt.lam for pt in loaded.grid] == [pt.lam for pt in cert.grid]
+        assert loaded.grid.lam.tolist() == cert.grid.lam.tolist()
 
     def test_integer_threshold_is_written_as_a_float(self):
-        cert = ThresholdCertificate("infeasible", None, (GridPoint(1, 0, 0, 1.0, 1.0),),
+        cert = ThresholdCertificate("infeasible", None, CertificateGrid([1], [0], [0], [1.0], [1.0]),
                                     RiskConfig(alpha=0.5, beta=0.2), 1)
         assert '"lambda": 1.0,' in certificate_to_json(cert)
 
@@ -1051,8 +1023,7 @@ class TestDecisionsIO:
 class TestDecisionsCsvQuoting:
     @pytest.mark.parametrize("rec_id", ["a\nb", "a\rb", 'x,"y"\r\nz'])
     def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
-        decisions = [Decision(id=rec_id, prediction=1, confidence=0.75),
-                     Decision(id="plain", prediction=None, confidence=0.5)]
+        decisions = Decisions([rec_id, "plain"], [1, -1], [0.75, 0.5])
         path = tmp_path / "dec.csv"
         write_decisions(decisions, path)
         assert read_decisions(path) == decisions
@@ -1060,7 +1031,7 @@ class TestDecisionsCsvQuoting:
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "dec.csv"
         path.write_bytes("\ufeffid,outcome,confidence\na,1,0.9\n".encode("utf-8"))
-        assert read_decisions(path) == [Decision(id="a", prediction=1, confidence=0.9)]
+        assert read_decisions(path) == Decisions(["a"], [1], [0.9])
 
 
 class TestConfidenceCorrectKernel:
@@ -1077,7 +1048,8 @@ THRESHOLD_ENTRY_POINTS = {
     "CertificateGrid": (lambda v: CertificateGrid([0.55, v], [2, 1], [0, 0], [0.0, 0.0], [0.5, 0.5]),
                         "grid[1].lambda", DomainError),
     "ThresholdCertificate.lambda_hat": (
-        lambda v: ThresholdCertificate("feasible", v, [GridPoint(0.6, 2, 0, 0.0, 0.5)], RiskConfig(0.5, 0.2), 2),
+        lambda v: ThresholdCertificate("feasible", v, CertificateGrid([0.6], [2], [0], [0.0], [0.5]),
+                                       RiskConfig(0.5, 0.2), 2),
         "lambda_hat", DomainError),
     "TradeoffCurve": (lambda v: TradeoffCurve([0.55, v], [1.0, 0.5], [0.5, 0.5]),
                       "lambda[1]", UnsortedLambdasError),

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, run in-process through selcert.cli.main.
 
-TestModuleEntry alone starts `python -m selcert` in a subprocess.
+TestModuleEntry starts `python -m selcert` in a subprocess, and
+TestBenchmarkChild starts the benchmark's child processes.
 """
 
 import hashlib
@@ -15,12 +16,16 @@ import pytest
 
 import selcert
 from selcert import (
+    Dataset,
     RiskConfig,
     SyntheticScorerSpec,
     apply_certificate,
     certify_threshold,
     generate_synthetic,
+    load_certificate,
+    load_dataset,
     read_decisions,
+    tradeoff_curve,
     write_dataset,
 )
 from selcert.cli import main
@@ -476,6 +481,65 @@ class TestModuleEntry:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (
             0, f"selcert {selcert.__version__}\n", "")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_CHILD = ROOT / "perfbench" / "child.py"
+GOLDEN_INPUTS = ROOT / "tests" / "golden" / "inputs"
+
+
+class TestBenchmarkChild:
+    """The row reads the benchmark still makes, run as perfbench/child.py runs them.
+
+    The child iterates a certificate's grid (`GridPoint`s) and the decisions
+    (`Decision.retained`), and reads `TradeoffCurve.points`; its counts must
+    equal the tables' column counts. Each child runs in the test's directory
+    with the package's source on PYTHONPATH and writes nothing into the
+    checkout.
+    """
+
+    @staticmethod
+    def child(work: Path, *argv: str) -> dict:
+        """The document a child writes to work/out.json; argv names that file."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        before = sorted(BENCHMARK_CHILD.parent.iterdir())
+        done = subprocess.run([sys.executable, str(BENCHMARK_CHILD), *argv], cwd=work, capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert sorted(BENCHMARK_CHILD.parent.iterdir()) == before
+        return json.loads((work / "out.json").read_text(encoding="utf-8"))
+
+    def test_probe_round_trips_a_certificate_on_rounded_scores(self, tmp_path):
+        data = generate_synthetic(SyntheticScorerSpec(2000, 0.5, (8, 2), (2, 8), 3))
+        rounded = Dataset(data.ids, [round(score, 3) for score in data.scores.tolist()], data.labels)
+        write_dataset(rounded, tmp_path / "probe.csv")
+        doc = self.child(tmp_path, "probe", "--out", "out.json", "--calib", "probe.csv",
+                         "--alpha", "0.1", "--beta", "0.1", "--min-count", "25")
+        assert doc == {"ok": True, "error": None}
+
+    def test_cli_row_counts_equal_the_column_counts(self, tmp_path):
+        calib, test = str(GOLDEN_INPUTS / "calib.csv"), str(GOLDEN_INPUTS / "test.csv")
+        steps = [
+            ["calibrate", "--calib", calib, "--alpha", "0.1", "--beta", "0.1", "--min-count", "25",
+             "--out", "cert.json"],
+            ["apply", "--test", test, "--cert", "cert.json", "--out", "decisions.csv"],
+            ["tradeoff", "--test", test, "--out-prefix", "curve"],
+        ]
+        docs = [self.child(tmp_path, "cli", "out.json", *step) for step in steps]
+        assert [doc["code"] for doc in docs] == [0, 0, 0]
+        spans = {span["name"]: span for doc in docs for span in doc["spans"]}
+        grid = load_certificate(tmp_path / "cert.json").grid
+        assert docs[0]["pairs"] == [[k, n] for k, n in zip(grid.errors_at.tolist(), grid.n_at.tolist())]
+        assert spans["calibrate.certify_threshold"]["grid_points"] == len(grid.lam)
+        retained = read_decisions(tmp_path / "decisions.csv").retained
+        assert spans["calibrate.apply_certificate"]["retained"] == int(retained.sum()) > 0
+        assert spans["sim.tradeoff_curve"]["points"] == len(tradeoff_curve(load_dataset(test)).lam)
+
+    def test_threads2_runs_the_simulation(self, tmp_path):
+        params = dict(trials=3, n_calib=60, n_test=60, alpha=0.1, beta=0.1, min_count=5, prevalence=0.5,
+                      pos_shape=[8.0, 2.0], neg_shape=[2.0, 8.0], seed=1)
+        doc = self.child(tmp_path, "threads2", "--out", "out.json", "--params", json.dumps(params))
+        assert [span["name"] for span in doc["spans"]] == ["sim.validate_guarantee_threads2"]
 
 
 class TestSimulate:

@@ -14,14 +14,12 @@ import reference_metrics
 import selcert.metrics
 from selcert import (
     Dataset,
-    Decision,
     Decisions,
     DegenerateLabelsError,
     DomainError,
     DuplicateIdError,
     EmptyInputError,
     IdMismatchError,
-    PredictionRecord,
     ResampleCapError,
     UnpairedIdsError,
     bootstrap_significance,
@@ -243,18 +241,21 @@ def report_fixture() -> Dataset:
         ("t5", 0.70, 1, "early"),
         ("t6", 0.60, 0, None),
     ]
-    return Dataset.of(
-        tuple(PredictionRecord(i, s, y, group=g) for i, s, y, g in rows)
-    )
+    ids, scores, labels, groups = map(list, zip(*rows))
+    return Dataset(ids, scores, labels, groups=groups)
 
 
-def decisions_at(data: Dataset, lam: float) -> list[Decision]:
-    out = []
-    for rec in data:
-        conf = max(rec.score, 1 - rec.score)
-        pred = (1 if rec.score >= 0.5 else 0) if conf >= lam else None
-        out.append(Decision(id=rec.id, prediction=pred, confidence=conf))
-    return out
+def decisions_at(data: Dataset, lam: float) -> Decisions:
+    """Each record's decision at threshold lam, worked out one score at a time."""
+    scores = data.scores.tolist()
+    conf = [max(s, 1 - s) for s in scores]
+    prediction = [(1 if s >= 0.5 else 0) if c >= lam else -1 for s, c in zip(scores, conf)]
+    return Decisions(data.ids, prediction, conf)
+
+
+def decision_columns(decisions: Decisions) -> list[list]:
+    """The decisions' columns as lists, prediction -1 where a record is abstained on."""
+    return [decisions.ids.tolist(), decisions.prediction.tolist(), decisions.confidence.tolist()]
 
 
 class TestSelectiveReport:
@@ -288,48 +289,45 @@ class TestSelectiveReport:
     def test_decision_order_does_not_matter(self):
         data = report_fixture()
         decisions = decisions_at(data, 0.85)
-        shuffled = list(reversed(decisions))
-        assert selective_report(data, shuffled) == selective_report(data, decisions)
+        shuffled = Decisions(*(column[::-1] for column in decision_columns(decisions)))
+        for by_group in (False, True):
+            assert (selective_report(data, shuffled, by_group=by_group)
+                    == selective_report(data, decisions, by_group=by_group))
 
     def test_id_mismatch(self):
         data = report_fixture()
-        decisions = decisions_at(data, 0.85)[:-1]
+        decisions = Decisions(*(column[:-1] for column in decision_columns(decisions_at(data, 0.85))))
         with pytest.raises(IdMismatchError):
             selective_report(data, decisions)
 
     def test_foreign_id(self):
         data = report_fixture()
-        decisions = decisions_at(data, 0.85)
-        decisions[0] = Decision(id="other", prediction=1, confidence=0.95)
+        ids, prediction, confidence = decision_columns(decisions_at(data, 0.85))
+        ids[0], prediction[0], confidence[0] = "other", 1, 0.95
         with pytest.raises(IdMismatchError):
-            selective_report(data, decisions)
+            selective_report(data, Decisions(ids, prediction, confidence))
 
-    def test_columns_and_views_report_alike(self):
-        data = report_fixture()
-        decisions = decisions_at(data, 0.85)
-        columns = Decisions.of(decisions[::-1])
-        assert isinstance(columns, Decisions)
-        assert (selective_report(data, columns, by_group=True)
-                == selective_report(data, decisions, by_group=True))
-
+    # each edit takes the decisions' columns and gives the edited columns
     @pytest.mark.parametrize("edit, message", [
-        (lambda ds: ds[:-1], "decision ids do not match the dataset ids"),
-        (lambda ds: ds + [Decision("extra", 1, 0.9)], "decision ids do not match the dataset ids"),
+        (lambda columns: [column[:-1] for column in columns], "decision ids do not match the dataset ids"),
+        (lambda columns: [column + [cell] for column, cell in zip(columns, ("extra", 1, 0.9))],
+         "decision ids do not match the dataset ids"),
     ])
     def test_id_mismatch_messages(self, edit, message):
         data = report_fixture()
-        for decisions in (edit(decisions_at(data, 0.85)), Decisions.of(edit(decisions_at(data, 0.85)))):
-            with pytest.raises(IdMismatchError) as err:
-                selective_report(data, decisions)
-            assert str(err.value) == message
+        decisions = Decisions(*edit(decision_columns(decisions_at(data, 0.85))))
+        with pytest.raises(IdMismatchError) as err:
+            selective_report(data, decisions)
+        assert str(err.value) == message
 
-    @pytest.mark.parametrize("edit", [lambda ds: ds[:-1] + [ds[0]], lambda ds: ds + [ds[0]]],
+    @pytest.mark.parametrize("edit", [lambda columns: [column[:-1] + column[:1] for column in columns],
+                                      lambda columns: [column + column[:1] for column in columns]],
                              ids=["in-place-of-another", "extra"])
     def test_repeated_decision_id_is_rejected_by_decisions(self, edit):
         # Decisions rejects a repeated id itself, so no report sees one
         data = report_fixture()
         with pytest.raises(DuplicateIdError, match=r"^duplicate record id 't1' at row \d+$"):
-            selective_report(data, edit(decisions_at(data, 0.85)))
+            selective_report(data, Decisions(*edit(decision_columns(decisions_at(data, 0.85)))))
 
     def test_group_breakdown(self):
         data = report_fixture()
@@ -375,11 +373,7 @@ def paired_fixture():
     sb = np.clip(0.25 + 0.5 * labels + noise_b, 0.0, 1.0)
 
     def build(scores):
-        return Dataset.of(
-            tuple(
-                PredictionRecord(f"r{i}", float(scores[i]), int(labels[i])) for i in range(40)
-            )
-        )
+        return Dataset([f"r{i}" for i in range(40)], scores, labels)
 
     return build(sa), build(sb)
 
@@ -402,12 +396,8 @@ class TestBootstrapSignificance:
         # n=3 with one positive: many resamples are single-class and must be
         # redrawn from the same substream before the comparison counts
         y = [1, 0, 0]
-        a = Dataset.of(tuple(
-            PredictionRecord(f"r{i}", s, y[i]) for i, s in enumerate([0.9, 0.4, 0.6])
-        ))
-        b = Dataset.of(tuple(
-            PredictionRecord(f"r{i}", s, y[i]) for i, s in enumerate([0.55, 0.5, 0.62])
-        ))
+        a = Dataset(["r0", "r1", "r2"], [0.9, 0.4, 0.6], y)
+        b = Dataset(["r0", "r1", "r2"], [0.55, 0.5, 0.62], y)
         result = bootstrap_significance(a, b, "roc_auc", resamples=200, seed=5)
         assert result.p_value == 0.435
 
@@ -424,20 +414,20 @@ class TestBootstrapSignificance:
 
     def test_record_order_irrelevant_on_b(self):
         a, b = paired_fixture()
-        reordered = Dataset.of(tuple(reversed(b.records)))
+        reordered = Dataset(b.ids[::-1], b.scores[::-1], b.labels[::-1])
         r1 = bootstrap_significance(a, b, "f1", resamples=300, seed=4)
         r2 = bootstrap_significance(a, reordered, "f1", resamples=300, seed=4)
         assert r1 == r2
 
     def test_unpaired_ids(self):
         a, b = paired_fixture()
-        extra = Dataset.of(b.records[:-1] + (PredictionRecord("other", 0.5, 1),))
+        extra = Dataset([*b.ids[:-1], "other"], [*b.scores[:-1], 0.5], [*b.labels[:-1], 1])
         with pytest.raises(UnpairedIdsError):
             bootstrap_significance(a, extra, "roc_auc")
 
     def test_unpaired_when_one_side_holds_more_ids(self):
         a, b = paired_fixture()
-        fewer = Dataset.of(b.records[1:])
+        fewer = Dataset(b.ids[1:], b.scores[1:], b.labels[1:])
         for left, right in ((a, fewer), (fewer, a)):
             with pytest.raises(UnpairedIdsError) as err:
                 bootstrap_significance(left, right, "roc_auc")
@@ -445,10 +435,9 @@ class TestBootstrapSignificance:
 
     def test_label_disagreement(self):
         a, b = paired_fixture()
-        rec = b.records[0]
-        flipped = Dataset.of(
-            (PredictionRecord(rec.id, rec.score, 1 - rec.label),) + b.records[1:]
-        )
+        labels = b.labels.copy()
+        labels[0] = 1 - labels[0]
+        flipped = Dataset(b.ids, b.scores, labels)
         with pytest.raises(UnpairedIdsError):
             bootstrap_significance(a, flipped, "roc_auc")
 

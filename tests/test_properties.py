@@ -32,10 +32,8 @@ from test_sim import reference_trials  # noqa: E402
 from selcert import (  # noqa: E402
     BinomialTail,
     Dataset,
-    Decision,
     Decisions,
     DomainError,
-    PredictionRecord,
     RiskConfig,
     SchemaError,
     SelcertError,
@@ -75,29 +73,20 @@ SETTINGS = settings(max_examples=100, deadline=None,
 def datasets(draw):
     ids = draw(st.lists(TEXT, max_size=20, unique=True))
     grouped = draw(st.booleans())
-    records = tuple(
-        PredictionRecord(
-            rec_id,
-            draw(st.floats(min_value=0.0, max_value=1.0)),
-            draw(st.integers(0, 1)),
-            group=draw(st.one_of(st.none(), TEXT)) if grouped else None,
-        )
-        for rec_id in ids
-    )
-    return Dataset.of(records)
+    n = len(ids)
+    scores = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    groups = draw(st.lists(st.one_of(st.none(), TEXT), min_size=n, max_size=n)) if grouped else None
+    return Dataset(ids, scores, labels, groups=groups)
 
 
 @st.composite
-def decision_lists(draw):
+def decision_tables(draw):
     ids = draw(st.lists(TEXT, max_size=20, unique=True))
-    return [
-        Decision(
-            id=rec_id,
-            prediction=draw(st.sampled_from([None, 0, 1])),
-            confidence=draw(st.floats(min_value=0.5, max_value=1.0)),
-        )
-        for rec_id in ids
-    ]
+    n = len(ids)
+    prediction = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    confidence = draw(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=n, max_size=n))
+    return Decisions(ids, prediction, confidence)
 
 
 @pytest.mark.parametrize("suffix", ["csv", "json"])
@@ -106,18 +95,19 @@ def decision_lists(draw):
 def test_dataset_round_trip(tmp_path, suffix, data):
     path = tmp_path / f"d.{suffix}"
     write_dataset(data, path)
-    assert load_dataset(path).records == data.records
+    assert load_dataset(path)._values() == data._values()
 
 
 @SETTINGS
-@given(decisions=decision_lists())
+@given(decisions=decision_tables())
 def test_decisions_round_trip(tmp_path, decisions):
     path = tmp_path / "dec.csv"
     write_decisions(decisions, path)
     back = read_decisions(path)
-    assert [(d.id, d.prediction) for d in back] == [(d.id, d.prediction) for d in decisions]
+    assert back.ids.tolist() == decisions.ids.tolist()
+    assert back.prediction.tolist() == decisions.prediction.tolist()
     # confidences are written at 12 significant digits
-    assert [d.confidence for d in back] == [float(format_number(d.confidence)) for d in decisions]
+    assert back.confidence.tolist() == [float(format_number(c)) for c in decisions.confidence.tolist()]
     assert back == read_decisions_rowwise(path)
 
 
@@ -165,7 +155,7 @@ def test_any_dataset_that_constructs_round_trips(tmp_path, suffix, columns):
         return
     path = tmp_path / f"d.{suffix}"
     write_dataset(data, path)
-    assert load_dataset(path).records == data.records
+    assert load_dataset(path)._values() == data._values()
 
 
 ODD_DECISION_CELLS = {
@@ -208,9 +198,7 @@ def test_certificate_round_trip(data, alpha, beta):
     cert = certify_threshold(data, RiskConfig(alpha=alpha, beta=beta))
     back = certificate_from_json(certificate_to_json(cert))
     assert back.status == cert.status and back.lambda_hat == cert.lambda_hat
-    assert [(p.lam, p.n_at, p.errors_at) for p in back.grid] == [
-        (p.lam, p.n_at, p.errors_at) for p in cert.grid
-    ]
+    assert back.grid._values()[:3] == cert.grid._values()[:3]  # lam, n_at and errors_at
 
 
 @st.composite
@@ -354,7 +342,7 @@ def corrupted_json(draw):
 def _outcome(load, path):
     """The records loaded, or the error's class, message, row and column."""
     try:
-        return load(path).records
+        return load(path)._values()
     except SelcertError as exc:
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
 
@@ -407,7 +395,7 @@ def corrupted_decisions(draw):
 def _decisions_outcome(read, path):
     """The decisions read, or the error's class, message, row and column."""
     try:
-        return list(read(path))
+        return read(path)._values()
     except SelcertError as exc:
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
 

@@ -105,5 +105,5 @@ def test_readme_names_are_the_packages():
     modules = [selcert, *(importlib.import_module(f"selcert.{module.name}")
                           for module in pkgutil.iter_modules(selcert.__path__) if module.name != "__main__")]
     names = package_names()
-    assert len(names) > 30 and {"Dataset.of", "Dataset.scores", "calibrate._grid", "ColumnTable._columns_of"} <= set(names)
+    assert len(names) > 30 and {"Dataset.scores", "calibrate._grid"} <= set(names)
     assert [name for name in names if not _resolves(name, modules)] == []

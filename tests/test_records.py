@@ -14,7 +14,6 @@ from selcert import (
     DomainError,
     DuplicateIdError,
     MissingDateError,
-    PredictionRecord,
     RiskConfig,
     SchemaError,
     SelcertError,
@@ -35,42 +34,33 @@ from selcert.records import ColumnTable
 
 
 def make_dataset():
-    return Dataset.of(
-        (
-            PredictionRecord("a", 0.91, 1, date(2019, 3, 1), "phase-1"),
-            PredictionRecord("b", 0.12, 0, date(2020, 6, 15), "phase-2"),
-            PredictionRecord("c", 0.5, 1, date(2021, 1, 1), None),
-        ),
-        provenance="unit fixture",
-    )
+    return Dataset(["a", "b", "c"], [0.91, 0.12, 0.5], [1, 0, 1],
+                   dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
+                   groups=["phase-1", "phase-2", None], provenance="unit fixture")
 
 
-class TestPredictionRecord:
-    # a record is a plain view; a Dataset holding it checks its fields
-    def test_valid(self):
-        rec = PredictionRecord("x", 0.25, 0)
-        assert rec.score == 0.25 and rec.date is None and rec.group is None
-
+class TestRowRules:
+    # a Dataset checks every row's cells when it is built
     def test_int_score_coerced(self):
-        score = Dataset.of([PredictionRecord("x", 1, 1)]).records[0].score
+        score = Dataset(["x"], [1], [1]).scores.tolist()[0]
         assert score == 1.0 and type(score) is float
 
     @pytest.mark.parametrize("bad", ["", None, 3])
     def test_bad_id(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset.of([PredictionRecord("a", 0.5, 1), PredictionRecord(bad, 0.5, 1)])
+            Dataset(["a", bad], [0.5, 0.5], [1, 1])
         assert str(err.value) == f"id must be a nonempty string, got {bad!r} (row 2, column 'id')"
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, "0.5", True, float("nan")])
     def test_bad_score(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset.of([PredictionRecord("x", bad, 1)])
+            Dataset(["x"], [bad], [1])
         assert str(err.value) == f"score must be a number within [0, 1], got '{bad}' (row 1, column 'score')"
 
     @pytest.mark.parametrize("bad", [2, -1, 0.0, "1", True])
     def test_bad_label(self, bad):
         with pytest.raises(SchemaError) as err:
-            Dataset.of([PredictionRecord("x", 0.5, bad)])
+            Dataset(["x"], [0.5], [bad])
         assert str(err.value) == f"label must be 0 or 1, got '{bad}' (row 1, column 'label')"
 
 
@@ -81,15 +71,14 @@ class TestDataset:
         assert data.ids.tolist() == ["a", "b", "c"]
         assert np.array_equal(data.scores, [0.91, 0.12, 0.5])
         assert np.array_equal(data.labels, [1, 0, 1])
-        assert data.by_id()["b"].group == "phase-2"
+        assert data.groups.tolist() == ["phase-1", "phase-2", None]
 
     def test_duplicate_ids_rejected(self):
-        rec = PredictionRecord("a", 0.5, 1)
         with pytest.raises(DuplicateIdError):
-            Dataset.of((rec, rec))
+            Dataset(["a", "a"], [0.5, 0.5], [1, 1])
 
     def test_empty_is_allowed(self):
-        assert len(Dataset.of(())) == 0
+        assert len(Dataset([], [], [])) == 0
 
 
 class TestCsvIO:
@@ -99,22 +88,22 @@ class TestCsvIO:
         path = tmp_path / "d.csv"
         write_dataset(data, path)
         back = load_dataset(path)
-        assert back.records == data.records
+        assert back._values() == data._values()
 
     def test_awkward_float_round_trip(self, tmp_path):
-        data = Dataset.of((PredictionRecord("a", 0.1 + 0.2, 1),))
+        data = Dataset(["a"], [0.1 + 0.2], [1])
         path = tmp_path / "d.csv"
         write_dataset(data, path)
-        assert load_dataset(path).records[0].score == 0.1 + 0.2
+        assert load_dataset(path).scores[0] == 0.1 + 0.2
 
     def test_minimal_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,score,label\nr1,0.7,1\nr2,0.2,0\n")
         data = load_dataset(path)
-        assert len(data) == 2 and data.records[0].date is None
+        assert len(data) == 2 and data.dates[0] is None
 
     def test_optional_columns_written_only_when_present(self, tmp_path):
-        data = Dataset.of((PredictionRecord("a", 0.5, 1),))
+        data = Dataset(["a"], [0.5], [1])
         path = tmp_path / "d.csv"
         write_dataset(data, path)
         assert path.read_text().splitlines()[0] == "id,score,label"
@@ -174,7 +163,7 @@ class TestCsvIO:
         path = tmp_path / "d.csv"
         path.write_text("id,score,label,date\nr1,0.7,1,15/06/2020\n")
         data = load_dataset(path, date_format="%d/%m/%Y")
-        assert data.records[0].date == date(2020, 6, 15)
+        assert data.dates[0] == date(2020, 6, 15)
 
     def test_bad_date(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -193,13 +182,13 @@ class TestJsonIO:
         data = make_dataset()
         path = tmp_path / "d.json"
         write_dataset(data, path)
-        assert load_dataset(path).records == data.records
+        assert load_dataset(path)._values() == data._values()
 
     def test_plain_records(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('[{"id": "r1", "score": 0.7, "label": 1}]')
         data = load_dataset(path)
-        assert data.records[0].score == 0.7
+        assert data.scores[0] == 0.7
 
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "d.json"
@@ -325,7 +314,7 @@ class TestTemporalSplit:
         assert test.provenance.endswith("[on or after 2020-06-15]")
 
     def test_undated_records_rejected(self):
-        data = Dataset.of((PredictionRecord("a", 0.5, 1),))
+        data = Dataset(["a"], [0.5], [1])
         with pytest.raises(MissingDateError) as err:
             temporal_split(data, date(2020, 1, 1))
         assert err.value.ids == ["a"]
@@ -352,7 +341,7 @@ class TestTemporalSplit:
     ])
     def test_split_date_must_be_a_date(self, split_date, shown):
         with pytest.raises(DomainError) as err:
-            temporal_split(Dataset.of([PredictionRecord("a", 0.5, 1)]), split_date)
+            temporal_split(Dataset(["a"], [0.5], [1]), split_date)
         assert str(err.value) == f"split_date must be a datetime.date, got {shown}"
 
 
@@ -380,7 +369,7 @@ class TestSyntheticGenerator:
 
     def test_same_seed_same_data(self):
         spec = SyntheticScorerSpec(n=20, prevalence=0.5, pos_shape=(8, 2), neg_shape=(2, 8), seed=7)
-        assert generate_synthetic(spec).records == generate_synthetic(spec).records
+        assert generate_synthetic(spec) == generate_synthetic(spec)
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 1))
@@ -447,11 +436,10 @@ class TestUnreadableFiles:
 class TestCsvQuotingAndBom:
     @pytest.mark.parametrize("rec_id", ["a\nb", "a\r\nb", "a\rb", 'say "hi", then\nleave'])
     def test_line_breaks_in_ids_round_trip(self, tmp_path, rec_id):
-        data = Dataset.of((PredictionRecord(rec_id, 0.25, 0, group="g\nh"),
-                                PredictionRecord("plain", 0.75, 1)))
+        data = Dataset([rec_id, "plain"], [0.25, 0.75], [0, 1], groups=["g\nh", None])
         path = tmp_path / "d.csv"
         write_dataset(data, path)
-        assert load_dataset(path).records == data.records
+        assert load_dataset(path)._values() == data._values()
 
     def test_quoted_newline_is_one_record(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -472,7 +460,7 @@ class TestCsvQuotingAndBom:
         write_dataset(data, plain)
         path = tmp_path / f"bom.{suffix}"
         path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert load_dataset(path).records == data.records
+        assert load_dataset(path)._values() == data._values()
 
 
 def _rows_file(tmp_path, fmt, corrupt, n=1000):
@@ -670,8 +658,7 @@ class TestConstructorMeetsTheReaders:
         data = Dataset(["a", "b"], [0.5, 0.7], [1, 0], groups=["", "g"])
         assert data.groups.tolist() == [None, "g"]
         write_dataset(data, tmp_path / f"d.{suffix}")
-        assert load_dataset(tmp_path / f"d.{suffix}").records == data.records
-        assert Dataset.of([PredictionRecord("a", 0.5, 1, group="")]).records[0].group is None
+        assert load_dataset(tmp_path / f"d.{suffix}")._values() == data._values()
 
     @pytest.mark.parametrize("dates, message", [
         (["2020-01-01"], "date must be a datetime.date or None, got '2020-01-01' (row 1, column 'date')"),
@@ -741,22 +728,27 @@ def test_column_base_contract(name):
     with pytest.raises(TypeError):
         hash(table)
     assert repr(table) == shown
-    views = list(table)
-    assert len(table) == 3 and table[1] == views[1] and table[1:] == tuple(views[1:])
-    assert table == views and views == table and table == tuple(views)
-    assert table == build() and table != views[::-1] and table != "abc"
+    assert len(table) == 3 and table == build() and table != "abc"
+    with pytest.raises(TypeError):
+        table[1]  # read by column, never by row
+    if isinstance(table, Dataset):
+        with pytest.raises(TypeError):
+            iter(table)
+    else:  # read-only row views, built on each pass; a table equals only a table
+        views = list(table)
+        assert len(views) == 3 and views == list(table) and table != views and views != table
 
 
-@pytest.mark.parametrize("name", TABLES)
-def test_rows_go_in_through_of(name):
-    table = TABLES[name][0]()
-    cls = type(table)
-    assert cls.of(table) is table
-    rows = cls.of(list(table), **{attribute: getattr(table, attribute) for attribute in table._attributes})
-    assert type(rows) is cls and rows == table and cls.of(tuple(table)) == list(table)
-    for attribute in table._attributes:  # an attribute stated with a table is applied, not dropped
-        restated = cls.of(table, **{attribute: "restated"})
-        assert restated is not table and getattr(restated, attribute) == "restated" and list(restated) == list(table)
+def test_equality_compares_the_attributes_and_every_column():
+    cells = dict(ids=["a", "b"], scores=[0.9, 0.2], labels=[1, 0], dates=[date(2020, 1, 1), None], groups=[None, "g"])
+    data = Dataset(**cells, provenance="p")
+    assert data == Dataset(**cells, provenance="p") and data != Dataset(**cells, provenance="q")
+    for name, changed in (("ids", ["a", "c"]), ("scores", [0.9, 0.3]), ("labels", [1, 1]),
+                          ("dates", [None, None]), ("groups", [None, None])):
+        assert data != Dataset(**{**cells, name: changed}, provenance="p"), name
+    curve = TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
+    assert curve == TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
+    assert curve != TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, 0.5])
 
 
 def test_every_table_is_listed():
@@ -764,7 +756,7 @@ def test_every_table_is_listed():
 
 
 def every_way_built(tmp_path) -> list:
-    """Each table from its constructor and `of`, the two readers, and every builder that skips the checks."""
+    """Each table from its constructor, the two readers, and every builder that skips the checks."""
     data = generate_synthetic(SyntheticScorerSpec(40, 0.5, (4, 1), (1, 4), 2))
     cert = certify_threshold(data, RiskConfig(alpha=0.5, beta=0.2, min_count=10))
     assert cert.feasible
@@ -772,8 +764,7 @@ def every_way_built(tmp_path) -> list:
     write_dataset(data, tmp_path / "d.csv")
     write_decisions(decisions, tmp_path / "dec.csv")
     constructed = [build() for build, _ in TABLES.values()]
-    return [*constructed, *(type(table).of(list(table)) for table in constructed),
-            load_dataset(tmp_path / "d.csv"), read_decisions(tmp_path / "dec.csv"),
+    return [*constructed, load_dataset(tmp_path / "d.csv"), read_decisions(tmp_path / "dec.csv"),
             decisions, cert.grid, data, data.take(data.labels == 1, provenance="positives"), tradeoff_curve(data)]
 
 
@@ -788,36 +779,15 @@ def test_every_column_is_a_read_only_array_read_as_an_attribute(tmp_path):
 
 
 class TestColumns:
-    def test_records_and_columns_agree(self):
-        records = make_dataset()
-        columns = Dataset(
-            ["a", "b", "c"], np.array([0.91, 0.12, 0.5]), np.array([1, 0, 1]),
-            dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
-            groups=["phase-1", "phase-2", None], provenance="unit fixture",
-        )
-        assert columns.ids.tolist() == records.ids.tolist()
-        assert np.array_equal(columns.scores, records.scores)
-        assert np.array_equal(columns.labels, records.labels)
-        assert columns.groups.tolist() == records.groups.tolist()
-        assert columns.dates.tolist() == records.dates.tolist()
-        assert columns.records == records.records
-        assert columns == records
-
     def test_column_types(self):
         data = make_dataset()
         assert data.scores.dtype == np.float64 and data.labels.dtype == np.int64
-        assert type(data.records[0].score) is float and type(data.records[0].label) is int
+        assert type(data.scores.tolist()[0]) is float and type(data.labels.tolist()[0]) is int
 
     def test_columns_are_read_only(self):
         data = make_dataset()
         with pytest.raises(ValueError):
             data.scores[0] = 0.0
-
-    def test_records_built_once_on_demand(self):
-        data = generate_synthetic(SyntheticScorerSpec(4, 0.5, (2, 2), (2, 2), 3))
-        assert data.records is data.records
-        assert [rec.id for rec in data] == data.ids.tolist()
-        assert data.by_id()["syn-2"] == data.records[2]
 
     @pytest.mark.parametrize(
         "kwargs, error",
@@ -836,7 +806,7 @@ class TestColumns:
             (dict(scores=[np.float32(0.5), 10**400]), SchemaError),
         ],
     )
-    def test_from_columns_validates(self, kwargs, error):
+    def test_constructor_validates(self, kwargs, error):
         columns = dict(ids=["a", "b"], scores=[0.5, 0.6], labels=[0, 1])
         columns.update(kwargs)
         with pytest.raises(error):
@@ -847,15 +817,15 @@ class TestColumns:
         data = generate_synthetic(SyntheticScorerSpec(50, 0.3, (4, 2), (2, 4), 5))
         assert data.labels.dtype == np.int64 and data.scores.dtype == np.float64
         checked = Dataset(data.ids, data.scores, data.labels, provenance=data.provenance)
-        assert data == checked and data.records == checked.records
+        assert data == checked
         for suffix in ("csv", "json"):
             write_dataset(data, tmp_path / f"d.{suffix}")
             loaded = load_dataset(tmp_path / f"d.{suffix}")
-            assert loaded.records == data.records and loaded.ids.tolist() == data.ids.tolist()
+            assert loaded._values() == data._values() and loaded.ids.tolist() == data.ids.tolist()
 
     def test_take(self):
         data = make_dataset()
         picked = data.take(np.array([2, 0]), provenance="picked")
         assert picked.ids.tolist() == ["c", "a"] and picked.provenance == "picked"
-        assert picked.records == (data.records[2], data.records[0])
+        assert picked._values() == [[column[2], column[0]] for column in data._values()]
         assert data.take(data.labels == 1, provenance="").ids.tolist() == ["a", "c"]

@@ -2,12 +2,11 @@
 
 A column is a list, tuple, range or 1-d array; text, bytes, a mapping, a
 set, an iterator, a scalar and a 0-d or 2-d array are not, and a table's
-columns share one length (`records._columns`). Rows of a table's views come
-from any iterable but a set or a mapping, whose order is not defined, and
-each row must be the table's own view (`ColumnTable._columns_of`). A pair is
-a column of length 2. Each entry point raises its own error type, naming the
-argument: never a bare TypeError, ValueError or AttributeError, and never a
-quiet reading of the value.
+columns share one length (`records._columns`). An argument that takes a
+table takes that table alone, not rows of its views (`ColumnTable._given`).
+A pair is a column of length 2. Each entry point raises its own error type,
+naming the argument: never a bare TypeError, ValueError or AttributeError,
+and never a quiet reading of the value.
 """
 
 from datetime import date
@@ -17,17 +16,13 @@ import pytest
 
 from selcert import (
     Dataset,
-    Decision,
     Decisions,
     DomainError,
-    GridPoint,
-    PredictionRecord,
     RiskConfig,
     SchemaError,
     SyntheticScorerSpec,
     ThresholdCertificate,
     TradeoffCurve,
-    TradeoffPoint,
     UnsortedLambdasError,
     f1_accuracy,
     pr_auc,
@@ -43,20 +38,20 @@ from selcert.records import ColumnTable
 
 COLUMN = "must be a column (a list, tuple, range or 1-d array)"
 DATA = Dataset(["a", "b"], [0.9, 0.2], [1, 0])
-DECISIONS = [Decision("a", 1, 0.9), Decision("b", None, 0.8)]  # DATA's ids
+DECISIONS = Decisions(["a", "b"], [1, -1], [0.9, 0.8])  # DATA's ids
+GRID = CertificateGrid([0.6, 0.8], [3, 2], [1, 1], [1 / 3, 0.5], [0.9, 0.95])
 
 # entry point -> (call, its column arguments' names and good values, its error); each key is the
-# entry point's test id, which for `Dataset` and `TradeoffCurve` is the name their constructors had
-# first, `Dataset.from_columns` and `TradeoffCurve.from_columns`
+# entry point's test id
 COLUMN_ENTRY_POINTS = {
-    "Dataset.from_columns": (Dataset, {
+    "Dataset": (Dataset, {
         "ids": ["a", "b"], "scores": [0.9, 0.2], "labels": [1, 0], "dates": [date(2020, 1, 1), None],
         "groups": ["g", None]}, SchemaError),
     "Decisions": (Decisions, {"ids": ["a", "b"], "prediction": [1, -1], "confidence": [0.9, 0.6]}, DomainError),
     "CertificateGrid": (CertificateGrid, {
         "lam": [0.6, 0.8], "n_at": [3, 2], "errors_at": [1, 1], "risk_hat": [1 / 3, 0.5],
         "risk_plus": [0.9, 0.95]}, DomainError),
-    "TradeoffCurve.from_columns": (TradeoffCurve, {
+    "TradeoffCurve": (TradeoffCurve, {
         "lam": [0.6, 0.8], "fraction_kept": [1.0, 0.5], "selective_accuracy": [0.75, None]}, DomainError),
     "roc_auc": (roc_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
     "pr_auc": (pr_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
@@ -65,20 +60,13 @@ COLUMN_ENTRY_POINTS = {
                        UnsortedLambdasError),
 }
 
-# entry point -> (call taking rows and a scratch directory, the rows' argument name, good rows, its error);
-# the keys `Dataset` and `TradeoffCurve`, test ids as above, stand for `Dataset.of` and `TradeoffCurve.of`
-ROW_ENTRY_POINTS = {
-    "Dataset": (lambda rows, _: Dataset.of(rows), "rows", list(DATA), SchemaError),
-    "TradeoffCurve": (lambda rows, _: TradeoffCurve.of(rows), "rows",
-                      [TradeoffPoint(0.6, 1.0, 0.75), TradeoffPoint(0.8, 0.5, None)], DomainError),
-    "Decisions.of": (lambda rows, _: Decisions.of(rows), "decisions", DECISIONS, DomainError),
-    "retain_rate": (lambda rows, _: retain_rate(rows), "decisions", DECISIONS, DomainError),
-    "write_decisions": (lambda rows, tmp: write_decisions(rows, tmp / "decisions.csv"), "decisions", DECISIONS,
-                        DomainError),
-    "selective_report": (lambda rows, _: selective_report(DATA, rows), "decisions", DECISIONS, DomainError),
+# entry point -> (call taking a table and a scratch directory, the table's argument name, a good table)
+TABLE_ENTRY_POINTS = {
+    "retain_rate": (lambda table, _: retain_rate(table), "decisions", DECISIONS),
+    "write_decisions": (lambda table, tmp: write_decisions(table, tmp / "decisions.csv"), "decisions", DECISIONS),
+    "selective_report": (lambda table, _: selective_report(DATA, table), "decisions", DECISIONS),
     "ThresholdCertificate.grid": (
-        lambda rows, _: ThresholdCertificate("infeasible", None, rows, RiskConfig(0.5, 0.2), 3), "grid",
-        [GridPoint(0.6, 3, 1, 1 / 3, 0.9), GridPoint(0.8, 2, 1, 0.5, 0.95)], DomainError),
+        lambda table, _: ThresholdCertificate("infeasible", None, table, RiskConfig(0.5, 0.2), 3), "grid", GRID),
 }
 
 # entry point -> (call taking the pair, the pair's argument name, a good pair)
@@ -153,63 +141,31 @@ def test_ranges_read_as_lists():
     assert SyntheticScorerSpec(3, 0.5, range(2, 9, 6), (2, 8), 0) == SyntheticScorerSpec(3, 0.5, (2, 8), (2, 8), 0)
 
 
-# rows that are no ordered collection of views -> the argument the error names, "" for the rows
-# themselves, "[i]" for row i
-NOT_ROWS = {
-    "set": (set, ""),
-    "frozenset": (frozenset, ""),
-    "dict": (lambda rows: dict(enumerate(rows)), ""),
-    "str": (lambda rows: "ab", "[0]"),
-    "bytes": (lambda rows: bytes([1, 0]), "[0]"),
-    "generator of numbers": (lambda rows: (cell for cell in [0.9, 0.1]), "[0]"),
-    "int": (lambda rows: 2, ""),
-    "0-d array": (lambda rows: np.array(0.5), ""),
-    "2-d array": (lambda rows: np.array([[0.9, 0.1]]), "[0]"),
-    "row that is no view": (lambda rows: [rows[0], 5], "[1]"),
-    "another table's view": (lambda rows: [rows[0], _foreign_view(rows[0])], "[1]"),
-}
+# values that are no table, each built from a good table's row views
+NOT_TABLES = {"list of views": list, "generator of views": lambda table: (row for row in table), "set of views": set}
 
 
-def _foreign_view(view):
-    """A view of a table other than `view`'s."""
-    return PredictionRecord("b", 0.9, 1) if isinstance(view, Decision) else Decision("b", 1, 0.9)
-
-
-GOOD_ROWS = {"list": list, "tuple": tuple, "generator": lambda rows: (row for row in rows)}
-
-
-@pytest.mark.parametrize("kind", NOT_ROWS)
-@pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
-def test_rows_that_are_no_views_rejected(entry, kind, tmp_path):
-    call, argument, good, error = ROW_ENTRY_POINTS[entry]
-    build, where = NOT_ROWS[kind]
-    with pytest.raises(error) as err:
-        call(build(good), tmp_path)
-    assert type(err.value) is error and str(err.value).startswith(f"{argument}{where} must be ")
+@pytest.mark.parametrize("kind", NOT_TABLES)
+@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
+def test_value_that_is_no_table_rejected(entry, kind, tmp_path):
+    call, argument, good = TABLE_ENTRY_POINTS[entry]
+    value = NOT_TABLES[kind](good)
+    with pytest.raises(DomainError) as err:
+        call(value, tmp_path)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"{argument} must be a {type(good).__name__}, got {type(value).__name__}"
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
-@pytest.mark.parametrize("kind", GOOD_ROWS)
-@pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
-def test_rows_read_alike(entry, kind, tmp_path):
-    call, _, good, _ = ROW_ENTRY_POINTS[entry]
-    assert call(GOOD_ROWS[kind](good), tmp_path) == call(good, tmp_path)
-
-
-# each table -> its entry points from columns and from rows, by their keys above
-TABLES = {
-    Dataset: ("Dataset.from_columns", "Dataset"),
-    Decisions: ("Decisions", "Decisions.of"),
-    CertificateGrid: ("CertificateGrid", "ThresholdCertificate.grid"),
-    TradeoffCurve: ("TradeoffCurve.from_columns", "TradeoffCurve"),
-}
+# each table -> its entry point from columns, by its key above
+TABLES = {Dataset: "Dataset", Decisions: "Decisions", CertificateGrid: "CertificateGrid",
+          TradeoffCurve: "TradeoffCurve"}
 
 
 def test_every_table_is_on_the_rule():
-    # a table added later fails here until its entry points join the matrices above
+    # a table added later fails here until its entry point joins the matrix above
     assert set(ColumnTable.__subclasses__()) == set(TABLES)
-    for columns, rows in TABLES.values():
-        assert columns in COLUMN_ENTRY_POINTS and rows in ROW_ENTRY_POINTS
+    assert set(TABLES.values()) <= set(COLUMN_ENTRY_POINTS)
 
 
 NOT_PAIRS = {**NOT_COLUMNS, "one": lambda good: good[:1], "three": lambda good: [*good, good[0]],
@@ -232,9 +188,6 @@ def test_pairs_read_alike(entry, kind):
     assert call(COLUMNS[kind](good)) == call(good)
 
 
-RECORDS = [PredictionRecord("b", 0.9, 1), PredictionRecord("a", 0.8, 0), PredictionRecord("c", 0.7, 1)]
-
-
 @pytest.mark.parametrize("call, error", [
     # the shapes would be read in set order, swapped here
     (lambda: SyntheticScorerSpec(3, 0.5, {2.0, 8.0}, (2, 8), 0), DomainError),
@@ -244,9 +197,7 @@ RECORDS = [PredictionRecord("b", 0.9, 1), PredictionRecord("a", 0.8, 0), Predict
     (lambda: roc_auc([0.9, 0.2], {1: "x", 0: "y"}), DomainError),
     # rows would be ordered by string hash, which differs from one process to the next
     (lambda: Decisions({"b", "a", "c"}, [0, 1, -1], [0.9, 0.8, 0.7]), DomainError),
-    (lambda: Dataset.of(set(RECORDS)), SchemaError),
-], ids=["set shapes", "mapping labels", "bytes labels", "mapping labels in roc_auc", "set of ids",
-        "set of records"])
+], ids=["set shapes", "mapping labels", "bytes labels", "mapping labels in roc_auc", "set of ids"])
 def test_values_once_read_quietly_rejected(call, error):
     with pytest.raises(error):
         call()

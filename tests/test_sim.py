@@ -11,7 +11,6 @@ from selcert import (
     DomainError,
     EmptyInputError,
     GuaranteeTrial,
-    PredictionRecord,
     RiskConfig,
     SyntheticScorerSpec,
     TradeoffCurve,
@@ -33,38 +32,35 @@ from selcert.sim import curve_to_doc, trials_to_doc
 def fixture6() -> Dataset:
     rows = [("t1", 0.95, 1), ("t2", 0.90, 1), ("t3", 0.85, 1),
             ("t4", 0.80, 0), ("t5", 0.70, 1), ("t6", 0.60, 0)]
-    return Dataset.of(tuple(PredictionRecord(i, s, y) for i, s, y in rows))
+    return Dataset(*map(list, zip(*rows)))
 
 
 class TestTradeoffCurve:
     def test_default_grid_spans_observed_confidences(self):
         curve = tradeoff_curve(fixture6())
-        assert [p.lam for p in curve.points] == [0.6, 0.7, 0.8, 0.85, 0.9, 0.95]
+        assert curve.lam.tolist() == [0.6, 0.7, 0.8, 0.85, 0.9, 0.95]
 
     def test_hand_computed_points(self):
         curve = tradeoff_curve(fixture6())
-        assert [p.fraction_kept for p in curve.points] == pytest.approx(
+        assert curve.fraction_kept.tolist() == pytest.approx(
             [1.0, 5 / 6, 4 / 6, 0.5, 2 / 6, 1 / 6]
         )
-        assert [p.selective_accuracy for p in curve.points] == pytest.approx(
+        assert curve.selective_accuracy.tolist() == pytest.approx(
             [4 / 6, 4 / 5, 3 / 4, 1.0, 1.0, 1.0]
         )
 
     def test_explicit_grid_with_empty_tail(self):
         curve = tradeoff_curve(fixture6(), [0.5, 0.75, 0.99])
-        assert [p.fraction_kept for p in curve.points] == pytest.approx([1.0, 4 / 6, 0.0])
-        assert curve.points[1].selective_accuracy == pytest.approx(3 / 4)
-        assert curve.points[2].selective_accuracy is None
+        assert curve.fraction_kept.tolist() == pytest.approx([1.0, 4 / 6, 0.0])
+        assert curve.selective_accuracy[1] == pytest.approx(3 / 4)
+        assert curve.selective_accuracy[2] is None
 
     def test_fraction_kept_never_increases(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(1, 60))
-            data = Dataset.of(tuple(
-                PredictionRecord(f"r{i}", float(rng.random()), int(rng.integers(0, 2)))
-                for i in range(n)
-            ))
-            kept = [p.fraction_kept for p in tradeoff_curve(data).points]
+            rows = [(f"r{i}", float(rng.random()), int(rng.integers(0, 2))) for i in range(n)]
+            kept = tradeoff_curve(Dataset(*map(list, zip(*rows)))).fraction_kept.tolist()
             assert all(b <= a for a, b in zip(kept, kept[1:]))
             assert kept[-1] > 0  # top of the default grid keeps at least one record
 
@@ -92,30 +88,17 @@ class TestTradeoffCurve:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
-            tradeoff_curve(Dataset.of(()))
+            tradeoff_curve(Dataset([], [], []))
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve.of((
-                TradeoffPoint(0.8, 1.0, 0.5),
-                TradeoffPoint(0.7, 0.5, 0.5),
-            ))
+            TradeoffCurve([0.8, 0.7], [1.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError):
-            TradeoffCurve.of((
-                TradeoffPoint(0.7, 0.5, 0.5),
-                TradeoffPoint(0.8, 0.9, 0.5),
-            ))
+            TradeoffCurve([0.7, 0.8], [0.5, 0.9], [0.5, 0.5])
         with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve.of((
-                TradeoffPoint(0.7, 1.0, 0.5),
-                TradeoffPoint(math.nan, 0.5, 0.5),
-            ))
+            TradeoffCurve([0.7, math.nan], [1.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError):
-            TradeoffCurve.of((
-                TradeoffPoint(0.6, 1.0, 0.5),
-                TradeoffPoint(0.7, math.nan, 0.5),
-                TradeoffPoint(0.8, 0.5, 0.5),
-            ))
+            TradeoffCurve([0.6, 0.7, 0.8], [1.0, math.nan, 0.5], [0.5, 0.5, 0.5])
 
     def test_columns_and_point_views(self):
         curve = tradeoff_curve(fixture6(), [0.5, 0.75, 0.99])
@@ -124,7 +107,6 @@ class TestTradeoffCurve:
         assert curve.selective_accuracy.tolist() == [4 / 6, 3 / 4, None]
         assert curve.points == (TradeoffPoint(0.5, 1.0, 4 / 6), TradeoffPoint(0.75, 4 / 6, 3 / 4),
                                 TradeoffPoint(0.99, 0.0, None))
-        assert TradeoffCurve.of(curve.points) == curve
         assert TradeoffCurve(curve.lam, curve.fraction_kept, curve.selective_accuracy) == curve
         with pytest.raises(ValueError):
             curve.lam[0] = 0.6
@@ -138,7 +120,7 @@ class TestTradeoffCurve:
             TradeoffCurve([0.6, 0.7], [1.0, 0.5], [0.5])
         # coverage and accuracy are fractions, located at the first bad point
         with pytest.raises(DomainError) as err:
-            TradeoffCurve.of([TradeoffPoint(0.6, 3.0, 7.0)])
+            TradeoffCurve([0.6], [3.0], [7.0])
         assert str(err.value) == "fraction_kept[0] must be a number within [0, 1], got 3.0"
         with pytest.raises(DomainError) as err:
             TradeoffCurve([0.6, 0.7], [1.0, -0.5], [0.5, None])
