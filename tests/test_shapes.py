@@ -1,9 +1,10 @@
 """One rule for what holds cells, at every entry point that takes a collection.
 
-A column is a list, tuple, range or 1-d array; text, bytes, a mapping, a
-set, an iterator, a scalar and a 0-d or 2-d array are not, and a table's
-columns share one length (`records._columns`). An argument that takes a
-table takes that table alone, not rows of its views (`ColumnTable._given`).
+A column is a list, tuple, range or 1-d array; text, bytes (a bytearray or
+memoryview too), a mapping, a set, an iterator, a scalar and a 0-d or 2-d
+array are not, and a table's columns share one length (`records._columns`).
+An argument that takes a table takes that table alone: not rows of its
+views, its columns, or another table (`ColumnTable._given`).
 A pair is a column of length 2. Each entry point raises its own error type,
 naming the argument: never a bare TypeError, ValueError or AttributeError,
 and never a quiet reading of the value.
@@ -83,6 +84,8 @@ NOT_COLUMNS = {
     "dict": lambda good: dict(zip(good, good)),
     "str": lambda good: "ab",
     "bytes": lambda good: bytes([1, 0]),
+    "bytearray": lambda good: bytearray([1, 0]),
+    "memoryview": lambda good: memoryview(bytes([1, 0])),
     "generator": lambda good: (cell for cell in good),
     "int": lambda good: 2,
     "0-d array": lambda good: np.array(good[0]),
@@ -141,20 +144,72 @@ def test_ranges_read_as_lists():
     assert SyntheticScorerSpec(3, 0.5, range(2, 9, 6), (2, 8), 0) == SyntheticScorerSpec(3, 0.5, (2, 8), (2, 8), 0)
 
 
-# values that are no table, each built from a good table's row views
-NOT_TABLES = {"list of views": list, "generator of views": lambda table: (row for row in table), "set of views": set}
+CURVE = TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
 
 
-@pytest.mark.parametrize("kind", NOT_TABLES)
-@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
-def test_value_that_is_no_table_rejected(entry, kind, tmp_path):
+def _foreign_views(table):
+    """Row views of an iterable table other than `table`'s kind."""
+    return list(GRID if isinstance(table, Decisions) else DECISIONS)
+
+
+# values that are no table, each built from a good table: its row views, its columns, or neither
+NOT_TABLES = {
+    "list of views": list,
+    "tuple of views": tuple,
+    "generator of views": lambda table: (row for row in table),
+    "set of views": set,
+    "frozenset of views": frozenset,
+    "dict of views": lambda table: dict(enumerate(table)),
+    "list of columns": lambda table: [getattr(table, name) for name in table._columns],
+    "dict of columns": lambda table: {name: getattr(table, name) for name in table._columns},
+    "2-d array of columns": lambda table: np.array([getattr(table, name) for name in table._columns], dtype=object),
+    "str": lambda table: "ab",
+    "bytes": lambda table: bytes([1, 0]),
+    "generator of numbers": lambda table: (cell for cell in [0.9, 0.1]),
+    "int": lambda table: 2,
+    "0-d array": lambda table: np.array(0.5),
+    "view and number": lambda table: [next(iter(table)), 5],
+    "another table's views": _foreign_views,
+}
+
+
+def _rejected(entry, value, tmp_path):
+    """Check that the entry point rejects `value` with its own error naming the argument, writing nothing."""
     call, argument, good = TABLE_ENTRY_POINTS[entry]
-    value = NOT_TABLES[kind](good)
     with pytest.raises(DomainError) as err:
         call(value, tmp_path)
     assert type(err.value) is DomainError
     assert str(err.value) == f"{argument} must be a {type(good).__name__}, got {type(value).__name__}"
     assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+@pytest.mark.parametrize("kind", NOT_TABLES)
+@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
+def test_value_that_is_no_table_rejected(entry, kind, tmp_path):
+    _rejected(entry, NOT_TABLES[kind](TABLE_ENTRY_POINTS[entry][2]), tmp_path)
+
+
+OTHER_TABLES = {"Dataset": DATA, "Decisions": DECISIONS, "CertificateGrid": GRID, "TradeoffCurve": CURVE}
+
+
+@pytest.mark.parametrize("entry, other", [
+    (entry, other) for entry, (_, _, good) in TABLE_ENTRY_POINTS.items()
+    for other, table in OTHER_TABLES.items() if type(table) is not type(good)])
+def test_another_table_rejected(entry, other, tmp_path):
+    _rejected(entry, OTHER_TABLES[other], tmp_path)
+
+
+@pytest.mark.parametrize("kind", COLUMNS)
+@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
+def test_tables_read_alike(entry, kind, tmp_path):
+    # a table built from tuples or arrays gives what the one built from lists gives
+    call, _, good = TABLE_ENTRY_POINTS[entry]
+    table = type(good)(*(COLUMNS[kind](getattr(good, name).tolist()) for name in good._columns))
+    (tmp_path / "lists").mkdir()
+    (tmp_path / kind).mkdir()
+    assert call(table, tmp_path / kind) == call(good, tmp_path / "lists")
+    assert [path.read_bytes() for path in (tmp_path / kind).iterdir()] == [
+        path.read_bytes() for path in (tmp_path / "lists").iterdir()]
 
 
 # each table -> its entry point from columns, by its key above
