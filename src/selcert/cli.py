@@ -84,7 +84,7 @@ def _carve_calibration(train: Dataset, fraction: float, seed: int) -> Dataset:
     rng = substream(seed, 0)
     picked = rng.choice(len(train), size=n_pick, replace=False)
     picked.sort()
-    return train.take(picked, provenance=f"{train.provenance} [calib fraction {format_number(fraction)}]")
+    return train.take(picked)
 
 
 def cmd_calibrate(args) -> int:

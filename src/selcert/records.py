@@ -62,12 +62,14 @@ class ColumnTable:
     """Rows held as equal-length, read-only columns.
 
     The one column pattern, the base of `Dataset`, `calibrate.Decisions`,
-    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. Every table has one
-    way in: its `__init__` takes its columns and checks them; `_unchecked`
-    builds one from columns its caller has already checked, of their final
-    types. It has one way out: each column is a numpy array, marked
+    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. A table is its
+    columns and nothing else. A table a caller can build has one way in: its
+    `__init__` takes its columns and checks them. `_unchecked` builds one
+    from columns the package has already checked, of their final types; the
+    tradeoff curve, which the package only produces, has no other way in.
+    Every table has one way out: each column is a numpy array, marked
     read-only, read as the attribute `_columns` names. `len` reads the first
-    column, and `==` compares the attributes and the columns' values.
+    column, and `==` compares the columns' values.
 
     A table that names a `_view`, a frozen dataclass of one row, can also be
     iterated, read-only, one view per row, built on each pass: the
@@ -77,12 +79,11 @@ class ColumnTable:
 
     _columns: tuple[str, ...]  # the column attributes, in the field order of `_view` where there is one
     _view: type  # the frozen dataclass viewing one row
-    _attributes: tuple[str, ...] = ()  # other attributes, compared by `==` and shown by repr
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
-    def _unchecked(cls, *columns, **attributes):
-        return cls.__new__(cls)._set(*columns, **attributes)
+    def _unchecked(cls, *columns):
+        return cls.__new__(cls)._set(*columns)
 
     @classmethod
     def _given(cls, table, name: str):
@@ -91,10 +92,10 @@ class ColumnTable:
             raise DomainError(f"{name} must be a {cls.__name__}, got {type(table).__name__}")
         return table
 
-    def _set(self, *columns, **attributes):
+    def _set(self, *columns):
         for column in columns:
             column.flags.writeable = False
-        self.__dict__.update(zip(self._columns, columns), **attributes)
+        self.__dict__.update(zip(self._columns, columns))
         return self
 
     def _values(self) -> list:
@@ -110,16 +111,14 @@ class ColumnTable:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        same = all(getattr(self, name) == getattr(other, name) for name in self._attributes)
-        return same and self._values() == other._values()
+        return self._values() == other._values()
 
     def __repr__(self) -> str:
-        shown = "".join(f", {name}={getattr(self, name)!r}" for name in self._attributes)
-        return f"{type(self).__name__}(<{len(self)} rows>{shown})"
+        return f"{type(self).__name__}(<{len(self)} rows>)"
 
 
 class Dataset(ColumnTable):
-    """Ordered rows held as columns, plus a provenance note.
+    """Ordered rows held as columns.
 
     The columns are ids (an object array of unique nonempty strings), scores
     (float64 in [0, 1]), labels (int64, 0 or 1), dates (an object array of
@@ -130,23 +129,21 @@ class Dataset(ColumnTable):
     """
 
     _columns = ("ids", "scores", "labels", "dates", "groups")
-    _attributes = ("provenance",)
     __iter__ = None  # type: ignore[assignment]
 
     def __init__(self, ids: Sequence[str], scores, labels, dates: Sequence[date | None] | None = None,
-                 groups: Sequence[str | None] | None = None, provenance: str = "") -> None:
+                 groups: Sequence[str | None] | None = None) -> None:
         optional = {name: cells for name, cells in (("dates", dates), ("groups", groups)) if cells is not None}
         n = _columns(SchemaError, ids=ids, scores=scores, labels=labels, **optional)
         dates = _object_column([None] * n if dates is None else dates)
         groups = _group_column([None] * n if groups is None else groups)
         columns = _object_column(ids), _floats(scores), _coded(labels, _LABELS, -1, integral=True), dates, groups
         _raise_first(_dataset_faults(*columns, scores, labels), n)
-        self._set(*columns, provenance=provenance)
+        self._set(*columns)
 
-    def take(self, index, provenance: str) -> "Dataset":
+    def take(self, index) -> "Dataset":
         """Rows at `index` (integer positions or a boolean mask), in that order."""
-        columns = (getattr(self, name)[index] for name in self._columns)
-        return Dataset._unchecked(*columns, provenance=provenance)
+        return Dataset._unchecked(*(getattr(self, name)[index] for name in self._columns))
 
 
 def _object_column(values: Sequence) -> np.ndarray:
@@ -486,7 +483,7 @@ def load_dataset(
     fmt = _infer_format(path, fmt)
     text = read_text(path)
     read = _columns_from_csv if fmt == "csv" else _columns_from_json
-    return Dataset._unchecked(*read(text, date_format), provenance=str(path))
+    return Dataset._unchecked(*read(text, date_format))
 
 
 _LABELS = {0: 0, 1: 1, "0": 0, "1": 1}  # a label from an integer, or from CSV text
@@ -583,11 +580,7 @@ def temporal_split(data: Dataset, split_date: date) -> tuple[Dataset, Dataset]:
     if undated.any():
         raise MissingDateError(data.ids[undated].tolist())
     before = data.dates < split_date
-    boundary = split_date.isoformat()
-    return (
-        data.take(before, provenance=f"{data.provenance} [before {boundary}]"),
-        data.take(~before, provenance=f"{data.provenance} [on or after {boundary}]"),
-    )
+    return data.take(before), data.take(~before)
 
 
 def generate_synthetic(spec: SyntheticScorerSpec) -> Dataset:
@@ -595,8 +588,7 @@ def generate_synthetic(spec: SyntheticScorerSpec) -> Dataset:
     scores, labels = _draw(spec, spec.n, spec.seed)
     ids = _object_column([f"syn-{i}" for i in range(spec.n)])
     undated, ungrouped = np.empty(spec.n, dtype=object), np.empty(spec.n, dtype=object)
-    return Dataset._unchecked(ids, scores, labels, undated, ungrouped,
-                              provenance=f"synthetic(seed={spec.seed})")
+    return Dataset._unchecked(ids, scores, labels, undated, ungrouped)
 
 
 def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,7 @@ def load_dataset_rowwise(path, date_format=None) -> Dataset:
     else:
         records = _records_from_json(text, date_format)
     columns = [list(column) for column in zip(*records)] or [[] for _ in range(5)]
-    return Dataset(*columns, provenance=str(path))
+    return Dataset(*columns)
 
 
 def _parse_date(text, date_format, row):

@@ -27,7 +27,6 @@ from selcert import (
     SchemaError,
     SelcertError,
     ThresholdCertificate,
-    TradeoffCurve,
     UnsortedLambdasError,
     apply_certificate,
     certificate_from_json,
@@ -1051,8 +1050,6 @@ THRESHOLD_ENTRY_POINTS = {
         lambda v: ThresholdCertificate("feasible", v, CertificateGrid([0.6], [2], [0], [0.0], [0.5]),
                                        RiskConfig(0.5, 0.2), 2),
         "lambda_hat", DomainError),
-    "TradeoffCurve": (lambda v: TradeoffCurve([0.55, v], [1.0, 0.5], [0.5, 0.5]),
-                      "lambda[1]", UnsortedLambdasError),
     "tradeoff_curve": (lambda v: tradeoff_curve(fixture6(), [0.55, v]), "lambda[1]", UnsortedLambdasError),
     "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),
 }

@@ -18,7 +18,6 @@ from selcert import (
     SchemaError,
     SelcertError,
     SyntheticScorerSpec,
-    TradeoffCurve,
     apply_certificate,
     certify_threshold,
     generate_synthetic,
@@ -36,7 +35,7 @@ from selcert.records import ColumnTable
 def make_dataset():
     return Dataset(["a", "b", "c"], [0.91, 0.12, 0.5], [1, 0, 1],
                    dates=[date(2019, 3, 1), date(2020, 6, 15), date(2021, 1, 1)],
-                   groups=["phase-1", "phase-2", None], provenance="unit fixture")
+                   groups=["phase-1", "phase-2", None])
 
 
 class TestRowRules:
@@ -308,11 +307,6 @@ class TestTemporalSplit:
         assert train.ids.tolist() == ["a"]
         assert test.ids.tolist() == ["b", "c"]
 
-    def test_provenance_notes_boundary(self):
-        train, test = temporal_split(make_dataset(), date(2020, 6, 15))
-        assert train.provenance.endswith("[before 2020-06-15]")
-        assert test.provenance.endswith("[on or after 2020-06-15]")
-
     def test_undated_records_rejected(self):
         data = Dataset(["a"], [0.5], [1])
         with pytest.raises(MissingDateError) as err:
@@ -360,12 +354,11 @@ class TestSyntheticGenerator:
         assert np.array_equal(data.labels, labels)
         assert np.array_equal(data.scores, scores)
 
-    def test_ids_and_provenance(self):
+    def test_ids(self):
         data = generate_synthetic(
             SyntheticScorerSpec(n=3, prevalence=0.5, pos_shape=(2, 2), neg_shape=(2, 2), seed=9)
         )
         assert data.ids.tolist() == ["syn-0", "syn-1", "syn-2"]
-        assert data.provenance == "synthetic(seed=9)"
 
     def test_same_seed_same_data(self):
         spec = SyntheticScorerSpec(n=20, prevalence=0.5, pos_shape=(8, 2), neg_shape=(2, 8), seed=7)
@@ -704,10 +697,11 @@ class TestConstructorMeetsTheReaders:
 
 # the four tables on the one column base, and the repr each gives
 TABLES = {
-    "Dataset": (lambda: Dataset(["a", "b", "c"], [0.9, 0.2, 0.5], [1, 0, 1], provenance="p"),
-                "Dataset(<3 rows>, provenance='p')"),
+    "Dataset": (lambda: Dataset(["a", "b", "c"], [0.9, 0.2, 0.5], [1, 0, 1]), "Dataset(<3 rows>)"),
     "Decisions": (lambda: Decisions(["a", "b", "c"], [1, -1, 0], [0.9, 0.6, 0.75]), "Decisions(<3 rows>)"),
-    "TradeoffCurve": (lambda: TradeoffCurve([0.6, 0.8, 0.9], [1.0, 0.5, 0.0], [0.75, 1.0, None]),
+    # the curve has no constructor: its producer is its one way in
+    "TradeoffCurve": (lambda: tradeoff_curve(Dataset(["a", "b", "c", "d"], [0.9, 0.2, 0.7, 0.5], [1, 0, 0, 1]),
+                                             [0.6, 0.8, 0.95]),
                       "TradeoffCurve(<3 rows>)"),
     "CertificateGrid": (lambda: CertificateGrid([0.6, 0.8, 0.9], [3, 2, 1], [1, 1, 0],
                                                 [1 / 3, 0.5, 0.0], [0.9, 0.95, 0.9]),
@@ -739,16 +733,22 @@ def test_column_base_contract(name):
         assert len(views) == 3 and views == list(table) and table != views and views != table
 
 
-def test_equality_compares_the_attributes_and_every_column():
+def test_equality_compares_every_column(tmp_path):
     cells = dict(ids=["a", "b"], scores=[0.9, 0.2], labels=[1, 0], dates=[date(2020, 1, 1), None], groups=[None, "g"])
-    data = Dataset(**cells, provenance="p")
-    assert data == Dataset(**cells, provenance="p") and data != Dataset(**cells, provenance="q")
+    data = Dataset(**cells)
+    assert data == Dataset(**cells)
     for name, changed in (("ids", ["a", "c"]), ("scores", [0.9, 0.3]), ("labels", [1, 1]),
                           ("dates", [None, None]), ("groups", [None, None])):
-        assert data != Dataset(**{**cells, name: changed}, provenance="p"), name
-    curve = TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
-    assert curve == TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
-    assert curve != TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, 0.5])
+        assert data != Dataset(**{**cells, name: changed}), name
+    # where a dataset was read from is no part of it
+    write_dataset(data, tmp_path / "one.csv")
+    write_dataset(data, tmp_path / "two.json")
+    assert load_dataset(tmp_path / "one.csv") == load_dataset(tmp_path / "two.json") == data
+    # two curves alike but for one accuracy, with None where nothing is kept
+    curve = tradeoff_curve(Dataset(["a", "b"], [0.9, 0.2], [1, 0]), [0.6, 0.8, 0.95])
+    assert curve.selective_accuracy.tolist() == [1.0, 1.0, None]
+    assert curve == tradeoff_curve(Dataset(["c", "d"], [0.9, 0.2], [1, 0]), [0.6, 0.8, 0.95])
+    assert curve != tradeoff_curve(Dataset(["a", "b"], [0.9, 0.2], [1, 1]), [0.6, 0.8, 0.95])
 
 
 def test_every_table_is_listed():
@@ -765,7 +765,7 @@ def every_way_built(tmp_path) -> list:
     write_decisions(decisions, tmp_path / "dec.csv")
     constructed = [build() for build, _ in TABLES.values()]
     return [*constructed, load_dataset(tmp_path / "d.csv"), read_decisions(tmp_path / "dec.csv"),
-            decisions, cert.grid, data, data.take(data.labels == 1, provenance="positives"), tradeoff_curve(data)]
+            decisions, cert.grid, data, data.take(data.labels == 1), tradeoff_curve(data)]
 
 
 def test_every_column_is_a_read_only_array_read_as_an_attribute(tmp_path):
@@ -776,6 +776,7 @@ def test_every_column_is_a_read_only_array_read_as_an_attribute(tmp_path):
             column = getattr(table, name)
             assert isinstance(column, np.ndarray) and not column.flags.writeable, (type(table).__name__, name)
             assert not hasattr(type(table), name), (type(table).__name__, name)  # no method of a column's name
+        assert set(vars(table)) == set(table._columns), type(table).__name__  # and nothing else
 
 
 class TestColumns:
@@ -816,7 +817,7 @@ class TestColumns:
         # generate_synthetic and load_dataset check their columns once and build unchecked
         data = generate_synthetic(SyntheticScorerSpec(50, 0.3, (4, 2), (2, 4), 5))
         assert data.labels.dtype == np.int64 and data.scores.dtype == np.float64
-        checked = Dataset(data.ids, data.scores, data.labels, provenance=data.provenance)
+        checked = Dataset(data.ids, data.scores, data.labels)
         assert data == checked
         for suffix in ("csv", "json"):
             write_dataset(data, tmp_path / f"d.{suffix}")
@@ -825,7 +826,7 @@ class TestColumns:
 
     def test_take(self):
         data = make_dataset()
-        picked = data.take(np.array([2, 0]), provenance="picked")
-        assert picked.ids.tolist() == ["c", "a"] and picked.provenance == "picked"
+        picked = data.take(np.array([2, 0]))
+        assert picked.ids.tolist() == ["c", "a"]
         assert picked._values() == [[column[2], column[0]] for column in data._values()]
-        assert data.take(data.labels == 1, provenance="").ids.tolist() == ["a", "c"]
+        assert data.take(data.labels == 1).ids.tolist() == ["a", "c"]

@@ -52,8 +52,6 @@ COLUMN_ENTRY_POINTS = {
     "CertificateGrid": (CertificateGrid, {
         "lam": [0.6, 0.8], "n_at": [3, 2], "errors_at": [1, 1], "risk_hat": [1 / 3, 0.5],
         "risk_plus": [0.9, 0.95]}, DomainError),
-    "TradeoffCurve": (TradeoffCurve, {
-        "lam": [0.6, 0.8], "fraction_kept": [1.0, 0.5], "selective_accuracy": [0.75, None]}, DomainError),
     "roc_auc": (roc_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
     "pr_auc": (pr_auc, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
     "f1_accuracy": (f1_accuracy, {"scores": [0.9, 0.2], "labels": [1, 0]}, DomainError),
@@ -144,7 +142,7 @@ def test_ranges_read_as_lists():
     assert SyntheticScorerSpec(3, 0.5, range(2, 9, 6), (2, 8), 0) == SyntheticScorerSpec(3, 0.5, (2, 8), (2, 8), 0)
 
 
-CURVE = TradeoffCurve([0.6, 0.8], [1.0, 0.5], [0.75, None])
+CURVE = tradeoff_curve(DATA)
 
 
 def _foreign_views(table):
@@ -212,9 +210,10 @@ def test_tables_read_alike(entry, kind, tmp_path):
         path.read_bytes() for path in (tmp_path / "lists").iterdir()]
 
 
-# each table -> its entry point from columns, by its key above
+# each table -> the entry point that builds it from a caller's columns, by its key above; the
+# tradeoff curve has no constructor, and its producer reads the caller's grid
 TABLES = {Dataset: "Dataset", Decisions: "Decisions", CertificateGrid: "CertificateGrid",
-          TradeoffCurve: "TradeoffCurve"}
+          TradeoffCurve: "tradeoff_curve"}
 
 
 def test_every_table_is_on_the_rule():

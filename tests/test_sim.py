@@ -56,13 +56,35 @@ class TestTradeoffCurve:
         assert curve.selective_accuracy[2] is None
 
     def test_fraction_kept_never_increases(self):
+        # the rules a curve keeps, held by its one producer: on tied scores, and on caller grids
+        # that run past the top confidence, every count equals a brute-force count
         rng = np.random.default_rng(8)
-        for _ in range(20):
+        for trial in range(40):
             n = int(rng.integers(1, 60))
-            rows = [(f"r{i}", float(rng.random()), int(rng.integers(0, 2))) for i in range(n)]
-            kept = tradeoff_curve(Dataset(*map(list, zip(*rows)))).fraction_kept.tolist()
-            assert all(b <= a for a, b in zip(kept, kept[1:]))
-            assert kept[-1] > 0  # top of the default grid keeps at least one record
+            scores = rng.random(n)
+            if trial % 2:  # few distinct confidences, so that many records tie
+                scores = np.round(scores, 1)
+            data = Dataset([f"r{i}" for i in range(n)], scores, rng.integers(0, 2, n))
+            conf = np.maximum(data.scores, 1.0 - data.scores)
+            right = (data.scores >= 0.5) == data.labels
+            top = float(conf.max())
+            grids = [None, np.unique(rng.uniform(0.5, 1.0, int(rng.integers(1, 8)))),
+                     np.unique([0.5, top, min(np.nextafter(top, 2.0), 1.0), 1.0])]
+            for grid in grids:
+                curve = tradeoff_curve(data, grid)
+                lam, kept, accuracy = curve.lam, curve.fraction_kept, curve.selective_accuracy.tolist()
+                assert lam.dtype == kept.dtype == np.float64
+                assert ((lam >= 0.5) & (lam <= 1.0)).all() and (lam[1:] > lam[:-1]).all()
+                assert ((kept >= 0.0) & (kept <= 1.0)).all() and (kept[1:] <= kept[:-1]).all()
+                for t, fraction, acc in zip(lam, kept, accuracy):
+                    retained = conf >= t
+                    assert fraction == np.count_nonzero(retained) / n
+                    if retained.any():
+                        assert 0.0 <= acc <= 1.0
+                        assert acc == np.count_nonzero(retained & right) / np.count_nonzero(retained)
+                    else:
+                        assert acc is None
+            assert tradeoff_curve(data).fraction_kept[-1] > 0  # top of the default grid keeps at least one record
 
     @pytest.mark.parametrize("grid", [[0.7, 0.6], [0.5, 0.5], [0.4, 0.6], [0.6, 1.01], [],
                                       [math.nan], [0.6, math.nan], [0.6, math.inf], [-math.inf, 0.7]])
@@ -91,14 +113,12 @@ class TestTradeoffCurve:
             tradeoff_curve(Dataset([], [], []))
 
     def test_curve_invariants_enforced(self):
-        with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve([0.8, 0.7], [1.0, 0.5], [0.5, 0.5])
-        with pytest.raises(DomainError):
-            TradeoffCurve([0.7, 0.8], [0.5, 0.9], [0.5, 0.5])
-        with pytest.raises(UnsortedLambdasError):
-            TradeoffCurve([0.7, math.nan], [1.0, 0.5], [0.5, 0.5])
-        with pytest.raises(DomainError):
-            TradeoffCurve([0.6, 0.7, 0.8], [1.0, math.nan, 0.5], [0.5, 0.5, 0.5])
+        # a curve has no constructor, so no caller can build one that breaks the rules
+        # `test_fraction_kept_never_increases` checks at its producer
+        for columns in (([0.8, 0.7], [1.0, 0.5], [0.5, 0.5]), ([0.7, 0.8], [0.5, 0.9], [0.5, 0.5]),
+                        ([0.6, 0.7], [1.0, 0.5], [0.5, 0.5])):
+            with pytest.raises(TypeError):
+                TradeoffCurve(*columns)
 
     def test_columns_and_point_views(self):
         curve = tradeoff_curve(fixture6(), [0.5, 0.75, 0.99])
@@ -107,42 +127,9 @@ class TestTradeoffCurve:
         assert curve.selective_accuracy.tolist() == [4 / 6, 3 / 4, None]
         assert curve.points == (TradeoffPoint(0.5, 1.0, 4 / 6), TradeoffPoint(0.75, 4 / 6, 3 / 4),
                                 TradeoffPoint(0.99, 0.0, None))
-        assert TradeoffCurve(curve.lam, curve.fraction_kept, curve.selective_accuracy) == curve
+        assert tradeoff_curve(fixture6(), curve.lam) == curve
         with pytest.raises(ValueError):
             curve.lam[0] = 0.6
-
-    def test_column_checks(self):
-        with pytest.raises(UnsortedLambdasError, match=r": lambda\[1\] is 0\.6$"):
-            TradeoffCurve([0.7, 0.6], [1.0, 0.5], [0.5, 0.5])
-        with pytest.raises(DomainError, match="non-increasing"):
-            TradeoffCurve([0.6, 0.7], [0.5, 1.0], [0.5, 0.5])
-        with pytest.raises(DomainError, match="one length"):
-            TradeoffCurve([0.6, 0.7], [1.0, 0.5], [0.5])
-        # coverage and accuracy are fractions, located at the first bad point
-        with pytest.raises(DomainError) as err:
-            TradeoffCurve([0.6], [3.0], [7.0])
-        assert str(err.value) == "fraction_kept[0] must be a number within [0, 1], got 3.0"
-        with pytest.raises(DomainError) as err:
-            TradeoffCurve([0.6, 0.7], [1.0, -0.5], [0.5, None])
-        assert str(err.value) == "fraction_kept[1] must be a number within [0, 1], got -0.5"
-
-    @pytest.mark.parametrize("accuracy, shown", [
-        ([0.5, 1.5, None], "1.5"),
-        ([0.5, math.nan, None], "nan"),
-        # a string or a bool is no accuracy, though numpy would cast it to one
-        ([0.5, "0.3", None], "'0.3'"),
-        ([0.5, True, None], "True"),
-    ])
-    def test_accuracy_is_a_number_or_none(self, accuracy, shown):
-        with pytest.raises(DomainError) as err:
-            TradeoffCurve([0.6, 0.7, 0.8], [1.0, 0.5, 0.0], accuracy)
-        assert str(err.value) == f"selective_accuracy[1] must be a number within [0, 1] or None, got {shown}"
-
-    def test_located_in_row_order(self):
-        # a fraction that rises at point 1 is named before a bad accuracy at point 2
-        with pytest.raises(DomainError) as err:
-            TradeoffCurve([0.6, 0.7, 0.8], [0.5, 0.75, 0.0], [0.5, 0.5, 2.0])
-        assert str(err.value) == "fraction_kept must be non-increasing in lambda"
 
 
 SPEC = SyntheticScorerSpec(n=1, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=0)
