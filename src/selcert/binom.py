@@ -17,7 +17,8 @@ evaluated in blocks of at most `_BLOCK_TERMS` terms, which bounds memory;
 each point's value depends on its own (k, n, p) alone, so the blocking
 never changes a result. The blocks of one call build their terms in one set
 of buffers, sized to its largest block and freed when the call returns.
-Nothing is cached.
+No bound or CDF value is cached; the one thing kept between calls is the
+log-factorial table, which grows to the largest n asked for.
 
 The bound is the root of CDF(k; n, r) = beta, found for every point at once
 by Halley steps kept inside a bisection bracket, each point stopping on its
@@ -36,7 +37,6 @@ exactly when CDF(k; n, p) <= beta (`tail_at_most`).
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -192,9 +192,10 @@ def _window_start(k: np.ndarray, n: np.ndarray, p0) -> np.ndarray:
     return start
 
 
-def _blocks(lengths: np.ndarray) -> tuple[list[slice], int]:
+def _blocks(lengths: np.ndarray) -> tuple[list[slice], tuple[np.ndarray, ...]]:
     """Slices of consecutive points whose windows hold at most _BLOCK_TERMS terms together (or one
-    window that alone holds more), and the most terms a slice holds."""
+    window that alone holds more), and the workspace they share: the term index and buffers for
+    log_coef, the two scratch buffers, i and n - i, each as long as the largest slice's terms."""
     ends = np.cumsum(lengths)
     blocks, first, size = [], 0, 0
     while first < len(lengths):
@@ -203,7 +204,7 @@ def _blocks(lengths: np.ndarray) -> tuple[list[slice], int]:
         blocks.append(slice(first, stop))
         size = max(size, int(ends[stop - 1]) - taken)
         first = stop
-    return blocks, size
+    return blocks, (np.arange(size), *np.empty((5, size)))
 
 
 class _Windows:
@@ -212,7 +213,8 @@ class _Windows:
     The p-independent parts are computed once: log C(n, i) from the
     double-double table (the high parts of log(n!) and log((n-i)!) cancel
     first, then the low parts add back what rounding the high parts
-    dropped), i and n - i, into the leading slices of a call's `workspace`.
+    dropped), i and n - i, into the leading slices of a call's workspace
+    (`_blocks`).
     """
 
     def __init__(self, k: np.ndarray, n: np.ndarray, start: np.ndarray, workspace) -> None:
@@ -239,11 +241,6 @@ class _Windows:
         self.log_coef, self.i, self.n_minus_i = log_coef, i_float, n_minus_i_float
         self._scratch = low_part, buffer  # the buffers `tails` writes its terms into
 
-    @staticmethod
-    def workspace(size: int) -> tuple[np.ndarray, ...]:
-        """The term index and buffers for log_coef, the two scratch buffers, i and n - i, for size terms."""
-        return np.arange(size), *np.empty((5, size))
-
     def tails(self, log_p, log_q) -> tuple[np.ndarray, np.ndarray]:
         """(CDF, pmf) at each point, given log p and log(1 - p) per point (or one for all).
 
@@ -261,25 +258,13 @@ class _Windows:
         np.exp(terms, out=terms)
         return np.minimum(np.add.reduceat(terms, self.offsets), 1.0), terms[self.last]
 
-    def keep(self, mask: np.ndarray) -> _Windows:
-        """The windows of the points where mask is set, without redoing the table lookups."""
-        kept = copy.copy(self)
-        terms = np.repeat(mask, self.lengths)
-        kept.log_coef, kept.i, kept.n_minus_i = self.log_coef[terms], self.i[terms], self.n_minus_i[terms]
-        kept.lengths = self.lengths[mask]
-        ends = np.cumsum(kept.lengths)
-        kept.offsets, kept.last = ends - kept.lengths, ends - 1
-        kept._scratch = tuple(buffer[: len(kept.log_coef)] for buffer in self._scratch)
-        return kept
-
 
 def _cdf(k: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
     """CDF(k; n, p) at each point, for 0 < p < 1 and k < n."""
     start = _window_start(k, n, p)
     cdf = np.empty(len(k))
     log_p, log_q = math.log(p), math.log1p(-p)
-    blocks, size = _blocks(k - start + 1)
-    workspace = _Windows.workspace(size)
+    blocks, workspace = _blocks(k - start + 1)
     for block in blocks:
         cdf[block] = _Windows(k[block], n[block], start[block], workspace).tails(log_p, log_q)[0]
     return cdf
@@ -368,7 +353,8 @@ def _solve_block(k, n, start, lo, beta: float, workspace):
     Every point keeps its own bracket, from its lower end lo, and stops on
     its own; floored marks the points that stopped at the step floor. The
     state arrays hold the points still iterating, whose windows alone are
-    evaluated; a point's result is written out when it stops.
+    evaluated; a point's result is written out when it stops, and the
+    windows of the rest are built again in the same workspace.
     """
     values, residuals = np.zeros(len(k)), np.full(len(k), 1.0 - beta)
     floored = np.zeros(len(k), dtype=bool)
@@ -376,7 +362,6 @@ def _solve_block(k, n, start, lo, beta: float, workspace):
     live = np.arange(len(k))
     hi = np.ones(len(k))  # invariant: cdf(lo) >= beta > cdf(hi)
     r = _initial_guesses(k, n, beta, lo)
-    k, n_minus_k = k.astype(float), (n - k).astype(float)
     best, best_residual = values.copy(), residuals.copy()
     for _ in range(DEFAULT_MAX_ITER):
         log_r, log_q = np.log(r), np.log1p(-r)
@@ -387,6 +372,7 @@ def _solve_block(k, n, start, lo, beta: float, workspace):
         best, best_residual = np.where(better, r, best), np.where(better, residual, best_residual)
         above = f >= beta
         lo, hi = np.where(above, r, lo), np.where(above, hi, r)
+        n_minus_k = n - k
         # -dCDF/dr; the Newton step on CDF(r) - beta is gap / slope, NaN (so a
         # bisection) where the slope underflows
         slope = n_minus_k * pmf / (1.0 - r)
@@ -413,9 +399,9 @@ def _solve_block(k, n, start, lo, beta: float, workspace):
             going = ~done
             if not going.any():
                 return values, residuals, floored
-            live, k, n_minus_k, lo, hi, r, best, best_residual = (
-                a[going] for a in (live, k, n_minus_k, lo, hi, r, best, best_residual))
-            windows = windows.keep(going)
+            live, k, n, start, lo, hi, r, best, best_residual = (
+                a[going] for a in (live, k, n, start, lo, hi, r, best, best_residual))
+            windows = _Windows(k, n, start, workspace)
     values[live], residuals[live] = best, best_residual
     return values, residuals, floored
 
@@ -450,8 +436,7 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     lo = _lower_ends(k_s, n_s, beta)
     start = _window_start(k_s, n_s, lo)
     floored = np.zeros(len(k), dtype=bool)
-    blocks, size = _blocks(k_s - start + 1)
-    workspace = _Windows.workspace(size)
+    blocks, workspace = _blocks(k_s - start + 1)
     for block in blocks:
         values[solved[block]], residuals[solved[block]], floored[solved[block]] = _solve_block(
             k_s[block], n_s[block], start[block], lo[block], beta, workspace)

@@ -212,12 +212,30 @@ class TestRiskUpperBound:
 
 
 class TestArrayCalls:
-    def test_bounds_equal_one_point_calls(self):
+    def test_bounds_equal_one_point_calls(self, monkeypatch):
+        # a block whose points stop at different steps builds the windows of the
+        # points still going again; a point solved alone never does, so the
+        # equality covers that rebuild
         rng = np.random.default_rng(23)
         n = rng.integers(1, 4000, 300)
         k = (rng.random(300) * (n + 1)).astype(int)  # k = n included
-        for beta in (0.05, 0.3, 0.5, 0.8):
+        builds = []  # window builds per solved block
+        init, solve = binom._Windows.__init__, binom._solve_block
+
+        def counted_init(self, *args):
+            builds[-1] += 1
+            init(self, *args)
+
+        def counted_solve(*args):
+            builds.append(0)
+            return solve(*args)
+
+        monkeypatch.setattr(binom._Windows, "__init__", counted_init)
+        monkeypatch.setattr(binom, "_solve_block", counted_solve)
+        for beta in (0.05, 0.1, 0.3, 0.5, 0.8, 0.9):
+            builds.clear()
             values, residuals = binom.risk_upper_bounds(k, n, beta)
+            assert max(builds) > 1
             for i in range(300):
                 bound = risk_upper_bound(BinomialTail(int(k[i]), int(n[i])), beta)
                 assert (values[i], residuals[i]) == (bound.value, bound.residual)

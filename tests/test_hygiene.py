@@ -1,6 +1,7 @@
 """Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
 no read of the environment, no import beyond the standard library and numpy, numpy sorts in
-two places only, and the tail test in one.
+two places only, and the tail test in one. Every source under src/ and tests/ compiles with
+warnings as errors.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
@@ -12,18 +13,22 @@ hypothesis and mpmath serve the tests alone. Every retained-set count reads
 one sort, `calibrate._grid`'s; the ranking metrics' tie blocks
 (`metrics._tie_blocks`) are the only other sort of data. Every threshold is
 decided by one function, `calibrate._decide`, the one caller of the tail
-test `binom.tail_at_most`.
+test `binom.tail_at_most`. A compile warning, such as an invalid escape like
+"\\d" in a docstring (a SyntaxWarning since Python 3.12, meant to become an
+error), fails on every Python version.
 """
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import selcert
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "selcert"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "selcert"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
 
 
@@ -143,6 +148,24 @@ def test_the_tail_test_runs_in_the_decision_only():
     assert testing == {"calibrate.py:_decide"}
 
 
+def _compile_warnings(text: str, name: str) -> list[str]:
+    """What compiling `text` warns of, as the error the warning turns into; [] when it compiles cleanly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            compile(text, name, "exec")
+        except SyntaxError as error:
+            return [f"{name}:{error.lineno}: {error.msg}"]
+    return []
+
+
+def test_sources_compile_with_warnings_as_errors():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > len(TREES)
+    assert [fault for path in paths
+            for fault in _compile_warnings(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))] == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
@@ -162,3 +185,5 @@ def test_the_checks_see_what_they_look_for():
                         "def _decide(k, n): return tail_at_most(k, n, 0.1, 0.1)\n"
                         "def second(k, n): return binom.tail_at_most(k, n, 0.1, 0.1)\n")
     assert _tail_testers(callers) == {"_decide", "second"}
+    assert _compile_warnings('"""A date like \\d{4}."""\n', "bad.py") != []
+    assert _compile_warnings('"""A date like \\\\d{4}."""\n', "good.py") == []
