@@ -67,7 +67,7 @@ from .records import (
 )
 from .rng import mix64, substream, substream_seed
 from .sim import (
-    GuaranteeTrial,
+    GuaranteeTrials,
     TradeoffCurve,
     TradeoffPoint,
     summarize_trials,

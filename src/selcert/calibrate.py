@@ -307,6 +307,7 @@ def selective_risk(data: Dataset, lam: float, beta: float) -> GridPoint:
     retained error rate at confidence 1 - beta. An empty retained set reports
     risk_hat = risk_plus = 1 (no evidence, so nothing can be certified there).
     """
+    data = Dataset._given(data, "data")
     (lam,), faults = _thresholds("lam", [lam])
     _raise_first(faults, 1)
     beta = check_beta(beta)
@@ -331,7 +332,7 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     (`_decide`); the bounds of every grid point are then solved in one
     array call and recorded either way.
     """
-    if len(data) == 0:
+    if len(Dataset._given(data, "data")) == 0:
         raise EmptyCalibrationError("cannot certify on an empty calibration set")
     # one row: its grid is the whole of `_grid`'s
     at, lam, n_at, errors = _grid(*_confidence_correct(data.scores[None], data.labels[None]))
@@ -390,6 +391,7 @@ def _decide(row: np.ndarray, n_at: np.ndarray, errors: np.ndarray, config: RiskC
 
 def apply_certificate(data: Dataset, cert: ThresholdCertificate) -> Decisions:
     """Predict where confidence clears the certified threshold, abstain elsewhere."""
+    data = Dataset._given(data, "data")
     if not cert.feasible:
         raise InfeasibleCertificateError(
             "certificate is infeasible; no threshold satisfies the risk budget"

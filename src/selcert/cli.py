@@ -28,7 +28,7 @@ from .calibrate import (
 from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, check_real
 from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
-from .records import Dataset, SyntheticScorerSpec, load_dataset, write_text
+from .records import Dataset, SyntheticScorerSpec, _lax_number, load_dataset, write_text
 from .rng import substream
 from .sim import curve_to_doc, summarize_trials, tradeoff_curve, trials_to_doc, validate_guarantee
 
@@ -57,9 +57,23 @@ def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict
     }
 
 
+def _number(kind: type):
+    """The reader of every numeric argument: `kind` (float or int) read as a dataset's number cell is, so
+    the underscores, whitespace and non-ASCII digits `kind` reads past are a ValueError too."""
+    def read(text: str):
+        if _lax_number(text):
+            raise ValueError(text)
+        return kind(text)
+    read.__name__ = kind.__name__  # argparse's "invalid float value: '...'" names it
+    return read
+
+
+_real, _integer = _number(float), _number(int)
+
+
 def _shape_pair(text: str) -> tuple[float, float]:
     try:
-        first, second = map(float, text.split(","))  # a count other than two is a ValueError too
+        first, second = map(_real, text.split(","))  # a count other than two is a ValueError too
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}") from None
     return first, second
@@ -67,7 +81,7 @@ def _shape_pair(text: str) -> tuple[float, float]:
 
 def _lambda_grid(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return list(map(_real, text.split(",")))  # an empty part is a ValueError too
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda grid {text!r}") from None
 
@@ -240,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     src = cal.add_mutually_exclusive_group(required=True)
     src.add_argument("--calib", help="calibration dataset (CSV or JSON)")
     src.add_argument("--train", help="training dataset to carve a calibration subset from")
-    cal.add_argument("--calib-fraction", type=float, default=0.2, help="fraction carved from --train (default 0.2)")
-    cal.add_argument("--seed", type=int, default=0, help="seed for the carve draw")
-    cal.add_argument("--alpha", type=float, required=True, help="selective risk budget")
-    cal.add_argument("--beta", type=float, required=True, help="bound failure rate")
-    cal.add_argument("--min-count", type=int, default=1, help="evidence floor: grid points retaining fewer records are not required to pass")
+    cal.add_argument("--calib-fraction", type=_real, default=0.2, help="fraction carved from --train (default 0.2)")
+    cal.add_argument("--seed", type=_integer, default=0, help="seed for the carve draw")
+    cal.add_argument("--alpha", type=_real, required=True, help="selective risk budget")
+    cal.add_argument("--beta", type=_real, required=True, help="bound failure rate")
+    cal.add_argument("--min-count", type=_integer, default=1, help="evidence floor: grid points retaining fewer records are not required to pass")
     cal.add_argument("--date-format", default=None, help="strptime format for the date column (default ISO)")
     cal.add_argument("--out", required=True, help="certificate JSON path")
     cal.set_defaults(func=cmd_calibrate)
@@ -276,16 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=cmd_tradeoff)
 
     si = sub.add_parser("simulate", help="Monte Carlo check of the selective accuracy guarantee")
-    si.add_argument("--trials", type=int, required=True)
-    si.add_argument("--n-calib", type=int, required=True)
-    si.add_argument("--n-test", type=int, required=True)
-    si.add_argument("--alpha", type=float, required=True)
-    si.add_argument("--beta", type=float, required=True)
-    si.add_argument("--min-count", type=int, default=1)
-    si.add_argument("--prevalence", type=float, default=0.5)
+    si.add_argument("--trials", type=_integer, required=True)
+    si.add_argument("--n-calib", type=_integer, required=True)
+    si.add_argument("--n-test", type=_integer, required=True)
+    si.add_argument("--alpha", type=_real, required=True)
+    si.add_argument("--beta", type=_real, required=True)
+    si.add_argument("--min-count", type=_integer, default=1)
+    si.add_argument("--prevalence", type=_real, default=0.5)
     si.add_argument("--pos-shape", type=_shape_pair, default=(8.0, 2.0), help="beta shapes a,b for positive scores")
     si.add_argument("--neg-shape", type=_shape_pair, default=(2.0, 8.0), help="beta shapes a,b for negative scores")
-    si.add_argument("--seed", type=int, required=True)
+    si.add_argument("--seed", type=_integer, required=True)
     si.add_argument("--out-prefix", required=True, help="writes <prefix>.csv and <prefix>.json")
     si.set_defaults(func=cmd_simulate)
 

@@ -276,6 +276,7 @@ def selective_report(
     block is computed per group value over that group's records (ungrouped
     records appear only in the overall block).
     """
+    data = Dataset._given(data, "data")
     scores, labels = data.scores, data.labels
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
@@ -340,6 +341,7 @@ def bootstrap_significance(
     lowest resample that runs out of redraws raises. Each row scores as its
     draw alone would, so the result never depends on the chunking.
     """
+    a, b = Dataset._given(a, "a"), Dataset._given(b, "b")
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
     resamples = check_int("resamples", resamples, 100)

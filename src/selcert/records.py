@@ -563,6 +563,7 @@ def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> No
     Scores are written in shortest exact form (repr), dates in ISO-8601.
     Optional columns appear only when some record carries them.
     """
+    data = Dataset._given(data, "data")
     fmt = _infer_format(path, fmt)
     columns = {"id": data.ids, "score": data.scores, "label": data.labels}
     if np.not_equal(data.dates, None).any():
@@ -574,6 +575,7 @@ def write_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> No
 
 def temporal_split(data: Dataset, split_date: date) -> tuple[Dataset, Dataset]:
     """Split by record date: strictly before `split_date` is train, the rest test."""
+    data = Dataset._given(data, "data")
     cell = [split_date]  # read as a dataset reads a date cell
     _raise_first([_value_fault(~_types_in(cell, date), "split_date", "a datetime.date", cell)], 1)
     undated = np.equal(data.dates, None)

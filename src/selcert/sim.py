@@ -14,7 +14,7 @@ sees that call's records without building a Dataset; the chunk's
 calibration draws go as stacked rows through one `calibrate._grid` and one
 `calibrate._decide`, the decision behind `certify_threshold`; and each
 feasible trial's test draw is counted at its threshold with one comparison,
-conf >= lam.
+conf >= lam. The trials come back as columns, a `GuaranteeTrials` table.
 """
 
 from __future__ import annotations
@@ -57,18 +57,19 @@ class TradeoffCurve(ColumnTable):
     points = property(tuple, doc="The rows as a tuple of TradeoffPoints.")
 
 
-@dataclass(frozen=True)
-class GuaranteeTrial:
-    """One calibrate-then-test draw. lambda_hat is None when certification failed."""
+class GuaranteeTrials(ColumnTable):
+    """Simulate's trials held as columns, one row per trial, in trial order.
 
-    trial_index: int
-    lambda_hat: float | None
-    test_selective_accuracy: float | None
-    violated: bool
+    trial is an int array of trial indices; lambda_hat and
+    test_selective_accuracy are object arrays, a number or None where the
+    trial certified nothing or kept no test record; violated is a bool
+    array. The package only produces the trials: `validate_guarantee` builds
+    them with `_unchecked`. Like a `Dataset`, they are read by their
+    columns alone and cannot be iterated.
+    """
 
-    @property
-    def feasible(self) -> bool:
-        return self.lambda_hat is not None
+    _columns = ("trial", "lambda_hat", "test_selective_accuracy", "violated")
+    __iter__ = None  # type: ignore[assignment]
 
 
 def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
@@ -79,7 +80,7 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     `calibrate._grid`'s, and by default so is the grid, the certifier's
     grid of `data`. Selective accuracy is None where nothing is kept.
     """
-    if len(data) == 0:
+    if len(Dataset._given(data, "data")) == 0:
         raise EmptyInputError("tradeoff curve needs at least one record")
     conf, correct = _confidence_correct(data.scores, data.labels)
     _, grid, n_kept, n_wrong = _grid(conf[None], correct[None])
@@ -110,7 +111,7 @@ def validate_guarantee(
     n_test: int,
     seed: int,
     max_workers: int = 1,
-) -> list[GuaranteeTrial]:
+) -> GuaranteeTrials:
     """Repeatedly draw calibration/test sets, certify, and check the guarantee.
 
     Trial t derives its data from substream t of `seed` (fresh calibration and
@@ -119,7 +120,7 @@ def validate_guarantee(
     is `violated` when that test-sample accuracy is below 1 - alpha, which
     judges the guarantee through test noise, not on the population risk (see
     the module docstring). `spec` contributes the score distribution; its
-    own n and seed fields are not read. Results are ordered by trial index.
+    own n and seed fields are not read. Rows are ordered by trial index.
 
     Trials run a chunk at a time (`_chunk`), as many as fit in
     `_CHUNK_RECORDS` calibration plus test records; a trial's result depends
@@ -132,31 +133,34 @@ def validate_guarantee(
         check_int(name, value, 1)
     seed = check_int("seed", seed, float("-inf"))
     size = max(1, _CHUNK_RECORDS // (n_calib + n_test))
-    return [trial for first in range(0, trials, size)
-            for trial in _chunk(range(first, min(first + size, trials)), spec, config, n_calib, n_test, seed)]
+    chunks = [_chunk(range(first, min(first + size, trials)), spec, config, n_calib, n_test, seed)
+              for first in range(0, trials, size)]
+    return GuaranteeTrials._unchecked(*map(np.concatenate, zip(*chunks)))
 
 
 def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, n_calib: int, n_test: int,
-           seed: int) -> list[GuaranteeTrial]:
-    """The trials at `indices`: one decision over their calibration draws, then test draws where feasible.
+           seed: int) -> tuple[np.ndarray, ...]:
+    """The columns of the trials at `indices`: one decision over their calibration draws, then test draws.
 
     `_decide` decides each trial's threshold on `_grid`'s counts as
     `certify_threshold` does, without solving bounds. A test set keeps the
     records with conf >= lam, the comparison `apply_certificate` makes.
+    Accuracy is None, and the trial not violated, where nothing is kept.
     """
     trial_seeds = [substream_seed(seed, t) for t in indices]
     at, grid, n_at, errors = _grid(*_draws(spec, n_calib, [substream_seed(s, 1) for s in trial_seeds]))
     decided = _decide(at // n_calib, n_at, errors, config)
-    lambda_hat = [lam if i >= 0 else None for i, lam in zip(decided.tolist(), grid[decided].tolist())]
-    feasible = np.flatnonzero(decided >= 0)
-    conf, correct = _draws(spec, n_test, [substream_seed(trial_seeds[i], 2) for i in feasible])
-    kept = conf >= grid[decided[feasible], None]
-    accuracy = [None] * len(indices)  # stays None where nothing is tested or kept
-    for i, n_kept, n_wrong in zip(feasible.tolist(), np.count_nonzero(kept, axis=1).tolist(),
-                                  np.count_nonzero(kept & ~correct, axis=1).tolist()):
-        accuracy[i] = (n_kept - n_wrong) / n_kept if n_kept else None
-    return [GuaranteeTrial(t, lam, acc, acc is not None and acc < 1.0 - config.alpha)
-            for t, lam, acc in zip(indices, lambda_hat, accuracy)]
+    feasible = decided >= 0
+    lam = grid[decided]  # read only where feasible
+    conf, correct = _draws(spec, n_test, [substream_seed(trial_seeds[i], 2) for i in np.flatnonzero(feasible)])
+    kept = conf >= lam[feasible, None]
+    # kept and wrong test records per trial, none where nothing is tested
+    n_kept, n_wrong = np.zeros((2, len(indices)), dtype=np.int64)
+    n_kept[feasible], n_wrong[feasible] = np.count_nonzero(kept, axis=1), np.count_nonzero(kept & ~correct, axis=1)
+    with np.errstate(invalid="ignore"):
+        accuracy = (n_kept - n_wrong) / n_kept  # NaN where nothing is kept
+    return (np.arange(indices.start, indices.stop), np.where(feasible, lam, None),
+            np.where(n_kept > 0, accuracy, None), (n_kept > 0) & (accuracy < 1.0 - config.alpha))
 
 
 def _draws(spec: SyntheticScorerSpec, n: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +171,11 @@ def _draws(spec: SyntheticScorerSpec, n: int, seeds: list[int]) -> tuple[np.ndar
     return _confidence_correct(scores, labels)
 
 
-def summarize_trials(trials: list[GuaranteeTrial]) -> dict:
+def summarize_trials(trials: GuaranteeTrials) -> dict:
     """Violation rate over feasible trials (None when no trial was feasible)."""
-    n_feasible = sum(1 for t in trials if t.feasible)
-    n_violated = sum(1 for t in trials if t.violated)
+    trials = GuaranteeTrials._given(trials, "trials")
+    n_feasible = int(np.count_nonzero(np.not_equal(trials.lambda_hat, None)))
+    n_violated = int(np.count_nonzero(trials.violated))
     return {
         "n_trials": len(trials),
         "n_feasible": n_feasible,
@@ -183,13 +188,10 @@ def summarize_trials(trials: list[GuaranteeTrial]) -> dict:
 # serialization
 
 def curve_to_doc(curve: TradeoffCurve) -> Table:
+    curve = TradeoffCurve._given(curve, "curve")
     return Table(dict(zip(("lambda", "fraction_kept", "selective_accuracy"), curve._values())))
 
 
-def trials_to_doc(trials: list[GuaranteeTrial]) -> Table:
-    return Table({
-        "trial": [t.trial_index for t in trials],
-        "lambda_hat": [t.lambda_hat for t in trials],
-        "test_selective_accuracy": [t.test_selective_accuracy for t in trials],
-        "violated": [t.violated for t in trials],
-    })
+def trials_to_doc(trials: GuaranteeTrials) -> Table:
+    trials = GuaranteeTrials._given(trials, "trials")
+    return Table(dict(zip(trials._columns, trials._values())))

@@ -20,6 +20,7 @@ from selcert import (
     RiskConfig,
     SyntheticScorerSpec,
     apply_certificate,
+    bootstrap_significance,
     certify_threshold,
     generate_synthetic,
     load_certificate,
@@ -311,6 +312,73 @@ class TestTradeoff:
         assert code == 1
 
 
+# each command's numeric arguments, each holding a good value
+NUMERIC_ARGUMENTS = {
+    "calibrate": ["calibrate", "--train", "calib.csv", "--calib-fraction", "0.5", "--seed", "3", "--alpha", "0.3",
+                  "--beta", "0.2", "--min-count", "5", "--out", "cert.json"],
+    "simulate": ["simulate", "--trials", "4", "--n-calib", "40", "--n-test", "60", "--alpha", "0.3", "--beta", "0.2",
+                 "--min-count", "5", "--prevalence", "0.5", "--pos-shape", "3,2", "--neg-shape", "2,3", "--seed", "7",
+                 "--out-prefix", "sim"],
+    "tradeoff": ["tradeoff", "--test", "test.csv", "--grid", "0.5,0.75", "--out-prefix", "curve"],
+}
+INTEGERS = ("--seed", "--min-count", "--trials", "--n-calib", "--n-test")
+# text that float() or int() reads past, but a dataset's number cell may not hold
+LAX_NUMBERS = {"underscore": "1_0", "space": " 10", "tab": "10\t", "no-break space": "10\u00a0",
+               "Arabic-Indic digits": "\u0661\u0660", "fullwidth digits": "\uff11\uff10"}
+LAX_PAIRS = {"underscore": "8,2_0", "space": "8, 20", "Arabic-Indic digit": "\u0668,2", "empty part": "8,",
+             "three parts": "8,2,0"}
+LAX_GRIDS = {"empty part": "0.6,,0.7", "Arabic-Indic digits": "\u0660.\u0666,0.7", "trailing comma": "0.6,0.7,",
+             "space": "0.6, 0.7", "underscore": "0.6,0.7_5", "empty": ""}
+
+
+def _lax_cases():
+    """(command, flag, text, the message that rejects it) for each numeric argument and lax text."""
+    for command, argv in NUMERIC_ARGUMENTS.items():
+        for flag in filter(lambda arg: arg.startswith("--") and arg not in ("--train", "--test", "--out",
+                                                                              "--out-prefix"), argv):
+            if flag.endswith("-shape"):
+                texts, message = LAX_PAIRS, "expected two comma-separated numbers, got {!r}"
+            elif flag == "--grid":
+                texts, message = LAX_GRIDS, "bad lambda grid {!r}"
+            else:
+                kind = "int" if flag in INTEGERS else "float"
+                texts, message = LAX_NUMBERS, f"invalid {kind} value: {{!r}}"
+            for name, text in texts.items():
+                yield pytest.param(command, flag, text, message.format(text), id=f"{command} {flag} {name}")
+
+
+class TestNumericArguments:
+    """Every numeric argument is read by the rule of a dataset's number cell (`records._lax_number`)."""
+
+    @pytest.mark.parametrize("command, flag, text, message", _lax_cases())
+    def test_lax_number_is_a_usage_error(self, command, flag, text, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = list(NUMERIC_ARGUMENTS[command])
+        argv[argv.index(flag) + 1] = text
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"selcert {command}: error: argument {flag}: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plain_numbers_are_read_as_before(self, tmp_path, monkeypatch):
+        # exponents, signs, infinities and leading zeros are float()'s syntax and a number cell's alike
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "test.csv").write_text(CALIB6)
+        for grid, points in (("5e-1,0.75", [0.5, 0.75]), ("+0.5,0.75", [0.5, 0.75]), ("0.50,00.75", [0.5, 0.75])):
+            argv = list(NUMERIC_ARGUMENTS["tradeoff"])
+            argv[argv.index("--grid") + 1] = grid
+            assert main(argv) == 0
+            assert json.loads((tmp_path / "curve.json").read_text())["manifest"]["params"]["grid"] == points
+        args = list(NUMERIC_ARGUMENTS["simulate"])
+        args[args.index("--seed") + 1] = "-007"
+        args[args.index("--trials") + 1] = "+2"
+        assert main(args) == 0
+        params = json.loads((tmp_path / "sim.json").read_text())["manifest"]["params"]
+        assert (params["seed"], params["trials"]) == (-7, 2)
+        args[args.index("--alpha") + 1] = "inf"
+        assert main(args) == 1  # a number, but outside alpha's range
+
+
 class TestUnreadableInput:
     def test_malformed_dataset_csv(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
@@ -489,14 +557,17 @@ GOLDEN_INPUTS = ROOT / "tests" / "golden" / "inputs"
 
 
 class TestBenchmarkChild:
-    """The row reads the benchmark still makes, run as perfbench/child.py runs them.
+    """Every mode of perfbench/child.py, run as the benchmark runs it, on tiny inputs.
 
     The child iterates a certificate's grid (`GridPoint`s) and the decisions
-    (`Decision.retained`), and reads `TradeoffCurve.points`; its counts must
-    equal the tables' column counts. Each child runs in the test's directory
-    with the package's source on PYTHONPATH and writes nothing into the
-    checkout.
+    (`Decision.retained`), reads `TradeoffCurve.points`, and counts the
+    simulate trials with `len`; its counts must equal the tables' column
+    counts. Each child runs in the test's directory with the package's
+    source on PYTHONPATH and writes nothing into the checkout.
     """
+
+    PARAMS = dict(trials=3, n_calib=60, n_test=60, alpha=0.1, beta=0.1, min_count=5, prevalence=0.5,
+                  pos_shape=[8.0, 2.0], neg_shape=[2.0, 8.0], seed=1)
 
     @staticmethod
     def child(work: Path, *argv: str) -> dict:
@@ -536,10 +607,50 @@ class TestBenchmarkChild:
         assert spans["sim.tradeoff_curve"]["points"] == len(tradeoff_curve(load_dataset(test)).lam)
 
     def test_threads2_runs_the_simulation(self, tmp_path):
-        params = dict(trials=3, n_calib=60, n_test=60, alpha=0.1, beta=0.1, min_count=5, prevalence=0.5,
-                      pos_shape=[8.0, 2.0], neg_shape=[2.0, 8.0], seed=1)
-        doc = self.child(tmp_path, "threads2", "--out", "out.json", "--params", json.dumps(params))
+        doc = self.child(tmp_path, "threads2", "--out", "out.json", "--params", json.dumps(self.PARAMS))
         assert [span["name"] for span in doc["spans"]] == ["sim.validate_guarantee_threads2"]
+
+    def test_cli_simulate_counts_its_trials(self, tmp_path):
+        doc = self.child(tmp_path, "cli", "out.json", "simulate", "--trials", "3", "--n-calib", "60", "--n-test", "60",
+                         "--alpha", "0.1", "--beta", "0.1", "--min-count", "5", "--seed", "1", "--out-prefix", "mc")
+        spans = {span["name"]: span for span in doc["spans"]}
+        assert doc["code"] == 0 and spans["sim.validate_guarantee"]["trials"] == 3
+        assert {"sim.summarize_trials", "sim.trials_to_doc"} <= set(spans)
+        assert json.loads((tmp_path / "mc.json").read_text(encoding="utf-8"))["summary"]["n_trials"] == 3
+
+    def test_cli_evaluate_reports_the_retained_records(self, tmp_path):
+        golden = ROOT / "tests" / "golden" / "outputs"
+        doc = self.child(tmp_path, "cli", "out.json", "evaluate", "--test", str(GOLDEN_INPUTS / "test.csv"),
+                         "--decisions", str(golden / "decisions.csv"), "--cert", str(golden / "cert.json"),
+                         "--group", "--out", "report.json")
+        spans = {span["name"] for span in doc["spans"]}
+        assert doc["code"] == 0
+        assert {"calibrate.read_decisions", "metrics.selective_report", "metrics.report_to_doc"} <= spans
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["n_retained"] == int(read_decisions(golden / "decisions.csv").retained.sum()) > 0
+
+    def test_bootstrap_equals_the_library(self, tmp_path):
+        a = generate_synthetic(SyntheticScorerSpec(60, 0.5, (8, 2), (2, 8), 3))
+        b = Dataset(a.ids, generate_synthetic(SyntheticScorerSpec(60, 0.5, (3, 2), (2, 3), 4)).scores, a.labels)
+        write_dataset(a, tmp_path / "a.csv")
+        write_dataset(b, tmp_path / "b.csv")
+        doc = self.child(tmp_path, "bootstrap", "--out", "out.json", "--a", "a.csv", "--b", "b.csv",
+                         "--result", "result.json", "--resamples", "100", "--seed", "1")
+        calls = [span for span in doc["spans"] if span["name"] == "metrics.bootstrap_significance"]
+        assert [(span["metric"], span["resamples"]) for span in calls] == [("pr_auc", 100), ("roc_auc", 100)]
+        for metric in ("pr_auc", "roc_auc"):
+            sig = bootstrap_significance(a, b, metric, resamples=100, seed=1)
+            assert doc["result"][metric] == {"delta": sig.delta, "p_value": sig.p_value, "resamples": 100}
+
+    def test_binom_solves_every_pair(self, tmp_path):
+        (tmp_path / "pairs.json").write_text(json.dumps({"pairs": [[0, 10], [3, 40], [7, 7]], "beta": 0.1}))
+        doc = self.child(tmp_path, "binom", "--out", "out.json", "--pairs", "pairs.json")
+        assert [(span["name"], span["calls"]) for span in doc["spans"]] == [("binom.risk_upper_bound_cold", 3)]
+
+    def test_replay_draws_each_trial_set(self, tmp_path):
+        doc = self.child(tmp_path, "replay", "--out", "out.json", "--params", json.dumps({**self.PARAMS, "n_test": 20}))
+        assert [(span["name"], span["rows"]) for span in doc["spans"]] == [("records.generate_synthetic", 60),
+                                                                          ("records.generate_synthetic", 20)] * 3
 
 
 class TestSimulate:

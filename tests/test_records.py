@@ -13,6 +13,7 @@ from selcert import (
     Decisions,
     DomainError,
     DuplicateIdError,
+    GuaranteeTrials,
     MissingDateError,
     RiskConfig,
     SchemaError,
@@ -25,6 +26,7 @@ from selcert import (
     read_decisions,
     temporal_split,
     tradeoff_curve,
+    validate_guarantee,
     write_dataset,
     write_decisions,
 )
@@ -706,6 +708,10 @@ TABLES = {
     "CertificateGrid": (lambda: CertificateGrid([0.6, 0.8, 0.9], [3, 2, 1], [1, 1, 0],
                                                 [1 / 3, 0.5, 0.0], [0.9, 0.95, 0.9]),
                         "CertificateGrid(<3 rows>)"),
+    # nor have the trials, which no caller builds from columns
+    "GuaranteeTrials": (lambda: validate_guarantee(SyntheticScorerSpec(1, 0.5, (4, 1), (1, 4), 0),
+                                                   RiskConfig(alpha=0.3, beta=0.2, min_count=5), 3, 40, 40, 1),
+                        "GuaranteeTrials(<3 rows>)"),
 }
 
 
@@ -725,7 +731,7 @@ def test_column_base_contract(name):
     assert len(table) == 3 and table == build() and table != "abc"
     with pytest.raises(TypeError):
         table[1]  # read by column, never by row
-    if isinstance(table, Dataset):
+    if isinstance(table, (Dataset, GuaranteeTrials)):
         with pytest.raises(TypeError):
             iter(table)
     else:  # read-only row views, built on each pass; a table equals only a table

@@ -10,37 +10,56 @@ naming the argument: never a bare TypeError, ValueError or AttributeError,
 and never a quiet reading of the value.
 """
 
+import importlib
+import inspect
+import pkgutil
+import typing
 from datetime import date
 
 import numpy as np
 import pytest
 
+import selcert
 from selcert import (
     Dataset,
     Decisions,
     DomainError,
+    GuaranteeTrials,
     RiskConfig,
     SchemaError,
     SyntheticScorerSpec,
     ThresholdCertificate,
     TradeoffCurve,
     UnsortedLambdasError,
+    apply_certificate,
+    bootstrap_significance,
+    certify_threshold,
     f1_accuracy,
     pr_auc,
     retain_rate,
     risk_upper_bound,
     roc_auc,
     selective_report,
+    selective_risk,
+    summarize_trials,
+    temporal_split,
     tradeoff_curve,
+    trials_to_doc,
+    validate_guarantee,
+    write_dataset,
     write_decisions,
 )
 from selcert.calibrate import CertificateGrid
 from selcert.records import ColumnTable
+from selcert.sim import curve_to_doc
 
 COLUMN = "must be a column (a list, tuple, range or 1-d array)"
-DATA = Dataset(["a", "b"], [0.9, 0.2], [1, 0])
+DATA = Dataset(["a", "b"], [0.9, 0.2], [1, 0], [date(2020, 1, 1), date(2020, 6, 1)])
 DECISIONS = Decisions(["a", "b"], [1, -1], [0.9, 0.8])  # DATA's ids
 GRID = CertificateGrid([0.6, 0.8], [3, 2], [1, 1], [1 / 3, 0.5], [0.9, 0.95])
+CERT = ThresholdCertificate("feasible", 0.6, GRID, RiskConfig(0.5, 0.2), 3)
+CURVE = tradeoff_curve(DATA)
+TRIALS = validate_guarantee(SyntheticScorerSpec(1, 0.5, (4, 1), (1, 4), 0), RiskConfig(0.3, 0.2, 5), 2, 20, 20, 0)
 
 # entry point -> (call, its column arguments' names and good values, its error); each key is the
 # entry point's test id
@@ -59,13 +78,28 @@ COLUMN_ENTRY_POINTS = {
                        UnsortedLambdasError),
 }
 
-# entry point -> (call taking a table and a scratch directory, the table's argument name, a good table)
+# entry point -> (call taking a table and a scratch directory, the table's argument name, a good table);
+# a key names the function, then the argument where the function takes more than one table
 TABLE_ENTRY_POINTS = {
     "retain_rate": (lambda table, _: retain_rate(table), "decisions", DECISIONS),
     "write_decisions": (lambda table, tmp: write_decisions(table, tmp / "decisions.csv"), "decisions", DECISIONS),
     "selective_report": (lambda table, _: selective_report(DATA, table), "decisions", DECISIONS),
     "ThresholdCertificate.grid": (
         lambda table, _: ThresholdCertificate("infeasible", None, table, RiskConfig(0.5, 0.2), 3), "grid", GRID),
+    "selective_report.data": (lambda table, _: selective_report(table, DECISIONS), "data", DATA),
+    "certify_threshold": (lambda table, _: certify_threshold(table, RiskConfig(0.5, 0.2)), "data", DATA),
+    "apply_certificate": (lambda table, _: apply_certificate(table, CERT), "data", DATA),
+    "selective_risk": (lambda table, _: selective_risk(table, 0.6, 0.2), "data", DATA),
+    "tradeoff_curve": (lambda table, _: tradeoff_curve(table), "data", DATA),
+    "bootstrap_significance.a": (
+        lambda table, _: bootstrap_significance(table, DATA, "accuracy", resamples=100), "a", DATA),
+    "bootstrap_significance.b": (
+        lambda table, _: bootstrap_significance(DATA, table, "accuracy", resamples=100), "b", DATA),
+    "temporal_split": (lambda table, _: temporal_split(table, date(2020, 3, 1)), "data", DATA),
+    "write_dataset": (lambda table, tmp: write_dataset(table, tmp / "data.csv"), "data", DATA),
+    "curve_to_doc": (lambda table, _: curve_to_doc(table), "curve", CURVE),
+    "summarize_trials": (lambda table, _: summarize_trials(table), "trials", TRIALS),
+    "trials_to_doc": (lambda table, _: trials_to_doc(table), "trials", TRIALS),
 }
 
 # entry point -> (call taking the pair, the pair's argument name, a good pair)
@@ -142,22 +176,24 @@ def test_ranges_read_as_lists():
     assert SyntheticScorerSpec(3, 0.5, range(2, 9, 6), (2, 8), 0) == SyntheticScorerSpec(3, 0.5, (2, 8), (2, 8), 0)
 
 
-CURVE = tradeoff_curve(DATA)
-
-
 def _foreign_views(table):
     """Row views of an iterable table other than `table`'s kind."""
     return list(GRID if isinstance(table, Decisions) else DECISIONS)
 
 
-# values that are no table, each built from a good table: its row views, its columns, or neither
-NOT_TABLES = {
+# values that are no table, built from an iterable table's own row views
+OWN_VIEWS = {
     "list of views": list,
     "tuple of views": tuple,
     "generator of views": lambda table: (row for row in table),
     "set of views": set,
     "frozenset of views": frozenset,
     "dict of views": lambda table: dict(enumerate(table)),
+    "view and number": lambda table: [next(iter(table)), 5],
+}
+# values that are no table, each built from a good table: its row views, its columns, or neither
+NOT_TABLES = {
+    **OWN_VIEWS,
     "list of columns": lambda table: [getattr(table, name) for name in table._columns],
     "dict of columns": lambda table: {name: getattr(table, name) for name in table._columns},
     "2-d array of columns": lambda table: np.array([getattr(table, name) for name in table._columns], dtype=object),
@@ -166,7 +202,6 @@ NOT_TABLES = {
     "generator of numbers": lambda table: (cell for cell in [0.9, 0.1]),
     "int": lambda table: 2,
     "0-d array": lambda table: np.array(0.5),
-    "view and number": lambda table: [next(iter(table)), 5],
     "another table's views": _foreign_views,
 }
 
@@ -181,13 +216,15 @@ def _rejected(entry, value, tmp_path):
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
-@pytest.mark.parametrize("kind", NOT_TABLES)
-@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry, (_, _, good) in TABLE_ENTRY_POINTS.items() for kind in NOT_TABLES
+    if kind not in OWN_VIEWS or type(good).__iter__ is not None])  # a Dataset or the trials have no rows to view
 def test_value_that_is_no_table_rejected(entry, kind, tmp_path):
     _rejected(entry, NOT_TABLES[kind](TABLE_ENTRY_POINTS[entry][2]), tmp_path)
 
 
-OTHER_TABLES = {"Dataset": DATA, "Decisions": DECISIONS, "CertificateGrid": GRID, "TradeoffCurve": CURVE}
+OTHER_TABLES = {"Dataset": DATA, "Decisions": DECISIONS, "CertificateGrid": GRID, "TradeoffCurve": CURVE,
+                "GuaranteeTrials": TRIALS}
 
 
 @pytest.mark.parametrize("entry, other", [
@@ -198,7 +235,8 @@ def test_another_table_rejected(entry, other, tmp_path):
 
 
 @pytest.mark.parametrize("kind", COLUMNS)
-@pytest.mark.parametrize("entry", TABLE_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", [  # the entry points whose table a caller can build from columns
+    entry for entry, (_, _, good) in TABLE_ENTRY_POINTS.items() if type(good).__init__ is not object.__init__])
 def test_tables_read_alike(entry, kind, tmp_path):
     # a table built from tuples or arrays gives what the one built from lists gives
     call, _, good = TABLE_ENTRY_POINTS[entry]
@@ -211,15 +249,44 @@ def test_tables_read_alike(entry, kind, tmp_path):
 
 
 # each table -> the entry point that builds it from a caller's columns, by its key above; the
-# tradeoff curve has no constructor, and its producer reads the caller's grid
+# tradeoff curve has no constructor, and its producer reads the caller's grid; the trials (None)
+# are built from no caller's columns
 TABLES = {Dataset: "Dataset", Decisions: "Decisions", CertificateGrid: "CertificateGrid",
-          TradeoffCurve: "tradeoff_curve"}
+          TradeoffCurve: "tradeoff_curve", GuaranteeTrials: None}
 
 
 def test_every_table_is_on_the_rule():
     # a table added later fails here until its entry point joins the matrix above
     assert set(ColumnTable.__subclasses__()) == set(TABLES)
-    assert set(TABLES.values()) <= set(COLUMN_ENTRY_POINTS)
+    assert set(TABLES.values()) - {None} <= set(COLUMN_ENTRY_POINTS)
+
+
+def table_parameters() -> set:
+    """(function, parameter) for every parameter of the package's public functions and class constructors
+    that is annotated with a table, alone or in a union such as `Decisions | None`."""
+    found = set()
+    for info in pkgutil.iter_modules(selcert.__path__):
+        if info.name == "__main__":  # importing it would run the command line
+            continue
+        module = importlib.import_module(f"selcert.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue  # private, or imported from another module
+            if isinstance(value, type):
+                value = vars(value).get("__init__")
+            if not inspect.isfunction(value):
+                continue
+            for parameter in inspect.signature(value, eval_str=True).parameters.values():
+                kinds = typing.get_args(parameter.annotation) or (parameter.annotation,)
+                if any(isinstance(kind, type) and issubclass(kind, ColumnTable) for kind in kinds):
+                    found.add((name, parameter.name))
+    return found
+
+
+def test_every_table_argument_is_on_the_rule():
+    # a function taking a table, added later, fails here until it joins TABLE_ENTRY_POINTS
+    assert table_parameters() == {(entry.split(".")[0], argument)
+                                  for entry, (_, argument, _) in TABLE_ENTRY_POINTS.items()}
 
 
 NOT_PAIRS = {**NOT_COLUMNS, "one": lambda good: good[:1], "three": lambda good: [*good, good[0]],

@@ -10,7 +10,7 @@ from selcert import (
     Dataset,
     DomainError,
     EmptyInputError,
-    GuaranteeTrial,
+    GuaranteeTrials,
     RiskConfig,
     SyntheticScorerSpec,
     TradeoffCurve,
@@ -141,6 +141,13 @@ def rounded(scores, labels):
     return np.round(scores, 2), labels
 
 
+def trials_of(rows) -> GuaranteeTrials:
+    """The trials with these (trial, lambda_hat, test_selective_accuracy, violated) rows."""
+    trial, lambda_hat, accuracy, violated = map(list, zip(*rows))
+    return GuaranteeTrials._unchecked(np.array(trial), np.array(lambda_hat, dtype=object),
+                                      np.array(accuracy, dtype=object), np.array(violated))
+
+
 def reference_trials(spec, config, trials, n_calib, n_test, seed, tie=lambda scores, labels: (scores, labels)):
     """validate_guarantee one trial at a time: certify_threshold on generate_synthetic's calibration
     set, then the count on its test set, each drawn as `tie` leaves generate_synthetic's records."""
@@ -151,14 +158,14 @@ def reference_trials(spec, config, trials, n_calib, n_test, seed, tie=lambda sco
                                     for i, n in ((1, n_calib), (2, n_test))))
         lambda_hat = certify_threshold(calib, config).lambda_hat
         if lambda_hat is None:
-            out.append(GuaranteeTrial(t, None, None, False))
+            out.append((t, None, None, False))
             continue
         scores = test.scores
         kept = np.maximum(scores, 1.0 - scores) >= lambda_hat
         right = int((kept & ((scores >= 0.5) == test.labels)).sum())
         accuracy = right / int(kept.sum()) if kept.any() else None
-        out.append(GuaranteeTrial(t, lambda_hat, accuracy, accuracy is not None and accuracy < 1.0 - config.alpha))
-    return out
+        out.append((t, lambda_hat, accuracy, accuracy is not None and accuracy < 1.0 - config.alpha))
+    return trials_of(out)
 
 
 class TestValidateGuarantee:
@@ -171,23 +178,30 @@ class TestValidateGuarantee:
 
     def test_trials_are_indexed_in_order(self):
         trials = validate_guarantee(SPEC, CONFIG, trials=5, n_calib=50, n_test=60, seed=1)
-        assert [t.trial_index for t in trials] == [0, 1, 2, 3, 4]
+        assert trials.trial.tolist() == [0, 1, 2, 3, 4]
 
     def test_trials_are_independent_of_count(self):
         # trial t depends only on (seed, t), so a longer run extends a shorter one
         short = validate_guarantee(SPEC, CONFIG, trials=3, n_calib=50, n_test=60, seed=9)
         long = validate_guarantee(SPEC, CONFIG, trials=6, n_calib=50, n_test=60, seed=9)
-        assert long[:3] == short
+        assert [column[:3] for column in long._values()] == short._values()
 
     def test_trial_fields_are_consistent(self):
         trials = validate_guarantee(SPEC, CONFIG, trials=10, n_calib=80, n_test=120, seed=3)
-        for t in trials:
-            if t.lambda_hat is None:
-                assert t.test_selective_accuracy is None and not t.violated
+        assert [getattr(trials, name).dtype for name in trials._columns] == [np.int64, object, object, bool]
+        for lambda_hat, accuracy, violated in zip(*trials._values()[1:]):
+            if lambda_hat is None:
+                assert accuracy is None and not violated
             else:
-                assert 0.5 <= t.lambda_hat <= 1.0
-                if t.violated:
-                    assert t.test_selective_accuracy < 1 - CONFIG.alpha
+                assert 0.5 <= lambda_hat <= 1.0
+                if violated:
+                    assert accuracy < 1 - CONFIG.alpha
+
+    def test_trials_have_no_constructor(self):
+        # validate_guarantee is their one producer
+        trials = validate_guarantee(SPEC, CONFIG, trials=2, n_calib=20, n_test=20, seed=0)
+        with pytest.raises(TypeError):
+            GuaranteeTrials(*(getattr(trials, name) for name in trials._columns))
 
     @pytest.mark.parametrize("config", [CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=5),
                                         RiskConfig(alpha=0.35, beta=0.9, min_count=1)])
@@ -197,7 +211,7 @@ class TestValidateGuarantee:
         # each accuracy the count on generate_synthetic's test set
         trials = validate_guarantee(SPEC, config, trials=12, n_calib=150, n_test=20, seed=17)
         assert trials == reference_trials(SPEC, config, trials=12, n_calib=150, n_test=20, seed=17)
-        assert any(t.test_selective_accuracy is not None for t in trials)
+        assert np.not_equal(trials.test_selective_accuracy, None).any()
 
     @pytest.mark.parametrize("config, trials, n_calib, n_test, per_chunk", [
         (CONFIG, 11, 60, 40, 4),  # a trial count that is no multiple of the chunk
@@ -220,7 +234,7 @@ class TestValidateGuarantee:
         got = validate_guarantee(SPEC, config, trials=trials, n_calib=n_calib, n_test=n_test, seed=5)
         assert got == reference_trials(SPEC, config, trials, n_calib, n_test, seed=5)
         if config.alpha == 0.01 or config.min_count > n_calib:
-            assert not any(t.feasible for t in got)
+            assert np.equal(got.lambda_hat, None).all()
 
     @pytest.mark.parametrize("per_chunk", [0, 3, 50])
     def test_tied_scores_equal_the_per_trial_reference(self, monkeypatch, per_chunk):
@@ -231,7 +245,7 @@ class TestValidateGuarantee:
         for config in (CONFIG, RiskConfig(alpha=0.3, beta=0.6, min_count=1)):
             got = validate_guarantee(SPEC, config, trials=10, n_calib=200, n_test=200, seed=3)
             assert got == reference_trials(SPEC, config, 10, 200, 200, seed=3, tie=rounded)
-            assert sum(t.feasible for t in got) > 0
+            assert np.not_equal(got.lambda_hat, None).any()
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0, n_calib=10, n_test=10, seed=0),
@@ -246,11 +260,7 @@ class TestValidateGuarantee:
 
 class TestSummarizeTrials:
     def test_counts(self):
-        trials = [
-            GuaranteeTrial(0, 0.7, 0.9, False),
-            GuaranteeTrial(1, None, None, False),
-            GuaranteeTrial(2, 0.8, 0.6, True),
-        ]
+        trials = trials_of([(0, 0.7, 0.9, False), (1, None, None, False), (2, 0.8, 0.6, True)])
         summary = summarize_trials(trials)
         assert summary == {
             "n_trials": 3,
@@ -260,12 +270,8 @@ class TestSummarizeTrials:
         }
 
     def test_no_feasible_trials(self):
-        summary = summarize_trials([GuaranteeTrial(0, None, None, False)])
+        summary = summarize_trials(trials_of([(0, None, None, False)]))
         assert summary["violation_rate"] is None
-
-    def test_feasible_property(self):
-        assert GuaranteeTrial(0, 0.6, 0.9, False).feasible
-        assert not GuaranteeTrial(0, None, None, False).feasible
 
 
 class TestSerialization:
@@ -284,11 +290,7 @@ class TestSerialization:
         assert first == {"lambda": 0.6, "fraction_kept": 1.0, "selective_accuracy": 4 / 6}
 
     def test_trials_csv_text(self):
-        trials = [
-            GuaranteeTrial(0, 0.75, 0.9125, False),
-            GuaranteeTrial(1, None, None, False),
-            GuaranteeTrial(2, 0.55, 0.62, True),
-        ]
+        trials = trials_of([(0, 0.75, 0.9125, False), (1, None, None, False), (2, 0.55, 0.62, True)])
         assert csv_text(trials_to_doc(trials)) == (
             "trial,lambda_hat,test_selective_accuracy,violated\n"
             "0,0.75,0.9125,false\n"
@@ -297,7 +299,7 @@ class TestSerialization:
         )
 
     def test_trials_doc(self):
-        doc = trials_to_doc([GuaranteeTrial(1, None, None, False)])
+        doc = trials_to_doc(trials_of([(1, None, None, False)]))
         assert isinstance(doc, Table)
         assert [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())] == [{
             "trial": 1,
