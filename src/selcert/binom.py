@@ -44,8 +44,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_beta, check_int, check_real
-from .records import _columns, _first, _raise_first
+from .errors import ConvergenceError, DomainError
+from .records import _columns, _first, _raise_first, check_beta, check_int, check_real
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -424,7 +424,7 @@ def risk_upper_bounds(k, n, beta: float) -> tuple[np.ndarray, np.ndarray]:
     DEFAULT_TOL where the CDF is steep. The CDF is summed as F, not 1 - F,
     so relative accuracy degrades as beta approaches 1: at beta 0.999 a
     bound can be several 1e-12 relative from the root. beta must leave
-    1 - beta a float below 1 (`errors.check_beta`).
+    1 - beta a float below 1 (`records.check_beta`).
     """
     k, n = _points(k, n)
     beta = check_beta(beta)

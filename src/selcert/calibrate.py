@@ -70,9 +70,6 @@ from .errors import (
     SchemaError,
     SelcertError,
     _shown,
-    check_beta,
-    check_int,
-    check_real,
 )
 from .jsonio import Exact, Table, csv_text
 from .jsonio import dumps as json_dumps
@@ -91,6 +88,9 @@ from .records import (
     _raise_first,
     _types_in,
     _value_fault,
+    check_beta,
+    check_int,
+    check_real,
     csv_columns,
     read_text,
     write_text,

@@ -25,10 +25,10 @@ from .calibrate import (
     retain_rate,
     write_decisions,
 )
-from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, check_real
+from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError
 from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
-from .records import Dataset, SyntheticScorerSpec, _lax_number, load_dataset, write_text
+from .records import Dataset, SyntheticScorerSpec, _lax_number, check_real, load_dataset, write_text
 from .rng import substream
 from .sim import curve_to_doc, summarize_trials, tradeoff_curve, trials_to_doc, validate_guarantee
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the quoting of a bad value in their messages.
 
 Everything raised on purpose derives from SelcertError so the CLI can map
 failures onto its exit-code contract (1 for usage/schema problems, 2 for an
@@ -7,8 +7,6 @@ infeasible certificate).
 
 from __future__ import annotations
 
-import math
-import numbers
 import reprlib
 
 import numpy as np
@@ -53,47 +51,6 @@ class MissingDateError(SelcertError):
 
 class DomainError(SelcertError):
     """A numeric argument is outside its legal domain."""
-
-
-def check_real(name: str, value, low: float, high: float, closed: bool = False) -> float:
-    """`value` as a float, if it is a real number (not a bool or NaN) within the interval.
-
-    The interval runs from low to high, open unless `closed`; anything else
-    raises a DomainError naming `name`.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
-        raise DomainError(f"{name} must be a number, got {_shown(value)}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer or fraction beyond the float range
-        number = math.inf if value > 0 else -math.inf
-    if not (low <= number <= high if closed else low < number < high):
-        ends = "[]" if closed else "()"
-        raise DomainError(f"{name} must be within {ends[0]}{low}, {high}{ends[1]}, got {_shown(value)}")
-    return number
-
-
-def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
-    """`value` as an int, if it is an integer (not a bool) from minimum up to any maximum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" + ("" if maximum is None else f" and <= {maximum}")
-        raise DomainError(f"{name} must be an integer {bound}, got {_shown(value)}")
-    return int(value)
-
-
-def check_beta(beta) -> float:
-    """`beta` as a float, if it is within (0, 1) and 1 - beta is a float below 1.
-
-    At beta <= 2**-54, 1.0 - beta rounds to 1.0: the solver has no start at
-    such a level, and its absolute tolerance says nothing about the root.
-    Every entry point that reads a beta checks it here.
-    """
-    number = check_real("beta", beta, 0, 1)
-    if 1.0 - number == 1.0:
-        raise DomainError(f"beta must be within (0, 1) with 1 - beta below 1 as a float, got {number!r}")
-    return number
 
 
 class _Quote(reprlib.Repr):

@@ -47,9 +47,8 @@ from .errors import (
     ResampleCapError,
     UnpairedIdsError,
     _shown,
-    check_int,
 )
-from .records import Dataset, _coded, _columns, _floats, _raise_first, _value_fault
+from .records import Dataset, _coded, _columns, _floats, _raise_first, _value_fault, check_int
 from .rng import substream
 
 
@@ -383,10 +382,12 @@ def bootstrap_significance(
 
 
 def report_to_doc(report: SelectiveReport, metadata: dict | None = None) -> dict:
-    """Report as a JSON-ready dict: metric row first, then metadata, then groups."""
+    """Report as a JSON-ready dict: metric row first, then metadata, then groups; no metadata key names a field."""
     doc: dict[str, object] = {name: value for name, value in vars(report).items() if name != "group_breakdown"}
-    if metadata:
-        doc.update(metadata)
+    for key in metadata or ():
+        if key in doc or key == "groups":
+            raise DomainError(f"metadata key must not name a report field or 'groups', got {_shown(key)}")
+    doc.update(metadata or {})
     if report.group_breakdown is not None:
         doc["groups"] = {
             name: report_to_doc(sub) for name, sub in report.group_breakdown.items()

@@ -4,8 +4,10 @@ A dataset is an ordered collection of (id, score, label) rows, optionally
 dated and grouped, read from CSV or JSON. It holds its rows as read-only numpy
 columns, built from columns by `Dataset` and read as attributes.
 `ColumnTable` is that pattern, written once: the base of `Dataset`, the
-decisions, the certificate grid and the tradeoff curve, each with one way in,
-its constructor from columns, and one way out, its column attributes.
+decisions, the certificate grid, the tradeoff curve and simulate's trials,
+each read by its column attributes and, where a caller builds it, built
+from columns by its constructor. Every number is read here, a cell by
+`_floats` or `_types_in` and a scalar argument by the checks through them.
 
 A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
@@ -49,8 +51,6 @@ from .errors import (
     SchemaError,
     _cut,
     _shown,
-    check_int,
-    check_real,
 )
 from .jsonio import Table, csv_text, dumps
 
@@ -198,9 +198,9 @@ def _floats(cells: Sequence) -> np.ndarray:
         cells = [cell if ok else math.nan for cell, ok in zip(cells, real)]
     try:
         return np.array(cells, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range, read as the infinity of its sign
-        # (only integers are compared: a float32 cell would cast float_info.max to float32, and warn)
-        return np.array([cell if not isinstance(cell, numbers.Integral) or abs(cell) <= sys.float_info.max
+    except OverflowError:  # an integer or fraction beyond the float range, read as the infinity of its sign
+        # (only rationals are compared: a float32 cell would cast float_info.max to float32, and warn)
+        return np.array([cell if not isinstance(cell, numbers.Rational) or abs(cell) <= sys.float_info.max
                          else math.inf if cell > 0 else -math.inf for cell in cells], dtype=np.float64)
 
 
@@ -210,6 +210,44 @@ def _counts(cells: Sequence) -> np.ndarray:
     column[~_types_in(cells, numbers.Integral)] = -1
     column[(column < 0) | (column >= 2**63)] = -1
     return column.astype(np.int64)
+
+
+def check_real(name: str, value, low: float, high: float, closed: bool = False) -> float:
+    """`value` as a float, if it reads as a number cell (`_floats`) within the interval.
+
+    The interval runs from low to high, open unless `closed`; anything else
+    raises a DomainError naming `name`.
+    """
+    number = float(_floats([value])[0])
+    if number != number:
+        raise DomainError(f"{name} must be a number, got {_shown(value)}")
+    if not (low <= number <= high if closed else low < number < high):
+        ends = "[]" if closed else "()"
+        raise DomainError(f"{name} must be within {ends[0]}{low}, {high}{ends[1]}, got {_shown(value)}")
+    return number
+
+
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """`value` as an int, if it is an integer cell (`_types_in`) from minimum up to any maximum."""
+    if not _types_in([value], numbers.Integral)[0]:
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" + ("" if maximum is None else f" and <= {maximum}")
+        raise DomainError(f"{name} must be an integer {bound}, got {_shown(value)}")
+    return int(value)
+
+
+def check_beta(beta) -> float:
+    """`beta` as a float, if it is within (0, 1) and 1 - beta is a float below 1.
+
+    At beta <= 2**-54, 1.0 - beta rounds to 1.0: the solver has no start at
+    such a level, and its absolute tolerance says nothing about the root.
+    Every entry point that reads a beta checks it here.
+    """
+    number = check_real("beta", beta, 0, 1)
+    if 1.0 - number == 1.0:
+        raise DomainError(f"beta must be within (0, 1) with 1 - beta below 1 as a float, got {number!r}")
+    return number
 
 
 def _coded(cells: Sequence, codes: dict, missing: int, integral: bool = False) -> np.ndarray:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import RiskConfig, _confidence_correct, _decide, _grid, _thresholds
-from .errors import EmptyInputError, UnsortedLambdasError, check_int
+from .errors import EmptyInputError, UnsortedLambdasError
 from .jsonio import Table
-from .records import ColumnTable, Dataset, SyntheticScorerSpec, _columns, _draw, _raise_first
+from .records import ColumnTable, Dataset, SyntheticScorerSpec, _columns, _draw, _raise_first, check_int
 from .rng import substream_seed
 
 

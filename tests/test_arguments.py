@@ -1,4 +1,4 @@
-"""Every public numeric argument goes through one of the checks in selcert.errors.
+"""Every public numeric argument goes through one of the checks in selcert.records.
 
 A real number inside an interval, or an integer at or above a minimum: bools,
 NaN, strings, out-of-range and huge values raise DomainError at every entry
@@ -6,18 +6,26 @@ point, and numpy scalars are accepted wherever a Python number is. A beta is
 also rejected where 1.0 - beta rounds to 1.0 (`check_beta`). A seed, and each
 argument of the `rng` functions, is any integer of either sign and any size.
 What holds cells, a column, a row list or a pair, has its own matrix in
-test_shapes.py.
+test_shapes.py, and a threshold has its own in test_calibrate.py. A test
+collects every argument annotated with a number, so a new one cannot escape
+these matrices.
 """
+
+import inspect
 
 import numpy as np
 import pytest
+from test_calibrate import THRESHOLD_ENTRY_POINTS
+from test_shapes import annotated_parameters
 
+import selcert
 from selcert import (
     BinomialTail,
     Dataset,
     DomainError,
     RiskConfig,
     SyntheticScorerSpec,
+    ThresholdCertificate,
     binom_cdf,
     bootstrap_significance,
     confidence,
@@ -31,6 +39,7 @@ from selcert import (
     validate_guarantee,
 )
 from selcert.binom import risk_upper_bounds, tail_at_most
+from selcert.calibrate import CertificateGrid
 
 SPEC = SyntheticScorerSpec(n=30, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=3)
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
@@ -69,6 +78,9 @@ ENTRY_POINTS = {
     "validate_guarantee.trials": (lambda v: validate_guarantee(SPEC, CONFIG, v, 20, 20, 0), "count"),
     "validate_guarantee.n_calib": (lambda v: validate_guarantee(SPEC, CONFIG, 1, v, 20, 0), "count"),
     "validate_guarantee.n_test": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, v, 0), "count"),
+    "validate_guarantee.max_workers": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, 20, 0, v), "count"),
+    "ThresholdCertificate.calib_size": (
+        lambda v: ThresholdCertificate("infeasible", None, CertificateGrid([], [], [], [], []), CONFIG, v), "count"),
     "bootstrap_significance.resamples": (_bootstrap, "resamples"),
     "SyntheticScorerSpec.seed": (lambda v: SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), v), "seed"),
     "validate_guarantee.seed": (lambda v: validate_guarantee(SPEC, CONFIG, 1, 20, 20, v), "seed"),
@@ -139,3 +151,19 @@ def test_count_past_64_bits_cannot_be_summed(call):
     with pytest.raises(DomainError, match="64-bit integers"):
         call()
 
+
+# numbers the package makes rather than reads from a caller: the records and row views it returns,
+# an error's row, a number it spells for output, and the bounds its own checks are given
+MADE = {"Decision", "GridPoint", "RiskBound", "SelectiveReport", "SignificanceResult", "TradeoffPoint",
+        "SchemaError.row", "format_number.x", "check_int", "check_real"}
+
+
+def test_every_number_argument_is_on_the_rule():
+    # an argument annotated int or float, added later, fails here until it joins ENTRY_POINTS
+    # (or the threshold matrix); a function with one argument is listed by its name alone
+    listed = {entry if "." in entry else f"{entry}.{next(iter(inspect.signature(getattr(selcert, entry)).parameters))}"
+              for entry in ENTRY_POINTS}
+    listed |= {f"{entry.split('.')[0]}.{where}" for entry, (_, where, _) in THRESHOLD_ENTRY_POINTS.items()}
+    numbers = {f"{name}.{argument}" for name, argument in annotated_parameters(lambda kind: kind in (int, float))
+               if name not in MADE and f"{name}.{argument}" not in MADE}
+    assert numbers - listed == set()

@@ -507,6 +507,14 @@ class TestCertificateInvariants:
             ThresholdCertificate("infeasible", None, grid, RiskConfig(0.5, 0.2), calib_size)
         assert str(err.value) == message
 
+    # a fraction past the float range is out of range, quoted cut to 80 characters
+    @pytest.mark.parametrize("value, quoted", [(Fraction(10**400), f"Fraction(1{'0' * 28}...{'0' * 35}, 1)"),
+                                               (-Fraction(10**400), f"Fraction(-1{'0' * 27}...{'0' * 35}, 1)")])
+    def test_risk_past_the_float_range_is_out_of_range(self, value, quoted):
+        with pytest.raises(DomainError) as err:
+            CertificateGrid([0.6], [2], [0], [value], [0.5])
+        assert str(err.value) == f"grid[0].risk_hat must be a number within [0, 1], got {quoted}"
+
     def test_numpy_cells_are_quoted_as_python_values(self):
         with pytest.raises(DomainError) as err:
             CertificateGrid(np.array([0.6]), np.array([2]), np.array([3]), np.array([0.5]), np.array([0.9]))
@@ -615,6 +623,9 @@ class TestDecisions:
          SchemaError),
         ([1, True], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got 'True' "
          "(row 2, column 'outcome')", SchemaError),
+        # a fraction past the float range is out of range
+        pytest.param([1], [Fraction(10**400)], f"confidence must be a number within [0.5, 1], got '{10**400}' "
+                     "(row 1, column 'confidence')", SchemaError, id="huge fraction"),
     ])
     def test_bad_columns_rejected(self, prediction, confidences, message, error):
         with pytest.raises(error) as err:
@@ -1054,12 +1065,14 @@ THRESHOLD_ENTRY_POINTS = {
     "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),
 }
 # a hostile threshold cell -> the error it gets, given the cell's name: a bool, text, a list and
-# NaN are no number, and an integer past the float range reads as an infinity of its sign
+# NaN are no number, and an integer or fraction past the float range reads as an infinity of its sign
 HOSTILE_THRESHOLDS = {
     "True": (True, "{} must be a number, got True"),
     "text": ("0.6", "{} must be a number, got '0.6'"),
     "huge": (10**400, THRESHOLD_RULE + "{} is inf"),
     "negative huge": (-10**400, THRESHOLD_RULE + "{} is -inf"),
+    "huge fraction": (Fraction(10**400), THRESHOLD_RULE + "{} is inf"),
+    "negative huge fraction": (-Fraction(10**400), THRESHOLD_RULE + "{} is -inf"),
     "nan": (math.nan, "{} must be a number, got nan"),
     "list": ([0.6], "{} must be a number, got [0.6]"),
 }

@@ -16,6 +16,7 @@ import math
 import sys
 from datetime import date, datetime
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_decisions_round_trip(tmp_path, decisions):
 # cannot hold, and values the constructor reads as a reader would
 ODD_CELLS = {
     "ids": ["", "dup", 3, None, np.str_("np-id")],
-    "scores": [1.5, -0.0, math.nan, "0.5", True, 10**400, np.float32(0.1)],
+    "scores": [1.5, -0.0, math.nan, "0.5", True, 10**400, Fraction(10**400), np.float32(0.1)],
     "labels": [2, -1, True, 1.0, "1", np.int64(1)],
     "dates": ["2020-01-01", datetime(2020, 1, 1), 20200101, date.min, date.max],
     "groups": ["", 3, None, "g\r\nh", np.str_("")],
@@ -268,12 +269,13 @@ def built(fields) -> ThresholdCertificate | None:
         return None
 
 
-# numpy scalars reach a constructor from code only; JSON cannot carry them
-NUMPY_VALUES = st.sampled_from([np.float64(0.75), np.float64(math.nan), np.int64(3), np.int64(-1), np.bool_(True)])
+# numpy scalars and fractions reach a constructor from code only; JSON cannot carry them
+CODE_VALUES = st.sampled_from([np.float64(0.75), np.float64(math.nan), np.int64(3), np.int64(-1), np.bool_(True),
+                               Fraction(10**400), -Fraction(10**400)])
 
 
 @SETTINGS
-@given(cert=certificates() | loose_certificate_fields(HOSTILE | NUMPY_VALUES).map(built).filter(bool))
+@given(cert=certificates() | loose_certificate_fields(HOSTILE | CODE_VALUES).map(built).filter(bool))
 def test_certificate_json_round_trip_is_exact(cert):
     # any certificate that constructs writes and loads back: thresholds and counts bit for
     # bit, the rest at 12 digits, stable

@@ -3,6 +3,7 @@
 import json
 import sys
 from datetime import date, datetime
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -811,6 +812,7 @@ class TestColumns:
             (dict(labels=[0]), SchemaError),
             (dict(groups=["g"]), SchemaError),
             (dict(scores=[np.float32(0.5), 10**400]), SchemaError),
+            (dict(scores=[np.float32(0.5), Fraction(10**400)]), SchemaError),
         ],
     )
     def test_constructor_validates(self, kwargs, error):

@@ -13,6 +13,7 @@ and never a quiet reading of the value.
 import importlib
 import inspect
 import pkgutil
+import types
 import typing
 from datetime import date
 
@@ -261,9 +262,9 @@ def test_every_table_is_on_the_rule():
     assert set(TABLES.values()) - {None} <= set(COLUMN_ENTRY_POINTS)
 
 
-def table_parameters() -> set:
+def annotated_parameters(wanted) -> set:
     """(function, parameter) for every parameter of the package's public functions and class constructors
-    that is annotated with a table, alone or in a union such as `Decisions | None`."""
+    annotated with a type for which `wanted` holds, alone or in a union such as `Decisions | None`."""
     found = set()
     for info in pkgutil.iter_modules(selcert.__path__):
         if info.name == "__main__":  # importing it would run the command line
@@ -277,16 +278,18 @@ def table_parameters() -> set:
             if not inspect.isfunction(value):
                 continue
             for parameter in inspect.signature(value, eval_str=True).parameters.values():
-                kinds = typing.get_args(parameter.annotation) or (parameter.annotation,)
-                if any(isinstance(kind, type) and issubclass(kind, ColumnTable) for kind in kinds):
+                annotation = parameter.annotation
+                union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+                kinds = typing.get_args(annotation) if union else (annotation,)
+                if any(isinstance(kind, type) and wanted(kind) for kind in kinds):
                     found.add((name, parameter.name))
     return found
 
 
 def test_every_table_argument_is_on_the_rule():
     # a function taking a table, added later, fails here until it joins TABLE_ENTRY_POINTS
-    assert table_parameters() == {(entry.split(".")[0], argument)
-                                  for entry, (_, argument, _) in TABLE_ENTRY_POINTS.items()}
+    tables = annotated_parameters(lambda kind: issubclass(kind, ColumnTable))
+    assert tables == {(entry.split(".")[0], argument) for entry, (_, argument, _) in TABLE_ENTRY_POINTS.items()}
 
 
 NOT_PAIRS = {**NOT_COLUMNS, "one": lambda good: good[:1], "three": lambda good: [*good, good[0]],
