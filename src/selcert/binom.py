@@ -18,7 +18,9 @@ each point's value depends on its own (k, n, p) alone, so the blocking
 never changes a result. The blocks of one call build their terms in one set
 of buffers, sized to its largest block and freed when the call returns.
 No bound or CDF value is cached; the one thing kept between calls is the
-log-factorial table, which grows to the largest n asked for.
+log-factorial table, which grows to the largest n asked for. It is
+allocated whole before it is summed, so an n whose table memory cannot hold
+is a DomainError at once.
 
 The bound is the root of CDF(k; n, r) = beta, found for every point at once
 by Halley steps kept inside a bisection bracket, each point stopping on its
@@ -103,18 +105,21 @@ def _log_factorials(size: int) -> np.ndarray:
     a running Neumaier-compensated sum of log(j) from j = 1. Differences such
     as log(n!) - log((n-i)!) then keep the precision of the i terms they span
     instead of inheriting the rounding error of log(n!) itself. Every table
-    runs the same sum, so a larger one extends a smaller one bit for bit.
+    runs the same sum, so a larger one extends a smaller one bit for bit. The
+    table is allocated whole first, 16 bytes an entry: a size memory cannot
+    hold is a MemoryError (a ValueError past the address space) before any
+    term is summed.
     """
-    high, low = [0.0], [0.0]
+    values = np.zeros((2, size))
+    high, low = memoryview(values[0]), memoryview(values[1])  # a memoryview sets one float fastest
     s = c = 0.0
     for j in range(1, size):
         x = math.log(j)
         t = s + x
         c += (s - t) + x if s >= x else (x - t) + s  # both are >= 0
         s = t
-        high.append(s + c)
-        low.append(c - (high[-1] - s))
-    values = np.array([high, low])
+        high[j] = h = s + c
+        low[j] = c - (h - s)
     values.flags.writeable = False
     return values
 
@@ -128,7 +133,10 @@ class _LogFactorials:
     def upto(self, n: int) -> np.ndarray:
         values = self._values
         if n >= values.shape[1]:
-            values = self._values = _log_factorials(max(n + 1, 2 * values.shape[1]))
+            try:
+                values = self._values = _log_factorials(max(n + 1, 2 * values.shape[1]))
+            except (MemoryError, ValueError):
+                raise DomainError(f"n={n} is too large: a table of log(i!) for i <= n does not fit in memory") from None
         return values[:, : n + 1]
 
 

@@ -69,6 +69,7 @@ from .errors import (
     InfeasibleCertificateError,
     SchemaError,
     SelcertError,
+    _as_text,
     _shown,
 )
 from .jsonio import Exact, Table, csv_text
@@ -76,7 +77,7 @@ from .jsonio import dumps as json_dumps
 from .records import (
     ColumnTable,
     Dataset,
-    _cell_error,
+    _cell_fault,
     _coded,
     _columns,
     _counts,
@@ -258,12 +259,10 @@ def _decision_faults(ids, prediction, confidence, prediction_cells, confidence_c
     """
     return [
         *_id_faults(ids),
-        (_first((prediction < -1) | (prediction > 1)),
-         _cell_error(prediction_cells, "outcome",
-                     "outcome must be 0, 1 or abstain (-1 in code), got '{}'".format)),
-        (_first(~((confidence >= 0.5) & (confidence <= 1.0))),
-         _cell_error(confidence_cells, "confidence",
-                     "confidence must be a number within [0.5, 1], got '{}'".format)),
+        _cell_fault((prediction < -1) | (prediction > 1), "outcome", "0, 1 or abstain (-1 in code)",
+                    prediction_cells, _as_text),
+        _cell_fault(~((confidence >= 0.5) & (confidence <= 1.0)), "confidence", "a number within [0.5, 1]",
+                    confidence_cells, _as_text),
     ]
 
 
@@ -275,7 +274,7 @@ def _thresholds(where: str, cells: Sequence, error: type[SelcertError] = DomainE
     return lam, [
         _value_fault(np.isnan(lam), where, "a number", cells, error),
         (_first(bad), lambda i: error("thresholds must be finite, within [0.5, 1] and strictly ascending: "
-                                      f"{where.format(i)} is {float(lam[i])!r}")),
+                                      f"{where.format(i)} is {_shown(lam[i])}")),
     ]
 
 

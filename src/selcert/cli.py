@@ -25,7 +25,7 @@ from .calibrate import (
     retain_rate,
     write_decisions,
 )
-from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError
+from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, _shown
 from .jsonio import csv_text, dumps, format_number
 from .metrics import report_to_doc, selective_report
 from .records import Dataset, SyntheticScorerSpec, _lax_number, check_real, load_dataset, write_text
@@ -75,7 +75,7 @@ def _shape_pair(text: str) -> tuple[float, float]:
     try:
         first, second = map(_real, text.split(","))  # a count other than two is a ValueError too
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {_shown(text)}") from None
     return first, second
 
 
@@ -83,7 +83,7 @@ def _lambda_grid(text: str) -> list[float]:
     try:
         return list(map(_real, text.split(",")))  # an empty part is a ValueError too
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad lambda grid {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad lambda grid {_shown(text)}") from None
 
 
 # ---------------------------------------------------------------------------

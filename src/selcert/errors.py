@@ -26,7 +26,7 @@ class SchemaError(SelcertError):
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         loc = ""
         if row is not None:
-            loc = f" (row {row}" + (f", column '{column}'" if column else "") + ")"
+            loc = f" (row {row}" + (f", column {_shown(column)}" if column else "") + ")"
         super().__init__(message + loc)
         self.row = row
         self.column = column
@@ -77,6 +77,15 @@ def _shown(value) -> str:
 def _cut(text: str) -> str:
     """Text past 80 characters cut to its first 38 and last 39 around "...", as `_QUOTE` cuts a string."""
     return text if len(text) <= 80 else text[:38] + "..." + text[-39:]
+
+
+def _as_text(cell) -> str:
+    """A number cell's quote: str(cell), cut as `_cut` cuts it, in single quotes, so that text from a file and
+    the value it reads as are quoted alike. An integer past str()'s digit limit is quoted by its size (`_shown`)."""
+    try:
+        return "'" + _cut(str(cell)) + "'"
+    except ValueError:
+        return _shown(cell)
 
 
 class ConvergenceError(SelcertError):

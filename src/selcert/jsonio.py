@@ -22,6 +22,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .errors import _shown
+
 _INDENT = 2
 
 
@@ -56,7 +58,7 @@ def _numbers(values: Sequence, exact: bool) -> list[str]:
     """Finite numbers at 12 significant digits, or with repr when `exact`."""
     bad = next(filterfalse(math.isfinite, values), None)
     if bad is not None:
-        raise ValueError(f"non-finite number in output: {bad!r}")
+        raise ValueError(f"non-finite number in output: {_shown(bad)}")
     if exact:
         return list(map(float.__repr__, values))
     return list(map(format, map(float, values), repeat(".12g")))

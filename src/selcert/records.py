@@ -15,10 +15,12 @@ run by its constructor and its readers alike. A reader keeps only
 what text alone needs, the field count or key set and a date's parse
 message; a cell that does not parse becomes a value its rule rejects (a
 number cell parses in float()'s syntax, less the underscores, whitespace and
-non-ASCII digits float() lets pass). The error names the first bad row and,
-within it, the first bad cell, quoted as written. Loading is all-or-nothing;
-CSV text is read into columns by `csv_columns`, which the decisions reader
-shares.
+non-ASCII digits float() lets pass). Each cell rule is one `_cell_fault`.
+The error names the first bad row and, within it, the first bad cell: a
+number cell quoted by its text (`errors._as_text`), so a file and a column
+in code give one error, any other cell by `errors._shown`, each cut past 80
+characters. Loading is all-or-nothing; CSV text is read into columns by
+`csv_columns`, which the decisions reader shares.
 
 Synthetic scores and labels come from one draw function, `_draw`:
 `generate_synthetic` wraps its arrays in a Dataset, and simulate's trials
@@ -49,6 +51,7 @@ from .errors import (
     DuplicateIdError,
     MissingDateError,
     SchemaError,
+    _as_text,
     _cut,
     _shown,
 )
@@ -165,11 +168,16 @@ def _group_column(values: Sequence) -> np.ndarray:
     return column
 
 
+def _is_kind(kind: type, types) -> bool:
+    """Whether a value of type `kind` is one of `types`; a bool is no number here, a datetime no date."""
+    return issubclass(kind, types) and not issubclass(kind, (bool, datetime))
+
+
 def _types_in(values: Sequence, types) -> np.ndarray:
-    """Mask of the values that are instances of `types`; a bool is no number here, a datetime no date."""
+    """Mask of the values that are instances of `types`, by `_is_kind`."""
     typed = isinstance(values, np.ndarray) and values.dtype != object
     kinds = {values.dtype.type} if typed else set(map(type, values))  # a typed array's cells share one type
-    rejected = {kind for kind in kinds if not issubclass(kind, types) or issubclass(kind, (bool, datetime))}
+    rejected = {kind for kind in kinds if not _is_kind(kind, types)}
     if not rejected:  # the common case, a pass over the values' types alone
         return np.ones(len(values), dtype=bool)
     return np.fromiter((type(value) not in rejected for value in values), bool, len(values))
@@ -228,8 +236,8 @@ def check_real(name: str, value, low: float, high: float, closed: bool = False) 
 
 
 def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
-    """`value` as an int, if it is an integer cell (`_types_in`) from minimum up to any maximum."""
-    if not _types_in([value], numbers.Integral)[0]:
+    """`value` as an int, if it is an integer cell (`_is_kind`) from minimum up to any maximum."""
+    if not _is_kind(type(value), numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum or (maximum is not None and value > maximum):
         bound = f">= {minimum}" + ("" if maximum is None else f" and <= {maximum}")
@@ -246,7 +254,7 @@ def check_beta(beta) -> float:
     """
     number = check_real("beta", beta, 0, 1)
     if 1.0 - number == 1.0:
-        raise DomainError(f"beta must be within (0, 1) with 1 - beta below 1 as a float, got {number!r}")
+        raise DomainError(f"beta must be within (0, 1) with 1 - beta below 1 as a float, got {_shown(number)}")
     return number
 
 
@@ -275,25 +283,25 @@ def _code(codes: dict, cell, missing: int) -> int:
         return missing
 
 
-def _first_unencodable(cells: Sequence) -> int:
-    """Index of the first string cell UTF-8 cannot encode (it holds a lone surrogate), or len(cells)."""
+def _unencodable(cells: Sequence) -> np.ndarray:
+    """Mask of the string cells UTF-8 cannot encode (they hold a lone surrogate)."""
     try:
         "".join(filter(None, cells)).encode()  # the common case: all the text at once
-        return len(cells)
+        return np.zeros(len(cells), dtype=bool)
     except (TypeError, UnicodeEncodeError):  # a cell that is not a string is left to its own rule
-        return _first([isinstance(cell, str) and cell.encode(errors="replace").decode() != cell for cell in cells])
+        return np.fromiter((isinstance(cell, str) and cell.encode(errors="replace").decode() != cell
+                            for cell in cells), bool, len(cells))
 
 
 def _id_faults(ids: Sequence) -> list:
     """The id rules of every table, in `_raise_first`'s form: each a nonempty UTF-8 string, none repeated."""
-    bad = _first(~_types_in(ids, str) | (_object_column(ids) == ""))
-    seen: set = set()
+    empty = ~_types_in(ids, str) | (_object_column(ids) == "")
+    bad, seen = _first(empty), set()
     repeated = bad if len(set(ids[:bad])) == bad else next(
         i for i, rec_id in enumerate(ids[:bad]) if rec_id in seen or seen.add(rec_id))
     return [
-        (bad, _cell_error(ids, "id", lambda cell: f"id must be a nonempty string, got {_shown(cell)}")),
-        (_first_unencodable(ids),
-         _cell_error(ids, "id", lambda cell: f"id must be encodable as UTF-8, got {_shown(cell)}")),
+        _cell_fault(empty, "id", "a nonempty string", ids),
+        _cell_fault(_unencodable(ids), "id", "encodable as UTF-8", ids),
         (repeated, lambda i: DuplicateIdError(f"duplicate record id {_shown(ids[i])} at row {i + 1}")),
     ]
 
@@ -307,17 +315,12 @@ def _dataset_faults(ids, scores, labels, dates, groups, score_cells, label_cells
     """
     return [
         *_id_faults(ids),
-        (_first(~((scores >= 0.0) & (scores <= 1.0))),
-         _cell_error(score_cells, "score", "score must be a number within [0, 1], got '{}'".format)),
-        (_first((labels != 0) & (labels != 1)),
-         _cell_error(label_cells, "label", "label must be 0 or 1, got '{}'".format)),
+        _cell_fault(~((scores >= 0.0) & (scores <= 1.0)), "score", "a number within [0, 1]", score_cells, _as_text),
+        _cell_fault((labels != 0) & (labels != 1), "label", "0 or 1", label_cells, _as_text),
         *filter(None, [date_parse]),
-        (_first(~_types_in(dates, (date, type(None)))),
-         _cell_error(dates, "date", lambda cell: f"date must be a datetime.date or None, got {_shown(cell)}")),
-        (_first(~_types_in(groups, (str, type(None)))),
-         _cell_error(groups, "group", lambda cell: f"group must be a string or None, got {_shown(cell)}")),
-        (_first_unencodable(groups),
-         _cell_error(groups, "group", lambda cell: f"group must be encodable as UTF-8, got {_shown(cell)}")),
+        _cell_fault(~_types_in(dates, (date, type(None))), "date", "a datetime.date or None", dates),
+        _cell_fault(~_types_in(groups, (str, type(None))), "group", "a string or None", groups),
+        _cell_fault(_unencodable(groups), "group", "encodable as UTF-8", groups),
     ]
 
 
@@ -394,8 +397,8 @@ def _parsed_dates(cells: Sequence | None, parse, n: int) -> tuple[np.ndarray, tu
     if cells is None:
         return np.empty(n, dtype=object), None  # a new object array holds None everywhere
     dates, first, error = _parse_cells(parse, cells, None)
-    return _object_column(dates), (first, _cell_error(
-        cells, "date", lambda text: f"bad date {_shown(text)}: {_cut(str(error))}"))
+    return _object_column(dates), (first, lambda i: SchemaError(
+        f"bad date {_shown(cells[i])}: {_cut(str(error))}", row=i + 1, column="date"))
 
 
 def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: int) -> None:
@@ -411,9 +414,10 @@ def _raise_first(checks: list[tuple[int, Callable[[int], Exception]]], n_rows: i
         raise next(error for index, error in checks if index == first)(first)
 
 
-def _cell_error(values: Sequence, column: str, message: Callable[[object], str]):
-    """The located error for a bad `column` cell at 0-based index i: message(values[i])."""
-    return lambda i: SchemaError(message(values[i]), row=i + 1, column=column)
+def _cell_fault(bad, column: str, rule: str, cells: Sequence, quote: Callable[[object], str] = _shown):
+    """`_value_fault` for a table's cells, quoted by `quote`: a SchemaError located at row i + 1 and `column`."""
+    return _first(bad), lambda i: SchemaError(f"{column} must be {rule}, got {quote(cells[i])}", row=i + 1,
+                                              column=column)
 
 
 def _value_fault(bad, where: str, rule: str, cells: Sequence, error: type[Exception] = DomainError):

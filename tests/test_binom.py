@@ -5,10 +5,12 @@ arithmetic (Fraction-based CDF, long-running exact bisection) and pasted in
 as decimals.
 """
 
+import hashlib
 import inspect
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +211,31 @@ class TestRiskUpperBound:
         forwards = solve_all(pairs)
         backwards = solve_all(pairs[::-1])
         assert forwards == backwards
+
+
+class TestLogFactorialTable:
+    def test_table_is_frozen(self):
+        # every bit of the compensated sum, as the list-built table of earlier versions gave it
+        table = binom._log_factorials(20001)
+        assert table.shape == (2, 20001) and not table.flags.writeable
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "01a7c5da8b25e0b3dd204de75217758a0fbecf9be50232956fb0b5bcaa629c10")
+
+    @pytest.mark.parametrize("call", [
+        lambda n: binom_cdf(1, n, 0.5),
+        lambda n: risk_upper_bound(BinomialTail(5, n), 0.1),
+        lambda n: binom.tail_at_most([3], [n], 0.5, 0.1),
+        lambda n: binom.risk_upper_bounds([1], [n], 0.1),
+    ], ids=["binom_cdf", "risk_upper_bound", "tail_at_most", "risk_upper_bounds"])
+    def test_n_past_memory_fails_at_once(self, call):
+        # a table of 2**62 entries cannot be allocated: the call fails before summing a term
+        table = binom._LOG_FACTORIALS._values
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^n={2**62} is too large: a table of log"):
+            call(2**62)
+        assert time.perf_counter() - start < 1.0
+        assert binom._LOG_FACTORIALS._values is table
+        call(1000)
 
 
 class TestArrayCalls:

@@ -569,6 +569,10 @@ class TestDecision:
         assert not Decision("a", None, 0.9).retained
 
 
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no integer digit limit on this Python")
+
+
 class TestDecisions:
     ROWS = [Decision("a", 1, 0.9), Decision("b", None, 0.6), Decision("c", 0, 0.75)]
 
@@ -624,8 +628,15 @@ class TestDecisions:
         ([1, True], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got 'True' "
          "(row 2, column 'outcome')", SchemaError),
         # a fraction past the float range is out of range
-        pytest.param([1], [Fraction(10**400)], f"confidence must be a number within [0.5, 1], got '{10**400}' "
-                     "(row 1, column 'confidence')", SchemaError, id="huge fraction"),
+        pytest.param([1], [Fraction(10**400)], "confidence must be a number within [0.5, 1], got '1" + "0" * 37
+                     + "..." + "0" * 39 + "' (row 1, column 'confidence')", SchemaError, id="huge fraction"),
+        # an integer str() cannot spell is quoted by its size
+        pytest.param([1, 10**5000], [0.9, 0.8], "outcome must be 0, 1 or abstain (-1 in code), got an integer of "
+                     f"{(10**5000).bit_length()} bits (row 2, column 'outcome')", SchemaError, marks=DIGIT_LIMIT,
+                     id="outcome past the digit limit"),
+        pytest.param([1], [10**5000], "confidence must be a number within [0.5, 1], got an integer of "
+                     f"{(10**5000).bit_length()} bits (row 1, column 'confidence')", SchemaError, marks=DIGIT_LIMIT,
+                     id="confidence past the digit limit"),
     ])
     def test_bad_columns_rejected(self, prediction, confidences, message, error):
         with pytest.raises(error) as err:

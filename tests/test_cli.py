@@ -358,6 +358,19 @@ class TestNumericArguments:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.endswith(f"selcert {command}: error: argument {flag}: {message}\n")
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--grid", ",".join(["0.5"] * 2000) + ",x", "bad lambda grid"),
+        ("--pos-shape", "8," * 2000 + "2", "expected two comma-separated numbers, got"),
+    ], ids=["grid", "pos-shape"])
+    def test_a_long_bad_argument_is_quoted_cut(self, flag, text, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        command = "tradeoff" if flag == "--grid" else "simulate"
+        argv = list(NUMERIC_ARGUMENTS[command])
+        argv[argv.index(flag) + 1] = text
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {flag}: {message} '{text[:37]}...{text[-38:]}'\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_plain_numbers_are_read_as_before(self, tmp_path, monkeypatch):
@@ -418,7 +431,8 @@ class TestUnreadableInput:
         code = main(["tradeoff", "--test", str(data), "--out-prefix", str(tmp_path / "curve")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: score must be a number within [0, 1], got '{huge}' (row 1, column 'score')\n"
+            "error: score must be a number within [0, 1], got '1" + "0" * 37 + "..." + "0" * 39
+            + "' (row 1, column 'score')\n"
         )
 
     def test_certificate_count_beyond_integer_range(self, cert75, test_csv, tmp_path, capsys):

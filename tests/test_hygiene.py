@@ -15,10 +15,14 @@ one sort, `calibrate._grid`'s; the ranking metrics' tie blocks
 decided by one function, `calibrate._decide`, the one caller of the tail
 test `binom.tail_at_most`. A compile warning, such as an invalid escape like
 "\\d" in a docstring (a SyntaxWarning since Python 3.12, meant to become an
-error), fails on every Python version.
+error), fails on every Python version. A message quotes a bad value through
+`errors._shown`, which cuts it and spells a huge integer by its size, or, for
+a number cell, through `errors._as_text`; a quote made by hand (`!r`, `%r` or
+`'{}'`) fails.
 """
 
 import ast
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -166,6 +170,17 @@ def test_sources_compile_with_warnings_as_errors():
             for fault in _compile_warnings(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))] == []
 
 
+# a value quoted in place: by repr (`!r`, `%r`) or by hand between single quotes
+_HAND_QUOTE = re.compile(r"!r[}:]|%r|'\{[^{}]*\}'")
+
+
+def test_every_quote_goes_through_the_quoting_helpers():
+    found = [f"{path.name}:{number}: {line.strip()}" for path in sorted(SOURCE.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _HAND_QUOTE.search(line)]
+    assert found == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Iterable[int]') -> None: pass\ndef _g(): pass\n")
@@ -185,5 +200,8 @@ def test_the_checks_see_what_they_look_for():
                         "def _decide(k, n): return tail_at_most(k, n, 0.1, 0.1)\n"
                         "def second(k, n): return binom.tail_at_most(k, n, 0.1, 0.1)\n")
     assert _tail_testers(callers) == {"_decide", "second"}
+    quotes = ['f"got {x!r}"', 'f"got {x!r:>9}"', '"got %r" % x', '"got \'{}\'".format(x)', 'f"got \'{x}\'"']
+    assert [text for text in quotes if not _HAND_QUOTE.search(text)] == []
+    assert not _HAND_QUOTE.search('f"got {_shown(x)}, {_as_text(y)} at {i!s}: {{\'a\': 1}}"')
     assert _compile_warnings('"""A date like \\d{4}."""\n', "bad.py") != []
     assert _compile_warnings('"""A date like \\\\d{4}."""\n', "good.py") == []

@@ -65,6 +65,18 @@ class TestRowRules:
             Dataset(["x"], [0.5], [bad])
         assert str(err.value) == f"label must be 0 or 1, got '{bad}' (row 1, column 'label')"
 
+    # an integer str() cannot spell is quoted by its size
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer digit limit on this Python")
+    @pytest.mark.parametrize("column, rule", [("score", "a number within [0, 1]"), ("label", "0 or 1")])
+    def test_integer_past_the_digit_limit(self, column, rule):
+        cells = {"score": [0.5, 0.5], "label": [0, 1]}
+        cells[column][1] = 10**5000
+        with pytest.raises(SchemaError) as err:
+            Dataset(["a", "b"], cells["score"], cells["label"])
+        assert str(err.value) == (f"{column} must be {rule}, got an integer of {(10**5000).bit_length()} bits "
+                                  f"(row 2, column '{column}')")
+
 
 class TestDataset:
     def test_accessors(self):
@@ -238,7 +250,8 @@ class TestJsonIO:
                         f' {{"id": "r2", "score": {huge}, "label": 0}}]')
         with pytest.raises(SchemaError) as err:
             load_dataset(path)
-        assert str(err.value) == f"score must be a number within [0, 1], got '{huge}' (row 2, column 'score')"
+        assert str(err.value) == ("score must be a number within [0, 1], got '1" + "0" * 37 + "..." + "0" * 39
+                                  + "' (row 2, column 'score')")
         assert (err.value.row, err.value.column) == (2, "score")
 
     def test_integer_score_beyond_float_range_keeps_rule_order(self, tmp_path):
@@ -251,7 +264,8 @@ class TestJsonIO:
             load_dataset(path)
         # within a row the score rule comes before the label rule
         path.write_text(f'[{{"id": "r1", "score": {huge}, "label": 2}}]')
-        with pytest.raises(SchemaError, match=r"^score must be a number within \[0, 1\], got '-10+' \(row 1"):
+        with pytest.raises(SchemaError,
+                           match=r"^score must be a number within \[0, 1\], got '-10{36}\.\.\.0{39}' \(row 1"):
             load_dataset(path)
 
     def test_nested_past_the_recursion_limit(self, tmp_path):
@@ -610,6 +624,9 @@ SAME_FAULT = [
      "score must be a number within [0, 1], got ' 0.75 ' (row 2, column 'score')"),
     ("score '\u0660.5'", {"score": "\u0660.5"}, ("csv", "json", "columns"), SchemaError, 2, "score",
      "score must be a number within [0, 1], got '\u0660.5' (row 2, column 'score')"),
+    # a long cell is cut alike, whether its text reads as a number (csv) or not (json, columns)
+    ("score of 500 characters", {"score": "1" + "0" * 498 + "1"}, ("csv", "json", "columns"), SchemaError, 2, "score",
+     "score must be a number within [0, 1], got '1" + "0" * 37 + "..." + "0" * 38 + "1' (row 2, column 'score')"),
     # a lone surrogate, which no UTF-8 file can hold and so no table may hold either
     ("id lone surrogate", {"id": "r\ud800"}, ("json", "columns"), SchemaError, 2, "id",
      "id must be encodable as UTF-8, got 'r\\ud800' (row 2, column 'id')"),
