@@ -125,19 +125,23 @@ def _log_factorials(size: int) -> np.ndarray:
 
 
 class _LogFactorials:
-    """The shared `_log_factorials` table, replaced by one at least twice its size when a call outgrows it."""
+    """The shared `_log_factorials` table, replaced by one at least twice its size when a call outgrows it, or by
+    one just large enough where the doubled table cannot be allocated."""
 
     def __init__(self) -> None:
         self._values = _log_factorials(1)
 
     def upto(self, n: int) -> np.ndarray:
-        values = self._values
-        if n >= values.shape[1]:
-            try:
-                values = self._values = _log_factorials(max(n + 1, 2 * values.shape[1]))
-            except (MemoryError, ValueError):
-                raise DomainError(f"n={n} is too large: a table of log(i!) for i <= n does not fit in memory") from None
-        return values[:, : n + 1]
+        if n >= self._values.shape[1]:
+            for size in (max(n + 1, 2 * self._values.shape[1]), n + 1):  # doubled, else n's own size
+                try:
+                    self._values = _log_factorials(size)
+                    break
+                except (MemoryError, ValueError):
+                    continue
+            else:
+                raise DomainError(f"n={n} is too large: a table of log(i!) for i <= n does not fit in memory")
+        return self._values[:, : n + 1]
 
 
 _LOG_FACTORIALS = _LogFactorials()

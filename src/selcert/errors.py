@@ -7,6 +7,7 @@ infeasible certificate).
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 
 import numpy as np
@@ -54,11 +55,18 @@ class DomainError(SelcertError):
 
 
 class _Quote(reprlib.Repr):
-    """A message's quote of a value: at most 80 characters and 8 items of a container, an integer past 64 bits its size."""
+    """A message's quote of a value: at most 80 characters and 8 items of a container, an integer past 64 bits its
+    size, and a fraction whose repr hits the integer digit limit the sizes of its numerator and denominator."""
 
-    def repr1(self, x, level):  # at any depth, where such an integer's repr may be too long to make
+    def repr1(self, x, level):  # at any depth, where such a number's repr may be too long to make
         if isinstance(x, int) and x.bit_length() > 64:
             return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+        if isinstance(x, numbers.Rational) and not isinstance(x, numbers.Integral):
+            try:
+                repr(x)
+            except ValueError:  # reprlib would quote it by its memory address
+                return (f"{'a negative' if x < 0 else 'a'} fraction with a {x.numerator.bit_length()}-bit numerator "
+                        f"and a {x.denominator.bit_length()}-bit denominator")
         return super().repr1(x, level)
 
 
@@ -81,7 +89,7 @@ def _cut(text: str) -> str:
 
 def _as_text(cell) -> str:
     """A number cell's quote: str(cell), cut as `_cut` cuts it, in single quotes, so that text from a file and
-    the value it reads as are quoted alike. An integer past str()'s digit limit is quoted by its size (`_shown`)."""
+    the value it reads as are quoted alike. A number past str()'s digit limit is quoted by its size (`_shown`)."""
     try:
         return "'" + _cut(str(cell)) + "'"
     except ValueError:

@@ -8,7 +8,7 @@ csv.reader itself. The vectorised reader must raise the same error class,
 message, row and column, and load the same decisions.
 """
 
-from rowwise_loader import csv_rows, parse_number
+from rowwise_loader import csv_rows, number_cell, parse_number
 from selcert import Decisions, DuplicateIdError, SchemaError
 from selcert.records import read_text
 
@@ -33,9 +33,9 @@ def read_decisions_rowwise(path) -> Decisions:
         elif outcome in ("0", "1"):
             prediction = int(outcome)
         else:
-            raise SchemaError(f"outcome must be 0, 1 or abstain (-1 in code), got '{outcome}'",
+            raise SchemaError(f"outcome must be 0, 1 or abstain (-1 in code), got {number_cell(outcome)}",
                               row=i, column="outcome")
-        bad_confidence = SchemaError(f"confidence must be a number within [0.5, 1], got '{conf_text}'",
+        bad_confidence = SchemaError(f"confidence must be a number within [0.5, 1], got {number_cell(conf_text)}",
                                      row=i, column="confidence")
         try:
             conf = parse_number(conf_text)

@@ -9,7 +9,7 @@ column, and load the same records.
 
 A message quotes a cell by reprlib's rule at 80 characters: a longer repr
 keeps its first 38 and last 39 characters around "...". It cuts the
-parser's error the same way.
+parser's error, and the text of a number cell, the same way.
 """
 
 import csv
@@ -32,6 +32,11 @@ _QUOTE.maxstring = 80
 
 def _cut(text):
     return text if len(text) <= 80 else text[:38] + "..." + text[-39:]
+
+
+def number_cell(value):
+    """A number cell's quote: its text, cut at 80 characters, in single quotes."""
+    return "'" + _cut(str(value)) + "'"
 
 
 def csv_rows(text):
@@ -70,7 +75,7 @@ def _parse_date(text, date_format, row):
 
 
 def _score_error(value, row):
-    return SchemaError(f"score must be a number within [0, 1], got '{value}'", row=row, column="score")
+    return SchemaError(f"score must be a number within [0, 1], got {number_cell(value)}", row=row, column="score")
 
 
 def parse_number(text):
@@ -93,7 +98,7 @@ def _parse_score(value, row):
 
 def _parse_label(value, row):
     if value not in ("0", "1"):
-        raise SchemaError(f"label must be 0 or 1, got '{value}'", row=row, column="label")
+        raise SchemaError(f"label must be 0 or 1, got {number_cell(value)}", row=row, column="label")
     return int(value)
 
 
@@ -172,7 +177,7 @@ def _records_from_json(text, date_format):
             raise _score_error(score, i)
         label = obj["label"]
         if isinstance(label, bool) or not isinstance(label, int) or label not in (0, 1):
-            raise SchemaError(f"label must be 0 or 1, got '{label}'", row=i, column="label")
+            raise SchemaError(f"label must be 0 or 1, got {number_cell(label)}", row=i, column="label")
         rec_date = None
         raw_date = obj.get("date")
         if raw_date is not None:

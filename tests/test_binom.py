@@ -237,6 +237,23 @@ class TestLogFactorialTable:
         assert binom._LOG_FACTORIALS._values is table
         call(1000)
 
+    def test_n_whose_doubled_table_cannot_be_allocated(self, monkeypatch):
+        # the table grows by doubling, and where only n's own table fits, it gets that one
+        build = binom._log_factorials
+        table = binom._LogFactorials()
+        table.upto(100)
+
+        def build_at_most_151(size):
+            if size > 151:
+                raise MemoryError
+            return build(size)
+
+        monkeypatch.setattr(binom, "_log_factorials", build_at_most_151)
+        assert np.array_equal(table.upto(150), build(151))
+        with pytest.raises(DomainError, match="^n=151 is too large"):
+            table.upto(151)
+        assert table.upto(150).shape == (2, 151)
+
 
 class TestArrayCalls:
     def test_bounds_equal_one_point_calls(self, monkeypatch):

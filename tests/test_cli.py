@@ -358,6 +358,7 @@ class TestNumericArguments:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.endswith(f"selcert {command}: error: argument {flag}: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--grid", ",".join(["0.5"] * 2000) + ",x", "bad lambda grid"),

@@ -353,6 +353,7 @@ def _outcome(load, path):
 @given(text=corrupted_csv())
 @example(text="id,score,label,date\nr0,0.5,1,2020-01-31" + "x" * 50 + "\n")
 @example(text="id,score,label,date\nr0,0.5,1," + "someday " * 12 + "\nr0,0.5,1,\n")
+@example(text="id,score,label\nr0," + "someday " * 12 + ",0\n")  # a number cell past 80 characters is cut
 def test_csv_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8")
@@ -362,6 +363,7 @@ def test_csv_loader_matches_rowwise_reference(tmp_path, text):
 @SETTINGS
 @given(text=corrupted_json())
 @example(text=json.dumps([{"id": "someday " * 12, "score": 0.5, "label": 1}] * 2))
+@example(text=json.dumps([{"id": "r0", "score": 0.5, "label": 10**100}]))
 def test_json_loader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "d.json"
     path.write_text(text, encoding="utf-8")
@@ -404,6 +406,8 @@ def _decisions_outcome(read, path):
 
 @SETTINGS
 @given(text=corrupted_decisions())
+@example(text="id,outcome,confidence\nr0," + "someday " * 12 + ",0.9\n")  # number cells past 80 characters
+@example(text="id,outcome,confidence\nr0,1," + "9" * 100 + "\n")
 def test_decisions_reader_matches_rowwise_reference(tmp_path, text):
     path = tmp_path / "dec.csv"
     path.write_text(text, encoding="utf-8")

@@ -65,17 +65,21 @@ class TestRowRules:
             Dataset(["x"], [0.5], [bad])
         assert str(err.value) == f"label must be 0 or 1, got '{bad}' (row 1, column 'label')"
 
-    # an integer str() cannot spell is quoted by its size
+    # a number str() cannot spell is quoted by its size, the same in every run
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no integer digit limit on this Python")
-    @pytest.mark.parametrize("column, rule", [("score", "a number within [0, 1]"), ("label", "0 or 1")])
-    def test_integer_past_the_digit_limit(self, column, rule):
+    @pytest.mark.parametrize("column, rule, cell, quote", [
+        ("score", "a number within [0, 1]", 10**5000, f"an integer of {(10**5000).bit_length()} bits"),
+        ("label", "0 or 1", 10**5000, f"an integer of {(10**5000).bit_length()} bits"),
+        ("score", "a number within [0, 1]", Fraction(10**5000),
+         f"a fraction with a {(10**5000).bit_length()}-bit numerator and a 1-bit denominator"),
+    ], ids=["score", "label", "score fraction"])
+    def test_integer_past_the_digit_limit(self, column, rule, cell, quote):
         cells = {"score": [0.5, 0.5], "label": [0, 1]}
-        cells[column][1] = 10**5000
+        cells[column][1] = cell
         with pytest.raises(SchemaError) as err:
             Dataset(["a", "b"], cells["score"], cells["label"])
-        assert str(err.value) == (f"{column} must be {rule}, got an integer of {(10**5000).bit_length()} bits "
-                                  f"(row 2, column '{column}')")
+        assert str(err.value) == f"{column} must be {rule}, got {quote} (row 2, column '{column}')"
 
 
 class TestDataset:
