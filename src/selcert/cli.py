@@ -1,10 +1,15 @@
 """Command-line interface: calibrate, apply, evaluate, tradeoff, simulate.
 
 Every run is reproducible from its arguments alone: all randomness flows from
---seed, outputs never contain wall-clock data, and each report embeds (or is
-accompanied by) a manifest recording the command, parameters, and sha256
-digests of the inputs. Exit codes: 0 success, 1 usage or schema error,
-2 infeasible certificate.
+--seed, outputs never contain wall-clock data, and each output carries a
+manifest. One rule, `_manifest`, makes it for every subcommand: the command
+and tool version, each input file's path and sha256, then every other
+argument in the order the subcommand's parser declares it, less the outputs
+(--out, --out-prefix) and evaluate's --replication, which the report
+records in its metadata. The certificate and the report embed it; apply's
+decisions CSV gets a sidecar, <out>.manifest.json; and the CSVs of tradeoff
+and simulate are covered by the <prefix>.json written beside them. Exit
+codes: 0 success, 1 usage or schema error, 2 infeasible certificate.
 """
 
 from __future__ import annotations
@@ -45,15 +50,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _manifest(command: str, inputs: dict[str, str | None], params: dict) -> dict:
+# the arguments a manifest leaves out: the subcommand, which it records as "command", its function, the
+# outputs, and evaluate's free-form --replication, which the report keeps in its metadata
+_UNRECORDED = ("command", "func", "out", "out_prefix", "replication")
+
+
+def _manifest(args: argparse.Namespace, *inputs: str) -> dict:
+    """What a run records: each named input file's path and sha256, then every other argument.
+
+    The arguments are `args`'s, in the order the subcommand's parser declares
+    them (argparse sets each declared default in that order, then `func`),
+    so an option a subparser gains is recorded without naming it here. An
+    input given as None is not recorded.
+    """
     recorded = {name: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-                for name, path in inputs.items() if path is not None}
+                for name in inputs if (path := getattr(args, name)) is not None}
     return {
-        "command": command,
+        "command": args.command,
         "tool": "selcert",
         "version": __version__,
         "inputs": recorded,
-        "params": params,
+        "params": {name: value for name, value in vars(args).items()
+                   if name not in inputs and name not in _UNRECORDED},
     }
 
 
@@ -105,21 +123,12 @@ def cmd_calibrate(args) -> int:
     config = RiskConfig(alpha=args.alpha, beta=args.beta, min_count=args.min_count)
     if args.calib is not None:
         data = load_dataset(args.calib, date_format=args.date_format)
+        args.calib_fraction = args.seed = None  # not read, so recorded as None
     else:
         train = load_dataset(args.train, date_format=args.date_format)
         data = _carve_calibration(train, args.calib_fraction, args.seed)
     cert = certify_threshold(data, config)
-    manifest = _manifest(
-        "calibrate",
-        {"calib": args.calib, "train": args.train},
-        {
-            **vars(config),
-            "calib_fraction": args.calib_fraction if args.calib is None else None,
-            "seed": args.seed if args.calib is None else None,
-            "date_format": args.date_format,
-        },
-    )
-    write_text(args.out, certificate_to_json(cert, manifest=manifest))
+    write_text(args.out, certificate_to_json(cert, manifest=_manifest(args, "calib", "train")))
     if cert.feasible:
         print(f"feasible: lambda_hat={format_number(cert.lambda_hat)} from {cert.calib_size} calibration records")
         return EXIT_OK
@@ -134,11 +143,7 @@ def cmd_apply(args) -> int:
     data = load_dataset(args.test, date_format=args.date_format)
     cert = load_certificate(args.cert)
     decisions = apply_certificate(data, cert)
-    manifest = _manifest(
-        "apply",
-        {"test": args.test, "cert": args.cert},
-        {"date_format": args.date_format},
-    )
+    manifest = _manifest(args, "test", "cert")
     write_decisions(decisions, args.out)
     write_text(str(args.out) + ".manifest.json", dumps(manifest))
     kept = int(decisions.retained.sum())
@@ -162,15 +167,7 @@ def cmd_evaluate(args) -> int:
     if args.replication is not None:
         metadata["replication"] = args.replication
     doc = report_to_doc(report, metadata=metadata or None)
-    doc["manifest"] = _manifest(
-        "evaluate",
-        {"test": args.test, "decisions": args.decisions, "cert": args.cert},
-        {
-            "no_abstention": bool(args.no_abstention),
-            "group": bool(args.group),
-            "date_format": args.date_format,
-        },
-    )
+    doc["manifest"] = _manifest(args, "test", "decisions", "cert")
     write_text(args.out, dumps(doc))
     acc = "n/a" if report.accuracy is None else format_number(report.accuracy)
     print(
@@ -183,14 +180,7 @@ def cmd_evaluate(args) -> int:
 def cmd_tradeoff(args) -> int:
     data = load_dataset(args.test, date_format=args.date_format)
     curve = tradeoff_curve(data, args.grid)
-    manifest = _manifest(
-        "tradeoff",
-        {"test": args.test},
-        {
-            "grid": args.grid,
-            "date_format": args.date_format,
-        },
-    )
+    manifest = _manifest(args, "test")
     table = curve_to_doc(curve)
     write_text(args.out_prefix + ".csv", csv_text(table))
     write_text(args.out_prefix + ".json", dumps({"points": table, "manifest": manifest}))
@@ -216,20 +206,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     summary = summarize_trials(trials)
-    manifest = _manifest(
-        "simulate",
-        {},
-        {
-            **vars(config),
-            "trials": args.trials,
-            "n_calib": args.n_calib,
-            "n_test": args.n_test,
-            "prevalence": args.prevalence,
-            "pos_shape": list(args.pos_shape),
-            "neg_shape": list(args.neg_shape),
-            "seed": args.seed,
-        },
-    )
+    manifest = _manifest(args)
     table = trials_to_doc(trials)
     write_text(args.out_prefix + ".csv", csv_text(table))
     write_text(args.out_prefix + ".json", dumps({"trials": table, "summary": summary, "manifest": manifest}))
@@ -254,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     src = cal.add_mutually_exclusive_group(required=True)
     src.add_argument("--calib", help="calibration dataset (CSV or JSON)")
     src.add_argument("--train", help="training dataset to carve a calibration subset from")
-    cal.add_argument("--calib-fraction", type=_real, default=0.2, help="fraction carved from --train (default 0.2)")
-    cal.add_argument("--seed", type=_integer, default=0, help="seed for the carve draw")
     cal.add_argument("--alpha", type=_real, required=True, help="selective risk budget")
     cal.add_argument("--beta", type=_real, required=True, help="bound failure rate")
     cal.add_argument("--min-count", type=_integer, default=1, help="evidence floor: grid points retaining fewer records are not required to pass")
+    cal.add_argument("--calib-fraction", type=_real, default=0.2, help="fraction carved from --train (default 0.2)")
+    cal.add_argument("--seed", type=_integer, default=0, help="seed for the carve draw")
     cal.add_argument("--date-format", default=None, help="strptime format for the date column (default ISO)")
     cal.add_argument("--out", required=True, help="certificate JSON path")
     cal.set_defaults(func=cmd_calibrate)
@@ -290,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=cmd_tradeoff)
 
     si = sub.add_parser("simulate", help="Monte Carlo check of the selective accuracy guarantee")
-    si.add_argument("--trials", type=_integer, required=True)
-    si.add_argument("--n-calib", type=_integer, required=True)
-    si.add_argument("--n-test", type=_integer, required=True)
     si.add_argument("--alpha", type=_real, required=True)
     si.add_argument("--beta", type=_real, required=True)
     si.add_argument("--min-count", type=_integer, default=1)
+    si.add_argument("--trials", type=_integer, required=True)
+    si.add_argument("--n-calib", type=_integer, required=True)
+    si.add_argument("--n-test", type=_integer, required=True)
     si.add_argument("--prevalence", type=_real, default=0.5)
     si.add_argument("--pos-shape", type=_shape_pair, default=(8.0, 2.0), help="beta shapes a,b for positive scores")
     si.add_argument("--neg-shape", type=_shape_pair, default=(2.0, 8.0), help="beta shapes a,b for negative scores")

@@ -640,12 +640,27 @@ def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.
 
     spec's own n and seed are not read. This is the one place that fixes the
     order of the random draws, so `generate_synthetic` and simulate's trials,
-    which skip building a Dataset, draw the same records from one seed.
+    which skip building a Dataset, draw the same records from one seed. The
+    scores are allocated before anything is drawn, so an n that memory
+    cannot hold is a DomainError at once.
     """
+    scores = _allocated("n", n, n)
     rng = np.random.default_rng(seed & ((1 << 64) - 1))
     labels = (rng.random(n) < spec.prevalence).astype(np.int64)
-    scores = np.empty(n, dtype=float)
     n_pos = int(labels.sum())
     scores[labels == 1] = rng.beta(spec.pos_shape[0], spec.pos_shape[1], n_pos)
     scores[labels == 0] = rng.beta(spec.neg_shape[0], spec.neg_shape[1], n - n_pos)
     return scores, labels
+
+
+def _allocated(name: str, value: int, shape, dtype: type = float) -> np.ndarray:
+    """`np.empty(shape, dtype)` for the argument `name`, whose value is `value`.
+
+    Where memory cannot hold the array (a MemoryError, or numpy's ValueError
+    past the address space) it is a DomainError naming the argument, so a
+    size too large fails at once, before any work is done for it.
+    """
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError):
+        raise DomainError(f"{name}={value} is too large: its arrays do not fit in memory") from None

@@ -26,7 +26,8 @@ import numpy as np
 from .calibrate import RiskConfig, _confidence_correct, _decide, _grid, _thresholds
 from .errors import EmptyInputError, UnsortedLambdasError
 from .jsonio import Table
-from .records import ColumnTable, Dataset, SyntheticScorerSpec, _columns, _draw, _raise_first, check_int
+from .records import (ColumnTable, Dataset, SyntheticScorerSpec, _allocated, _columns, _draw, _raise_first,
+                      check_int)
 from .rng import substream_seed
 
 
@@ -133,26 +134,35 @@ def validate_guarantee(
         check_int(name, value, 1)
     seed = check_int("seed", seed, float("-inf"))
     size = max(1, _CHUNK_RECORDS // (n_calib + n_test))
-    chunks = [_chunk(range(first, min(first + size, trials)), spec, config, n_calib, n_test, seed)
-              for first in range(0, trials, size)]
-    return GuaranteeTrials._unchecked(*map(np.concatenate, zip(*chunks)))
+    # the result columns and one chunk's draws, which every chunk reuses, are allocated before anything
+    # is drawn, so a size that memory cannot hold is a DomainError at once
+    columns = [_allocated("trials", trials, trials, dtype) for dtype in (np.int64, object, object, bool)]
+    calib = [_allocated("n_calib", n_calib, (size, n_calib), dtype) for dtype in (float, np.int64)]
+    test = [_allocated("n_test", n_test, (size, n_test), dtype) for dtype in (float, np.int64)]
+    for first in range(0, trials, size):
+        stop = min(first + size, trials)
+        for column, values in zip(columns, _chunk(range(first, stop), spec, config, seed, calib, test)):
+            column[first:stop] = values
+    return GuaranteeTrials._unchecked(*columns)
 
 
-def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, n_calib: int, n_test: int,
-           seed: int) -> tuple[np.ndarray, ...]:
+def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, seed: int,
+           calib: list[np.ndarray], test: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """The columns of the trials at `indices`: one decision over their calibration draws, then test draws.
 
-    `_decide` decides each trial's threshold on `_grid`'s counts as
-    `certify_threshold` does, without solving bounds. A test set keeps the
-    records with conf >= lam, the comparison `apply_certificate` makes.
-    Accuracy is None, and the trial not violated, where nothing is kept.
+    The draws go into the first rows of the `calib` and `test` scores and
+    labels, whose width is n_calib or n_test. `_decide` decides each trial's
+    threshold on `_grid`'s counts as `certify_threshold` does, without
+    solving bounds. A test set keeps the records with conf >= lam, the
+    comparison `apply_certificate` makes. Accuracy is None, and the trial
+    not violated, where nothing is kept.
     """
     trial_seeds = [substream_seed(seed, t) for t in indices]
-    at, grid, n_at, errors = _grid(*_draws(spec, n_calib, [substream_seed(s, 1) for s in trial_seeds]))
-    decided = _decide(at // n_calib, n_at, errors, config)
+    at, grid, n_at, errors = _grid(*_draws(spec, [substream_seed(s, 1) for s in trial_seeds], *calib))
+    decided = _decide(at // calib[0].shape[1], n_at, errors, config)
     feasible = decided >= 0
     lam = grid[decided]  # read only where feasible
-    conf, correct = _draws(spec, n_test, [substream_seed(trial_seeds[i], 2) for i in np.flatnonzero(feasible)])
+    conf, correct = _draws(spec, [substream_seed(trial_seeds[i], 2) for i in np.flatnonzero(feasible)], *test)
     kept = conf >= lam[feasible, None]
     # kept and wrong test records per trial, none where nothing is tested
     n_kept, n_wrong = np.zeros((2, len(indices)), dtype=np.int64)
@@ -163,11 +173,15 @@ def _chunk(indices: range, spec: SyntheticScorerSpec, config: RiskConfig, n_cali
             np.where(n_kept > 0, accuracy, None), (n_kept > 0) & (accuracy < 1.0 - config.alpha))
 
 
-def _draws(spec: SyntheticScorerSpec, n: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Confidence and correctness of n records drawn from each seed by `records._draw`, one row per seed."""
-    scores, labels = np.empty((len(seeds), n)), np.empty((len(seeds), n), dtype=np.int64)
+def _draws(spec: SyntheticScorerSpec, seeds: list[int], scores: np.ndarray,
+           labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Confidence and correctness of the records drawn from each seed by `records._draw`, one row per seed.
+
+    Each seed draws a row's worth of records into the next row of `scores` and `labels`.
+    """
+    scores, labels = scores[: len(seeds)], labels[: len(seeds)]
     for row, trial_seed in enumerate(seeds):
-        scores[row], labels[row] = _draw(spec, n, trial_seed)
+        scores[row], labels[row] = _draw(spec, scores.shape[1], trial_seed)
     return _confidence_correct(scores, labels)
 
 

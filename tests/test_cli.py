@@ -4,6 +4,7 @@ TestModuleEntry starts `python -m selcert` in a subprocess, and
 TestBenchmarkChild starts the benchmark's child processes.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from selcert import (
     tradeoff_curve,
     write_dataset,
 )
-from selcert.cli import main
+from selcert.cli import build_parser, main
 from selcert.records import _plain_lines
 
 CALIB6 = """id,score,label
@@ -699,6 +700,16 @@ class TestSimulate:
         assert doc["manifest"]["params"]["pos_shape"] == [3, 2]
         assert "feasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--trials", "--n-calib", "--n-test"])
+    def test_size_past_memory_is_a_located_error(self, flag, tmp_path, capsys):
+        # 2**62 records cannot be allocated; the run fails before it draws, and writes nothing
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = str(2**62)
+        assert main(args + ["--out-prefix", str(tmp_path / "sim")]) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name}={2**62} is too large: its arrays do not fit in memory\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -742,3 +753,51 @@ class TestQuoteFreeInput:
         assert plain_decisions == _unquoted(decisions) != decisions
         assert (plain_curve, plain_docs) == (curve, docs)
         assert capsys.readouterr().out.replace("test_unquoted.csv", "test.csv") == quoted_stdout
+
+
+class TestManifest:
+    """Each run records its input files, then every other option in the order its parser declares them."""
+
+    INPUTS = {"calib", "train", "test", "cert", "decisions"}
+    UNRECORDED = {"out", "out_prefix", "replication"}  # the outputs, and a note the report carries
+    # each subcommand's argv after its name, on the golden inputs; {out} is the output path
+    RUNS = {
+        "calibrate": ["--calib", "inputs/calib.csv", "--alpha", "0.1", "--beta", "0.1", "--min-count", "25",
+                      "--date-format", "%Y-%m-%d", "--out", "{out}"],
+        "calibrate --train": ["--train", "inputs/test.csv", "--calib-fraction", "0.4", "--seed", "5",
+                              "--alpha", "0.1", "--beta", "0.1", "--min-count", "25", "--out", "{out}"],
+        "apply": ["--test", "inputs/test.csv", "--cert", "outputs/cert.json", "--out", "{out}"],
+        "evaluate": ["--test", "inputs/test.csv", "--decisions", "outputs/decisions.csv", "--group",
+                     "--cert", "outputs/cert.json", "--replication", "golden", "--out", "{out}"],
+        "evaluate --no-abstention": ["--test", "inputs/test.json", "--no-abstention", "--out", "{out}"],
+        "tradeoff": ["--test", "inputs/test.json", "--grid", "0.6,0.8", "--out-prefix", "{out}"],
+        "simulate": ["--trials", "3", "--n-calib", "50", "--n-test", "40", "--alpha", "0.2", "--beta", "0.1",
+                     "--seed", "3", "--out-prefix", "{out}"],
+    }
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_subcommand_is_run(self):
+        assert {run.split()[0] for run in self.RUNS} == set(self.subparsers())
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_manifest_follows_the_parser(self, run, tmp_path, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        command, out = run.split()[0], str(tmp_path / "out")
+        argv = [command] + [arg.format(out=out) for arg in self.RUNS[run]]
+        assert main(argv) == 0
+        written = {"apply": out + ".manifest.json", "tradeoff": out + ".json", "simulate": out + ".json"}
+        doc = json.loads(Path(written.get(command, out)).read_text())
+        manifest = doc if command == "apply" else doc["manifest"]
+
+        declared = [action.dest for action in self.subparsers()[command]._actions if action.dest != "help"]
+        given = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == command
+        assert list(manifest["params"]) == [dest for dest in declared if dest not in self.INPUTS | self.UNRECORDED]
+        assert manifest["inputs"] == {
+            dest: {"path": given[dest], "sha256": hashlib.sha256(Path(given[dest]).read_bytes()).hexdigest()}
+            for dest in declared if dest in self.INPUTS and given[dest] is not None}
+        assert manifest["inputs"] or command == "simulate"

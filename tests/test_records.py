@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from datetime import date, datetime
 from fractions import Fraction
 
@@ -389,6 +390,13 @@ class TestSyntheticGenerator:
         a = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 1))
         b = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 2))
         assert not np.array_equal(a.scores, b.scores)
+
+    def test_n_past_memory_fails_at_once(self):
+        # 2**62 records cannot be allocated: the draw fails before it starts, naming n
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^n={2**62} is too large: its arrays do not fit in memory$"):
+            generate_synthetic(SyntheticScorerSpec(2**62, 0.5, (2, 2), (2, 2), 1))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,6 +1,7 @@
 """Tradeoff curves and the Monte Carlo guarantee harness."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,19 @@ class TestValidateGuarantee:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(DomainError):
             validate_guarantee(SPEC, CONFIG, **kwargs)
+
+    @pytest.mark.parametrize("name", ["trials", "n_calib", "n_test"])
+    def test_size_past_memory_fails_before_drawing(self, name, monkeypatch):
+        # 2**62 records cannot be allocated: the call fails at once, naming its argument, with nothing drawn
+        def draw(*args):
+            raise AssertionError("drew records")
+
+        monkeypatch.setattr(sim, "_draw", draw)
+        kwargs = {**dict(trials=3, n_calib=20, n_test=20, seed=0), name: 2**62}
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^{name}={2**62} is too large: its arrays do not fit in memory$"):
+            validate_guarantee(SPEC, CONFIG, **kwargs)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSummarizeTrials:
