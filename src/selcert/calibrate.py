@@ -78,6 +78,7 @@ from .records import (
     ColumnTable,
     Dataset,
     _cell_fault,
+    _check_kind,
     _coded,
     _columns,
     _counts,
@@ -182,8 +183,7 @@ class ThresholdCertificate:
     calib_size: int
 
     def __post_init__(self) -> None:
-        if self.status not in (FEASIBLE, INFEASIBLE):
-            raise DomainError(f"status must be feasible or infeasible, got {_shown(self.status)}")
+        _check_kind("status", self.status, str, "feasible or infeasible", (FEASIBLE, INFEASIBLE))
         if (self.lambda_hat is not None) != (self.status == FEASIBLE):
             raise DomainError("lambda_hat must be present exactly when status is feasible")
         CertificateGrid._given(self.grid, "grid")
@@ -438,16 +438,17 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
 
 
 def certificate_from_json(text: str) -> ThresholdCertificate:
-    """Load a certificate, checked by its constructors; any fault is a SchemaError.
+    """Load a certificate from its JSON text, checked by its constructors; any fault of the text is a SchemaError.
 
     The loader itself checks only what JSON text needs: the parse, a
     document that is an object, and a grid that is a list of objects. Every
     field goes as it was read to `RiskConfig`, `CertificateGrid` and
     `ThresholdCertificate`, whose rules name the first bad grid entry and,
-    within it, the first bad field.
+    within it, the first bad field. text must be a str: bytes are not read
+    here, as a file's bytes are decoded by one rule, `read_text`'s.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(_check_kind("text", text, str, "a str"))
     except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
         raise SchemaError(f"invalid certificate JSON: {exc}") from None
     if not isinstance(doc, dict):

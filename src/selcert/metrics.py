@@ -16,18 +16,20 @@ sums recall gain times precision block by block with a left-to-right
 cumsum, and roc_auc counts, for each positive block, the negatives drawn
 ahead of it and within it. F1 and accuracy are count-weighted sums of the
 per-record confusion columns. The public functions read their inputs as the
-tables read cells (`_as_arrays`) and run the kernels with unit counts, as a
-selective report does on a Dataset's checked columns; bootstrap_significance
-runs the same kernels with each resample's multiplicities, so a resample
-costs no sort and no copy.
+tables read cells (`_as_arrays`) and run the kernels with unit counts;
+bootstrap_significance runs the same kernels with each resample's
+multiplicities, so a resample costs no sort and no copy.
 
 A kernel takes one draw's counts, of shape (n,), or a stack of draws, of
 shape (B, n): it gathers and sums along the last axis, so each row scores
 as its draw alone would, bit for bit. One draw gives a float and raises
 where the metric is undefined; a stack gives one value per row, NaN where
-undefined. bootstrap_significance scores its draws a chunk at a time, at
-most `_CHUNK_RECORDS` drawn records to a chunk, so each side's kernel runs
-once per chunk; the result never depends on the chunking.
+undefined. A selective report is one draw of the kernels: its kept records,
+read from a Dataset's checked columns, are scored as a one-row stack of unit
+counts, and an undefined metric (nothing kept, or one class where a metric
+needs both) is read as None. bootstrap_significance scores its draws a
+chunk at a time, at most `_CHUNK_RECORDS` drawn records to a chunk, so each
+side's kernel runs once per chunk; the result never depends on the chunking.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     UnpairedIdsError,
     _shown,
 )
-from .records import Dataset, _coded, _columns, _floats, _raise_first, _value_fault, check_int
+from .records import Dataset, _check_kind, _coded, _columns, _floats, _raise_first, _value_fault, check_int
 from .rng import substream
 
 
@@ -226,26 +228,16 @@ class SignificanceResult:
 
 
 def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> SelectiveReport:
-    n_total = len(scores)
-    n_retained = int(kept.sum())
-    if n_retained == 0:
-        return SelectiveReport(
-            pr_auc=None, f1=None, roc_auc=None, accuracy=None,
-            retain_rate=0.0, n_total=n_total, n_retained=0,
-        )
+    """The kept records scored as one draw: a one-row stack of unit counts, NaN (undefined) read as None."""
+    n_total, n_retained = len(scores), int(kept.sum())
     # the Dataset's columns are checked, so the kernels score them as they are, one sort for both AUCs
-    s, y, ones = scores[kept], labels[kept], np.ones(n_retained, np.int64)
+    s, y, draw = scores[kept], labels[kept], np.ones((1, n_retained), np.int64)
     ranking = _Ranking(s, y)
-    aucs = {}
-    for name, score in (("pr_auc", ranking.pr_auc), ("roc_auc", ranking.roc_auc)):
-        try:
-            aucs[name] = score(ones)
-        except DegenerateLabelsError:
-            aucs[name] = None
-    f1, accuracy = _counted_f1_accuracy(_confusion_columns(s, y), ones)
+    f1, accuracy = _counted_f1_accuracy(_confusion_columns(s, y), draw)
+    metrics = dict(pr_auc=ranking.pr_auc(draw), roc_auc=ranking.roc_auc(draw), f1=f1, accuracy=accuracy)
     return SelectiveReport(
-        **aucs, f1=f1, accuracy=accuracy,
-        retain_rate=n_retained / n_total, n_total=n_total, n_retained=n_retained,
+        **{name: None if np.isnan(value[0]) else float(value[0]) for name, value in metrics.items()},
+        retain_rate=n_retained / max(n_total, 1), n_total=n_total, n_retained=n_retained,
     )
 
 
@@ -276,6 +268,7 @@ def selective_report(
     records appear only in the overall block).
     """
     data = Dataset._given(data, "data")
+    _check_kind("by_group", by_group, (bool, np.bool_), "a bool")
     scores, labels = data.scores, data.labels
     if decisions is None:
         kept = np.ones(len(data), dtype=bool)
@@ -341,8 +334,7 @@ def bootstrap_significance(
     draw alone would, so the result never depends on the chunking.
     """
     a, b = Dataset._given(a, "a"), Dataset._given(b, "b")
-    if metric not in _METRICS:
-        raise DomainError(f"metric must be one of {list(_METRICS)}, got {_shown(metric)}")
+    _check_kind("metric", metric, str, f"one of {list(_METRICS)}", _METRICS)
     resamples = check_int("resamples", resamples, 100)
     seed = check_int("seed", seed, float("-inf"))
     # each dataset's ids are unique, so the two share one id set when every id of a is in b and no more

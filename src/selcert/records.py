@@ -7,7 +7,9 @@ columns, built from columns by `Dataset` and read as attributes.
 decisions, the certificate grid, the tradeoff curve and simulate's trials,
 each read by its column attributes and, where a caller builds it, built
 from columns by its constructor. Every number is read here, a cell by
-`_floats` or `_types_in` and a scalar argument by the checks through them.
+`_floats` or `_types_in` and a scalar argument by the checks through them;
+every other scalar argument, a path, a text or a bool, is checked by its
+kind (`_check_kind`, and `_path` for every path, before a file is opened).
 
 A table states its row rules once, as one located list in `_raise_first`'s
 form (`_dataset_faults`, with `_id_faults`, the id rules every table shares),
@@ -34,6 +36,7 @@ import io
 import json
 import math
 import numbers
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -245,6 +248,22 @@ def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int
     return int(value)
 
 
+def _check_kind(name: str, value, kinds, rule: str, choices: tuple | None = None):
+    """`value` if it is an instance of `kinds` and, where `choices` are given, one of them; else a
+    DomainError "{name} must be {rule}, got <value>" naming the argument. Membership is tested only on a
+    value of the right kind, so an array or any other value with its own `==` cannot pass as a choice."""
+    if not isinstance(value, kinds) or (choices is not None and value not in choices):
+        raise DomainError(f"{name} must be {rule}, got {_shown(value)}")
+    return value
+
+
+def _path(path):
+    """A path argument, if it is a str or an os.PathLike of a str; checked before anything is opened, as
+    `open` would take an int (a bool too) as a file descriptor and read, write or close it."""
+    _check_kind("path", os.fspath(path) if isinstance(path, os.PathLike) else path, str, "a str or an os.PathLike")
+    return path
+
+
 def check_beta(beta) -> float:
     """`beta` as a float, if it is within (0, 1) and 1 - beta is a float below 1.
 
@@ -350,11 +369,10 @@ class SyntheticScorerSpec:
 
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
-    if fmt is None and Path(path).suffix.lower() not in (".csv", ".json"):
+    suffix = Path(_path(path)).suffix.lower()
+    if fmt is None and suffix not in (".csv", ".json"):
         raise DomainError(f"cannot infer format of {_shown(str(path))}; pass fmt='csv' or 'json'")
-    if fmt not in ("csv", "json", None):
-        raise DomainError(f"fmt must be 'csv' or 'json', got {_shown(fmt)}")
-    return fmt or Path(path).suffix.lower()[1:]
+    return _check_kind("fmt", fmt, (str, type(None)), "'csv' or 'json'", ("csv", "json", None)) or suffix[1:]
 
 
 def _to_date(text: str, date_format: str | None) -> date:
@@ -428,7 +446,7 @@ def _value_fault(bad, where: str, rule: str, cells: Sequence, error: type[Except
 def read_text(path: str | Path) -> str:
     """A file's text: UTF-8, with or without a byte-order mark, line ends untouched."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
+        with open(_path(path), encoding="utf-8-sig", newline="") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"cannot read {path}: {exc}") from exc
@@ -436,6 +454,7 @@ def read_text(path: str | Path) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write text as UTF-8, line ends untouched; failure is a DatasetIOError."""
+    path, text = _path(path), _check_kind("text", text, str, "a str")
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -468,7 +487,7 @@ def csv_columns(text: str) -> CsvColumns:
     those of csv.reader's rows. Malformed CSV raises SchemaError naming the
     header or the 1-based data row.
     """
-    lines = _plain_lines(text)
+    lines = _plain_lines(_check_kind("text", text, str, "a str"))
     if lines is not None:
         header = lines[0].split(",")
         cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
@@ -523,6 +542,7 @@ def load_dataset(
     the first bad row and, within it, the first bad cell.
     """
     fmt = _infer_format(path, fmt)
+    _check_kind("date_format", date_format, (str, type(None)), "None or a str")
     text = read_text(path)
     read = _columns_from_csv if fmt == "csv" else _columns_from_json
     return Dataset._unchecked(*read(text, date_format))

@@ -1,4 +1,4 @@
-"""Every public numeric argument goes through one of the checks in selcert.records.
+"""Every public argument that is a number, a text, a bool or a path goes through a check in selcert.records.
 
 A real number inside an interval, or an integer at or above a minimum: bools,
 NaN, strings, out-of-range and huge values raise DomainError at every entry
@@ -6,12 +6,22 @@ point, and numpy scalars are accepted wherever a Python number is. A beta is
 also rejected where 1.0 - beta rounds to 1.0 (`check_beta`). A seed, and each
 argument of the `rng` functions, is any integer of either sign and any size.
 What holds cells, a column, a row list or a pair, has its own matrix in
-test_shapes.py, and a threshold has its own in test_calibrate.py. A test
-collects every argument annotated with a number, so a new one cannot escape
-these matrices.
+test_shapes.py, and a threshold has its own in test_calibrate.py.
+
+A path is a str or an os.PathLike, checked before anything is opened: an int
+or a bool, which `open` would take as a file descriptor, a bytes path, None
+and every other value raise DomainError, and no descriptor is read, written
+or closed. A text argument is a str (a choice among fixed words, such as a
+format or a metric, only ever compared as one), and a flag is a bool,
+Python's or numpy's. Two tests collect every argument annotated with a
+number, or with a text, a bool or a path, so a new one cannot escape these
+matrices.
 """
 
+import contextlib
 import inspect
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,24 +32,34 @@ import selcert
 from selcert import (
     BinomialTail,
     Dataset,
+    Decisions,
     DomainError,
     RiskConfig,
     SyntheticScorerSpec,
     ThresholdCertificate,
     binom_cdf,
     bootstrap_significance,
+    certificate_from_json,
+    certificate_to_json,
     confidence,
     generate_synthetic,
+    load_certificate,
+    load_dataset,
     mix64,
     predicted_label,
+    read_decisions,
     risk_upper_bound,
+    selective_report,
     selective_risk,
     substream,
     substream_seed,
     validate_guarantee,
+    write_dataset,
+    write_decisions,
 )
 from selcert.binom import risk_upper_bounds, tail_at_most
 from selcert.calibrate import CertificateGrid
+from selcert.records import csv_columns, read_text, write_text
 
 SPEC = SyntheticScorerSpec(n=30, prevalence=0.5, pos_shape=(3, 2), neg_shape=(2, 3), seed=3)
 CONFIG = RiskConfig(alpha=0.3, beta=0.2, min_count=5)
@@ -152,10 +172,10 @@ def test_count_past_64_bits_cannot_be_summed(call):
         call()
 
 
-# numbers the package makes rather than reads from a caller: the records and row views it returns,
-# an error's row, a number it spells for output, and the bounds its own checks are given
+# values the package makes rather than reads from a caller: the records and row views it returns,
+# an error's fields, a number it spells for output, and the names and bounds its own checks are given
 MADE = {"Decision", "GridPoint", "RiskBound", "SelectiveReport", "SignificanceResult", "TradeoffPoint",
-        "SchemaError.row", "format_number.x", "check_int", "check_real"}
+        "SchemaError", "format_number.x", "check_int", "check_real"}
 
 
 def test_every_number_argument_is_on_the_rule():
@@ -167,3 +187,132 @@ def test_every_number_argument_is_on_the_rule():
     numbers = {f"{name}.{argument}" for name, argument in annotated_parameters(lambda kind: kind in (int, float))
                if name not in MADE and f"{name}.{argument}" not in MADE}
     assert numbers - listed == set()
+
+
+# a dataset, its decisions and an infeasible certificate, each written to a file by `inputs`
+DATA = generate_synthetic(SPEC)
+DECISIONS = Decisions(DATA.ids, [-1] * len(DATA), [0.5] * len(DATA))
+GRID = CertificateGrid([], [], [], [], [])
+CERTIFICATE = ThresholdCertificate("infeasible", None, GRID, CONFIG, 5)
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """The input files, in tmp_path/in; the working directory is tmp_path/out, empty, so a stray write shows."""
+    (tmp_path / "in").mkdir()
+    (tmp_path / "out").mkdir()
+    files = {"dataset": tmp_path / "in" / "data.csv", "certificate": tmp_path / "in" / "cert.json",
+             "decisions": tmp_path / "in" / "decisions.csv"}
+    write_dataset(DATA, files["dataset"])
+    write_text(files["certificate"], certificate_to_json(CERTIFICATE))
+    write_decisions(DECISIONS, files["decisions"])
+    monkeypatch.chdir(tmp_path / "out")
+    return files
+
+
+# entry point -> (call taking the value under test and the input files, kind of value)
+OTHER_ENTRY_POINTS = {
+    "read_text.path": (lambda v, files: read_text(v), "path"),
+    "write_text.path": (lambda v, files: write_text(v, "text"), "path"),
+    "load_dataset.path": (lambda v, files: load_dataset(v, fmt="csv"), "path"),
+    "write_dataset.path": (lambda v, files: write_dataset(DATA, v, fmt="csv"), "path"),
+    "load_certificate.path": (lambda v, files: load_certificate(v), "path"),
+    "read_decisions.path": (lambda v, files: read_decisions(v), "path"),
+    "write_decisions.path": (lambda v, files: write_decisions(DECISIONS, v), "path"),
+    "write_text.text": (lambda v, files: write_text("out.txt", v), "text"),
+    "csv_columns.text": (lambda v, files: csv_columns(v), "text"),
+    "certificate_from_json.text": (lambda v, files: certificate_from_json(v), "text"),
+    # the file has no date column: the format is checked on entry, not where a date is parsed
+    "load_dataset.date_format": (lambda v, files: load_dataset(files["dataset"], date_format=v), "optional text"),
+    "load_dataset.fmt": (lambda v, files: load_dataset(files["dataset"], fmt=v), "format"),
+    "write_dataset.fmt": (lambda v, files: write_dataset(DATA, "out.csv", fmt=v), "format"),
+    "bootstrap_significance.metric": (lambda v, files: bootstrap_significance(DATA, DATA, v, resamples=100),
+                                      "metric"),
+    "ThresholdCertificate.status": (lambda v, files: ThresholdCertificate(v, None, GRID, CONFIG, 5), "status"),
+    "selective_report.by_group": (lambda v, files: selective_report(DATA, by_group=v), "bool"),
+}
+
+
+class _PathLike:
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+    def __repr__(self):
+        return f"_PathLike({self.path!r})"
+
+
+def _not_text(word: str) -> list:
+    """Values that are no str, most of them holding `word`: an integer path is left to the descriptor test."""
+    return [2.5, np.float64(1.0), True, False, word.encode(), bytearray(word.encode()), [word],
+            np.array(word), np.array([word, word])]
+
+
+OTHER_BAD = {
+    "path": [None, _PathLike(b"x.csv"), *_not_text("x.csv")],
+    "text": [None, 5, np.int64(5), *_not_text("x")],
+    "optional text": [5, *_not_text("%Y-%m-%d")],
+    "format": [5, *_not_text("csv")],
+    "metric": [None, 5, *_not_text("f1")],
+    "status": [None, 5, *_not_text("infeasible")],
+    "bool": [None, 0, 1, np.int64(1), 2.5, np.float64(1.0), "", "no", b"", [True], np.array(True),
+             np.array([True, False])],
+}
+
+
+@pytest.fixture
+def streams_kept():
+    """Standard input and output as they were, whatever the test did to descriptors 0 and 1 (False and True)."""
+    saved = [os.dup(0), os.dup(1)]
+    yield
+    for descriptor, copy in enumerate(saved):
+        os.dup2(copy, descriptor)
+        os.close(copy)
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r:.20}")
+    for entry, (_, kind) in OTHER_ENTRY_POINTS.items() for value in OTHER_BAD[kind]])
+def test_rejects_bad_text_bool_or_path(entry, value, inputs, streams_kept):
+    call, _ = OTHER_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=rf"^{entry.split('.')[1]} must be "):
+        call(value, inputs)
+    assert list(Path().iterdir()) == []  # nothing was written
+
+
+@pytest.mark.parametrize("kind", [int, np.int64])
+@pytest.mark.parametrize("entry", [entry for entry, (_, kind) in OTHER_ENTRY_POINTS.items() if kind == "path"])
+def test_a_file_descriptor_is_no_path(entry, kind, inputs):
+    call, _ = OTHER_ENTRY_POINTS[entry]
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"unread")
+        # the write end first: a reader given the read end while the write end is open would wait for more
+        for descriptor in (write_end, read_end):
+            with pytest.raises(DomainError, match=r"^path must be a str or an os\.PathLike, got "):
+                call(kind(descriptor), inputs)
+        os.write(write_end, b"!")  # both ends are open, and the call read and wrote nothing
+        assert os.read(read_end, 64) == b"unread!"
+    finally:
+        for descriptor in (read_end, write_end):
+            with contextlib.suppress(OSError):
+                os.close(descriptor)
+
+
+def test_any_path_like_is_a_path(tmp_path):
+    write_dataset(DATA, _PathLike(str(tmp_path / "data.csv")))
+    assert load_dataset(_PathLike(str(tmp_path / "data.csv"))) == load_dataset(tmp_path / "data.csv") == DATA
+
+
+def test_a_numpy_bool_is_a_bool():
+    for flag in (False, True):
+        assert selective_report(DATA, by_group=np.bool_(flag)) == selective_report(DATA, by_group=flag)
+
+
+def test_every_text_bool_and_path_argument_is_on_the_rule():
+    # an argument annotated str, bool or a path, added later, fails here until it joins OTHER_ENTRY_POINTS
+    found = annotated_parameters(lambda kind: kind in (str, bool) or issubclass(kind, os.PathLike))
+    assert {f"{name}.{argument}" for name, argument in found
+            if name not in MADE and f"{name}.{argument}" not in MADE} == set(OTHER_ENTRY_POINTS)

@@ -8,8 +8,8 @@ private function nothing calls any more fails here. Sizes such as the
 solver's block, simulate's chunk and the bootstrap's chunk
 (`metrics._CHUNK_RECORDS`) are module constants, never settings read from
 the environment, so a result never depends on where it is run.
-numpy is the one runtime dependency pyproject.toml declares: scipy,
-hypothesis and mpmath serve the tests alone. Every retained-set count reads
+numpy is the one runtime dependency pyproject.toml declares: scipy and
+hypothesis, its `test` extra, serve the tests alone. Every retained-set count reads
 one sort, `calibrate._grid`'s; the ranking metrics' tie blocks
 (`metrics._tie_blocks`) are the only other sort of data. Every threshold is
 decided by one function, `calibrate._decide`, the one caller of the tail

@@ -4,7 +4,8 @@ Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
 certificate value fails alike in code and in JSON, the metric kernels
 equal the original metric loops and score each bootstrap draw as its drawn
-copies, a tradeoff grid is read as thresholds, a certificate's own grid
+copies, a selective report (and each group's block) is the plain metrics on
+its kept records, a tradeoff grid is read as thresholds, a certificate's own grid
 decides as the certificate did, and simulate's chunked trials equal their
 one-at-a-time reference. Each solved bound is its root to within the
 solver's stated step floor, and agrees with an exact or scipy quantile.
@@ -51,6 +52,7 @@ from selcert import (  # noqa: E402
     read_decisions,
     risk_upper_bound,
     roc_auc,
+    selective_report,
     tradeoff_curve,
     validate_guarantee,
     write_dataset,
@@ -567,6 +569,49 @@ def test_a_stack_of_draws_scores_each_row_as_its_draw_alone(case):
         for row, value in zip(counts, stacked.tolist()):
             alone = _metric_outcome(lambda s, y: kernel(row), scores, labels)
             assert value.hex() == (alone.hex() if isinstance(alone, float) else "nan"), metric
+
+
+@st.composite
+def reported_sets(draw):
+    """A scored column, the records the decisions keep, and each record's group (None where ungrouped)."""
+    scores, labels = draw(scored_labels())
+    n = len(scores)
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    groups = draw(st.lists(st.sampled_from([None, "a", "b"]), min_size=n, max_size=n))
+    return scores, labels, np.array(kept, dtype=bool), groups
+
+
+def _report_case(scores, labels, kept, groups):
+    return np.array(scores), np.array(labels), np.array(kept, dtype=bool), groups
+
+
+@SETTINGS
+@given(case=reported_sets())
+@example(case=_report_case([0.9, 0.2, 0.7], [1, 0, 1], [False] * 3, ["a", "b", None]))  # nothing kept
+@example(case=_report_case([0.9, 0.2, 0.7, 0.1], [1, 0, 1, 0], [True, False, True, True],
+                           ["a", "b", "a", "b"]))  # group a keeps positives alone, group b negatives alone
+@example(case=_report_case([0.5, 0.5, 0.5, 0.8], [1, 0, 0, 1], [True] * 4, ["a", "a", "b", None]))  # ties at 0.5
+@example(case=_report_case([], [], [], []))  # no record at all
+def test_a_report_is_the_plain_metrics_on_its_kept_records(case):
+    # every metric field of the report, and of each group's block, is the plain function on the kept
+    # records, bit for bit, and None where the plain function raises
+    scores, labels, kept, groups = case
+    ids = [f"r{i}" for i in range(len(scores))]
+    data = Dataset(ids, scores, labels, groups=groups)
+    decisions = Decisions(ids, np.where(kept, scores >= 0.5, -1), np.maximum(scores, 1.0 - scores))
+    report = selective_report(data, decisions, by_group=True)
+    names = sorted(set(groups) - {None})
+    assert list(report.group_breakdown) == names
+    in_group = np.array(groups, dtype=object)
+    for block, members in [(report, np.ones(len(ids), bool)),
+                           *((report.group_breakdown[name], in_group == name) for name in names)]:
+        chosen = kept & members
+        assert (block.n_total, block.n_retained) == (members.sum(), chosen.sum())
+        for metric, plain in PLAIN_METRICS.items():
+            expected = _metric_outcome(plain, scores[chosen], labels[chosen])
+            value = getattr(block, metric)
+            assert (None if value is None else value.hex()) == (
+                expected.hex() if isinstance(expected, float) else None), metric
 
 
 @settings(max_examples=25, deadline=None)
