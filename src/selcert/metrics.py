@@ -30,12 +30,16 @@ counts, and an undefined metric (nothing kept, or one class where a metric
 needs both) is read as None. bootstrap_significance scores its draws a
 chunk at a time, at most `_CHUNK_RECORDS` drawn records to a chunk, so each
 side's kernel runs once per chunk; the result never depends on the chunking.
+Resample i draws from `rng.substream(seed, i)`'s stream, unchanged, but the
+streams are derived a block of resamples at a time (`rng._substreams`) and
+set in turn into one generator, so only a redrawn resample makes a generator
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -51,7 +55,7 @@ from .errors import (
     _shown,
 )
 from .records import Dataset, _check_kind, _coded, _columns, _floats, _raise_first, _value_fault, check_int
-from .rng import substream
+from .rng import _substreams, substream
 
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -311,10 +315,11 @@ def bootstrap_significance(
     Both datasets must cover the same ids with the same labels; records are
     paired by id and each resample draws ids with replacement, applying the
     same draw to both sides. The p-value is the fraction of resamples where
-    metric(a*) <= metric(b*). Resample i uses its own seed substream, so the
-    result depends only on (data, metric, resamples, seed); a resample that
-    leaves the metric undefined is redrawn from the same substream, capped at
-    MAX_REDRAWS attempts.
+    metric(a*) <= metric(b*). Resample i draws from its own seed substream,
+    the stream `substream(seed, i)` gives, so the result depends only on
+    (data, metric, resamples, seed); a resample that leaves the metric
+    undefined is redrawn from the same substream, capped at MAX_REDRAWS
+    attempts.
 
     A resample holds copies of the original records only, so each side's
     scores are sorted into tie blocks (or turned into confusion columns)
@@ -332,6 +337,13 @@ def bootstrap_significance(
     A row left undefined is redrawn alone from its own stream, and the
     lowest resample that runs out of redraws raises. Each row scores as its
     draw alone would, so the result never depends on the chunking.
+
+    The streams are derived `rng._STATE_BLOCK` resamples at a time,
+    whatever the chunk, and each is set in turn into one generator
+    (`rng._substreams`), bit for bit the stream `substream` would make; the
+    memory they take does not grow with `resamples`. A row to redraw makes
+    its stream anew with `substream` and moves it past the draw the chunk
+    scored, so a run with no undefined row makes one generator in all.
     """
     a, b = Dataset._given(a, "a"), Dataset._given(b, "b")
     _check_kind("metric", metric, str, f"one of {list(_METRICS)}", _METRICS)
@@ -351,15 +363,19 @@ def bootstrap_significance(
     n = len(labels)
     delta = kernel_a(np.ones(n, np.int64)) - kernel_b(np.ones(n, np.int64))
     per_chunk = max(1, _CHUNK_RECORDS // n)
+    streams = _substreams(seed, 0, resamples)
     hits = 0
     for first in range(0, resamples, per_chunk):
-        streams = [substream(seed, i) for i in range(first, min(first + per_chunk, resamples))]
-        counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in streams])
+        counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                           for rng in islice(streams, per_chunk)])
         m_a, m_b = kernel_a(counts), kernel_b(counts)
-        # a row undefined on either side is NaN in the difference; it is redrawn from its own stream
+        # a row undefined on either side is NaN in the difference; it is redrawn from its own stream,
+        # made anew and moved past the draw just scored
         for row in np.flatnonzero(np.isnan(m_a - m_b)):
+            stream = substream(seed, first + row)
+            stream.integers(0, n, size=n)
             for _ in range(MAX_REDRAWS - 1):
-                counts = np.bincount(streams[row].integers(0, n, size=n), minlength=n)[None]
+                counts = np.bincount(stream.integers(0, n, size=n), minlength=n)[None]
                 m_a[row], m_b[row] = kernel_a(counts)[0], kernel_b(counts)[0]
                 if not np.isnan(m_a[row] - m_b[row]):
                     break

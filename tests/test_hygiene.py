@@ -1,7 +1,7 @@
 """Source hygiene of src/selcert, read with ast: no unused import, no unreferenced private helper,
 no read of the environment, no import beyond the standard library and numpy, numpy sorts in
-two places only, and the tail test in one. Every source under src/ and tests/ compiles with
-warnings as errors.
+two places only, the tail test in one, and random streams made in two. Every source under
+src/ and tests/ compiles with warnings as errors.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
@@ -18,7 +18,9 @@ test `binom.tail_at_most`. A compile warning, such as an invalid escape like
 error), fails on every Python version. A message quotes a bad value through
 `errors._shown`, which cuts it and spells a huge integer by its size, or, for
 a number cell, through `errors._as_text`; a quote made by hand (`!r`, `%r` or
-`'{}'`) fails.
+`'{}'`) fails. numpy's random streams are made (`default_rng`, `PCG64`,
+`SeedSequence`) in `rng` and in the synthetic draw `records._draw` only, so one
+module decides how a seed becomes a stream.
 """
 
 import ast
@@ -152,6 +154,26 @@ def test_the_tail_test_runs_in_the_decision_only():
     assert testing == {"calibrate.py:_decide"}
 
 
+# numpy's makers of random streams, read as a name or an attribute
+_STREAM_MAKERS = {"default_rng", "PCG64", "SeedSequence"}
+
+
+def _stream_makers(tree: ast.Module) -> set[str]:
+    """The top-level functions and classes of `tree` that name or import a stream maker, and "<module>" for
+    other statements."""
+    def named(node: ast.AST) -> set[str]:
+        imported = {alias.name for part in ast.walk(node) if isinstance(part, ast.ImportFrom) for alias in part.names}
+        return (_names_read(node) | imported) & _STREAM_MAKERS
+
+    return {getattr(node, "name", "<module>") for node in tree.body if named(node)}
+
+
+def test_streams_are_made_in_rng_and_the_synthetic_draw_only():
+    making = {f"{module}:{name}" for module, tree in TREES.items() for name in _stream_makers(tree)}
+    assert {name for name in making if not name.startswith("rng.py:")} == {"records.py:_draw"}
+    assert "rng.py:substream" in making
+
+
 def _compile_warnings(text: str, name: str) -> list[str]:
     """What compiling `text` warns of, as the error the warning turns into; [] when it compiles cleanly."""
     with warnings.catch_warnings():
@@ -200,6 +222,11 @@ def test_the_checks_see_what_they_look_for():
                         "def _decide(k, n): return tail_at_most(k, n, 0.1, 0.1)\n"
                         "def second(k, n): return binom.tail_at_most(k, n, 0.1, 0.1)\n")
     assert _tail_testers(callers) == {"_decide", "second"}
+    makers = ast.parse("import numpy as np\nfrom numpy.random import PCG64\n"
+                       "def f(s): return np.random.default_rng(s)\ndef g(s): return np.random.Generator(PCG64(s))\n"
+                       "class C:\n    def h(self): return np.random.SeedSequence(1)\n"
+                       "def k(s): return np.random.random(s)\n")
+    assert _stream_makers(makers) == {"<module>", "f", "g", "C"}
     quotes = ['f"got {x!r}"', 'f"got {x!r:>9}"', '"got %r" % x', '"got \'{}\'".format(x)', 'f"got \'{x}\'"']
     assert [text for text in quotes if not _HAND_QUOTE.search(text)] == []
     assert not _HAND_QUOTE.search('f"got {_shown(x)}, {_as_text(y)} at {i!s}: {{\'a\': 1}}"')

@@ -7,6 +7,7 @@ close-pair values were frozen from the loop that scored each resample's
 copied score columns, before resamples were scored from counts.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import reference_metrics
 import selcert.metrics
+import selcert.rng
 from selcert import (
     Dataset,
     Decisions,
@@ -522,18 +524,22 @@ class TestBootstrapSignificance:
             expected = reference_metrics.bootstrap_reference(sa, sb, labels, metric, 300, 13)
             assert (result.delta, result.p_value) == expected
 
-    @pytest.mark.parametrize("chunk", ["one draw", "seven draws", "default"])
+    @pytest.mark.parametrize("chunk", ["one draw", "seven draws", "default", "seven draws, three state blocks"])
     @pytest.mark.parametrize("metric", sorted(reference_metrics.METRICS))
     @pytest.mark.parametrize("fixture", ["tied", "one positive in eight"])
     def test_chunking_never_changes_the_result(self, monkeypatch, chunk, metric, fixture):
         # one record short of one draw holds one draw a chunk; seven draws do not divide the resamples;
-        # with one positive in eight, redraws land mid-chunk
+        # with one positive in eight, redraws land mid-chunk. Three state blocks, the last one partial,
+        # cut chunks of seven draws: the streams run on from block to block across a chunk
         if fixture == "tied":
             a, b = close_fixture(True)
         else:
             a, b = one_positive_in_eight()
         n, resamples = len(a), 200
-        budget = {"one draw": n - 1, "seven draws": 7 * n, "default": selcert.metrics._CHUNK_RECORDS}[chunk]
+        if chunk == "seven draws, three state blocks":
+            resamples = 2 * selcert.rng._STATE_BLOCK + 37
+            assert resamples % selcert.rng._STATE_BLOCK and resamples % 7
+        budget = {"one draw": n - 1, "default": selcert.metrics._CHUNK_RECORDS}.get(chunk, 7 * n)
         monkeypatch.setattr(selcert.metrics, "_CHUNK_RECORDS", budget)
         result = bootstrap_significance(a, b, metric, resamples=resamples, seed=13)
         expected = reference_metrics.bootstrap_reference(a.scores, b.scores, a.labels, metric, resamples, 13)
@@ -546,9 +552,7 @@ class TestBootstrapSignificance:
             def integers(self, low, high, size):
                 return np.zeros(size, dtype=np.int64)
 
-        real = selcert.metrics.substream
-        monkeypatch.setattr(selcert.metrics, "substream",
-                            lambda seed, index: OneRecordStream() if index in (5, 7) else real(seed, index))
+        inject_streams(monkeypatch, lambda index, real: OneRecordStream() if index in (5, 7) else real)
         a, b = paired_fixture()
         monkeypatch.setattr(selcert.metrics, "_CHUNK_RECORDS", 4 * len(a))
         with pytest.raises(ResampleCapError, match="^resample 5 stayed undefined for roc_auc after 100"):
@@ -567,9 +571,7 @@ class TestBootstrapSignificance:
                     return np.zeros(size, dtype=np.int64)
                 return self.stream.integers(low, high, size=size)
 
-        real = selcert.metrics.substream
-        monkeypatch.setattr(selcert.metrics, "substream",
-                            lambda seed, index: LateStream(real(seed, index)) if index == 0 else real(seed, index))
+        inject_streams(monkeypatch, lambda index, real: LateStream(real) if index == 0 else real)
         a, b = paired_fixture()
         if defined_on > selcert.metrics.MAX_REDRAWS:
             with pytest.raises(ResampleCapError, match="^resample 0 "):
@@ -589,10 +591,56 @@ class TestBootstrapSignificance:
             def integers(self, low, high, size):
                 return np.zeros(size, dtype=np.int64)
 
-        monkeypatch.setattr(selcert.metrics, "substream", lambda seed, index: OneRecordStream())
+        inject_streams(monkeypatch, lambda index, real: OneRecordStream())
         a, b = paired_fixture()
         with pytest.raises(ResampleCapError, match="^resample 0 stayed undefined for roc_auc after 100"):
             bootstrap_significance(a, b, "roc_auc", resamples=100)
+
+    def test_memory_does_not_grow_with_resamples(self, monkeypatch):
+        # streams are derived a state block at a time: had the run's streams been derived at once,
+        # 50,000 resamples would hold some 14 MB more than 500 do. With chunks of 64 draws, both runs
+        # hold the same counts; only the state block differs (500 streams or _STATE_BLOCK, about
+        # 0.3 MB more), which the margin covers
+        a, b = one_positive_in_eight()
+        monkeypatch.setattr(selcert.metrics, "_CHUNK_RECORDS", 64 * len(a))
+        bootstrap_significance(a, b, "accuracy", resamples=500, seed=3)  # numpy's lazy set-up, once
+
+        def peak(resamples: int) -> int:
+            tracemalloc.start()
+            try:
+                bootstrap_significance(a, b, "accuracy", resamples=resamples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= peak(500) + 512 * 1024
+
+    def test_no_redraw_makes_no_stream_of_its_own(self, monkeypatch):
+        # first draws come from the block-derived streams; `substream` makes a stream for a redrawn row only
+        made, substream = [], selcert.metrics.substream
+        monkeypatch.setattr(selcert.metrics, "substream",
+                            lambda seed, index: made.append(index) or substream(seed, index))
+        a, b = paired_fixture()
+        bootstrap_significance(a, b, "roc_auc", resamples=500, seed=1)
+        assert made == []
+        a, b = one_positive_in_eight()
+        bootstrap_significance(a, b, "roc_auc", resamples=100, seed=13)
+        assert made and made == sorted(set(made))  # once for each resample redrawn
+
+
+def inject_streams(monkeypatch, stream_for):
+    """Resample i draws from stream_for(i, real), real being its own stream, wherever the bootstrap asks for it.
+
+    The bootstrap takes each resample's first draw from `rng._substreams`,
+    and a redraw from `substream(seed, i)` made anew, which draws the first
+    draw again before it redraws; each is handed to stream_for. A stream
+    made anew restarts the resample's draws, so a stream that counts its
+    calls counts the resample's draws either way.
+    """
+    substreams, substream = selcert.metrics._substreams, selcert.metrics.substream
+    monkeypatch.setattr(selcert.metrics, "_substreams", lambda seed, start, stop: map(
+        stream_for, range(start, stop), substreams(seed, start, stop)))
+    monkeypatch.setattr(selcert.metrics, "substream", lambda seed, index: stream_for(index, substream(seed, index)))
 
 
 def one_positive_in_eight():

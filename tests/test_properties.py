@@ -4,7 +4,8 @@ Files round-trip, the column reader reads what csv.reader reads, the
 vectorised loaders word errors as the row-by-row references do, a bad
 certificate value fails alike in code and in JSON, the metric kernels
 equal the original metric loops and score each bootstrap draw as its drawn
-copies, a selective report (and each group's block) is the plain metrics on
+copies, the bootstrap's block-derived streams are the substreams made one by
+one for any seed, a selective report (and each group's block) is the plain metrics on
 its kept records, a tradeoff grid is read as thresholds, a certificate's own grid
 decides as the certificate did, and simulate's chunked trials equal their
 one-at-a-time reference. Each solved bound is its root to within the
@@ -30,6 +31,7 @@ import reference_metrics  # noqa: E402
 from rowwise_decisions import read_decisions_rowwise  # noqa: E402
 from rowwise_loader import csv_rows, load_dataset_rowwise  # noqa: E402
 from test_calibrate import FIELDS, certificate_json, certificate_of, reference_grid  # noqa: E402
+from test_rng import assert_substreams  # noqa: E402
 from test_sim import reference_trials  # noqa: E402
 from selcert import (  # noqa: E402
     BinomialTail,
@@ -640,6 +642,13 @@ def test_bootstrap_equals_resampling_the_scores(case, other, seed, metric):
             return type(exc)
 
     assert outcome(counted) == outcome(resampled)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(), start=st.integers(0, 2**64))
+def test_substreams_derived_a_block_at_a_time_are_the_substreams(seed, start):
+    # any seed check_int admits; a run that may wrap past index 2**64, where only the low 64 bits count
+    assert_substreams(seed, start, start + 3)
 
 
 THRESHOLD_CELLS = st.one_of(
