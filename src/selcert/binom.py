@@ -47,7 +47,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .records import _columns, _first, _raise_first, check_beta, check_int, check_real
+from .records import _allocated, _columns, _first, _raise_first, check_beta, check_int, check_real
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -106,11 +106,12 @@ def _log_factorials(size: int) -> np.ndarray:
     as log(n!) - log((n-i)!) then keep the precision of the i terms they span
     instead of inheriting the rounding error of log(n!) itself. Every table
     runs the same sum, so a larger one extends a smaller one bit for bit. The
-    table is allocated whole first, 16 bytes an entry: a size memory cannot
-    hold is a MemoryError (a ValueError past the address space) before any
-    term is summed.
+    table is allocated whole first, 16 bytes an entry, by the shared size rule
+    (`records._allocated`): a size memory cannot hold is a DomainError naming
+    n = size - 1 before any term is summed.
     """
-    values = np.zeros((2, size))
+    values = _allocated("n", size - 1, (2, size))
+    values[:, 0] = 0.0
     high, low = memoryview(values[0]), memoryview(values[1])  # a memoryview sets one float fastest
     s = c = 0.0
     for j in range(1, size):
@@ -133,14 +134,10 @@ class _LogFactorials:
 
     def upto(self, n: int) -> np.ndarray:
         if n >= self._values.shape[1]:
-            for size in (max(n + 1, 2 * self._values.shape[1]), n + 1):  # doubled, else n's own size
-                try:
-                    self._values = _log_factorials(size)
-                    break
-                except (MemoryError, ValueError):
-                    continue
-            else:
-                raise DomainError(f"n={n} is too large: a table of log(i!) for i <= n does not fit in memory")
+            try:  # doubled, else n's own size
+                self._values = _log_factorials(max(n + 1, 2 * self._values.shape[1]))
+            except DomainError:
+                self._values = _log_factorials(n + 1)
         return self._values[:, : n + 1]
 
 

@@ -22,9 +22,10 @@ are built from columns alone, and state their rules in one located list
 each: `_decision_faults` (with the id rules of `records._id_faults`), run by
 constructor and reader alike, and the grid constructor's. Each can be
 iterated as read-only row views, `Decision` and `GridPoint`, built on each
-pass. Every other certificate rule is `RiskConfig`'s or
-`ThresholdCertificate`'s; `certificate_from_json` checks only what JSON text
-needs and hands each field to the constructors as it was read.
+pass; a view reads its columns as they are, abstention's -1 included. Every
+other certificate rule is `RiskConfig`'s or `ThresholdCertificate`'s;
+`certificate_from_json` checks only what JSON text needs and hands each
+field to the constructors as it was read.
 
 `_decide` needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -208,17 +209,17 @@ class ThresholdCertificate:
 class Decision:
     """Predict-or-abstain outcome for one record, a row of `Decisions`.
 
-    prediction is the predicted label (0 or 1) or None for abstention;
-    confidence is max(score, 1 - score) regardless of the outcome.
+    prediction is the predicted label (0 or 1) or -1 for abstention, as in
+    the column; confidence is max(score, 1 - score) regardless of the outcome.
     """
 
     id: str
-    prediction: int | None
+    prediction: int
     confidence: float
 
     @property
     def retained(self) -> bool:
-        return self.prediction is not None
+        return self.prediction >= 0
 
 
 class Decisions(ColumnTable):
@@ -228,8 +229,8 @@ class Decisions(ColumnTable):
     the predicted label (0 or 1) or -1 where the record is abstained on;
     confidence is a float array within [0.5, 1]. The constructor and
     `read_decisions` check them by one rule list, `_decision_faults`.
-    Iteration gives a `Decision` per row, its prediction None where the
-    record is abstained on.
+    Iteration gives a `Decision` per row, the columns' values as they are,
+    -1 where the record is abstained on.
     """
 
     _columns = ("ids", "prediction", "confidence")
@@ -245,10 +246,6 @@ class Decisions(ColumnTable):
     def retained(self) -> np.ndarray:
         """Mask of the decisions that predict rather than abstain."""
         return self.prediction >= 0
-
-    def _values(self) -> list:
-        ids, prediction, confidence = super()._values()
-        return [ids, [None if p < 0 else p for p in prediction], confidence]
 
 
 def _decision_faults(ids, prediction, confidence, prediction_cells, confidence_cells) -> list:
@@ -463,9 +460,7 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
         if objects < len(entries):
             raise SchemaError(f"malformed certificate: grid[{objects}] must be an object")
         return ThresholdCertificate(doc["status"], doc["lambda_hat"], grid, config, doc["calib_size"])
-    except DomainError as exc:  # a rule of the certificate's own types
-        raise SchemaError(f"malformed certificate: {exc}") from None
-    except KeyError as exc:
+    except (DomainError, KeyError) as exc:  # a rule of the certificate's own types, or a missing field
         raise SchemaError(f"malformed certificate: {exc}") from None
 
 

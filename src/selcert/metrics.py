@@ -245,8 +245,8 @@ def _subset_report(scores: np.ndarray, labels: np.ndarray, kept: np.ndarray) -> 
     )
 
 
-def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where each of `wanted` stands in `ids`, -1 where it is missing.
+def _positions(ids: np.ndarray, wanted: np.ndarray, fault) -> np.ndarray:
+    """Where each of `wanted` stands in `ids`; `fault()` unless the two columns of unique ids hold one id set.
 
     When the two columns are equal in order, as a dataset's ids and the
     decisions `apply_certificate` makes from it are, that is every position
@@ -255,7 +255,10 @@ def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     if np.array_equal(ids, wanted):
         return np.arange(len(ids))
     position = dict(zip(ids.tolist(), range(len(ids))))
-    return np.fromiter(map(position.get, wanted.tolist(), repeat(-1)), np.intp, len(wanted))
+    index = np.fromiter(map(position.get, wanted.tolist(), repeat(-1)), np.intp, len(wanted))
+    if len(ids) != len(wanted) or (index < 0).any():
+        raise fault()
+    return index
 
 
 def selective_report(
@@ -278,9 +281,7 @@ def selective_report(
         kept = np.ones(len(data), dtype=bool)
     else:
         decisions = Decisions._given(decisions, "decisions")
-        index = _positions(decisions.ids, data.ids)
-        if len(decisions) != len(data) or (index < 0).any():
-            raise IdMismatchError("decision ids do not match the dataset ids")
+        index = _positions(decisions.ids, data.ids, lambda: IdMismatchError("decision ids do not match the dataset ids"))
         kept = decisions.retained[index]
     report = _subset_report(scores, labels, kept)
     if not by_group:
@@ -349,10 +350,7 @@ def bootstrap_significance(
     _check_kind("metric", metric, str, f"one of {list(_METRICS)}", _METRICS)
     resamples = check_int("resamples", resamples, 100)
     seed = check_int("seed", seed, float("-inf"))
-    # each dataset's ids are unique, so the two share one id set when every id of a is in b and no more
-    b_order = _positions(b.ids, a.ids)
-    if len(a) != len(b) or (b_order < 0).any():
-        raise UnpairedIdsError("datasets must share one id set for a paired comparison")
+    b_order = _positions(b.ids, a.ids, lambda: UnpairedIdsError("datasets must share one id set for a paired comparison"))
     labels = a.labels
     mismatch = np.flatnonzero(b.labels[b_order] != labels)
     if mismatch.size:

@@ -68,19 +68,22 @@ class ColumnTable:
     """Rows held as equal-length, read-only columns.
 
     The one column pattern, the base of `Dataset`, `calibrate.Decisions`,
-    `calibrate.CertificateGrid` and `sim.TradeoffCurve`. A table is its
-    columns and nothing else. A table a caller can build has one way in: its
-    `__init__` takes its columns and checks them. `_unchecked` builds one
-    from columns the package has already checked, of their final types; the
-    tradeoff curve, which the package only produces, has no other way in.
-    Every table has one way out: each column is a numpy array, marked
-    read-only, read as the attribute `_columns` names. `len` reads the first
-    column, and `==` compares the columns' values.
+    `calibrate.CertificateGrid`, `sim.TradeoffCurve` and `sim.GuaranteeTrials`.
+    A table is its columns and nothing else. A table a caller can build has
+    one way in: its `__init__` takes its columns and checks them.
+    `_unchecked` builds one from columns the package has already checked, of
+    their final types; the tradeoff curve and the trials, which the package
+    only produces, have no other way in. Every table has one way out: each
+    column is a numpy array, marked read-only, read as the attribute
+    `_columns` names. `len` reads the first column, and `==` compares the
+    columns' values.
 
     A table that names a `_view`, a frozen dataclass of one row, can also be
     iterated, read-only, one view per row, built on each pass: the
     decisions, the grid and the curve, whose rows the benchmark harness
-    (perfbench/child.py) still reads. `Dataset` cannot be iterated.
+    (perfbench/child.py) still reads. A view reads its columns as they are,
+    the `tolist()` values at its row, abstention's -1 included. `Dataset`
+    and the trials cannot be iterated.
     """
 
     _columns: tuple[str, ...]  # the column attributes, in the field order of `_view` where there is one
@@ -648,7 +651,13 @@ def temporal_split(data: Dataset, split_date: date) -> tuple[Dataset, Dataset]:
 
 
 def generate_synthetic(spec: SyntheticScorerSpec) -> Dataset:
-    """Draw a synthetic dataset, ids syn-0, syn-1, ...; a pure function of the spec and its seed."""
+    """Draw a synthetic dataset, ids syn-0, syn-1, ...; a pure function of the spec and its seed.
+
+    The ids' memory (per record, the longest id's string and a slot in the id
+    list and in each of three object columns) is allocated and freed before
+    anything is drawn, so an n whose ids memory cannot hold is a DomainError.
+    """
+    _allocated("n", spec.n, (spec.n, sys.getsizeof(f"syn-{spec.n - 1}") + 4 * np.dtype(object).itemsize), np.uint8)
     scores, labels = _draw(spec, spec.n, spec.seed)
     ids = _object_column([f"syn-{i}" for i in range(spec.n)])
     undated, ungrouped = np.empty(spec.n, dtype=object), np.empty(spec.n, dtype=object)

@@ -566,7 +566,7 @@ class TestApplyCertificate:
 class TestDecision:
     def test_retained_flag(self):
         assert Decision("a", 0, 0.9).retained
-        assert not Decision("a", None, 0.9).retained
+        assert not Decision("a", -1, 0.9).retained
 
 
 DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -574,7 +574,7 @@ DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
 
 
 class TestDecisions:
-    ROWS = [Decision("a", 1, 0.9), Decision("b", None, 0.6), Decision("c", 0, 0.75)]
+    ROWS = [Decision("a", 1, 0.9), Decision("b", -1, 0.6), Decision("c", 0, 0.75)]
 
     def test_apply_returns_columns(self):
         cert = certify_threshold(fixture6(), RiskConfig(alpha=0.45, beta=0.2, min_count=3))

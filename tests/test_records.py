@@ -1,5 +1,6 @@
 """Record validation, dataset IO, temporal splits, synthetic generation."""
 
+import dataclasses
 import json
 import sys
 import time
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import selcert.records as records
 from selcert import (
     Dataset,
     DatasetIOError,
@@ -390,6 +392,15 @@ class TestSyntheticGenerator:
         a = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 1))
         b = generate_synthetic(SyntheticScorerSpec(5, 0.5, (2, 2), (2, 2), 2))
         assert not np.array_equal(a.scores, b.scores)
+
+    def test_ids_past_memory_fail_before_the_draw(self, monkeypatch):
+        # the ids' memory is asked for before anything is drawn; 2**60 records of ids pass the address space
+        def draw(*args):
+            raise AssertionError("the draw ran before the ids' size was checked")
+
+        monkeypatch.setattr(records, "_draw", draw)
+        with pytest.raises(DomainError, match=f"^n={2**60} is too large: its arrays do not fit in memory$"):
+            generate_synthetic(SyntheticScorerSpec(2**60, 0.5, (2, 2), (2, 2), 1))
 
     def test_n_past_memory_fails_at_once(self):
         # 2**62 records cannot be allocated: the draw fails before it starts, naming n
@@ -813,6 +824,16 @@ def test_every_column_is_a_read_only_array_read_as_an_attribute(tmp_path):
             assert isinstance(column, np.ndarray) and not column.flags.writeable, (type(table).__name__, name)
             assert not hasattr(type(table), name), (type(table).__name__, name)  # no method of a column's name
         assert set(vars(table)) == set(table._columns), type(table).__name__  # and nothing else
+
+
+def test_each_row_view_reads_its_columns_as_they_are(tmp_path):
+    # a row view holds its columns' plain values at that row, abstention's -1 included
+    tables = [table for table in every_way_built(tmp_path) if hasattr(table, "_view")]
+    assert {type(table).__name__ for table in tables} == {"Decisions", "CertificateGrid", "TradeoffCurve"}
+    assert any(isinstance(table, Decisions) and -1 in table.prediction for table in tables)
+    for table in tables:
+        columns = zip(*(getattr(table, name).tolist() for name in table._columns))
+        assert [dataclasses.astuple(row) for row in table] == list(columns), type(table).__name__
 
 
 class TestColumns:
