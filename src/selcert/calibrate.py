@@ -24,8 +24,10 @@ constructor and reader alike, and the grid constructor's. Each can be
 iterated as read-only row views, `Decision` and `GridPoint`, built on each
 pass; a view reads its columns as they are, abstention's -1 included. Every
 other certificate rule is `RiskConfig`'s or `ThresholdCertificate`'s;
-`certificate_from_json` checks only what JSON text needs and hands each
-field to the constructors as it was read.
+`certificate_from_json` checks only what JSON text needs, and the file's
+`status` word, and hands each other field to the constructors as it was
+read. A certificate holds no status of its own: it reads its status from
+`lambda_hat`, so one built in code cannot contradict itself.
 
 `_decide` needs a yes or no at each grid point, never the bound itself. With
 k errors among n retained, k < n, the bound risk_plus is at most alpha
@@ -174,19 +176,18 @@ class ThresholdCertificate:
 
     grid is a `CertificateGrid`, anything else a DomainError naming `grid`.
     calib_size is an integer >= 1, and the grid's bottom point retains at
-    most that many records. lambda_hat is None or one of the grid's thresholds.
+    most that many records. lambda_hat is None or one of the grid's
+    thresholds. A certificate holds no status of its own: `status` and
+    `feasible` read `lambda_hat`, so the two cannot disagree. The file's
+    `status` word is checked by its loader (`_check_status`).
     """
 
-    status: str
     lambda_hat: float | None
     grid: CertificateGrid
     config: RiskConfig
     calib_size: int
 
     def __post_init__(self) -> None:
-        _check_kind("status", self.status, str, "feasible or infeasible", (FEASIBLE, INFEASIBLE))
-        if (self.lambda_hat is not None) != (self.status == FEASIBLE):
-            raise DomainError("lambda_hat must be present exactly when status is feasible")
         CertificateGrid._given(self.grid, "grid")
         object.__setattr__(self, "calib_size", check_int("calib_size", self.calib_size, 1))
         if len(self.grid) and int(self.grid.n_at[0]) > self.calib_size:
@@ -201,8 +202,12 @@ class ThresholdCertificate:
             object.__setattr__(self, "lambda_hat", float(lam))
 
     @property
+    def status(self) -> str:
+        return INFEASIBLE if self.lambda_hat is None else FEASIBLE
+
+    @property
     def feasible(self) -> bool:
-        return self.status == FEASIBLE
+        return self.lambda_hat is not None
 
 
 @dataclass(frozen=True)
@@ -335,9 +340,7 @@ def certify_threshold(data: Dataset, config: RiskConfig) -> ThresholdCertificate
     (decided,) = _decide(at // len(data), n_at, errors, config)
     risk_plus, _ = risk_upper_bounds(errors, n_at, config.beta)
     grid = CertificateGrid._unchecked(lam, n_at, errors, errors / n_at, risk_plus)
-    if decided < 0:
-        return ThresholdCertificate(INFEASIBLE, None, grid, config, len(data))
-    return ThresholdCertificate(FEASIBLE, float(lam[decided]), grid, config, len(data))
+    return ThresholdCertificate(float(lam[decided]) if decided >= 0 else None, grid, config, len(data))
 
 
 def _grid(conf: np.ndarray, correct: np.ndarray):
@@ -434,15 +437,25 @@ def certificate_to_json(cert: ThresholdCertificate, manifest: dict | None = None
     return json_dumps(doc)
 
 
+def _check_status(status, lambda_hat) -> None:
+    """A certificate file's `status` word, which a certificate built in code does not hold: feasible or
+    infeasible, and feasible exactly when the file's `lambda_hat` is present."""
+    _check_kind("status", status, str, "feasible or infeasible", (FEASIBLE, INFEASIBLE))
+    if (lambda_hat is not None) != (status == FEASIBLE):
+        raise DomainError("lambda_hat must be present exactly when status is feasible")
+
+
 def certificate_from_json(text: str) -> ThresholdCertificate:
     """Load a certificate from its JSON text, checked by its constructors; any fault of the text is a SchemaError.
 
     The loader itself checks only what JSON text needs: the parse, a
-    document that is an object, and a grid that is a list of objects. Every
-    field goes as it was read to `RiskConfig`, `CertificateGrid` and
-    `ThresholdCertificate`, whose rules name the first bad grid entry and,
-    within it, the first bad field. text must be a str: bytes are not read
-    here, as a file's bytes are decoded by one rule, `read_text`'s.
+    document that is an object, a grid that is a list of objects, and the
+    `status` word (`_check_status`), after the grid's rules and before the
+    certificate's. Every other field goes as it was read to `RiskConfig`,
+    `CertificateGrid` and `ThresholdCertificate`, whose rules name the first
+    bad grid entry and, within it, the first bad field. text must be a str:
+    bytes are not read here, as a file's bytes are decoded by one rule,
+    `read_text`'s.
     """
     try:
         doc = json.loads(_check_kind("text", text, str, "a str"))
@@ -459,7 +472,10 @@ def certificate_from_json(text: str) -> ThresholdCertificate:
         grid = CertificateGrid(*([entry.get(key) for entry in entries[:objects]] for key in _GRID_KEYS))
         if objects < len(entries):
             raise SchemaError(f"malformed certificate: grid[{objects}] must be an object")
-        return ThresholdCertificate(doc["status"], doc["lambda_hat"], grid, config, doc["calib_size"])
+        # every field is read before the status rule runs, so a missing one is named first
+        status, lambda_hat, calib_size = doc["status"], doc["lambda_hat"], doc["calib_size"]
+        _check_status(status, lambda_hat)
+        return ThresholdCertificate(lambda_hat, grid, config, calib_size)
     except (DomainError, KeyError) as exc:  # a rule of the certificate's own types, or a missing field
         raise SchemaError(f"malformed certificate: {exc}") from None
 

@@ -19,9 +19,14 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .calibrate import (
+    _OUTCOME_TEXT,
+    Decisions,
     RiskConfig,
+    ThresholdCertificate,
     apply_certificate,
     certificate_to_json,
     certify_threshold,
@@ -30,9 +35,9 @@ from .calibrate import (
     retain_rate,
     write_decisions,
 )
-from .errors import EmptyCalibrationError, InfeasibleCertificateError, SelcertError, _shown
+from .errors import EmptyCalibrationError, InfeasibleCertificateError, SchemaError, SelcertError, _shown
 from .jsonio import csv_text, dumps, format_number
-from .metrics import report_to_doc, selective_report
+from .metrics import _decision_index, report_to_doc, selective_report
 from .records import Dataset, SyntheticScorerSpec, _lax_number, check_real, load_dataset, write_text
 from .rng import substream
 from .sim import curve_to_doc, summarize_trials, tradeoff_curve, trials_to_doc, validate_guarantee
@@ -151,6 +156,20 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
+def _check_follows(data: Dataset, decisions: Decisions, cert: ThresholdCertificate) -> None:
+    """Each decision's outcome is the one `apply_certificate` gives its id, else a SchemaError at the first
+    decisions row that differs. An infeasible certificate fails as `apply` fails. Confidences are not
+    compared: a decisions file holds them at 12 digits."""
+    derived = np.empty_like(decisions.prediction)
+    derived[_decision_index(decisions, data)] = apply_certificate(data, cert).prediction  # in decisions order
+    differs = np.flatnonzero(decisions.prediction != derived)
+    if differs.size:
+        row = int(differs[0])
+        want, got = _OUTCOME_TEXT[[derived[row] + 1, decisions.prediction[row] + 1]]
+        raise SchemaError(f"outcome must follow from the certificate: {_shown(want)} for id "
+                          f"{_shown(decisions.ids[row])}, got {_shown(got)}", row=row + 1, column="outcome")
+
+
 def cmd_evaluate(args) -> int:
     data = load_dataset(args.test, date_format=args.date_format)
     decisions = None if args.no_abstention else read_decisions(args.decisions)
@@ -158,6 +177,8 @@ def cmd_evaluate(args) -> int:
     metadata: dict = {}
     if args.cert is not None:
         cert = load_certificate(args.cert)
+        if decisions is not None:  # with --no-abstention the certificate is provenance only
+            _check_follows(data, decisions, cert)
         metadata["certificate"] = {
             "status": cert.status,
             "lambda_hat": cert.lambda_hat,
@@ -253,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     how.add_argument("--decisions", help="decisions CSV from apply")
     how.add_argument("--no-abstention", action="store_true", help="evaluate with every record retained")
     ev.add_argument("--group", action="store_true", help="add a per-group metric breakdown")
-    ev.add_argument("--cert", default=None, help="certificate to record in the report metadata")
+    ev.add_argument("--cert", default=None,
+                    help="certificate to record in the report metadata; --decisions must follow from it")
     ev.add_argument("--replication", default=None, help="free-form descriptor recorded in the report")
     ev.add_argument("--date-format", default=None)
     ev.add_argument("--out", required=True, help="report JSON path")

@@ -28,12 +28,13 @@ undefined. A selective report is one draw of the kernels: its kept records,
 read from a Dataset's checked columns, are scored as a one-row stack of unit
 counts, and an undefined metric (nothing kept, or one class where a metric
 needs both) is read as None. bootstrap_significance scores its draws a
-chunk at a time, at most `_CHUNK_RECORDS` drawn records to a chunk, so each
-side's kernel runs once per chunk; the result never depends on the chunking.
-Resample i draws from `rng.substream(seed, i)`'s stream, unchanged, but the
-streams are derived a block of resamples at a time (`rng._substreams`) and
-set in turn into one generator, so only a redrawn resample makes a generator
-of its own.
+chunk at a time, at most `records._CHUNK_RECORDS` drawn records to a chunk
+(the budget simulate's chunks of trials share), so each side's kernel runs
+once per chunk; the result never depends on the chunking. Resample i
+draws from `rng.substream(seed, i)`'s stream, unchanged, but the streams
+are derived a block of resamples at a time (`rng._substreams`) and set in
+turn into one generator, so only a redrawn resample makes a generator of
+its own.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .errors import (
     UnpairedIdsError,
     _shown,
 )
-from .records import Dataset, _check_kind, _coded, _columns, _floats, _raise_first, _value_fault, check_int
+from .records import (_CHUNK_RECORDS, Dataset, _check_kind, _coded, _columns, _floats, _raise_first, _value_fault,
+                      check_int)
 from .rng import _substreams, substream
 
 
@@ -261,6 +263,11 @@ def _positions(ids: np.ndarray, wanted: np.ndarray, fault) -> np.ndarray:
     return index
 
 
+def _decision_index(decisions: Decisions, data: Dataset) -> np.ndarray:
+    """Where each of the dataset's ids stands among the decisions'; an IdMismatchError unless they hold one id set."""
+    return _positions(decisions.ids, data.ids, lambda: IdMismatchError("decision ids do not match the dataset ids"))
+
+
 def selective_report(
     data: Dataset,
     decisions: Decisions | None = None,
@@ -281,8 +288,7 @@ def selective_report(
         kept = np.ones(len(data), dtype=bool)
     else:
         decisions = Decisions._given(decisions, "decisions")
-        index = _positions(decisions.ids, data.ids, lambda: IdMismatchError("decision ids do not match the dataset ids"))
-        kept = decisions.retained[index]
+        kept = decisions.retained[_decision_index(decisions, data)]
     report = _subset_report(scores, labels, kept)
     if not by_group:
         return report
@@ -299,9 +305,6 @@ def selective_report(
 _METRICS = ("accuracy", "f1", "pr_auc", "roc_auc")
 
 MAX_REDRAWS = 100
-
-# drawn records per chunk of bootstrap resamples: 16 draws at n=2000, so each of a chunk's arrays is 256 KB
-_CHUNK_RECORDS = 1 << 15
 
 
 def bootstrap_significance(
@@ -334,9 +337,9 @@ def bootstrap_significance(
 
     Draws are scored a chunk at a time: each draw's bincount is a row of
     the chunk's counts matrix, and each side's kernel runs once over it. A
-    chunk holds at most `_CHUNK_RECORDS` drawn records (one draw at least).
-    A row left undefined is redrawn alone from its own stream, and the
-    lowest resample that runs out of redraws raises. Each row scores as its
+    chunk holds at most `records._CHUNK_RECORDS` drawn records (one draw at
+    least). A row left undefined is redrawn alone from its own stream, and
+    the lowest resample that runs out of redraws raises. Each row scores as its
     draw alone would, so the result never depends on the chunking.
 
     The streams are derived `rng._STATE_BLOCK` resamples at a time,

@@ -682,6 +682,12 @@ def _draw(spec: SyntheticScorerSpec, n: int, seed: int) -> tuple[np.ndarray, np.
     return scores, labels
 
 
+# the records one chunk of stacked work holds at most, unless one unit (a bootstrap draw, a simulate trial's
+# calibration plus test records) is larger and runs alone: 16 draws at n=2000, each array of the chunk 256 KB.
+# It bounds memory, never results
+_CHUNK_RECORDS = 1 << 15
+
+
 def _allocated(name: str, value: int, shape, dtype: type = float) -> np.ndarray:
     """`np.empty(shape, dtype)` for the argument `name`, whose value is `value`.
 

@@ -26,8 +26,8 @@ import numpy as np
 from .calibrate import RiskConfig, _confidence_correct, _decide, _grid, _thresholds
 from .errors import EmptyInputError, UnsortedLambdasError
 from .jsonio import Table
-from .records import (ColumnTable, Dataset, SyntheticScorerSpec, _allocated, _columns, _draw, _raise_first,
-                      check_int)
+from .records import (_CHUNK_RECORDS, ColumnTable, Dataset, SyntheticScorerSpec, _allocated, _columns, _draw,
+                      _raise_first, check_int)
 from .rng import substream_seed
 
 
@@ -99,11 +99,6 @@ def tradeoff_curve(data: Dataset, lambdas=None) -> TradeoffCurve:
     return TradeoffCurve._unchecked(grid, n_kept / len(data), np.where(n_kept > 0, accuracy, None))
 
 
-# calibration plus test records one chunk of trials holds at most, unless a
-# single trial is larger and runs alone: bounds memory, never results
-_CHUNK_RECORDS = 1 << 14
-
-
 def validate_guarantee(
     spec: SyntheticScorerSpec,
     config: RiskConfig,
@@ -124,10 +119,11 @@ def validate_guarantee(
     own n and seed fields are not read. Rows are ordered by trial index.
 
     Trials run a chunk at a time (`_chunk`), as many as fit in
-    `_CHUNK_RECORDS` calibration plus test records; a trial's result depends
-    on its seed and index alone, never on the chunking. `max_workers` is
-    accepted and validated but has no effect: trials run in one thread,
-    since a thread pool measured slower than one thread.
+    `records._CHUNK_RECORDS` calibration plus test records, the budget the
+    bootstrap's chunks share; a trial's result depends on its seed and index
+    alone, never on the chunking. `max_workers` is accepted and validated
+    but has no effect: trials run in one thread, since a thread pool
+    measured slower than one thread.
     """
     for name, value in (("trials", trials), ("n_calib", n_calib), ("n_test", n_test),
                         ("max_workers", max_workers)):

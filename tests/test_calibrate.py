@@ -43,7 +43,8 @@ from selcert import (
     write_decisions,
 )
 from selcert.binom import tail_at_most
-from selcert.calibrate import _OUTCOME_TEXT, CertificateGrid, GridPoint, _confidence_correct, _decide, _grid
+from selcert.calibrate import (_OUTCOME_TEXT, CertificateGrid, GridPoint, _check_status, _confidence_correct, _decide,
+                               _grid)
 
 THRESHOLD_RULE = "thresholds must be finite, within [0.5, 1] and strictly ascending: "
 
@@ -466,15 +467,18 @@ EMPTY_GRID = CertificateGrid([], [], [], [], [])
 
 class TestCertificateInvariants:
     def test_lambda_hat_required_iff_feasible(self):
+        # the status is read from lambda_hat, so a certificate cannot contradict itself
         config = RiskConfig(alpha=0.5, beta=0.2)
-        with pytest.raises(DomainError):
-            ThresholdCertificate("feasible", None, EMPTY_GRID, config, 1)
-        with pytest.raises(DomainError):
-            ThresholdCertificate("infeasible", 0.7, EMPTY_GRID, config, 1)
+        cert = ThresholdCertificate(None, EMPTY_GRID, config, 1)
+        assert (cert.status, cert.feasible) == ("infeasible", False)
+        cert = ThresholdCertificate(0.6, CertificateGrid([0.6], [1], [0], [0.0], [0.5]), config, 1)
+        assert (cert.status, cert.feasible) == ("feasible", True)
 
     def test_rejects_unknown_status(self):
-        with pytest.raises(DomainError):
-            ThresholdCertificate("maybe", None, EMPTY_GRID, RiskConfig(0.5, 0.2), 1)
+        # a certificate built in code has no status to give; a file's status word is the loader's
+        # rule (TestCertificateSerialization::test_tampered_certificate_is_a_located_schema_error)
+        with pytest.raises(TypeError):
+            ThresholdCertificate(None, EMPTY_GRID, RiskConfig(0.5, 0.2), 1, status="maybe")
 
     def test_rejects_unsorted_grid(self):
         # (grid lambdas, lambda_hat, the error): out of order, a lone or trailing
@@ -489,10 +493,9 @@ class TestCertificateInvariants:
             ([0.6, 0.9], 0.2, f"{THRESHOLD_RULE}lambda_hat is 0.2"),
         ]
         for lams, lambda_hat, message in cases:
-            status = "infeasible" if lambda_hat is None else "feasible"
             with pytest.raises(DomainError) as err:
                 grid = CertificateGrid(lams, [2] * len(lams), [0] * len(lams), [0.0] * len(lams), [0.5] * len(lams))
-                ThresholdCertificate(status, lambda_hat, grid, RiskConfig(0.5, 0.2), 2)
+                ThresholdCertificate(lambda_hat, grid, RiskConfig(0.5, 0.2), 2)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("n_at, errors_at, calib_size, message", [
@@ -504,7 +507,7 @@ class TestCertificateInvariants:
     def test_grid_counts_checked(self, n_at, errors_at, calib_size, message):
         with pytest.raises(DomainError) as err:
             grid = CertificateGrid([0.6, 0.7, 0.8], n_at, errors_at, [0.0] * 3, [0.5] * 3)
-            ThresholdCertificate("infeasible", None, grid, RiskConfig(0.5, 0.2), calib_size)
+            ThresholdCertificate(None, grid, RiskConfig(0.5, 0.2), calib_size)
         assert str(err.value) == message
 
     # a fraction past the float range is out of range, quoted cut to 80 characters
@@ -529,8 +532,7 @@ class TestCertificateInvariants:
         assert cert.grid.lam.tolist() == [g[0] for g in FROZEN_GRID]
         assert cert.grid.n_at.dtype == cert.grid.errors_at.dtype == np.int64
         assert next(iter(cert.grid)) == GridPoint(0.6, 6, 2, 2 / 6, cert.grid.risk_plus[0])
-        rebuilt = ThresholdCertificate(cert.status, cert.lambda_hat, CertificateGrid(*cert.grid._values()),
-                                       cert.config, 6)
+        rebuilt = ThresholdCertificate(cert.lambda_hat, CertificateGrid(*cert.grid._values()), cert.config, 6)
         assert rebuilt == cert and rebuilt.grid == cert.grid
         with pytest.raises(TypeError):
             hash(cert)
@@ -658,12 +660,14 @@ class TestDecisions:
 
 
 def certificate_of(status, lambda_hat, grid, config, calib_size) -> ThresholdCertificate:
-    """Build a certificate from its fields, in the order `certificate_from_json` reads them.
+    """Build a certificate from its fields, in the order `certificate_from_json` checks them.
 
-    grid is the five columns; config is (alpha, beta, min_count).
+    grid is the five columns; config is (alpha, beta, min_count). The status
+    is the file's word, checked by the loader's rule, as code builds none.
     """
-    config = RiskConfig(*config)
-    return ThresholdCertificate(status, lambda_hat, CertificateGrid(*grid), config, calib_size)
+    config, grid = RiskConfig(*config), CertificateGrid(*grid)
+    _check_status(status, lambda_hat)
+    return ThresholdCertificate(lambda_hat, grid, config, calib_size)
 
 
 def certificate_json(status, lambda_hat, grid, config, calib_size) -> str:
@@ -757,8 +761,8 @@ class TestCertificateSerialization:
         assert loaded.grid.lam.tolist() == cert.grid.lam.tolist()
 
     def test_integer_threshold_is_written_as_a_float(self):
-        cert = ThresholdCertificate("infeasible", None, CertificateGrid([1], [0], [0], [1.0], [1.0]),
-                                    RiskConfig(alpha=0.5, beta=0.2), 1)
+        grid = CertificateGrid([1], [0], [0], [1.0], [1.0])
+        cert = ThresholdCertificate(None, grid, RiskConfig(alpha=0.5, beta=0.2), 1)
         assert '"lambda": 1.0,' in certificate_to_json(cert)
 
     def test_round_trip_infeasible(self):
@@ -1069,8 +1073,7 @@ THRESHOLD_ENTRY_POINTS = {
     "CertificateGrid": (lambda v: CertificateGrid([0.55, v], [2, 1], [0, 0], [0.0, 0.0], [0.5, 0.5]),
                         "grid[1].lambda", DomainError),
     "ThresholdCertificate.lambda_hat": (
-        lambda v: ThresholdCertificate("feasible", v, CertificateGrid([0.6], [2], [0], [0.0], [0.5]),
-                                       RiskConfig(0.5, 0.2), 2),
+        lambda v: ThresholdCertificate(v, CertificateGrid([0.6], [2], [0], [0.0], [0.5]), RiskConfig(0.5, 0.2), 2),
         "lambda_hat", DomainError),
     "tradeoff_curve": (lambda v: tradeoff_curve(fixture6(), [0.55, v]), "lambda[1]", UnsortedLambdasError),
     "selective_risk": (lambda v: selective_risk(fixture6(), v, 0.2), "lam", DomainError),

@@ -277,6 +277,53 @@ class TestEvaluate:
         assert doc["certificate"]["alpha"] == 0.5
         assert doc["replication"] == "table-2-row-1"
 
+    # cert75 on TEST4: u1 abstains (confidence 0.713), u2 and u3 predict 1, u4 predicts 0
+    def test_a_flipped_outcome_does_not_follow_the_certificate(self, cert75, test_csv, tmp_path, capsys):
+        decisions, out = tmp_path / "decisions.csv", tmp_path / "report.json"
+        assert main(["apply", "--test", test_csv, "--cert", cert75, "--out", str(decisions)]) == 0
+        lines = decisions.read_text().splitlines()
+        assert lines[3] == "u3,1,0.75"
+        # rows in another order pair by id; u3 is flipped, and so is u1 at a later row
+        lines[1:] = [lines[4], "u3,0,0.75", lines[2], lines[1].replace("abstain", "0")]
+        decisions.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--test", test_csv, "--decisions", str(decisions), "--cert", cert75,
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: outcome must follow from the certificate: '1' for id 'u3', got '0' (row 2, column 'outcome')\n")
+
+    def test_decisions_of_another_certificate_do_not_follow(self, calib_csv, cert75, test_csv, tmp_path, capsys):
+        cert60, decisions, out = tmp_path / "cert60.json", tmp_path / "decisions.csv", tmp_path / "report.json"
+        assert main(["calibrate", "--calib", calib_csv, "--alpha", "0.85", "--beta", "0.2", "--out", str(cert60)]) == 0
+        assert main(["apply", "--test", test_csv, "--cert", str(cert60), "--out", str(decisions)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--test", test_csv, "--decisions", str(decisions), "--cert", cert75,
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: outcome must follow from the certificate: 'abstain' for id 'u1', got '0'"
+            " (row 1, column 'outcome')\n")
+        # the certificate the decisions came from passes
+        assert main(["evaluate", "--test", test_csv, "--decisions", str(decisions), "--cert", str(cert60),
+                     "--out", str(out)]) == 0
+
+    def test_an_infeasible_certificate_fails_as_apply_fails(self, calib_csv, cert75, test_csv, tmp_path, capsys):
+        infeasible, decisions = tmp_path / "infeasible.json", tmp_path / "decisions.csv"
+        out = tmp_path / "report.json"
+        assert main(["calibrate", "--calib", calib_csv, "--alpha", "0.3", "--beta", "0.2",
+                     "--out", str(infeasible)]) == 2
+        assert main(["apply", "--test", test_csv, "--cert", cert75, "--out", str(decisions)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--test", test_csv, "--decisions", str(decisions), "--cert", str(infeasible),
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: certificate is infeasible; no threshold satisfies the risk budget\n"
+        # with --no-abstention the certificate is provenance only
+        assert main(["evaluate", "--test", test_csv, "--no-abstention", "--cert", str(infeasible),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certificate"]["status"] == "infeasible"
+
     def test_decision_source_is_required_and_exclusive(self, test_csv, tmp_path):
         out = str(tmp_path / "report.json")
         assert main(["evaluate", "--test", test_csv, "--out", out]) == 1

@@ -14,14 +14,22 @@ selective risk W / (W + C). For integer shapes, I_x(a, b) = P(Bin(a + b - 1,
 x) >= a), computed here with the package's own CDF in the form that sums
 no cancelling terms: binom_cdf(b - 1, a + b - 1, 1 - x). The form
 1 - binom_cdf(a - 1, a + b - 1, x) loses every digit in the lower tail.
+
+The same curves judge simulate's promise trial by trial (ROADMAP item 1d):
+a trial violates it when it is feasible and the exact risk at its
+lambda_hat exceeds alpha, and the promise bounds the rate of that event
+over all trials, feasible or not, by beta. `audit` runs one cell, and a
+tier-1 test one small cell; `PYTHONPATH=src python tests/test_exact_curves.py
+[trials]` runs the sweep by hand and prints its table.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from selcert import SyntheticScorerSpec, binom_cdf, generate_synthetic, tradeoff_curve
+from selcert import RiskConfig, SyntheticScorerSpec, binom_cdf, generate_synthetic, tradeoff_curve, validate_guarantee
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (2, 4), (4, 2), (3, 3), (8, 2), (2, 8), (10, 3), (20, 20)]
 
@@ -90,3 +98,79 @@ def test_drawn_curve_lies_in_the_dkw_band(seed):
     where = kept > 0.1
     assert where.sum() > 100
     assert (np.abs((1 - accuracy) - risk)[where] < (band * (1 + risk) / kept)[where]).all()
+
+
+def population_risk(lam: np.ndarray, spec: SyntheticScorerSpec) -> np.ndarray:
+    """W / (W + C) at each threshold of lam, with I_x(a, b) from `scipy.special.betainc`.
+
+    1 - I_x(a, b) is taken as I_{1-x}(b, a), which cancels nothing.
+    """
+    betainc = pytest.importorskip("scipy.special").betainc
+    pi, (a_p, b_p), (a_n, b_n) = spec.prevalence, spec.pos_shape, spec.neg_shape
+    wrong = pi * betainc(a_p, b_p, 1 - lam) + (1 - pi) * betainc(b_n, a_n, 1 - lam)
+    right = pi * betainc(b_p, a_p, 1 - lam) + (1 - pi) * betainc(a_n, b_n, 1 - lam)
+    return wrong / (wrong + right)
+
+
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """The two-sided 95% Clopper-Pearson interval of a rate k / n."""
+    betaincinv = pytest.importorskip("scipy.special").betaincinv
+    return (0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025)),
+            1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975)))
+
+
+def audit(spec: SyntheticScorerSpec, config: RiskConfig, trials: int, n_calib: int, n_test: int, seed: int) -> dict:
+    """One cell of item 1d's audit: simulate's trials judged on the exact population risk.
+
+    A trial violates the promise when it is feasible and the exact risk at its
+    lambda_hat exceeds alpha; the rate is per trial, with its 95% interval,
+    beside the rate per feasible trial and the count of simulate's own
+    test-sample `violated` column.
+    """
+    run = validate_guarantee(spec, config, trials=trials, n_calib=n_calib, n_test=n_test, seed=seed)
+    feasible = np.not_equal(run.lambda_hat, None)
+    lam = run.lambda_hat[feasible].astype(float)
+    violations = int(np.count_nonzero(population_risk(lam, spec) > config.alpha))
+    return {"trials": trials, "feasible": int(feasible.sum()), "violations": violations,
+            "per_trial": violations / trials, "interval": clopper_pearson(violations, trials),
+            "per_feasible": violations / max(int(feasible.sum()), 1),
+            "test_sample_violations": int(np.count_nonzero(run.violated))}
+
+
+AUDIT_SPEC = SyntheticScorerSpec(1, 0.3, (4, 2), (2, 4), 0)  # n and seed are not read
+
+
+def test_population_risk_meets_the_exact_curves():
+    lams = np.linspace(0.5, 0.99, 50)
+    risk = population_risk(lams, AUDIT_SPEC)
+    # exact_masses takes 1 - I by subtraction, so the two agree to absolute, not relative, precision
+    np.testing.assert_allclose(risk, [exact_curves(float(lam), AUDIT_SPEC)[1] for lam in lams], rtol=0, atol=1e-12)
+
+
+def test_the_promise_holds_on_the_population_risk_trial_by_trial():
+    # the promise is marginal over calibration draws: P(feasible and risk(lambda_hat) > alpha) <= beta;
+    # at 2000 trials, the upper end of the rate's 95% interval must lie at or below beta
+    cell = audit(AUDIT_SPEC, RiskConfig(alpha=0.1, beta=0.1, min_count=25), trials=2000, n_calib=500,
+                 n_test=2000, seed=7)
+    assert cell["feasible"] > 1500 and cell["violations"] > 0
+    assert cell["interval"][1] <= 0.1
+
+
+def sweep(trials: int = 1000, seed: int = 7) -> None:
+    """Item 1d's sweep, run by hand: one audit per (n_calib, min_count, beta) at alpha 0.1 and n_test 2000."""
+    print("| n_calib | min_count | beta | trials | feasible | violations | per trial [95% CI] | per feasible "
+          "| test-sample violations |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for n_calib in (500, 5000, 20000):
+        for min_count in (25, 100):
+            for beta in (0.05, 0.1, 0.2):
+                cell = audit(AUDIT_SPEC, RiskConfig(alpha=0.1, beta=beta, min_count=min_count), trials, n_calib,
+                             2000, seed)
+                low, high = cell["interval"]
+                print(f"| {n_calib} | {min_count} | {beta} | {trials} | {cell['feasible']} | {cell['violations']} "
+                      f"| {cell['per_trial']:.4f} [{low:.4f}, {high:.4f}] | {cell['per_feasible']:.4f} "
+                      f"| {cell['test_sample_violations']} |", flush=True)
+
+
+if __name__ == "__main__":
+    sweep(*map(int, sys.argv[1:2]))

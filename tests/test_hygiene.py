@@ -5,8 +5,8 @@ src/ and tests/ compiles with warnings as errors.
 
 Helpers move between modules as rules are shared; a leftover import or a
 private function nothing calls any more fails here. Sizes such as the
-solver's block, simulate's chunk and the bootstrap's chunk
-(`metrics._CHUNK_RECORDS`) are module constants, never settings read from
+solver's block and the one chunk budget of simulate and the bootstrap
+(`records._CHUNK_RECORDS`) are module constants, never settings read from
 the environment, so a result never depends on where it is run.
 numpy is the one runtime dependency pyproject.toml declares: scipy and
 hypothesis, its `test` extra, serve the tests alone. Every retained-set count reads

@@ -58,7 +58,7 @@ COLUMN = "must be a column (a list, tuple, range or 1-d array)"
 DATA = Dataset(["a", "b"], [0.9, 0.2], [1, 0], [date(2020, 1, 1), date(2020, 6, 1)])
 DECISIONS = Decisions(["a", "b"], [1, -1], [0.9, 0.8])  # DATA's ids
 GRID = CertificateGrid([0.6, 0.8], [3, 2], [1, 1], [1 / 3, 0.5], [0.9, 0.95])
-CERT = ThresholdCertificate("feasible", 0.6, GRID, RiskConfig(0.5, 0.2), 3)
+CERT = ThresholdCertificate(0.6, GRID, RiskConfig(0.5, 0.2), 3)
 CURVE = tradeoff_curve(DATA)
 TRIALS = validate_guarantee(SyntheticScorerSpec(1, 0.5, (4, 1), (1, 4), 0), RiskConfig(0.3, 0.2, 5), 2, 20, 20, 0)
 
@@ -86,7 +86,7 @@ TABLE_ENTRY_POINTS = {
     "write_decisions": (lambda table, tmp: write_decisions(table, tmp / "decisions.csv"), "decisions", DECISIONS),
     "selective_report": (lambda table, _: selective_report(DATA, table), "decisions", DECISIONS),
     "ThresholdCertificate.grid": (
-        lambda table, _: ThresholdCertificate("infeasible", None, table, RiskConfig(0.5, 0.2), 3), "grid", GRID),
+        lambda table, _: ThresholdCertificate(None, table, RiskConfig(0.5, 0.2), 3), "grid", GRID),
     "selective_report.data": (lambda table, _: selective_report(table, DECISIONS), "data", DATA),
     "certify_threshold": (lambda table, _: certify_threshold(table, RiskConfig(0.5, 0.2)), "data", DATA),
     "apply_certificate": (lambda table, _: apply_certificate(table, CERT), "data", DATA),

@@ -223,7 +223,7 @@ class TestValidateGuarantee:
         (RiskConfig(alpha=0.3, beta=0.5, min_count=5), 9, 60, 40, 4),  # beta >= 1/2 sums every term
         (RiskConfig(alpha=0.35, beta=0.9, min_count=1), 9, 60, 40, 4),
         (RiskConfig(alpha=0.3, beta=0.2, min_count=1), 9, 60, 5, 2),
-        (CONFIG, 6, 3000, 1000, None),  # the module's own budget (4 trials a chunk at 1 << 14)
+        (CONFIG, 9, 3000, 1000, None),  # the package's own budget (8 trials a chunk at 1 << 15)
     ])
     def test_chunks_equal_the_per_trial_reference(self, monkeypatch, config, trials, n_calib, n_test, per_chunk):
         # the chunk budget is set so that `per_chunk` trials share a chunk (0: the
